@@ -218,13 +218,3 @@ def haar_random_subspace(dim_ambient: int, m: int, rng) -> Isometry:
     d = np.diagonal(r)
     q = q * (d / np.abs(d))
     return Isometry(q)
-
-
-def choi_matrix(ch: QuantumChannel) -> np.ndarray:
-    """Choi operator (ch (x) id)(|phi><phi|) with |phi> unnormalized maximally entangled."""
-    d = ch.dim_in
-    c = np.zeros((ch.dim_out * d, ch.dim_out * d), dtype=complex)
-    for k in ch.kraus:
-        v = k.reshape(-1)  # row-major flatten pairs the (out, in) indices
-        c += np.outer(v, v.conj())
-    return c

@@ -1,10 +1,8 @@
 """Command-line entry point.
 
-Subcommands mirror the experiment kinds:
-
-    qstego rates    {cc-noiseless,cc-noisy,gaussian,product}    --config PATH
-    qstego simulate {cc-noiseless,cc-noisy,cc-es,es-rs,qc-cc,resolvability}
-    qstego verify   {gentle,pj-bound,sutherland,random-code}
+There is one subcommand ``qstego GROUP KIND`` per experiment kind
+"GROUP/KIND" of the experiment registry; ``qstego GROUP --help`` lists the
+kinds of a group.
 
 Common flags: --config PATH (JSON), --seed N (overrides the config seed),
 --out DIR (default "."), --csv / --json (default: write both).  Exit code 0
@@ -19,28 +17,23 @@ import json
 import sys
 from pathlib import Path
 
-from .experiments import run_and_write
-
-_GROUPS = {
-    "rates": ["cc-noiseless", "cc-noisy", "gaussian", "product"],
-    "simulate": ["cc-noiseless", "cc-noisy", "cc-es", "es-rs", "qc-cc", "resolvability"],
-    "verify": ["gentle", "pj-bound", "sutherland", "random-code"],
-}
+from .experiments import RUNNERS, run_and_write
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qstego", description=__doc__)
     groups = parser.add_subparsers(dest="group", required=True)
-    for group, kinds in _GROUPS.items():
-        gp = groups.add_parser(group)
-        sub = gp.add_subparsers(dest="kind", required=True)
-        for kind in kinds:
-            kp = sub.add_parser(kind)
-            kp.add_argument("--config", required=True, help="JSON experiment config")
-            kp.add_argument("--seed", type=int, default=None, help="override config seed")
-            kp.add_argument("--out", default=".", help="output directory")
-            kp.add_argument("--csv", action="store_true", help="write only the CSV table")
-            kp.add_argument("--json", action="store_true", help="write only the JSON summary")
+    kinds = {}
+    for name in RUNNERS:
+        group, kind = name.split("/")
+        if group not in kinds:
+            kinds[group] = groups.add_parser(group).add_subparsers(dest="kind", required=True)
+        kp = kinds[group].add_parser(kind)
+        kp.add_argument("--config", required=True, help="JSON experiment config")
+        kp.add_argument("--seed", type=int, default=None, help="override config seed")
+        kp.add_argument("--out", default=".", help="output directory")
+        kp.add_argument("--csv", action="store_true", help="write only the CSV table")
+        kp.add_argument("--json", action="store_true", help="write only the JSON summary")
     return parser
 
 
@@ -73,7 +66,7 @@ def main(argv=None) -> int:
             csv=write_csv,
             summary_json=write_json,
         )
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         print(f"{path}: invalid config: {exc}", file=sys.stderr)
         return 2
     for p in paths:

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import QuantumChannel, identity_channel, standard_channel, tensor, tensor_power
+from .channels import QuantumChannel, compose, identity_channel, standard_channel, tensor, tensor_power
 from .fixtures import (
     dephasing_es_cover,
     named_state,
@@ -42,6 +42,7 @@ from .protocols import (
     verify_gentle_composition,
     verify_pj_minentropy_bound,
 )
+from .protocols.resolvability import output_cq
 from .rates import (
     experiment_random_code_entropy,
     experiment_sutherland_bound,
@@ -144,17 +145,13 @@ def _run_rates_cc_noiseless(params, seed):
 
 
 def _run_rates_cc_noisy(params, seed):
-    from .channels import apply, compose
-
     n_true = parse_channel(params["n_true"])
     m = parse_channel(params["m"])
     cover_channel = compose(n_true, m)
     codewords = [parse_state(s) for s in params["codewords"]]
     cover = pgm_cc_cover(codewords, cover_channel, int(params.get("n", 1)))
     sides_in = side_states_from_degradation(cover, m)
-    side_outputs = [
-        CqState(s.pmf, tuple(apply(n_true, st) for st in s.states)) for s in sides_in
-    ]
+    side_outputs = [output_cq(s, n_true) for s in sides_in]
     zeta, xi = float(params["zeta"]), float(params["xi"])
     rows = []
     for nu_tol in params.get("nu_tols", [1e-6, 1e-8]):
@@ -286,8 +283,6 @@ def _run_simulate_cc_noiseless(params, seed):
 
 
 def _run_simulate_cc_noisy(params, seed):
-    from .channels import compose
-
     n_true = parse_channel(params["n_true"])
     m = parse_channel(params["m"])
     codewords = [parse_state(s) for s in params["codewords"]]
@@ -550,7 +545,9 @@ def _run_verify_random_code(params, seed):
     return cols, [row], {"holds": rep.holds}, detail
 
 
-_RUNNERS = {
+#: experiment kind "group/kind" -> runner; the CLI builds its subcommands from
+#: these keys, in this order
+RUNNERS = {
     "rates/cc-noiseless": _run_rates_cc_noiseless,
     "rates/cc-noisy": _run_rates_cc_noisy,
     "rates/gaussian": _run_rates_gaussian,
@@ -575,11 +572,11 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     ``seed`` argument overrides the config.
     """
     kind = config.get("kind")
-    if kind not in _RUNNERS:
+    if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     use_seed = int(config.get("seed", 0)) if seed is None else int(seed)
     params = config.get("params", {})
-    columns, rows, flags, summary = _RUNNERS[kind](params, use_seed)
+    columns, rows, flags, summary = RUNNERS[kind](params, use_seed)
     return ExperimentResult(
         kind=kind, columns=columns, rows=rows, flags=flags, summary=summary, seed=use_seed
     )

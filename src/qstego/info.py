@@ -158,14 +158,14 @@ def renyi_mi_down(cq: CqState, a: float) -> float:
     return float(-np.log2(max(total, 1e-300)) / a)
 
 
-def hypothesis_testing_divergence(rho, sigma, eps: float, infinite=math.inf) -> float:
+def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
     """D_H^eps(rho || sigma) = -log2 inf { tr Q sigma : 0 <= Q <= 1, tr Q rho >= 1-eps }.
 
     Exact optimum via the quantum Neyman-Pearson test: a binary search on the
     threshold t locates the crossing of tr(Q rho) = 1 - eps among projectors
     onto the positive part of rho - t sigma; a fractional weight on the
     boundary eigenspace hits the constraint exactly.  Orthogonal inputs give
-    the ``infinite`` sentinel.
+    ``math.inf``.
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("bad parameter: eps must be in (0, 1)")
@@ -187,7 +187,7 @@ def hypothesis_testing_divergence(rho, sigma, eps: float, infinite=math.inf) -> 
         p = v[:, w > 0.0]
         leak = float(np.einsum("ij,jk,ki->", p.conj().T, s, p).real)
         if leak < 1e-14:
-            return infinite
+            return math.inf
         return float(-np.log2(leak))
     for _ in range(100):
         t_mid = 0.5 * (t_lo + t_hi)
@@ -209,7 +209,7 @@ def hypothesis_testing_divergence(rho, sigma, eps: float, infinite=math.inf) -> 
             q = q + frac * (boundary @ boundary.conj().T)
     false_alarm = float(np.trace(q @ s).real)
     if false_alarm < 1e-14:
-        return infinite
+        return math.inf
     return float(-np.log2(false_alarm))
 
 
@@ -244,6 +244,17 @@ def smooth_min_entropy_quantum(rho, eps: float) -> float:
     return smooth_min_entropy_classical(lam, eps)
 
 
+# Order windows.  Cypher rates are a sup over a in ]0, 1[: GRID_POINTS points
+# on [SUP_PAD, 1 - SUP_PAD], refined out to SUP_EDGE from either end.  Key
+# rates are an inf over a < 0: GRID_POINTS log-spaced points on [INF_LO, INF_HI].
+GRID_POINTS = 199
+SUP_PAD = 0.005
+SUP_EDGE = 1e-6
+INF_LO = -8.0
+INF_HI = -0.01
+GOLDEN_TOL = 1e-11
+
+
 @dataclass(frozen=True)
 class OrderOptimum:
     a_star: float
@@ -262,13 +273,13 @@ def _safe(f):
     return g
 
 
-def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, float]:
+def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c, d = b - invphi * (b - a), a + invphi * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(200):
-        if b - a <= tol:
+        if b - a <= GOLDEN_TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
@@ -283,64 +294,48 @@ def _golden_max(f, lo: float, hi: float, tol: float = 1e-11) -> tuple[float, flo
     return arg, val
 
 
-def sup_over_order(
-    f,
-    lo: float = 0.0,
-    hi: float = 1.0,
-    num_grid: int = 199,
-    grid_pad: float = 0.005,
-    edge: float = 1e-6,
-) -> OrderOptimum:
-    """Maximize f over the open interval ]lo, hi[.
-
-    Grid search (199 points on [lo + pad, hi - pad] by default, matching
-    [0.005, 0.995] on ]0,1[) followed by golden-section refinement around the
-    best point.  When the grid winner sits at a grid end, the refinement
-    bracket extends to the open endpoint truncated at ``edge``, so suprema
-    attained in the a -> lo/hi limits are found.  Raises
-    ValueError("no finite value") if no sample point is finite.
+def _grid_then_golden(g, grid, before_first: float, after_last: float) -> tuple[float, float]:
+    """Maximize g: evaluate the grid, then golden-section refine between the
+    winner's neighbours.  A winner at a grid end brackets out to the stand-in
+    ``before_first`` or ``after_last``.  The grid point is kept if the
+    refinement does not beat it.
     """
-    g = _safe(f)
-    width = hi - lo
-    grid = np.linspace(lo + grid_pad * width, hi - grid_pad * width, num_grid)
     vals = np.array([g(a) for a in grid])
     if not np.any(np.isfinite(vals)):
         raise ValueError("no finite value")
     i = int(np.argmax(vals))
-    left = grid[i - 1] if i > 0 else lo + edge * width
-    right = grid[i + 1] if i < num_grid - 1 else hi - edge * width
-    arg, val = _golden_max(g, float(left), float(right))
+    prev = grid[i - 1] if i > 0 else before_first
+    nxt = grid[i + 1] if i < grid.size - 1 else after_last
+    arg, val = _golden_max(g, float(min(prev, nxt)), float(max(prev, nxt)))
     if vals[i] > val:
         arg, val = float(grid[i]), float(vals[i])
-    boundary = arg <= lo + 2 * edge * width or arg >= hi - 2 * edge * width
+    return arg, val
+
+
+def sup_over_order(f) -> OrderOptimum:
+    """Maximize f over the open interval ]0, 1[.
+
+    Grid search (199 points on [0.005, 0.995]) followed by golden-section
+    refinement around the best point.  When the grid winner sits at a grid
+    end, the refinement bracket extends to the open endpoint truncated at
+    1e-6, so suprema attained in the a -> 0/1 limits are found and flagged
+    (``boundary``).  Raises ValueError("no finite value") if no sample point
+    is finite.
+    """
+    grid = np.linspace(SUP_PAD, 1.0 - SUP_PAD, GRID_POINTS)
+    arg, val = _grid_then_golden(_safe(f), grid, SUP_EDGE, 1.0 - SUP_EDGE)
+    boundary = arg <= 2 * SUP_EDGE or arg >= 1.0 - 2 * SUP_EDGE
     return OrderOptimum(a_star=float(arg), value=float(val), boundary=boundary)
 
 
-def inf_over_order(
-    f,
-    lo: float = -8.0,
-    hi: float = -0.01,
-    num_grid: int = 199,
-) -> OrderOptimum:
-    """Minimize f over the closed negative-order window [lo, hi].
+def inf_over_order(f) -> OrderOptimum:
+    """Minimize f over the closed negative-order window [-8, -0.01].
 
-    199 log-spaced points by default, then golden-section refinement; the
-    window endpoints are configurable and a boundary-attained optimum is
-    flagged so reports can warn that the true inf over a < 0 may lie outside.
+    199 log-spaced points, then golden-section refinement.  The window is
+    fixed; an optimum attained at either end is flagged (``boundary``) so
+    reports can warn that the true inf over a < 0 may lie outside.
     """
-    if not lo < hi < 0.0:
-        raise ValueError("bad parameter: need lo < hi < 0")
-    g = _safe(lambda a: -f(a))
-    grid = -np.logspace(math.log10(-hi), math.log10(-lo), num_grid)
-    vals = np.array([g(a) for a in grid])
-    if not np.any(np.isfinite(vals)):
-        raise ValueError("no finite value")
-    i = int(np.argmax(vals))
-    left = grid[i + 1] if i < num_grid - 1 else lo  # grid is descending toward lo
-    right = grid[i - 1] if i > 0 else hi
-    lo_b, hi_b = min(left, right), max(left, right)
-    arg, val = _golden_max(g, float(lo_b), float(hi_b))
-    if vals[i] > val:
-        arg, val = float(grid[i]), float(vals[i])
-    boundary = arg <= lo * (1 - 1e-9) + 1e-12 or arg >= hi * (1 - 1e-9) - 1e-12
+    grid = -np.logspace(math.log10(-INF_HI), math.log10(-INF_LO), GRID_POINTS)  # descending
+    arg, val = _grid_then_golden(_safe(lambda a: -f(a)), grid, INF_HI, INF_LO)
+    boundary = arg <= INF_LO * (1 - 1e-9) + 1e-12 or arg >= INF_HI * (1 + 1e-9) - 1e-12
     return OrderOptimum(a_star=float(arg), value=float(-val), boundary=boundary)

@@ -208,12 +208,6 @@ def partial_trace_matrix(a: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def permute_systems_vector(v: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder tensor factors of a vector: new factor i is old factor perm[i]."""
-    v = np.asarray(v, dtype=complex).reshape(list(dims))
-    return v.transpose(perm).reshape(-1)
-
-
 def permute_systems_matrix(a: np.ndarray, dims, perm) -> np.ndarray:
     """Reorder tensor factors of an operator, rows and columns alike."""
     n = len(dims)

@@ -20,6 +20,8 @@ from ..linalg import DensityMatrix, psd_sqrt, trace_norm
 from .codes import QcCode, StegoQcCcCode, proportionality_to_identity
 
 KL_TOL = 1e-8
+AUDIT_INPUTS = 16
+AUDIT_SEED = 20240
 
 
 def orthogonalize_correctable_kraus(channel: QuantumChannel, correctable, projector):
@@ -76,10 +78,10 @@ def _polar_unitaries(kraus_tilde, d, projector):
     return unitaries, worst
 
 
-def test_input_states(m: int, count: int = 16, seed: int = 20240) -> list:
-    """Deterministic audit inputs: computational and phase pure states plus
-    seeded random mixed states."""
-    rng = np.random.default_rng(seed)
+def test_input_states(m: int) -> list:
+    """Deterministic audit inputs: AUDIT_INPUTS states, the computational and
+    phase pure states plus random mixed states seeded with AUDIT_SEED."""
+    rng = np.random.default_rng(AUDIT_SEED)
     out = []
     for i in range(m):
         v = np.zeros(m, dtype=complex)
@@ -90,11 +92,11 @@ def test_input_states(m: int, count: int = 16, seed: int = 20240) -> list:
         v[0] = 1.0 / math.sqrt(2)
         v[1 % m] = phase / math.sqrt(2)
         out.append(DensityMatrix(np.outer(v, v.conj()) if m > 1 else np.array([[1.0 + 0j]])))
-    while len(out) < count:
+    while len(out) < AUDIT_INPUTS:
         g = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
         a = g @ g.conj().T
         out.append(DensityMatrix(a / np.trace(a).real))
-    return out[:count]
+    return out[:AUDIT_INPUTS]
 
 
 def build_stego_qc_cc(

@@ -22,14 +22,16 @@ GRACE = 1e-9
 
 
 @dataclass(frozen=True)
-class VerifierReport:
+class BoundReport:
+    """Both sides of one inequality on one instance; ``holds`` allows GRACE."""
+
     lhs: float
     rhs: float
     holds: bool
     detail: dict
 
 
-def verify_gentle_composition(states, channels, povm: Povm, p) -> VerifierReport:
+def verify_gentle_composition(states, channels, povm: Povm, p) -> BoundReport:
     """Generalized gentle-measurement check.
 
     lhs = || sum_x P(x) ( N^x(rho^x) - sum_x' N^x'( sqrt(L^x') rho^x sqrt(L^x') ) ) ||_1
@@ -56,10 +58,10 @@ def verify_gentle_composition(states, channels, povm: Povm, p) -> VerifierReport
         diff += probs[x] * term
     lhs = trace_norm(diff)
     rhs = 2.0 * math.sqrt(eps) + eps
-    return VerifierReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + GRACE, detail={"eps": eps})
+    return BoundReport(lhs=lhs, rhs=rhs, holds=lhs <= rhs + GRACE, detail={"eps": eps})
 
 
-def verify_pj_minentropy_bound(cover: QcCode, delta: float, m: QuantumChannel | None = None) -> VerifierReport:
+def verify_pj_minentropy_bound(cover: QcCode, delta: float, m: QuantumChannel | None = None) -> BoundReport:
     """Smooth-min-entropy bound for the correctable-weight distribution.
 
     lhs = H_min^delta(P_J);  rhs = H_min^(delta - 2 sqrt(eps)) of the
@@ -77,7 +79,7 @@ def verify_pj_minentropy_bound(cover: QcCode, delta: float, m: QuantumChannel | 
     env = complementary_matrix(channel, pi / cover.m)
     env = (env + env.conj().T) / 2
     rhs = smooth_min_entropy_quantum(env, delta - 2.0 * math.sqrt(eps))
-    return VerifierReport(
+    return BoundReport(
         lhs=lhs,
         rhs=rhs,
         holds=lhs >= rhs - GRACE,

@@ -22,11 +22,14 @@ from .info import (
     renyi_entropy,
     renyi_mi_down,
     renyi_mi_up,
+    shannon_entropy,
     sup_over_order,
     von_neumann_entropy,
     holevo_information,
 )
 from .linalg import distinct_eigenvalue_count, partial_trace_matrix, trace_norm
+from .protocols.stego_qc_cc import orthogonalize_correctable_kraus
+from .protocols.verifiers import GRACE, BoundReport
 
 
 @dataclass(frozen=True)
@@ -71,8 +74,6 @@ def rate_cc_noisy(
     zeta: float,
     xi: float,
     nu_tol: float = 1e-8,
-    neg_lo: float = -8.0,
-    neg_hi: float = -0.01,
     targets=None,
 ) -> tuple[RateResult, RateResult]:
     """Cypher and key rates for the noisy construction.
@@ -80,8 +81,9 @@ def rate_cc_noisy(
     ``side_outputs`` are the output-side cq states sigma^w_XB.  The cypher
     rate is min_w sup_a [ Iup_a - (1/a) log2 nu(sigma_X (x) sigma_B) -
     (4/a) log2(12/zeta) ]; the key rate is max_w { inf_{a<0} [ Idown_a +
-    log2 nu(rho_B^w) + (2 - 2/a) log2(12/xi) ] - log Mbar_w + 1 }, scanned on
-    a log grid over [neg_lo, neg_hi].  Distinct-eigenvalue counts use nu_tol.
+    log2 nu(rho_B^w) + (2 - 2/a) log2(12/xi) ] - log Mbar_w + 1 }, with the
+    inf taken on the fixed window of :func:`qstego.info.inf_over_order` (199
+    log-spaced points on [-8, -0.01]).  Distinct-eigenvalue counts use nu_tol.
     When ``targets`` (the cover outputs rho^w) are given, each sigma's
     B-marginal is validated against them to 1e-8.
     """
@@ -110,9 +112,7 @@ def rate_cc_noisy(
         opt_k = inf_over_order(
             lambda a: renyi_mi_down(sigma, a)
             + math.log2(nu_b)
-            + (2.0 - 2.0 / a) * math.log2(12.0 / xi),
-            lo=neg_lo,
-            hi=neg_hi,
+            + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
         )
         key_vals.append((opt_k, opt_k.value - opt_m.value + 1.0))
         per_w_k.append(opt_k.value - opt_m.value + 1.0)
@@ -204,14 +204,6 @@ def rate_product_structure(
     return RateResult(raw=raw, a_star=math.nan, terms={"inner": inner, "mode": mode}, boundary=False)
 
 
-@dataclass(frozen=True)
-class BoundReport:
-    lhs: float
-    rhs: float
-    holds: bool
-    detail: dict
-
-
 def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundReport:
     """Entropy bound for structured codes: sup_a H^a of the degradation's
     environment output at Pi/M against n (H(p) - delta) for the single-use
@@ -226,18 +218,16 @@ def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundR
             elif abs(overlap) > 1e-9:
                 raise ValueError("structural check fails: single-use Kraus not orthogonal")
     p = np.array(weights) / sum(weights)
-    from .protocols.stego_qc_cc import orthogonalize_correctable_kraus  # structural gate
-
+    # structural gate: raises unless the code splits as QC_R
     orthogonalize_correctable_kraus(code.channel, code.correctable, code.projector)
     env = complementary_matrix(code.channel, code.projector / code.m)
     env = (env + env.conj().T) / 2
     opt = sup_over_order(lambda a: renyi_entropy(env, a))
-    entropy_p = float(-(p[p > 0] * np.log2(p[p > 0])).sum())
-    rhs = code.n * (entropy_p - delta)
+    rhs = code.n * (shannon_entropy(p) - delta)
     return BoundReport(
         lhs=opt.value,
         rhs=rhs,
-        holds=opt.value >= rhs - 1e-9,
+        holds=opt.value >= rhs - GRACE,
         detail={"a_star": opt.a_star, "p_single_use": p, "n": code.n},
     )
 
@@ -280,6 +270,6 @@ def experiment_random_code_entropy(
     return BoundReport(
         lhs=mean,
         rhs=rhs,
-        holds=mean >= rhs - 1e-9,
+        holds=mean >= rhs - GRACE,
         detail={"stderr": stderr, "rank_tr_a": int(rank_a), "rank_tr_e": int(rank_e)},
     )

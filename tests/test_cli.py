@@ -1,8 +1,11 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+from qstego.experiments import RUNNERS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -140,3 +143,28 @@ class TestExitCodes:
         )
         assert cp.returncode == 1
         assert "medians_strictly_decreasing: FAIL" in cp.stdout
+
+    def test_wrong_typed_parameter_exits_two(self, tmp_path):
+        config = json.loads((CONFIGS / "stego_qc_cc_demo.json").read_text())
+        config["params"]["mbar"] = [2]
+        path = tmp_path / "bad_type.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli(
+            ["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)],
+            cwd=tmp_path,
+        )
+        assert cp.returncode == 2
+        assert f"{path}: invalid config:" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+
+class TestReadme:
+    def test_cli_block_lists_registry_kinds(self):
+        # README's CLI block is the one hand-written list of experiment kinds
+        block = (ROOT / "README.md").read_text().split("## CLI", 1)[1].split("```")[1]
+        listed = [
+            f"{group}/{kind}"
+            for group, kinds in re.findall(r"^qstego (\S+)\s+\{([^}]*)\}", block, re.M)
+            for kind in kinds.split(",")
+        ]
+        assert listed == list(RUNNERS)

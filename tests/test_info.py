@@ -275,6 +275,12 @@ class TestOrderOptimizer:
         with pytest.raises(ValueError, match="no finite value"):
             sup_over_order(lambda a: math.nan)
 
+    def test_sup_at_lower_edge(self):
+        res = sup_over_order(lambda a: -a)
+        assert res.a_star == pytest.approx(1e-6, abs=1e-9)
+        assert res.value == pytest.approx(-1e-6, abs=1e-9)
+        assert res.boundary
+
     def test_inf_over_order_interior(self):
         res = inf_over_order(lambda a: (a + 2.0) ** 2)
         assert res.value == pytest.approx(0.0, abs=1e-9)
@@ -285,6 +291,12 @@ class TestOrderOptimizer:
         res = inf_over_order(lambda a: a)
         assert res.boundary
         assert res.value == pytest.approx(-8.0, abs=1e-9)
+
+    def test_inf_over_order_upper_edge_flagged(self):
+        res = inf_over_order(lambda a: -a)
+        assert res.a_star == pytest.approx(-0.01, abs=1e-9)
+        assert res.value == pytest.approx(0.01, abs=1e-9)
+        assert res.boundary
 
 
 class TestHypothesisTestingDuality:

@@ -246,9 +246,7 @@ def _run_simulate_cc_noiseless(params, seed):
     mbar = int(params["mbar"])
     zeta = float(params["zeta"])
     cover = pgm_cc_cover(codewords, m, n)
-    stego = build_stego_cc_noiseless(
-        cover, m, mbar, zeta, seed=seed, attempts=int(params.get("attempts", 64))
-    )
+    stego = build_stego_cc_noiseless(cover, m, mbar, zeta, seed=seed)
     rows = []
     for w in range(cover.m):
         h = stego.hashes[w]
@@ -298,7 +296,6 @@ def _run_simulate_cc_noisy(params, seed):
         zeta=float(params["zeta"]),
         xi=float(params["xi"]),
         seed=seed,
-        trials=int(params.get("trials", 1)),
     )
     rows = [
         {

@@ -5,9 +5,9 @@ realizes the privacy-amplification existence statement: picking
 W uniform and X ~ Q_{X|W} induces an X-marginal close to the target PMF while
 f decodes W back.  The quantum version applies the same machinery to the
 eigenbasis of a target state.  Hashes are found by exhaustive search over all
-function tables when that is cheap, otherwise by seeded random search (or a
-seeded two-universal family for large alphabets); achieved defects are always
-measured and reported, never assumed from the rate bound.
+function tables when that is cheap, otherwise by seeded random search over
+``ATTEMPTS`` tables; achieved defects are always measured and reported, never
+assumed from the rate bound.
 """
 
 from __future__ import annotations
@@ -23,6 +23,8 @@ from .linalg import DensityMatrix, HermitianOperator, Povm
 
 #: exhaustive search is used when M ** |X| does not exceed this
 EXHAUSTIVE_LIMIT = 1 << 16
+#: random tables drawn when the search is not exhaustive
+ATTEMPTS = 64
 
 
 @dataclass(frozen=True)
@@ -44,10 +46,6 @@ class HashEncoder:
     error_prob: float
     warning: bool = False
     px_fallback: bool = False
-
-    @property
-    def alphabet_size(self) -> int:
-        return self.f.size
 
 
 @dataclass(frozen=True)
@@ -108,44 +106,11 @@ def _quality(f: np.ndarray, cond: np.ndarray, p: np.ndarray, m: int) -> tuple[fl
     return defect, error
 
 
-def measure_hash_quality(enc: HashEncoder, p) -> tuple[float, float]:
-    """Exact (defect, error probability) of an encoder against a target PMF."""
-    p = as_pmf(p)
-    if p.size != enc.alphabet_size:
-        raise ValueError("shape error: alphabet size mismatch")
-    return _quality(enc.f, enc.cond, p, enc.m)
-
-
-def _two_universal_tables(nx: int, m: int, rng: np.random.Generator, count: int):
-    prime = _next_prime(max(nx, m) + 1)
-    xs = np.arange(nx)
-    for _ in range(count):
-        a = int(rng.integers(1, prime))
-        b = int(rng.integers(0, prime))
-        yield ((a * xs + b) % prime) % m
-
-
-def _next_prime(n: int) -> int:
-    def is_prime(k: int) -> bool:
-        if k < 2:
-            return False
-        for d in range(2, int(k**0.5) + 1):
-            if k % d == 0:
-                return False
-        return True
-
-    while not is_prime(n):
-        n += 1
-    return n
-
-
 def build_classical_hash(
     p,
     m: int,
     eps: float,
     seed=None,
-    attempts: int = 64,
-    generator: str = "random",
     objective: str = "marginal",
 ) -> HashEncoder:
     """Search for a hash achieving defect <= eps.
@@ -154,9 +119,8 @@ def build_classical_hash(
     defect ||Q_X - P_X||_1 of the full encoder (the encoder guarantee), while
     "output" is ||P_{f(X)} - uniform||_1 (what the label-hashing protocols
     need).  Exhaustive over all M^|X| tables when that count is small (ties
-    broken by lexicographic order of the table); otherwise ``attempts`` seeded
-    draws from the requested generator ("random" function tables or a seeded
-    "two_universal" family).  Always returns the best table found, with
+    broken by lexicographic order of the table); otherwise ``ATTEMPTS`` seeded
+    random function tables.  Always returns the best table found, with
     ``warning`` set when the target was missed.
     """
     if m < 1:
@@ -190,14 +154,8 @@ def build_classical_hash(
                 break
     else:
         rng = np.random.default_rng(seed)
-        if generator == "two_universal":
-            tables = _two_universal_tables(nx, m, rng, attempts)
-        elif generator == "random":
-            tables = (rng.integers(0, m, size=nx) for _ in range(attempts))
-        else:
-            raise ValueError(f"bad parameter: unknown generator {generator!r}")
-        for table in tables:
-            consider(table)
+        for _ in range(ATTEMPTS):
+            consider(rng.integers(0, m, size=nx))
             if best_key[0] <= eps:
                 break
     if best_key[0] > eps:
@@ -205,7 +163,7 @@ def build_classical_hash(
     return best
 
 
-def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None, attempts: int = 64) -> QuantumHashCode:
+def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> QuantumHashCode:
     """Quantum privacy-amplification code for a target state.
 
     The classical hash is built for the spectrum of ``rho`` (descending);
@@ -217,7 +175,7 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None, attemp
     order = np.argsort(w)[::-1]
     lam, basis = np.maximum(w[order], 0.0), v[:, order]
     lam = lam / lam.sum()
-    enc = build_classical_hash(lam, m, eps, seed=seed, attempts=attempts)
+    enc = build_classical_hash(lam, m, eps, seed=seed)
     projectors = np.einsum("ix,jx->xij", basis, basis.conj())
     states = tuple(
         DensityMatrix(np.tensordot(enc.cond[w_], projectors, axes=(0, 0)))

@@ -109,13 +109,14 @@ def von_neumann_entropy(rho) -> float:
     """H(rho) = -sum lam log2 lam."""
     lam = _spectrum(rho)
     lam = lam[lam > 0.0]
-    return float(-np.sum(lam * np.log2(lam)))
+    # 0.0 - sum, not -sum: a pure state gives 0.0 rather than -0.0
+    return float(0.0 - np.sum(lam * np.log2(lam)))
 
 
 def shannon_entropy(p) -> float:
     q = as_pmf(p)
     q = q[q > 0.0]
-    return float(-np.sum(q * np.log2(q)))
+    return float(0.0 - np.sum(q * np.log2(q)))
 
 
 def holevo_information(cq: CqState) -> float:

@@ -62,10 +62,6 @@ class DensityMatrix:
     def dim(self) -> int:
         return self.data.shape[0]
 
-    def eigvals(self) -> np.ndarray:
-        """Eigenvalues in descending order, clipped at 0."""
-        return np.maximum(np.linalg.eigvalsh(self.data)[::-1], 0.0)
-
 
 @dataclass(frozen=True)
 class PureState:
@@ -310,8 +306,3 @@ def schmidt_decompose(v: PureState, dim_a: int, dim_b: int):
     c = vec.reshape(dim_a, dim_b)
     u, s, vh = np.linalg.svd(c, full_matrices=False)
     return s**2, u, vh.T  # column k of vh.T is the k-th b-side vector
-
-
-def vectors_close_up_to_phase(u: np.ndarray, v: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether |<u|v>| is within tol of 1 for unit vectors (global-phase-blind)."""
-    return abs(abs(np.vdot(u, v)) - 1.0) <= tol

@@ -55,37 +55,21 @@ def resolvability_metrics(code: ResolvabilityCode, sigma: CqState) -> tuple[floa
     return rel, trace_norm(mixture - sigma.marginal_b())
 
 
-def build_resolvability_code(
-    sigma: CqState,
-    m: int,
-    k: int,
-    seed=None,
-    trials: int = 1,
-) -> ResolvabilityCode:
+def build_resolvability_code(sigma: CqState, m: int, k: int, seed=None) -> ResolvabilityCode:
     """Sample K i.i.d. codebooks (entries ~ P_X) with PGM decoders.
 
-    With ``trials`` > 1 the sampling is repeated and the code with the
-    smallest empirical resolvability distance is kept (reliability breaks
-    ties).  Determinstic for a fixed seed.
+    Deterministic for a fixed seed.
     """
-    if m < 1 or k < 1 or trials < 1:
-        raise ValueError("bad parameter: M, K, trials must be >= 1")
+    if m < 1 or k < 1:
+        raise ValueError("bad parameter: M, K must be >= 1")
     rng = np.random.default_rng(seed)
-    nx = sigma.alphabet_size
-    best = None
-    best_key = None
-    for _ in range(trials):
-        books = rng.choice(nx, size=(k, m), p=sigma.pmf.probs)
-        decoders = tuple(
-            pretty_good_measurement([sigma.states[x] for x in books[s]]) for s in range(k)
-        )
-        code = ResolvabilityCode(codebooks=books, decoders=decoders, reliability=0.0, distance=0.0)
-        rel, dist = resolvability_metrics(code, sigma)
-        code = ResolvabilityCode(codebooks=books, decoders=decoders, reliability=rel, distance=dist)
-        key = (dist, -rel)
-        if best_key is None or key < best_key:
-            best, best_key = code, key
-    return best
+    books = rng.choice(sigma.alphabet_size, size=(k, m), p=sigma.pmf.probs)
+    decoders = tuple(
+        pretty_good_measurement([sigma.states[x] for x in books[s]]) for s in range(k)
+    )
+    code = ResolvabilityCode(codebooks=books, decoders=decoders, reliability=0.0, distance=0.0)
+    rel, dist = resolvability_metrics(code, sigma)
+    return ResolvabilityCode(codebooks=books, decoders=decoders, reliability=rel, distance=dist)
 
 
 def output_cq(sigma_in: CqState, channel: QuantumChannel) -> CqState:

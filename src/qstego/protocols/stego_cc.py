@@ -71,7 +71,6 @@ def build_stego_cc_noiseless(
     mbar: int,
     zeta: float,
     seed=None,
-    attempts: int = 64,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noiseless true channel.
 
@@ -86,7 +85,7 @@ def build_stego_cc_noiseless(
     hashes = []
     for w in range(cover.m):
         child = int(rng.integers(1 << 31))
-        hashes.append(build_quantum_hash(targets[w], mbar, zeta, seed=child, attempts=attempts))
+        hashes.append(build_quantum_hash(targets[w], mbar, zeta, seed=child))
     encoder = tuple(h.states[wbar] for h in hashes for wbar in range(mbar))
     povm = _nested_povm(cover.povm, [h.povm.elements for h in hashes])
     zeta_ach = max(max(h.defect, 1.0 - h.success) for h in hashes)
@@ -145,7 +144,6 @@ def build_stego_cc_noisy(
     xi: float,
     seed=None,
     mbar_w: list[int] | None = None,
-    trials: int = 1,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noisy true channel.
 
@@ -175,9 +173,7 @@ def build_stego_cc_noisy(
     codes = []
     for w in range(cover.m):
         child = int(rng.integers(1 << 31))
-        codes.append(
-            build_resolvability_code(out_cqs[w], sizes[w], kbar, seed=child, trials=trials)
-        )
+        codes.append(build_resolvability_code(out_cqs[w], sizes[w], kbar, seed=child))
 
     encoders = []
     povms = []

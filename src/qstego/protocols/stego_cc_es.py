@@ -128,7 +128,6 @@ def build_stego_cc_es(
     seed=None,
     mbar: int | None = None,
     mcc: int | None = None,
-    attempts: int = 64,
 ) -> StegoCcEsCode:
     """Stego entanglement sharing on a split CC cover: entanglement rides on block 1, the
     distiller's classical message rides on block 2 under a one-time pad.
@@ -177,7 +176,7 @@ def build_stego_cc_es(
 
     rng = np.random.default_rng(seed)
     hashes = [
-        build_quantum_hash(targets2[w], mcc, zeta, seed=int(rng.integers(1 << 31)), attempts=attempts)
+        build_quantum_hash(targets2[w], mcc, zeta, seed=int(rng.integers(1 << 31)))
         for w in range(cover.m)
     ]
 

@@ -47,7 +47,6 @@ def build_stego_es_rs(
     mbar: int = 2,
     zeta: float = 0.5,
     seed=None,
-    attempts: int = 64,
 ) -> StegoEsRsCode:
     """Stego entanglement + randomness sharing over a noiseless true channel.
 
@@ -94,7 +93,7 @@ def build_stego_es_rs(
     alphas = u[:, keep]
     betas = vh[keep, :].T
 
-    enc = build_classical_hash(p_x, mbar, zeta, seed=seed, attempts=attempts, objective="output")
+    enc = build_classical_hash(p_x, mbar, zeta, seed=seed, objective="output")
     zeta_ach = enc.output_defect
 
     re_dim = r_dim * ke

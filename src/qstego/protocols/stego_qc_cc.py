@@ -105,7 +105,6 @@ def build_stego_qc_cc(
     mbar: int = 2,
     zeta: float = 0.5,
     seed=None,
-    attempts: int = 64,
 ) -> StegoQcCcCode:
     """Stego code carrying a cypher classical message on a QC_R cover.
 
@@ -125,7 +124,7 @@ def build_stego_qc_cc(
     tilde, d, kl_res = orthogonalize_correctable_kraus(channel, cover.correctable, pi)
     unitaries, polar_res = _polar_unitaries(tilde, d, pi)
     p_j = d / float(d.sum())
-    enc = build_classical_hash(p_j, mbar, zeta, seed=seed, attempts=attempts, objective="output")
+    enc = build_classical_hash(p_j, mbar, zeta, seed=seed, objective="output")
     g = enc.f
     zeta_ach = enc.output_defect
 

@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from qstego.experiments import RUNNERS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -156,6 +158,20 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert f"{path}: invalid config:" in cp.stderr
         assert "Traceback" not in cp.stderr
+
+    @pytest.mark.xfail(strict=True, reason="ROADMAP Direction 4: parameter schema")
+    @pytest.mark.parametrize(
+        "config_name, key",
+        [("stego_cc_noiseless_demo.json", "atempts"), ("stego_cc_noisy_demo.json", "trials")],
+        ids=["atempts", "trials"],
+    )
+    def test_unknown_parameter_exits_two(self, tmp_path, config_name, key):
+        config = json.loads((CONFIGS / config_name).read_text())
+        config["params"][key] = 3
+        path = tmp_path / "unknown_key.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
 
 
 class TestReadme:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from qstego.experiments import render_csv, run_experiment, run_and_write
+from qstego.info import shannon_entropy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -59,6 +60,57 @@ class TestRunners:
         assert res.rows == []
         assert res.all_ok
         assert render_csv(res) == "nu0,nu1,rate_bits,raw,a_star,boundary\n"
+
+
+class TestRatesProduct:
+    DEPHASING = {"kind": "dephasing", "p": 0.3}
+
+    def test_noiseless_single_use(self):
+        # the pure |0> output has zero entropy, so the rate is 4 * (0 - 0.1)
+        config = {
+            "kind": "rates/product",
+            "params": {"states": ["plus", "zero"], "m": self.DEPHASING, "n": 4, "delta": 0.1},
+        }
+        res = run_experiment(config)
+        assert res.rows[0]["raw"] == -0.4
+        assert res.rows[0]["rate_bits"] == 0.0
+        assert res.summary == {"n": 4, "k": 1}
+        assert render_csv(res) == "mode,rate_bits,raw,inner\nnoiseless,0.0,-0.4,0.0\n"
+
+    def test_noiseless_two_use_block(self):
+        # dephased |+> has eigenvalues 0.7/0.3; the |0> factor adds nothing
+        config = {
+            "kind": "rates/product",
+            "params": {
+                "states": [{"kind": "kron", "factors": ["plus", "zero"]}],
+                "m": self.DEPHASING,
+                "n": 4,
+                "k": 2,
+                "delta": 0.1,
+            },
+        }
+        row = run_experiment(config).rows[0]
+        h = shannon_entropy([0.7, 0.3])
+        assert row["inner"] == pytest.approx(h, abs=1e-12)
+        assert row["raw"] == pytest.approx(2.0 * (h - 0.1), abs=1e-12)
+
+    def test_noisy_single_candidate(self):
+        # completely dephased |+> is I/2, the B-marginal of the {|0>, |1>} ensemble
+        config = {
+            "kind": "rates/product",
+            "params": {
+                "states": ["plus"],
+                "m": {"kind": "dephasing", "p": 0.5},
+                "n": 2,
+                "mode": "noisy",
+                "candidates": [[{"pmf": [0.5, 0.5], "states": ["zero", "one"]}]],
+            },
+        }
+        row = run_experiment(config).rows[0]
+        assert row["mode"] == "noisy"
+        assert row["inner"] == pytest.approx(1.0, abs=1e-12)
+        assert row["raw"] == pytest.approx(2.0, abs=1e-12)
+        assert row["rate_bits"] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestOutputs:

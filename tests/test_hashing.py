@@ -3,12 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qstego.hashing import (
-    build_classical_hash,
-    build_quantum_hash,
-    encoder_from_hash,
-    measure_hash_quality,
-)
+from qstego.hashing import build_classical_hash, build_quantum_hash, encoder_from_hash
 from qstego.info import renyi_entropy, sup_over_order
 from qstego.linalg import DensityMatrix, trace_norm
 
@@ -36,9 +31,8 @@ class TestClassicalHash:
         # f constant on M=2: X-marginal defect 0 (both rows are P_X), error 1/2
         p = np.array([0.6, 0.4])
         enc = encoder_from_hash(np.zeros(2, dtype=int), p, 2)
-        defect, error = measure_hash_quality(enc, p)
-        assert defect == pytest.approx(0.0, abs=1e-12)
-        assert error == pytest.approx(0.5, abs=1e-12)
+        assert enc.defect == pytest.approx(0.0, abs=1e-12)
+        assert enc.error_prob == pytest.approx(0.5, abs=1e-12)
         assert enc.px_fallback
 
     def test_warning_when_infeasible(self):
@@ -57,15 +51,6 @@ class TestClassicalHash:
             if not enc.px_fallback:
                 assert enc.error_prob <= enc.defect + 1e-12
 
-    def test_two_universal_generator(self):
-        rng = np.random.default_rng(1)
-        p = rng.dirichlet(np.ones(40))
-        enc = build_classical_hash(p, 3, eps=0.5, seed=7, attempts=64, generator="two_universal")
-        assert enc.f.size == 40
-        d, e = measure_hash_quality(enc, p)
-        assert d == pytest.approx(enc.defect)
-        assert e == pytest.approx(enc.error_prob)
-
     def test_rate_bound_statistical_acceptance(self):
         # at the guaranteed rate, >= 95% of random PMFs admit defect <= eps
         rng = np.random.default_rng(2)
@@ -78,7 +63,7 @@ class TestClassicalHash:
             ).value
             m = max(1, int(math.floor(2.0**bound)))
             trials += 1
-            enc = build_classical_hash(p, m, eps, seed=int(rng.integers(1 << 31)), attempts=64)
+            enc = build_classical_hash(p, m, eps, seed=int(rng.integers(1 << 31)))
             hits += enc.defect <= eps
         assert hits / trials >= 0.95
 

@@ -13,6 +13,7 @@ from qstego.info import (
     renyi_entropy,
     renyi_mi_down,
     renyi_mi_up,
+    shannon_entropy,
     smooth_min_entropy_classical,
     smooth_min_entropy_quantum,
     sup_over_order,
@@ -224,6 +225,11 @@ class TestSmoothMinEntropy:
 class TestEntropyAndHolevo:
     def test_von_neumann(self):
         assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
+
+    def test_zero_entropy_is_positive_zero(self):
+        # -sum would give -0.0, which a CSV cell renders as "-0.0"
+        for h in (von_neumann_entropy(basis_state(0, 2).to_density()), shannon_entropy([1.0, 0.0])):
+            assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
     def test_holevo_product(self):
         rng = np.random.default_rng(8)

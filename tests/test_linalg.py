@@ -17,7 +17,6 @@ from qstego.linalg import (
     support_projector,
     tensor,
     trace_norm,
-    vectors_close_up_to_phase,
 )
 
 
@@ -239,9 +238,3 @@ class TestPurifyAndSchmidt:
             np.sqrt(probs[k]) * np.kron(va[:, k], vb[:, k]) for k in range(len(probs))
         )
         assert np.linalg.norm(rebuilt - v.data) < 1e-9
-
-    def test_phase_blind_comparison(self):
-        rng = np.random.default_rng(14)
-        v = random_pure(rng, 4)
-        assert vectors_close_up_to_phase(v.data, np.exp(1j * 0.7) * v.data)
-        assert not vectors_close_up_to_phase(v.data, random_pure(rng, 4).data)

@@ -44,7 +44,7 @@ class TestResolvability:
 
     def test_metrics_recomputation_matches(self):
         cq = binary_qubit_cq()
-        code = build_resolvability_code(cq, m=4, k=2, seed=11, trials=3)
+        code = build_resolvability_code(cq, m=4, k=2, seed=11)
         rel, dist = resolvability_metrics(code, cq)
         assert rel == pytest.approx(code.reliability, abs=1e-12)
         assert dist == pytest.approx(code.distance, abs=1e-12)
@@ -59,9 +59,3 @@ class TestResolvability:
                 dists.append(code.distance)
             medians.append(float(np.median(dists)))
         assert medians[0] > medians[1] > medians[2]
-
-    def test_trials_pick_best(self):
-        cq = binary_qubit_cq()
-        one = build_resolvability_code(cq, m=4, k=1, seed=5, trials=1)
-        many = build_resolvability_code(cq, m=4, k=1, seed=5, trials=16)
-        assert many.distance <= one.distance + 1e-12

@@ -38,7 +38,7 @@ class QuantumChannel:
             if k.shape != (dout, din):
                 raise ValueError("shape error: inconsistent Kraus shapes")
             total += k.conj().T @ k
-        if np.max(np.abs(total - np.eye(din))) > CPTP_TOL:
+        if not np.max(np.abs(total - np.eye(din))) <= CPTP_TOL:
             raise ValueError("invalid channel: Kraus completeness fails")
         object.__setattr__(self, "kraus", ks)
 
@@ -61,7 +61,7 @@ class Isometry:
         v = np.asarray(self.data, dtype=complex)
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise ValueError("shape error: not a tall matrix")
-        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) > CPTP_TOL:
+        if not np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= CPTP_TOL:
             raise ValueError("invalid isometry: columns not orthonormal")
         object.__setattr__(self, "data", v)
 

@@ -6,8 +6,10 @@ kinds of a group.
 
 Common flags: --config PATH (JSON), --seed N (overrides the config seed),
 --out DIR (default "."), --csv / --json (default: write both).  Exit code 0
-iff every pass/fail flag in the run is true; config errors exit 2 with a
-line-anchored diagnostic.
+iff every pass/fail flag in the run is true, 1 on a failed flag, 2 on a config
+error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed
+or unknown key at any level of the config, named in the message) and 3 on a
+numerical failure of a linear-algebra routine.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ import argparse
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from .experiments import RUNNERS, run_and_write
 
@@ -66,6 +70,9 @@ def main(argv=None) -> int:
             csv=write_csv,
             summary_json=write_json,
         )
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
+        print(f"{path}: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, KeyError, TypeError) as exc:
         print(f"{path}: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -5,15 +5,18 @@ parameter point), pass/fail flags, and a summary dictionary.  CSV output is
 byte-stable for a fixed seed and config: row order is data-defined, floats
 are written with ``repr`` (shortest round-trip form, '.' decimal), and
 nothing time-dependent enters the table.  Wall time and library versions go
-to the JSON summary only.
+to the JSON summary only.  The keys a config may hold at any level are the
+keyword parameters of the function that reads them; any other key raises.
 """
 
 from __future__ import annotations
 
+import inspect
 import json
 import math
 import time
 from dataclasses import dataclass
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -29,7 +32,7 @@ from .fixtures import (
     trivial_es_cover,
 )
 from .info import CqState, Pmf
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, HermitianOperator, Povm
 from .protocols import (
     build_resolvability_code,
     build_stego_cc_es,
@@ -67,76 +70,92 @@ class ExperimentResult:
         return all(bool(v) for v in self.flags.values())
 
 
+def _call(what, fn, /, *args, **kwargs):
+    """``fn(*args, **kwargs)``; a key ``fn`` does not take, or a missing one, raises TypeError before it runs."""
+    try:
+        inspect.signature(fn).bind(*args, **kwargs)
+    except TypeError as exc:
+        raise TypeError(f"{what}: {exc}") from None
+    return fn(*args, **kwargs)
+
+
+def _by_kind(what, readers, spec):
+    """Call the reader of ``spec["kind"]`` with the other keys of ``spec``."""
+    keys = dict(spec)
+    kind = keys.pop("kind")
+    if kind not in readers:
+        raise ValueError(f"bad parameter: unknown {what} kind {kind!r}")
+    return _call(f"{kind} {what}", readers[kind], **keys)
+
+
+def _pure_state(amps):
+    amps = np.array([complex(re, im) for re, im in amps])
+    amps = amps / np.linalg.norm(amps)
+    return DensityMatrix(np.outer(amps, amps.conj()))
+
+
+#: state kind -> reader, whose keyword parameters are the keys of the spec
+_STATES = {
+    "named": lambda name: named_state(name),
+    "pure": _pure_state,
+    "maximally_mixed": lambda dim: DensityMatrix(np.eye(int(dim)) / int(dim)),
+    "diag": lambda probs: DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex)),
+    "kron": lambda factors: DensityMatrix(reduce(np.kron, [parse_state(s).data for s in factors])),
+}
+
+
 def parse_state(spec) -> DensityMatrix:
     if isinstance(spec, str):
         return named_state(spec)
-    kind = spec["kind"]
-    if kind == "named":
-        return named_state(spec["name"])
-    if kind == "pure":
-        amps = np.array([complex(re, im) for re, im in spec["amps"]])
-        amps = amps / np.linalg.norm(amps)
-        return DensityMatrix(np.outer(amps, amps.conj()))
-    if kind == "maximally_mixed":
-        d = int(spec["dim"])
-        return DensityMatrix(np.eye(d) / d)
-    if kind == "diag":
-        return DensityMatrix(np.diag(np.asarray(spec["probs"], dtype=float)).astype(complex))
-    if kind == "kron":
-        parts = [parse_state(s) for s in spec["factors"]]
-        out = parts[0].data
-        for p in parts[1:]:
-            out = np.kron(out, p.data)
-        return DensityMatrix(out)
-    raise ValueError(f"bad parameter: unknown state kind {kind!r}")
+    return _by_kind("state", _STATES, spec)
+
+
+#: channel kind -> reader; any other kind is a textbook channel with the one key ``p``
+_CHANNELS = {
+    "identity": lambda dim=2: identity_channel(int(dim)),
+    "tensor": lambda factors: reduce(tensor, [parse_channel(s) for s in factors]),
+    "unitary": lambda matrix: standard_channel(
+        "unitary", unitary=np.array([[complex(re, im) for re, im in row] for row in matrix])
+    ),
+}
 
 
 def parse_channel(spec) -> QuantumChannel:
-    kind = spec["kind"]
-    if kind == "identity":
-        ch = identity_channel(int(spec.get("dim", 2)))
-    elif kind == "tensor":
-        parts = [parse_channel(s) for s in spec["factors"]]
-        ch = parts[0]
-        for p in parts[1:]:
-            ch = tensor(ch, p)
-    elif kind == "unitary":
-        u = np.array([[complex(re, im) for re, im in row] for row in spec["matrix"]])
-        ch = standard_channel("unitary", unitary=u)
-    else:
-        ch = standard_channel(kind, float(spec["p"]))
-    power = int(spec.get("power", 1))
+    """A channel spec holds ``kind``, an optional tensor ``power`` and the keys of its kind."""
+    keys = dict(spec)
+    kind, power = keys.pop("kind"), int(keys.pop("power", 1))
+    read = _CHANNELS.get(kind, lambda p: standard_channel(kind, float(p)))
+    ch = _call(f"{kind} channel", read, **keys)
     return tensor_power(ch, power) if power > 1 else ch
 
 
+def _cq_state(pmf, states) -> CqState:
+    return CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in states))
+
+
 def parse_cq(spec) -> CqState:
-    return CqState(Pmf(np.asarray(spec["pmf"], dtype=float)), tuple(parse_state(s) for s in spec["states"]))
+    return _call("cq state", _cq_state, **spec)
 
 
 def _grid(spec) -> list:
     if isinstance(spec, list):
         return [float(x) for x in spec]
-    num = int(spec["num"])
-    if num == 0:
-        return []
-    return [float(x) for x in np.linspace(float(spec["start"]), float(spec["stop"]), num)]
+    read = lambda start, stop, num: [float(x) for x in np.linspace(float(start), float(stop), int(num))]
+    return _call("grid", read, **spec)
 
 
 # ---------------------------------------------------------------------------
-# runners
+# runners: ``_run_x(seed, **params)``.  The keyword parameters of a runner are
+# the keys of its config's "params", with the defaults of the optional ones.
 
 
-def _run_rates_cc_noiseless(params, seed):
-    zeta = float(params["zeta"])
-    if "outputs" in params:
-        outputs = [parse_state(s) for s in params["outputs"]]
-    else:
-        m = parse_channel(params["m"])
-        outputs = [
-            DensityMatrix(sum(k @ parse_state(s).data @ k.conj().T for k in m.kraus))
-            for s in params["codewords"]
-        ]
-    res = rate_cc_noiseless(outputs, zeta)
+def _run_rates_cc_noiseless(seed, m, codewords, zeta):
+    m = parse_channel(m)
+    outputs = [
+        DensityMatrix(sum(k @ parse_state(s).data @ k.conj().T for k in m.kraus))
+        for s in codewords
+    ]
+    res = rate_cc_noiseless(outputs, float(zeta))
     rows = [
         {"w": w, "raw_w": per_w} for w, per_w in enumerate(res.terms["per_w"])
     ]
@@ -144,17 +163,17 @@ def _run_rates_cc_noiseless(params, seed):
     return ["w", "raw_w"], rows, {}, summary
 
 
-def _run_rates_cc_noisy(params, seed):
-    n_true = parse_channel(params["n_true"])
-    m = parse_channel(params["m"])
+def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6, 1e-8)):
+    n_true = parse_channel(n_true)
+    m = parse_channel(m)
     cover_channel = compose(n_true, m)
-    codewords = [parse_state(s) for s in params["codewords"]]
-    cover = pgm_cc_cover(codewords, cover_channel, int(params.get("n", 1)))
+    codewords = [parse_state(s) for s in codewords]
+    cover = pgm_cc_cover(codewords, cover_channel, int(n))
     sides_in = side_states_from_degradation(cover, m)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
-    zeta, xi = float(params["zeta"]), float(params["xi"])
+    zeta, xi = float(zeta), float(xi)
     rows = []
-    for nu_tol in params.get("nu_tols", [1e-6, 1e-8]):
+    for nu_tol in nu_tols:
         mbar, key = rate_cc_noisy(side_outputs, zeta, xi, nu_tol=float(nu_tol))
         rows.append(
             {
@@ -181,12 +200,12 @@ def _run_rates_cc_noisy(params, seed):
     return cols, rows, {}, {"zeta": zeta, "xi": xi}
 
 
-def _run_rates_gaussian(params, seed):
-    n = int(params["n"])
-    r = int(params["r"])
-    zeta = float(params["zeta"])
-    nu0s = _grid(params.get("nu0_grid", {"start": 1.0, "stop": 3.0, "num": 9}))
-    nu1s = _grid(params.get("nu1_grid", {"start": 1.0, "stop": 3.0, "num": 9}))
+def _run_rates_gaussian(
+    seed, n, r, zeta, nu0_grid={"start": 1.0, "stop": 3.0, "num": 9}, nu1_grid={"start": 1.0, "stop": 3.0, "num": 9}
+):
+    n, r, zeta = int(n), int(r), float(zeta)
+    nu0s = _grid(nu0_grid)
+    nu1s = _grid(nu1_grid)
     rows = []
     table = {}
     for nu0 in nu0s:
@@ -219,32 +238,28 @@ def _run_rates_gaussian(params, seed):
     return ["nu0", "nu1", "rate_bits", "raw", "a_star", "boundary"], rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_rates_product(params, seed):
-    states = [parse_state(s) for s in params["states"]]
-    m = parse_channel(params["m"])
-    mode = params.get("mode", "noiseless")
-    candidates = None
+def _run_rates_product(seed, states, m, n, mode="noiseless", candidates=None, delta=0.0, k=1):
+    states = [parse_state(s) for s in states]
+    m = parse_channel(m)
     if mode == "noisy":
-        candidates = [[parse_cq(c) for c in group] for group in params["candidates"]]
+        candidates = [[parse_cq(c) for c in group] for group in candidates]
     res = rate_product_structure(
         states,
         m,
-        float(params.get("delta", 0.0)),
-        n=int(params["n"]),
-        k=int(params.get("k", 1)),
+        float(delta),
+        n=int(n),
+        k=int(k),
         mode=mode,
         candidates=candidates,
     )
     rows = [{"mode": mode, "rate_bits": res.value, "raw": res.raw, "inner": res.terms["inner"]}]
-    return ["mode", "rate_bits", "raw", "inner"], rows, {}, {"n": params["n"], "k": params.get("k", 1)}
+    return ["mode", "rate_bits", "raw", "inner"], rows, {}, {"n": n, "k": k}
 
 
-def _run_simulate_cc_noiseless(params, seed):
-    m = parse_channel(params["m"])
-    codewords = [parse_state(s) for s in params["codewords"]]
-    n = int(params.get("n", 1))
-    mbar = int(params["mbar"])
-    zeta = float(params["zeta"])
+def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
+    m = parse_channel(m)
+    codewords = [parse_state(s) for s in codewords]
+    n, mbar, zeta = int(n), int(mbar), float(zeta)
     cover = pgm_cc_cover(codewords, m, n)
     stego = build_stego_cc_noiseless(cover, m, mbar, zeta, seed=seed)
     rows = []
@@ -280,21 +295,21 @@ def _run_simulate_cc_noiseless(params, seed):
     return cols, rows, flags, summary
 
 
-def _run_simulate_cc_noisy(params, seed):
-    n_true = parse_channel(params["n_true"])
-    m = parse_channel(params["m"])
-    codewords = [parse_state(s) for s in params["codewords"]]
-    n = int(params.get("n", 1))
+def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1):
+    n_true = parse_channel(n_true)
+    m = parse_channel(m)
+    codewords = [parse_state(s) for s in codewords]
+    n = int(n)
     cover = pgm_cc_cover(codewords, compose(n_true, m), n)
     sides = side_states_from_degradation(cover, m)
     stego = build_stego_cc_noisy(
         cover,
         n_true,
         sides,
-        mbar=int(params["mbar"]),
-        kbar=int(params["kbar"]),
-        zeta=float(params["zeta"]),
-        xi=float(params["xi"]),
+        mbar=int(mbar),
+        kbar=int(kbar),
+        zeta=float(zeta),
+        xi=float(xi),
         seed=seed,
     )
     rows = [
@@ -319,15 +334,10 @@ def _run_simulate_cc_noisy(params, seed):
     return ["w", "n", "mbar", "kbar", "dist_trace", "reliability"], rows, flags, summary
 
 
-def _run_simulate_es_rs(params, seed):
-    spec = params.get("cover", {"kind": "dephasing_demo", "p": 0.5})
-    if spec["kind"] == "dephasing_demo":
-        cover = dephasing_es_cover(float(spec.get("p", 0.5)))
-    elif spec["kind"] == "trivial":
-        cover = trivial_es_cover()
-    else:
-        raise ValueError(f"bad parameter: unknown ES cover {spec['kind']!r}")
-    stego = build_stego_es_rs(cover, mbar=int(params["mbar"]), zeta=float(params["zeta"]), seed=seed)
+def _run_simulate_es_rs(seed, mbar, zeta, cover={"kind": "dephasing_demo", "p": 0.5}):
+    readers = {"dephasing_demo": lambda p=0.5: dephasing_es_cover(float(p)), "trivial": trivial_es_cover}
+    cover = _by_kind("ES cover", readers, cover)
+    stego = build_stego_es_rs(cover, mbar=int(mbar), zeta=float(zeta), seed=seed)
     row = {
         "mbar": stego.mbar,
         "fidelity": stego.fidelity,
@@ -341,11 +351,11 @@ def _run_simulate_es_rs(params, seed):
     return list(row.keys()), [row], flags, {"p_x": [float(x) for x in stego.p_x]}
 
 
-def _run_simulate_qc_cc(params, seed):
-    p = float(params["p"])
+def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
+    p = float(p)
     cover = repetition_qc_cover(p)
     stego = build_stego_qc_cc(
-        cover, mbar=int(params["mbar"]), zeta=float(params.get("zeta", 0.5)), seed=seed
+        cover, mbar=int(mbar), zeta=float(zeta), seed=seed
     )
     row = {
         "p": p,
@@ -367,8 +377,9 @@ def _run_simulate_qc_cc(params, seed):
     return list(row.keys()), [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
-def _run_simulate_cc_es(params, seed):
-    cover, f1, f2, m1, m2 = split_cc_cover(float(params.get("p_block1", 0.5)))
+def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
+    zeta = float(zeta)
+    cover, f1, f2, m1, m2 = split_cc_cover(float(p_block1))
     stego = build_stego_cc_es(
         cover,
         f1,
@@ -378,10 +389,10 @@ def _run_simulate_cc_es(params, seed):
         m1,
         m2,
         trivial_aligner_distiller,
-        zeta=float(params["zeta"]),
+        zeta=zeta,
         seed=seed,
-        mbar=params.get("mbar"),
-        mcc=params.get("mcc"),
+        mbar=mbar,
+        mcc=mcc,
     )
     row = {
         "mbar": stego.mbar,
@@ -391,17 +402,17 @@ def _run_simulate_cc_es(params, seed):
         "dist_trace": stego.distance,
         "key_bits": stego.key_bits,
     }
-    flags = {"distance_le_zeta": stego.distance <= float(params["zeta"]) + 1e-9}
+    flags = {"distance_le_zeta": stego.distance <= zeta + 1e-9}
     return list(row.keys()), [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(params, seed):
-    pmf = Pmf(np.asarray(params["pmf"], dtype=float))
-    outputs = tuple(parse_state(s) for s in params["outputs"])
-    cq = CqState(pmf, outputs)
-    mk_grid = [int(x) for x in params["mk_grid"]]
-    n_seeds = int(params.get("seeds", 50))
-    k_books = int(params.get("k", 1))
+def _run_simulate_resolvability(
+    seed, pmf, outputs, mk_grid, seeds=50, k=1, zeta_ref=None, min_reliability=0.9
+):
+    cq = _cq_state(pmf, outputs)
+    mk_grid = [int(x) for x in mk_grid]
+    n_seeds = int(seeds)
+    k_books = int(k)
     rows = []
     medians = []
     reliabilities = {}
@@ -419,10 +430,10 @@ def _run_simulate_resolvability(params, seed):
         "medians_strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:]))
     }
     achievable = None
-    if "zeta_ref" in params:
-        mbar_res, _ = rate_cc_noisy([cq], float(params["zeta_ref"]), float(params["zeta_ref"]))
+    if zeta_ref is not None:
+        mbar_res, _ = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
         achievable = mbar_res.value
-        min_rel = float(params.get("min_reliability", 0.9))
+        min_rel = float(min_reliability)
         ok = True
         for mk in mk_grid:
             if math.log2(mk) <= achievable - 1.0:
@@ -432,13 +443,9 @@ def _run_simulate_resolvability(params, seed):
     return ["mk", "seed", "distance", "reliability"], rows, flags, summary
 
 
-def _run_verify_gentle(params, seed):
-    from .linalg import HermitianOperator, Povm
-
+def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
     rng = np.random.default_rng(seed)
-    instances = int(params.get("instances", 100))
-    dim_max = int(params.get("dim_max", 4))
-    x_max = int(params.get("x_max", 3))
+    instances, dim_max, x_max = int(instances), int(dim_max), int(x_max)
     rows = []
     for idx in range(instances):
         dim = int(rng.integers(2, dim_max + 1))
@@ -480,58 +487,55 @@ def _run_verify_gentle(params, seed):
     return ["instance", "dim", "x_size", "eps", "lhs", "bound", "holds"], rows, flags, {}
 
 
-def _run_verify_pj_bound(params, seed):
-    rows = []
-    all_ok = True
-    for point in params["family"]:
-        p = float(point["p"])
-        delta = float(point["delta"])
-        cover = repetition_qc_cover(p)
-        try:
-            rep = verify_pj_minentropy_bound(cover, delta)
-            rows.append(
-                {
-                    "p": p,
-                    "delta": delta,
-                    "status": "holds" if rep.holds else "violated",
-                    "lhs": rep.lhs,
-                    "rhs": rep.rhs,
-                }
-            )
-            all_ok = all_ok and rep.holds
-        except ValueError as exc:
-            if "vacuous" not in str(exc):
-                raise
-            rows.append({"p": p, "delta": delta, "status": "vacuous", "lhs": math.nan, "rhs": math.nan})
-    flags = {"all_ok": all_ok}
+def _pj_bound_row(p, delta):
+    """One ``family`` point of ``verify/pj-bound``."""
+    p, delta = float(p), float(delta)
+    try:
+        rep = verify_pj_minentropy_bound(repetition_qc_cover(p), delta)
+    except ValueError as exc:
+        if "vacuous" not in str(exc):
+            raise
+        return {"p": p, "delta": delta, "status": "vacuous", "lhs": math.nan, "rhs": math.nan}
+    return {
+        "p": p,
+        "delta": delta,
+        "status": "holds" if rep.holds else "violated",
+        "lhs": rep.lhs,
+        "rhs": rep.rhs,
+    }
+
+
+def _run_verify_pj_bound(seed, family):
+    rows = [_call("family point", _pj_bound_row, **point) for point in family]
+    flags = {"all_ok": all(r["status"] != "violated" for r in rows)}
     return ["p", "delta", "status", "lhs", "rhs"], rows, flags, {}
 
 
-def _run_verify_sutherland(params, seed):
-    p = float(params["p"])
-    delta = float(params.get("delta", 0.5))
+def _run_verify_sutherland(seed, p, delta=0.5):
+    p, delta = float(p), float(delta)
     code = repetition_qc_cover(p)
     rep = experiment_sutherland_bound(code, standard_channel("bit_flip", p), delta)
     row = {"p": p, "delta": delta, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.lhs - rep.rhs, "holds": rep.holds}
     return list(row.keys()), [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
-def _run_verify_random_code(params, seed):
-    m = parse_channel(params["m"])
+def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta=0.5):
+    m = parse_channel(m)
+    dim_a, n, m_dim, samples = int(dim_a), int(n), int(m_dim), int(samples)
     rep = experiment_random_code_entropy(
-        dim_a=int(params["dim_a"]),
-        n=int(params["n"]),
-        m_dim=int(params["m_dim"]),
+        dim_a=dim_a,
+        n=n,
+        m_dim=m_dim,
         m=m,
-        samples=int(params["samples"]),
-        delta=float(params.get("delta", 0.5)),
+        samples=samples,
+        delta=float(delta),
         seed=seed,
     )
     row = {
-        "dim_a": int(params["dim_a"]),
-        "n": int(params["n"]),
-        "m_dim": int(params["m_dim"]),
-        "samples": int(params["samples"]),
+        "dim_a": dim_a,
+        "n": n,
+        "m_dim": m_dim,
+        "samples": samples,
         "mean_sup_entropy": rep.lhs,
         "stderr": rep.detail["stderr"],
         "bound": rep.rhs,
@@ -565,28 +569,26 @@ RUNNERS = {
 def run_experiment(config: dict, seed=None) -> ExperimentResult:
     """Dispatch a config to its runner.
 
-    ``config`` holds "kind", optional "seed", and "params"; an explicit
-    ``seed`` argument overrides the config.
+    ``config`` holds "kind", optional "seed", and "params", the keyword
+    arguments of the kind's runner; an explicit ``seed`` argument overrides
+    the config.  A key nothing reads, or a missing one, raises TypeError
+    naming it before the runner starts.
     """
-    kind = config.get("kind")
+    read = lambda kind, seed=0, params={}: (kind, seed, params)
+    kind, config_seed, params = _call("config", read, **config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    use_seed = int(config.get("seed", 0)) if seed is None else int(seed)
-    params = config.get("params", {})
-    columns, rows, flags, summary = RUNNERS[kind](params, use_seed)
+    use_seed = int(config_seed) if seed is None else int(seed)
+    columns, rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], use_seed, **params)
     return ExperimentResult(
         kind=kind, columns=columns, rows=rows, flags=flags, summary=summary, seed=use_seed
     )
 
 
 def _format_cell(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "True" if value else "False"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+    if isinstance(value, np.generic):
+        value = value.item()
+    return repr(value) if isinstance(value, float) else str(value)
 
 
 def render_csv(result: ExperimentResult) -> str:
@@ -601,12 +603,8 @@ def _jsonable(value):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, (np.bool_,)):
-        return bool(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.generic):
+        return value.item()
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, float) and math.isnan(value):

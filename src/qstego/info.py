@@ -31,7 +31,7 @@ class Pmf:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=float).reshape(-1)
-        if p.size == 0 or p.min() < -PMF_TOL or abs(p.sum() - 1.0) > PMF_TOL:
+        if p.size == 0 or not (p.min() >= -PMF_TOL and abs(p.sum() - 1.0) <= PMF_TOL):
             raise ValueError("invalid PMF")
         object.__setattr__(self, "probs", np.maximum(p, 0.0))
 

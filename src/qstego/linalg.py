@@ -50,11 +50,11 @@ class DensityMatrix:
         a = np.asarray(self.data, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("invalid state: not a square matrix")
-        if herm_defect(a) > HERM_TOL:
+        if not herm_defect(a) <= HERM_TOL:
             raise ValueError("invalid state: not Hermitian")
-        if abs(np.trace(a).real - 1.0) > TRACE_TOL or abs(np.trace(a).imag) > TRACE_TOL:
+        if not (abs(np.trace(a).real - 1.0) <= TRACE_TOL and abs(np.trace(a).imag) <= TRACE_TOL):
             raise ValueError("invalid state: trace not 1")
-        if np.linalg.eigvalsh(a).min() < -EIG_TOL:
+        if not np.linalg.eigvalsh(a).min() >= -EIG_TOL:
             raise ValueError("invalid state: negative eigenvalue")
         object.__setattr__(self, "data", a)
 
@@ -71,7 +71,7 @@ class PureState:
 
     def __post_init__(self):
         v = np.asarray(self.data, dtype=complex).reshape(-1)
-        if abs(np.linalg.norm(v) - 1.0) > VEC_NORM_TOL:
+        if not abs(np.linalg.norm(v) - 1.0) <= VEC_NORM_TOL:
             raise ValueError("invalid state: vector not normalized")
         object.__setattr__(self, "data", v)
 
@@ -93,7 +93,7 @@ class HermitianOperator:
         a = np.asarray(self.data, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError("shape error: not a square matrix")
-        if herm_defect(a) > HERM_TOL:
+        if not herm_defect(a) <= HERM_TOL:
             raise ValueError("invalid operator: not Hermitian")
         object.__setattr__(self, "data", a)
 
@@ -125,10 +125,10 @@ class Povm:
             if e.dim != dim:
                 raise ValueError("shape error: POVM element dimension mismatch")
             w = np.linalg.eigvalsh(e.data)
-            if w.min() < -EIG_TOL or w.max() > 1.0 + EIG_TOL:
+            if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
                 raise ValueError("invalid POVM: element outside [0, 1]")
             total += e.data
-        if np.max(np.abs(total - np.eye(dim))) > POVM_SUM_TOL:
+        if not np.max(np.abs(total - np.eye(dim))) <= POVM_SUM_TOL:
             raise ValueError("invalid POVM: elements do not sum to identity")
         object.__setattr__(self, "elements", els)
 

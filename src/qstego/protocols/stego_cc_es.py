@@ -19,8 +19,6 @@ from ..hashing import build_quantum_hash
 from ..info import renyi_entropy, sup_over_order
 from ..linalg import (
     DensityMatrix,
-    HermitianOperator,
-    Povm,
     maximally_entangled,
     partial_trace_matrix,
     permute_systems_matrix,
@@ -30,6 +28,7 @@ from ..linalg import (
     trace_norm,
 )
 from .codes import CcCode, EdCode, StegoCcEsCode
+from .stego_cc import _nested_povm
 
 PURITY_TOL = 1e-9
 
@@ -181,20 +180,15 @@ def build_stego_cc_es(
     ]
 
     # nested POVM: cover measurement, then the block-2 hash measurement
-    sqrt_cover = [psd_sqrt(e.data) for e in cover.povm.elements]
-    povm_elements = []
-    for w in range(cover.m):
-        for gam in hashes[w].povm.elements:
-            e = sqrt_cover[w] @ np.kron(np.eye(d1n), gam.data) @ sqrt_cover[w]
-            povm_elements.append(HermitianOperator((e + e.conj().T) / 2))
-    povm = Povm(tuple(povm_elements))
+    inner = [[np.kron(np.eye(d1n), g.data) for g in h.povm.elements] for h in hashes]
+    povm = _nested_povm(cover.povm, inner)
 
     # full protocol audit
     final = np.zeros((mbar * mbar, mbar * mbar), dtype=complex)
     reliability = 0.0
     stego_mix = np.zeros((d1n * d2n, d1n * d2n), dtype=complex)
     cover_mix = np.zeros_like(stego_mix)
-    sqrt_elements = [psd_sqrt(e.data) for e in povm_elements]
+    sqrt_elements = [psd_sqrt(e.data) for e in povm.elements]
     for w in range(cover.m):
         ed = ed_codes[w]
         joint = apply(tensor(ed.encode, identity_channel(d1n)), shared[w])  # [C, A~, B1]

@@ -5,8 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qstego import cli
 from qstego.experiments import RUNNERS
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -159,7 +161,6 @@ class TestExitCodes:
         assert f"{path}: invalid config:" in cp.stderr
         assert "Traceback" not in cp.stderr
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP Direction 4: parameter schema")
     @pytest.mark.parametrize(
         "config_name, key",
         [("stego_cc_noiseless_demo.json", "atempts"), ("stego_cc_noisy_demo.json", "trials")],
@@ -172,6 +173,55 @@ class TestExitCodes:
         path.write_text(json.dumps(config))
         cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
+        assert repr(key) in cp.stderr
+
+    @pytest.mark.parametrize(
+        "config_name, edit, key",
+        [
+            ("stego_qc_cc_demo.json", lambda c: c["params"].pop("mbar"), "mbar"),
+            ("gentle_demo.json", lambda c: c.update(parmas=c.pop("params")), "parmas"),
+            ("stego_qc_cc_demo.json", lambda c: c["params"].update(seed=3), "seed"),
+            (
+                "stego_cc_noiseless_demo.json",
+                lambda c: c["params"].update(m={"kind": "dephasing", "p": 0.6, "pwr": 2}),
+                "pwr",
+            ),
+            ("stego_cc_noiseless_demo.json", lambda c: c["params"]["codewords"][0].update(fators=[]), "fators"),
+            ("gaussian_fig2.json", lambda c: c["params"]["nu0_grid"].update(step=0.25), "step"),
+            ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
+            ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
+        ],
+        ids=[
+            "missing-param",
+            "unknown-top-level",
+            "seed-in-params",
+            "channel-spec",
+            "state-spec",
+            "grid-spec",
+            "es-rs-cover",
+            "pj-bound-point",
+        ],
+    )
+    def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):
+        config = json.loads((CONFIGS / config_name).read_text())
+        edit(config)
+        path = tmp_path / "bad_key.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"{path}: invalid config:" in cp.stderr
+        assert repr(key) in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        path = CONFIGS / "stego_qc_cc_demo.json"
+        code = cli.main(["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)])
+        assert code == 3
+        assert f"{path}: numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
 
 
 class TestReadme:

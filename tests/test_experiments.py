@@ -1,6 +1,7 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qstego.experiments import render_csv, run_experiment, run_and_write
@@ -60,6 +61,37 @@ class TestRunners:
         assert res.rows == []
         assert res.all_ok
         assert render_csv(res) == "nu0,nu1,rate_bits,raw,a_star,boundary\n"
+
+
+class TestConfigKeys:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("atempts", 3, "got an unexpected keyword argument 'atempts'"),
+            ("zeta", None, "missing a required argument: 'zeta'"),
+            ("seed", 3, "multiple values for argument 'seed'"),
+        ],
+        ids=["unknown", "missing", "seed"],
+    )
+    def test_params_checked_before_numerics(self, monkeypatch, key, value, message):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        config = load("stego_cc_noiseless_demo.json")
+        if value is None:
+            del config["params"][key]
+        else:
+            config["params"][key] = value
+        with pytest.raises(TypeError, match=f"simulate/cc-noiseless params: {message}"):
+            run_experiment(config)
+
+    def test_defaults_come_from_the_signature(self):
+        # keys left out take the runner's defaults, here dim_max=4 and x_max=3
+        res = run_experiment({"kind": "verify/gentle", "params": {"instances": 2}})
+        assert [r["instance"] for r in res.rows] == [0, 1]
+        assert all(2 <= r["dim"] <= 4 and 2 <= r["x_size"] <= 3 for r in res.rows)
 
 
 class TestRatesProduct:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qstego.channels import Isometry, QuantumChannel
+from qstego.info import Pmf
 from qstego.linalg import (
     DensityMatrix,
     HermitianOperator,
@@ -53,6 +55,25 @@ class TestTypes:
         Povm((half, half))
         with pytest.raises(ValueError, match="invalid POVM"):
             Povm((half, HermitianOperator(0.4 * np.eye(2))))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DensityMatrix(np.diag([np.nan, 1.0])),
+            lambda: DensityMatrix(np.full((2, 2), np.nan)),
+            lambda: HermitianOperator(np.diag([np.nan, 1.0])),
+            lambda: Pmf([np.nan, 1.0]),
+            lambda: QuantumChannel((np.diag([np.nan, 1.0]),)),
+            lambda: Isometry(np.array([[np.nan], [0.0]])),
+            lambda: Povm((np.diag([np.nan, 0.0]), np.diag([0.0, 1.0]))),
+            lambda: PureState(np.array([np.nan, 1.0])),
+        ],
+        ids=["density-diag", "density-all", "hermitian", "pmf", "channel", "isometry", "povm", "pure"],
+    )
+    def test_nan_rejected(self, build):
+        # every bound check is written so that a NaN compares as a failure
+        with pytest.raises(ValueError, match="invalid"):
+            build()
 
     def test_random_states_valid(self):
         rng = np.random.default_rng(0)

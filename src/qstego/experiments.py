@@ -238,10 +238,10 @@ def _run_rates_gaussian(
     return ["nu0", "nu1", "rate_bits", "raw", "a_star", "boundary"], rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_rates_product(seed, states, m, n, mode="noiseless", candidates=None, delta=0.0, k=1):
+def _rates_product(mode, states, m, n, delta, k, candidates=None):
     states = [parse_state(s) for s in states]
     m = parse_channel(m)
-    if mode == "noisy":
+    if candidates is not None:
         candidates = [[parse_cq(c) for c in group] for group in candidates]
     res = rate_product_structure(
         states,
@@ -254,6 +254,14 @@ def _run_rates_product(seed, states, m, n, mode="noiseless", candidates=None, de
     )
     rows = [{"mode": mode, "rate_bits": res.value, "raw": res.raw, "inner": res.terms["inner"]}]
     return ["mode", "rate_bits", "raw", "inner"], rows, {}, {"n": n, "k": k}
+
+
+def _run_rates_product_noiseless(seed, states, m, n, delta=0.0, k=1):
+    return _rates_product("noiseless", states, m, n, delta, k)
+
+
+def _run_rates_product_noisy(seed, states, m, n, candidates, delta=0.0, k=1):
+    return _rates_product("noisy", states, m, n, delta, k, candidates)
 
 
 def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
@@ -407,8 +415,11 @@ def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
 
 
 def _run_simulate_resolvability(
-    seed, pmf, outputs, mk_grid, seeds=50, k=1, zeta_ref=None, min_reliability=0.9
+    seed, pmf, outputs, mk_grid, seeds=50, k=1, zeta_ref=None, min_reliability=None
 ):
+    """``min_reliability`` (default 0.9) is read only with ``zeta_ref``."""
+    if min_reliability is not None and zeta_ref is None:
+        raise TypeError("simulate/resolvability params: 'min_reliability' is read only with 'zeta_ref'")
     cq = _cq_state(pmf, outputs)
     mk_grid = [int(x) for x in mk_grid]
     n_seeds = int(seeds)
@@ -433,7 +444,7 @@ def _run_simulate_resolvability(
     if zeta_ref is not None:
         mbar_res, _ = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
         achievable = mbar_res.value
-        min_rel = float(min_reliability)
+        min_rel = 0.9 if min_reliability is None else float(min_reliability)
         ok = True
         for mk in mk_grid:
             if math.log2(mk) <= achievable - 1.0:
@@ -552,7 +563,8 @@ RUNNERS = {
     "rates/cc-noiseless": _run_rates_cc_noiseless,
     "rates/cc-noisy": _run_rates_cc_noisy,
     "rates/gaussian": _run_rates_gaussian,
-    "rates/product": _run_rates_product,
+    "rates/product-noiseless": _run_rates_product_noiseless,
+    "rates/product-noisy": _run_rates_product_noisy,
     "simulate/cc-noiseless": _run_simulate_cc_noiseless,
     "simulate/cc-noisy": _run_simulate_cc_noisy,
     "simulate/cc-es": _run_simulate_cc_es,

@@ -267,21 +267,31 @@ def distinct_eigenvalue_count(x, tol: float = 1e-8) -> int:
     return 1 + int(np.count_nonzero(np.diff(w) > tol))
 
 
-def matrix_power(rho, a: float) -> HermitianOperator:
-    """Functional calculus rho^a in the eigenbasis.
+def power_function(rho):
+    """Functional calculus from one eigendecomposition: the function a -> rho^a.
 
-    Eigenvalues below 1e-12 are treated as exact zeros; for negative
-    exponents they map to 0 (pseudo-inverse on the support).
+    ``rho`` is diagonalized once; each call forms rho^a in that eigenbasis
+    and returns it as a :class:`HermitianOperator`, so every power is checked
+    for Hermiticity (1e-10).  Eigenvalues below 1e-12 are treated as exact
+    zeros; for negative exponents they map to 0 (pseudo-inverse on the
+    support).
     """
-    m = as_matrix(rho)
-    w, v = np.linalg.eigh(m)
+    w, v = np.linalg.eigh(as_matrix(rho))
     w = np.where(w < ZERO_CUT, 0.0, w)
-    if a < 0:
-        powered = np.where(w > 0.0, w, 1.0) ** a
-        powered = np.where(w > 0.0, powered, 0.0)
-    else:
-        powered = w**a
-    return HermitianOperator((v * powered) @ v.conj().T)
+    support = w > 0.0
+    base = np.where(support, w, 1.0)
+    v_dag = v.conj().T
+
+    def power(a: float) -> HermitianOperator:
+        powered = np.where(support, base**a, 0.0) if a < 0 else w**a
+        return HermitianOperator((v * powered) @ v_dag)
+
+    return power
+
+
+def matrix_power(rho, a: float) -> HermitianOperator:
+    """Functional calculus rho^a in the eigenbasis (see :func:`power_function`)."""
+    return power_function(rho)(a)
 
 
 def support_projector(rho) -> np.ndarray:

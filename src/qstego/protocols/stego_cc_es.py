@@ -105,9 +105,8 @@ def eq1_cypher_count(targets, zeta: float) -> int:
     """Floor of 2^rate for the noiseless cypher-rate expression on a block."""
     best = None
     for t in targets:
-        res = sup_over_order(
-            lambda a: renyi_entropy(t, a) - (4.0 / a) * math.log2(2.0 / zeta)
-        )
+        h = renyi_entropy(t)
+        res = sup_over_order(lambda a: h(a) - (4.0 / a) * math.log2(2.0 / zeta))
         best = res.value if best is None else min(best, res.value)
     if best is None or best <= 0.0:
         return 1

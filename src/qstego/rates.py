@@ -60,7 +60,8 @@ def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     best = None
     per_w = []
     for rho in outputs:
-        opt = sup_over_order(lambda a: renyi_entropy(rho, a) - (4.0 / a) * math.log2(2.0 / zeta))
+        h = renyi_entropy(rho)
+        opt = sup_over_order(lambda a: h(a) - (4.0 / a) * math.log2(2.0 / zeta))
         per_w.append(opt.value)
         if best is None or opt.value < best.value:
             best = opt
@@ -83,7 +84,10 @@ def rate_cc_noisy(
     (4/a) log2(12/zeta) ]; the key rate is max_w { inf_{a<0} [ Idown_a +
     log2 nu(rho_B^w) + (2 - 2/a) log2(12/xi) ] - log Mbar_w + 1 }, with the
     inf taken on the fixed window of :func:`qstego.info.inf_over_order` (199
-    log-spaced points on [-8, -0.01]).  Distinct-eigenvalue counts use nu_tol.
+    log-spaced points on [-8, -0.01]).  An order at which a matrix power fails
+    the 1e-10 Hermiticity check (large negative powers of nearly singular
+    states) is skipped without a flag, as is any order whose expression
+    raises or is not finite.  Distinct-eigenvalue counts use nu_tol.
     When ``targets`` (the cover outputs rho^w) are given, each sigma's
     B-marginal is validated against them to 1e-8.
     """
@@ -101,16 +105,18 @@ def rate_cc_noisy(
         rho_b = sigma.marginal_b()
         ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
         nu_ref = distinct_eigenvalue_count(ref, nu_tol)
+        mi_up = renyi_mi_up(sigma)
         opt_m = sup_over_order(
-            lambda a: renyi_mi_up(sigma, a)
+            lambda a: mi_up(a)
             - math.log2(nu_ref) / a
             - (4.0 / a) * math.log2(12.0 / zeta)
         )
         mbar_opts.append(opt_m)
         per_w_m.append(opt_m.value)
         nu_b = distinct_eigenvalue_count(rho_b, nu_tol)
+        mi_down = renyi_mi_down(sigma)
         opt_k = inf_over_order(
-            lambda a: renyi_mi_down(sigma, a)
+            lambda a: mi_down(a)
             + math.log2(nu_b)
             + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
         )
@@ -158,8 +164,9 @@ def rate_gaussian(nu0: float, nu1: float, n: int, r: int, zeta: float) -> RateRe
         raise ValueError("invalid symplectic eigenvalue")
     if not 0 <= r <= n:
         raise ValueError("bad parameter: need 0 <= r <= n")
+    # float(a): one order at a time, on gaussian_renyi_term's scalar path
     opt = sup_over_order(
-        lambda a: gaussian_renyi_term(a, nu0, nu1, n, r) - (4.0 / a) * math.log2(2.0 / zeta)
+        lambda a: gaussian_renyi_term(float(a), nu0, nu1, n, r) - (4.0 / a) * math.log2(2.0 / zeta)
     )
     return _from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r})
 
@@ -222,7 +229,7 @@ def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundR
     orthogonalize_correctable_kraus(code.channel, code.correctable, code.projector)
     env = complementary_matrix(code.channel, code.projector / code.m)
     env = (env + env.conj().T) / 2
-    opt = sup_over_order(lambda a: renyi_entropy(env, a))
+    opt = sup_over_order(renyi_entropy(env))
     rhs = code.n * (shannon_entropy(p) - delta)
     return BoundReport(
         lhs=opt.value,
@@ -257,7 +264,7 @@ def experiment_random_code_entropy(
         pi = iso.data @ iso.data.conj().T
         env = complementary_matrix(total, pi / m_dim)
         env = (env + env.conj().T) / 2
-        vals.append(sup_over_order(lambda a: renyi_entropy(env, a)).value)
+        vals.append(sup_over_order(renyi_entropy(env)).value)
     vals = np.array(vals)
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0

@@ -45,7 +45,7 @@ class TestAcceptance:
         for d in range(2, 9):
             eye = np.eye(d) / d
             for a in orders:
-                worst = max(worst, abs(renyi_entropy(eye, a) - math.log2(d)))
+                worst = max(worst, abs(renyi_entropy(eye)(a) - math.log2(d)))
         rng = np.random.default_rng(11)
         for d in range(2, 9):
             pmf = Pmf(rng.dirichlet(np.ones(3)))
@@ -53,8 +53,8 @@ class TestAcceptance:
             rho = DensityMatrix((g @ g.conj().T) / np.trace(g @ g.conj().T).real)
             product = CqState(pmf, (rho, rho, rho))
             for a in orders:
-                worst = max(worst, abs(renyi_mi_up(product, a)))
-                worst = max(worst, abs(renyi_mi_down(product, a)))
+                worst = max(worst, abs(renyi_mi_up(product)(a)))
+                worst = max(worst, abs(renyi_mi_down(product)(a)))
         elapsed = time.perf_counter() - start
         report(
             "1 information-measure suite",

@@ -190,6 +190,15 @@ class TestExitCodes:
             ("gaussian_fig2.json", lambda c: c["params"]["nu0_grid"].update(step=0.25), "step"),
             ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
             ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
+            ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "min_reliability"),
+            (
+                "stego_qc_cc_demo.json",
+                lambda c: c.update(
+                    kind="rates/product-noiseless",
+                    params={"states": ["plus"], "m": {"kind": "dephasing", "p": 0.5}, "n": 2, "candidates": [[]]},
+                ),
+                "candidates",
+            ),
         ],
         ids=[
             "missing-param",
@@ -200,6 +209,8 @@ class TestExitCodes:
             "grid-spec",
             "es-rs-cover",
             "pj-bound-point",
+            "min-reliability-without-zeta-ref",
+            "candidates-on-noiseless-product",
         ],
     )
     def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):

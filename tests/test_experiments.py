@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -8,6 +9,8 @@ from qstego.experiments import render_csv, run_experiment, run_and_write
 from qstego.info import shannon_entropy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+#: the benchmark's correctness gate: CSV sha256 of every shipped config (read only)
+BENCH_REFERENCE = CONFIGS.parent / "perfbench" / "reference.json"
 
 
 def load(name):
@@ -100,7 +103,7 @@ class TestRatesProduct:
     def test_noiseless_single_use(self):
         # the pure |0> output has zero entropy, so the rate is 4 * (0 - 0.1)
         config = {
-            "kind": "rates/product",
+            "kind": "rates/product-noiseless",
             "params": {"states": ["plus", "zero"], "m": self.DEPHASING, "n": 4, "delta": 0.1},
         }
         res = run_experiment(config)
@@ -112,7 +115,7 @@ class TestRatesProduct:
     def test_noiseless_two_use_block(self):
         # dephased |+> has eigenvalues 0.7/0.3; the |0> factor adds nothing
         config = {
-            "kind": "rates/product",
+            "kind": "rates/product-noiseless",
             "params": {
                 "states": [{"kind": "kron", "factors": ["plus", "zero"]}],
                 "m": self.DEPHASING,
@@ -129,12 +132,11 @@ class TestRatesProduct:
     def test_noisy_single_candidate(self):
         # completely dephased |+> is I/2, the B-marginal of the {|0>, |1>} ensemble
         config = {
-            "kind": "rates/product",
+            "kind": "rates/product-noisy",
             "params": {
                 "states": ["plus"],
                 "m": {"kind": "dephasing", "p": 0.5},
                 "n": 2,
-                "mode": "noisy",
                 "candidates": [[{"pmf": [0.5, 0.5], "states": ["zero", "one"]}]],
             },
         }
@@ -178,3 +180,26 @@ class TestOutputs:
             golden.parent.mkdir(exist_ok=True)
             golden.write_text(rendered)
         assert rendered == golden.read_text()
+
+
+def reference_key(config) -> str:
+    """The key the benchmark stores a config's digest under (perfbench/workloads.py)."""
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()[:20]
+
+
+class TestBenchmarkReference:
+    """Each shipped config renders the CSV bytes recorded for the benchmark."""
+
+    def shipped(self):
+        return json.loads(BENCH_REFERENCE.read_text())["shipped"]
+
+    def test_reference_covers_the_shipped_configs(self):
+        keys = {reference_key(json.loads(p.read_text())) for p in CONFIGS.glob("*.json")}
+        assert keys == set(self.shipped())
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
+    def test_csv_sha256_matches(self, name):
+        config = load(name)
+        expected = self.shipped()[reference_key(config)]["csv_sha256"]
+        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == expected

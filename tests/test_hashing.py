@@ -59,7 +59,7 @@ class TestClassicalHash:
         for _ in range(200):
             p = rng.dirichlet(np.full(8, 4.0))
             bound = sup_over_order(
-                lambda a: renyi_entropy(np.diag(p), a) - (4.0 / a) * math.log2(2.0 / eps)
+                lambda a: renyi_entropy(np.diag(p))(a) - (4.0 / a) * math.log2(2.0 / eps)
             ).value
             m = max(1, int(math.floor(2.0**bound)))
             trials += 1

@@ -1,9 +1,12 @@
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
 
-from qstego.channels import apply, standard_channel
+from qstego import info
+from qstego.channels import apply, compose, standard_channel, tensor_power
+from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import (
     CqState,
     Pmf,
@@ -19,7 +22,10 @@ from qstego.info import (
     sup_over_order,
     von_neumann_entropy,
 )
-from qstego.linalg import DensityMatrix, basis_state
+from qstego.linalg import ZERO_CUT, DensityMatrix, as_matrix, basis_state, matrix_power
+from qstego.protocols import side_states_from_degradation
+from qstego.protocols.resolvability import output_cq
+from qstego.rates import experiment_random_code_entropy
 
 from .test_linalg import random_density
 
@@ -81,20 +87,20 @@ class TestRenyiEntropy:
     def test_maximally_mixed(self):
         for d in range(2, 9):
             for a in (0.1, 0.5, 0.9, -0.5, -2.0):
-                assert renyi_entropy(np.eye(d) / d, a) == pytest.approx(math.log2(d), abs=1e-9)
+                assert renyi_entropy(np.eye(d) / d)(a) == pytest.approx(math.log2(d), abs=1e-9)
 
     def test_pure_state(self):
         rho = basis_state(1, 3).to_density()
         for a in (0.2, 0.8, -0.5):
-            assert renyi_entropy(rho, a) == pytest.approx(0.0, abs=1e-12)
+            assert renyi_entropy(rho)(a) == pytest.approx(0.0, abs=1e-12)
 
     def test_direct_evaluation(self):
         rho = np.diag([0.75, 0.25])
-        assert renyi_entropy(rho, 1.0) == pytest.approx(-math.log2(0.625), abs=1e-12)
+        assert renyi_entropy(rho)(1.0) == pytest.approx(-math.log2(0.625), abs=1e-12)
 
     def test_invalid_order(self):
         with pytest.raises(ValueError, match="invalid order"):
-            renyi_entropy(np.eye(2) / 2, 0.0)
+            renyi_entropy(np.eye(2) / 2)(0.0)
 
     def test_monotone_in_order(self):
         rng = np.random.default_rng(0)
@@ -102,7 +108,7 @@ class TestRenyiEntropy:
         for dim in (2, 3, 4):
             for _ in range(100):
                 rho = random_density(rng, dim)
-                vals = [renyi_entropy(rho, a) for a in grid]
+                vals = [renyi_entropy(rho)(a) for a in grid]
                 assert all(x >= y - 1e-9 for x, y in zip(vals, vals[1:]))
 
 
@@ -112,24 +118,24 @@ class TestRenyiMutualInformation:
         for _ in range(10):
             cq = product_cq(rng, 3, 2)
             for a in (0.3, 0.7, -0.5, -2.0):
-                assert renyi_mi_up(cq, a) == pytest.approx(0.0, abs=1e-9)
-                assert renyi_mi_down(cq, a) == pytest.approx(0.0, abs=1e-9)
+                assert renyi_mi_up(cq)(a) == pytest.approx(0.0, abs=1e-9)
+                assert renyi_mi_down(cq)(a) == pytest.approx(0.0, abs=1e-9)
 
     def test_perfectly_correlated(self):
         for d in (2, 3, 4):
             cq = correlated_uniform(d)
             for a in (0.25, 0.75):
-                assert renyi_mi_up(cq, a) == pytest.approx(math.log2(d), abs=1e-9)
+                assert renyi_mi_up(cq)(a) == pytest.approx(math.log2(d), abs=1e-9)
             for a in (-0.5, -2.0):
-                assert renyi_mi_down(cq, a) == pytest.approx(math.log2(d), abs=1e-9)
+                assert renyi_mi_down(cq)(a) == pytest.approx(math.log2(d), abs=1e-9)
 
     def test_matches_independent_oracle(self):
         rng = np.random.default_rng(2)
         for _ in range(10):
             cq = random_cq(rng, 2, 2)
             for a in (0.3, 0.6, -0.7):
-                assert renyi_mi_up(cq, a) == pytest.approx(mi_up_oracle(cq, a), abs=1e-9)
-                assert renyi_mi_down(cq, a) == pytest.approx(mi_down_oracle(cq, a), abs=1e-9)
+                assert renyi_mi_up(cq)(a) == pytest.approx(mi_up_oracle(cq, a), abs=1e-9)
+                assert renyi_mi_down(cq)(a) == pytest.approx(mi_down_oracle(cq, a), abs=1e-9)
 
     def test_mi_up_nonnegative_for_commuting_states(self):
         # Holder gives tr(rho^(1-a) sigma^a) <= 1 when everything commutes
@@ -139,7 +145,7 @@ class TestRenyiMutualInformation:
             states = tuple(DensityMatrix(np.diag(rng.dirichlet(np.ones(2)))) for _ in range(3))
             cq = CqState(Pmf(pmf), states)
             for a in (0.1, 0.5, 0.9):
-                assert renyi_mi_up(cq, a) >= -1e-9
+                assert renyi_mi_up(cq)(a) >= -1e-9
 
 
 class TestHypothesisTesting:
@@ -348,3 +354,135 @@ class TestHypothesisTestingDuality:
             if need <= 1e-15:
                 break
         assert got == pytest.approx(-math.log2(beta), abs=1e-5)
+
+
+# The two-argument evaluations the order functions replace, kept verbatim as
+# the reference: one diagonalization per order, powers from matrix_power.
+
+
+def reference_renyi_entropy(rho, a):
+    if a == 0:
+        raise ValueError("invalid order: a must be nonzero")
+    lam = np.linalg.eigvalsh(as_matrix(rho))
+    lam = np.where(lam < ZERO_CUT, 0.0, lam)
+    lam = lam[lam > 0.0]
+    return float(-np.log2(np.sum(lam ** (1.0 + a))) / a)
+
+
+def reference_mi_up(cq, a):
+    if a == 0:
+        raise ValueError("invalid order: a must be nonzero")
+    joint = cq.joint()
+    ref = np.kron(np.diag(cq.pmf.probs).astype(complex), cq.marginal_b())
+    ref_half = matrix_power(ref, a / 2.0).data
+    joint_neg = matrix_power(joint, -a).data
+    val = np.trace(joint @ ref_half @ joint_neg @ ref_half).real
+    return float(-np.log2(max(val, 1e-300)) / a)
+
+
+def reference_mi_down(cq, a):
+    if a == 0:
+        raise ValueError("invalid order: a must be nonzero")
+    rho_b = cq.marginal_b()
+    rb_a = matrix_power(rho_b, a).data
+    total = 0.0
+    for px, s in zip(cq.pmf.probs, cq.states):
+        if px <= 0.0:
+            continue
+        total += px * np.trace(matrix_power(s, 1.0 - a).data @ rb_a).real
+    return float(-np.log2(max(total, 1e-300)) / a)
+
+
+def near_singular_density(rng, dim):
+    """A random state whose smallest eigenvalues straddle the 1e-12 zero cut."""
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    w = rng.dirichlet(np.ones(dim))
+    w[: dim // 2] = 10.0 ** rng.uniform(-14, -9, size=dim // 2)
+    a = (u * (w / w.sum())) @ u.conj().T
+    return DensityMatrix((a + a.conj().T) / 2)
+
+
+def degraded_side_outputs():
+    """The side cq states of the benchmark's rates-cc-noisy-n3 instance:
+    dephasing p=0.1 degradation of |+++>, |---> behind dephasing p=0.2."""
+    n_true = tensor_power(standard_channel("dephasing", 0.2), 3)
+    m = tensor_power(standard_channel("dephasing", 0.1), 3)
+    codewords = [DensityMatrix(reduce(np.kron, [named_state(s).data] * 3)) for s in ("plus", "minus")]
+    cover = pgm_cc_cover(codewords, compose(n_true, m), 3)
+    return [output_cq(s, n_true) for s in side_states_from_degradation(cover, m)]
+
+
+SUP_GRID = np.linspace(info.SUP_PAD, 1.0 - info.SUP_PAD, info.GRID_POINTS)
+INF_GRID = -np.logspace(math.log10(-info.INF_HI), math.log10(-info.INF_LO), info.GRID_POINTS)
+
+
+def outcomes(f, grid):
+    """f at every order of the grid, with None where it raises ValueError."""
+    out = []
+    for a in grid:
+        try:
+            out.append(f(a))
+        except ValueError:
+            out.append(None)
+    return out
+
+
+def as_scanned(values):
+    """What the order optimizers see: -inf where the evaluation raised or is not finite."""
+    return [-math.inf if v is None or not math.isfinite(v) else v for v in values]
+
+
+class TestOrderFunctionsBitForBit:
+    """The order functions reproduce the per-order evaluations exactly (==)."""
+
+    def cq_states(self):
+        rng = np.random.default_rng(11)
+        full = [random_cq(rng, nx, d) for nx, d in ((2, 2), (3, 2), (2, 4))]
+        near = [
+            CqState(Pmf(rng.dirichlet(np.ones(nx))), tuple(near_singular_density(rng, d) for _ in range(nx)))
+            for nx, d in ((2, 2), (3, 4), (2, 4))
+        ]
+        return full + near
+
+    @pytest.mark.parametrize("grid", [SUP_GRID, INF_GRID], ids=["sup", "inf"])
+    def test_renyi_entropy(self, grid):
+        rng = np.random.default_rng(12)
+        states = [random_density(rng, d) for d in (2, 3, 8)] + [near_singular_density(rng, d) for d in (2, 4, 8)]
+        for cq in self.cq_states():
+            states += [cq.marginal_b(), cq.joint()]
+        for rho in states:
+            h = renyi_entropy(rho)
+            ref = outcomes(lambda a: reference_renyi_entropy(rho, a), grid)
+            assert outcomes(h, grid) == ref
+            assert h(grid).tolist() == ref
+            assert info._safe(h)(grid).tolist() == as_scanned(ref)
+
+    @pytest.mark.parametrize("grid", [SUP_GRID, INF_GRID], ids=["sup", "inf"])
+    def test_mutual_informations(self, grid):
+        for cq in self.cq_states():
+            for factory, reference in ((renyi_mi_up, reference_mi_up), (renyi_mi_down, reference_mi_down)):
+                f = factory(cq)
+                ref = outcomes(lambda a: reference(cq, a), grid)
+                assert outcomes(f, grid) == ref
+                assert info._safe(f)(grid).tolist() == as_scanned(ref)
+
+    def test_key_rate_grid_skips_failed_hermiticity_checks(self):
+        # the powers of the degraded dephasing states fail the 1e-10
+        # Hermiticity check at some key-rate orders; both evaluations raise
+        # there, and the optimizer reads -inf
+        skipped = 0
+        for cq in degraded_side_outputs():
+            f = renyi_mi_down(cq)
+            ref = outcomes(lambda a: reference_mi_down(cq, a), INF_GRID)
+            assert outcomes(f, INF_GRID) == ref
+            assert info._safe(f)(INF_GRID).tolist() == as_scanned(ref)
+            skipped += ref.count(None)
+        assert skipped > 0
+
+    def test_one_spectrum_per_random_code_sample(self, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
+        samples = 7
+        experiment_random_code_entropy(2, 3, 2, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
+        assert len(calls) == samples

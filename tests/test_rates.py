@@ -109,12 +109,12 @@ class TestRateCcNoisy:
         nu = distinct_eigenvalue_count(ref, 1e-8)
         grid = np.linspace(1e-6, 1 - 1e-6, 100_000)
         oracle = max(
-            renyi_mi_up(sigma, x) - math.log2(nu) / x - (4.0 / x) * math.log2(24.0)
+            renyi_mi_up(sigma)(x) - math.log2(nu) / x - (4.0 / x) * math.log2(24.0)
             for x in grid[:: 100]
         )
         assert mbar.raw >= oracle - 1e-6  # optimizer dominates the sparse oracle scan
         dense_near = max(
-            renyi_mi_up(sigma, x) - math.log2(nu) / x - (4.0 / x) * math.log2(24.0)
+            renyi_mi_up(sigma)(x) - math.log2(nu) / x - (4.0 / x) * math.log2(24.0)
             for x in np.linspace(max(1e-6, mbar.a_star - 1e-3), min(1 - 1e-6, mbar.a_star + 1e-3), 500)
         )
         assert mbar.raw == pytest.approx(dense_near, abs=1e-4)

@@ -172,12 +172,12 @@ def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6
     sides_in = side_states_from_degradation(cover, m)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     zeta, xi = float(zeta), float(xi)
+    nu_tols = [float(nu_tol) for nu_tol in nu_tols]
     rows = []
-    for nu_tol in nu_tols:
-        mbar, key = rate_cc_noisy(side_outputs, zeta, xi, nu_tol=float(nu_tol))
+    for nu_tol, (mbar, key) in zip(nu_tols, rate_cc_noisy(side_outputs, zeta, xi, nu_tols=nu_tols)):
         rows.append(
             {
-                "nu_tol": float(nu_tol),
+                "nu_tol": nu_tol,
                 "log_mbar_raw": mbar.raw,
                 "log_mbar": mbar.value,
                 "log_kbar_raw": key.raw,
@@ -442,7 +442,7 @@ def _run_simulate_resolvability(
     }
     achievable = None
     if zeta_ref is not None:
-        mbar_res, _ = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
+        [(mbar_res, _)] = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
         achievable = mbar_res.value
         min_rel = 0.9 if min_reliability is None else float(min_reliability)
         ok = True

@@ -8,12 +8,19 @@ eigenbasis of a target state.  Hashes are found by exhaustive search over all
 function tables when that is cheap, otherwise by seeded random search over
 ``ATTEMPTS`` tables; achieved defects are always measured and reported, never
 assumed from the rate bound.
+
+The exhaustive search runs in two stages.  A batch score computes every
+table's lead key max(defect, error) with numpy reductions, in chunks of
+``CHUNK_BYTES`` per temporary array; its sums run in another order than
+:func:`encoder_from_hash`'s, so its keys agree with the encoder's to rounding
+(~1e-15) only.  The tables within ``TIE_MARGIN`` of the batch minimum are then
+re-scored with :func:`encoder_from_hash`, in lexicographic order, so the
+encoder's own float bits break every tie.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +32,11 @@ from .linalg import DensityMatrix, HermitianOperator, Povm
 EXHAUSTIVE_LIMIT = 1 << 16
 #: random tables drawn when the search is not exhaustive
 ATTEMPTS = 64
+#: size of the largest temporary array of one chunk of the exhaustive batch score
+CHUNK_BYTES = 1 << 15
+#: tables whose batch key is within this of the batch minimum are re-scored
+#: exactly; far above the batch score's rounding, far below any real gap
+TIE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,13 +83,12 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
     and fall back to P_X itself (flagged) when the preimage is empty.
     """
     p = as_pmf(p)
-    nx = p.size
     f = np.asarray(f, dtype=int)
-    cond = np.zeros((m, nx))
-    p_w = np.array([p[f == w].sum() for w in range(m)])
+    preimages = f == np.arange(m)[:, None]
+    cond = np.zeros(preimages.shape)
+    p_w = np.array([p[pre].sum() for pre in preimages])
     px_fallback = False
-    for w in range(m):
-        pre = f == w
+    for w, pre in enumerate(preimages):
         if p_w[w] > 0.0:
             cond[w, pre] = p[pre] / p_w[w]
         elif pre.any():
@@ -85,7 +96,8 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
         else:
             cond[w] = p
             px_fallback = True
-    defect, error = _quality(f, cond, p, m)
+    defect = float(np.abs(cond.mean(axis=0) - p).sum())
+    error = float((cond * ~preimages).sum() / m)
     output_defect = float(np.abs(p_w - 1.0 / m).sum())
     return HashEncoder(
         m=m,
@@ -98,12 +110,33 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
     )
 
 
-def _quality(f: np.ndarray, cond: np.ndarray, p: np.ndarray, m: int) -> tuple[float, float]:
-    q_x = cond.mean(axis=0)
-    defect = float(np.abs(q_x - p).sum())
-    wrong = cond * (f[None, :] != np.arange(m)[:, None])
-    error = float(wrong.sum() / m)
-    return defect, error
+def _batch_keys(p: np.ndarray, m: int, objective: str, tables: np.ndarray) -> np.ndarray:
+    """The lead key max(lead, error) of :func:`build_classical_hash` for each
+    row of ``tables`` (one hash table per row), as array reductions.
+
+    Equal to the keys of :func:`encoder_from_hash` up to rounding: the sums
+    run in another order.  Whether a preimage has positive probability, and
+    so which row of Q_{X|W} is Bayes, uniform or the P_X fallback, is exact.
+    """
+    k = tables.shape[0]
+    cells = (tables + m * np.arange(k)[:, None]).ravel()
+    p_w = np.bincount(cells, weights=np.tile(p, k), minlength=k * m).reshape(k, m)
+    sizes = np.bincount(cells, minlength=k * m).reshape(k, m)
+    # Bayes and uniform rows sit on their preimage and decode exactly; each
+    # fallback row is P_X, decoded wrong with probability one
+    fallback = np.count_nonzero(sizes == 0, axis=1)
+    error = fallback * p.sum() / m
+    if objective == "output":
+        lead = np.abs(p_w - 1.0 / m).sum(axis=1)
+    else:
+        # x lies in the one preimage f(x), whose row gives it p(x)/p_w, or
+        # 1/|preimage| when p_w = 0; every fallback row gives it p(x)
+        own_pw = np.take_along_axis(p_w, tables, axis=1)
+        own_size = np.take_along_axis(sizes, tables, axis=1)
+        own = np.where(own_pw > 0.0, p / np.where(own_pw > 0.0, own_pw, 1.0), 1.0 / own_size)
+        q_x = (own + fallback[:, None] * p) / m
+        lead = np.abs(q_x - p).sum(axis=1)
+    return np.maximum(lead, error)
 
 
 def build_classical_hash(
@@ -118,10 +151,20 @@ def build_classical_hash(
     ``objective`` selects the minimized defect: "marginal" is the X-marginal
     defect ||Q_X - P_X||_1 of the full encoder (the encoder guarantee), while
     "output" is ||P_{f(X)} - uniform||_1 (what the label-hashing protocols
-    need).  Exhaustive over all M^|X| tables when that count is small (ties
-    broken by lexicographic order of the table); otherwise ``ATTEMPTS`` seeded
-    random function tables.  Always returns the best table found, with
-    ``warning`` set when the target was missed.
+    need).  Tables are ranked by (max(lead, error), lead, error), where lead
+    is the selected defect and error the decode error.
+
+    When M^|X| <= ``EXHAUSTIVE_LIMIT`` the search is exhaustive, and returns
+    the first table in lexicographic order with the least key, as a loop
+    over ``itertools.product(range(M), repeat=|X|)`` that scores each table
+    with :func:`encoder_from_hash` and stops at an exact-zero lead key would.
+    A batch score (:func:`_batch_keys`) ranks every table in chunks of about
+    ``CHUNK_BYTES`` per temporary array; only the tables within
+    ``TIE_MARGIN`` of its minimum are re-scored with
+    :func:`encoder_from_hash`, in lexicographic order, and the re-score stops
+    at an exact-zero lead key.  Otherwise ``ATTEMPTS`` seeded random
+    function tables are scored one by one.  Always returns the best table
+    found, with ``warning`` set when the target was missed.
     """
     if m < 1:
         raise ValueError("bad parameter: M must be >= 1")
@@ -148,8 +191,20 @@ def build_classical_hash(
             best, best_key = enc, key
 
     if m**nx <= EXHAUSTIVE_LIMIT:
-        for table in itertools.product(range(m), repeat=nx):
-            consider(table)
+        # table i of the lexicographic order has the base-M digits of i as entries
+        places = m ** np.arange(nx - 1, -1, -1)
+        step = max(1, CHUNK_BYTES // (8 * max(m, nx)))
+
+        def chunks():
+            for start in range(0, m**nx, step):
+                index = np.arange(start, min(start + step, m**nx))
+                yield index, _batch_keys(p, m, objective, index[:, None] // places % m)
+
+        # two passes over the chunks, so no key array spans the whole search
+        floor = min(float(keys.min()) for _, keys in chunks())
+        near = (i for index, keys in chunks() for i in index[keys <= floor + TIE_MARGIN])
+        for i in near:
+            consider(i // places % m)
             if best_key[0] == 0.0:
                 break
     else:

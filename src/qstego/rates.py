@@ -70,14 +70,40 @@ def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     return _from_optimum(best, {"per_w": per_w, "penalty_at_a1": 4.0 * math.log2(2.0 / zeta)})
 
 
+def _once_per_order(f):
+    """The order function f, evaluated at most once per float order: a repeated
+    order returns the stored value, or raises ValueError again where f raised.
+
+    The store holds floats and None only, never an exception: a stored
+    traceback would reference this frame, and through it the store, a cycle
+    that keeps f's eigh factors alive until the next garbage collection.
+    """
+    values = {}
+
+    def g(a):
+        a = float(a)  # an ndarray of orders raises: optimizers go one order at a time
+        if a not in values:
+            try:
+                values[a] = f(a)
+            except (ValueError, ArithmeticError):
+                values[a] = None
+                raise
+        if values[a] is None:
+            raise ValueError("order function failed at this order")
+        return values[a]
+
+    return g
+
+
 def rate_cc_noisy(
     side_outputs: list[CqState],
     zeta: float,
     xi: float,
-    nu_tol: float = 1e-8,
+    nu_tols=(1e-8,),
     targets=None,
-) -> tuple[RateResult, RateResult]:
-    """Cypher and key rates for the noisy construction.
+) -> list[tuple[RateResult, RateResult]]:
+    """Cypher and key rates for the noisy construction, one (cypher, key)
+    pair per distinct-eigenvalue tolerance in ``nu_tols``.
 
     ``side_outputs`` are the output-side cq states sigma^w_XB.  The cypher
     rate is min_w sup_a [ Iup_a - (1/a) log2 nu(sigma_X (x) sigma_B) -
@@ -87,7 +113,10 @@ def rate_cc_noisy(
     log-spaced points on [-8, -0.01]).  An order at which a matrix power fails
     the 1e-10 Hermiticity check (large negative powers of nearly singular
     states) is skipped without a flag, as is any order whose expression
-    raises or is not finite.  Distinct-eigenvalue counts use nu_tol.
+    raises or is not finite.  Distinct-eigenvalue counts nu use each
+    tolerance in turn; only the log2 nu terms depend on it, so each side
+    state's Iup and Idown are built once and evaluated once per order, and
+    every tolerance after the first reads its grid from that store.
     When ``targets`` (the cover outputs rho^w) are given, each sigma's
     B-marginal is validated against them to 1e-8.
     """
@@ -97,41 +126,46 @@ def rate_cc_noisy(
         for sigma, target in zip(side_outputs, targets):
             if trace_norm(sigma.marginal_b() - np.asarray(getattr(target, "data", target))) > 1e-8:
                 raise ValueError("side-state mismatch")
-    mbar_opts = []
-    key_vals = []
-    per_w_m = []
-    per_w_k = []
+    sides = []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()
         ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
-        nu_ref = distinct_eigenvalue_count(ref, nu_tol)
-        mi_up = renyi_mi_up(sigma)
-        opt_m = sup_over_order(
-            lambda a: mi_up(a)
-            - math.log2(nu_ref) / a
-            - (4.0 / a) * math.log2(12.0 / zeta)
+        mi_up, mi_down = _once_per_order(renyi_mi_up(sigma)), _once_per_order(renyi_mi_down(sigma))
+        sides.append((ref, rho_b, mi_up, mi_down))
+    results = []
+    for nu_tol in nu_tols:
+        mbar_opts = []
+        key_vals = []
+        per_w_m = []
+        per_w_k = []
+        for ref, rho_b, mi_up, mi_down in sides:
+            nu_ref = distinct_eigenvalue_count(ref, nu_tol)
+            opt_m = sup_over_order(
+                lambda a: mi_up(a)
+                - math.log2(nu_ref) / a
+                - (4.0 / a) * math.log2(12.0 / zeta)
+            )
+            mbar_opts.append(opt_m)
+            per_w_m.append(opt_m.value)
+            nu_b = distinct_eigenvalue_count(rho_b, nu_tol)
+            opt_k = inf_over_order(
+                lambda a: mi_down(a)
+                + math.log2(nu_b)
+                + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
+            )
+            key_vals.append((opt_k, opt_k.value - opt_m.value + 1.0))
+            per_w_k.append(opt_k.value - opt_m.value + 1.0)
+        best_m = min(mbar_opts, key=lambda o: o.value)
+        worst_key, worst_val = max(key_vals, key=lambda t: t[1])
+        mbar = _from_optimum(best_m, {"per_w": per_w_m, "nu_tol": nu_tol})
+        key = RateResult(
+            raw=worst_val,
+            a_star=worst_key.a_star,
+            terms={"per_w": per_w_k, "nu_tol": nu_tol},
+            boundary=worst_key.boundary,
         )
-        mbar_opts.append(opt_m)
-        per_w_m.append(opt_m.value)
-        nu_b = distinct_eigenvalue_count(rho_b, nu_tol)
-        mi_down = renyi_mi_down(sigma)
-        opt_k = inf_over_order(
-            lambda a: mi_down(a)
-            + math.log2(nu_b)
-            + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
-        )
-        key_vals.append((opt_k, opt_k.value - opt_m.value + 1.0))
-        per_w_k.append(opt_k.value - opt_m.value + 1.0)
-    best_m = min(mbar_opts, key=lambda o: o.value)
-    worst_key, worst_val = max(key_vals, key=lambda t: t[1])
-    mbar = _from_optimum(best_m, {"per_w": per_w_m, "nu_tol": nu_tol})
-    key = RateResult(
-        raw=worst_val,
-        a_star=worst_key.a_star,
-        terms={"per_w": per_w_k, "nu_tol": nu_tol},
-        boundary=worst_key.boundary,
-    )
-    return mbar, key
+        results.append((mbar, key))
+    return results
 
 
 def eta(alpha, x: float):

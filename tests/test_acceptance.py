@@ -76,7 +76,7 @@ class TestAcceptance:
             medians.append(float(np.median(dists)))
             reliabilities[mk] = float(np.median(rels))
         strict = all(a > b for a, b in zip(medians, medians[1:]))
-        mbar_res, _ = rate_cc_noisy([cq], zeta=0.3, xi=0.3)
+        [(mbar_res, _)] = rate_cc_noisy([cq], zeta=0.3, xi=0.3)
         achievable = mbar_res.value
         rel_ok = all(
             reliabilities[mk] >= 0.9

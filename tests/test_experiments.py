@@ -11,6 +11,8 @@ from qstego.info import shannon_entropy
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: the benchmark's correctness gate: CSV sha256 of every shipped config (read only)
 BENCH_REFERENCE = CONFIGS.parent / "perfbench" / "reference.json"
+#: the benchmark's instance generators' parameters (read only)
+BENCH_WORKLOADS = CONFIGS.parent / "perfbench" / "workloads.json"
 
 
 def load(name):
@@ -188,8 +190,31 @@ def reference_key(config) -> str:
     return hashlib.sha256(text.encode()).hexdigest()[:20]
 
 
+def hash_search_first_variants():
+    """The first variant of each hash-search slot as pytest params
+    (instance name, config), built from perfbench/workloads.json the way
+    perfbench/workloads.py builds it."""
+    gen = json.loads(BENCH_WORKLOADS.read_text())["hash-search"]["generator"]
+    kind, p = gen["channel_kinds"][0], gen["p_grid"][0]
+    out = []
+    for slot in gen["slots"]:
+        q = slot["qubits"]
+        params = {
+            "m": {"kind": kind, "p": p, "power": q},
+            "codewords": [{"kind": "kron", "factors": list(c)} for c in slot["codewords"]],
+            "n": q,
+            "mbar": slot["mbar"],
+            "zeta": slot["zeta"],
+        }
+        instance = f"{slot['name']}:{kind}-p{p}"
+        config = {"kind": gen["kind"], "seed": slot["seed"], "params": params}
+        out.append(pytest.param(instance, config, id=instance))
+    return out
+
+
 class TestBenchmarkReference:
-    """Each shipped config renders the CSV bytes recorded for the benchmark."""
+    """Each shipped config, and the first variant of each hash-search slot,
+    renders the CSV bytes recorded for the benchmark."""
 
     def shipped(self):
         return json.loads(BENCH_REFERENCE.read_text())["shipped"]
@@ -203,3 +228,9 @@ class TestBenchmarkReference:
         config = load(name)
         expected = self.shipped()[reference_key(config)]["csv_sha256"]
         assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == expected
+
+    @pytest.mark.parametrize("instance,config", hash_search_first_variants())
+    def test_hash_search_csv_sha256_matches(self, instance, config):
+        entry = json.loads(BENCH_REFERENCE.read_text())["hash-search"][reference_key(config)]
+        assert entry["instance"] == instance
+        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == entry["csv_sha256"]

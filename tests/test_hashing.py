@@ -1,10 +1,14 @@
+import dataclasses
+import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from qstego import hashing
 from qstego.hashing import build_classical_hash, build_quantum_hash, encoder_from_hash
-from qstego.info import renyi_entropy, sup_over_order
+from qstego.info import as_pmf, renyi_entropy, sup_over_order
 from qstego.linalg import DensityMatrix, trace_norm
 
 
@@ -66,6 +70,87 @@ class TestClassicalHash:
             enc = build_classical_hash(p, m, eps, seed=int(rng.integers(1 << 31)))
             hits += enc.defect <= eps
         assert hits / trials >= 0.95
+
+
+def loop_search(p, m, eps, objectives=("marginal", "output")):
+    """The exhaustive search as a loop: every table of itertools.product
+    scored by encoder_from_hash, kept on a strict < of (max, lead, error),
+    stopped at an exact-zero lead key.  One pass serves every objective."""
+    p = as_pmf(p)
+    best = {}
+    for table in itertools.product(range(m), repeat=p.size):
+        live = [o for o in objectives if o not in best or best[o][0][0] != 0.0]
+        if not live:
+            break
+        enc = encoder_from_hash(np.asarray(table, dtype=int), p, m)
+        for o in live:
+            lead = enc.defect if o == "marginal" else enc.output_defect
+            key = (max(lead, enc.error_prob), lead, enc.error_prob)
+            if o not in best or key < best[o][0]:
+                best[o] = (key, enc)
+    return {o: dataclasses.replace(enc, warning=True) if key[0] > eps else enc for o, (key, enc) in best.items()}
+
+
+def zero_entries(nx, seed):
+    p = np.random.default_rng(seed).dirichlet(np.ones(nx))
+    p[1::2] = 0.0
+    return p / p.sum()
+
+
+CASES = {
+    "random-8x3": (np.random.default_rng(20).dirichlet(np.ones(8)), 3, 0.1),
+    "random-4x8": (np.random.default_rng(21).dirichlet(np.ones(4)), 8, 0.1),
+    "random-6x4": (np.random.default_rng(22).dirichlet(np.ones(6)), 4, 0.3),
+    "random-16x2": (np.random.default_rng(23).dirichlet(np.ones(16)), 2, 0.01),
+    "uniform-6x4": (np.full(6, 1.0 / 6.0), 4, 0.1),
+    "zeros-6x4": (zero_entries(6, 24), 4, 0.1),
+    "zeros-4x8": (zero_entries(4, 25), 8, 0.1),
+    "exact-zero-8x2": (np.full(8, 0.125), 2, 0.0),
+    "exact-zero-3x2": (np.array([0.5, 0.25, 0.25]), 2, 0.0),
+    # decimal weights: keys that tie in exact arithmetic differ in the last
+    # bits, and the batch and the loop round them in different orders
+    "decimal-10x2": (np.array([0.0, 0.0, 0.0, 0.3, 0.0, 0.03, 0.09, 0.3, 0.0, 0.28]), 2, 0.1),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def loop_result(name):
+    return loop_search(*CASES[name])
+
+
+class TestExhaustiveSearchBitForBit:
+    """The batched exhaustive search returns the loop's encoder exactly (==)."""
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_loop(self, name):
+        p, m, eps = CASES[name]
+        for objective, ref in loop_result(name).items():
+            got = build_classical_hash(p, m, eps, objective=objective)
+            assert np.array_equal(got.f, ref.f) and got.f.dtype == ref.f.dtype
+            assert got.defect == ref.defect
+            assert got.output_defect == ref.output_defect
+            assert got.error_prob == ref.error_prob
+            assert got.warning == ref.warning
+            assert got.px_fallback == ref.px_fallback
+
+    def test_cases_reach_every_branch(self):
+        # P_X fallback rows, missed targets, and exact-zero keys that stop the search early
+        found = [enc for name in CASES for enc in loop_result(name).values()]
+        assert any(enc.px_fallback for enc in found) and any(enc.warning for enc in found)
+        for enc in loop_result("exact-zero-8x2").values():
+            assert enc.defect == enc.output_defect == enc.error_prob == 0.0
+
+    def test_rescores_only_near_ties(self, monkeypatch):
+        calls = []
+        score = hashing.encoder_from_hash
+        monkeypatch.setattr(hashing, "encoder_from_hash", lambda *args: calls.append(1) or score(*args))
+        p, m, eps = CASES["random-8x3"]
+        build_classical_hash(p, m, eps)
+        assert 0 < len(calls) < m ** p.size // 100
+        # 70 balanced tables tie at an exact-zero key: the first one ends the search
+        calls.clear()
+        build_classical_hash(*CASES["exact-zero-8x2"])
+        assert len(calls) == 1
 
 
 class TestQuantumHash:

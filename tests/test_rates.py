@@ -1,3 +1,4 @@
+import gc
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from qstego.channels import identity_channel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
 from qstego.info import CqState, Pmf
 from qstego.linalg import DensityMatrix, basis_state
+from qstego import rates
 from qstego.rates import (
     eta,
     experiment_random_code_entropy,
@@ -68,7 +70,7 @@ class TestRateCcNoisy:
     def test_product_side_state_clamps(self):
         rho = named_state("maximally_mixed")
         sigma = CqState(Pmf([0.5, 0.5]), (rho, rho))
-        mbar, key = rate_cc_noisy([sigma], zeta=0.5, xi=0.5)
+        [(mbar, key)] = rate_cc_noisy([sigma], zeta=0.5, xi=0.5)
         assert mbar.value == 0.0
         assert mbar.raw < 0.0
         assert mbar.message_count == 1
@@ -77,7 +79,7 @@ class TestRateCcNoisy:
         # both MIs equal log2 d; sigma_X (x) sigma_B = I/d^2 has nu = 1
         d = 4
         sigma = self.correlated(d)
-        mbar, key = rate_cc_noisy([sigma], zeta=0.5, xi=0.5, nu_tol=1e-8)
+        [(mbar, key)] = rate_cc_noisy([sigma], zeta=0.5, xi=0.5, nu_tols=[1e-8])
         dense = max(
             math.log2(d) - (4.0 / a) * math.log2(24.0)
             for a in np.linspace(1e-6, 1 - 1e-6, 200_000)
@@ -86,7 +88,7 @@ class TestRateCcNoisy:
 
     def test_key_rate_uses_negative_orders(self):
         sigma = self.correlated(2)
-        mbar, key = rate_cc_noisy([sigma], zeta=0.3, xi=0.3)
+        [(mbar, key)] = rate_cc_noisy([sigma], zeta=0.3, xi=0.3)
         assert key.a_star < 0
         # I_down = 1 bit for all a; nu(rho_B) = 1; term (2 - 2/a) log2(40)
         expected = min(
@@ -104,7 +106,7 @@ class TestRateCcNoisy:
 
         pmf = rng.dirichlet(np.ones(2))
         sigma = CqState(Pmf(pmf), (random_density(rng, 2), random_density(rng, 2)))
-        mbar, _ = rate_cc_noisy([sigma], zeta=0.5, xi=0.5)
+        [(mbar, _)] = rate_cc_noisy([sigma], zeta=0.5, xi=0.5)
         ref = np.kron(np.diag(pmf), sigma.marginal_b())
         nu = distinct_eigenvalue_count(ref, 1e-8)
         grid = np.linspace(1e-6, 1 - 1e-6, 100_000)
@@ -255,6 +257,60 @@ class TestCodeEntropyExperiments:
         # M = dim_a^n: Pi = I, the environment state is channel-determined
         assert rep.detail["stderr"] == pytest.approx(0.0, abs=1e-9)
         assert rep.holds
+
+
+class TestRateCcNoisyTolerances:
+    """One call over several nu tolerances: one build of each order function,
+    one evaluation per order, the results of separate calls exactly."""
+
+    TOLS = (1e-6, 1e-8)
+
+    @staticmethod
+    def as_tuple(res):
+        return (res.raw, res.a_star, res.boundary, res.terms["per_w"], res.terms["nu_tol"])
+
+    @staticmethod
+    def sides():
+        from .test_info import degraded_side_outputs
+
+        return degraded_side_outputs()
+
+    def test_equals_one_call_per_tolerance(self):
+        sides = self.sides()
+        together = rate_cc_noisy(sides, 0.1, 0.1, nu_tols=self.TOLS)
+        assert len(together) == len(self.TOLS)
+        for tol, pair in zip(self.TOLS, together):
+            [alone] = rate_cc_noisy(sides, 0.1, 0.1, nu_tols=[tol])
+            assert [self.as_tuple(r) for r in pair] == [self.as_tuple(r) for r in alone]
+
+    def test_each_order_evaluated_once(self, monkeypatch):
+        built, evaluated = [], []
+
+        def counting(factory):
+            def build(cq):
+                f, which = factory(cq), len(built)
+                built.append(which)
+                return lambda a: evaluated.append((which, float(a))) or f(a)
+
+            return build
+
+        monkeypatch.setattr(rates, "renyi_mi_up", counting(rates.renyi_mi_up))
+        monkeypatch.setattr(rates, "renyi_mi_down", counting(rates.renyi_mi_down))
+        sides = self.sides()
+        rate_cc_noisy(sides, 0.1, 0.1, nu_tols=self.TOLS)
+        assert len(built) == 2 * len(sides)
+        assert len(evaluated) == len(set(evaluated))
+
+    def test_no_reference_cycle(self):
+        # failed orders must not leave a traceback that keeps the eigh factors alive
+        sides = self.sides()
+        gc.collect()
+        gc.disable()
+        try:
+            rate_cc_noisy(sides, 0.1, 0.1, nu_tols=self.TOLS)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestMarginalValidation:

@@ -1,5 +1,6 @@
 """CPTP maps as Kraus families: composition, tensor products, isometric
-extensions, complementary channels, and the textbook single-qubit fixtures.
+extensions, the environment output of the complementary channel, and the
+textbook single-qubit fixtures.
 
 Kraus families are kept exactly as given (no canonicalization); complementary
 channels are therefore basis-dependent up to an isometry on the environment,
@@ -139,18 +140,11 @@ def isometric_extension(ch: QuantumChannel) -> Isometry:
     return Isometry(v)
 
 
-def complementary(ch: QuantumChannel, rho) -> DensityMatrix:
-    """Environment output tr_out(V rho V†) for the canonical isometric extension.
-
-    With V = sum_j F_j (x) |j>, the result has entries tr(F_j rho F_j'†).
-    """
-    a = as_matrix(rho)
-    if a.shape[0] != ch.dim_in:
-        raise ValueError("shape error: state does not match channel input")
-    return DensityMatrix(complementary_matrix(ch, a))
-
-
 def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
+    """Environment output tr_out(V a V†) of the canonical isometric extension
+    V = sum_j F_j (x) |j>: the matrix of entries tr(F_j a F_j'†), Hermitian
+    exactly (real diagonal, conjugate-symmetric off it).
+    """
     k = len(ch.kraus)
     env = np.zeros((k, k), dtype=complex)
     moved = [f @ a for f in ch.kraus]
@@ -159,7 +153,7 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
             val = np.trace(moved[j] @ ch.kraus[jp].conj().T)
             env[j, jp] = val
             env[jp, j] = np.conj(val)
-    return env
+    return (env + env.conj().T) / 2
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)

@@ -40,20 +40,15 @@ from .protocols import (
     build_stego_cc_noisy,
     build_stego_es_rs,
     build_stego_qc_cc,
+    experiment_random_code_entropy,
+    experiment_sutherland_bound,
     side_states_from_degradation,
     trivial_aligner_distiller,
     verify_gentle_composition,
     verify_pj_minentropy_bound,
 )
 from .protocols.resolvability import output_cq
-from .rates import (
-    experiment_random_code_entropy,
-    experiment_sutherland_bound,
-    rate_cc_noiseless,
-    rate_cc_noisy,
-    rate_gaussian,
-    rate_product_structure,
-)
+from .rates import rate_cc_noiseless, rate_cc_noisy, rate_gaussian, rate_product_structure
 
 
 @dataclass
@@ -392,8 +387,6 @@ def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
         cover,
         f1,
         f2,
-        1,
-        1,
         m1,
         m2,
         trivial_aligner_distiller,

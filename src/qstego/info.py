@@ -1,6 +1,6 @@
 """Scalar information quantities: Renyi entropies and mutual informations,
-hypothesis-testing divergence, smooth min-entropies, Holevo information, and
-the 1-D order optimizer behind every sup/inf-over-order rate expression.
+smooth min-entropies, Holevo information, and the 1-D order optimizer behind
+every sup/inf-over-order rate expression.
 
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
 follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
@@ -37,9 +37,6 @@ class Pmf:
 
     def __len__(self) -> int:
         return self.probs.size
-
-    def __getitem__(self, i) -> float:
-        return float(self.probs[i])
 
 
 def as_pmf(p) -> np.ndarray:
@@ -188,61 +185,6 @@ def renyi_mi_down(cq: CqState):
         return float(-np.log2(max(total, 1e-300)) / a)
 
     return mi_down
-
-
-def hypothesis_testing_divergence(rho, sigma, eps: float) -> float:
-    """D_H^eps(rho || sigma) = -log2 inf { tr Q sigma : 0 <= Q <= 1, tr Q rho >= 1-eps }.
-
-    Exact optimum via the quantum Neyman-Pearson test: a binary search on the
-    threshold t locates the crossing of tr(Q rho) = 1 - eps among projectors
-    onto the positive part of rho - t sigma; a fractional weight on the
-    boundary eigenspace hits the constraint exactly.  Orthogonal inputs give
-    ``math.inf``.
-    """
-    if not 0.0 < eps < 1.0:
-        raise ValueError("bad parameter: eps must be in (0, 1)")
-    r = as_matrix(rho)
-    s = as_matrix(sigma)
-    target = 1.0 - eps
-
-    def positive_mass(t: float) -> float:
-        w, v = np.linalg.eigh(r - t * s)
-        p = v[:, w > 0.0]
-        return float(np.einsum("ij,jk,ki->", p.conj().T, r, p).real)
-
-    t_lo, t_hi = 0.0, 1.0
-    while positive_mass(t_hi) >= target and t_hi < 1e14:
-        t_hi *= 4.0
-    if positive_mass(t_hi) >= target:
-        # sigma has no weight where rho lives beyond the threshold range
-        w, v = np.linalg.eigh(r - t_hi * s)
-        p = v[:, w > 0.0]
-        leak = float(np.einsum("ij,jk,ki->", p.conj().T, s, p).real)
-        if leak < 1e-14:
-            return math.inf
-        return float(-np.log2(leak))
-    for _ in range(100):
-        t_mid = 0.5 * (t_lo + t_hi)
-        if positive_mass(t_mid) >= target:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-    t = 0.5 * (t_lo + t_hi)
-    w, v = np.linalg.eigh(r - t * s)
-    gap = max(1e-9, 10.0 * (t_hi - t_lo) * (1.0 + float(np.abs(s).max())))
-    plus = v[:, w > gap]
-    boundary = v[:, np.abs(w) <= gap]
-    q = plus @ plus.conj().T
-    mass = float(np.trace(q @ r).real)
-    if boundary.shape[1]:
-        b_rho = float(np.trace(boundary @ boundary.conj().T @ r).real)
-        if b_rho > 1e-15:
-            frac = min(max((target - mass) / b_rho, 0.0), 1.0)
-            q = q + frac * (boundary @ boundary.conj().T)
-    false_alarm = float(np.trace(q @ s).real)
-    if false_alarm < 1e-14:
-        return math.inf
-    return float(-np.log2(false_alarm))
 
 
 def smooth_min_entropy_classical(p, eps: float) -> float:

@@ -75,10 +75,6 @@ class PureState:
             raise ValueError("invalid state: vector not normalized")
         object.__setattr__(self, "data", v)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
     def to_density(self) -> DensityMatrix:
         return DensityMatrix(np.outer(self.data, self.data.conj()))
 
@@ -138,10 +134,6 @@ class Povm:
     def __getitem__(self, i) -> HermitianOperator:
         return self.elements[i]
 
-    @property
-    def dim(self) -> int:
-        return self.elements[0].dim
-
 
 def basis_state(index: int, dim: int) -> PureState:
     v = np.zeros(dim, dtype=complex)
@@ -164,30 +156,13 @@ def classically_correlated(m: int) -> DensityMatrix:
     return DensityMatrix(a)
 
 
-def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
-    """Kronecker product of two states.
-
-    Raises ValueError("dimension limit") when the product dimension exceeds
-    the configured cap (4096).
-    """
-    if a.dim * b.dim > DIM_CAP:
-        raise ValueError("dimension limit")
-    return DensityMatrix(np.kron(a.data, b.data))
-
-
-def partial_trace(rho, dims, keep) -> DensityMatrix:
-    """Trace out every subsystem not in ``keep``.
+def partial_trace_matrix(a: np.ndarray, dims, keep) -> np.ndarray:
+    """Trace out every subsystem of the operator ``a`` not in ``keep``.
 
     ``dims`` lists the subsystem dimensions (their product must equal the
-    state's dimension, else ValueError("shape error")); ``keep`` is a set of
-    subsystem indices to retain, in their original relative order.
+    operator's dimension, else ValueError("shape error")); ``keep`` is a set
+    of subsystem indices to retain, in their original relative order.
     """
-    a = partial_trace_matrix(as_matrix(rho), dims, keep)
-    return DensityMatrix(a)
-
-
-def partial_trace_matrix(a: np.ndarray, dims, keep) -> np.ndarray:
-    """partial_trace on a raw matrix, without state validation."""
     dims = list(dims)
     n = len(dims)
     if int(np.prod(dims)) != a.shape[0] or a.shape[0] != a.shape[1]:
@@ -257,14 +232,13 @@ def purify(rho: DensityMatrix) -> PureState:
     return PureState(vec)
 
 
-def distinct_eigenvalue_count(x, tol: float = 1e-8) -> int:
-    """Number of eigenvalue clusters after splitting the sorted spectrum at gaps > tol."""
-    if tol <= 0:
+def distinct_eigenvalue_counts(x, tols) -> list[int]:
+    """Number of eigenvalue clusters at each tolerance in ``tols``, from one
+    diagonalization: the sorted spectrum splits at every gap > tol."""
+    if any(tol <= 0 for tol in tols):
         raise ValueError("bad parameter: tol must be positive")
     w = np.sort(np.linalg.eigvalsh(as_matrix(x)))
-    if w.size == 0:
-        return 0
-    return 1 + int(np.count_nonzero(np.diff(w) > tol))
+    return [1 + int(np.count_nonzero(np.diff(w) > tol)) for tol in tols]
 
 
 def power_function(rho):

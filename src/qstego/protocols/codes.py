@@ -161,14 +161,6 @@ class ResolvabilityCode:
     reliability: float
     distance: float
 
-    @property
-    def k(self) -> int:
-        return self.codebooks.shape[0]
-
-    @property
-    def m(self) -> int:
-        return self.codebooks.shape[1]
-
 
 @dataclass(frozen=True)
 class EdCode:
@@ -261,8 +253,6 @@ class StegoCcEsCode:
 
     mbar: int
     mcc: int
-    n1: int
-    n2: int
     ed_codes: tuple  # per-w EdCode
     hashes: tuple  # per-w QuantumHashCode on the f2 block
     povms: tuple  # per key s2 (single entry: noiseless sub-protocol)

@@ -16,7 +16,6 @@ import numpy as np
 
 from ..channels import QuantumChannel, apply, identity_channel, tensor
 from ..hashing import build_quantum_hash
-from ..info import renyi_entropy, sup_over_order
 from ..linalg import (
     DensityMatrix,
     maximally_entangled,
@@ -27,6 +26,7 @@ from ..linalg import (
     schmidt_decompose,
     trace_norm,
 )
+from ..rates import rate_cc_noiseless
 from .codes import CcCode, EdCode, StegoCcEsCode
 from .stego_cc import _nested_povm
 
@@ -101,24 +101,10 @@ def _orthocomplement(columns: np.ndarray):
     return [v[:, i] for i in range(d) if w[i] > 0.5]
 
 
-def eq1_cypher_count(targets, zeta: float) -> int:
-    """Floor of 2^rate for the noiseless cypher-rate expression on a block."""
-    best = None
-    for t in targets:
-        h = renyi_entropy(t)
-        res = sup_over_order(lambda a: h(a) - (4.0 / a) * math.log2(2.0 / zeta))
-        best = res.value if best is None else min(best, res.value)
-    if best is None or best <= 0.0:
-        return 1
-    return max(1, int(math.floor(2.0**best)))
-
-
 def build_stego_cc_es(
     cover: CcCode,
     f1,
     f2,
-    n1: int,
-    n2: int,
     m1: QuantumChannel,
     m2: QuantumChannel,
     distiller,
@@ -133,7 +119,8 @@ def build_stego_cc_es(
     ``f1``/``f2`` are the declared factor encoders (validated against the
     cover's codewords); ``m1``/``m2`` the degradation channels per block.
     ``mbar`` defaults to the largest size the distiller accepts for every
-    cover message; ``mcc`` defaults to the block-2 cypher-rate formula.
+    cover message; ``mcc`` defaults to the block-2 noiseless cypher count
+    (:func:`qstego.rates.rate_cc_noiseless`).
     Raises ValueError("distillation infeasible at requested M_bar") when the
     oracle declines.
     """
@@ -145,7 +132,7 @@ def build_stego_cc_es(
 
     targets2 = [apply(m2, s) for s in f2]
     if mcc is None:
-        mcc = eq1_cypher_count(targets2, zeta)
+        mcc = rate_cc_noiseless(targets2, zeta).message_count
 
     rho1 = [apply(m1, s) for s in f1]
     purifications = [purify(r) for r in rho1]
@@ -236,8 +223,6 @@ def build_stego_cc_es(
     return StegoCcEsCode(
         mbar=mbar,
         mcc=mcc,
-        n1=n1,
-        n2=n2,
         ed_codes=tuple(ed_codes),
         hashes=tuple(hashes),
         povms=(povm,),

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from ..channels import QuantumChannel, apply, isometric_extension
+from ..channels import apply, isometric_extension
 from ..hashing import build_classical_hash
 from ..linalg import (
     DensityMatrix,
@@ -43,21 +43,20 @@ def _completion_povm(projectors, dim, mbar) -> Povm:
 
 def build_stego_es_rs(
     cover: EsCode,
-    m: QuantumChannel | None = None,
     mbar: int = 2,
     zeta: float = 0.5,
     seed=None,
 ) -> StegoEsRsCode:
     """Stego entanglement + randomness sharing over a noiseless true channel.
 
-    ``m`` defaults to the cover's channel (the warden degradation).  The
-    returned code carries the audited final state on (A~, B~, W_A, W_B), its
-    fidelity against Phi^(M) (x) Phibar^(M_bar), and the exact stego-vs-cover
-    B-output distance (zero up to rounding by construction).
+    The cover's channel is the warden degradation.  The returned code
+    carries the audited final state on (A~, B~, W_A, W_B), its fidelity
+    against Phi^(M) (x) Phibar^(M_bar), and the exact stego-vs-cover B-output
+    distance (zero up to rounding by construction).
     """
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
-    channel = cover.channel if m is None else m
+    channel = cover.channel
     m_dim = cover.m
     dn = channel.dim_in
 

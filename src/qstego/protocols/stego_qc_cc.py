@@ -101,23 +101,19 @@ def test_input_states(m: int) -> list:
 
 def build_stego_qc_cc(
     cover: QcCode,
-    m: QuantumChannel | None = None,
     mbar: int = 2,
     zeta: float = 0.5,
     seed=None,
 ) -> StegoQcCcCode:
     """Stego code carrying a cypher classical message on a QC_R cover.
 
-    The true channel is noiseless; ``m`` (default: the cover's channel) is the
-    warden-assumed degradation whose correctable Kraus weights supply the
-    hashed randomness.  All achieved metrics are audited on a fixed 16-state
-    input set.
+    The true channel is noiseless; the cover's channel is the warden-assumed
+    degradation whose correctable Kraus weights supply the hashed randomness.
+    All achieved metrics are audited on a fixed 16-state input set.
     """
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
-    if cover.encode.dim_out != cover.encode.data.shape[0]:
-        raise ValueError("invalid cover: encoder must be an isometry")
-    channel = cover.channel if m is None else m
+    channel = cover.channel
     pi = cover.projector
     v = cover.encode.data
     dim = channel.dim_in

@@ -1,5 +1,5 @@
-"""Closed-form cypher-rate and key-rate evaluators, plus the worked-example
-experiments (product-structure rates, Gaussian rates, code-entropy bounds).
+"""Closed-form cypher-rate and key-rate evaluators: the noiseless and noisy
+classical-cover rates, Gaussian rates and product-structure rates.
 
 Rates are reported in bits and clamped at zero; the raw (possibly negative)
 optimum, the maximizing order, and a per-term breakdown are retained so that
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, complementary_matrix, haar_random_subspace, isometric_extension, tensor_power
+from .channels import QuantumChannel, apply, tensor_power
 from .info import (
     CqState,
     OrderOptimum,
@@ -22,14 +22,11 @@ from .info import (
     renyi_entropy,
     renyi_mi_down,
     renyi_mi_up,
-    shannon_entropy,
     sup_over_order,
     von_neumann_entropy,
     holevo_information,
 )
-from .linalg import distinct_eigenvalue_count, partial_trace_matrix, trace_norm
-from .protocols.stego_qc_cc import orthogonalize_correctable_kraus
-from .protocols.verifiers import GRACE, BoundReport
+from .linalg import distinct_eigenvalue_counts, trace_norm
 
 
 @dataclass(frozen=True)
@@ -100,7 +97,6 @@ def rate_cc_noisy(
     zeta: float,
     xi: float,
     nu_tols=(1e-8,),
-    targets=None,
 ) -> list[tuple[RateResult, RateResult]]:
     """Cypher and key rates for the noisy construction, one (cypher, key)
     pair per distinct-eigenvalue tolerance in ``nu_tols``.
@@ -115,31 +111,27 @@ def rate_cc_noisy(
     states) is skipped without a flag, as is any order whose expression
     raises or is not finite.  Distinct-eigenvalue counts nu use each
     tolerance in turn; only the log2 nu terms depend on it, so each side
-    state's Iup and Idown are built once and evaluated once per order, and
-    every tolerance after the first reads its grid from that store.
-    When ``targets`` (the cover outputs rho^w) are given, each sigma's
-    B-marginal is validated against them to 1e-8.
+    state's Iup and Idown are built once and evaluated once per order (every
+    tolerance after the first reads its grid from that store), and each
+    matrix is diagonalized once for its nu at every tolerance.
     """
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
-    if targets is not None:
-        for sigma, target in zip(side_outputs, targets):
-            if trace_norm(sigma.marginal_b() - np.asarray(getattr(target, "data", target))) > 1e-8:
-                raise ValueError("side-state mismatch")
     sides = []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()
         ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
         mi_up, mi_down = _once_per_order(renyi_mi_up(sigma)), _once_per_order(renyi_mi_down(sigma))
-        sides.append((ref, rho_b, mi_up, mi_down))
+        nus = zip(distinct_eigenvalue_counts(ref, nu_tols), distinct_eigenvalue_counts(rho_b, nu_tols))
+        sides.append((mi_up, mi_down, list(nus)))
     results = []
-    for nu_tol in nu_tols:
+    for i, nu_tol in enumerate(nu_tols):
         mbar_opts = []
         key_vals = []
         per_w_m = []
         per_w_k = []
-        for ref, rho_b, mi_up, mi_down in sides:
-            nu_ref = distinct_eigenvalue_count(ref, nu_tol)
+        for mi_up, mi_down, nus in sides:
+            nu_ref, nu_b = nus[i]
             opt_m = sup_over_order(
                 lambda a: mi_up(a)
                 - math.log2(nu_ref) / a
@@ -147,7 +139,6 @@ def rate_cc_noisy(
             )
             mbar_opts.append(opt_m)
             per_w_m.append(opt_m.value)
-            nu_b = distinct_eigenvalue_count(rho_b, nu_tol)
             opt_k = inf_over_order(
                 lambda a: mi_down(a)
                 + math.log2(nu_b)
@@ -243,74 +234,3 @@ def rate_product_structure(
         raise ValueError(f"bad parameter: unknown mode {mode!r}")
     raw = (n / k) * (inner - delta)
     return RateResult(raw=raw, a_star=math.nan, terms={"inner": inner, "mode": mode}, boundary=False)
-
-
-def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundReport:
-    """Entropy bound for structured codes: sup_a H^a of the degradation's
-    environment output at Pi/M against n (H(p) - delta) for the single-use
-    Kraus weight distribution p.
-    """
-    weights = []
-    for j, kj in enumerate(m.kraus):
-        for jp, kjp in enumerate(m.kraus):
-            overlap = np.trace(kj.conj().T @ kjp)
-            if j == jp:
-                weights.append(max(overlap.real, 0.0))
-            elif abs(overlap) > 1e-9:
-                raise ValueError("structural check fails: single-use Kraus not orthogonal")
-    p = np.array(weights) / sum(weights)
-    # structural gate: raises unless the code splits as QC_R
-    orthogonalize_correctable_kraus(code.channel, code.correctable, code.projector)
-    env = complementary_matrix(code.channel, code.projector / code.m)
-    env = (env + env.conj().T) / 2
-    opt = sup_over_order(renyi_entropy(env))
-    rhs = code.n * (shannon_entropy(p) - delta)
-    return BoundReport(
-        lhs=opt.value,
-        rhs=rhs,
-        holds=opt.value >= rhs - GRACE,
-        detail={"a_star": opt.a_star, "p_single_use": p, "n": code.n},
-    )
-
-
-def experiment_random_code_entropy(
-    dim_a: int,
-    n: int,
-    m_dim: int,
-    m: QuantumChannel,
-    samples: int,
-    delta: float,
-    seed=None,
-) -> BoundReport:
-    """Haar-sampled subspace entropy of the degradation environment.
-
-    Samples M-dimensional subspaces of (C^dim_a)^(x n), computes
-    sup_a H^a(m^c(x n)(Pi/M)) per sample, and compares the sample mean
-    against n (log2 min(rank tr_A VV†, rank tr_E VV†) - delta).
-    """
-    if dim_a**n > 256:
-        raise ValueError("dimension limit: dim_a^n above the recommended cap")
-    rng = np.random.default_rng(seed)
-    total = tensor_power(m, n)
-    vals = []
-    for _ in range(samples):
-        iso = haar_random_subspace(dim_a**n, m_dim, rng)
-        pi = iso.data @ iso.data.conj().T
-        env = complementary_matrix(total, pi / m_dim)
-        env = (env + env.conj().T) / 2
-        vals.append(sup_over_order(renyi_entropy(env)).value)
-    vals = np.array(vals)
-    mean = float(vals.mean())
-    stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
-    v = isometric_extension(m)
-    vv = v.data @ v.data.conj().T
-    k = len(m.kraus)
-    rank_a = np.linalg.matrix_rank(partial_trace_matrix(vv, [m.dim_out, k], keep=[1]), tol=1e-10)
-    rank_e = np.linalg.matrix_rank(partial_trace_matrix(vv, [m.dim_out, k], keep=[0]), tol=1e-10)
-    rhs = n * (math.log2(min(rank_a, rank_e)) - delta)
-    return BoundReport(
-        lhs=mean,
-        rhs=rhs,
-        holds=mean >= rhs - GRACE,
-        detail={"stderr": stderr, "rank_tr_a": int(rank_a), "rank_tr_e": int(rank_e)},
-    )

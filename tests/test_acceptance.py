@@ -23,7 +23,8 @@ from qstego.protocols import (
     build_stego_qc_cc,
     verify_pj_minentropy_bound,
 )
-from qstego.rates import experiment_random_code_entropy, gaussian_renyi_term, rate_cc_noisy
+from qstego.protocols.verifiers import experiment_random_code_entropy
+from qstego.rates import gaussian_renyi_term, rate_cc_noisy
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

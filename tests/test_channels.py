@@ -4,7 +4,7 @@ import pytest
 from qstego.channels import (
     QuantumChannel,
     apply,
-    complementary,
+    complementary_matrix,
     compose,
     haar_random_subspace,
     identity_channel,
@@ -14,7 +14,7 @@ from qstego.channels import (
     tensor_power,
 )
 from qstego.info import von_neumann_entropy
-from qstego.linalg import DensityMatrix, basis_state, partial_trace
+from qstego.linalg import DensityMatrix, basis_state, partial_trace_matrix
 
 from .test_linalg import random_density
 
@@ -145,9 +145,9 @@ class TestIsometricExtension:
     def test_dephasing_environment_pure(self):
         p = 0.3
         ch = standard_channel("dephasing", p)
-        env = complementary(ch, basis_state(0, 2).to_density())
+        env = complementary_matrix(ch, basis_state(0, 2).to_density().data)
         expected = np.outer([np.sqrt(1 - p), np.sqrt(p)], [np.sqrt(1 - p), np.sqrt(p)])
-        assert np.allclose(env.data, expected, atol=1e-12)
+        assert np.allclose(env, expected, atol=1e-12)
 
     def test_marginal_consistency(self):
         rng = np.random.default_rng(6)
@@ -158,22 +158,31 @@ class TestIsometricExtension:
             for _ in range(5):
                 rho = random_density(rng, 2)
                 full = v.data @ rho.data @ v.data.conj().T
-                sys = partial_trace(DensityMatrix(full), [2, k], keep=[0])
-                assert np.allclose(sys.data, apply(ch, rho).data, atol=1e-9)
-                env = partial_trace(DensityMatrix(full), [2, k], keep=[1])
-                assert np.allclose(env.data, complementary(ch, rho).data, atol=1e-9)
+                sys = partial_trace_matrix(full, [2, k], keep=[0])
+                assert np.allclose(sys, apply(ch, rho).data, atol=1e-9)
+                env = partial_trace_matrix(full, [2, k], keep=[1])
+                assert np.allclose(env, complementary_matrix(ch, rho.data), atol=1e-9)
 
     def test_complementary_of_unitary_has_zero_entropy(self):
         rng = np.random.default_rng(7)
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
         ch = standard_channel("unitary", unitary=u)
         for _ in range(5):
-            env = complementary(ch, random_density(rng, 2))
+            env = complementary_matrix(ch, random_density(rng, 2).data)
             assert von_neumann_entropy(env) == pytest.approx(0.0, abs=1e-9)
 
     def test_dephasing_half_on_plus(self):
-        env = complementary(standard_channel("dephasing", 0.5), PLUS)
-        assert np.allclose(np.sort(np.linalg.eigvalsh(env.data)), [0.5, 0.5], atol=1e-12)
+        env = complementary_matrix(standard_channel("dephasing", 0.5), PLUS.data)
+        assert np.allclose(np.sort(np.linalg.eigvalsh(env)), [0.5, 0.5], atol=1e-12)
+
+    def test_complementary_matrix_exactly_hermitian(self):
+        rng = np.random.default_rng(13)
+        for kind, p in (("depolarizing", 0.3), ("amplitude_damping", 0.4)):
+            ch = standard_channel(kind, p)
+            for _ in range(10):
+                a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+                env = complementary_matrix(ch, a @ a.conj().T)
+                assert np.array_equal(env, env.conj().T)
 
 
 class TestHaarSubspace:

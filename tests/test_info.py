@@ -11,7 +11,6 @@ from qstego.info import (
     CqState,
     Pmf,
     holevo_information,
-    hypothesis_testing_divergence,
     inf_over_order,
     renyi_entropy,
     renyi_mi_down,
@@ -25,7 +24,7 @@ from qstego.info import (
 from qstego.linalg import ZERO_CUT, DensityMatrix, as_matrix, basis_state, matrix_power
 from qstego.protocols import side_states_from_degradation
 from qstego.protocols.resolvability import output_cq
-from qstego.rates import experiment_random_code_entropy
+from qstego.protocols.verifiers import experiment_random_code_entropy
 
 from .test_linalg import random_density
 
@@ -51,8 +50,8 @@ def mi_up_oracle(cq, a):
     nx, d = cq.alphabet_size, cq.dim_b
     joint = np.zeros((nx * d, nx * d), dtype=complex)
     for x in range(nx):
-        joint[x * d : (x + 1) * d, x * d : (x + 1) * d] = cq.pmf[x] * cq.states[x].data
-    rho_b = sum(cq.pmf[x] * cq.states[x].data for x in range(nx))
+        joint[x * d : (x + 1) * d, x * d : (x + 1) * d] = cq.pmf.probs[x] * cq.states[x].data
+    rho_b = sum(cq.pmf.probs[x] * cq.states[x].data for x in range(nx))
     ref = np.kron(np.diag(cq.pmf.probs), rho_b)
 
     def power(mat, expo):
@@ -67,7 +66,7 @@ def mi_up_oracle(cq, a):
 
 
 def mi_down_oracle(cq, a):
-    rho_b = sum(cq.pmf[x] * cq.states[x].data for x in range(cq.alphabet_size))
+    rho_b = sum(cq.pmf.probs[x] * cq.states[x].data for x in range(cq.alphabet_size))
 
     def power(mat, expo):
         w, v = np.linalg.eigh(mat)
@@ -77,7 +76,7 @@ def mi_down_oracle(cq, a):
         return (v * out) @ v.conj().T
 
     total = sum(
-        cq.pmf[x] * np.trace(power(cq.states[x].data, 1 - a) @ power(rho_b, a)).real
+        cq.pmf.probs[x] * np.trace(power(cq.states[x].data, 1 - a) @ power(rho_b, a)).real
         for x in range(cq.alphabet_size)
     )
     return -math.log2(total) / a
@@ -146,56 +145,6 @@ class TestRenyiMutualInformation:
             cq = CqState(Pmf(pmf), states)
             for a in (0.1, 0.5, 0.9):
                 assert renyi_mi_up(cq)(a) >= -1e-9
-
-
-class TestHypothesisTesting:
-    def test_self_divergence(self):
-        rng = np.random.default_rng(4)
-        rho = random_density(rng, 3)
-        for eps in (0.1, 0.5, 0.9):
-            assert hypothesis_testing_divergence(rho, rho, eps) == pytest.approx(
-                -math.log2(1 - eps), abs=1e-6
-            )
-
-    def test_orthogonal_states_infinite(self):
-        a = basis_state(0, 2).to_density()
-        b = basis_state(1, 2).to_density()
-        assert hypothesis_testing_divergence(a, b, 0.3) == math.inf
-
-    def test_matches_classical_neyman_pearson(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            p = rng.dirichlet(np.ones(4))
-            q = rng.dirichlet(np.ones(4))
-            eps = float(rng.uniform(0.05, 0.6))
-            got = hypothesis_testing_divergence(np.diag(p), np.diag(q), eps)
-            # greedy likelihood-ratio oracle
-            order = np.argsort(-(p / np.maximum(q, 1e-300)))
-            need, beta = 1.0 - eps, 0.0
-            for i in order:
-                take = min(1.0, need / p[i]) if p[i] > 0 else 1.0
-                beta += take * q[i]
-                need -= take * p[i]
-                if need <= 1e-15:
-                    break
-            expected = math.inf if beta < 1e-14 else -math.log2(beta)
-            if expected == math.inf:
-                assert got == math.inf
-            else:
-                assert got == pytest.approx(expected, abs=1e-5)
-
-    def test_feasible_tests_bound_from_above(self):
-        # D_H >= -log2 tr(Q sigma) for every explicitly feasible Q
-        rng = np.random.default_rng(6)
-        for _ in range(10):
-            rho, sigma = random_density(rng, 3), random_density(rng, 3)
-            eps = 0.25
-            val = hypothesis_testing_divergence(rho, sigma, eps)
-            for _ in range(10):
-                w, v = np.linalg.eigh(rho.data - rng.uniform(0, 2) * sigma.data)
-                q = v[:, w > 0] @ v[:, w > 0].conj().T
-                if np.trace(q @ rho.data).real >= 1 - eps:
-                    assert val >= -math.log2(max(np.trace(q @ sigma.data).real, 1e-300)) - 1e-6
 
 
 class TestSmoothMinEntropy:
@@ -309,51 +258,6 @@ class TestOrderOptimizer:
         assert res.a_star == pytest.approx(-0.01, abs=1e-9)
         assert res.value == pytest.approx(0.01, abs=1e-9)
         assert res.boundary
-
-
-class TestHypothesisTestingDuality:
-    def test_matches_lagrangian_dual_on_noncommuting_pairs(self):
-        # strong duality: min tr(Q sigma) = max_{t>=0} t(1-eps) - tr((t rho - sigma)_+);
-        # the dual scan is an independent certificate of Neyman-Pearson exactness
-        rng = np.random.default_rng(12)
-
-        def dual_value(rho, sigma, eps, t_grid):
-            best = -np.inf
-            for t in t_grid:
-                w = np.linalg.eigvalsh(t * rho - sigma)
-                best = max(best, t * (1 - eps) - w[w > 0].sum())
-            return best
-
-        for _ in range(15):
-            rho = random_density(rng, 3)
-            sigma = random_density(rng, 3)
-            eps = float(rng.uniform(0.1, 0.7))
-            primal_bits = hypothesis_testing_divergence(rho, sigma, eps)
-            primal = 2.0 ** (-primal_bits)
-            coarse = np.linspace(0.0, 50.0, 2000)
-            t0 = coarse[np.argmax([dual_value(rho.data, sigma.data, eps, [t]) for t in coarse])]
-            fine = np.linspace(max(0.0, t0 - 0.1), t0 + 0.1, 4000)
-            dual = dual_value(rho.data, sigma.data, eps, fine)
-            assert primal == pytest.approx(dual, abs=5e-5)
-
-    def test_singular_second_argument(self):
-        # sigma supported inside rho's support but rank-deficient
-        rho = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))
-        sigma = DensityMatrix(np.diag([0.7, 0.3, 0.0]).astype(complex))
-        eps = 0.25
-        got = hypothesis_testing_divergence(rho, sigma, eps)
-        # classical greedy oracle on the shared eigenbasis
-        order = [2, 1, 0]  # likelihood ratios: inf, 1, 5/7
-        need, beta = 1 - eps, 0.0
-        p = [0.5, 0.3, 0.2]
-        q = [0.7, 0.3, 0.0]
-        for i in order:
-            take = min(1.0, need / p[i])
-            beta += take * q[i]
-            need -= take * p[i]
-            if need <= 1e-15:
-                break
-        assert got == pytest.approx(-math.log2(beta), abs=1e-5)
 
 
 # The two-argument evaluations the order functions replace, kept verbatim as

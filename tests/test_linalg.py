@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from qstego.channels import Isometry, QuantumChannel
+from qstego.channels import Isometry, QuantumChannel, identity_channel
+from qstego.channels import tensor as channel_tensor
 from qstego.info import Pmf
 from qstego.linalg import (
     DensityMatrix,
@@ -9,15 +10,14 @@ from qstego.linalg import (
     Povm,
     PureState,
     basis_state,
-    distinct_eigenvalue_count,
+    distinct_eigenvalue_counts,
     fidelity,
     matrix_power,
     maximally_entangled,
-    partial_trace,
+    partial_trace_matrix,
     purify,
     schmidt_decompose,
     support_projector,
-    tensor,
     trace_norm,
 )
 
@@ -85,62 +85,41 @@ class TestTypes:
 
 
 class TestTensorAndPartialTrace:
-    def test_tensor_identity_case(self):
-        half = DensityMatrix(np.eye(2) / 2)
-        out = tensor(half, half)
-        assert out.dim == 4
-        assert np.allclose(out.data, np.eye(4) / 4)
-
-    def test_tensor_basis_case(self):
-        zero = basis_state(0, 2).to_density()
-        one = basis_state(1, 2).to_density()
-        out = tensor(zero, one)
-        expected = np.zeros((4, 4))
-        expected[1, 1] = 1.0
-        assert np.allclose(out.data, expected)
-
-    def test_tensor_trace_one(self):
-        rng = np.random.default_rng(1)
-        a, b = random_density(rng, 2), random_density(rng, 2)
-        # oracle: trace of the Kronecker product computed entrywise
-        kron = np.kron(a.data, b.data)
-        assert np.trace(kron).real == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(tensor(a, b).data, kron)
-
     def test_tensor_dimension_limit(self):
-        big = DensityMatrix(np.eye(128) / 128)
+        # the cap on composite dimensions, where products are formed: channels
+        big = channel_tensor(identity_channel(128), identity_channel(4))
         with pytest.raises(ValueError, match="dimension limit"):
-            tensor(tensor(big, DensityMatrix(np.eye(4) / 4)), DensityMatrix(np.eye(16) / 16))
+            channel_tensor(big, identity_channel(16))
 
     def test_partial_trace_maximally_entangled(self):
         phi = maximally_entangled(2).to_density()
-        out = partial_trace(phi, [2, 2], keep=[0])
-        assert np.allclose(out.data, np.eye(2) / 2, atol=1e-12)
+        out = partial_trace_matrix(phi.data, [2, 2], keep=[0])
+        assert np.allclose(out, np.eye(2) / 2, atol=1e-12)
 
     def test_partial_trace_keep_all(self):
         rng = np.random.default_rng(2)
         rho = random_density(rng, 6)
-        out = partial_trace(rho, [2, 3], keep=[0, 1])
-        assert np.allclose(out.data, rho.data)
+        out = partial_trace_matrix(rho.data, [2, 3], keep=[0, 1])
+        assert np.allclose(out, rho.data)
 
     def test_partial_trace_product_oracle(self):
         rng = np.random.default_rng(3)
         a, b = random_density(rng, 2), random_density(rng, 3)
-        joint = tensor(a, b)
+        joint = np.kron(a.data, b.data)
         # independent index-summation oracle
         d_a, d_b = 2, 3
         oracle = np.zeros((d_b, d_b), dtype=complex)
         for i in range(d_b):
             for j in range(d_b):
-                oracle[i, j] = sum(joint.data[k * d_b + i, k * d_b + j] for k in range(d_a))
-        out = partial_trace(joint, [2, 3], keep=[1])
-        assert np.allclose(out.data, oracle, atol=1e-12)
-        assert np.allclose(out.data, b.data, atol=1e-10)
+                oracle[i, j] = sum(joint[k * d_b + i, k * d_b + j] for k in range(d_a))
+        out = partial_trace_matrix(joint, [2, 3], keep=[1])
+        assert np.allclose(out, oracle, atol=1e-12)
+        assert np.allclose(out, b.data, atol=1e-10)
 
     def test_partial_trace_shape_error(self):
         rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError, match="shape error"):
-            partial_trace(rho, [2, 3], keep=[0])
+            partial_trace_matrix(rho.data, [2, 3], keep=[0])
 
 
 class TestSpectralOps:
@@ -190,10 +169,14 @@ class TestSpectralOps:
 
     def test_distinct_eigenvalue_count(self):
         for d in (2, 3, 5):
-            assert distinct_eigenvalue_count(np.eye(d) / d, 1e-8) == 1
-        assert distinct_eigenvalue_count(np.diag([0.5, 0.3, 0.2]), 1e-8) == 3
+            assert distinct_eigenvalue_counts(np.eye(d) / d, [1e-8]) == [1]
+        assert distinct_eigenvalue_counts(np.diag([0.5, 0.3, 0.2]), [1e-8]) == [3]
         spread = np.diag([0.5, 0.5 - 1e-12, 1e-12])
-        assert distinct_eigenvalue_count(spread, 1e-8) == 2
+        assert distinct_eigenvalue_counts(spread, [1e-8]) == [2]
+        # one spectrum, counted at each tolerance in turn
+        assert distinct_eigenvalue_counts(spread, [1e-13, 1e-8, 1.0]) == [3, 2, 1]
+        with pytest.raises(ValueError, match="bad parameter"):
+            distinct_eigenvalue_counts(spread, [1e-8, 0.0])
 
     def test_matrix_power_trivial(self):
         half = np.eye(2) / 2
@@ -220,8 +203,8 @@ class TestSpectralOps:
 class TestPurifyAndSchmidt:
     def test_purify_maximally_mixed(self):
         vec = purify(DensityMatrix(np.eye(2) / 2))
-        rho = partial_trace(vec.to_density(), [2, 2], keep=[1])
-        assert np.allclose(rho.data, np.eye(2) / 2, atol=1e-9)
+        rho = partial_trace_matrix(vec.to_density().data, [2, 2], keep=[1])
+        assert np.allclose(rho, np.eye(2) / 2, atol=1e-9)
 
     def test_purify_pure_state(self):
         rng = np.random.default_rng(10)
@@ -237,8 +220,8 @@ class TestPurifyAndSchmidt:
         rng = np.random.default_rng(11)
         rho = random_density(rng, 3)
         vec = purify(rho)
-        back = partial_trace(vec.to_density(), [3, 3], keep=[1])
-        assert np.max(np.abs(back.data - rho.data)) < 1e-9
+        back = partial_trace_matrix(vec.to_density().data, [3, 3], keep=[1])
+        assert np.max(np.abs(back - rho.data)) < 1e-9
 
     def test_schmidt_maximally_entangled(self):
         probs, _, _ = schmidt_decompose(maximally_entangled(2), 2, 2)

@@ -82,7 +82,7 @@ class TestNoisy:
         sides = side_states_from_degradation(cover, m)
         for sigma, target in zip(sides, cover.outputs()):
             pushed = sum(
-                sigma.pmf[x] * apply(n_true, sigma.states[x]).data
+                sigma.pmf.probs[x] * apply(n_true, sigma.states[x]).data
                 for x in range(sigma.alphabet_size)
             )
             assert trace_norm(pushed - target.data) < 1e-10

@@ -42,7 +42,7 @@ class TestStegoCcEs:
     def test_dephasing_demo_distills_one_pair(self):
         cover, f1, f2, m1, m2 = split_cc_cover(0.5)
         stego = build_stego_cc_es(
-            cover, f1, f2, 1, 1, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=0
+            cover, f1, f2, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=0
         )
         assert stego.mbar == 2
         assert stego.mcc == 1
@@ -68,7 +68,7 @@ class TestStegoCcEs:
             n=2,
         )
         stego = build_stego_cc_es(
-            cover, f1, f2, 1, 1, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=1
+            cover, f1, f2, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=1
         )
         # pure product purification: only M_bar = 1 distills
         assert stego.mbar == 1
@@ -93,7 +93,7 @@ class TestStegoCcEs:
         )
         with pytest.raises(ValueError, match="distillation infeasible"):
             build_stego_cc_es(
-                cover, f1, f2, 1, 1, m1, m2, trivial_aligner_distiller, zeta=0.5, mbar=2
+                cover, f1, f2, m1, m2, trivial_aligner_distiller, zeta=0.5, mbar=2
             )
 
     def test_nontrivial_key_wiring(self):
@@ -116,7 +116,7 @@ class TestStegoCcEs:
             n=2,
         )
         stego = build_stego_cc_es(
-            cover, f1, f2, 1, 1, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=2, mcc=2
+            cover, f1, f2, m1, m2, trivial_aligner_distiller, zeta=0.5, seed=2, mcc=2
         )
         assert stego.mcc == 2
         assert stego.key_bits == pytest.approx(1.0)
@@ -125,3 +125,26 @@ class TestStegoCcEs:
         assert stego.distance <= 1e-10
         total = sum(e.data for e in stego.povms[0].elements)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
+
+    def test_default_mcc_is_the_noiseless_cypher_count(self):
+        from qstego.channels import apply, identity_channel, standard_channel, tensor
+        from qstego.experiments import run_experiment
+        from qstego.fixtures import named_state
+        from qstego.linalg import HermitianOperator, Povm
+        from qstego.protocols.codes import CcCode
+        from qstego.rates import rate_cc_noiseless
+
+        _, _, f2, _, m2 = split_cc_cover(0.5)
+        [row] = run_experiment({"kind": "simulate/cc-es", "params": {"p_block1": 0.5, "zeta": 0.5}}).rows
+        assert row["mcc"] == rate_cc_noiseless([apply(m2, s) for s in f2], 0.5).message_count
+        # a maximally mixed 4-dimensional block 2 at zeta = 1.9 carries three messages
+        m1, m2 = standard_channel("dephasing", 0.5), identity_channel(4)
+        f1, f2 = (named_state("plus"),), (DensityMatrix(np.eye(4) / 4),)
+        cover = CcCode(
+            codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
+            povm=Povm((HermitianOperator(np.eye(8, dtype=complex)),)),
+            channel=tensor(m1, m2),
+            n=2,
+        )
+        stego = build_stego_cc_es(cover, f1, f2, m1, m2, trivial_aligner_distiller, zeta=1.9, seed=0)
+        assert stego.mcc == rate_cc_noiseless(f2, 1.9).message_count == 3

@@ -16,11 +16,16 @@ table's lead key max(defect, error) with numpy reductions, in chunks of
 (~1e-15) only.  The tables within ``TIE_MARGIN`` of the batch minimum are then
 re-scored with :func:`encoder_from_hash`, in lexicographic order, so the
 encoder's own float bits break every tie.
+
+The quantum code is built from blocks of eigenbasis-projector rows of about
+``ROW_BYTES`` each: O(M d^2) memory for M messages, not the 16 d^3 bytes of
+every projector at once, with the whole tensor's per-entry arithmetic.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +42,8 @@ CHUNK_BYTES = 1 << 15
 #: tables whose batch key is within this of the batch minimum are re-scored
 #: exactly; far above the batch score's rounding, far below any real gap
 TIE_MARGIN = 1e-9
+#: size of one block of projector rows in :func:`build_quantum_hash`
+ROW_BYTES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -225,29 +232,45 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> Qua
     g(w) = sum_x Q_{X|W}(x|w) |x><x| and Lambda^w = sum_{x: f(x)=w} |x><x| in
     the eigenbasis, so (1/M) sum_w g(w) misses rho by exactly the classical
     defect and the average decode success is exactly 1 - P[W != f(X)].
+
+    The projectors |x><x| are formed a block of rows at a time, and each
+    block's rows of every g(w) and Lambda^w are written in place: memory is
+    the 2 M d x d outputs plus one block of about ``ROW_BYTES``, not the
+    d x d x d tensor of every projector.  Each entry is the same elementwise
+    product, then the same gemv over x that ``np.tensordot(cond[w],
+    projectors, axes=(0, 0))`` runs, or the same sequential sum over x for
+    Lambda^w (an empty preimage sums to zero).  A gemv rounds the entries of
+    its ragged end apart from those of its vector body, so every block but the
+    last spans a multiple of 8 entries per projector; the bits then equal the
+    whole-tensor build's wherever BLAS cuts both into the same vector chunks
+    (with OpenBLAS: one thread, or two threads and d a multiple of 4).  When
+    one block covers all d rows (d <= 64), the BLAS calls are the whole
+    tensor's.
     """
     w, v = np.linalg.eigh(rho.data)
     order = np.argsort(w)[::-1]
     lam, basis = np.maximum(w[order], 0.0), v[:, order]
     lam = lam / lam.sum()
     enc = build_classical_hash(lam, m, eps, seed=seed)
-    projectors = np.einsum("ix,jx->xij", basis, basis.conj())
-    states = tuple(
-        DensityMatrix(np.tensordot(enc.cond[w_], projectors, axes=(0, 0)))
-        for w_ in range(m)
-    )
-    povm = Povm(
-        tuple(
-            HermitianOperator(projectors[enc.f == w_].sum(axis=0))
-            if (enc.f == w_).any()
-            else HermitianOperator(np.zeros_like(rho.data))
-            for w_ in range(m)
-        )
-    )
+    d = rho.dim
+    # whole multiples of 8 entries per projector in every block but the last
+    unit = 8 // math.gcd(d, 8)
+    step = max(unit, ROW_BYTES // (16 * d * d) // unit * unit)
+    preimages = enc.f == np.arange(m)[:, None]
+    states = np.empty((m, d, d), dtype=complex)
+    elements = np.empty((m, d, d), dtype=complex)
+    for i in range(0, d, step):
+        # rows i:i+step of every projector, indexed [x, row, column]
+        block = np.einsum("ix,jx->xij", basis[i : i + step], basis.conj())
+        flat = block.reshape(d, -1)
+        for w_, pre in enumerate(preimages):
+            # np.tensordot(cond[w], block, axes=(0, 0)), written in place
+            np.dot(enc.cond[w_][None], flat, out=states[w_, i : i + step].reshape(1, -1))
+            np.sum(block[pre], axis=0, out=elements[w_, i : i + step])
     return QuantumHashCode(
         m=m,
-        states=states,
-        povm=povm,
+        states=tuple(DensityMatrix(g) for g in states),
+        povm=Povm(tuple(HermitianOperator(e) for e in elements)),
         f=enc.f,
         defect=enc.defect,
         success=1.0 - enc.error_prob,

@@ -223,11 +223,14 @@ def purify(rho: DensityMatrix) -> PureState:
     order = np.argsort(w)[::-1]
     w, v = np.maximum(w[order], 0.0), v[:, order]
     d = rho.dim
-    vec = np.zeros(d * d, dtype=complex)
+    # row i holds sqrt(lam_i) |e_i>_S, the |i>_R block; += on zeros, not =,
+    # stores a -0.0 product as +0.0
+    vec = np.zeros((d, d), dtype=complex)
     for i in range(d):
         if w[i] <= 0.0:
             continue
-        vec += np.sqrt(w[i]) * np.kron(np.eye(d)[:, i], v[:, i])
+        vec[i] += np.sqrt(w[i]) * v[:, i]
+    vec = vec.reshape(-1)
     vec /= np.linalg.norm(vec)
     return PureState(vec)
 

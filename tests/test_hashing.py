@@ -2,6 +2,11 @@ import dataclasses
 import functools
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -153,6 +158,38 @@ class TestExhaustiveSearchBitForBit:
         assert len(calls) == 1
 
 
+def whole_tensor_hash(rho, m, eps, seed):
+    """g(w) and Lambda^w from the d x d x d tensor of every eigenbasis
+    projector at once: the reference for the row-block build."""
+    w, v = np.linalg.eigh(rho.data)
+    order = np.argsort(w)[::-1]
+    lam, basis = np.maximum(w[order], 0.0), v[:, order]
+    enc = build_classical_hash(lam / lam.sum(), m, eps, seed=seed)
+    projectors = np.einsum("ix,jx->xij", basis, basis.conj())
+    states = [np.tensordot(enc.cond[k], projectors, axes=(0, 0)) for k in range(m)]
+    elements = [
+        projectors[enc.f == k].sum(axis=0) if (enc.f == k).any() else np.zeros_like(rho.data)
+        for k in range(m)
+    ]
+    return states, elements
+
+
+def assert_streamed_bits(dim, m):
+    """build_quantum_hash returns the whole-tensor states and POVM elements
+    bit for bit, on a random state."""
+    rng = np.random.default_rng(dim * 100 + m)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    a = g @ g.conj().T
+    rho = DensityMatrix(a / np.trace(a))
+    code = build_quantum_hash(rho, m, 1.0, seed=m)
+    states, elements = whole_tensor_hash(rho, m, 1.0, m)
+    got = [s.data for s in code.states] + [e.data for e in code.povm.elements]
+    for x, y in zip(got, states + elements, strict=True):
+        assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+    # M > d leaves some preimages empty: their POVM elements are zero
+    assert (m > dim) == any(not e.data.any() for e in code.povm.elements)
+
+
 class TestQuantumHash:
     def test_maximally_mixed_split(self):
         code = build_quantum_hash(DensityMatrix(np.eye(2) / 2), 2, eps=0.0)
@@ -192,3 +229,41 @@ class TestQuantumHash:
         code = build_quantum_hash(rho, 2, eps=1.0, seed=6)
         mix = sum(s.data for s in code.states) / 2
         assert trace_norm(mix - rho.data) == pytest.approx(code.defect, abs=1e-9)
+
+    # blocks of rows, each a multiple of 8 // gcd(d, 8) high but the last:
+    # 3,3,2 | 5,5,5,1 | 12,8 | 6,6,6,6,6,2
+    @pytest.mark.parametrize("dim,rows", [(8, 3), (16, 5), (20, 13), (32, 6)])
+    def test_matches_whole_tensor_bitwise(self, monkeypatch, dim, rows):
+        monkeypatch.setattr(hashing, "ROW_BYTES", 16 * dim * dim * rows)
+        for m in (3, dim + 3):
+            assert_streamed_bits(dim, m)
+
+    def test_odd_dimension_matches_on_one_blas_thread(self):
+        # blocks of 8,8,8,7 rows.  At odd d the whole-tensor build's own last
+        # bits depend on the BLAS thread count (OpenBLAS splits the d^2
+        # outputs of its gemv between threads in the middle of a vector
+        # chunk), so the comparison runs on one thread
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), str(root), env.get("PYTHONPATH")]))
+        child = (
+            "from qstego import hashing\n"
+            "from tests.test_hashing import assert_streamed_bits\n"
+            "hashing.ROW_BYTES = 16 * 31 * 31 * 3\n"
+            "assert_streamed_bits(31, 3)\n"
+            "assert_streamed_bits(31, 34)\n"
+        )
+        cp = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
+        assert cp.returncode == 0, cp.stdout + cp.stderr
+
+    def test_peak_memory_is_outputs_plus_one_block(self):
+        p = np.linspace(1.0, 2.0, 256)
+        rho = DensityMatrix(np.diag(p / p.sum()).astype(complex))
+        tracemalloc.start()
+        try:
+            build_quantum_hash(rho, 4, 0.1, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 8 MiB of outputs and a 4 MiB block; the d x d x d tensor is 256 MiB
+        assert peak < 32 * 2**20

@@ -223,6 +223,26 @@ class TestPurifyAndSchmidt:
         back = partial_trace_matrix(vec.to_density().data, [3, 3], keep=[1])
         assert np.max(np.abs(back - rho.data)) < 1e-9
 
+    @pytest.mark.parametrize("dim,rank", [(2, 1), (3, 2), (4, 1), (5, 3), (8, 4), (8, 8)])
+    def test_purify_matches_kron_sum_bitwise(self, dim, rank):
+        # reference: the purification as a sum of kron(e_i, sqrt(lam_i) v_i)
+        # terms, one fresh d^2 vector per eigenvalue
+        rng = np.random.default_rng(100 + dim + rank)
+        g = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+        a = g @ g.conj().T
+        p = rng.random(dim)
+        p[rng.permutation(dim)[: dim - rank]] = 0.0
+        for rho in (DensityMatrix(a / np.trace(a)), DensityMatrix(np.diag(p / p.sum()).astype(complex))):
+            w, v = np.linalg.eigh(rho.data)
+            order = np.argsort(w)[::-1]
+            w, v = np.maximum(w[order], 0.0), v[:, order]
+            ref = np.zeros(dim * dim, dtype=complex)
+            for i in range(dim):
+                if w[i] > 0.0:
+                    ref += np.sqrt(w[i]) * np.kron(np.eye(dim)[:, i], v[:, i])
+            ref /= np.linalg.norm(ref)
+            assert np.array_equal(purify(rho).data.view(np.uint64), ref.view(np.uint64))
+
     def test_schmidt_maximally_entangled(self):
         probs, _, _ = schmidt_decompose(maximally_entangled(2), 2, 2)
         assert np.allclose(probs, [0.5, 0.5], atol=1e-12)

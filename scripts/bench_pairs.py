@@ -1,0 +1,82 @@
+"""Alternated benchmark pairs: a parent checkout against this one.
+
+    python3 scripts/bench_pairs.py --parent CHECKOUT --workload W --pairs N --seconds S
+                                   [--seed SEED] [--change CHECKOUT]
+
+Pair i runs ``perfbench/run.py --workload W --seed SEED+i --seconds S --trace 0``
+once in each checkout, one run after the other; the parent runs first in the
+first half of the pairs and second in the rest, so a drift of the machine
+over the whole run does not favour one side.  For every end-to-end metric of
+the change's ``BENCHMARK.json`` it prints each side's median and quartiles
+(q1-q3), the median ratio change/parent, and in how many of the pairs the
+change read lower ("lower in k of n"; ties count for neither).  A run that
+is not ``correct`` stops the script with exit code 1.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """Metric values of one untraced run.py run of the checkout at ``root``."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", str(seconds), "--trace", "0"]
+    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    result = json.loads(out[-1])
+    if not result["correct"]:
+        raise SystemExit(f"{root}: seed {seed}: run not correct ({result['failed']} of {result['attempted']} failed)")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    """(q1, median, q3), inclusive method: q1 and q3 stay within the samples."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", required=True, help="checkout of the parent commit")
+    ap.add_argument("--change", default=str(Path(__file__).resolve().parent.parent))
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seconds", type=float, required=True)
+    ap.add_argument("--seed", type=int, default=1, help="seed of the first pair; pair i uses SEED+i")
+    args = ap.parse_args(argv)
+    roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+    bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
+    metrics = [(m["name"], m["unit"]) for m in bench["end_to_end"]]
+
+    values = {side: {name: [] for name, _ in metrics} for side in roots}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i < (args.pairs + 1) // 2 else ("change", "parent")
+        for side in order:
+            got = run(roots[side], args.workload, seed, args.seconds)
+            for name, _ in metrics:
+                values[side][name].append(got[name])
+        print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): " + ", ".join(
+            f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}" for name, _ in metrics
+        ), flush=True)
+
+    print(f"workload={args.workload} pairs={args.pairs} seconds={args.seconds} seeds={args.seed}..{args.seed + args.pairs - 1}")
+    for name, unit in metrics:
+        parent, change = values["parent"][name], values["change"][name]
+        (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
+        lower = sum(c < p for p, c in zip(parent, change))
+        ratio = cm / pm if pm else float("nan")
+        print(f"  {name:12s} parent {pm:.4g} {unit} (q1-q3 {p1:.4g}-{p3:.4g})  change {cm:.4g} {unit} "
+              f"(q1-q3 {c1:.4g}-{c3:.4g})  ratio {ratio:.3f}  lower in {lower} of {args.pairs}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

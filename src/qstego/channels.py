@@ -144,15 +144,20 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     """Environment output tr_out(V a V†) of the canonical isometric extension
     V = sum_j F_j (x) |j>: the matrix of entries tr(F_j a F_j'†), Hermitian
     exactly (real diagonal, conjugate-symmetric off it).
+
+    Row j's entries j' >= j are one stacked product (F_j a) @ F_j'† and its
+    traces: memory is the conjugated Kraus family plus one row of products,
+    never all k^2 of them.
     """
     k = len(ch.kraus)
     env = np.zeros((k, k), dtype=complex)
-    moved = [f @ a for f in ch.kraus]
-    for j in range(k):
-        for jp in range(j, k):
-            val = np.trace(moved[j] @ ch.kraus[jp].conj().T)
-            env[j, jp] = val
-            env[jp, j] = np.conj(val)
+    kraus_conj = np.array(ch.kraus)
+    np.conjugate(kraus_conj, out=kraus_conj)
+    kraus_dag = kraus_conj.swapaxes(1, 2)
+    for j, f in enumerate(ch.kraus):
+        vals = np.trace((f @ a) @ kraus_dag[j:], axis1=1, axis2=2)
+        env[j, j:] = vals
+        env[j:, j] = np.conj(vals)
     return (env + env.conj().T) / 2
 
 

@@ -32,7 +32,7 @@ from .fixtures import (
     trivial_es_cover,
 )
 from .info import CqState, Pmf
-from .linalg import DensityMatrix, HermitianOperator, Povm
+from .linalg import DensityMatrix, Povm
 from .protocols import (
     build_resolvability_code,
     build_stego_cc_es,
@@ -264,12 +264,12 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
     codewords = [parse_state(s) for s in codewords]
     n, mbar, zeta = int(n), int(mbar), float(zeta)
     cover = pgm_cc_cover(codewords, m, n)
-    stego = build_stego_cc_noiseless(cover, m, mbar, zeta, seed=seed)
+    stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
     rows = []
     for w in range(cover.m):
         h = stego.hashes[w]
         per_w_decode = sum(
-            float(np.trace(stego.povms[0][w * mbar + wb].data @ stego.encoders[0][w * mbar + wb].data).real)
+            float(np.trace(stego.povms[0][w * mbar + wb] @ stego.encoders[0][w * mbar + wb].data).real)
             for wb in range(mbar)
         ) / mbar
         rows.append(
@@ -466,7 +466,7 @@ def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
         total = sum(gs)
         w, v = np.linalg.eigh(total)
         inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-        povm = Povm(tuple(HermitianOperator(inv @ g @ inv) for g in gs))
+        povm = Povm([inv @ g @ inv for g in gs])
         channels = []
         for _ in range(nx):
             ks = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]

@@ -9,7 +9,6 @@ import numpy as np
 from .channels import (
     Isometry,
     QuantumChannel,
-    apply,
     identity_channel,
     standard_channel,
     tensor,
@@ -39,8 +38,7 @@ def named_state(name: str) -> DensityMatrix:
 
 def pgm_cc_cover(codewords, channel: QuantumChannel, n: int) -> CcCode:
     """CC cover code with the pretty-good measurement of its own outputs."""
-    outputs = [apply(channel, c) for c in codewords]
-    return CcCode(codewords=tuple(codewords), povm=pretty_good_measurement(outputs), channel=channel, n=n)
+    return CcCode(codewords=tuple(codewords), povm=pretty_good_measurement, channel=channel, n=n)
 
 
 def repetition_qc_cover(p: float) -> QcCode:

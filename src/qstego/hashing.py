@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .info import as_pmf
-from .linalg import DensityMatrix, HermitianOperator, Povm
+from .linalg import DensityMatrix, Povm
 
 #: exhaustive search is used when M ** |X| does not exceed this
 EXHAUSTIVE_LIMIT = 1 << 16
@@ -270,7 +270,7 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> Qua
     return QuantumHashCode(
         m=m,
         states=tuple(DensityMatrix(g) for g in states),
-        povm=Povm(tuple(HermitianOperator(e) for e in elements)),
+        povm=Povm(elements),
         f=enc.f,
         defect=enc.defect,
         success=1.0 - enc.error_prob,

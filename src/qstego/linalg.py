@@ -23,6 +23,9 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 VEC_NORM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
+#: bytes of POVM elements whose Hermiticity is checked in one batch; bounds
+#: the check's temporaries to about 1.5 blocks
+POVM_BLOCK_BYTES = 1 << 20
 
 
 def as_matrix(x) -> np.ndarray:
@@ -102,36 +105,48 @@ class HermitianOperator:
 class Povm:
     """Measurement as positive operators summing to the identity.
 
-    Completeness is checked to 1e-9 (max entry of the deviation from I) and
-    each element must have eigenvalues in [-1e-10, 1 + 1e-10].
+    ``elements`` is one stacked (n, d, d) complex array; element w is
+    ``elements[w]``.  It is given as such an array (kept without a copy) or as
+    a sequence of square matrices or :class:`HermitianOperator`.  Every
+    element is checked: Hermitian within 1e-10 (max entry), eigenvalues in
+    [-1e-10, 1 + 1e-10], and the elements must sum to I within 1e-9 (max
+    entry of the deviation).  The Hermiticity check runs on blocks of about
+    ``POVM_BLOCK_BYTES``, the eigenvalues come from one ``eigvalsh`` call.
     """
 
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
-        els = tuple(
-            e if isinstance(e, HermitianOperator) else HermitianOperator(as_matrix(e))
-            for e in self.elements
-        )
-        if not els:
+        els = self.elements
+        if not len(els):
             raise ValueError("invalid POVM: no elements")
-        dim = els[0].dim
-        total = np.zeros((dim, dim), dtype=complex)
-        for e in els:
-            if e.dim != dim:
+        if not isinstance(els, np.ndarray):
+            mats = [as_matrix(e) for e in els]
+            if any(m.shape != mats[0].shape for m in mats):
                 raise ValueError("shape error: POVM element dimension mismatch")
-            w = np.linalg.eigvalsh(e.data)
-            if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
-                raise ValueError("invalid POVM: element outside [0, 1]")
-            total += e.data
-        if not np.max(np.abs(total - np.eye(dim))) <= POVM_SUM_TOL:
+            els = np.stack(mats)
+        els = np.asarray(els, dtype=complex)
+        if els.ndim != 3 or els.shape[1] != els.shape[2]:
+            raise ValueError("shape error: not a square matrix")
+        dim = els.shape[1]
+        step = max(1, POVM_BLOCK_BYTES // (16 * dim * dim))
+        for i in range(0, len(els), step):
+            block = els[i : i + step]
+            diff = np.conjugate(block.swapaxes(1, 2))
+            np.subtract(block, diff, out=diff)
+            if not np.max(np.abs(diff)) <= HERM_TOL:
+                raise ValueError("invalid operator: not Hermitian")
+        w = np.linalg.eigvalsh(els)
+        if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
+            raise ValueError("invalid POVM: element outside [0, 1]")
+        if not np.max(np.abs(els.sum(axis=0) - np.eye(dim))) <= POVM_SUM_TOL:
             raise ValueError("invalid POVM: elements do not sum to identity")
         object.__setattr__(self, "elements", els)
 
     def __len__(self) -> int:
         return len(self.elements)
 
-    def __getitem__(self, i) -> HermitianOperator:
+    def __getitem__(self, i) -> np.ndarray:
         return self.elements[i]
 
 

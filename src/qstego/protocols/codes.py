@@ -25,15 +25,18 @@ PROPORTIONALITY_TOL = 1e-8
 class CcCode:
     """Classical communication code: encoder table, decoding POVM, channel.
 
-    ``channel`` is the full n-use channel the code is designed for; the
+    ``channel`` is the full n-use channel the code is designed for.  The
+    outputs channel(f(w)) are computed once at construction and kept; the
     reported reliability (1/M) sum_w tr(Lambda^w channel(f(w))) and
-    epsilon = 1 - reliability are computed at construction.
+    epsilon = 1 - reliability are computed from them.  ``povm`` is a
+    :class:`Povm`, or a function that builds one from the tuple of outputs.
     """
 
     codewords: tuple
     povm: Povm
     channel: QuantumChannel
     n: int
+    outputs: tuple = field(init=False)
     reliability: float = field(init=False)
 
     def __post_init__(self):
@@ -41,17 +44,14 @@ class CcCode:
             c if isinstance(c, DensityMatrix) else DensityMatrix(np.asarray(c, dtype=complex))
             for c in self.codewords
         )
-        if len(cw) != len(self.povm):
+        outputs = tuple(apply(self.channel, c) for c in cw)
+        povm = self.povm if isinstance(self.povm, Povm) else self.povm(outputs)
+        if len(cw) != len(povm):
             raise ValueError("shape error: codeword count differs from POVM size")
-        rel = float(
-            np.mean(
-                [
-                    np.trace(e.data @ apply(self.channel, c).data).real
-                    for c, e in zip(cw, self.povm.elements)
-                ]
-            )
-        )
+        rel = float(np.mean([np.trace(e @ out.data).real for out, e in zip(outputs, povm.elements)]))
         object.__setattr__(self, "codewords", cw)
+        object.__setattr__(self, "povm", povm)
+        object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "reliability", rel)
 
     @property
@@ -61,9 +61,6 @@ class CcCode:
     @property
     def epsilon(self) -> float:
         return max(0.0, 1.0 - self.reliability)
-
-    def outputs(self) -> list:
-        return [apply(self.channel, c) for c in self.codewords]
 
 
 @dataclass(frozen=True)

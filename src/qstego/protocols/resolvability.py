@@ -12,7 +12,7 @@ import numpy as np
 
 from ..channels import QuantumChannel, apply
 from ..info import CqState
-from ..linalg import HermitianOperator, Povm, trace_norm
+from ..linalg import Povm, as_matrix, trace_norm
 from .codes import ResolvabilityCode
 
 
@@ -21,35 +21,36 @@ def pretty_good_measurement(states) -> Povm:
 
     Gamma_w = S^(-1/2) rho_w S^(-1/2) + (I - Pi_S) / M  with S = sum_w rho_w;
     the orthocomplement of the joint support is spread evenly so the elements
-    sum to the identity exactly.
+    sum to the identity exactly.  All M elements are one stacked product.
     """
-    mats = [np.asarray(getattr(s, "data", s), dtype=complex) for s in states]
-    dim = mats[0].shape[0]
-    m = len(mats)
+    mats = np.array([as_matrix(s) for s in states])
+    m, dim = len(mats), mats.shape[1]
     total = sum(mats)
     w, v = np.linalg.eigh(total)
     inv_sqrt_vals = np.where(w > 1e-12, 1.0 / np.sqrt(np.where(w > 1e-12, w, 1.0)), 0.0)
     inv_sqrt = (v * inv_sqrt_vals) @ v.conj().T
     projector = (v[:, w > 1e-12]) @ v[:, w > 1e-12].conj().T
     rest = (np.eye(dim) - projector) / m
-    elements = []
-    for mat in mats:
-        e = inv_sqrt @ mat @ inv_sqrt + rest
-        elements.append(HermitianOperator((e + e.conj().T) / 2))
-    return Povm(tuple(elements))
+    e = inv_sqrt @ mats @ inv_sqrt + rest
+    return Povm((e + e.conj().swapaxes(1, 2)) / 2)
 
 
 def resolvability_metrics(code: ResolvabilityCode, sigma: CqState) -> tuple[float, float]:
-    """Recompute (reliability, trace distance to the target output) from scratch."""
+    """Recompute (reliability, trace distance to the target output) from scratch.
+
+    Every tr(Gamma_w rho_x) is one stacked product and trace; the reliability
+    and the output mixture are summed sequentially, codebook by codebook.
+    """
     k, m = code.codebooks.shape
     dim = sigma.dim_b
+    outs = np.array([s.data for s in sigma.states])[code.codebooks]
+    decoders = np.array([povm.elements for povm in code.decoders])
     mixture = np.zeros((dim, dim), dtype=complex)
+    for out in outs.reshape(k * m, dim, dim):
+        mixture += out
     rel = 0.0
-    for s in range(k):
-        for w in range(m):
-            out = sigma.states[code.codebooks[s, w]].data
-            mixture += out
-            rel += float(np.trace(code.decoders[s][w].data @ out).real)
+    for t in np.trace(decoders @ outs, axis1=2, axis2=3).real.ravel().tolist():
+        rel += t
     mixture /= k * m
     rel /= k * m
     return rel, trace_norm(mixture - sigma.marginal_b())

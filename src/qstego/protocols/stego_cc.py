@@ -18,20 +18,24 @@ import numpy as np
 from ..channels import QuantumChannel, apply
 from ..hashing import build_quantum_hash
 from ..info import CqState
-from ..linalg import DensityMatrix, HermitianOperator, Povm, psd_sqrt, trace_norm
+from ..linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
 from .codes import CcCode, StegoCcCode
 from .resolvability import build_resolvability_code, output_cq
 
 
 def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
-    """{ sqrt(Lambda^w) Gamma_w^i sqrt(Lambda^w) } over all (w, i)."""
-    elements = []
+    """{ sqrt(Lambda^w) Gamma_w^i sqrt(Lambda^w) } over all (w, i), written
+    into one preallocated stack."""
+    dim = cover_povm.elements.shape[1]
+    elements = np.empty((sum(len(inner) for inner in inner_per_w), dim, dim), dtype=complex)
+    i = 0
     for w, inner in enumerate(inner_per_w):
-        root = psd_sqrt(cover_povm[w].data)
+        root = psd_sqrt(cover_povm[w])
         for gamma in inner:
-            e = root @ np.asarray(getattr(gamma, "data", gamma), dtype=complex) @ root
-            elements.append(HermitianOperator((e + e.conj().T) / 2))
-    return Povm(tuple(elements))
+            e = root @ gamma @ root
+            elements[i] = (e + e.conj().T) / 2
+            i += 1
+    return Povm(elements)
 
 
 def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
@@ -58,7 +62,7 @@ def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
         cover_mix += targets[w].data
     for s in range(kbar):
         for idx, out in enumerate(outputs[s]):
-            decode += float(np.trace(povms[s][idx].data @ out.data).real)
+            decode += float(np.trace(povms[s][idx] @ out.data).real)
     decode /= kbar * m * mbar
     distance = trace_norm((overall - cover_mix) / m)
     bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + eps_cover, 0.0)) - 1e-6
@@ -67,21 +71,21 @@ def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
 
 def build_stego_cc_noiseless(
     cover: CcCode,
-    m: QuantumChannel,
     mbar: int,
     zeta: float,
     seed=None,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noiseless true channel.
 
-    ``cover`` must be a code for the warden's degraded channel ``m`` (the
-    full n-use map).  Returns best-found artifacts with audited metrics; the
-    ``warning`` flag is set when some per-message hash missed the zeta target.
+    ``cover`` is a code for the warden's degraded channel (the full n-use
+    map ``cover.channel``); its stored outputs are the hash targets.  Returns
+    best-found artifacts with audited metrics; the ``warning`` flag is set
+    when some per-message hash missed the zeta target.
     """
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
     rng = np.random.default_rng(seed)
-    targets = [apply(m, c) for c in cover.codewords]
+    targets = cover.outputs
     hashes = []
     for w in range(cover.m):
         child = int(rng.integers(1 << 31))
@@ -158,7 +162,7 @@ def build_stego_cc_noisy(
     if len(side_states) != cover.m:
         raise ValueError("shape error: one side state per cover message required")
     rng = np.random.default_rng(seed)
-    targets = cover.outputs()
+    targets = cover.outputs
     out_cqs = []
     for w, sigma in enumerate(side_states):
         out_cq = output_cq(sigma, n_true)
@@ -191,9 +195,9 @@ def build_stego_cc_noisy(
                 for i in range(mu):
                     mix += side_states[w].states[book[wbar * mu + i]].data
                 states.append(DensityMatrix(mix / mu))
-                gam = np.zeros_like(decoder[0].data)
+                gam = np.zeros_like(decoder[0])
                 for i in range(mu):
-                    gam += decoder[wbar * mu + i].data
+                    gam += decoder[wbar * mu + i]
                 merged.append(gam)
             inner_per_w.append(merged)
         encoders.append(tuple(states))

@@ -166,7 +166,7 @@ def build_stego_cc_es(
     ]
 
     # nested POVM: cover measurement, then the block-2 hash measurement
-    inner = [[np.kron(np.eye(d1n), g.data) for g in h.povm.elements] for h in hashes]
+    inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
     povm = _nested_povm(cover.povm, inner)
 
     # full protocol audit
@@ -174,7 +174,7 @@ def build_stego_cc_es(
     reliability = 0.0
     stego_mix = np.zeros((d1n * d2n, d1n * d2n), dtype=complex)
     cover_mix = np.zeros_like(stego_mix)
-    sqrt_elements = [psd_sqrt(e.data) for e in povm.elements]
+    sqrt_elements = [psd_sqrt(e) for e in povm.elements]
     for w in range(cover.m):
         ed = ed_codes[w]
         joint = apply(tensor(ed.encode, identity_channel(d1n)), shared[w])  # [C, A~, B1]

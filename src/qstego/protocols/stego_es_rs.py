@@ -19,7 +19,6 @@ from ..channels import apply, isometric_extension
 from ..hashing import build_classical_hash
 from ..linalg import (
     DensityMatrix,
-    HermitianOperator,
     Povm,
     classically_correlated,
     fidelity,
@@ -36,9 +35,7 @@ SCHMIDT_CUT = 1e-12
 def _completion_povm(projectors, dim, mbar) -> Povm:
     total = sum(projectors)
     rest = (np.eye(dim) - total) / mbar
-    return Povm(
-        tuple(HermitianOperator(((p + rest) + (p + rest).conj().T) / 2) for p in projectors)
-    )
+    return Povm([((p + rest) + (p + rest).conj().T) / 2 for p in projectors])
 
 
 def build_stego_es_rs(
@@ -110,7 +107,7 @@ def build_stego_es_rs(
     blocks = {}
     for a in range(mbar):
         for b in range(mbar):
-            op = np.kron(alice_povm[a].data, bob_povm[b].data)
+            op = np.kron(alice_povm[a], bob_povm[b])
             blocks[a, b] = psi_mat @ op.T @ psi_mat.conj().T
     side = m_dim * bt_dim * mbar * mbar
     final = np.zeros((side, side), dtype=complex)

@@ -49,9 +49,9 @@ def verify_gentle_composition(states, channels, povm: Povm, p) -> BoundReport:
     nx = probs.size
     if not (len(states) == nx and len(channels) == nx and len(povm) == nx):
         raise ValueError("shape error: states, channels, POVM, PMF sizes differ")
-    roots = [psd_sqrt(e.data) for e in povm.elements]
+    roots = [psd_sqrt(e) for e in povm.elements]
     eps = 1.0 - sum(
-        probs[x] * float(np.trace(states[x].data @ povm[x].data).real) for x in range(nx)
+        probs[x] * float(np.trace(states[x].data @ povm[x]).real) for x in range(nx)
     )
     eps = max(0.0, eps)
     dim_out = channels[0].dim_out

@@ -109,7 +109,7 @@ class TestAcceptance:
                 [parse_state(s) for s in params["codewords"]], m, params.get("n", 1)
             )
             stego = build_stego_cc_noiseless(
-                cover, m, params["mbar"], params["zeta"], seed=config.get("seed", 0)
+                cover, params["mbar"], params["zeta"], seed=config.get("seed", 0)
             )
             dist_ok = stego.distance <= stego.zeta_ach + 1e-12
             bound = (

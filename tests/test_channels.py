@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,52 @@ class TestIsometricExtension:
                 a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 env = complementary_matrix(ch, a @ a.conj().T)
                 assert np.array_equal(env, env.conj().T)
+
+
+def complementary_matrix_loop(ch, a):
+    """tr(F_j a F_j'†) one pair at a time: the reference for the row-stacked
+    complementary_matrix."""
+    k = len(ch.kraus)
+    env = np.zeros((k, k), dtype=complex)
+    moved = [f @ a for f in ch.kraus]
+    for j in range(k):
+        for jp in range(j, k):
+            val = np.trace(moved[j] @ ch.kraus[jp].conj().T)
+            env[j, jp] = val
+            env[jp, j] = np.conj(val)
+    return (env + env.conj().T) / 2
+
+
+def random_channel(rng, k, d_in, d_out):
+    """k Kraus operators d_out x d_in cut from a Haar-random isometry."""
+    v = haar_random_subspace(k * d_out, d_in, rng).data
+    return QuantumChannel(tuple(v[j * d_out : (j + 1) * d_out] for j in range(k)))
+
+
+class TestComplementaryMatrixBitForBit:
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    @pytest.mark.parametrize("k", [1, 2, 5, 16])
+    def test_matches_pairwise_loop(self, d, k):
+        rng = np.random.default_rng(100 * d + k)
+        for d_out in sorted({d, max(1, -(-d // k)), 2 * d}):
+            ch = random_channel(rng, k, d, d_out)
+            a = random_density(rng, d).data
+            got, ref = complementary_matrix(ch, a), complementary_matrix_loop(ch, a)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    def test_memory_is_one_row_at_a_time(self):
+        # k = d = 32: the k·d² entries of F_j a (512 KiB) against all k² products (16 MiB)
+        rng = np.random.default_rng(21)
+        ch = random_channel(rng, 32, 32, 32)
+        a = random_density(rng, 32).data
+        moved_bytes = sum(f.nbytes for f in ch.kraus)
+        tracemalloc.start()
+        try:
+            complementary_matrix(ch, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * moved_bytes
 
 
 class TestHaarSubspace:

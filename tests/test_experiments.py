@@ -212,9 +212,43 @@ def hash_search_first_variants():
     return out
 
 
+#: large-d slots whose instances build a CC cover and read its outputs
+LARGE_D_COVER_SLOTS = ("cc-noiseless-d32", "cc-noiseless-d64", "rates-cc-noisy-n3")
+
+
+def large_d_first_variants():
+    """The first variant of each slot in LARGE_D_COVER_SLOTS as pytest params
+    (instance name, config), built from perfbench/workloads.json the way
+    perfbench/workloads.py builds it."""
+    gen = json.loads(BENCH_WORKLOADS.read_text())["large-d"]["generator"]
+    kind, p = gen["channel_kinds"][0], gen["p_grid"][0]
+    out = []
+    for slot in gen["slots"]:
+        if slot["name"] not in LARGE_D_COVER_SLOTS:
+            continue
+        q = slot["qubits"]
+        params = {
+            "m": {"kind": kind, "p": p, "power": q},
+            "codewords": [{"kind": "kron", "factors": list(c)} for c in slot["codewords"]],
+            "n": q,
+            "zeta": slot["zeta"],
+        }
+        if slot["kind"] == "simulate/cc-noiseless":
+            params["mbar"] = slot["mbar"]
+            config = {"kind": slot["kind"], "seed": slot["seed"], "params": params}
+        else:
+            n_true = slot["n_true"]
+            params |= {"n_true": {"kind": n_true["kind"], "p": n_true["p"], "power": q}, "xi": slot["xi"]}
+            config = {"kind": slot["kind"], "params": params}
+        instance = f"{slot['name']}:{kind}-p{p}"
+        out.append(pytest.param(instance, config, id=instance))
+    return out
+
+
 class TestBenchmarkReference:
-    """Each shipped config, and the first variant of each hash-search slot,
-    renders the CSV bytes recorded for the benchmark."""
+    """Each shipped config, and the first variant of each hash-search slot and
+    of the large-d slots that build a CC cover, renders the CSV bytes recorded
+    for the benchmark."""
 
     def shipped(self):
         return json.loads(BENCH_REFERENCE.read_text())["shipped"]
@@ -232,5 +266,14 @@ class TestBenchmarkReference:
     @pytest.mark.parametrize("instance,config", hash_search_first_variants())
     def test_hash_search_csv_sha256_matches(self, instance, config):
         entry = json.loads(BENCH_REFERENCE.read_text())["hash-search"][reference_key(config)]
+        assert entry["instance"] == instance
+        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == entry["csv_sha256"]
+
+    def test_large_d_slots_covered(self):
+        assert len(large_d_first_variants()) == len(LARGE_D_COVER_SLOTS)
+
+    @pytest.mark.parametrize("instance,config", large_d_first_variants())
+    def test_large_d_csv_sha256_matches(self, instance, config):
+        entry = json.loads(BENCH_REFERENCE.read_text())["large-d"][reference_key(config)]
         assert entry["instance"] == instance
         assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == entry["csv_sha256"]

@@ -183,11 +183,11 @@ def assert_streamed_bits(dim, m):
     rho = DensityMatrix(a / np.trace(a))
     code = build_quantum_hash(rho, m, 1.0, seed=m)
     states, elements = whole_tensor_hash(rho, m, 1.0, m)
-    got = [s.data for s in code.states] + [e.data for e in code.povm.elements]
+    got = [s.data for s in code.states] + list(code.povm.elements)
     for x, y in zip(got, states + elements, strict=True):
         assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
     # M > d leaves some preimages empty: their POVM elements are zero
-    assert (m > dim) == any(not e.data.any() for e in code.povm.elements)
+    assert (m > dim) == any(not e.any() for e in code.povm.elements)
 
 
 class TestQuantumHash:

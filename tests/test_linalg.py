@@ -1,3 +1,6 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -55,6 +58,42 @@ class TestTypes:
         Povm((half, half))
         with pytest.raises(ValueError, match="invalid POVM"):
             Povm((half, HermitianOperator(0.4 * np.eye(2))))
+
+    @pytest.mark.parametrize(
+        "elements,message",
+        [
+            ([np.diag([1.0, 0.5]), np.diag([0.2, 0.5]), np.diag([-0.2, 0.0])], "invalid POVM: element outside [0, 1]"),
+            ([np.diag([1.5, 0.0]), np.diag([0.0, 1.0])], "invalid POVM: element outside [0, 1]"),
+            ([0.5 * np.eye(2), 0.4 * np.eye(2)], "invalid POVM: elements do not sum to identity"),
+            ([np.eye(2), np.zeros((3, 3))], "shape error: POVM element dimension mismatch"),
+            ([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])], "invalid operator: not Hermitian"),
+            ([np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]])], "invalid operator: not Hermitian"),
+            ([np.ones((2, 3))], "shape error: not a square matrix"),
+            ([], "invalid POVM: no elements"),
+        ],
+        ids=["negative", "above-one", "not-complete", "dim-mismatch", "nan", "not-hermitian", "not-square", "empty"],
+    )
+    def test_povm_rejects(self, elements, message):
+        # the messages of the per-element checks, as a sequence and as one stack
+        forms = [elements]
+        if len({np.shape(e) for e in elements}) <= 1:
+            forms.append(np.array(elements, dtype=complex))
+        for form in forms:
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Povm(form)
+
+    def test_povm_check_holds_no_second_stack(self):
+        # eight d = 256 elements (8 MiB): the checks run on 1 MiB blocks and
+        # one eigvalsh call, so they add less than another stacked copy
+        elements = np.zeros((8, 256, 256), dtype=complex)
+        elements[:, np.arange(256), np.arange(256)] = 1.0 / 8
+        tracemalloc.start()
+        try:
+            Povm(elements)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= elements.nbytes
 
     @pytest.mark.parametrize(
         "build",

@@ -3,8 +3,10 @@ import pytest
 
 from qstego.fixtures import named_state
 from qstego.info import CqState, Pmf
-from qstego.linalg import basis_state
+from qstego.linalg import DensityMatrix, basis_state, trace_norm
 from qstego.protocols import build_resolvability_code, pretty_good_measurement, resolvability_metrics
+
+from .test_linalg import random_density
 
 
 def binary_qubit_cq():
@@ -15,11 +17,11 @@ def binary_qubit_cq():
 class TestPgm:
     def test_orthogonal_states_perfect(self):
         povm = pretty_good_measurement([basis_state(0, 2).to_density(), basis_state(1, 2).to_density()])
-        assert np.allclose(povm[0].data, np.diag([1.0, 0.0]), atol=1e-10)
+        assert np.allclose(povm[0], np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_completeness_with_rank_deficient_support(self):
         povm = pretty_good_measurement([named_state("zero"), named_state("zero")])
-        total = sum(e.data for e in povm.elements)
+        total = povm.elements.sum(axis=0)
         assert np.allclose(total, np.eye(2), atol=1e-10)
 
 
@@ -59,3 +61,74 @@ class TestResolvability:
                 dists.append(code.distance)
             medians.append(float(np.median(dists)))
         assert medians[0] > medians[1] > medians[2]
+
+
+def pgm_loop(states):
+    """Square-root measurement one element at a time: the reference for the
+    stacked pretty_good_measurement."""
+    mats = [np.asarray(getattr(s, "data", s), dtype=complex) for s in states]
+    dim, m = mats[0].shape[0], len(mats)
+    w, v = np.linalg.eigh(sum(mats))
+    inv_sqrt_vals = np.where(w > 1e-12, 1.0 / np.sqrt(np.where(w > 1e-12, w, 1.0)), 0.0)
+    inv_sqrt = (v * inv_sqrt_vals) @ v.conj().T
+    projector = (v[:, w > 1e-12]) @ v[:, w > 1e-12].conj().T
+    rest = (np.eye(dim) - projector) / m
+    elements = []
+    for mat in mats:
+        e = inv_sqrt @ mat @ inv_sqrt + rest
+        elements.append((e + e.conj().T) / 2)
+    return elements
+
+
+def metrics_loop(code, sigma):
+    """(reliability, distance) one codeword at a time: the reference for the
+    stacked resolvability_metrics."""
+    k, m = code.codebooks.shape
+    mixture = np.zeros((sigma.dim_b, sigma.dim_b), dtype=complex)
+    rel = 0.0
+    for s in range(k):
+        for w in range(m):
+            out = sigma.states[code.codebooks[s, w]].data
+            mixture += out
+            rel += float(np.trace(code.decoders[s][w] @ out).real)
+    mixture /= k * m
+    rel /= k * m
+    return rel, trace_norm(mixture - sigma.marginal_b())
+
+
+def random_cq(rng, d, nx, rank=None):
+    """nx random states on dimension d, supported on the first ``rank`` basis vectors."""
+    rank = d if rank is None else rank
+    states = []
+    for _ in range(nx):
+        a = np.zeros((d, d), dtype=complex)
+        a[:rank, :rank] = random_density(rng, rank).data
+        states.append(DensityMatrix(a))
+    return CqState(Pmf(rng.dirichlet(np.ones(nx))), tuple(states))
+
+
+def same_bits(x, y):
+    return np.array_equal(np.asarray(x).view(np.uint64), np.asarray(y).view(np.uint64))
+
+
+class TestBitForBit:
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    @pytest.mark.parametrize("m", [1, 3, 16])
+    @pytest.mark.parametrize("full_rank", [True, False], ids=["full", "deficient"])
+    def test_pgm_matches_loop(self, d, m, full_rank):
+        rng = np.random.default_rng(10 * d + m)
+        cq = random_cq(rng, d, m, None if full_rank else d // 2)
+        got = pretty_good_measurement(cq.states).elements
+        ref = pgm_loop(cq.states)
+        assert len(got) == len(ref)
+        assert all(same_bits(g, r) for g, r in zip(got, ref))
+
+    @pytest.mark.parametrize("d", [2, 8, 16])
+    @pytest.mark.parametrize("m,k", [(1, 1), (4, 3), (16, 2)])
+    def test_metrics_match_loop(self, d, m, k):
+        rng = np.random.default_rng(100 * d + 10 * m + k)
+        cq = random_cq(rng, d, 5)
+        code = build_resolvability_code(cq, m=m, k=k, seed=d + m + k)
+        ref = metrics_loop(code, cq)
+        assert same_bits(resolvability_metrics(code, cq), ref)
+        assert same_bits((code.reliability, code.distance), ref)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,12 +13,14 @@ from qstego.channels import (
 )
 from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import CqState, Pmf
-from qstego.linalg import DensityMatrix, trace_norm
+from qstego.linalg import DensityMatrix, Povm, trace_norm
 from qstego.protocols import (
     build_stego_cc_noiseless,
     build_stego_cc_noisy,
     side_states_from_degradation,
 )
+from qstego.protocols import codes, stego_cc
+from qstego.protocols.stego_cc import _nested_povm
 
 
 def trivial_cover(channel, n, dim):
@@ -27,7 +30,7 @@ def trivial_cover(channel, n, dim):
 class TestNoiseless:
     def test_identity_degradation_mbar_one(self):
         cover = pgm_cc_cover([named_state("zero"), named_state("one")], identity_channel(2), 1)
-        stego = build_stego_cc_noiseless(cover, identity_channel(2), mbar=1, zeta=0.1)
+        stego = build_stego_cc_noiseless(cover, mbar=1, zeta=0.1)
         assert stego.distance == pytest.approx(0.0, abs=1e-10)
         assert stego.decode_prob == pytest.approx(1.0, abs=1e-10)
         assert stego.zeta_ach == pytest.approx(0.0, abs=1e-12)
@@ -35,7 +38,7 @@ class TestNoiseless:
     def test_fully_depolarized_exact_split(self):
         m = standard_channel("depolarizing", 1.0)
         cover = pgm_cc_cover([named_state("zero")], m, 1)
-        stego = build_stego_cc_noiseless(cover, m, mbar=2, zeta=0.0)
+        stego = build_stego_cc_noiseless(cover, mbar=2, zeta=0.0)
         assert stego.zeta_ach == pytest.approx(0.0, abs=1e-12)
         assert stego.distance == pytest.approx(0.0, abs=1e-12)
         assert stego.decode_prob == pytest.approx(1.0, abs=1e-12)
@@ -48,7 +51,7 @@ class TestNoiseless:
             DensityMatrix(np.kron(named_state("minus").data, named_state("minus").data)),
         ]
         cover = pgm_cc_cover(codewords, m, 2)
-        stego = build_stego_cc_noiseless(cover, m, mbar=2, zeta=0.1, seed=0)
+        stego = build_stego_cc_noiseless(cover, mbar=2, zeta=0.1, seed=0)
         assert stego.distance <= stego.zeta_ach + 1e-12
         bound = 1 - stego.zeta_ach - 2 * math.sqrt(stego.zeta_ach + stego.eps_cover) - 1e-6
         assert stego.decode_prob >= bound
@@ -61,9 +64,28 @@ class TestNoiseless:
             DensityMatrix(np.kron(named_state("zero").data, named_state("plus").data)),
         ]
         cover = pgm_cc_cover(codewords, m, 2)
-        stego = build_stego_cc_noiseless(cover, m, mbar=3, zeta=1.0, seed=1)
-        total = sum(e.data for e in stego.povms[0].elements)
+        stego = build_stego_cc_noiseless(cover, mbar=3, zeta=1.0, seed=1)
+        total = stego.povms[0].elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
+
+    def test_cover_outputs_computed_once(self, monkeypatch):
+        # the cover pushes each codeword through the n-use channel once; its
+        # PGM and the builder's hash targets read the stored outputs
+        calls = []
+
+        def counted(ch, rho):
+            calls.append(ch)
+            return apply(ch, rho)
+
+        monkeypatch.setattr(codes, "apply", counted)
+        monkeypatch.setattr(stego_cc, "apply", counted)
+        m = tensor_power(standard_channel("dephasing", 0.6), 2)
+        codewords = [
+            DensityMatrix(np.kron(named_state(s).data, named_state(s).data)) for s in ("plus", "minus")
+        ]
+        cover = pgm_cc_cover(codewords, m, 2)
+        build_stego_cc_noiseless(cover, mbar=2, zeta=0.1, seed=0)
+        assert len(calls) == len(codewords)
 
 
 class TestNoisy:
@@ -80,7 +102,7 @@ class TestNoisy:
         m = standard_channel("dephasing", 0.4)
         cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        for sigma, target in zip(sides, cover.outputs()):
+        for sigma, target in zip(sides, cover.outputs):
             pushed = sum(
                 sigma.pmf.probs[x] * apply(n_true, sigma.states[x]).data
                 for x in range(sigma.alphabet_size)
@@ -131,7 +153,7 @@ class TestNoisy:
         )
         # 6 -> floor(6/2)*2 = 6 fine-grained codewords merged in blocks of 3
         assert len(stego.encoders[0]) == 2
-        total = sum(e.data for e in stego.povms[0].elements)
+        total = stego.povms[0].elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(2))) < 1e-8
         assert stego.key_bits == pytest.approx(1.0)
 
@@ -144,3 +166,24 @@ class TestNoisy:
         bound = 1 - stego.zeta_ach - 2 * math.sqrt(stego.zeta_ach + stego.eps_cover) - 1e-6
         assert stego.decode_prob >= bound
         assert stego.bound_ok
+
+
+class TestNestedPovmMemory:
+    def test_d256_nested_povm_adds_one_stack(self):
+        # two cover elements (half-space projectors) times four inner elements
+        # (I/4): 8 MiB of d = 256 elements, built in place and checked in blocks
+        d = 256
+        half = np.zeros((2, d, d), dtype=complex)
+        half[0, np.arange(d // 2), np.arange(d // 2)] = 1.0
+        half[1, np.arange(d // 2, d), np.arange(d // 2, d)] = 1.0
+        cover_povm = Povm(half)
+        inner = Povm(np.broadcast_to(np.eye(d, dtype=complex) / 4, (4, d, d)).copy())
+        stack_bytes = 8 * d * d * 16
+        tracemalloc.start()
+        try:
+            povm = _nested_povm(cover_povm, [inner.elements, inner.elements])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert povm.elements.shape == (8, d, d)
+        assert peak <= 2 * stack_bytes

@@ -123,7 +123,7 @@ class TestStegoCcEs:
         assert stego.classical_reliability == pytest.approx(1.0, abs=1e-9)
         assert stego.entanglement_distance <= 1e-9
         assert stego.distance <= 1e-10
-        total = sum(e.data for e in stego.povms[0].elements)
+        total = stego.povms[0].elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
 
     def test_default_mcc_is_the_noiseless_cypher_count(self):

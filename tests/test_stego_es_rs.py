@@ -49,5 +49,5 @@ class TestStegoEsRs:
         cover = dephasing_es_cover(0.5)
         stego = build_stego_es_rs(cover, mbar=2, zeta=0.1)
         for povm in (stego.alice_povm, stego.bob_povm):
-            total = sum(e.data for e in povm.elements)
+            total = povm.elements.sum(axis=0)
             assert np.max(np.abs(total - np.eye(total.shape[0]))) < 1e-9

@@ -9,13 +9,11 @@ function tables when that is cheap, otherwise by seeded random search over
 ``ATTEMPTS`` tables; achieved defects are always measured and reported, never
 assumed from the rate bound.
 
-The exhaustive search runs in two stages.  A batch score computes every
-table's lead key max(defect, error) with numpy reductions, in chunks of
-``CHUNK_BYTES`` per temporary array; its sums run in another order than
-:func:`encoder_from_hash`'s, so its keys agree with the encoder's to rounding
-(~1e-15) only.  The tables within ``TIE_MARGIN`` of the batch minimum are then
-re-scored with :func:`encoder_from_hash`, in lexicographic order, so the
-encoder's own float bits break every tie.
+Tables are scored by :func:`_score`, which gives every table of a stack the
+float bits it gets when scored alone; :func:`encoder_from_hash` is that
+function on a batch of one.  The exhaustive search therefore scores each
+table once, in chunks of ``CHUNK_BYTES`` per temporary array, and ranks the
+exact keys directly: no tie is re-scored.
 
 The quantum code is built from blocks of eigenbasis-projector rows of about
 ``ROW_BYTES`` each: O(M d^2) memory for M messages, not the 16 d^3 bytes of
@@ -37,11 +35,8 @@ from .linalg import DensityMatrix, Povm
 EXHAUSTIVE_LIMIT = 1 << 16
 #: random tables drawn when the search is not exhaustive
 ATTEMPTS = 64
-#: size of the largest temporary array of one chunk of the exhaustive batch score
-CHUNK_BYTES = 1 << 15
-#: tables whose batch key is within this of the batch minimum are re-scored
-#: exactly; far above the batch score's rounding, far below any real gap
-TIE_MARGIN = 1e-9
+#: size of the largest temporary array of one chunk of the exhaustive search
+CHUNK_BYTES = 1 << 17
 #: size of one block of projector rows in :func:`build_quantum_hash`
 ROW_BYTES = 1 << 22
 
@@ -81,6 +76,46 @@ class QuantumHashCode:
     warning: bool = False
 
 
+def _score(p: np.ndarray, m: int, tables: np.ndarray):
+    """Q_{X|W}, defect, output defect and decode error of every row of
+    ``tables`` (k hash tables over |X| symbols, shape (k, |X|)).
+
+    Each value has the bits of the same table scored alone, one preimage at a
+    time (p_w as ``p[preimage].sum()``, Q_X as ``cond.mean(axis=0)``): every
+    sum over x runs along a contiguous last axis, where numpy sums each row as
+    it sums a 1-D array, and the sum over w runs down axis 1 a row at a time,
+    as ``mean(axis=0)`` of one table's (M, |X|) array does.
+    """
+    k, nx = tables.shape
+    cells = (tables + m * np.arange(k)[:, None]).ravel()
+    sizes = np.bincount(cells, minlength=k * m).reshape(k, m)
+    # p_w: numpy sums fewer than 8 entries left to right, as bincount adds
+    # its weights, and 8 or more pairwise, so those preimages are summed
+    # compacted, grouped by size
+    p_w = np.bincount(cells, weights=np.tile(p, k), minlength=k * m).reshape(k, m)
+    pre = tables[:, None, :] == np.arange(m)[:, None]
+    cond = pre * p
+    for s in set(sizes[sizes >= 8].tolist()):
+        big = sizes == s
+        p_w[big] = cond[big][pre[big]].reshape(-1, s).sum(axis=1)
+    # Bayes rows p(x)/p_w on the preimage; uniform rows when p_w = 0; an empty
+    # preimage falls back to P_X, decoded wrong with probability one
+    bayes = p_w > 0.0
+    cond /= np.where(bayes, p_w, 1.0)[..., None]
+    uniform = ~bayes & (sizes > 0)
+    cond[uniform] = pre[uniform] / sizes[uniform][:, None]
+    empty = sizes == 0
+    cond[empty] = p
+    defect = np.abs(cond.sum(axis=1) / m - p).sum(axis=1)
+    # the error sums cond * ~preimage, which is P_X on fallback rows, zero
+    # elsewhere, over all M |X| entries
+    error = np.zeros(k)
+    some = empty.any(axis=1)
+    error[some] = (empty[some][..., None] * p).reshape(-1, m * nx).sum(axis=1) / m
+    output_defect = np.abs(p_w - 1.0 / m).sum(axis=1)
+    return cond, defect, output_defect, error
+
+
 def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
     """Build the Bayes-inverted encoder for a given hash table and measure it.
 
@@ -91,59 +126,18 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
     """
     p = as_pmf(p)
     f = np.asarray(f, dtype=int)
-    preimages = f == np.arange(m)[:, None]
-    cond = np.zeros(preimages.shape)
-    p_w = np.array([p[pre].sum() for pre in preimages])
-    px_fallback = False
-    for w, pre in enumerate(preimages):
-        if p_w[w] > 0.0:
-            cond[w, pre] = p[pre] / p_w[w]
-        elif pre.any():
-            cond[w, pre] = 1.0 / pre.sum()
-        else:
-            cond[w] = p
-            px_fallback = True
-    defect = float(np.abs(cond.mean(axis=0) - p).sum())
-    error = float((cond * ~preimages).sum() / m)
-    output_defect = float(np.abs(p_w - 1.0 / m).sum())
+    if f.shape != p.shape or not ((0 <= f) & (f < m)).all():
+        raise ValueError("bad parameter: the hash table must map each symbol into range(M)")
+    cond, defect, output_defect, error = _score(p, m, f[None])
     return HashEncoder(
         m=m,
         f=f,
-        cond=cond,
-        defect=defect,
-        output_defect=output_defect,
-        error_prob=error,
-        px_fallback=px_fallback,
+        cond=cond[0],
+        defect=float(defect[0]),
+        output_defect=float(output_defect[0]),
+        error_prob=float(error[0]),
+        px_fallback=bool(np.bincount(f, minlength=m).min() == 0),
     )
-
-
-def _batch_keys(p: np.ndarray, m: int, objective: str, tables: np.ndarray) -> np.ndarray:
-    """The lead key max(lead, error) of :func:`build_classical_hash` for each
-    row of ``tables`` (one hash table per row), as array reductions.
-
-    Equal to the keys of :func:`encoder_from_hash` up to rounding: the sums
-    run in another order.  Whether a preimage has positive probability, and
-    so which row of Q_{X|W} is Bayes, uniform or the P_X fallback, is exact.
-    """
-    k = tables.shape[0]
-    cells = (tables + m * np.arange(k)[:, None]).ravel()
-    p_w = np.bincount(cells, weights=np.tile(p, k), minlength=k * m).reshape(k, m)
-    sizes = np.bincount(cells, minlength=k * m).reshape(k, m)
-    # Bayes and uniform rows sit on their preimage and decode exactly; each
-    # fallback row is P_X, decoded wrong with probability one
-    fallback = np.count_nonzero(sizes == 0, axis=1)
-    error = fallback * p.sum() / m
-    if objective == "output":
-        lead = np.abs(p_w - 1.0 / m).sum(axis=1)
-    else:
-        # x lies in the one preimage f(x), whose row gives it p(x)/p_w, or
-        # 1/|preimage| when p_w = 0; every fallback row gives it p(x)
-        own_pw = np.take_along_axis(p_w, tables, axis=1)
-        own_size = np.take_along_axis(sizes, tables, axis=1)
-        own = np.where(own_pw > 0.0, p / np.where(own_pw > 0.0, own_pw, 1.0), 1.0 / own_size)
-        q_x = (own + fallback[:, None] * p) / m
-        lead = np.abs(q_x - p).sum(axis=1)
-    return np.maximum(lead, error)
 
 
 def build_classical_hash(
@@ -161,17 +155,16 @@ def build_classical_hash(
     need).  Tables are ranked by (max(lead, error), lead, error), where lead
     is the selected defect and error the decode error.
 
-    When M^|X| <= ``EXHAUSTIVE_LIMIT`` the search is exhaustive, and returns
-    the first table in lexicographic order with the least key, as a loop
-    over ``itertools.product(range(M), repeat=|X|)`` that scores each table
-    with :func:`encoder_from_hash` and stops at an exact-zero lead key would.
-    A batch score (:func:`_batch_keys`) ranks every table in chunks of about
-    ``CHUNK_BYTES`` per temporary array; only the tables within
-    ``TIE_MARGIN`` of its minimum are re-scored with
-    :func:`encoder_from_hash`, in lexicographic order, and the re-score stops
-    at an exact-zero lead key.  Otherwise ``ATTEMPTS`` seeded random
-    function tables are scored one by one.  Always returns the best table
-    found, with ``warning`` set when the target was missed.
+    When M^|X| <= ``EXHAUSTIVE_LIMIT`` the search is exhaustive: it returns
+    the first table in lexicographic order (that of
+    ``itertools.product(range(M), repeat=|X|)``) with the least key.  Every
+    table is scored once, in chunks of about ``CHUNK_BYTES`` per temporary
+    array, with the bits :func:`encoder_from_hash` gives it, so a chunk's
+    first least key (a stable lexsort) is exact; the search stops after the
+    chunk in which the key reaches zero, and builds only the winner's
+    encoder.  Otherwise ``ATTEMPTS`` seeded random function tables are scored
+    one by one, stopping at the first that meets ``eps``.  Always returns the
+    best table found, with ``warning`` set when the target was missed.
     """
     if m < 1:
         raise ValueError("bad parameter: M must be >= 1")
@@ -184,40 +177,34 @@ def build_classical_hash(
     if m == 1:
         return encoder_from_hash(np.zeros(nx, dtype=int), p, 1)
 
-    best = None
-    best_key = None
-
-    def consider(table):
-        nonlocal best, best_key
-        enc = encoder_from_hash(np.asarray(table, dtype=int), p, m)
-        lead = enc.defect if objective == "marginal" else enc.output_defect
+    def rank(lead, error):
         # the guarantee needs BOTH the defect and the decode error small; ranking
         # by max first stops P_X-fallback rows from gaming the marginal defect
-        key = (max(lead, enc.error_prob), lead, enc.error_prob)
-        if best_key is None or key < best_key:
-            best, best_key = enc, key
+        return np.maximum(lead, error), lead, error
 
+    best_key = None
     if m**nx <= EXHAUSTIVE_LIMIT:
         # table i of the lexicographic order has the base-M digits of i as entries
         places = m ** np.arange(nx - 1, -1, -1)
-        step = max(1, CHUNK_BYTES // (8 * max(m, nx)))
-
-        def chunks():
-            for start in range(0, m**nx, step):
-                index = np.arange(start, min(start + step, m**nx))
-                yield index, _batch_keys(p, m, objective, index[:, None] // places % m)
-
-        # two passes over the chunks, so no key array spans the whole search
-        floor = min(float(keys.min()) for _, keys in chunks())
-        near = (i for index, keys in chunks() for i in index[keys <= floor + TIE_MARGIN])
-        for i in near:
-            consider(i // places % m)
+        step = max(1, CHUNK_BYTES // (8 * m * nx))
+        for start in range(0, m**nx, step):
+            index = np.arange(start, min(start + step, m**nx))
+            _, defect, output_defect, error = _score(p, m, index[:, None] // places % m)
+            keys = rank(defect if objective == "marginal" else output_defect, error)
+            j = np.lexsort(keys[::-1])[0]
+            key = tuple(float(v[j]) for v in keys)
+            if best_key is None or key < best_key:
+                best_key, best_index = key, index[j]
             if best_key[0] == 0.0:
                 break
+        best = encoder_from_hash(best_index // places % m, p, m)
     else:
         rng = np.random.default_rng(seed)
         for _ in range(ATTEMPTS):
-            consider(rng.integers(0, m, size=nx))
+            enc = encoder_from_hash(rng.integers(0, m, size=nx), p, m)
+            key = rank(enc.defect if objective == "marginal" else enc.output_defect, enc.error_prob)
+            if best_key is None or key < best_key:
+                best, best_key = enc, key
             if best_key[0] <= eps:
                 break
     if best_key[0] > eps:

@@ -25,16 +25,26 @@ from .resolvability import build_resolvability_code, output_cq
 
 def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
     """{ sqrt(Lambda^w) Gamma_w^i sqrt(Lambda^w) } over all (w, i), written
-    into one preallocated stack."""
+    into one stack.
+
+    Every root is taken before the stack is allocated, so no
+    eigendecomposition's temporaries sit on top of it; each element is
+    multiplied and symmetrized in its own slot, and the roots are dropped
+    before the POVM checks run.
+    """
+    roots = [psd_sqrt(cover_povm[w]) for w in range(len(inner_per_w))]
     dim = cover_povm.elements.shape[1]
     elements = np.empty((sum(len(inner) for inner in inner_per_w), dim, dim), dtype=complex)
     i = 0
     for w, inner in enumerate(inner_per_w):
-        root = psd_sqrt(cover_povm[w])
         for gamma in inner:
-            e = root @ gamma @ root
-            elements[i] = (e + e.conj().T) / 2
+            e = elements[i]
+            np.matmul(roots[w] @ gamma, roots[w], out=e)
+            # (e + e^H) / 2; the conjugate is a copy, so e may be the output
+            e += e.conj().T
+            e /= 2
             i += 1
+    del roots
     return Povm(elements)
 
 

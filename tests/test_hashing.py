@@ -77,9 +77,32 @@ class TestClassicalHash:
         assert hits / trials >= 0.95
 
 
+def loop_encoder(f, p, m):
+    """The encoder of one table, scored one preimage at a time: the
+    reference for the batched score."""
+    p = as_pmf(p)
+    f = np.asarray(f, dtype=int)
+    preimages = f == np.arange(m)[:, None]
+    cond = np.zeros(preimages.shape)
+    p_w = np.array([p[pre].sum() for pre in preimages])
+    px_fallback = False
+    for w, pre in enumerate(preimages):
+        if p_w[w] > 0.0:
+            cond[w, pre] = p[pre] / p_w[w]
+        elif pre.any():
+            cond[w, pre] = 1.0 / pre.sum()
+        else:
+            cond[w] = p
+            px_fallback = True
+    defect = float(np.abs(cond.mean(axis=0) - p).sum())
+    error = float((cond * ~preimages).sum() / m)
+    output_defect = float(np.abs(p_w - 1.0 / m).sum())
+    return hashing.HashEncoder(m, f, cond, defect, output_defect, error, px_fallback=px_fallback)
+
+
 def loop_search(p, m, eps, objectives=("marginal", "output")):
     """The exhaustive search as a loop: every table of itertools.product
-    scored by encoder_from_hash, kept on a strict < of (max, lead, error),
+    scored by loop_encoder, kept on a strict < of (max, lead, error),
     stopped at an exact-zero lead key.  One pass serves every objective."""
     p = as_pmf(p)
     best = {}
@@ -87,7 +110,7 @@ def loop_search(p, m, eps, objectives=("marginal", "output")):
         live = [o for o in objectives if o not in best or best[o][0][0] != 0.0]
         if not live:
             break
-        enc = encoder_from_hash(np.asarray(table, dtype=int), p, m)
+        enc = loop_encoder(table, p, m)
         for o in live:
             lead = enc.defect if o == "marginal" else enc.output_defect
             key = (max(lead, enc.error_prob), lead, enc.error_prob)
@@ -145,17 +168,99 @@ class TestExhaustiveSearchBitForBit:
         for enc in loop_result("exact-zero-8x2").values():
             assert enc.defect == enc.output_defect == enc.error_prob == 0.0
 
-    def test_rescores_only_near_ties(self, monkeypatch):
+    def test_builds_one_encoder(self, monkeypatch):
         calls = []
         score = hashing.encoder_from_hash
         monkeypatch.setattr(hashing, "encoder_from_hash", lambda *args: calls.append(1) or score(*args))
-        p, m, eps = CASES["random-8x3"]
-        build_classical_hash(p, m, eps)
-        assert 0 < len(calls) < m ** p.size // 100
-        # 70 balanced tables tie at an exact-zero key: the first one ends the search
-        calls.clear()
-        build_classical_hash(*CASES["exact-zero-8x2"])
-        assert len(calls) == 1
+        for name in ("random-8x3", "random-4x8", "exact-zero-8x2"):
+            calls.clear()
+            build_classical_hash(*CASES[name])
+            assert len(calls) == 1
+
+    def test_stops_after_the_chunk_with_a_zero_key(self, monkeypatch):
+        # 70 balanced tables tie at an exact-zero key; the first, 00001111 =
+        # table 15, lies in the first chunk of 16 tables
+        chunks = []
+        score = hashing._score
+        monkeypatch.setattr(hashing, "_score", lambda p, m, tables: chunks.append(len(tables)) or score(p, m, tables))
+        monkeypatch.setattr(hashing, "CHUNK_BYTES", 8 * 2 * 8 * 16)
+        enc = build_classical_hash(*CASES["exact-zero-8x2"])
+        assert tuple(enc.f) == (0, 0, 0, 0, 1, 1, 1, 1)
+        assert chunks == [16, 1]
+
+    def test_peak_memory_is_one_chunk(self):
+        # all 65,536 tables of (|X|, M) = (16, 2) are scored: no zero key
+        p = np.random.default_rng(23).dirichlet(np.ones(16))
+        tracemalloc.start()
+        try:
+            build_classical_hash(p, 2, 0.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a (tables, M, |X|) array of all 65,536 tables is 16 MiB
+        assert peak < 2**20
+
+
+def assert_scores_match_loop(p, m, tables):
+    """The batched score of every table equals loop_encoder's (==), and so
+    does encoder_from_hash, the batch of one."""
+    p = as_pmf(p)
+    cond, defect, output_defect, error = hashing._score(p, m, np.asarray(tables))
+    for i, table in enumerate(tables):
+        ref = loop_encoder(table, p, m)
+        assert np.array_equal(cond[i], ref.cond)
+        assert (defect[i], output_defect[i], error[i]) == (ref.defect, ref.output_defect, ref.error_prob)
+        one = encoder_from_hash(table, p, m)
+        assert np.array_equal(one.cond, ref.cond)
+        assert (one.defect, one.output_defect, one.error_prob) == (ref.defect, ref.output_defect, ref.error_prob)
+        assert one.px_fallback == ref.px_fallback
+
+
+class TestBatchedScoreBitForBit:
+    """hashing._score gives each table the bits of the per-table arithmetic."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pmfs_and_tables(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        for nx, m in ((3, 2), (5, 3), (8, 4), (10, 3), (16, 2), (4, 8), (6, 5)):
+            p = rng.dirichlet(np.full(nx, rng.choice([0.2, 1.0, 5.0])))
+            assert_scores_match_loop(p, m, rng.integers(0, m, size=(60, nx)))
+
+    def test_pmfs_with_zero_entries(self):
+        # preimages of zero mass give uniform rows
+        rng = np.random.default_rng(7)
+        for nx, m in ((6, 4), (9, 3), (16, 2)):
+            assert_scores_match_loop(zero_entries(nx, nx), m, rng.integers(0, m, size=(60, nx)))
+        p = np.array([0.0, 0.0, 0.5, 0.5])
+        assert_scores_match_loop(p, 2, [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]])
+
+    def test_fallback_rows(self):
+        # M > |X| leaves preimages empty; a constant table leaves all but one
+        rng = np.random.default_rng(8)
+        p = rng.dirichlet(np.ones(5))
+        tables = [[0] * 5, [3] * 5, [0, 1, 2, 3, 4], [6, 6, 0, 0, 6]]
+        assert_scores_match_loop(p, 7, tables + list(rng.integers(0, 7, size=(40, 5))))
+        assert encoder_from_hash(np.zeros(5, dtype=int), p, 7).px_fallback
+
+    @pytest.mark.parametrize("size", [0, 7, 8, 9, 16])
+    def test_preimage_sizes(self, size):
+        # numpy sums 7 entries left to right, 8 and more pairwise: one
+        # preimage of each size, the rest spread over the other messages
+        rng = np.random.default_rng(size)
+        nx, m = 16, 3
+        tables = []
+        for _ in range(40):
+            table = rng.integers(1, m, size=nx)
+            table[rng.permutation(nx)[:size]] = 0
+            tables.append(table)
+        for p in (rng.dirichlet(np.ones(nx)), rng.dirichlet(np.full(nx, 0.1)), zero_entries(nx, size)):
+            assert_scores_match_loop(p, m, tables)
+
+    def test_rejects_tables_out_of_range(self):
+        with pytest.raises(ValueError, match="range"):
+            encoder_from_hash(np.array([0, 2]), [0.5, 0.5], 2)
+        with pytest.raises(ValueError, match="range"):
+            encoder_from_hash(np.array([0, 1, 1]), [0.5, 0.5], 2)
 
 
 def whole_tensor_hash(rho, m, eps, seed):

@@ -13,7 +13,7 @@ from qstego.channels import (
 )
 from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import CqState, Pmf
-from qstego.linalg import DensityMatrix, Povm, trace_norm
+from qstego.linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
 from qstego.protocols import (
     build_stego_cc_noiseless,
     build_stego_cc_noisy,
@@ -187,3 +187,32 @@ class TestNestedPovmMemory:
             tracemalloc.stop()
         assert povm.elements.shape == (8, d, d)
         assert peak <= 2 * stack_bytes
+
+    def test_d256_peak_below_list_loop_with_same_bits(self):
+        # a rotated half-space cover and random inner projectors; a loop that
+        # builds a list and stacks it peaks at 12.6 MiB here
+        d = 256
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        a = (q[:, : d // 2]) @ q[:, : d // 2].conj().T
+        a = (a + a.conj().T) / 2
+        cover_povm = Povm(np.stack([a, np.eye(d) - a]))
+        inner = []
+        for _ in range(2):
+            u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            parts = np.split(u, 4, axis=1)
+            inner.append(np.stack([v @ v.conj().T for v in parts]))
+        tracemalloc.start()
+        try:
+            povm = _nested_povm(cover_povm, inner)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12.6 * 2**20
+        expected = []
+        for w in range(2):
+            root = psd_sqrt(cover_povm[w])
+            for gamma in inner[w]:
+                e = root @ gamma @ root
+                expected.append((e + e.conj().T) / 2)
+        assert np.array_equal(povm.elements.view(np.uint64), np.stack(expected).view(np.uint64))

@@ -1,23 +1,22 @@
 """Diff the CSV and flags of every benchmark instance between two checkouts.
 
-    python3 scripts/reference_diff.py PARENT_CHECKOUT [--workload W] [--change CHECKOUT]
+    python3 scripts/reference_diff.py PARENT_CHECKOUT [--workload W]
 
 Runs every instance any seed can generate (``workloads.pool`` of this
 checkout's ``perfbench/``) once with the qstego sources of the parent checkout
-and once with those of the change (default: this checkout), each side in its
-own child process with ``OPENBLAS_NUM_THREADS=1``: the quantum hash's bits
-depend on the BLAS thread count.  The CSVs and flags are kept in a temporary
-directory.  For each instance it prints whether the CSV digest moved, the
-largest absolute change in each numeric column of a moved CSV, and every flag
-that flipped, then one summary line per workload.  Exit code 0 when no digest
-moved and no flag flipped, 1 otherwise.
+and once with those of this checkout, each side in its own child process with
+``OPENBLAS_NUM_THREADS=1``: the quantum hash's bits depend on the BLAS thread
+count.  The CSVs and flags are kept in a temporary directory.  For each
+instance it prints whether the CSV digest moved, the largest absolute change
+in each numeric column of a moved CSV, and every flag that flipped, then one
+summary line per workload.  Exit code 0 when no digest moved and no flag
+flipped, 1 otherwise.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -34,14 +33,14 @@ def record(pools, src: Path, out: Path, names: list) -> None:
     flags) for every pool instance, run with the qstego sources under ``src``."""
     sys.path.insert(0, str(src))
     from qstego.experiments import render_csv, run_experiment
+    from worker import flags_of
 
     for name in names:
         (out / name).mkdir(parents=True)
         for inst in pools.pool(name, ROOT):
             result = run_experiment(inst.config)
             (out / name / f"{inst.key}.csv").write_text(render_csv(result))
-            flags = {k: bool(v) for k, v in result.flags.items()}
-            (out / name / f"{inst.key}.json").write_text(json.dumps(flags, sort_keys=True))
+            (out / name / f"{inst.key}.json").write_text(json.dumps(flags_of(result), sort_keys=True))
 
 
 def column_changes(old: str, new: str) -> dict:
@@ -65,12 +64,12 @@ def column_changes(old: str, new: str) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
-    ap.add_argument("--change", default=str(ROOT), help="checkout of the change (default: this one)")
     ap.add_argument("--workload", action="append", help="workload to diff (repeatable; default: all)")
     ap.add_argument("--child", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads as pools
+    from worker import csv_sha256
 
     names = args.workload or list(pools.NAMES)
     if args.child:
@@ -80,7 +79,7 @@ def main(argv=None) -> int:
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     moved_total = flipped_total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
+        sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
         children = [
             subprocess.Popen(
                 [sys.executable, __file__, str(sides["parent"]), *sum((["--workload", n] for n in names), []),
@@ -97,7 +96,7 @@ def main(argv=None) -> int:
             for inst in pool:
                 text = {s: (Path(tmp) / s / name / f"{inst.key}.csv").read_text() for s in sides}
                 flags = {s: json.loads((Path(tmp) / s / name / f"{inst.key}.json").read_text()) for s in sides}
-                digests = {s: hashlib.sha256(t.encode()).hexdigest() for s, t in text.items()}
+                digests = {s: csv_sha256(t) for s, t in text.items()}
                 line = f"{name:12s} {inst.slot}:{inst.label:28s}"
                 if digests["parent"] == digests["change"]:
                     line += " same"

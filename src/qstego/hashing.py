@@ -11,9 +11,9 @@ assumed from the rate bound.
 
 Tables are scored by :func:`_score`, which gives every table of a stack the
 float bits it gets when scored alone; :func:`encoder_from_hash` is that
-function on a batch of one.  The exhaustive search therefore scores each
-table once, in chunks of ``CHUNK_BYTES`` per temporary array, and ranks the
-exact keys directly: no tie is re-scored.
+function on a batch of one.  Both searches therefore score each table
+once, in chunks of ``CHUNK_BYTES`` per temporary array, rank the exact keys
+directly (no tie is re-scored) and build only the winner's encoder.
 
 The quantum code is built from blocks of eigenbasis-projector rows of about
 ``ROW_BYTES`` each: O(M d^2) memory for M messages, not the 16 d^3 bytes of
@@ -35,7 +35,7 @@ from .linalg import DensityMatrix, Povm
 EXHAUSTIVE_LIMIT = 1 << 16
 #: random tables drawn when the search is not exhaustive
 ATTEMPTS = 64
-#: size of the largest temporary array of one chunk of the exhaustive search
+#: size of the largest temporary array of one chunk of a hash search
 CHUNK_BYTES = 1 << 17
 #: size of one block of projector rows in :func:`build_quantum_hash`
 ROW_BYTES = 1 << 22
@@ -99,19 +99,20 @@ def _score(p: np.ndarray, m: int, tables: np.ndarray):
         big = sizes == s
         p_w[big] = cond[big][pre[big]].reshape(-1, s).sum(axis=1)
     # Bayes rows p(x)/p_w on the preimage; uniform rows when p_w = 0; an empty
-    # preimage falls back to P_X, decoded wrong with probability one
+    # preimage (so p_w = 0) falls back to P_X, decoded wrong with probability one
     bayes = p_w > 0.0
     cond /= np.where(bayes, p_w, 1.0)[..., None]
-    uniform = ~bayes & (sizes > 0)
-    cond[uniform] = pre[uniform] / sizes[uniform][:, None]
-    empty = sizes == 0
-    cond[empty] = p
-    defect = np.abs(cond.sum(axis=1) / m - p).sum(axis=1)
-    # the error sums cond * ~preimage, which is P_X on fallback rows, zero
-    # elsewhere, over all M |X| entries
     error = np.zeros(k)
-    some = empty.any(axis=1)
-    error[some] = (empty[some][..., None] * p).reshape(-1, m * nx).sum(axis=1) / m
+    if not bayes.all():
+        uniform = ~bayes & (sizes > 0)
+        cond[uniform] = pre[uniform] / sizes[uniform][:, None]
+        empty = sizes == 0
+        cond[empty] = p
+        # the error sums cond * ~preimage, which is P_X on fallback rows, zero
+        # elsewhere, over all M |X| entries
+        some = empty.any(axis=1)
+        error[some] = (empty[some][..., None] * p).reshape(-1, m * nx).sum(axis=1) / m
+    defect = np.abs(cond.sum(axis=1) / m - p).sum(axis=1)
     output_defect = np.abs(p_w - 1.0 / m).sum(axis=1)
     return cond, defect, output_defect, error
 
@@ -162,9 +163,11 @@ def build_classical_hash(
     array, with the bits :func:`encoder_from_hash` gives it, so a chunk's
     first least key (a stable lexsort) is exact; the search stops after the
     chunk in which the key reaches zero, and builds only the winner's
-    encoder.  Otherwise ``ATTEMPTS`` seeded random function tables are scored
-    one by one, stopping at the first that meets ``eps``.  Always returns the
-    best table found, with ``warning`` set when the target was missed.
+    encoder.  Otherwise it scans ``ATTEMPTS`` seeded random function tables,
+    drawn one ``rng.integers`` call per table and scored in the same chunks,
+    up to the first whose key meets ``eps``, and returns the first least key
+    of those.  Always returns the best table found, with ``warning`` set when
+    the target was missed.
     """
     if m < 1:
         raise ValueError("bad parameter: M must be >= 1")
@@ -177,36 +180,42 @@ def build_classical_hash(
     if m == 1:
         return encoder_from_hash(np.zeros(nx, dtype=int), p, 1)
 
-    def rank(lead, error):
-        # the guarantee needs BOTH the defect and the decode error small; ranking
-        # by max first stops P_X-fallback rows from gaming the marginal defect
-        return np.maximum(lead, error), lead, error
-
-    best_key = None
+    step = max(1, CHUNK_BYTES // (8 * m * nx))
     if m**nx <= EXHAUSTIVE_LIMIT:
         # table i of the lexicographic order has the base-M digits of i as entries
         places = m ** np.arange(nx - 1, -1, -1)
-        step = max(1, CHUNK_BYTES // (8 * m * nx))
-        for start in range(0, m**nx, step):
-            index = np.arange(start, min(start + step, m**nx))
-            _, defect, output_defect, error = _score(p, m, index[:, None] // places % m)
-            keys = rank(defect if objective == "marginal" else output_defect, error)
-            j = np.lexsort(keys[::-1])[0]
-            key = tuple(float(v[j]) for v in keys)
-            if best_key is None or key < best_key:
-                best_key, best_index = key, index[j]
-            if best_key[0] == 0.0:
-                break
-        best = encoder_from_hash(best_index // places % m, p, m)
+        chunks = (np.arange(i, min(i + step, m**nx))[:, None] // places % m for i in range(0, m**nx, step))
+        stop = 0.0
     else:
         rng = np.random.default_rng(seed)
-        for _ in range(ATTEMPTS):
-            enc = encoder_from_hash(rng.integers(0, m, size=nx), p, m)
-            key = rank(enc.defect if objective == "marginal" else enc.output_defect, enc.error_prob)
-            if best_key is None or key < best_key:
-                best, best_key = enc, key
-            if best_key[0] <= eps:
-                break
+
+        def drawn():
+            # one draw per table, so a table's entries do not depend on the
+            # chunking; chunks double from one table, as the scan may end at the first
+            done, n = 0, 1
+            while done < ATTEMPTS:
+                n = min(n, step, ATTEMPTS - done)
+                yield np.array([rng.integers(0, m, size=nx) for _ in range(n)])
+                done, n = done + n, 2 * n
+
+        chunks, stop = drawn(), eps
+    best_key = None
+    for tables in chunks:
+        _, defect, output_defect, error = _score(p, m, tables)
+        lead = defect if objective == "marginal" else output_defect
+        # the guarantee needs BOTH the defect and the decode error small; ranking
+        # by max first stops P_X-fallback rows from gaming the marginal defect
+        keys = np.maximum(lead, error), lead, error
+        # the scan ends at the first table whose key meets ``stop``
+        met = keys[0] <= stop
+        n = int(met.argmax()) + 1 if met.any() else len(tables)
+        j = np.lexsort(tuple(v[:n] for v in keys[::-1]))[0]
+        key = tuple(float(v[j]) for v in keys)
+        if best_key is None or key < best_key:
+            best_key, best_f = key, tables[j].copy()
+        if best_key[0] <= stop:
+            break
+    best = encoder_from_hash(best_f, p, m)
     if best_key[0] > eps:
         best = dataclasses.replace(best, warning=True)
     return best

@@ -201,6 +201,71 @@ class TestExhaustiveSearchBitForBit:
         assert peak < 2**20
 
 
+def loop_random_search(p, m, eps, seed, objective):
+    """The random search as a loop: ATTEMPTS tables drawn one call each,
+    scored by loop_encoder, kept on a strict < of (max, lead, error), stopped
+    at the first key that meets eps.  Also returns the last index scanned."""
+    p = as_pmf(p)
+    rng = np.random.default_rng(seed)
+    best_key = None
+    for i in range(hashing.ATTEMPTS):
+        enc = loop_encoder(rng.integers(0, m, size=p.size), p, m)
+        lead = enc.defect if objective == "marginal" else enc.output_defect
+        key = (max(lead, enc.error_prob), lead, enc.error_prob)
+        if best_key is None or key < best_key:
+            best, best_key = enc, key
+        if best_key[0] <= eps:
+            break
+    return (dataclasses.replace(best, warning=True) if best_key[0] > eps else best), i
+
+
+RANDOM_CASES = [
+    (np.random.default_rng(17).dirichlet(np.ones(17)), 2, 0.05),
+    (np.random.default_rng(24).dirichlet(np.ones(24)), 3, 0.05),
+    (np.random.default_rng(24).dirichlet(np.ones(24)), 3, 0.1),
+    (np.random.default_rng(40).dirichlet(np.ones(40)), 4, 0.1),
+    (np.random.default_rng(40).dirichlet(np.ones(40)), 4, 0.2),
+    (np.random.default_rng(64).dirichlet(np.ones(64)), 2, 0.0),
+    (zero_entries(20, 26), 3, 0.1),
+    # M > |X|: every table has empty preimages, so P_X fallback rows
+    (np.random.default_rng(27).dirichlet(np.ones(5)), 10, 0.5),
+]
+
+
+class TestRandomSearchBitForBit:
+    """The chunked random search returns the per-table loop's encoder (==)."""
+
+    def test_matches_loop(self):
+        stops = set()
+        for p, m, eps in RANDOM_CASES:
+            assert m ** p.size > hashing.EXHAUSTIVE_LIMIT
+            for seed in (1, 2):
+                for objective in ("marginal", "output"):
+                    ref, stop = loop_random_search(p, m, eps, seed, objective)
+                    stops.add(stop)
+                    got = build_classical_hash(p, m, eps, seed=seed, objective=objective)
+                    assert np.array_equal(got.f, ref.f) and got.f.dtype == ref.f.dtype
+                    assert np.array_equal(got.cond, ref.cond)
+                    for field in ("defect", "output_defect", "error_prob", "warning", "px_fallback"):
+                        assert getattr(got, field) == getattr(ref, field)
+        # scans that end at the first table, inside a later chunk, and never
+        assert {0, 63} <= stops and len(stops - {0, 63}) >= 3
+
+    def test_chunks_double_and_build_one_encoder(self, monkeypatch):
+        chunks, calls = [], []
+        score, build = hashing._score, hashing.encoder_from_hash
+        monkeypatch.setattr(hashing, "_score", lambda p, m, tables: chunks.append(len(tables)) or score(p, m, tables))
+        monkeypatch.setattr(hashing, "encoder_from_hash", lambda *args: calls.append(1) or build(*args))
+        p, m, _ = RANDOM_CASES[0]
+        build_classical_hash(p, m, 0.0, seed=1)
+        assert chunks[:-1] == [1, 2, 4, 8, 16, 32, 1] and len(calls) == 1
+        # the loop stops at table 8, in the fourth chunk (tables 7 to 14)
+        assert loop_random_search(p, m, 0.05, 1, "marginal")[1] == 8
+        chunks.clear()
+        build_classical_hash(p, m, 0.05, seed=1)
+        assert chunks[:-1] == [1, 2, 4, 8] and len(calls) == 2
+
+
 def assert_scores_match_loop(p, m, tables):
     """The batched score of every table equals loop_encoder's (==), and so
     does encoder_from_hash, the batch of one."""

@@ -2,6 +2,10 @@
 smooth min-entropies, Holevo information, and the 1-D order optimizer behind
 every sup/inf-over-order rate expression.
 
+The optimizer solves one problem or a batch of them in lockstep: one grid
+scan in blocks of columns, then a golden-section search per problem whose
+steps share one objective call.  Each optimum has the bits it has alone.
+
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
 follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
 """
@@ -95,26 +99,63 @@ def _spectrum(rho) -> np.ndarray:
 
 def renyi_entropy(rho):
     """The order function a -> H^a(rho) = -(1/a) log2 tr rho^(1+a), restricted
-    to the support, from one diagonalization of rho.
+    to the support, from one diagonalization of rho (a DensityMatrix or a 2-D
+    array).
 
     The function takes a nonzero float order and returns a float, or an
     ndarray of orders and returns an ndarray of the same shape; both give the
     same bits at every order.
+
+    ``rho`` may also be a sequence of states (a list, tuple, iterator or
+    stacked array), each diagonalized once.  The order function of P states
+    takes an ndarray of shape (P,) or (P, k), row p for state p, and returns
+    the entropies in that shape; a NaN order gives NaN.  Each entry has the
+    bits of the one-state function: the rows of states with the same support
+    size are summed together, so each sum runs over the same spectrum.
     """
-    lam = _spectrum(rho)
-    lam = lam[lam > 0.0]
+    if isinstance(rho, DensityMatrix) or isinstance(rho, np.ndarray) and rho.ndim == 2:
+        lam = _spectrum(rho)
+        lam = lam[lam > 0.0]
 
-    def entropy(a):
-        vector = isinstance(a, np.ndarray)
-        if (a == 0).any() if vector else a == 0:
+        def entropy(a):
+            vector = isinstance(a, np.ndarray)
+            if (a == 0).any() if vector else a == 0:
+                raise ValueError("invalid order: a must be nonzero")
+            if vector:
+                # one order per contiguous row, summed along it: each row's sum is
+                # the scalar path's sum over the spectrum, bit for bit
+                return -np.log2(np.sum(lam ** (1.0 + a[..., None]), axis=-1)) / a
+            return float(-np.log2(np.sum(lam ** (1.0 + a))) / a)
+
+        return entropy
+
+    # zero-padding the spectra to one width would change numpy's pairwise
+    # summation, so each support size is its own (rows, spectra) stack
+    by_size = {}
+    for p, state in enumerate(rho):
+        lam = _spectrum(state)
+        lam = lam[lam > 0.0]
+        rows, spectra = by_size.setdefault(lam.size, ([], []))
+        rows.append(p)
+        spectra.append(lam)
+    if not by_size:
+        raise ValueError("bad parameter: no states")
+    groups = [(np.array(rows), np.array(spectra)) for rows, spectra in by_size.values()]
+    if len(groups) == 1:
+        groups = [(slice(None), groups[0][1])]  # a view of every row, not a gather
+    del by_size
+
+    def entropies(a):
+        if not a.all():  # some order is zero (NaN counts as nonzero)
             raise ValueError("invalid order: a must be nonzero")
-        if vector:
-            # one order per contiguous row, summed along it: each row's sum is
-            # the scalar path's sum over the spectrum, bit for bit
-            return -np.log2(np.sum(lam ** (1.0 + a[..., None]), axis=-1)) / a
-        return float(-np.log2(np.sum(lam ** (1.0 + a))) / a)
+        out = np.empty(a.shape)
+        for rows, lam in groups:
+            ar = a[rows]
+            lam = lam if ar.ndim == 1 else lam[:, None]
+            out[rows] = -np.log2((lam ** (1.0 + ar[..., None])).sum(axis=-1)) / ar
+        return out
 
-    return entropy
+    return entropies
 
 
 def von_neumann_entropy(rho) -> float:
@@ -227,6 +268,10 @@ SUP_EDGE = 1e-6
 INF_LO = -8.0
 INF_HI = -0.01
 GOLDEN_TOL = 1e-11
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
+#: bytes of objective values per grid block of a batch: 500 problems scan the
+#: 199-point grid 4 orders at a time instead of holding a (500, 199) table
+GRID_BLOCK_BYTES = 16 * 1024
 
 
 @dataclass(frozen=True)
@@ -243,7 +288,7 @@ _FAILURES = (ValueError, ArithmeticError, FloatingPointError)
 def _safe(f):
     """The objective f under the contract of :func:`sup_over_order`, as a
     function that never raises: an ndarray call that raises, or does not
-    return one value per order, is repeated one order at a time."""
+    return one value per order, is repeated one float order at a time."""
 
     # g never refers to itself: a self-referencing closure is a reference
     # cycle, which would keep f's cached eigenvectors until the next garbage
@@ -263,52 +308,160 @@ def _safe(f):
         except (TypeError,) + _FAILURES:
             v = None
         if v is None or v.shape != a.shape:
-            return np.array([one(x) for x in a])
+            return np.array([one(x) for x in a.tolist()])
         return np.where(np.isfinite(v), v, -math.inf)
 
     return g
 
 
-def _golden_max(f, lo: float, hi: float) -> tuple[float, float]:
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+def _safe_batch(f, size: int):
+    """The batch objective f over ``size`` problems under the contract of
+    :func:`sup_over_order`, as a function of an order array of shape (size,)
+    or (size, k) that never raises and gives -inf wherever f raises or is not
+    finite: a call that raises, or does not return one value per order, is
+    repeated one (problem, order) at a time."""
+
+    def one(p, x):
+        a = np.full(size, math.nan)
+        a[p] = x
+        try:
+            v = float(np.asarray(f(a), dtype=float)[p])
+        except (TypeError, IndexError) + _FAILURES:
+            return -math.inf
+        return v if math.isfinite(v) else -math.inf
+
+    def values(a):
+        try:
+            v = np.asarray(f(a), dtype=float)
+        except (TypeError,) + _FAILURES:
+            v = None
+        if v is None or v.shape != a.shape:
+            v = np.full(a.shape, -math.inf)
+            for idx in np.argwhere(~np.isnan(a)):
+                v[tuple(idx)] = one(idx[0], a[tuple(idx)])
+            return v
+        finite = np.isfinite(v)
+        return v if finite.all() else np.where(finite, v, -math.inf)
+
+    return values
+
+
+def _golden(lo: float, hi: float):
+    """Golden-section maximization on [lo, hi] as a generator: it yields each
+    order it needs, is sent the objective's value there, and returns (argmax,
+    max).  The caller decides how orders are evaluated, so that many problems
+    can step together, one objective call per step."""
     a, b = lo, hi
-    c, d = b - invphi * (b - a), a + invphi * (b - a)
-    fc, fd = f(c), f(d)
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc = yield c
+    fd = yield d
     for _ in range(200):
         if b - a <= GOLDEN_TOL:
             break
         if fc >= fd:
             b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
+            c = b - _INVPHI * (b - a)
+            fc = yield c
         else:
             a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    cands = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
+            d = a + _INVPHI * (b - a)
+            fd = yield d
+    flo = yield lo
+    fhi = yield hi
+    cands = [(flo, lo), (fhi, hi), (fc, c), (fd, d)]
     val, arg = max(cands, key=lambda t: t[0])
     return arg, val
 
 
-def _grid_then_golden(g, grid, before_first: float, after_last: float) -> tuple[float, float]:
-    """Maximize g: evaluate the grid in one call, then golden-section refine
-    between the winner's neighbours, one order per call.  A winner at a grid
-    end brackets out to the stand-in ``before_first`` or ``after_last``.  The
-    grid point is kept if the refinement does not beat it.
+def _lockstep_max(scan, at, size: int, grid, before_first: float, after_last: float) -> list:
+    """Maximize ``size`` problems together; returns one (argmax, max) each.
+
+    ``scan(orders)`` gives every problem's values at a block of grid orders,
+    shape (size, k); ``at(rows, orders)`` gives the value of problem
+    ``rows[i]`` at ``orders[i]``.  Neither may raise.  The grid is scanned in
+    blocks of at most GRID_BLOCK_BYTES of values, keeping only each problem's
+    first maximum.  Each problem is then golden-section refined between its
+    winner's neighbours; a winner at a grid end brackets out to the stand-in
+    ``before_first`` or ``after_last``.  Every step calls ``at`` once for all
+    unfinished problems.  The grid point is kept if the refinement does not
+    beat it.
     """
-    vals = g(grid)
-    if not np.any(np.isfinite(vals)):
+    block = max(1, GRID_BLOCK_BYTES // (8 * size))
+    every = np.arange(size)
+    vals = scan(grid[:block])
+    win = np.argmax(vals, axis=1)
+    best = vals[every, win]
+    for j in range(block, grid.size, block):
+        vals = scan(grid[j : j + block])
+        i = np.argmax(vals, axis=1)
+        v = vals[every, i]
+        better = v > best  # strict: a later block's tie keeps the first maximum
+        best[better] = v[better]
+        win[better] = i[better] + j
+    if not np.isfinite(best).all():
         raise ValueError("no finite value")
-    i = int(np.argmax(vals))
-    prev = grid[i - 1] if i > 0 else before_first
-    nxt = grid[i + 1] if i < grid.size - 1 else after_last
-    arg, val = _golden_max(g, float(min(prev, nxt)), float(max(prev, nxt)))
-    if vals[i] > val:
-        arg, val = float(grid[i]), float(vals[i])
-    return arg, val
+    steps = []
+    for i in win.tolist():
+        prev = grid[i - 1] if i > 0 else before_first
+        nxt = grid[i + 1] if i < grid.size - 1 else after_last
+        steps.append(_golden(float(min(prev, nxt)), float(max(prev, nxt))))
+    rows = list(range(size))
+    orders = [next(s) for s in steps]
+    found = [None] * size
+    if size == 1:
+        # a lone problem sends each value straight back: the bookkeeping of
+        # the batch loop below costs about 1 us a step
+        step, order = steps[0], orders[0]
+        try:
+            while True:
+                order = step.send(at(rows, [order])[0])
+        except StopIteration as done:
+            found[0] = done.value
+    else:
+        while rows:
+            live, ahead = [], []
+            for p, v in zip(rows, at(rows, orders)):
+                try:
+                    ahead.append(steps[p].send(v))
+                    live.append(p)
+                except StopIteration as done:
+                    found[p] = done.value
+            rows, orders = live, ahead
+    out = []
+    for p, (arg, val) in enumerate(found):
+        if best[p] > val:
+            arg, val = float(grid[win[p]]), float(best[p])
+        out.append((arg, val))
+    return out
 
 
-def sup_over_order(f) -> OrderOptimum:
+def _optimize(f, batch, grid, before_first: float, after_last: float) -> list:
+    """:func:`_lockstep_max` of one objective (``batch`` None) or of a batch
+    objective over ``batch`` problems, under the contract of
+    :func:`sup_over_order`."""
+    if batch is None:
+        g = _safe(f)
+        return _lockstep_max(
+            lambda orders: g(orders)[None], lambda rows, orders: [g(orders[0])], 1, grid, before_first, after_last
+        )
+    if batch < 1:
+        raise ValueError("bad parameter: a batch needs at least one problem")
+    values = _safe_batch(f, batch)
+
+    def at(rows, orders):
+        if len(rows) == batch:
+            return values(np.array(orders)).tolist()
+        rows = np.array(rows)
+        a = np.full(batch, math.nan)
+        a[rows] = orders
+        return values(a)[rows].tolist()
+
+    return _lockstep_max(
+        lambda orders: values(np.broadcast_to(orders, (batch, orders.size))), at, batch, grid, before_first, after_last
+    )
+
+
+def sup_over_order(f, batch: int | None = None) -> OrderOptimum | list[OrderOptimum]:
     """Maximize f over the open interval ]0, 1[.
 
     The objective ``f`` takes a float order, or an ndarray of orders and
@@ -320,24 +473,44 @@ def sup_over_order(f) -> OrderOptimum:
     open endpoint truncated at 1e-6, so suprema attained in the a -> 0/1
     limits are found and flagged (``boundary``).  Raises ValueError("no
     finite value") if no sample point is finite.
+
+    With ``batch=P``, ``f`` is the objective of P problems at once and the
+    result is a list of P optima.  It takes an ndarray of orders of shape (P,)
+    or (P, k), row p for problem p, and returns values of the same shape; a
+    NaN order marks a problem that needs no value, and its result there is
+    ignored.  The problems advance in lockstep, one call of ``f`` per grid
+    block (GRID_BLOCK_BYTES of values) and per golden step, and each
+    optimum has the bits it would have alone: each problem keeps its own
+    bracket arithmetic in Python floats.  A raising or non-finite entry is
+    re-evaluated one (problem, order) at a time.  Raises ValueError("no
+    finite value") if any problem has no finite grid value.
     """
     grid = np.linspace(SUP_PAD, 1.0 - SUP_PAD, GRID_POINTS)
-    arg, val = _grid_then_golden(_safe(f), grid, SUP_EDGE, 1.0 - SUP_EDGE)
-    boundary = arg <= 2 * SUP_EDGE or arg >= 1.0 - 2 * SUP_EDGE
-    return OrderOptimum(a_star=float(arg), value=float(val), boundary=boundary)
+    opts = [
+        OrderOptimum(a_star=float(arg), value=float(val), boundary=arg <= 2 * SUP_EDGE or arg >= 1.0 - 2 * SUP_EDGE)
+        for arg, val in _optimize(f, batch, grid, SUP_EDGE, 1.0 - SUP_EDGE)
+    ]
+    return opts if batch is not None else opts[0]
 
 
-def inf_over_order(f) -> OrderOptimum:
+def inf_over_order(f, batch: int | None = None) -> OrderOptimum | list[OrderOptimum]:
     """Minimize f over the closed negative-order window [-8, -0.01].
 
-    ``f`` follows the contract of :func:`sup_over_order`: a float order or an
-    ndarray of orders; an exception or a non-finite value at an order leaves
-    that order out of the minimum (it counts as -inf in the maximization of
-    -f).  199 log-spaced points, then golden-section refinement.  The window
-    is fixed; an optimum attained at either end is flagged (``boundary``) so
-    reports can warn that the true inf over a < 0 may lie outside.
+    ``f`` and ``batch`` follow the contract of :func:`sup_over_order`: a float
+    order or an ndarray of orders; an exception or a non-finite value at an
+    order leaves that order out of the minimum (it counts as -inf in the
+    maximization of -f).  199 log-spaced points, then golden-section
+    refinement.  The window is fixed; an optimum attained at either end is
+    flagged (``boundary``) so reports can warn that the true inf over a < 0
+    may lie outside.
     """
     grid = -np.logspace(math.log10(-INF_HI), math.log10(-INF_LO), GRID_POINTS)  # descending
-    arg, val = _grid_then_golden(_safe(lambda a: -f(a)), grid, INF_HI, INF_LO)
-    boundary = arg <= INF_LO * (1 - 1e-9) + 1e-12 or arg >= INF_HI * (1 + 1e-9) - 1e-12
-    return OrderOptimum(a_star=float(arg), value=float(-val), boundary=boundary)
+    opts = [
+        OrderOptimum(
+            a_star=float(arg),
+            value=float(-val),
+            boundary=arg <= INF_LO * (1 - 1e-9) + 1e-12 or arg >= INF_HI * (1 + 1e-9) - 1e-12,
+        )
+        for arg, val in _optimize(lambda a: -f(a), batch, grid, INF_HI, INF_LO)
+    ]
+    return opts if batch is not None else opts[0]

@@ -139,15 +139,22 @@ def experiment_random_code_entropy(
     """
     if dim_a**n > 256:
         raise ValueError("dimension limit: dim_a^n above the recommended cap")
+    if samples < 1:
+        raise ValueError("bad parameter: samples must be at least 1")
+    if m_dim < 1:
+        raise ValueError("bad parameter: m_dim must be at least 1")
     rng = np.random.default_rng(seed)
     total = tensor_power(m, n)
-    vals = []
-    for _ in range(samples):
-        iso = haar_random_subspace(dim_a**n, m_dim, rng)
-        pi = iso.data @ iso.data.conj().T
-        env = complementary_matrix(total, pi / m_dim)
-        vals.append(sup_over_order(renyi_entropy(env)).value)
-    vals = np.array(vals)
+
+    def environments():
+        for _ in range(samples):
+            iso = haar_random_subspace(dim_a**n, m_dim, rng)
+            pi = iso.data @ iso.data.conj().T
+            yield complementary_matrix(total, pi / m_dim)
+
+    # one batch: the samples' optima advance together, one objective call per step
+    opts = sup_over_order(renyi_entropy(environments()), batch=samples)
+    vals = np.array([o.value for o in opts])
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     v = isometric_extension(m)

@@ -51,20 +51,18 @@ def _from_optimum(opt: OrderOptimum, terms: dict) -> RateResult:
 
 
 def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
-    """min_w sup_a [ H^a(rho^w) - (4/a) log2(2/zeta) ]."""
+    """min_w sup_a [ H^a(rho^w) - (4/a) log2(2/zeta) ], every output's sup in
+    one batch (:func:`qstego.info.sup_over_order`)."""
     if not 0.0 < zeta:
         raise ValueError("bad parameter: zeta must be positive")
-    best = None
-    per_w = []
-    for rho in outputs:
-        h = renyi_entropy(rho)
-        opt = sup_over_order(lambda a: h(a) - (4.0 / a) * math.log2(2.0 / zeta))
-        per_w.append(opt.value)
-        if best is None or opt.value < best.value:
-            best = opt
-    if best is None:
+    outputs = list(outputs)
+    if not outputs:
         raise ValueError("bad parameter: no cover outputs")
-    return _from_optimum(best, {"per_w": per_w, "penalty_at_a1": 4.0 * math.log2(2.0 / zeta)})
+    h = renyi_entropy(outputs)
+    penalty = math.log2(2.0 / zeta)
+    opts = sup_over_order(lambda a: h(a) - (4.0 / a) * penalty, batch=len(outputs))
+    best = min(opts, key=lambda o: o.value)
+    return _from_optimum(best, {"per_w": [o.value for o in opts], "penalty_at_a1": 4.0 * penalty})
 
 
 def _once_per_order(f):

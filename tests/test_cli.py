@@ -74,6 +74,17 @@ class TestCli:
         assert cp.returncode == 2
         assert "bad.json:3:" in cp.stderr
 
+    @pytest.mark.parametrize("key", ["samples", "m_dim"])
+    def test_empty_random_code_exits_two(self, tmp_path, key):
+        config = json.loads((CONFIGS / "random_code_demo.json").read_text())
+        config["params"][key] = 0
+        path = tmp_path / "empty.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli(["verify", "random-code", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"{path}: invalid config: bad parameter: {key} must be at least 1" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     def test_kind_mismatch_rejected(self, tmp_path):
         cp = run_cli(
             [

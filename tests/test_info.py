@@ -390,3 +390,192 @@ class TestOrderFunctionsBitForBit:
         samples = 7
         experiment_random_code_entropy(2, 3, 2, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
         assert len(calls) == samples
+
+
+# The one-problem optimizer that the lockstep core replaced, kept verbatim as
+# the reference: grid in one call, then a golden-section loop of its own.
+
+
+def reference_safe(f):
+    def one(a):
+        try:
+            v = f(a)
+        except (ValueError, ArithmeticError, FloatingPointError):
+            return -math.inf
+        return v if math.isfinite(v) else -math.inf
+
+    def g(a):
+        if not isinstance(a, np.ndarray):
+            return one(a)
+        try:
+            v = np.asarray(f(a), dtype=float)
+        except (TypeError, ValueError, ArithmeticError, FloatingPointError):
+            v = None
+        if v is None or v.shape != a.shape:
+            return np.array([one(x) for x in a])
+        return np.where(np.isfinite(v), v, -math.inf)
+
+    return g
+
+
+def reference_golden_max(f, lo, hi):
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = lo, hi
+    c, d = b - invphi * (b - a), a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(200):
+        if b - a <= info.GOLDEN_TOL:
+            break
+        if fc >= fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+    cands = [(f(lo), lo), (f(hi), hi), (fc, c), (fd, d)]
+    val, arg = max(cands, key=lambda t: t[0])
+    return arg, val
+
+
+def reference_grid_then_golden(g, grid, before_first, after_last):
+    vals = g(grid)
+    if not np.any(np.isfinite(vals)):
+        raise ValueError("no finite value")
+    i = int(np.argmax(vals))
+    prev = grid[i - 1] if i > 0 else before_first
+    nxt = grid[i + 1] if i < grid.size - 1 else after_last
+    arg, val = reference_golden_max(g, float(min(prev, nxt)), float(max(prev, nxt)))
+    if vals[i] > val:
+        arg, val = float(grid[i]), float(vals[i])
+    return arg, val
+
+
+def reference_sup(f):
+    arg, val = reference_grid_then_golden(reference_safe(f), SUP_GRID, info.SUP_EDGE, 1.0 - info.SUP_EDGE)
+    boundary = arg <= 2 * info.SUP_EDGE or arg >= 1.0 - 2 * info.SUP_EDGE
+    return info.OrderOptimum(a_star=float(arg), value=float(val), boundary=boundary)
+
+
+def reference_inf(f):
+    arg, val = reference_grid_then_golden(reference_safe(lambda a: -f(a)), INF_GRID, info.INF_HI, info.INF_LO)
+    boundary = arg <= info.INF_LO * (1 - 1e-9) + 1e-12 or arg >= info.INF_HI * (1 + 1e-9) - 1e-12
+    return info.OrderOptimum(a_star=float(arg), value=float(-val), boundary=boundary)
+
+
+def mixed_support_states():
+    """Random, rank-deficient and pure states with support sizes 1 to 17."""
+    rng = np.random.default_rng(31)
+    states = []
+    for d in (1, 2, 3, 5, 8, 9, 12, 17):
+        for rank in sorted({1, max(1, d // 2), d}):
+            g = rng.normal(size=(d, rank)) + 1j * rng.normal(size=(d, rank))
+            a = g @ g.conj().T
+            states.append(DensityMatrix((a + a.conj().T) / (2 * np.trace(a).real)))
+    return states
+
+
+def column(values, a):
+    """Per-problem constants shaped to broadcast against an order array a."""
+    return values.reshape((-1,) + (1,) * (a.ndim - 1))
+
+
+WINDOWS = {"sup": (sup_over_order, reference_sup), "inf": (inf_over_order, reference_inf)}
+
+
+class TestLockstepBitForBit:
+    """A batch of optima equals the one-problem reference optimizer (==)."""
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_renyi_batch(self, window):
+        optimize, reference = WINDOWS[window]
+        states = mixed_support_states()
+        expected = [reference(renyi_entropy(s)) for s in states]
+        assert [optimize(renyi_entropy(s)) for s in states] == expected
+        assert optimize(renyi_entropy(states), batch=len(states)) == expected
+        assert optimize(renyi_entropy(iter(states)), batch=len(states)) == expected
+
+    def test_noiseless_rate_objective(self):
+        states = mixed_support_states()
+        penalty = math.log2(2.0 / 0.3)
+        expected = [reference_sup(lambda a, h=renyi_entropy(s): h(a) - (4.0 / a) * penalty) for s in states]
+        h = renyi_entropy(states)
+        assert sup_over_order(lambda a: h(a) - (4.0 / a) * penalty, batch=len(states)) == expected
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_optima_at_both_window_edges(self, window):
+        optimize, reference = WINDOWS[window]
+        slopes = np.array([1.0, -1.0, 0.5, -2.0, 3.0])
+        expected = [reference(lambda a, s=s: s * a + 0.25) for s in slopes]
+        assert {o.boundary for o in expected} == {True}
+        assert len({o.a_star for o in expected}) == 2
+        assert [optimize(lambda a, s=s: s * a + 0.25) for s in slopes] == expected
+        assert optimize(lambda a: column(slopes, a) * a + 0.25, batch=slopes.size) == expected
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_raising_and_nonfinite_orders(self, window):
+        optimize, reference = WINDOWS[window]
+        sign = 1.0 if window == "sup" else -1.0
+        # problem p peaks at centers[p]; orders inside holes[p] raise, orders
+        # past cuts[p] (in |a|) give nan and orders below floors[p] give inf
+        centers = sign * np.array([0.4, 0.65, 0.2, 0.9, 0.5])
+        holes = sign * np.array([[0.35, 0.45], [2.0, 2.0], [0.05, 0.1], [0.5, 0.95], [2.0, 2.0]])
+        holes.sort(axis=1)
+        cuts = np.array([2.0, 0.6, 2.0, 2.0, 0.55])
+        floors = np.array([0.0, 0.1, 0.0, 0.0, 0.3])
+
+        def one(p):
+            def f(a):
+                if holes[p, 0] <= a <= holes[p, 1]:
+                    raise ValueError("hole")
+                if abs(a) > cuts[p]:
+                    return math.nan
+                if abs(a) < floors[p]:
+                    return math.inf
+                return sign * -((a - centers[p]) * (a - centers[p]))
+
+            return f
+
+        def batch(a):
+            live = ~np.isnan(a)
+            if (live & (column(holes[:, 0], a) <= a) & (a <= column(holes[:, 1], a))).any():
+                raise ValueError("hole")
+            v = sign * -((a - column(centers, a)) * (a - column(centers, a)))
+            v = np.where(np.abs(a) > column(cuts, a), math.nan, v)
+            return np.where(np.abs(a) < column(floors, a), math.inf, v)
+
+        expected = [reference(one(p)) for p in range(centers.size)]
+        assert [optimize(one(p)) for p in range(centers.size)] == expected
+        assert optimize(batch, batch=centers.size) == expected
+
+    def test_batch_without_finite_value_raises(self):
+        with pytest.raises(ValueError, match="no finite value"):
+            sup_over_order(lambda a: np.where(column(np.array([0.0, 1.0]), a) > 0, math.nan, a), batch=2)
+
+    def test_batch_calls_the_objective_about_as_often_as_one_problem(self):
+        rng = np.random.default_rng(32)
+        states = [random_density(rng, d) for d in rng.integers(1, 9, size=200)]
+        calls = []
+
+        def counted(h):
+            def f(a):
+                calls.append(1)
+                return h(a)
+
+            return f
+
+        single = []
+        for s in states:
+            calls.clear()
+            sup_over_order(counted(renyi_entropy(s)))
+            single.append(len(calls))
+        calls.clear()
+        sup_over_order(counted(renyi_entropy(states)), batch=len(states))
+        assert len(calls) <= 2 * max(single) < len(states)
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="bad parameter"):
+            sup_over_order(lambda a: a, batch=0)
+        with pytest.raises(ValueError, match="bad parameter"):
+            renyi_entropy([])

@@ -1,13 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from qstego.channels import identity_channel
+from qstego.channels import identity_channel, standard_channel
 from qstego.fixtures import repetition_qc_cover
 from qstego.info import Pmf
 from qstego.linalg import HermitianOperator, Povm, basis_state
-from qstego.protocols import verify_gentle_composition, verify_pj_minentropy_bound
+from qstego.protocols import experiment_random_code_entropy, verify_gentle_composition, verify_pj_minentropy_bound
 
 from .test_linalg import random_density
 
@@ -110,3 +111,23 @@ class TestPjMinEntropyBound:
         assert rep.holds
         assert rep.lhs == pytest.approx(-math.log2(0.5), abs=1e-9)
         assert rep.rhs == pytest.approx(-math.log2(0.5), abs=1e-9)
+
+
+class TestRandomCodeEntropy:
+    @pytest.mark.parametrize("samples, m_dim", [(0, 2), (-1, 2), (3, 0)], ids=["no-samples", "negative-samples", "no-m-dim"])
+    def test_empty_input_rejected(self, samples, m_dim):
+        with pytest.raises(ValueError, match="bad parameter"):
+            experiment_random_code_entropy(2, 2, m_dim, standard_channel("dephasing", 0.5), samples=samples, delta=0.5)
+
+    def test_peak_memory_of_a_large_batch(self):
+        # the batch keeps each sample's spectrum and grid winner, never a
+        # (samples, 199) table of grid values (0.76 MiB at 500 samples)
+        m = standard_channel("dephasing", 0.5)
+        experiment_random_code_entropy(2, 3, 2, m, samples=5, delta=0.5, seed=0)
+        tracemalloc.start()
+        try:
+            experiment_random_code_entropy(2, 3, 2, m, samples=500, delta=0.5, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * 2**20

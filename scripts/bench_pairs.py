@@ -8,9 +8,10 @@ once in each checkout, one run after the other; the parent runs first in the
 first half of the pairs and second in the rest, so a drift of the machine
 over the whole run does not favour one side.  For every end-to-end metric of
 the change's ``BENCHMARK.json`` it prints each side's median and quartiles
-(q1-q3), the median ratio change/parent, and in how many of the pairs the
-change read lower ("lower in k of n"; ties count for neither).  A run that
-is not ``correct`` stops the script with exit code 1.
+(q1-q3), the median ratio change/parent, in how many of the pairs the
+change read lower ("lower in k of n"; ties count for neither), the metric's
+relative ``bound`` and a verdict (see :func:`verdict`).  A run that is not
+``correct`` stops the script with exit code 1.
 """
 
 from __future__ import annotations
@@ -42,6 +43,20 @@ def quartiles(values: list) -> tuple:
     return q1, med, q3
 
 
+def verdict(parent: list, change: list, bound: float) -> str:
+    """"worse" when the change's median exceeds the parent's by more than
+    ``bound`` times the parent's median; "unresolved" when the parent's spread
+    (q3 - q1) exceeds ``bound`` times its median and not every change run is
+    lower than every parent run; otherwise "within bound".  Lower is better,
+    as for every end-to-end metric of ``BENCHMARK.json``."""
+    (p1, pm, p3), (_, cm, _) = quartiles(parent), quartiles(change)
+    if cm - pm > bound * pm:
+        return "worse"
+    if p3 - p1 > bound * pm and not max(change) < min(parent):
+        return "unresolved"
+    return "within bound"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -54,6 +69,7 @@ def main(argv=None) -> int:
     roots = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     bench = json.loads((roots["change"] / "BENCHMARK.json").read_text())
     metrics = [(m["name"], m["unit"]) for m in bench["end_to_end"]]
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
 
     values = {side: {name: [] for name, _ in metrics} for side in roots}
     for i in range(args.pairs):
@@ -74,7 +90,8 @@ def main(argv=None) -> int:
         lower = sum(c < p for p, c in zip(parent, change))
         ratio = cm / pm if pm else float("nan")
         print(f"  {name:12s} parent {pm:.4g} {unit} (q1-q3 {p1:.4g}-{p3:.4g})  change {cm:.4g} {unit} "
-              f"(q1-q3 {c1:.4g}-{c3:.4g})  ratio {ratio:.3f}  lower in {lower} of {args.pairs}")
+              f"(q1-q3 {c1:.4g}-{c3:.4g})  ratio {ratio:.3f}  lower in {lower} of {args.pairs}  "
+              f"bound {bounds[name]:g}: {verdict(parent, change, bounds[name])}")
     return 0
 
 

@@ -52,6 +52,9 @@ def main(argv=None) -> int:
     except json.JSONDecodeError as exc:
         print(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
+    if not isinstance(config, dict):
+        print(f"{path}:1:1: config must be a JSON object", file=sys.stderr)
+        return 2
     kind = f"{args.group}/{args.kind}"
     declared = config.get("kind")
     if declared is not None and declared != kind:

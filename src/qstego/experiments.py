@@ -201,22 +201,13 @@ def _run_rates_gaussian(
     n, r, zeta = int(n), int(r), float(zeta)
     nu0s = _grid(nu0_grid)
     nu1s = _grid(nu1_grid)
+    points = [(nu0, nu1) for nu0 in nu0s for nu1 in nu1s]
     rows = []
     table = {}
-    for nu0 in nu0s:
-        for nu1 in nu1s:
-            res = rate_gaussian(nu0, nu1, n=n, r=r, zeta=zeta)
-            table[(nu0, nu1)] = res.value
-            rows.append(
-                {
-                    "nu0": nu0,
-                    "nu1": nu1,
-                    "rate_bits": res.value,
-                    "raw": res.raw,
-                    "a_star": res.a_star,
-                    "boundary": res.boundary,
-                }
-            )
+    for (nu0, nu1), res in zip(points, rate_gaussian(points, n=n, r=r, zeta=zeta)):
+        table[(nu0, nu1)] = res.value
+        rows.append({"nu0": nu0, "nu1": nu1, "rate_bits": res.value, "raw": res.raw, "a_star": res.a_star,
+                     "boundary": res.boundary})
     flags = {}
     if 1.0 in nu0s and 1.0 in nu1s:
         flags["zero_at_vacuum"] = table[(1.0, 1.0)] == 0.0
@@ -583,6 +574,8 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     kind, config_seed, params = _call("config", read, **config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
+    if not isinstance(params, dict):
+        raise TypeError(f"{kind} params: must be a JSON object")
     use_seed = int(config_seed) if seed is None else int(seed)
     columns, rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], use_seed, **params)
     return ExperimentResult(

@@ -2,9 +2,11 @@
 smooth min-entropies, Holevo information, and the 1-D order optimizer behind
 every sup/inf-over-order rate expression.
 
-The optimizer solves one problem or a batch of them in lockstep: one grid
-scan in blocks of columns, then a golden-section search per problem whose
-steps share one objective call.  Each optimum has the bits it has alone.
+The optimizer solves a batch of problems in lockstep: one grid scan in
+blocks of columns, then a golden-section search per problem whose steps
+share one objective call.  Its one objective contract is a batch objective
+of an order array, row p for problem p; :func:`each` makes one of per-problem
+float-order functions.  Each optimum has the bits it has alone.
 
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
 follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
@@ -285,63 +287,29 @@ class OrderOptimum:
 _FAILURES = (ValueError, ArithmeticError, FloatingPointError)
 
 
-def _safe(f):
-    """The objective f under the contract of :func:`sup_over_order`, as a
-    function that never raises: an ndarray call that raises, or does not
-    return one value per order, is repeated one float order at a time."""
-
-    # g never refers to itself: a self-referencing closure is a reference
-    # cycle, which would keep f's cached eigenvectors until the next garbage
-    # collection (1.5 MB more peak RSS on the large-d benchmark)
-    def one(a):
-        try:
-            v = f(a)
-        except _FAILURES:
-            return -math.inf
-        return v if math.isfinite(v) else -math.inf
-
-    def g(a):
-        if not isinstance(a, np.ndarray):
-            return one(a)
-        try:
-            v = np.asarray(f(a), dtype=float)
-        except (TypeError,) + _FAILURES:
-            v = None
-        if v is None or v.shape != a.shape:
-            return np.array([one(x) for x in a.tolist()])
-        return np.where(np.isfinite(v), v, -math.inf)
-
-    return g
+def _one(f, x: float) -> float:
+    if x != x:  # NaN: this problem needs no value
+        return math.nan
+    try:
+        return f(x)
+    except _FAILURES:
+        return -math.inf
 
 
-def _safe_batch(f, size: int):
-    """The batch objective f over ``size`` problems under the contract of
-    :func:`sup_over_order`, as a function of an order array of shape (size,)
-    or (size, k) that never raises and gives -inf wherever f raises or is not
-    finite: a call that raises, or does not return one value per order, is
-    repeated one (problem, order) at a time."""
+def each(fs):
+    """The batch objective of the one-problem order functions ``fs``, for
+    :func:`sup_over_order` and :func:`inf_over_order`: entry (p, j) of an
+    order array of shape (P,) or (P, k) is ``fs[p]`` at that order as a Python
+    float, NaN at a NaN order, and -inf where ``fs[p]`` raises."""
+    fs = tuple(fs)
 
-    def one(p, x):
-        a = np.full(size, math.nan)
-        a[p] = x
-        try:
-            v = float(np.asarray(f(a), dtype=float)[p])
-        except (TypeError, IndexError) + _FAILURES:
-            return -math.inf
-        return v if math.isfinite(v) else -math.inf
-
+    # no closure here refers to itself or stores an exception: a reference
+    # cycle would keep the functions' cached eigenvectors until the next
+    # garbage collection (1.5 MB more peak RSS on the large-d benchmark)
     def values(a):
-        try:
-            v = np.asarray(f(a), dtype=float)
-        except (TypeError,) + _FAILURES:
-            v = None
-        if v is None or v.shape != a.shape:
-            v = np.full(a.shape, -math.inf)
-            for idx in np.argwhere(~np.isnan(a)):
-                v[tuple(idx)] = one(idx[0], a[tuple(idx)])
-            return v
-        finite = np.isfinite(v)
-        return v if finite.all() else np.where(finite, v, -math.inf)
+        if a.ndim == 1:
+            return np.array([_one(f, x) for f, x in zip(fs, a.tolist())])
+        return np.array([[_one(f, x) for x in row] for f, row in zip(fs, a.tolist())])
 
     return values
 
@@ -408,25 +376,15 @@ def _lockstep_max(scan, at, size: int, grid, before_first: float, after_last: fl
     rows = list(range(size))
     orders = [next(s) for s in steps]
     found = [None] * size
-    if size == 1:
-        # a lone problem sends each value straight back: the bookkeeping of
-        # the batch loop below costs about 1 us a step
-        step, order = steps[0], orders[0]
-        try:
-            while True:
-                order = step.send(at(rows, [order])[0])
-        except StopIteration as done:
-            found[0] = done.value
-    else:
-        while rows:
-            live, ahead = [], []
-            for p, v in zip(rows, at(rows, orders)):
-                try:
-                    ahead.append(steps[p].send(v))
-                    live.append(p)
-                except StopIteration as done:
-                    found[p] = done.value
-            rows, orders = live, ahead
+    while rows:
+        live, ahead = [], []
+        for p, v in zip(rows, at(rows, orders)):
+            try:
+                ahead.append(steps[p].send(v))
+                live.append(p)
+            except StopIteration as done:
+                found[p] = done.value
+        rows, orders = live, ahead
     out = []
     for p, (arg, val) in enumerate(found):
         if best[p] > val:
@@ -435,18 +393,19 @@ def _lockstep_max(scan, at, size: int, grid, before_first: float, after_last: fl
     return out
 
 
-def _optimize(f, batch, grid, before_first: float, after_last: float) -> list:
-    """:func:`_lockstep_max` of one objective (``batch`` None) or of a batch
-    objective over ``batch`` problems, under the contract of
-    :func:`sup_over_order`."""
-    if batch is None:
-        g = _safe(f)
-        return _lockstep_max(
-            lambda orders: g(orders)[None], lambda rows, orders: [g(orders[0])], 1, grid, before_first, after_last
-        )
+def _optimize(f, batch: int, grid, before_first: float, after_last: float) -> list:
+    """:func:`_lockstep_max` of a batch objective over ``batch`` problems,
+    under the contract of :func:`sup_over_order`: a value that is not finite
+    counts as -inf."""
     if batch < 1:
         raise ValueError("bad parameter: a batch needs at least one problem")
-    values = _safe_batch(f, batch)
+
+    def values(a):
+        v = np.asarray(f(a), dtype=float)
+        if v.shape != a.shape:
+            raise ValueError(f"bad objective: values of shape {v.shape} for orders of shape {a.shape}")
+        finite = np.isfinite(v)
+        return v if finite.all() else np.where(finite, v, -math.inf)
 
     def at(rows, orders):
         if len(rows) == batch:
@@ -461,51 +420,47 @@ def _optimize(f, batch, grid, before_first: float, after_last: float) -> list:
     )
 
 
-def sup_over_order(f, batch: int | None = None) -> OrderOptimum | list[OrderOptimum]:
-    """Maximize f over the open interval ]0, 1[.
+def sup_over_order(f, batch: int) -> list[OrderOptimum]:
+    """Maximize each of ``batch`` problems over the open interval ]0, 1[;
+    returns one optimum per problem.
 
-    The objective ``f`` takes a float order, or an ndarray of orders and
-    returns one value per order; one that handles only floats is evaluated
-    one order at a time.  An exception or a non-finite value counts as -inf
-    at that order.  Grid search (199 points on [0.005, 0.995], one call)
-    followed by golden-section refinement around the best point.  When the
-    grid winner sits at a grid end, the refinement bracket extends to the
-    open endpoint truncated at 1e-6, so suprema attained in the a -> 0/1
-    limits are found and flagged (``boundary``).  Raises ValueError("no
-    finite value") if no sample point is finite.
+    ``f`` is the objective of the P = ``batch`` problems at once: it takes an
+    ndarray of orders of shape (P,) or (P, k), row p for problem p, and
+    returns values of the same shape (:func:`each` makes one of P float-order
+    functions).  A NaN order marks a problem that needs no value, and its
+    value there is ignored; a non-finite value counts as -inf at that order.
+    Grid search (199 points on [0.005, 0.995]) followed by golden-section
+    refinement around each problem's best point.  When the grid winner sits
+    at a grid end, the refinement bracket extends to the open endpoint
+    truncated at 1e-6, so suprema attained in the a -> 0/1 limits are found
+    and flagged (``boundary``).
 
-    With ``batch=P``, ``f`` is the objective of P problems at once and the
-    result is a list of P optima.  It takes an ndarray of orders of shape (P,)
-    or (P, k), row p for problem p, and returns values of the same shape; a
-    NaN order marks a problem that needs no value, and its result there is
-    ignored.  The problems advance in lockstep, one call of ``f`` per grid
-    block (GRID_BLOCK_BYTES of values) and per golden step, and each
-    optimum has the bits it would have alone: each problem keeps its own
-    bracket arithmetic in Python floats.  A raising or non-finite entry is
-    re-evaluated one (problem, order) at a time.  Raises ValueError("no
-    finite value") if any problem has no finite grid value.
+    The problems advance in lockstep, one call of ``f`` per grid block
+    (GRID_BLOCK_BYTES of values) and per golden step, and each optimum has
+    the bits it would have alone: each problem keeps its own bracket
+    arithmetic in Python floats.  Raises ValueError("no finite value") if any
+    problem has no finite grid value.
     """
     grid = np.linspace(SUP_PAD, 1.0 - SUP_PAD, GRID_POINTS)
-    opts = [
+    return [
         OrderOptimum(a_star=float(arg), value=float(val), boundary=arg <= 2 * SUP_EDGE or arg >= 1.0 - 2 * SUP_EDGE)
         for arg, val in _optimize(f, batch, grid, SUP_EDGE, 1.0 - SUP_EDGE)
     ]
-    return opts if batch is not None else opts[0]
 
 
-def inf_over_order(f, batch: int | None = None) -> OrderOptimum | list[OrderOptimum]:
-    """Minimize f over the closed negative-order window [-8, -0.01].
+def inf_over_order(f, batch: int) -> list[OrderOptimum]:
+    """Minimize each of ``batch`` problems over the closed negative-order
+    window [-8, -0.01]; returns one optimum per problem.
 
-    ``f`` and ``batch`` follow the contract of :func:`sup_over_order`: a float
-    order or an ndarray of orders; an exception or a non-finite value at an
-    order leaves that order out of the minimum (it counts as -inf in the
-    maximization of -f).  199 log-spaced points, then golden-section
-    refinement.  The window is fixed; an optimum attained at either end is
-    flagged (``boundary``) so reports can warn that the true inf over a < 0
-    may lie outside.
+    ``f`` and ``batch`` follow the contract of :func:`sup_over_order`; a
+    non-finite value at an order leaves that order out of the minimum (it
+    counts as -inf in the maximization of -f).  199 log-spaced points, then
+    golden-section refinement.  The window is fixed; an optimum attained at
+    either end is flagged (``boundary``) so reports can warn that the true
+    inf over a < 0 may lie outside.
     """
     grid = -np.logspace(math.log10(-INF_HI), math.log10(-INF_LO), GRID_POINTS)  # descending
-    opts = [
+    return [
         OrderOptimum(
             a_star=float(arg),
             value=float(-val),
@@ -513,4 +468,3 @@ def inf_over_order(f, batch: int | None = None) -> OrderOptimum | list[OrderOpti
         )
         for arg, val in _optimize(lambda a: -f(a), batch, grid, INF_HI, INF_LO)
     ]
-    return opts if batch is not None else opts[0]

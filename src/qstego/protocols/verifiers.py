@@ -112,7 +112,7 @@ def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundR
     # structural gate: raises unless the code splits as QC_R
     orthogonalize_correctable_kraus(code.channel, code.correctable, code.projector)
     env = complementary_matrix(code.channel, code.projector / code.m)
-    opt = sup_over_order(renyi_entropy(env))
+    [opt] = sup_over_order(renyi_entropy([env]), batch=1)
     rhs = code.n * (shannon_entropy(p) - delta)
     return BoundReport(
         lhs=opt.value,

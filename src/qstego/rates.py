@@ -18,6 +18,7 @@ from .channels import QuantumChannel, apply, tensor_power
 from .info import (
     CqState,
     OrderOptimum,
+    each,
     inf_over_order,
     renyi_entropy,
     renyi_mi_down,
@@ -97,7 +98,8 @@ def rate_cc_noisy(
     nu_tols=(1e-8,),
 ) -> list[tuple[RateResult, RateResult]]:
     """Cypher and key rates for the noisy construction, one (cypher, key)
-    pair per distinct-eigenvalue tolerance in ``nu_tols``.
+    pair per distinct-eigenvalue tolerance in ``nu_tols`` (an empty list for
+    none).
 
     ``side_outputs`` are the output-side cq states sigma^w_XB.  The cypher
     rate is min_w sup_a [ Iup_a - (1/a) log2 nu(sigma_X (x) sigma_B) -
@@ -108,13 +110,17 @@ def rate_cc_noisy(
     the 1e-10 Hermiticity check (large negative powers of nearly singular
     states) is skipped without a flag, as is any order whose expression
     raises or is not finite.  Distinct-eigenvalue counts nu use each
-    tolerance in turn; only the log2 nu terms depend on it, so each side
-    state's Iup and Idown are built once and evaluated once per order (every
-    tolerance after the first reads its grid from that store), and each
-    matrix is diagonalized once for its nu at every tolerance.
+    tolerance in turn; only the log2 nu terms depend on it.  Every (tolerance,
+    side) sup is one problem of one :func:`qstego.info.each` batch, and every
+    inf one problem of another.  Each side state's Iup and Idown are built
+    once and evaluated once per order, a store the problems of every
+    tolerance share, and each matrix is diagonalized once for its nu at every
+    tolerance.
     """
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
+    if not nu_tols:
+        return []
     sides = []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()
@@ -122,36 +128,27 @@ def rate_cc_noisy(
         mi_up, mi_down = _once_per_order(renyi_mi_up(sigma)), _once_per_order(renyi_mi_down(sigma))
         nus = zip(distinct_eigenvalue_counts(ref, nu_tols), distinct_eigenvalue_counts(rho_b, nu_tols))
         sides.append((mi_up, mi_down, list(nus)))
-    results = []
-    for i, nu_tol in enumerate(nu_tols):
-        mbar_opts = []
-        key_vals = []
-        per_w_m = []
-        per_w_k = []
+    zeta_term, xi_term = math.log2(12.0 / zeta), math.log2(12.0 / xi)
+    w = len(sides)
+    cypher_fs, key_fs = [], []  # problem i * w + s is side s at tolerance i
+    for i in range(len(nu_tols)):
         for mi_up, mi_down, nus in sides:
             nu_ref, nu_b = nus[i]
-            opt_m = sup_over_order(
-                lambda a: mi_up(a)
-                - math.log2(nu_ref) / a
-                - (4.0 / a) * math.log2(12.0 / zeta)
-            )
-            mbar_opts.append(opt_m)
-            per_w_m.append(opt_m.value)
-            opt_k = inf_over_order(
-                lambda a: mi_down(a)
-                + math.log2(nu_b)
-                + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
-            )
-            key_vals.append((opt_k, opt_k.value - opt_m.value + 1.0))
-            per_w_k.append(opt_k.value - opt_m.value + 1.0)
-        best_m = min(mbar_opts, key=lambda o: o.value)
-        worst_key, worst_val = max(key_vals, key=lambda t: t[1])
-        mbar = _from_optimum(best_m, {"per_w": per_w_m, "nu_tol": nu_tol})
+            cypher_fs.append(lambda a, f=mi_up, c=math.log2(nu_ref): f(a) - c / a - (4.0 / a) * zeta_term)
+            key_fs.append(lambda a, f=mi_down, c=math.log2(nu_b): f(a) + c + (2.0 - 2.0 / a) * xi_term)
+    cyphers = sup_over_order(each(cypher_fs), batch=len(cypher_fs))
+    keys = inf_over_order(each(key_fs), batch=len(key_fs))
+    results = []
+    for i, nu_tol in enumerate(nu_tols):
+        opts_m, opts_k = cyphers[i * w : (i + 1) * w], keys[i * w : (i + 1) * w]
+        per_w_k = [k.value - m.value + 1.0 for m, k in zip(opts_m, opts_k)]
+        worst = max(range(w), key=per_w_k.__getitem__)  # the first of equal maxima
+        mbar = _from_optimum(min(opts_m, key=lambda o: o.value), {"per_w": [o.value for o in opts_m], "nu_tol": nu_tol})
         key = RateResult(
-            raw=worst_val,
-            a_star=worst_key.a_star,
+            raw=per_w_k[worst],
+            a_star=opts_k[worst].a_star,
             terms={"per_w": per_w_k, "nu_tol": nu_tol},
-            boundary=worst_key.boundary,
+            boundary=opts_k[worst].boundary,
         )
         results.append((mbar, key))
     return results
@@ -181,17 +178,25 @@ def gaussian_renyi_term(a, nu0: float, nu1: float, n: int, r: int):
     return -((n - r) * log2(eta(1.0 + a, nu0)) + r * log2(eta(1.0 + a, nu1))) / a
 
 
-def rate_gaussian(nu0: float, nu1: float, n: int, r: int, zeta: float) -> RateResult:
-    """sup_a -[ (n-r) log2 eta_{1+a}(nu0) + r log2 eta_{1+a}(nu1) ]/a - (4/a) log2(2/zeta)."""
-    if nu0 < 1.0 or nu1 < 1.0:
+def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
+    """sup_a -[ (n-r) log2 eta_{1+a}(nu0) + r log2 eta_{1+a}(nu1) ]/a - (4/a) log2(2/zeta)
+    at each (nu0, nu1) of ``points``, one RateResult per point.
+
+    Every point's sup is one problem of one :func:`qstego.info.each` batch,
+    so each order reaches :func:`gaussian_renyi_term` as a float, on its
+    ``math.log2`` path.
+    """
+    points = list(points)
+    if any(nu0 < 1.0 or nu1 < 1.0 for nu0, nu1 in points):
         raise ValueError("invalid symplectic eigenvalue")
     if not 0 <= r <= n:
         raise ValueError("bad parameter: need 0 <= r <= n")
-    # float(a): one order at a time, on gaussian_renyi_term's scalar path
-    opt = sup_over_order(
-        lambda a: gaussian_renyi_term(float(a), nu0, nu1, n, r) - (4.0 / a) * math.log2(2.0 / zeta)
-    )
-    return _from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r})
+    if not points:
+        return []
+    penalty = math.log2(2.0 / zeta)
+    fs = [lambda a, x=nu0, y=nu1: gaussian_renyi_term(a, x, y, n, r) - (4.0 / a) * penalty for nu0, nu1 in points]
+    opts = sup_over_order(each(fs), batch=len(points))
+    return [_from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r}) for opt, (nu0, nu1) in zip(opts, points)]
 
 
 def rate_product_structure(

@@ -172,6 +172,23 @@ class TestExitCodes:
         assert f"{path}: invalid config:" in cp.stderr
         assert "Traceback" not in cp.stderr
 
+    def test_config_not_an_object_exits_two(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]")
+        cp = run_cli(["verify", "sutherland", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert cp.stderr == f"{path}:1:1: config must be a JSON object\n"
+
+    def test_params_not_an_object_exits_two(self, tmp_path):
+        config = json.loads((CONFIGS / "sutherland_demo.json").read_text())
+        config["params"] = [1, 2]
+        path = tmp_path / "params_list.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli(["verify", "sutherland", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"{path}: invalid config: verify/sutherland params: must be a JSON object" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     @pytest.mark.parametrize(
         "config_name, key",
         [("stego_cc_noiseless_demo.json", "atempts"), ("stego_cc_noisy_demo.json", "trials")],

@@ -67,6 +67,20 @@ class TestRunners:
         assert res.all_ok
         assert render_csv(res) == "nu0,nu1,rate_bits,raw,a_star,boundary\n"
 
+    def test_no_tolerances_header_only(self):
+        params = {
+            "n_true": {"kind": "dephasing", "p": 0.2},
+            "m": {"kind": "dephasing", "p": 0.1},
+            "codewords": ["plus", "minus"],
+            "zeta": 0.1,
+            "xi": 0.1,
+            "nu_tols": [],
+        }
+        res = run_experiment({"kind": "rates/cc-noisy", "params": params})
+        assert res.rows == []
+        assert res.all_ok
+        assert render_csv(res) == "nu_tol,log_mbar_raw,log_mbar,log_kbar_raw,log_kbar,a_star_m,a_star_k,boundary\n"
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize(

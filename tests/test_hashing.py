@@ -13,7 +13,7 @@ import pytest
 
 from qstego import hashing
 from qstego.hashing import build_classical_hash, build_quantum_hash, encoder_from_hash
-from qstego.info import as_pmf, renyi_entropy, sup_over_order
+from qstego.info import as_pmf, each, renyi_entropy, sup_over_order
 from qstego.linalg import DensityMatrix, trace_norm
 
 
@@ -68,8 +68,8 @@ class TestClassicalHash:
         for _ in range(200):
             p = rng.dirichlet(np.full(8, 4.0))
             bound = sup_over_order(
-                lambda a: renyi_entropy(np.diag(p))(a) - (4.0 / a) * math.log2(2.0 / eps)
-            ).value
+                each([lambda a: renyi_entropy(np.diag(p))(a) - (4.0 / a) * math.log2(2.0 / eps)]), batch=1
+            )[0].value
             m = max(1, int(math.floor(2.0**bound)))
             trials += 1
             enc = build_classical_hash(p, m, eps, seed=int(rng.integers(1 << 31)))

@@ -1,3 +1,4 @@
+import gc
 import math
 from functools import reduce
 
@@ -10,6 +11,7 @@ from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import (
     CqState,
     Pmf,
+    each,
     holevo_information,
     inf_over_order,
     renyi_entropy,
@@ -199,13 +201,19 @@ class TestEntropyAndHolevo:
         assert holevo_information(cq) == pytest.approx(1 - h2, abs=1e-10)
 
 
+def one_problem(optimize, f):
+    """The optimum of the lone problem f, through the batch objective of :func:`info.each`."""
+    [opt] = optimize(each([f]), batch=1)
+    return opt
+
+
 class TestOrderOptimizer:
     def test_constant(self):
-        res = sup_over_order(lambda a: 3.25)
+        res = one_problem(sup_over_order, lambda a: 3.25)
         assert res.value == pytest.approx(3.25, abs=1e-12)
 
     def test_monotone_boundary(self):
-        res = sup_over_order(lambda a: -1.0 / a)
+        res = one_problem(sup_over_order, lambda a: -1.0 / a)
         assert res.value == pytest.approx(-1.0, abs=1e-3)
         assert res.boundary
 
@@ -216,7 +224,7 @@ class TestOrderOptimizer:
         def f(a):
             return 1.0 - (4.0 / a) * math.log2(2.0 / zeta)
 
-        res = sup_over_order(f)
+        res = one_problem(sup_over_order, f)
         dense = np.linspace(1e-6, 1 - 1e-6, 100_000)
         oracle = max(f(a) for a in dense)
         assert abs(res.value - oracle) < 1e-6
@@ -228,33 +236,33 @@ class TestOrderOptimizer:
         def f(a):
             return c[0] + c[1] * a + c[2] * a * a + c[3] * math.sin(3 * a)
 
-        res = sup_over_order(f)
+        res = one_problem(sup_over_order, f)
         for a in np.linspace(0.005, 0.995, 199):
             assert res.value >= f(a) - 1e-12
 
     def test_no_finite_value(self):
         with pytest.raises(ValueError, match="no finite value"):
-            sup_over_order(lambda a: math.nan)
+            one_problem(sup_over_order, lambda a: math.nan)
 
     def test_sup_at_lower_edge(self):
-        res = sup_over_order(lambda a: -a)
+        res = one_problem(sup_over_order, lambda a: -a)
         assert res.a_star == pytest.approx(1e-6, abs=1e-9)
         assert res.value == pytest.approx(-1e-6, abs=1e-9)
         assert res.boundary
 
     def test_inf_over_order_interior(self):
-        res = inf_over_order(lambda a: (a + 2.0) ** 2)
+        res = one_problem(inf_over_order, lambda a: (a + 2.0) ** 2)
         assert res.value == pytest.approx(0.0, abs=1e-9)
         assert res.a_star == pytest.approx(-2.0, abs=1e-4)
         assert not res.boundary
 
     def test_inf_over_order_boundary_flag(self):
-        res = inf_over_order(lambda a: a)
+        res = one_problem(inf_over_order, lambda a: a)
         assert res.boundary
         assert res.value == pytest.approx(-8.0, abs=1e-9)
 
     def test_inf_over_order_upper_edge_flagged(self):
-        res = inf_over_order(lambda a: -a)
+        res = one_problem(inf_over_order, lambda a: -a)
         assert res.a_star == pytest.approx(-0.01, abs=1e-9)
         assert res.value == pytest.approx(0.01, abs=1e-9)
         assert res.boundary
@@ -359,7 +367,7 @@ class TestOrderFunctionsBitForBit:
             ref = outcomes(lambda a: reference_renyi_entropy(rho, a), grid)
             assert outcomes(h, grid) == ref
             assert h(grid).tolist() == ref
-            assert info._safe(h)(grid).tolist() == as_scanned(ref)
+            assert each([h])(grid[None])[0].tolist() == as_scanned(ref)
 
     @pytest.mark.parametrize("grid", [SUP_GRID, INF_GRID], ids=["sup", "inf"])
     def test_mutual_informations(self, grid):
@@ -368,7 +376,7 @@ class TestOrderFunctionsBitForBit:
                 f = factory(cq)
                 ref = outcomes(lambda a: reference(cq, a), grid)
                 assert outcomes(f, grid) == ref
-                assert info._safe(f)(grid).tolist() == as_scanned(ref)
+                assert each([f])(grid[None])[0].tolist() == as_scanned(ref)
 
     def test_key_rate_grid_skips_failed_hermiticity_checks(self):
         # the powers of the degraded dephasing states fail the 1e-10
@@ -379,7 +387,7 @@ class TestOrderFunctionsBitForBit:
             f = renyi_mi_down(cq)
             ref = outcomes(lambda a: reference_mi_down(cq, a), INF_GRID)
             assert outcomes(f, INF_GRID) == ref
-            assert info._safe(f)(INF_GRID).tolist() == as_scanned(ref)
+            assert each([f])(INF_GRID[None])[0].tolist() == as_scanned(ref)
             skipped += ref.count(None)
         assert skipped > 0
 
@@ -492,7 +500,7 @@ class TestLockstepBitForBit:
         optimize, reference = WINDOWS[window]
         states = mixed_support_states()
         expected = [reference(renyi_entropy(s)) for s in states]
-        assert [optimize(renyi_entropy(s)) for s in states] == expected
+        assert [one_problem(optimize, renyi_entropy(s)) for s in states] == expected
         assert optimize(renyi_entropy(states), batch=len(states)) == expected
         assert optimize(renyi_entropy(iter(states)), batch=len(states)) == expected
 
@@ -510,15 +518,16 @@ class TestLockstepBitForBit:
         expected = [reference(lambda a, s=s: s * a + 0.25) for s in slopes]
         assert {o.boundary for o in expected} == {True}
         assert len({o.a_star for o in expected}) == 2
-        assert [optimize(lambda a, s=s: s * a + 0.25) for s in slopes] == expected
+        assert [one_problem(optimize, lambda a, s=s: s * a + 0.25) for s in slopes] == expected
         assert optimize(lambda a: column(slopes, a) * a + 0.25, batch=slopes.size) == expected
 
     @pytest.mark.parametrize("window", WINDOWS)
     def test_raising_and_nonfinite_orders(self, window):
         optimize, reference = WINDOWS[window]
         sign = 1.0 if window == "sup" else -1.0
-        # problem p peaks at centers[p]; orders inside holes[p] raise, orders
-        # past cuts[p] (in |a|) give nan and orders below floors[p] give inf
+        # problem p peaks at centers[p]; orders inside holes[p] raise (give
+        # nan in the vectorized batch), orders past cuts[p] (in |a|) give nan
+        # and orders below floors[p] give inf
         centers = sign * np.array([0.4, 0.65, 0.2, 0.9, 0.5])
         holes = sign * np.array([[0.35, 0.45], [2.0, 2.0], [0.05, 0.1], [0.5, 0.95], [2.0, 2.0]])
         holes.sort(axis=1)
@@ -538,15 +547,14 @@ class TestLockstepBitForBit:
             return f
 
         def batch(a):
-            live = ~np.isnan(a)
-            if (live & (column(holes[:, 0], a) <= a) & (a <= column(holes[:, 1], a))).any():
-                raise ValueError("hole")
             v = sign * -((a - column(centers, a)) * (a - column(centers, a)))
+            v = np.where((column(holes[:, 0], a) <= a) & (a <= column(holes[:, 1], a)), math.nan, v)
             v = np.where(np.abs(a) > column(cuts, a), math.nan, v)
             return np.where(np.abs(a) < column(floors, a), math.inf, v)
 
         expected = [reference(one(p)) for p in range(centers.size)]
-        assert [optimize(one(p)) for p in range(centers.size)] == expected
+        assert [one_problem(optimize, one(p)) for p in range(centers.size)] == expected
+        assert optimize(each([one(p) for p in range(centers.size)]), batch=centers.size) == expected
         assert optimize(batch, batch=centers.size) == expected
 
     def test_batch_without_finite_value_raises(self):
@@ -568,14 +576,73 @@ class TestLockstepBitForBit:
         single = []
         for s in states:
             calls.clear()
-            sup_over_order(counted(renyi_entropy(s)))
+            sup_over_order(counted(each([renyi_entropy(s)])), batch=1)
             single.append(len(calls))
         calls.clear()
         sup_over_order(counted(renyi_entropy(states)), batch=len(states))
         assert len(calls) <= 2 * max(single) < len(states)
+
+    def test_objective_of_wrong_shape_rejected(self):
+        with pytest.raises(ValueError, match="bad objective"):
+            sup_over_order(lambda a: a[:1], batch=2)
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="bad parameter"):
             sup_over_order(lambda a: a, batch=0)
         with pytest.raises(ValueError, match="bad parameter"):
             renyi_entropy([])
+
+
+class TestEach:
+    """The batch objective of one-problem float-order functions."""
+
+    @staticmethod
+    def recorded(calls, f):
+        def g(a):
+            calls.append(a)
+            return f(a)
+
+        return g
+
+    def test_entries_are_float_calls(self):
+        calls = []
+        fs = [self.recorded(calls, lambda a: 2.0 * a), self.recorded(calls, lambda a: -a)]
+        out = each(fs)(np.array([0.25, 0.5]))
+        assert out.shape == (2,) and out.tolist() == [0.5, -0.5]
+        out = each(fs)(np.array([[0.25, 0.5, 0.75], [0.125, 0.25, 0.375]]))
+        assert out.shape == (2, 3) and out.tolist() == [[0.5, 1.0, 1.5], [-0.125, -0.25, -0.375]]
+        assert {type(a) for a in calls} == {float}
+
+    def test_nan_order_gives_nan_without_a_call(self):
+        calls = []
+        out = each([self.recorded(calls, lambda a: a)] * 2)(np.array([[0.5, math.nan], [math.nan, math.nan]]))
+        assert out[0, 0] == 0.5 and np.isnan(out[0, 1]) and np.isnan(out[1]).all()
+        assert calls == [0.5]
+
+    def test_raise_gives_minus_inf_in_that_entry_only(self):
+        def f(a):
+            if a == 0.5:
+                raise ValueError("no value")
+            return a
+
+        out = each([f, f])(np.array([[0.5, 0.25], [0.75, 0.5]]))
+        assert out.tolist() == [[-math.inf, 0.25], [0.75, -math.inf]]
+        assert each([f, lambda a: 1 / (a - a)])(np.array([0.5, 0.25])).tolist() == [-math.inf, -math.inf]
+
+    def test_no_reference_cycle(self):
+        # a raising order must not leave a cycle that keeps the functions alive
+        def f(a):
+            if a > 0.5:
+                raise ArithmeticError("no value")
+            return a
+
+        gc.collect()
+        gc.disable()
+        try:
+            values = each([f, renyi_entropy(np.eye(2) / 2)])
+            values(np.array([[0.75, 0.25], [0.75, 0.25]]))
+            one_problem(sup_over_order, f)
+            del values
+            assert gc.collect() == 0
+        finally:
+            gc.enable()

@@ -137,13 +137,13 @@ def dense_gaussian_oracle(nu0, nu1, n, r, zeta, points=100_000):
 
 class TestRateGaussian:
     def test_vacuum_is_zero(self):
-        res = rate_gaussian(1.0, 1.0, n=100, r=50, zeta=1e-3)
+        [res] = rate_gaussian([(1.0, 1.0)], n=100, r=50, zeta=1e-3)
         assert res.value == 0.0
         assert res.raw < 0.0
 
     def test_invalid_symplectic(self):
         with pytest.raises(ValueError, match="invalid symplectic"):
-            rate_gaussian(0.5, 1.0, n=10, r=5, zeta=0.1)
+            rate_gaussian([(1.5, 1.0), (0.5, 1.0)], n=10, r=5, zeta=0.1)
 
     def test_eta_definition(self):
         assert eta(1.5, 1.0) == pytest.approx(1.0)
@@ -166,13 +166,13 @@ class TestRateGaussian:
             eta(np.linspace(1.1, 1.9, 5), 0.5)
 
     def test_r_zero_depends_only_on_nu0(self):
-        a = rate_gaussian(1.8, 1.1, n=100, r=0, zeta=0.1)
-        b = rate_gaussian(1.8, 2.9, n=100, r=0, zeta=0.1)
+        a, b = rate_gaussian([(1.8, 1.1), (1.8, 2.9)], n=100, r=0, zeta=0.1)
         assert a.raw == pytest.approx(b.raw, abs=1e-9)
 
     def test_monotone_in_each_argument(self):
         grid = [1.0, 1.5, 2.0, 2.5, 3.0]
-        vals = {(x, y): rate_gaussian(x, y, n=1000, r=500, zeta=1e-3).value for x in grid for y in grid}
+        points = [(x, y) for x in grid for y in grid]
+        vals = {p: res.value for p, res in zip(points, rate_gaussian(points, n=1000, r=500, zeta=1e-3))}
         for i, x in enumerate(grid):
             for j, y in enumerate(grid):
                 if i + 1 < len(grid):
@@ -185,10 +185,33 @@ class TestRateGaussian:
         # curvature at the interior optimum makes a flat 1e5-point scan only
         # ~1e-3 accurate, so the oracle rescans densely around its best point
         n, r, zeta = 10**6, 10**6 // 2, 1e-3
-        for nu0, nu1 in [(1.5, 2.0), (2.5, 3.0), (1.0, 1.0)]:
-            res = rate_gaussian(nu0, nu1, n=n, r=r, zeta=zeta)
+        points = [(1.5, 2.0), (2.5, 3.0), (1.0, 1.0)]
+        for (nu0, nu1), res in zip(points, rate_gaussian(points, n=n, r=r, zeta=zeta)):
             oracle = dense_gaussian_oracle(nu0, nu1, n, r, zeta)
             assert res.raw == pytest.approx(oracle, abs=1e-4)
+
+
+class TestRateGaussianBitForBit:
+    def test_gaussian_fig2_equals_one_problem_optima(self):
+        # every point of the shipped sweep, against the one-problem optimizer on
+        # the scalar math.log2 path
+        import json
+        from pathlib import Path
+
+        from qstego.experiments import run_experiment
+
+        from .test_info import reference_sup
+
+        config = json.loads((Path(__file__).resolve().parent.parent / "configs" / "gaussian_fig2.json").read_text())
+        n, r, zeta = (config["params"][k] for k in ("n", "r", "zeta"))
+        rows = run_experiment(config).rows
+        assert len(rows) == 81
+        for row in rows:
+            nu0, nu1 = row["nu0"], row["nu1"]
+            ref = reference_sup(
+                lambda a: gaussian_renyi_term(float(a), nu0, nu1, n, r) - (4.0 / a) * math.log2(2.0 / zeta)
+            )
+            assert (row["raw"], row["a_star"], row["boundary"]) == (ref.value, ref.a_star, ref.boundary)
 
 
 class TestProductStructure:
@@ -281,6 +304,36 @@ class TestRateCcNoisyTolerances:
         for tol, pair in zip(self.TOLS, together):
             [alone] = rate_cc_noisy(sides, 0.1, 0.1, nu_tols=[tol])
             assert [self.as_tuple(r) for r in pair] == [self.as_tuple(r) for r in alone]
+
+    def test_equals_one_problem_optima(self):
+        # the per-side loop of one-problem optima that the two batches replace
+        from qstego.info import renyi_mi_down, renyi_mi_up
+        from qstego.linalg import distinct_eigenvalue_counts
+
+        from .test_info import reference_inf, reference_sup
+
+        # nu(sigma_X (x) sigma_B) is 4 at the first tolerance and 16 at the second
+        sides, zeta, xi, tols = self.sides(), 0.1, 0.1, (1e-2, 1e-8)
+        got = rate_cc_noisy(sides, zeta, xi, nu_tols=tols)
+        assert len(got) == len(tols)
+        for i, (tol, (mbar, key)) in enumerate(zip(tols, got)):
+            sups, infs = [], []
+            for sigma in sides:
+                rho_b = sigma.marginal_b()
+                ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
+                nu_ref, nu_b = (distinct_eigenvalue_counts(m, tols)[i] for m in (ref, rho_b))
+                mi_up, mi_down = renyi_mi_up(sigma), renyi_mi_down(sigma)
+                sups.append(reference_sup(
+                    lambda a: mi_up(a) - math.log2(nu_ref) / a - (4.0 / a) * math.log2(12.0 / zeta)
+                ))
+                infs.append(reference_inf(
+                    lambda a: mi_down(a) + math.log2(nu_b) + (2.0 - 2.0 / a) * math.log2(12.0 / xi)
+                ))
+            per_w_k = [k.value - m.value + 1.0 for m, k in zip(sups, infs)]
+            best = min(sups, key=lambda o: o.value)
+            worst = infs[per_w_k.index(max(per_w_k))]
+            assert self.as_tuple(mbar) == (best.value, best.a_star, best.boundary, [o.value for o in sups], tol)
+            assert self.as_tuple(key) == (max(per_w_k), worst.a_star, worst.boundary, per_w_k, tol)
 
     def test_each_order_evaluated_once(self, monkeypatch):
         built, evaluated = [], []

@@ -52,6 +52,13 @@ class QuantumChannel:
         return self.kraus[0].shape[0]
 
 
+def _check_orthonormal(v: np.ndarray) -> None:
+    """Raise unless V†V = I within CPTP_TOL, for one matrix or each of a stack."""
+    gram = v.conj().swapaxes(-1, -2) @ v
+    if not np.max(np.abs(gram - np.eye(v.shape[-1]))) <= CPTP_TOL:
+        raise ValueError("invalid isometry: columns not orthonormal")
+
+
 @dataclass(frozen=True)
 class Isometry:
     """Matrix V with V†V = I (within 1e-9)."""
@@ -62,8 +69,7 @@ class Isometry:
         v = np.asarray(self.data, dtype=complex)
         if v.ndim != 2 or v.shape[0] < v.shape[1]:
             raise ValueError("shape error: not a tall matrix")
-        if not np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= CPTP_TOL:
-            raise ValueError("invalid isometry: columns not orthonormal")
+        _check_orthonormal(v)
         object.__setattr__(self, "data", v)
 
     @property
@@ -145,20 +151,22 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     V = sum_j F_j (x) |j>: the matrix of entries tr(F_j a F_j'†), Hermitian
     exactly (real diagonal, conjugate-symmetric off it).
 
-    Row j's entries j' >= j are one stacked product (F_j a) @ F_j'† and its
-    traces: memory is the conjugated Kraus family plus one row of products,
-    never all k^2 of them.
+    ``a`` is one d x d matrix, or an (n, d, d) stack that gives the (n, k, k)
+    stack of environment outputs, each with the bits of the one-matrix call.
+    Row j's entries j' >= j are one stacked product (F_j a) @ F_j'† over every
+    input and its traces: memory is the conjugated Kraus family plus one row
+    of products per input, never all k^2 of them.
     """
     k = len(ch.kraus)
-    env = np.zeros((k, k), dtype=complex)
+    env = np.zeros(a.shape[:-2] + (k, k), dtype=complex)
     kraus_conj = np.array(ch.kraus)
     np.conjugate(kraus_conj, out=kraus_conj)
     kraus_dag = kraus_conj.swapaxes(1, 2)
     for j, f in enumerate(ch.kraus):
-        vals = np.trace((f @ a) @ kraus_dag[j:], axis1=1, axis2=2)
-        env[j, j:] = vals
-        env[j:, j] = np.conj(vals)
-    return (env + env.conj().T) / 2
+        vals = np.trace((f @ a)[..., None, :, :] @ kraus_dag[j:], axis1=-2, axis2=-1)
+        env[..., j, j:] = vals
+        env[..., j:, j] = np.conj(vals)
+    return (env + env.conj().swapaxes(-1, -2)) / 2
 
 
 _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -202,18 +210,23 @@ def standard_channel(kind: str, p: float | None = None, unitary=None) -> Quantum
     raise ValueError(f"bad parameter: unknown channel kind {kind!r}")
 
 
-def haar_random_subspace(dim_ambient: int, m: int, rng) -> Isometry:
-    """Isometry onto a Haar-random m-dimensional subspace.
+def haar_random_subspace(dim_ambient: int, m: int, count: int, rng) -> np.ndarray:
+    """``count`` isometries onto Haar-random m-dimensional subspaces, as one
+    (count, dim_ambient, m) stack.
 
     QR of a complex Gaussian matrix with the R diagonal phase fixed, which is
     distributionally the same as Gram-Schmidt on independent Gaussian vectors.
+    Sample i takes the real, then the imaginary Gaussian block after those of
+    the samples before it, so a stack of n draws the same isometries as n
+    stacks of one.  Every sample is checked as :class:`Isometry` checks one.
     ``rng`` is a seeded numpy Generator (or an int seed).
     """
     if m > dim_ambient:
         raise ValueError("bad parameter: m exceeds ambient dimension")
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    g = rng.normal(size=(dim_ambient, m)) + 1j * rng.normal(size=(dim_ambient, m))
-    q, r = np.linalg.qr(g)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return Isometry(q)
+    x = rng.normal(size=(count, 2, dim_ambient, m))
+    q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
+    d = np.diagonal(r, axis1=1, axis2=2)
+    q = q * (d / np.abs(d))[:, None, :]
+    _check_orthonormal(q)
+    return q

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import QuantumChannel, compose, identity_channel, standard_channel, tensor, tensor_power
+from .channels import QuantumChannel, apply_matrix, compose, identity_channel, standard_channel, tensor, tensor_power
 from .fixtures import (
     dephasing_es_cover,
     named_state,
@@ -34,7 +34,7 @@ from .fixtures import (
 from .info import CqState, Pmf
 from .linalg import DensityMatrix, Povm
 from .protocols import (
-    build_resolvability_code,
+    build_resolvability_codes,
     build_stego_cc_es,
     build_stego_cc_noiseless,
     build_stego_cc_noisy,
@@ -49,6 +49,9 @@ from .protocols import (
 )
 from .protocols.resolvability import output_cq
 from .rates import rate_cc_noiseless, rate_cc_noisy, rate_gaussian, rate_product_structure
+
+#: byte budget of the codeword outputs of one chunk of seeds in simulate/resolvability
+SEED_CHUNK_BYTES = 1 << 16
 
 
 @dataclass
@@ -146,10 +149,7 @@ def _grid(spec) -> list:
 
 def _run_rates_cc_noiseless(seed, m, codewords, zeta):
     m = parse_channel(m)
-    outputs = [
-        DensityMatrix(sum(k @ parse_state(s).data @ k.conj().T for k in m.kraus))
-        for s in codewords
-    ]
+    outputs = [DensityMatrix(apply_matrix(m, parse_state(s).data)) for s in codewords]
     res = rate_cc_noiseless(outputs, float(zeta))
     rows = [
         {"w": w, "raw_w": per_w} for w, per_w in enumerate(res.terms["per_w"])
@@ -259,10 +259,6 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
     rows = []
     for w in range(cover.m):
         h = stego.hashes[w]
-        per_w_decode = sum(
-            float(np.trace(stego.povms[0][w * mbar + wb] @ stego.encoders[0][w * mbar + wb].data).real)
-            for wb in range(mbar)
-        ) / mbar
         rows.append(
             {
                 "w": w,
@@ -270,7 +266,7 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
                 "mbar": mbar,
                 "zeta_achieved": max(h.defect, 1.0 - h.success),
                 "dist_trace": stego.per_w_distance[w],
-                "p_decode": per_w_decode,
+                "p_decode": stego.per_w_decode[w],
                 "bound_ok": stego.bound_ok,
             }
         )
@@ -412,13 +408,16 @@ def _run_simulate_resolvability(
     medians = []
     reliabilities = {}
     for mk in mk_grid:
+        m_books = max(1, mk // k_books)
+        step = max(1, SEED_CHUNK_BYTES // (16 * k_books * m_books * cq.dim_b**2))
         dists = []
         rels = []
-        for s in range(n_seeds):
-            code = build_resolvability_code(cq, m=max(1, mk // k_books), k=k_books, seed=seed + s)
-            dists.append(code.distance)
-            rels.append(code.reliability)
-            rows.append({"mk": mk, "seed": seed + s, "distance": code.distance, "reliability": code.reliability})
+        for start in range(0, n_seeds, step):
+            chunk = range(seed + start, seed + min(start + step, n_seeds))
+            for s, code in zip(chunk, build_resolvability_codes(cq, m_books, k_books, chunk)):
+                dists.append(code.distance)
+                rels.append(code.reliability)
+                rows.append({"mk": mk, "seed": s, "distance": code.distance, "reliability": code.reliability})
         medians.append(float(np.median(dists)))
         reliabilities[mk] = float(np.median(rels))
     flags = {

@@ -203,14 +203,19 @@ def permute_systems_matrix(a: np.ndarray, dims, perm) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def trace_norm(x) -> float:
-    """Trace norm of a Hermitian operator: sum of absolute eigenvalues."""
+def trace_norm(x):
+    """Trace norm of a Hermitian operator: sum of absolute eigenvalues.
+
+    A float for one matrix; for an (n, d, d) stack, the ndarray of the n
+    trace norms, each with the bits of its one-matrix call.
+    """
     a = as_matrix(x)
     try:
         w = np.linalg.eigvalsh(a)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise ArithmeticError("numerical error: eigensolver failure") from exc
-    return float(np.abs(w).sum())
+    norms = np.abs(w).sum(axis=-1)
+    return float(norms) if a.ndim == 2 else norms
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:

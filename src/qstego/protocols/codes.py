@@ -195,6 +195,7 @@ class StegoCcCode:
     zeta_ach: float
     per_w_distance: tuple
     per_w_success: tuple
+    per_w_decode: tuple  # audited mean of tr(Gamma g) over message w's K * M_bar encodings
     distance: float
     decode_prob: float
     key_bits: float

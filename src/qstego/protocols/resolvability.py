@@ -8,6 +8,8 @@ sampled codebooks.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from ..channels import QuantumChannel, apply
@@ -16,61 +18,96 @@ from ..linalg import Povm, as_matrix, trace_norm
 from .codes import ResolvabilityCode
 
 
-def pretty_good_measurement(states) -> Povm:
+def pretty_good_measurement(states):
     """Square-root measurement for a uniformly chosen state from the list.
 
     Gamma_w = S^(-1/2) rho_w S^(-1/2) + (I - Pi_S) / M  with S = sum_w rho_w;
     the orthocomplement of the joint support is spread evenly so the elements
-    sum to the identity exactly.  All M elements are one stacked product.
+    sum to the identity exactly.  ``states`` is a sequence of M states, which
+    gives one :class:`Povm`, or an (n, M, d, d) array of n such lists, which
+    gives a tuple of n; each has the bits of its own one-list call.  S is
+    summed state by state, in order; the n eigendecompositions are one call,
+    and all n M elements are one stacked product.
     """
-    mats = np.array([as_matrix(s) for s in states])
-    m, dim = len(mats), mats.shape[1]
-    total = sum(mats)
+    batch = isinstance(states, np.ndarray) and states.ndim == 4
+    mats = states if batch else np.array([as_matrix(s) for s in states])[None]
+    n, m, dim = mats.shape[:3]
+    total = np.zeros((n, dim, dim), dtype=complex)
+    for w in range(m):
+        total += mats[:, w]
     w, v = np.linalg.eigh(total)
-    inv_sqrt_vals = np.where(w > 1e-12, 1.0 / np.sqrt(np.where(w > 1e-12, w, 1.0)), 0.0)
-    inv_sqrt = (v * inv_sqrt_vals) @ v.conj().T
-    projector = (v[:, w > 1e-12]) @ v[:, w > 1e-12].conj().T
-    rest = (np.eye(dim) - projector) / m
-    e = inv_sqrt @ mats @ inv_sqrt + rest
-    return Povm((e + e.conj().swapaxes(1, 2)) / 2)
+    keep = w > 1e-12
+    inv_sqrt_vals = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
+    inv_sqrt = (v * inv_sqrt_vals[:, None, :]) @ v.conj().swapaxes(1, 2)
+    # the support projector gathers the kept columns; one gather per kept
+    # pattern gives every list the bits of its own v[:, keep] @ v[:, keep]^†
+    rest = np.empty_like(total)
+    patterns = {}
+    for i, row in enumerate(keep):
+        patterns.setdefault(row.tobytes(), []).append(i)
+    for rows in patterns.values():
+        kept = v[rows][:, :, keep[rows[0]]]
+        rest[rows] = (np.eye(dim) - kept @ kept.conj().swapaxes(1, 2)) / m
+    e = inv_sqrt[:, None] @ mats @ inv_sqrt[:, None] + rest[:, None]
+    e = (e + e.conj().swapaxes(2, 3)) / 2
+    povms = tuple(Povm(elements) for elements in e)
+    return povms if batch else povms[0]
 
 
-def resolvability_metrics(code: ResolvabilityCode, sigma: CqState) -> tuple[float, float]:
+def resolvability_metrics(code, sigma: CqState):
     """Recompute (reliability, trace distance to the target output) from scratch.
 
-    Every tr(Gamma_w rho_x) is one stacked product and trace; the reliability
-    and the output mixture are summed sequentially, codebook by codebook.
+    ``code`` is one :class:`ResolvabilityCode`, which gives one pair of
+    floats, or a sequence of codes of one (K, M) shape, which gives a list of
+    pairs, each with the bits of its own one-code call.  Every
+    tr(Gamma_w rho_x) is one stacked product and trace; the reliability and
+    the output mixture are summed sequentially, codebook by codebook.
     """
-    k, m = code.codebooks.shape
+    codes = [code] if isinstance(code, ResolvabilityCode) else code
+    books = np.array([c.codebooks for c in codes])
+    n, k, m = books.shape
     dim = sigma.dim_b
-    outs = np.array([s.data for s in sigma.states])[code.codebooks]
-    decoders = np.array([povm.elements for povm in code.decoders])
-    mixture = np.zeros((dim, dim), dtype=complex)
-    for out in outs.reshape(k * m, dim, dim):
+    outs = np.array([s.data for s in sigma.states])[books]
+    decoders = np.array([[povm.elements for povm in c.decoders] for c in codes])
+    mixture = np.zeros((n, dim, dim), dtype=complex)
+    for out in outs.reshape(n, k * m, dim, dim).swapaxes(0, 1):
         mixture += out
-    rel = 0.0
-    for t in np.trace(decoders @ outs, axis1=2, axis2=3).real.ravel().tolist():
+    rel = np.zeros(n)
+    for t in np.trace(decoders @ outs, axis1=3, axis2=4).real.reshape(n, k * m).T:
         rel += t
     mixture /= k * m
     rel /= k * m
-    return rel, trace_norm(mixture - sigma.marginal_b())
+    pairs = list(zip(rel.tolist(), trace_norm(mixture - sigma.marginal_b()).tolist()))
+    return pairs[0] if isinstance(code, ResolvabilityCode) else pairs
 
 
-def build_resolvability_code(sigma: CqState, m: int, k: int, seed=None) -> ResolvabilityCode:
-    """Sample K i.i.d. codebooks (entries ~ P_X) with PGM decoders.
+def build_resolvability_codes(sigma: CqState, m: int, k: int, seeds) -> list[ResolvabilityCode]:
+    """One code per seed: K i.i.d. codebooks (entries ~ P_X) with PGM decoders.
 
-    Deterministic for a fixed seed.
+    Each code is drawn from its own ``numpy.random.default_rng(seed)`` and
+    equals the code a one-seed call builds; every PGM and metric of the batch
+    is one stacked computation.  Deterministic for fixed seeds.
     """
     if m < 1 or k < 1:
         raise ValueError("bad parameter: M, K must be >= 1")
-    rng = np.random.default_rng(seed)
-    books = rng.choice(sigma.alphabet_size, size=(k, m), p=sigma.pmf.probs)
-    decoders = tuple(
-        pretty_good_measurement([sigma.states[x] for x in books[s]]) for s in range(k)
-    )
-    code = ResolvabilityCode(codebooks=books, decoders=decoders, reliability=0.0, distance=0.0)
-    rel, dist = resolvability_metrics(code, sigma)
-    return ResolvabilityCode(codebooks=books, decoders=decoders, reliability=rel, distance=dist)
+    books = np.array([
+        np.random.default_rng(seed).choice(sigma.alphabet_size, size=(k, m), p=sigma.pmf.probs)
+        for seed in seeds
+    ])
+    dim = sigma.dim_b
+    outs = np.array([s.data for s in sigma.states])[books]
+    povms = pretty_good_measurement(outs.reshape(-1, m, dim, dim))
+    codes = [
+        ResolvabilityCode(codebooks=b, decoders=povms[i * k : (i + 1) * k], reliability=0.0, distance=0.0)
+        for i, b in enumerate(books)
+    ]
+    return [replace(c, reliability=rel, distance=dist) for c, (rel, dist) in zip(codes, resolvability_metrics(codes, sigma))]
+
+
+def build_resolvability_code(sigma: CqState, m: int, k: int, seed=None) -> ResolvabilityCode:
+    """``build_resolvability_codes`` on the one seed ``seed``."""
+    [code] = build_resolvability_codes(sigma, m, k, [seed])
+    return code
 
 
 def output_cq(sigma_in: CqState, channel: QuantumChannel) -> CqState:

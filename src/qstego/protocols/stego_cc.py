@@ -49,7 +49,13 @@ def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
 
 
 def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
-    """Recompute all achieved metrics from the assembled artifacts."""
+    """Recompute all achieved metrics from the assembled artifacts.
+
+    Returns (per-message distance, per-message decode probability, distance,
+    decode probability, bound_ok).  The per-message decode probability of w
+    sums tr(Gamma g) over the keys and then w's M_bar messages, in that
+    order, and divides by K M_bar.
+    """
     kbar = len(encoders)
     m = len(targets)
     dim = targets[0].dim
@@ -70,13 +76,21 @@ def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
         per_w_distance.append(trace_norm(block - targets[w].data))
         overall += block
         cover_mix += targets[w].data
-    for s in range(kbar):
-        for idx, out in enumerate(outputs[s]):
-            decode += float(np.trace(povms[s][idx] @ out.data).real)
+    traces = [
+        [float(np.trace(povms[s][idx] @ out.data).real) for idx, out in enumerate(outputs[s])]
+        for s in range(kbar)
+    ]
+    for per_key in traces:
+        for t in per_key:
+            decode += t
     decode /= kbar * m * mbar
+    per_w_decode = [
+        sum(traces[s][w * mbar + wbar] for s in range(kbar) for wbar in range(mbar)) / (kbar * mbar)
+        for w in range(m)
+    ]
     distance = trace_norm((overall - cover_mix) / m)
     bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + eps_cover, 0.0)) - 1e-6
-    return per_w_distance, distance, decode, decode >= bound
+    return per_w_distance, per_w_decode, distance, decode, decode >= bound
 
 
 def build_stego_cc_noiseless(
@@ -103,7 +117,7 @@ def build_stego_cc_noiseless(
     encoder = tuple(h.states[wbar] for h in hashes for wbar in range(mbar))
     povm = _nested_povm(cover.povm, [h.povm.elements for h in hashes])
     zeta_ach = max(max(h.defect, 1.0 - h.success) for h in hashes)
-    per_w_distance, distance, decode, bound_ok = _audit(
+    per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
         (encoder,), (povm,), targets, None, cover.epsilon, zeta_ach, mbar
     )
     return StegoCcCode(
@@ -119,6 +133,7 @@ def build_stego_cc_noiseless(
         zeta_ach=zeta_ach,
         per_w_distance=tuple(per_w_distance),
         per_w_success=tuple(h.success for h in hashes),
+        per_w_decode=tuple(per_w_decode),
         distance=distance,
         decode_prob=decode,
         key_bits=0.0,
@@ -216,7 +231,7 @@ def build_stego_cc_noisy(
     zeta_ach = max(
         max(1.0 - code.reliability, code.distance) for code in codes
     )
-    per_w_distance, distance, decode, bound_ok = _audit(
+    per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
         tuple(encoders), tuple(povms), targets, n_true, cover.epsilon, zeta_ach, mbar
     )
     return StegoCcCode(
@@ -232,6 +247,7 @@ def build_stego_cc_noisy(
         zeta_ach=zeta_ach,
         per_w_distance=tuple(per_w_distance),
         per_w_success=tuple(code.reliability for code in codes),
+        per_w_decode=tuple(per_w_decode),
         distance=distance,
         decode_prob=decode,
         key_bits=math.log2(kbar),

@@ -27,6 +27,8 @@ from .codes import QcCode
 from .stego_qc_cc import orthogonalize_correctable_kraus
 
 GRACE = 1e-9
+#: byte budget of one chunk of Haar samples in experiment_random_code_entropy
+SAMPLE_CHUNK_BYTES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -135,7 +137,9 @@ def experiment_random_code_entropy(
 
     Samples M-dimensional subspaces of (C^dim_a)^(x n), computes
     sup_a H^a(m^c(x n)(Pi/M)) per sample, and compares the sample mean
-    against n (log2 min(rank tr_A VV†, rank tr_E VV†) - delta).
+    against n (log2 min(rank tr_A VV†, rank tr_E VV†) - delta).  The samples
+    are drawn and their environments formed as stacks of about
+    ``SAMPLE_CHUNK_BYTES``; the report does not depend on the chunk size.
     """
     if dim_a**n > 256:
         raise ValueError("dimension limit: dim_a^n above the recommended cap")
@@ -145,12 +149,14 @@ def experiment_random_code_entropy(
         raise ValueError("bad parameter: m_dim must be at least 1")
     rng = np.random.default_rng(seed)
     total = tensor_power(m, n)
+    # a chunk's largest temporary is complementary_matrix's row of products
+    step = max(1, SAMPLE_CHUNK_BYTES // (16 * len(total.kraus) * total.dim_out**2))
 
     def environments():
-        for _ in range(samples):
-            iso = haar_random_subspace(dim_a**n, m_dim, rng)
-            pi = iso.data @ iso.data.conj().T
-            yield complementary_matrix(total, pi / m_dim)
+        for start in range(0, samples, step):
+            isos = haar_random_subspace(dim_a**n, m_dim, min(step, samples - start), rng)
+            pis = isos @ isos.conj().swapaxes(1, 2)
+            yield from complementary_matrix(total, pis / m_dim)
 
     # one batch: the samples' optima advance together, one objective call per step
     opts = sup_over_order(renyi_entropy(environments()), batch=samples)

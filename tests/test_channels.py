@@ -201,9 +201,18 @@ def complementary_matrix_loop(ch, a):
     return (env + env.conj().T) / 2
 
 
+def haar_loop(dim, m, rng):
+    """One Haar isometry per call, real block then imaginary block: the
+    reference for the stacked haar_random_subspace."""
+    g = rng.normal(size=(dim, m)) + 1j * rng.normal(size=(dim, m))
+    q, r = np.linalg.qr(g)
+    d = np.diagonal(r)
+    return q * (d / np.abs(d))
+
+
 def random_channel(rng, k, d_in, d_out):
     """k Kraus operators d_out x d_in cut from a Haar-random isometry."""
-    v = haar_random_subspace(k * d_out, d_in, rng).data
+    v = haar_random_subspace(k * d_out, d_in, 1, rng)[0]
     return QuantumChannel(tuple(v[j * d_out : (j + 1) * d_out] for j in range(k)))
 
 
@@ -216,6 +225,10 @@ class TestComplementaryMatrixBitForBit:
             ch = random_channel(rng, k, d, d_out)
             a = random_density(rng, d).data
             got, ref = complementary_matrix(ch, a), complementary_matrix_loop(ch, a)
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+            stack = np.array([random_density(rng, d).data for _ in range(3)])
+            got = complementary_matrix(ch, stack)
+            ref = np.array([complementary_matrix_loop(ch, x) for x in stack])
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     def test_memory_is_one_row_at_a_time(self):
@@ -234,22 +247,29 @@ class TestComplementaryMatrixBitForBit:
 
 
 class TestHaarSubspace:
+    @pytest.mark.parametrize("dim,m,count", [(8, 2, 40), (4, 4, 3), (16, 5, 7), (2, 1, 1), (27, 3, 4)])
+    def test_stack_matches_per_sample_draws(self, dim, m, count):
+        rng = np.random.default_rng(dim + m)
+        ref = np.array([haar_loop(dim, m, rng) for _ in range(2 * count)])
+        rng = np.random.default_rng(dim + m)
+        # two stacks from one generator continue its stream
+        got = np.concatenate([haar_random_subspace(dim, m, count, rng) for _ in range(2)])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
     def test_full_space_is_unitary(self):
-        v = haar_random_subspace(4, 4, np.random.default_rng(8))
-        assert np.allclose(v.data @ v.data.conj().T, np.eye(4), atol=1e-9)
+        [v] = haar_random_subspace(4, 4, 1, np.random.default_rng(8))
+        assert np.allclose(v @ v.conj().T, np.eye(4), atol=1e-9)
 
     def test_isometry_invariant(self):
         rng = np.random.default_rng(9)
-        for _ in range(25):
-            v = haar_random_subspace(8, 3, rng)
-            assert np.allclose(v.data.conj().T @ v.data, np.eye(3), atol=1e-9)
+        for v in haar_random_subspace(8, 3, 25, rng):
+            assert np.allclose(v.conj().T @ v, np.eye(3), atol=1e-9)
 
     def test_mean_projector_matches_haar_average(self):
         rng = np.random.default_rng(10)
         dim, m, samples = 4, 2, 2000
         acc = np.zeros((dim, dim), dtype=complex)
-        for _ in range(samples):
-            v = haar_random_subspace(dim, m, rng)
-            acc += v.data @ v.data.conj().T
+        for v in haar_random_subspace(dim, m, samples, rng):
+            acc += v @ v.conj().T
         acc /= samples
         assert np.max(np.abs(acc - (m / dim) * np.eye(dim))) < 0.05

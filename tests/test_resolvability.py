@@ -1,10 +1,19 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from qstego.fixtures import named_state
 from qstego.info import CqState, Pmf
 from qstego.linalg import DensityMatrix, basis_state, trace_norm
-from qstego.protocols import build_resolvability_code, pretty_good_measurement, resolvability_metrics
+from qstego.experiments import render_csv, run_experiment
+from qstego.protocols import (
+    build_resolvability_code,
+    build_resolvability_codes,
+    pretty_good_measurement,
+    resolvability_metrics,
+)
+from qstego import experiments
 
 from .test_linalg import random_density
 
@@ -132,3 +141,75 @@ class TestBitForBit:
         ref = metrics_loop(code, cq)
         assert same_bits(resolvability_metrics(code, cq), ref)
         assert same_bits((code.reliability, code.distance), ref)
+
+
+def codes_loop(sigma, m, k, seeds):
+    """(codebooks, decoder elements, (reliability, distance)) per seed, one
+    codebook and one PGM element at a time: the reference for
+    build_resolvability_codes."""
+    out = []
+    for seed in seeds:
+        books = np.random.default_rng(seed).choice(sigma.alphabet_size, size=(k, m), p=sigma.pmf.probs)
+        decoders = [pgm_loop([sigma.states[x] for x in book]) for book in books]
+        out.append((books, decoders, metrics_loop(SimpleNamespace(codebooks=books, decoders=decoders), sigma)))
+    return out
+
+
+def kept_pattern(sigma, book):
+    """Which eigenvalues of the codebook's total output the PGM keeps."""
+    return tuple(np.linalg.eigvalsh(sum(sigma.states[x].data for x in book)) > 1e-12)
+
+
+def pure_on(d, *indices):
+    """The uniform mixture of the given basis states of C^d."""
+    a = np.zeros((d, d), dtype=complex)
+    for i in indices:
+        a[i, i] = 1.0 / len(indices)
+    return DensityMatrix(a)
+
+
+class TestBatchBitForBit:
+    @pytest.mark.parametrize(
+        "sigma, m, k",
+        [
+            # every codeword one state: each total has rank 1
+            (CqState(Pmf([1.0]), (named_state("plus"),)), 3, 2),
+            # supports of different sizes: codebooks fall into several kept patterns
+            (CqState(Pmf([0.4, 0.3, 0.3]), (pure_on(4, 0), pure_on(4, 1), pure_on(4, 1, 2))), 2, 1),
+            (CqState(Pmf([0.4, 0.3, 0.3]), (pure_on(4, 0), pure_on(4, 1), pure_on(4, 1, 2))), 1, 3),
+            (random_cq(np.random.default_rng(4), 8, 5, 3), 4, 2),
+            (random_cq(np.random.default_rng(5), 3, 4), 16, 3),
+        ],
+        ids=["one-state", "patterns-k1", "patterns-m1", "deficient-d8", "full-d3"],
+    )
+    def test_codes_match_per_seed_loop(self, sigma, m, k):
+        seeds = list(range(12))
+        got = build_resolvability_codes(sigma, m, k, seeds)
+        ref = codes_loop(sigma, m, k, seeds)
+        assert len(got) == len(ref)
+        for code, (books, decoders, metrics) in zip(got, ref):
+            assert np.array_equal(code.codebooks, books)
+            assert same_bits((code.reliability, code.distance), metrics)
+            assert all(
+                same_bits(povm[w], element) for povm, elements in zip(code.decoders, decoders) for w, element in enumerate(elements)
+            )
+        assert all(same_bits(resolvability_metrics(code, sigma), metrics) for code, (_, _, metrics) in zip(got, ref))
+        assert same_bits(resolvability_metrics(got, sigma), [metrics for _, _, metrics in ref])
+        assert build_resolvability_code(sigma, m, k, seed=seeds[-1]).distance == got[-1].distance
+
+    def test_batch_mixes_kept_patterns(self):
+        sigma = CqState(Pmf([0.4, 0.3, 0.3]), (pure_on(4, 0), pure_on(4, 1), pure_on(4, 1, 2)))
+        patterns = {kept_pattern(sigma, book) for code in build_resolvability_codes(sigma, 2, 1, range(12)) for book in code.codebooks}
+        assert len(patterns) >= 3
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-seed", "every-seed"])
+    def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
+        config = {
+            "kind": "simulate/resolvability",
+            "params": {"pmf": [0.5, 0.5], "outputs": ["zero", "plus"], "mk_grid": [2, 12], "seeds": 9, "k": 2},
+        }
+        ref = run_experiment(config, seed=4)
+        monkeypatch.setattr(experiments, "SEED_CHUNK_BYTES", chunk_bytes)
+        got = run_experiment(config, seed=4)
+        assert render_csv(got) == render_csv(ref)
+        assert got.flags == ref.flags and got.summary == ref.summary

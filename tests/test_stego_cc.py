@@ -168,6 +168,41 @@ class TestNoisy:
         assert stego.bound_ok
 
 
+def per_w_decode_loop(stego, true_channel=None):
+    """(1 / K M_bar) sum over keys and w's messages of tr(Gamma g), each trace
+    formed again: the reference for the audited per_w_decode."""
+    traces = [
+        [
+            float(np.trace(povm[idx] @ (state if true_channel is None else apply(true_channel, state)).data).real)
+            for idx, state in enumerate(encoder)
+        ]
+        for encoder, povm in zip(stego.encoders, stego.povms)
+    ]
+    k, mbar = stego.kbar, stego.mbar
+    return tuple(
+        sum(traces[s][w * mbar + wbar] for s in range(k) for wbar in range(mbar)) / (k * mbar) for w in range(stego.m)
+    )
+
+
+class TestPerMessageDecode:
+    def test_noiseless(self):
+        m = tensor_power(standard_channel("dephasing", 0.6), 2)
+        codewords = [
+            DensityMatrix(np.kron(named_state("plus").data, named_state("plus").data)),
+            DensityMatrix(np.kron(named_state("minus").data, named_state("minus").data)),
+        ]
+        stego = build_stego_cc_noiseless(pgm_cc_cover(codewords, m, 2), mbar=3, zeta=0.1, seed=0)
+        assert stego.per_w_decode == per_w_decode_loop(stego)
+
+    def test_noisy_sums_over_keys(self):
+        n_true = standard_channel("dephasing", 0.35)
+        m = standard_channel("dephasing", 0.4)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        sides = side_states_from_degradation(cover, m)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, zeta=0.5, xi=0.5, seed=5)
+        assert stego.per_w_decode == per_w_decode_loop(stego, n_true)
+
+
 class TestNestedPovmMemory:
     def test_d256_nested_povm_adds_one_stack(self):
         # two cover elements (half-space projectors) times four inner elements

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstego.channels import identity_channel, standard_channel
+from qstego.channels import identity_channel, standard_channel, tensor_power
 from qstego.fixtures import repetition_qc_cover
-from qstego.info import Pmf
+from qstego.info import Pmf, renyi_entropy, sup_over_order
 from qstego.linalg import HermitianOperator, Povm, basis_state
 from qstego.protocols import experiment_random_code_entropy, verify_gentle_composition, verify_pj_minentropy_bound
+from qstego.protocols import verifiers
 
+from .test_channels import complementary_matrix_loop, haar_loop
 from .test_linalg import random_density
 
 
@@ -131,3 +133,35 @@ class TestRandomCodeEntropy:
         finally:
             tracemalloc.stop()
         assert peak < 0.5 * 2**20
+
+
+def random_code_loop(dim_a, n, m_dim, m, samples, seed):
+    """(mean, stderr) of the sample sups with one Haar draw and one environment
+    at a time: the reference for the chunked batch."""
+    rng = np.random.default_rng(seed)
+    total = tensor_power(m, n)
+    envs = []
+    for _ in range(samples):
+        v = haar_loop(dim_a**n, m_dim, rng)
+        envs.append(complementary_matrix_loop(total, v @ v.conj().T / m_dim))
+    vals = np.array([o.value for o in sup_over_order(renyi_entropy(envs), batch=samples)])
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
+
+
+class TestRandomCodeBitForBit:
+    @pytest.mark.parametrize(
+        "dim_a, n, m_dim, kind, samples",
+        [(2, 2, 3, "depolarizing", 1), (2, 3, 1, "bit_flip", 9), (2, 1, 2, "amplitude_damping", 6), (3, 2, 2, None, 4)],
+    )
+    def test_matches_per_sample_loop(self, dim_a, n, m_dim, kind, samples):
+        m = random_channel(np.random.default_rng(5), 3) if kind is None else standard_channel(kind, 0.3)
+        rep = experiment_random_code_entropy(dim_a, n, m_dim, m, samples=samples, delta=0.5, seed=7)
+        mean, stderr = random_code_loop(dim_a, n, m_dim, m, samples, seed=7)
+        assert np.array_equal(np.array([rep.lhs, rep.detail["stderr"]]).view(np.uint64), np.array([mean, stderr]).view(np.uint64))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-sample", "every-sample"])
+    def test_report_does_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
+        m = standard_channel("dephasing", 0.5)
+        ref = experiment_random_code_entropy(2, 3, 2, m, samples=37, delta=0.5, seed=3)
+        monkeypatch.setattr(verifiers, "SAMPLE_CHUNK_BYTES", chunk_bytes)
+        assert experiment_random_code_entropy(2, 3, 2, m, samples=37, delta=0.5, seed=3) == ref

@@ -400,10 +400,14 @@ def _run_simulate_resolvability(
     """``min_reliability`` (default 0.9) is read only with ``zeta_ref``."""
     if min_reliability is not None and zeta_ref is None:
         raise TypeError("simulate/resolvability params: 'min_reliability' is read only with 'zeta_ref'")
-    cq = _cq_state(pmf, outputs)
-    mk_grid = [int(x) for x in mk_grid]
     n_seeds = int(seeds)
     k_books = int(k)
+    if n_seeds < 1:
+        raise ValueError("bad parameter: seeds must be at least 1")
+    if k_books < 1:
+        raise ValueError("bad parameter: k must be at least 1")
+    cq = _cq_state(pmf, outputs)
+    mk_grid = [int(x) for x in mk_grid]
     rows = []
     medians = []
     reliabilities = {}

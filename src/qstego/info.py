@@ -3,10 +3,11 @@ smooth min-entropies, Holevo information, and the 1-D order optimizer behind
 every sup/inf-over-order rate expression.
 
 The optimizer solves a batch of problems in lockstep: one grid scan in
-blocks of columns, then a golden-section search per problem whose steps
-share one objective call.  Its one objective contract is a batch objective
-of an order array, row p for problem p; :func:`each` makes one of per-problem
-float-order functions.  Each optimum has the bits it has alone.
+blocks of columns, then a golden-section search whose brackets are arrays,
+one entry per problem, so each step is one objective call.  Its one
+objective contract is a batch objective of an order array, row p for problem
+p; :func:`each` makes one of per-problem float-order functions.  Each
+optimum has the bits it has alone.
 
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
 follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
@@ -314,89 +315,18 @@ def each(fs):
     return values
 
 
-def _golden(lo: float, hi: float):
-    """Golden-section maximization on [lo, hi] as a generator: it yields each
-    order it needs, is sent the objective's value there, and returns (argmax,
-    max).  The caller decides how orders are evaluated, so that many problems
-    can step together, one objective call per step."""
-    a, b = lo, hi
-    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
-    fc = yield c
-    fd = yield d
-    for _ in range(200):
-        if b - a <= GOLDEN_TOL:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = yield c
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = yield d
-    flo = yield lo
-    fhi = yield hi
-    cands = [(flo, lo), (fhi, hi), (fc, c), (fd, d)]
-    val, arg = max(cands, key=lambda t: t[0])
-    return arg, val
+def _maximize(f, batch: int, grid, before_first: float, after_last: float):
+    """Maximize ``batch`` problems together under the contract of
+    :func:`sup_over_order`; returns one (argmax, max) per problem.
 
-
-def _lockstep_max(scan, at, size: int, grid, before_first: float, after_last: float) -> list:
-    """Maximize ``size`` problems together; returns one (argmax, max) each.
-
-    ``scan(orders)`` gives every problem's values at a block of grid orders,
-    shape (size, k); ``at(rows, orders)`` gives the value of problem
-    ``rows[i]`` at ``orders[i]``.  Neither may raise.  The grid is scanned in
-    blocks of at most GRID_BLOCK_BYTES of values, keeping only each problem's
-    first maximum.  Each problem is then golden-section refined between its
-    winner's neighbours; a winner at a grid end brackets out to the stand-in
-    ``before_first`` or ``after_last``.  Every step calls ``at`` once for all
-    unfinished problems.  The grid point is kept if the refinement does not
-    beat it.
+    The grid is scanned in blocks of at most GRID_BLOCK_BYTES of values,
+    keeping each problem's first maximum.  Each problem is then golden-section
+    refined between its winner's neighbours; a winner at a grid end brackets
+    out to the stand-in ``before_first`` or ``after_last``.  The brackets are
+    arrays, one entry per problem, updated elementwise, so each entry follows
+    the one-problem search bit for bit; a problem whose bracket has closed is
+    sent NaN.  The grid point is kept if the refinement does not beat it.
     """
-    block = max(1, GRID_BLOCK_BYTES // (8 * size))
-    every = np.arange(size)
-    vals = scan(grid[:block])
-    win = np.argmax(vals, axis=1)
-    best = vals[every, win]
-    for j in range(block, grid.size, block):
-        vals = scan(grid[j : j + block])
-        i = np.argmax(vals, axis=1)
-        v = vals[every, i]
-        better = v > best  # strict: a later block's tie keeps the first maximum
-        best[better] = v[better]
-        win[better] = i[better] + j
-    if not np.isfinite(best).all():
-        raise ValueError("no finite value")
-    steps = []
-    for i in win.tolist():
-        prev = grid[i - 1] if i > 0 else before_first
-        nxt = grid[i + 1] if i < grid.size - 1 else after_last
-        steps.append(_golden(float(min(prev, nxt)), float(max(prev, nxt))))
-    rows = list(range(size))
-    orders = [next(s) for s in steps]
-    found = [None] * size
-    while rows:
-        live, ahead = [], []
-        for p, v in zip(rows, at(rows, orders)):
-            try:
-                ahead.append(steps[p].send(v))
-                live.append(p)
-            except StopIteration as done:
-                found[p] = done.value
-        rows, orders = live, ahead
-    out = []
-    for p, (arg, val) in enumerate(found):
-        if best[p] > val:
-            arg, val = float(grid[win[p]]), float(best[p])
-        out.append((arg, val))
-    return out
-
-
-def _optimize(f, batch: int, grid, before_first: float, after_last: float) -> list:
-    """:func:`_lockstep_max` of a batch objective over ``batch`` problems,
-    under the contract of :func:`sup_over_order`: a value that is not finite
-    counts as -inf."""
     if batch < 1:
         raise ValueError("bad parameter: a batch needs at least one problem")
 
@@ -407,17 +337,42 @@ def _optimize(f, batch: int, grid, before_first: float, after_last: float) -> li
         finite = np.isfinite(v)
         return v if finite.all() else np.where(finite, v, -math.inf)
 
-    def at(rows, orders):
-        if len(rows) == batch:
-            return values(np.array(orders)).tolist()
-        rows = np.array(rows)
-        a = np.full(batch, math.nan)
-        a[rows] = orders
-        return values(a)[rows].tolist()
-
-    return _lockstep_max(
-        lambda orders: values(np.broadcast_to(orders, (batch, orders.size))), at, batch, grid, before_first, after_last
-    )
+    block = max(1, GRID_BLOCK_BYTES // (8 * batch))
+    every = np.arange(batch)
+    best, win = np.full(batch, -math.inf), np.zeros(batch, dtype=int)
+    for j in range(0, grid.size, block):
+        orders = grid[j : j + block]
+        vals = values(np.broadcast_to(orders, (batch, orders.size)))
+        i = np.argmax(vals, axis=1)
+        v = vals[every, i]
+        better = v > best  # strict: a later block's tie keeps the first maximum
+        best[better] = v[better]
+        win[better] = i[better] + j
+    if not np.isfinite(best).all():
+        raise ValueError("no finite value")
+    ends = np.concatenate(([before_first], grid, [after_last]))
+    lo, hi = np.minimum(ends[win], ends[win + 2]), np.maximum(ends[win], ends[win + 2])
+    a, b = lo, hi
+    c, d = b - _INVPHI * (b - a), a + _INVPHI * (b - a)
+    fc, fd = values(np.stack((c, d), axis=1)).T
+    live = np.ones(batch, dtype=bool)
+    for _ in range(200):
+        live &= b - a > GOLDEN_TOL
+        if not live.any():
+            break
+        left = live & (fc >= fd)  # keep [a, d]: c moves to d, a new c is evaluated
+        right = live & ~left  # keep [c, b]: d moves to c, a new d is evaluated
+        a, b = np.where(right, c, a), np.where(left, d, b)
+        t = _INVPHI * (b - a)
+        x = np.where(left, b - t, a + t)
+        fx = values(np.where(live, x, math.nan))
+        c, d = np.where(left, x, np.where(right, d, c)), np.where(right, x, np.where(left, c, d))
+        fc, fd = np.where(left, fx, np.where(right, fd, fc)), np.where(right, fx, np.where(left, fc, fd))
+    cands = np.column_stack((values(np.stack((lo, hi), axis=1)), fc, fd))
+    k = np.argmax(cands, axis=1)  # the first maximum, as max() picks
+    arg, val = np.stack((lo, hi, c, d), axis=1)[every, k], cands[every, k]
+    keep = best > val
+    return list(zip(np.where(keep, grid[win], arg).tolist(), np.where(keep, best, val).tolist()))
 
 
 def sup_over_order(f, batch: int) -> list[OrderOptimum]:
@@ -437,14 +392,15 @@ def sup_over_order(f, batch: int) -> list[OrderOptimum]:
 
     The problems advance in lockstep, one call of ``f`` per grid block
     (GRID_BLOCK_BYTES of values) and per golden step, and each optimum has
-    the bits it would have alone: each problem keeps its own bracket
-    arithmetic in Python floats.  Raises ValueError("no finite value") if any
-    problem has no finite grid value.
+    the bits it would have alone: the brackets are float64 arrays, one entry
+    per problem, updated elementwise with the IEEE operations of a
+    one-problem search in Python floats.  Raises ValueError("no finite
+    value") if any problem has no finite grid value.
     """
     grid = np.linspace(SUP_PAD, 1.0 - SUP_PAD, GRID_POINTS)
     return [
         OrderOptimum(a_star=float(arg), value=float(val), boundary=arg <= 2 * SUP_EDGE or arg >= 1.0 - 2 * SUP_EDGE)
-        for arg, val in _optimize(f, batch, grid, SUP_EDGE, 1.0 - SUP_EDGE)
+        for arg, val in _maximize(f, batch, grid, SUP_EDGE, 1.0 - SUP_EDGE)
     ]
 
 
@@ -466,5 +422,5 @@ def inf_over_order(f, batch: int) -> list[OrderOptimum]:
             value=float(-val),
             boundary=arg <= INF_LO * (1 - 1e-9) + 1e-12 or arg >= INF_HI * (1 + 1e-9) - 1e-12,
         )
-        for arg, val in _optimize(lambda a: -f(a), batch, grid, INF_HI, INF_LO)
+        for arg, val in _maximize(lambda a: -f(a), batch, grid, INF_HI, INF_LO)
     ]

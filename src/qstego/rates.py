@@ -191,6 +191,8 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
         raise ValueError("invalid symplectic eigenvalue")
     if not 0 <= r <= n:
         raise ValueError("bad parameter: need 0 <= r <= n")
+    if not 0.0 < zeta:
+        raise ValueError("bad parameter: zeta must be positive")
     if not points:
         return []
     penalty = math.log2(2.0 / zeta)

@@ -85,6 +85,26 @@ class TestCli:
         assert f"{path}: invalid config: bad parameter: {key} must be at least 1" in cp.stderr
         assert "Traceback" not in cp.stderr
 
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("gaussian_fig2", "zeta", 0, "zeta must be positive"),
+            ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
+            ("resolvability_demo", "k", 0, "k must be at least 1"),
+            ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
+        ],
+    )
+    def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        config["params"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        group, kind = config["kind"].split("/")
+        cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"{path}: invalid config: bad parameter: {message}" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     def test_kind_mismatch_rejected(self, tmp_path):
         cp = run_cli(
             [

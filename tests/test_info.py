@@ -378,6 +378,19 @@ class TestOrderFunctionsBitForBit:
                 assert outcomes(f, grid) == ref
                 assert each([f])(grid[None])[0].tolist() == as_scanned(ref)
 
+    @pytest.mark.parametrize("support", ["mixed", "one-size"])
+    def test_renyi_batch_pair_equals_its_columns(self, support):
+        # the optimizer evaluates (c, d) and (lo, hi) as one (P, 2) call
+        rng = np.random.default_rng(13)
+        states = mixed_support_states() if support == "mixed" else [random_density(rng, 4) for _ in range(6)]
+        h = renyi_entropy(states)
+        for lo, hi in ((info.SUP_EDGE, 1.0 - info.SUP_EDGE), (info.INF_LO, info.INF_HI)):
+            pair = rng.uniform(lo, hi, size=(len(states), 2))
+            both = h(pair)
+            for j in range(2):
+                alone = h(np.ascontiguousarray(pair[:, j]))
+                assert both[:, j].view(np.uint64).tolist() == alone.view(np.uint64).tolist()
+
     def test_key_rate_grid_skips_failed_hermiticity_checks(self):
         # the powers of the degraded dephasing states fail the 1e-10
         # Hermiticity check at some key-rate orders; both evaluations raise
@@ -556,6 +569,53 @@ class TestLockstepBitForBit:
         assert [one_problem(optimize, one(p)) for p in range(centers.size)] == expected
         assert optimize(each([one(p) for p in range(centers.size)]), batch=centers.size) == expected
         assert optimize(batch, batch=centers.size) == expected
+
+    @pytest.mark.parametrize("window", WINDOWS)
+    def test_ties_on_a_plateau(self, window):
+        # flat tops narrower than the grid step, centred in their golden
+        # bracket: the first two inner points tie, and a tie keeps [a, d]
+        optimize, reference = WINDOWS[window]
+        sign, grid = (1.0, SUP_GRID) if window == "sup" else (-1.0, INF_GRID)
+        i = np.array([40, 100, 160])
+        centers, halves = (grid[i - 1] + grid[i + 1]) / 2, 0.15 * np.abs(grid[i + 1] - grid[i - 1])
+
+        def one(p):
+            return lambda a: sign * -max(abs(a - centers[p]) - halves[p], 0.0)
+
+        expected = [reference(one(p)) for p in range(i.size)]
+        assert optimize(each([one(p) for p in range(i.size)]), batch=i.size) == expected
+        batch = lambda a: sign * -np.maximum(np.abs(a - column(centers, a)) - column(halves, a), 0.0)
+        assert optimize(batch, batch=i.size) == expected
+
+    def test_problems_finishing_at_different_steps(self):
+        # minima spread over the log grid give brackets of widths ~800x apart,
+        # so the problems close their brackets at different golden steps
+        centers = np.array([-0.02, -0.3, -1.5, -6.0])
+        expected, evaluated = [], []
+        for c in centers:
+            orders = []
+
+            def f(a, c=c, orders=orders):
+                orders.extend(a.tolist() if isinstance(a, np.ndarray) else [a])
+                return (a - c) * (a - c)
+
+            expected.append(reference_inf(f))
+            evaluated.append(orders)
+        calls = []
+
+        def batch(a):
+            calls.append(a.copy())
+            return (a - column(centers, a)) * (a - column(centers, a))
+
+        assert inf_over_order(batch, batch=centers.size) == expected
+        for p, orders in enumerate(evaluated):
+            row = [x for a in calls for x in np.atleast_1d(a[p]).tolist()]
+            assert [x for x in row if x == x] == orders  # the reference's orders, in order
+        steps = np.array([a for a in calls if a.ndim == 1])
+        finished = np.isnan(steps)
+        # once a row is sent NaN it is sent only NaN until the bracket ends
+        assert (finished[1:] >= finished[:-1]).all()
+        assert len(set(finished.sum(axis=0).tolist())) == centers.size
 
     def test_batch_without_finite_value_raises(self):
         with pytest.raises(ValueError, match="no finite value"):

@@ -10,7 +10,9 @@ over the whole run does not favour one side.  For every end-to-end metric of
 the change's ``BENCHMARK.json`` it prints each side's median and quartiles
 (q1-q3), the median ratio change/parent, in how many of the pairs the
 change read lower ("lower in k of n"; ties count for neither), the metric's
-relative ``bound`` and a verdict (see :func:`verdict`).  A run that is not
+relative ``bound`` and a verdict (see :func:`verdict`).  It also prints the
+median and quartiles of the per-pair ratios (change/parent within each pair,
+:func:`pair_ratios`), which cancel a drift of the machine between pairs.  A run that is not
 ``correct`` stops the script with exit code 1.
 """
 
@@ -57,6 +59,11 @@ def verdict(parent: list, change: list, bound: float) -> str:
     return "within bound"
 
 
+def pair_ratios(parent: list, change: list) -> list:
+    """change/parent of each pair, in pair order (NaN where parent is 0)."""
+    return [c / p if p else float("nan") for p, c in zip(parent, change)]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, help="checkout of the parent commit")
@@ -89,9 +96,10 @@ def main(argv=None) -> int:
         (p1, pm, p3), (c1, cm, c3) = quartiles(parent), quartiles(change)
         lower = sum(c < p for p, c in zip(parent, change))
         ratio = cm / pm if pm else float("nan")
+        r1, rm, r3 = quartiles(pair_ratios(parent, change))
         print(f"  {name:12s} parent {pm:.4g} {unit} (q1-q3 {p1:.4g}-{p3:.4g})  change {cm:.4g} {unit} "
-              f"(q1-q3 {c1:.4g}-{c3:.4g})  ratio {ratio:.3f}  lower in {lower} of {args.pairs}  "
-              f"bound {bounds[name]:g}: {verdict(parent, change, bounds[name])}")
+              f"(q1-q3 {c1:.4g}-{c3:.4g})  ratio {ratio:.3f}  pair ratios {rm:.3f} (q1-q3 {r1:.3f}-{r3:.3f})  "
+              f"lower in {lower} of {args.pairs}  bound {bounds[name]:g}: {verdict(parent, change, bounds[name])}")
     return 0
 
 

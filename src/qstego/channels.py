@@ -9,21 +9,39 @@ and anything that compares them should compare spectra only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DIM_CAP, DensityMatrix, as_matrix
+from .linalg import DIM_CAP, DensityMatrix, as_matrix, check_states
 
 CPTP_TOL = 1e-9
+
+
+def check_kraus(kraus) -> None:
+    """Raise ValueError("invalid channel: Kraus completeness fails") unless
+    sum_j F_j† F_j = I within 1e-9 (max entry of the deviation) for every
+    family of a batch.
+
+    ``kraus`` is the sequence of the K operators F_j, each a (..., dout, din)
+    array over one batch shape: a tuple of matrices is one family, a
+    (K, ..., dout, din) stack is a batch of families.  The sum runs over j in
+    order, one stacked product per operator.
+    """
+    total = 0
+    for k in kraus:
+        total = total + k.conj().swapaxes(-1, -2) @ k
+    deviation = np.abs(total - np.eye(np.shape(total)[-1]))
+    if not deviation.max(initial=0.0) <= CPTP_TOL:
+        raise ValueError("invalid channel: Kraus completeness fails")
 
 
 @dataclass(frozen=True)
 class QuantumChannel:
     """Completely positive trace-preserving map held as a Kraus family.
 
-    Validates the completeness relation sum_j F_j† F_j = I to 1e-9.
+    Validates the completeness relation sum_j F_j† F_j = I to 1e-9
+    (:func:`check_kraus` on one family).
     """
 
     kraus: tuple
@@ -32,15 +50,9 @@ class QuantumChannel:
         ks = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
         if not ks:
             raise ValueError("invalid channel: no Kraus operators")
-        din = ks[0].shape[1]
-        dout = ks[0].shape[0]
-        total = np.zeros((din, din), dtype=complex)
-        for k in ks:
-            if k.shape != (dout, din):
-                raise ValueError("shape error: inconsistent Kraus shapes")
-            total += k.conj().T @ k
-        if not np.max(np.abs(total - np.eye(din))) <= CPTP_TOL:
-            raise ValueError("invalid channel: Kraus completeness fails")
+        if any(k.ndim != 2 or k.shape != ks[0].shape for k in ks):
+            raise ValueError("shape error: inconsistent Kraus shapes")
+        check_kraus(ks)
         object.__setattr__(self, "kraus", ks)
 
     @property
@@ -81,20 +93,36 @@ class Isometry:
         return self.data.shape[0]
 
 
-def apply(ch: QuantumChannel, rho) -> DensityMatrix:
-    """sum_j F_j rho F_j†."""
+def apply(ch: QuantumChannel, rho):
+    """sum_j F_j rho F_j†, symmetrized and checked as a state.
+
+    One state gives a :class:`DensityMatrix`; a (..., d, d) stack of states
+    gives the stack of outputs, each with the bits of its one-state call,
+    checked by one :func:`check_states` call.
+    """
     a = as_matrix(rho)
-    if a.shape[0] != ch.dim_in:
+    if a.shape[-1] != ch.dim_in:
         raise ValueError("shape error: state does not match channel input")
     out = apply_matrix(ch, a)
-    return DensityMatrix((out + out.conj().T) / 2)
+    out = (out + out.conj().swapaxes(-1, -2)) / 2
+    return DensityMatrix(out) if a.ndim == 2 else check_states(out)
 
 
 def apply_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
-    """Channel action on a raw matrix (no state validation)."""
-    out = np.zeros((ch.dim_out, ch.dim_out), dtype=complex)
-    for k in ch.kraus:
-        out += k @ a @ k.conj().T
+    """Channel action on a raw matrix, or on each of a stack (no state validation)."""
+    return kraus_sum(ch.kraus, a)
+
+
+def kraus_sum(kraus, a: np.ndarray) -> np.ndarray:
+    """sum_j F_j a F_j†, summed over j in order.
+
+    ``kraus`` is the sequence of the Kraus operators F_j, as for
+    :func:`check_kraus`: each a (..., dout, din) array over the batch shape
+    of the (..., din, din) stack ``a``, which gives the stack of outputs.
+    """
+    out = 0
+    for k in kraus:
+        out = out + k @ a @ k.conj().swapaxes(-1, -2)
     return out
 
 
@@ -106,17 +134,21 @@ def tensor(a: QuantumChannel, b: QuantumChannel) -> QuantumChannel:
 
 
 def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
-    """n-fold Kronecker power; Kraus operators indexed by n-tuples in product order."""
+    """n-fold Kronecker power; Kraus operators indexed by n-tuples in
+    ``itertools.product`` order.
+
+    Built one factor at a time as one stacked outer product: each operator of
+    the power is the left-to-right ``np.kron`` chain of its tuple, bit for bit.
+    """
     if n < 1:
         raise ValueError("bad parameter: n must be >= 1")
     if ch.dim_in**n > DIM_CAP or ch.dim_out**n > DIM_CAP:
         raise ValueError("dimension limit")
-    ks = []
-    for combo in itertools.product(ch.kraus, repeat=n):
-        k = combo[0]
-        for f in combo[1:]:
-            k = np.kron(k, f)
-        ks.append(k)
+    base = np.array(ch.kraus)
+    ks = base
+    for _ in range(n - 1):
+        (m, p, r), (k, q, s) = ks.shape, base.shape
+        ks = (ks[:, None, :, None, :, None] * base[None, :, None, :, None, :]).reshape(m * k, p * q, r * s)
     return QuantumChannel(tuple(ks))
 
 

@@ -32,7 +32,7 @@ from .fixtures import (
     trivial_es_cover,
 )
 from .info import CqState, Pmf
-from .linalg import DensityMatrix, Povm
+from .linalg import DensityMatrix
 from .protocols import (
     build_resolvability_codes,
     build_stego_cc_es,
@@ -406,8 +406,10 @@ def _run_simulate_resolvability(
         raise ValueError("bad parameter: seeds must be at least 1")
     if k_books < 1:
         raise ValueError("bad parameter: k must be at least 1")
-    cq = _cq_state(pmf, outputs)
     mk_grid = [int(x) for x in mk_grid]
+    if any(mk < 1 for mk in mk_grid):
+        raise ValueError("bad parameter: mk_grid entries must be at least 1")
+    cq = _cq_state(pmf, outputs)
     rows = []
     medians = []
     reliabilities = {}
@@ -441,37 +443,40 @@ def _run_simulate_resolvability(
     return ["mk", "seed", "distance", "reliability"], rows, flags, summary
 
 
+def _inverse_sqrt(a: np.ndarray) -> np.ndarray:
+    """a^(-1/2) of each positive definite matrix of a (..., d, d) stack."""
+    w, v = np.linalg.eigh(a)
+    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
+    """Random instances, drawn one after another and checked together per
+    (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
     rng = np.random.default_rng(seed)
     instances, dim_max, x_max = int(instances), int(dim_max), int(x_max)
-    rows = []
+    shapes = {}  # (dim, nx) -> (instance indices, Gaussian draws, PMFs)
     for idx in range(instances):
         dim = int(rng.integers(2, dim_max + 1))
         nx = int(rng.integers(2, x_max + 1))
-        states = []
-        for _ in range(nx):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            a = g @ g.conj().T
-            states.append(DensityMatrix(a / np.trace(a).real))
-        gs = []
-        for _ in range(nx):
-            g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            gs.append(g @ g.conj().T)
-        total = sum(gs)
-        w, v = np.linalg.eigh(total)
-        inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-        povm = Povm([inv @ g @ inv for g in gs])
-        channels = []
-        for _ in range(nx):
-            ks = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
-            tot = sum(k.conj().T @ k for k in ks)
-            w2, v2 = np.linalg.eigh(tot)
-            inv2 = (v2 * (1.0 / np.sqrt(w2))) @ v2.conj().T
-            channels.append(QuantumChannel(tuple(k @ inv2 for k in ks)))
-        p = Pmf(rng.dirichlet(np.ones(nx)))
-        rep = verify_gentle_composition(states, channels, povm, p)
-        rows.append(
-            {
+        # the real and imaginary parts of nx state, nx POVM and 2 nx Kraus
+        # seeds, in the order of 8 nx separate (dim, dim) draws
+        gauss = rng.normal(size=(4 * nx, 2, dim, dim))
+        p = rng.dirichlet(np.ones(nx))
+        for store, item in zip(shapes.setdefault((dim, nx), ([], [], [])), (idx, gauss, p)):
+            store.append(item)
+    rows = [None] * instances
+    for (dim, nx), (ids, gauss, probs) in shapes.items():
+        g = np.array(gauss)
+        g = g[:, :, 0] + 1j * g[:, :, 1]
+        a = g[:, :nx] @ g[:, :nx].conj().swapaxes(-1, -2)
+        states = a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
+        seeds = g[:, nx : 2 * nx] @ g[:, nx : 2 * nx].conj().swapaxes(-1, -2)
+        inv = _inverse_sqrt(sum(seeds[:, x] for x in range(nx)))[:, None]
+        ks = g[:, 2 * nx :].reshape(len(ids), nx, 2, dim, dim)
+        inv2 = _inverse_sqrt(sum(k.conj().swapaxes(-1, -2) @ k for k in np.moveaxis(ks, 2, 0)))[:, :, None]
+        reports = verify_gentle_composition(states, ks @ inv2, inv @ seeds @ inv, probs)
+        for idx, rep in zip(ids, reports):
+            rows[idx] = {
                 "instance": idx,
                 "dim": dim,
                 "x_size": nx,
@@ -480,7 +485,6 @@ def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
                 "bound": rep.rhs,
                 "holds": rep.holds,
             }
-        )
     flags = {"all_hold": all(r["holds"] for r in rows)}
     return ["instance", "dim", "x_size", "eps", "lhs", "bound", "holds"], rows, flags, {}
 

@@ -6,8 +6,9 @@ The optimizer solves a batch of problems in lockstep: one grid scan in
 blocks of columns, then a golden-section search whose brackets are arrays,
 one entry per problem, so each step is one objective call.  Its one
 objective contract is a batch objective of an order array, row p for problem
-p; :func:`each` makes one of per-problem float-order functions.  Each
-optimum has the bits it has alone.
+p.  The Renyi entropy of a sequence of states and both mutual informations
+take order arrays, so every rate objective is array code.  Each optimum has
+the bits it has alone.
 
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
 follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
@@ -109,9 +110,10 @@ def renyi_entropy(rho):
     ndarray of orders and returns an ndarray of the same shape; both give the
     same bits at every order.
 
-    ``rho`` may also be a sequence of states (a list, tuple, iterator or
-    stacked array), each diagonalized once.  The order function of P states
-    takes an ndarray of shape (P,) or (P, k), row p for state p, and returns
+    ``rho`` may also be an (n, d, d) stack of states or a sequence of states
+    and stacks (a list, tuple or iterator), each state or stack diagonalized
+    by one ``eigvalsh`` call.  The order function of P states takes an
+    ndarray of shape (P,) or (P, k), row p for state p in order, and returns
     the entropies in that shape; a NaN order gives NaN.  Each entry has the
     bits of the one-state function: the rows of states with the same support
     size are summed together, so each sum runs over the same spectrum.
@@ -135,12 +137,15 @@ def renyi_entropy(rho):
     # zero-padding the spectra to one width would change numpy's pairwise
     # summation, so each support size is its own (rows, spectra) stack
     by_size = {}
-    for p, state in enumerate(rho):
-        lam = _spectrum(state)
-        lam = lam[lam > 0.0]
-        rows, spectra = by_size.setdefault(lam.size, ([], []))
-        rows.append(p)
-        spectra.append(lam)
+    p = 0
+    for item in [rho] if isinstance(rho, np.ndarray) else rho:
+        w = _spectrum(item)  # a stacked eigvalsh gives each matrix its own call's bits
+        for lam in w.reshape(-1, w.shape[-1]):
+            lam = lam[lam > 0.0]
+            rows, spectra = by_size.setdefault(lam.size, ([], []))
+            rows.append(p)
+            spectra.append(lam)
+            p += 1
     if not by_size:
         raise ValueError("bad parameter: no states")
     groups = [(np.array(rows), np.array(spectra)) for rows, spectra in by_size.values()]
@@ -184,51 +189,92 @@ def holevo_information(cq: CqState) -> float:
     return float(total - cond)
 
 
+#: bytes of one stack of matrix powers when a mutual information is evaluated
+#: on an order array: at most this many bytes of d x d powers per product
+POWER_BLOCK_BYTES = 1 << 18
+
+
+def _order_function(values, dim: int):
+    """The order function of a mutual information whose values at a 1-D array
+    of nonzero orders are ``values(x)``, NaN where a matrix power failed its
+    Hermiticity check.
+
+    Given an ndarray of orders it returns the values in that shape, NaN at a
+    NaN order, evaluating the finite orders in blocks of at most
+    POWER_BLOCK_BYTES of dim x dim powers.  Given a float it returns a float,
+    and raises ValueError where a power failed the check.
+    """
+
+    def f(a):
+        if not isinstance(a, np.ndarray):
+            a = float(a)
+            if a == 0:
+                raise ValueError("invalid order: a must be nonzero")
+            [v] = values(np.array([a])).tolist()
+            if v != v:
+                raise ValueError("invalid operator: not Hermitian")
+            return v
+        if (a == 0).any():
+            raise ValueError("invalid order: a must be nonzero")
+        out = np.full(a.shape, math.nan)
+        flat, res = a.reshape(-1), out.reshape(-1)
+        live = np.flatnonzero(flat == flat)
+        step = max(1, POWER_BLOCK_BYTES // (16 * dim * dim))
+        for i in range(0, live.size, step):
+            rows = live[i : i + step]
+            res[rows] = values(flat[rows])
+        return out
+
+    return f
+
+
+def _traces(stack: np.ndarray) -> np.ndarray:
+    """Real parts of the traces of a (k, d, d) stack, each summed as the
+    trace of its one matrix (one contiguous row per diagonal)."""
+    return np.ascontiguousarray(np.diagonal(stack, axis1=1, axis2=2)).sum(axis=-1).real
+
+
 def renyi_mi_up(cq: CqState):
     """The order function of the sandwiched-trace Renyi mutual information
 
     -(1/a) log2 tr( rho_XB (rho_X (x) rho_B)^(a/2) rho_XB^(-a) (rho_X (x) rho_B)^(a/2) )
 
     with pseudo-inverse powers on singular states, from one eigendecomposition
-    each of rho_XB and rho_X (x) rho_B.  The function takes one nonzero float
-    order; a power that fails the Hermiticity check raises ValueError.
+    each of rho_XB and rho_X (x) rho_B.  It takes a nonzero float order, and
+    raises ValueError where a power fails the Hermiticity check, or an
+    ndarray of orders, which gives NaN there (see :func:`_order_function`);
+    each order forms its powers as slices of one stacked product, with the
+    bits of the float call.
     """
     joint = cq.joint()
     ref_power = power_function(np.kron(np.diag(cq.pmf.probs).astype(complex), cq.marginal_b()))
     joint_power = power_function(joint)
 
-    def mi_up(a: float) -> float:
-        a = float(a)  # an ndarray of orders raises: optimizers go one order at a time
-        if a == 0:
-            raise ValueError("invalid order: a must be nonzero")
-        ref_half = ref_power(a / 2.0).data
-        joint_neg = joint_power(-a).data
-        val = np.trace(joint @ ref_half @ joint_neg @ ref_half).real
-        return float(-np.log2(max(val, 1e-300)) / a)
+    def values(x):
+        ref_half = ref_power(x / 2.0)
+        val = _traces(joint @ ref_half @ joint_power(-x) @ ref_half)
+        return -np.log2(np.maximum(val, 1e-300)) / x
 
-    return mi_up
+    return _order_function(values, joint.shape[0])
 
 
 def renyi_mi_down(cq: CqState):
     """The order function a -> -(1/a) log2 sum_x P(x) tr( (rho_B^x)^(1-a) rho_B^a ),
     from one eigendecomposition each of rho_B and of every rho_B^x with
-    P(x) > 0.  The function takes one nonzero float order; a power that fails
-    the Hermiticity check raises ValueError.
+    P(x) > 0.  It takes a float or an ndarray of orders, as
+    :func:`renyi_mi_up` does; the sum over x runs in order.
     """
     rho_b_power = power_function(cq.marginal_b())
     terms = [(px, power_function(s)) for px, s in zip(cq.pmf.probs, cq.states) if px > 0.0]
 
-    def mi_down(a: float) -> float:
-        a = float(a)  # an ndarray of orders raises: optimizers go one order at a time
-        if a == 0:
-            raise ValueError("invalid order: a must be nonzero")
-        rb_a = rho_b_power(a).data
+    def values(x):
+        rb_a = rho_b_power(x)
         total = 0.0
         for px, s_power in terms:
-            total += px * np.trace(s_power(1.0 - a).data @ rb_a).real
-        return float(-np.log2(max(total, 1e-300)) / a)
+            total = total + px * _traces(s_power(1.0 - x) @ rb_a)
+        return -np.log2(np.maximum(total, 1e-300)) / x
 
-    return mi_down
+    return _order_function(values, cq.dim_b)
 
 
 def smooth_min_entropy_classical(p, eps: float) -> float:
@@ -282,37 +328,6 @@ class OrderOptimum:
     a_star: float
     value: float
     boundary: bool
-
-
-#: what an objective may raise at an order it cannot evaluate
-_FAILURES = (ValueError, ArithmeticError, FloatingPointError)
-
-
-def _one(f, x: float) -> float:
-    if x != x:  # NaN: this problem needs no value
-        return math.nan
-    try:
-        return f(x)
-    except _FAILURES:
-        return -math.inf
-
-
-def each(fs):
-    """The batch objective of the one-problem order functions ``fs``, for
-    :func:`sup_over_order` and :func:`inf_over_order`: entry (p, j) of an
-    order array of shape (P,) or (P, k) is ``fs[p]`` at that order as a Python
-    float, NaN at a NaN order, and -inf where ``fs[p]`` raises."""
-    fs = tuple(fs)
-
-    # no closure here refers to itself or stores an exception: a reference
-    # cycle would keep the functions' cached eigenvectors until the next
-    # garbage collection (1.5 MB more peak RSS on the large-d benchmark)
-    def values(a):
-        if a.ndim == 1:
-            return np.array([_one(f, x) for f, x in zip(fs, a.tolist())])
-        return np.array([[_one(f, x) for x in row] for f, row in zip(fs, a.tolist())])
-
-    return values
 
 
 def _maximize(f, batch: int, grid, before_first: float, after_last: float):
@@ -381,9 +396,9 @@ def sup_over_order(f, batch: int) -> list[OrderOptimum]:
 
     ``f`` is the objective of the P = ``batch`` problems at once: it takes an
     ndarray of orders of shape (P,) or (P, k), row p for problem p, and
-    returns values of the same shape (:func:`each` makes one of P float-order
-    functions).  A NaN order marks a problem that needs no value, and its
-    value there is ignored; a non-finite value counts as -inf at that order.
+    returns values of the same shape.  A NaN order marks a problem that needs
+    no value, and its value there is ignored; a non-finite value counts as
+    -inf at that order.
     Grid search (199 points on [0.005, 0.995]) followed by golden-section
     refinement around each problem's best point.  When the grid winner sits
     at a grid end, the refinement bracket extends to the open endpoint

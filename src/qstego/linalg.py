@@ -8,6 +8,7 @@ Logarithms are base 2 throughout the package.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,9 +24,9 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 VEC_NORM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
-#: bytes of POVM elements whose Hermiticity is checked in one batch; bounds
-#: the check's temporaries to about 1.5 blocks
-POVM_BLOCK_BYTES = 1 << 20
+#: bytes of matrices whose Hermiticity is checked in one block; bounds the
+#: check's temporaries to about 1.5 blocks
+CHECK_BLOCK_BYTES = 1 << 20
 
 
 def as_matrix(x) -> np.ndarray:
@@ -33,9 +34,69 @@ def as_matrix(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x), dtype=complex)
 
 
-def herm_defect(a: np.ndarray) -> float:
-    """Max absolute entry of A - A†."""
-    return float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+def herm_defect(a: np.ndarray) -> np.ndarray:
+    """Max absolute entry of A - A† for each matrix A of the (..., d, d) stack
+    ``a``: an array of shape ``a.shape[:-2]`` (0-d for one matrix), formed on
+    blocks of about ``CHECK_BLOCK_BYTES``.  NaN entries give NaN."""
+    n = math.prod(a.shape[:-2])
+    step = max(1, CHECK_BLOCK_BYTES // max(1, 16 * a.shape[-1] ** 2))
+    if n > step:
+        flat = a.reshape((n,) + a.shape[-2:])
+        return np.concatenate([herm_defect(flat[i : i + step]) for i in range(0, n, step)]).reshape(a.shape[:-2])
+    diff = np.conjugate(a.swapaxes(-1, -2))
+    np.subtract(a, diff, out=diff)
+    return np.abs(diff).max(axis=(-2, -1), initial=0.0)
+
+
+# The stacked checks below take a stack over any leading batch shape and raise
+# the message of the first check that some matrix fails; the value objects
+# call them on their one item.  Every bound is written so that NaN fails it.
+
+
+def check_states(a) -> np.ndarray:
+    """``a`` as a complex (..., d, d) stack of density matrices.
+
+    Raises ValueError("invalid state: ...") unless every matrix is Hermitian
+    within 1e-10 (max entry), has a trace within 1e-10 of 1 and no
+    eigenvalue below -1e-10; the eigenvalues are one ``eigvalsh`` call.
+    """
+    a = np.asarray(a, dtype=complex)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValueError("invalid state: not a square matrix")
+    if not (herm_defect(a) <= HERM_TOL).all():
+        raise ValueError("invalid state: not Hermitian")
+    t = a.trace(axis1=-2, axis2=-1)
+    if not ((abs(t.real - 1.0) <= TRACE_TOL) & (abs(t.imag) <= TRACE_TOL)).all():
+        raise ValueError("invalid state: trace not 1")
+    if a.size and not np.linalg.eigvalsh(a).min() >= -EIG_TOL:
+        raise ValueError("invalid state: negative eigenvalue")
+    return a
+
+
+def check_povms(els) -> np.ndarray:
+    """``els`` as a complex (..., n, d, d) stack of POVMs, the n elements of
+    each along axis -3.
+
+    Raises ValueError unless every element is Hermitian within 1e-10 (max
+    entry), has its eigenvalues in [-1e-10, 1 + 1e-10] (one ``eigvalsh``
+    call), and the elements of each POVM sum to I within 1e-9 (max entry of
+    the deviation).
+    """
+    els = np.asarray(els, dtype=complex)
+    if els.ndim < 3 or els.shape[-1] != els.shape[-2]:
+        raise ValueError("shape error: not a square matrix")
+    if not els.shape[-3]:
+        raise ValueError("invalid POVM: no elements")
+    if not (herm_defect(els) <= HERM_TOL).all():
+        raise ValueError("invalid operator: not Hermitian")
+    if els.size:
+        w = np.linalg.eigvalsh(els)
+        if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
+            raise ValueError("invalid POVM: element outside [0, 1]")
+    deviation = np.abs(els.sum(axis=-3) - np.eye(els.shape[-1]))
+    if not deviation.max(initial=0.0) <= POVM_SUM_TOL:
+        raise ValueError("invalid POVM: elements do not sum to identity")
+    return els
 
 
 @dataclass(frozen=True)
@@ -44,22 +105,16 @@ class DensityMatrix:
 
     Raises ValueError("invalid state") if the matrix is not Hermitian within
     1e-10 (max entry), has an eigenvalue below -1e-10, or its trace differs
-    from 1 by more than 1e-10.
+    from 1 by more than 1e-10 (:func:`check_states` on one matrix).
     """
 
     data: np.ndarray
 
     def __post_init__(self):
         a = np.asarray(self.data, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        if a.ndim != 2:
             raise ValueError("invalid state: not a square matrix")
-        if not herm_defect(a) <= HERM_TOL:
-            raise ValueError("invalid state: not Hermitian")
-        if not (abs(np.trace(a).real - 1.0) <= TRACE_TOL and abs(np.trace(a).imag) <= TRACE_TOL):
-            raise ValueError("invalid state: trace not 1")
-        if not np.linalg.eigvalsh(a).min() >= -EIG_TOL:
-            raise ValueError("invalid state: negative eigenvalue")
-        object.__setattr__(self, "data", a)
+        object.__setattr__(self, "data", check_states(a))
 
     @property
     def dim(self) -> int:
@@ -107,11 +162,10 @@ class Povm:
 
     ``elements`` is one stacked (n, d, d) complex array; element w is
     ``elements[w]``.  It is given as such an array (kept without a copy) or as
-    a sequence of square matrices or :class:`HermitianOperator`.  Every
-    element is checked: Hermitian within 1e-10 (max entry), eigenvalues in
-    [-1e-10, 1 + 1e-10], and the elements must sum to I within 1e-9 (max
-    entry of the deviation).  The Hermiticity check runs on blocks of about
-    ``POVM_BLOCK_BYTES``, the eigenvalues come from one ``eigvalsh`` call.
+    a sequence of square matrices or :class:`HermitianOperator`.  The
+    elements are checked with :func:`check_povms`: Hermitian within 1e-10
+    (max entry), eigenvalues in [-1e-10, 1 + 1e-10], and the elements must
+    sum to I within 1e-9 (max entry of the deviation).
     """
 
     elements: np.ndarray
@@ -125,23 +179,23 @@ class Povm:
             if any(m.shape != mats[0].shape for m in mats):
                 raise ValueError("shape error: POVM element dimension mismatch")
             els = np.stack(mats)
-        els = np.asarray(els, dtype=complex)
-        if els.ndim != 3 or els.shape[1] != els.shape[2]:
+        if np.ndim(els) != 3:
             raise ValueError("shape error: not a square matrix")
-        dim = els.shape[1]
-        step = max(1, POVM_BLOCK_BYTES // (16 * dim * dim))
-        for i in range(0, len(els), step):
-            block = els[i : i + step]
-            diff = np.conjugate(block.swapaxes(1, 2))
-            np.subtract(block, diff, out=diff)
-            if not np.max(np.abs(diff)) <= HERM_TOL:
-                raise ValueError("invalid operator: not Hermitian")
-        w = np.linalg.eigvalsh(els)
-        if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
-            raise ValueError("invalid POVM: element outside [0, 1]")
-        if not np.max(np.abs(els.sum(axis=0) - np.eye(dim))) <= POVM_SUM_TOL:
-            raise ValueError("invalid POVM: elements do not sum to identity")
-        object.__setattr__(self, "elements", els)
+        object.__setattr__(self, "elements", check_povms(els))
+
+    @classmethod
+    def batch(cls, elements: np.ndarray) -> tuple:
+        """One POVM per leading index of an (N, n, d, d) stack, all checked by
+        one :func:`check_povms` call instead of one per POVM; each holds its
+        (n, d, d) slice of the stack."""
+        if np.ndim(elements) != 4:
+            raise ValueError("shape error: not a stack of POVMs")
+        povms = []
+        for e in check_povms(elements):
+            povm = object.__new__(cls)
+            object.__setattr__(povm, "elements", e)
+            povms.append(povm)
+        return tuple(povms)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -219,9 +273,10 @@ def trace_norm(x):
 
 
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
-    """Square root of a PSD matrix via its eigendecomposition."""
+    """Square root of a PSD matrix via its eigendecomposition; of each matrix
+    of a (..., d, d) stack, with the bits of its one-matrix call."""
     w, v = np.linalg.eigh(a)
-    return (v * np.sqrt(np.maximum(w, 0.0))) @ v.conj().T
+    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:
@@ -267,11 +322,15 @@ def distinct_eigenvalue_counts(x, tols) -> list[int]:
 def power_function(rho):
     """Functional calculus from one eigendecomposition: the function a -> rho^a.
 
-    ``rho`` is diagonalized once; each call forms rho^a in that eigenbasis
-    and returns it as a :class:`HermitianOperator`, so every power is checked
-    for Hermiticity (1e-10).  Eigenvalues below 1e-12 are treated as exact
-    zeros; for negative exponents they map to 0 (pseudo-inverse on the
-    support).
+    ``rho`` is diagonalized once; each call forms rho^a in that eigenbasis.
+    Eigenvalues below 1e-12 are treated as exact zeros; for negative
+    exponents they map to 0 (pseudo-inverse on the support).
+
+    A float exponent gives a :class:`HermitianOperator`, so the power is
+    checked for Hermiticity (1e-10) and raises ValueError if it fails.  A 1-D
+    ndarray of k exponents gives the (k, d, d) stack of powers, one stacked
+    product with the bits of the k float calls; a power that fails the check
+    is NaN throughout.
     """
     w, v = np.linalg.eigh(as_matrix(rho))
     w = np.where(w < ZERO_CUT, 0.0, w)
@@ -279,7 +338,14 @@ def power_function(rho):
     base = np.where(support, w, 1.0)
     v_dag = v.conj().T
 
-    def power(a: float) -> HermitianOperator:
+    def power(a):
+        if isinstance(a, np.ndarray):
+            # one exponent per row, broadcast along it as a float exponent is;
+            # off the support 0^a is 0 (or 1 at a = 0), as w**a gives it
+            col = a[:, None]
+            stack = (v * np.where(support, base**col, col == 0.0)[:, None, :]) @ v_dag
+            stack[~(herm_defect(stack) <= HERM_TOL)] = np.nan
+            return stack
         powered = np.where(support, base**a, 0.0) if a < 0 else w**a
         return HermitianOperator((v * powered) @ v_dag)
 

@@ -27,7 +27,8 @@ def pretty_good_measurement(states):
     gives one :class:`Povm`, or an (n, M, d, d) array of n such lists, which
     gives a tuple of n; each has the bits of its own one-list call.  S is
     summed state by state, in order; the n eigendecompositions are one call,
-    and all n M elements are one stacked product.
+    all n M elements are one stacked product, and the n POVMs are checked by
+    one stacked check (:meth:`Povm.batch`).
     """
     batch = isinstance(states, np.ndarray) and states.ndim == 4
     mats = states if batch else np.array([as_matrix(s) for s in states])[None]
@@ -50,7 +51,7 @@ def pretty_good_measurement(states):
         rest[rows] = (np.eye(dim) - kept @ kept.conj().swapaxes(1, 2)) / m
     e = inv_sqrt[:, None] @ mats @ inv_sqrt[:, None] + rest[:, None]
     e = (e + e.conj().swapaxes(2, 3)) / 2
-    povms = tuple(Povm(elements) for elements in e)
+    povms = Povm.batch(e)
     return povms if batch else povms[0]
 
 

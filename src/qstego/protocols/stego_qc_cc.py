@@ -16,7 +16,7 @@ import numpy as np
 
 from ..channels import QuantumChannel, apply
 from ..hashing import build_classical_hash
-from ..linalg import DensityMatrix, psd_sqrt, trace_norm
+from ..linalg import DensityMatrix, check_states, psd_sqrt, trace_norm
 from .codes import QcCode, StegoQcCcCode, proportionality_to_identity
 
 KL_TOL = 1e-8
@@ -152,23 +152,24 @@ def build_stego_qc_cc(
     cover_dec = tuple(np.kron(k, np.eye(mbar)) for k in cover.decode.kraus)
     decoder = QuantumChannel(tuple(dk @ ik for dk in cover_dec for ik in inner_channel.kraus))
 
-    inputs = test_input_states(cover.m)
+    # the audit inputs as one stack: every channel output is one stacked apply,
+    # and the sums over wbar and the extrema over inputs run in order
+    inputs = np.array([rho.data for rho in test_input_states(cover.m)])
+    rho_c = apply(channel, check_states(v @ inputs @ v.conj().T))
+    mix = 0
+    per_input = 0.0
+    for wbar, e in enumerate(encoders):
+        sent = apply(e, inputs)
+        mix = mix + sent
+        out = apply(decoder, sent)
+        block = out.reshape(-1, cover.m, mbar, cover.m, mbar)[:, :, wbar, :, wbar]
+        per_input = per_input + np.trace(block, axis1=-2, axis2=-1).real
+    mix = mix / mbar
     distance_sup = 0.0
     cypher_min = 1.0
-    for rho in inputs:
-        encoded_cover = v @ rho.data @ v.conj().T
-        rho_c = apply(channel, DensityMatrix(encoded_cover))
-        mix = np.zeros((dim, dim), dtype=complex)
-        per_input = 0.0
-        for wbar, e in enumerate(encoders):
-            sent = apply(e, rho)
-            mix += sent.data
-            out = apply(decoder, sent)
-            block = out.data.reshape(cover.m, mbar, cover.m, mbar)[:, wbar, :, wbar]
-            per_input += float(np.trace(block).real)
-        mix /= mbar
-        distance_sup = max(distance_sup, trace_norm(mix - rho_c.data))
-        cypher_min = min(cypher_min, per_input / mbar)
+    for dist, per in zip(trace_norm(mix - rho_c).tolist(), (per_input / mbar).tolist()):
+        distance_sup = max(distance_sup, dist)
+        cypher_min = min(cypher_min, per)
 
     # recovery constant of the stego pair over the true (noiseless) channel:
     # the error subspaces are orthogonal, so this comes out as 1

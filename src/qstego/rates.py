@@ -18,7 +18,6 @@ from .channels import QuantumChannel, apply, tensor_power
 from .info import (
     CqState,
     OrderOptimum,
-    each,
     inf_over_order,
     renyi_entropy,
     renyi_mi_down,
@@ -66,29 +65,27 @@ def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     return _from_optimum(best, {"per_w": [o.value for o in opts], "penalty_at_a1": 4.0 * penalty})
 
 
-def _once_per_order(f):
-    """The order function f, evaluated at most once per float order: a repeated
-    order returns the stored value, or raises ValueError again where f raised.
+def _column(values: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Per-problem values shaped to broadcast against an order array a."""
+    return values.reshape((-1,) + (1,) * (a.ndim - 1))
 
-    The store holds floats and None only, never an exception: a stored
-    traceback would reference this frame, and through it the store, a cycle
-    that keeps f's eigh factors alive until the next garbage collection.
-    """
-    values = {}
 
-    def g(a):
-        a = float(a)  # an ndarray of orders raises: optimizers go one order at a time
-        if a not in values:
-            try:
-                values[a] = f(a)
-            except (ValueError, ArithmeticError):
-                values[a] = None
-                raise
-        if values[a] is None:
-            raise ValueError("order function failed at this order")
-        return values[a]
+def _per_side(fs, w: int):
+    """The batch values of problems p = i * w + s: the order function ``fs[s]``
+    at row p's orders, NaN at a NaN order.  Each side is called once per call,
+    on the 1-D array of the distinct orders of its rows."""
 
-    return g
+    def values(a):
+        out = np.full(a.shape, math.nan)
+        for s, f in enumerate(fs):
+            rows = a[s::w]
+            live = rows == rows
+            orders, where = np.unique(rows[live], return_inverse=True)
+            if orders.size:
+                out[s::w][live] = f(orders)[where]
+        return out
+
+    return values
 
 
 def rate_cc_noisy(
@@ -108,36 +105,37 @@ def rate_cc_noisy(
     inf taken on the fixed window of :func:`qstego.info.inf_over_order` (199
     log-spaced points on [-8, -0.01]).  An order at which a matrix power fails
     the 1e-10 Hermiticity check (large negative powers of nearly singular
-    states) is skipped without a flag, as is any order whose expression
-    raises or is not finite.  Distinct-eigenvalue counts nu use each
-    tolerance in turn; only the log2 nu terms depend on it.  Every (tolerance,
-    side) sup is one problem of one :func:`qstego.info.each` batch, and every
-    inf one problem of another.  Each side state's Iup and Idown are built
-    once and evaluated once per order, a store the problems of every
-    tolerance share, and each matrix is diagonalized once for its nu at every
-    tolerance.
+    states) is skipped without a flag, as is any order whose expression is
+    not finite.  Distinct-eigenvalue counts nu use each tolerance in turn;
+    only the log2 nu terms depend on it.  Every (tolerance, side) sup is one
+    problem of one batch, and every inf one problem of another.  Each side
+    state's Iup and Idown are built once, and each objective call evaluates
+    them once per side on the distinct orders of its problems, as one order
+    array; each matrix is diagonalized once for its nu at every tolerance.
     """
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
     if not nu_tols:
         return []
-    sides = []
+    ups, downs, nu_logs = [], [], []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()
         ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
-        mi_up, mi_down = _once_per_order(renyi_mi_up(sigma)), _once_per_order(renyi_mi_down(sigma))
+        ups.append(renyi_mi_up(sigma))
+        downs.append(renyi_mi_down(sigma))
         nus = zip(distinct_eigenvalue_counts(ref, nu_tols), distinct_eigenvalue_counts(rho_b, nu_tols))
-        sides.append((mi_up, mi_down, list(nus)))
+        nu_logs.append([(math.log2(nu_ref), math.log2(nu_b)) for nu_ref, nu_b in nus])
     zeta_term, xi_term = math.log2(12.0 / zeta), math.log2(12.0 / xi)
-    w = len(sides)
-    cypher_fs, key_fs = [], []  # problem i * w + s is side s at tolerance i
-    for i in range(len(nu_tols)):
-        for mi_up, mi_down, nus in sides:
-            nu_ref, nu_b = nus[i]
-            cypher_fs.append(lambda a, f=mi_up, c=math.log2(nu_ref): f(a) - c / a - (4.0 / a) * zeta_term)
-            key_fs.append(lambda a, f=mi_down, c=math.log2(nu_b): f(a) + c + (2.0 - 2.0 / a) * xi_term)
-    cyphers = sup_over_order(each(cypher_fs), batch=len(cypher_fs))
-    keys = inf_over_order(each(key_fs), batch=len(key_fs))
+    w = len(ups)
+    # problem i * w + s is side s at tolerance i
+    c_up, c_down = np.reshape([logs[i] for i in range(len(nu_tols)) for logs in nu_logs], (-1, 2)).T
+    mi_up, mi_down = _per_side(ups, w), _per_side(downs, w)
+    cyphers = sup_over_order(
+        lambda a: mi_up(a) - _column(c_up, a) / a - (4.0 / a) * zeta_term, batch=c_up.size
+    )
+    keys = inf_over_order(
+        lambda a: mi_down(a) + _column(c_down, a) + (2.0 - 2.0 / a) * xi_term, batch=c_down.size
+    )
     results = []
     for i, nu_tol in enumerate(nu_tols):
         opts_m, opts_k = cyphers[i * w : (i + 1) * w], keys[i * w : (i + 1) * w]
@@ -178,13 +176,23 @@ def gaussian_renyi_term(a, nu0: float, nu1: float, n: int, r: int):
     return -((n - r) * log2(eta(1.0 + a, nu0)) + r * log2(eta(1.0 + a, nu1))) / a
 
 
+def _log2_eta(alpha: float, nu: float) -> float:
+    """math.log2(eta(alpha, nu)) in Python floats, NaN where it raises."""
+    try:
+        return math.log2(eta(alpha, nu))
+    except (ValueError, ArithmeticError):
+        return math.nan
+
+
 def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
     """sup_a -[ (n-r) log2 eta_{1+a}(nu0) + r log2 eta_{1+a}(nu1) ]/a - (4/a) log2(2/zeta)
     at each (nu0, nu1) of ``points``, one RateResult per point.
 
-    Every point's sup is one problem of one :func:`qstego.info.each` batch,
-    so each order reaches :func:`gaussian_renyi_term` as a float, on its
-    ``math.log2`` path.
+    Every point's sup is one problem of one batch.  Each objective call
+    takes ``math.log2(eta(1.0 + a, nu))`` in Python floats (the scalar path
+    of :func:`gaussian_renyi_term`; numpy's pow and log2 differ from the C
+    library's in the last bit) once per distinct (order, nu) of its orders,
+    and the rest of the expression elementwise.
     """
     points = list(points)
     if any(nu0 < 1.0 or nu1 < 1.0 for nu0, nu1 in points):
@@ -196,8 +204,22 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
     if not points:
         return []
     penalty = math.log2(2.0 / zeta)
-    fs = [lambda a, x=nu0, y=nu1: gaussian_renyi_term(a, x, y, n, r) - (4.0 / a) * penalty for nu0, nu1 in points]
-    opts = sup_over_order(each(fs), batch=len(points))
+    nu0s, nu1s = np.array(points, dtype=float).T
+
+    def objective(a):
+        # every entry's (order, nu0) and (order, nu1) as one complex key; the
+        # log is taken once per distinct key
+        keys = np.empty((2,) + a.shape, dtype=complex)
+        keys.real = a
+        keys.imag[0], keys.imag[1] = _column(nu0s, a), _column(nu1s, a)
+        live = keys.real == keys.real
+        distinct, where = np.unique(keys[live], return_inverse=True)
+        logs = np.full(keys.shape, math.nan)
+        logs[live] = np.array([_log2_eta(1.0 + key.real, key.imag) for key in distinct.tolist()])[where]
+        l0, l1 = logs
+        return -((n - r) * l0 + r * l1) / a - (4.0 / a) * penalty
+
+    opts = sup_over_order(objective, batch=len(points))
     return [_from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r}) for opt, (nu0, nu1) in zip(opts, points)]
 
 

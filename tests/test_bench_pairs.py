@@ -35,3 +35,21 @@ class TestVerdict:
     def test_resolved_when_every_change_run_beats_every_parent_run(self):
         assert bench_pairs.verdict(PARENT, [0.5, 0.6, 0.7, 0.8, 0.85], 0.05) == "within bound"
         assert bench_pairs.verdict(PARENT, [0.5, 0.6, 0.7, 0.8, 0.9], 0.05) == "unresolved"  # a tie does not beat
+
+
+class TestPairRatios:
+    def test_ratio_within_each_pair(self):
+        # a machine that drifts 2x slower over the pairs: every pair reads 0.5
+        parent = [1.0, 1.5, 2.0, 2.5]
+        change = [0.5, 0.75, 1.0, 1.25]
+        assert bench_pairs.pair_ratios(parent, change) == [0.5, 0.5, 0.5, 0.5]
+        assert bench_pairs.quartiles(bench_pairs.pair_ratios(parent, change)) == (0.5, 0.5, 0.5)
+
+    def test_quartiles_of_the_ratios(self):
+        ratios = bench_pairs.pair_ratios([2.0, 2.0, 2.0, 2.0, 2.0], [1.0, 1.2, 1.4, 1.6, 3.0])
+        assert ratios == [0.5, 0.6, 0.7, 0.8, 1.5]
+        assert bench_pairs.quartiles(ratios) == pytest.approx((0.6, 0.7, 0.8))
+
+    def test_zero_parent_gives_nan(self):
+        [ratio] = bench_pairs.pair_ratios([0.0], [1.0])
+        assert ratio != ratio

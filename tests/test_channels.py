@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -135,6 +136,31 @@ class TestComposeAndTensor:
                     sum(f @ e @ f.conj().T for f in b.kraus),
                 )
                 assert np.allclose(lhs2, rhs2, atol=1e-12)
+
+
+def tensor_power_loop(ch, n):
+    """The Kraus operators of the n-fold power, one np.kron chain per tuple."""
+    ks = []
+    for combo in itertools.product(ch.kraus, repeat=n):
+        k = combo[0]
+        for f in combo[1:]:
+            k = np.kron(k, f)
+        ks.append(k)
+    return ks
+
+
+class TestTensorPowerBitForBit:
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("depolarizing", 3), ("amplitude_damping", 4), ("bit_flip", 1), ("dephasing", 5), ("random", 3)],
+    )
+    def test_matches_kron_chains(self, kind, n):
+        rng = np.random.default_rng(12)
+        ch = random_channel(rng, 3, 2, 3) if kind == "random" else standard_channel(kind, 0.37)
+        got = tensor_power(ch, n).kraus
+        expected = tensor_power_loop(ch, n)
+        assert len(got) == len(expected)
+        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
 
 class TestIsometricExtension:

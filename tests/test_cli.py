@@ -92,6 +92,8 @@ class TestCli:
             ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
             ("resolvability_demo", "k", 0, "k must be at least 1"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
+            ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
+            ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be at least 1"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):

@@ -13,8 +13,10 @@ import pytest
 
 from qstego import hashing
 from qstego.hashing import build_classical_hash, build_quantum_hash, encoder_from_hash
-from qstego.info import as_pmf, each, renyi_entropy, sup_over_order
+from qstego.info import as_pmf, renyi_entropy, sup_over_order
 from qstego.linalg import DensityMatrix, trace_norm
+
+from .test_info import each
 
 
 class TestClassicalHash:

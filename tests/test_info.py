@@ -1,5 +1,6 @@
 import gc
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -11,7 +12,6 @@ from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import (
     CqState,
     Pmf,
-    each,
     holevo_information,
     inf_over_order,
     renyi_entropy,
@@ -26,7 +26,7 @@ from qstego.info import (
 from qstego.linalg import ZERO_CUT, DensityMatrix, as_matrix, basis_state, matrix_power
 from qstego.protocols import side_states_from_degradation
 from qstego.protocols.resolvability import output_cq
-from qstego.protocols.verifiers import experiment_random_code_entropy
+from qstego.protocols.verifiers import SAMPLE_CHUNK_BYTES, experiment_random_code_entropy
 
 from .test_linalg import random_density
 
@@ -201,8 +201,33 @@ class TestEntropyAndHolevo:
         assert holevo_information(cq) == pytest.approx(1 - h2, abs=1e-10)
 
 
+def each(fs):
+    """The batch objective of the one-problem float-order functions ``fs``, as
+    a reference: entry (p, j) of an order array of shape (P,) or (P, k) is
+    ``fs[p]`` at that order as a Python float, NaN at a NaN order (no call),
+    and -inf where ``fs[p]`` raises."""
+    fs = tuple(fs)
+
+    def one(f, x):
+        if x != x:
+            return math.nan
+        try:
+            return f(x)
+        except (ValueError, ArithmeticError, FloatingPointError):
+            return -math.inf
+
+    # no closure refers to itself or stores an exception: a reference cycle
+    # would keep the functions' cached eigenvectors until the next collection
+    def values(a):
+        if a.ndim == 1:
+            return np.array([one(f, x) for f, x in zip(fs, a.tolist())])
+        return np.array([[one(f, x) for x in row] for f, row in zip(fs, a.tolist())])
+
+    return values
+
+
 def one_problem(optimize, f):
-    """The optimum of the lone problem f, through the batch objective of :func:`info.each`."""
+    """The optimum of the lone problem f, through the batch objective of :func:`each`."""
     [opt] = optimize(each([f]), batch=1)
     return opt
 
@@ -339,6 +364,17 @@ def outcomes(f, grid):
     return out
 
 
+def as_array(values):
+    """The outcomes as the order-array path gives them: NaN where the evaluation raised."""
+    return np.array([math.nan if v is None else v for v in values])
+
+
+def bit_patterns(values):
+    """The float bits of each value, every NaN as one pattern."""
+    values = np.asarray(values, dtype=float)
+    return np.where(np.isnan(values), math.nan, values).view(np.uint64).tolist()
+
+
 def as_scanned(values):
     """What the order optimizers see: -inf where the evaluation raised or is not finite."""
     return [-math.inf if v is None or not math.isfinite(v) else v for v in values]
@@ -377,6 +413,11 @@ class TestOrderFunctionsBitForBit:
                 ref = outcomes(lambda a: reference(cq, a), grid)
                 assert outcomes(f, grid) == ref
                 assert each([f])(grid[None])[0].tolist() == as_scanned(ref)
+                assert bit_patterns(f(grid)) == bit_patterns(as_array(ref))
+                # a (P, k) array with NaN orders: NaN there, the same bits elsewhere
+                orders = np.stack([grid, np.where(np.arange(grid.size) % 3, grid, math.nan)])
+                expected = np.stack([as_array(ref), np.where(np.isnan(orders[1]), math.nan, as_array(ref))])
+                assert bit_patterns(f(orders)) == bit_patterns(expected)
 
     @pytest.mark.parametrize("support", ["mixed", "one-size"])
     def test_renyi_batch_pair_equals_its_columns(self, support):
@@ -401,16 +442,47 @@ class TestOrderFunctionsBitForBit:
             ref = outcomes(lambda a: reference_mi_down(cq, a), INF_GRID)
             assert outcomes(f, INF_GRID) == ref
             assert each([f])(INF_GRID[None])[0].tolist() == as_scanned(ref)
+            # the order-array path gives NaN at exactly those orders
+            assert bit_patterns(f(INF_GRID)) == bit_patterns(as_array(ref))
             skipped += ref.count(None)
-        assert skipped > 0
+        assert skipped == 23 * 2
+
+    @pytest.mark.parametrize("factory", [renyi_mi_up, renyi_mi_down])
+    def test_order_array_holds_one_block_of_powers(self, factory):
+        # D = 64: the (199, 64, 64) stack of powers (13 MB) is formed a block
+        # of POWER_BLOCK_BYTES at a time
+        rng = np.random.default_rng(14)
+        cq = random_cq(rng, 2, 32) if factory is renyi_mi_up else random_cq(rng, 2, 64)
+        f = factory(cq)
+        grid = SUP_GRID if factory is renyi_mi_up else INF_GRID
+        stack_bytes = grid.size * 16 * 64 * 64
+        f(grid[:2])
+        tracemalloc.start()
+        try:
+            f(grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * info.POWER_BLOCK_BYTES < stack_bytes / 4
 
     def test_one_spectrum_per_random_code_sample(self, monkeypatch):
+        # one stacked eigvalsh call per chunk of samples, one spectrum per sample
         calls = []
         eigvalsh = np.linalg.eigvalsh
-        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *args, **kwargs: calls.append(1) or eigvalsh(*args, **kwargs))
-        samples = 7
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)[:-2]) or eigvalsh(a))
+        samples = 20
         experiment_random_code_entropy(2, 3, 2, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
-        assert len(calls) == samples
+        step = SAMPLE_CHUNK_BYTES // (16 * 8 * 8**2)  # 8 Kraus operators of dimension 8
+        assert calls == [(step,)] * (samples // step) + [(samples % step,)]
+
+    def test_renyi_entropy_of_stacks_equals_states(self):
+        # a stack, or an iterator of stacks and states, gives the bits of the states one by one
+        states = [s.data for s in mixed_support_states() if s.dim == 5]
+        stack = np.array(states)
+        grid = np.broadcast_to(SUP_GRID, (len(states), SUP_GRID.size))
+        expected = renyi_entropy(states)(grid)
+        assert renyi_entropy(stack)(grid).tolist() == expected.tolist()
+        assert renyi_entropy(iter([stack[:2], states[2], stack[3:]]))(grid).tolist() == expected.tolist()
 
 
 # The one-problem optimizer that the lockstep core replaced, kept verbatim as
@@ -654,7 +726,7 @@ class TestLockstepBitForBit:
 
 
 class TestEach:
-    """The batch objective of one-problem float-order functions."""
+    """The reference batch objective of one-problem float-order functions."""
 
     @staticmethod
     def recorded(calls, f):

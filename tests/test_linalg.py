@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstego.channels import Isometry, QuantumChannel, identity_channel
+from qstego.channels import Isometry, QuantumChannel, check_kraus, identity_channel
 from qstego.channels import tensor as channel_tensor
 from qstego.info import Pmf
 from qstego.linalg import (
@@ -13,6 +13,8 @@ from qstego.linalg import (
     Povm,
     PureState,
     basis_state,
+    check_povms,
+    check_states,
     distinct_eigenvalue_counts,
     fidelity,
     matrix_power,
@@ -121,6 +123,80 @@ class TestTypes:
                 rho = random_density(rng, dim)
                 assert abs(np.trace(rho.data) - 1) < 1e-10
                 assert np.linalg.eigvalsh(rho.data).min() > -1e-10
+
+
+def one_bad(good, bad, at, batch=(2, 3)):
+    """A stack of ``good`` matrices of the given batch shape with ``bad`` at index ``at``."""
+    stack = np.broadcast_to(np.asarray(good, dtype=complex), batch + np.shape(good)).copy()
+    stack[at] = bad
+    return stack
+
+
+class TestStackedChecks:
+    """One check per kind over any batch shape: one bad item raises its message."""
+
+    STATE = np.diag([0.75, 0.25])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[0.5, 0.1], [0.0, 0.5]]), "invalid state: not Hermitian"),
+            (np.diag([0.75, 0.3]), "invalid state: trace not 1"),
+            (np.diag([1.5, -0.5]), "invalid state: negative eigenvalue"),
+            (np.diag([np.nan, 1.0]), "invalid state: not Hermitian"),
+        ],
+        ids=["not-hermitian", "trace", "negative", "nan"],
+    )
+    def test_states(self, bad, message):
+        assert check_states(one_bad(self.STATE, self.STATE, (0, 0))).shape == (2, 3, 2, 2)
+        for at in ((0, 0), (1, 2)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                check_states(one_bad(self.STATE, bad, at))
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                DensityMatrix(bad)
+
+    HALVES = np.array([np.eye(2) / 2, np.eye(2) / 2])
+
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            (np.array([[[0.5, 0.1], [0.0, 0.5]], [[0.5, -0.1], [0.0, 0.5]]]), "invalid operator: not Hermitian"),
+            (np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]), "invalid POVM: element outside [0, 1]"),
+            (np.array([np.eye(2) / 2, np.eye(2) / 4]), "invalid POVM: elements do not sum to identity"),
+        ],
+        ids=["not-hermitian", "outside", "not-complete"],
+    )
+    def test_povms(self, bad, message):
+        assert check_povms(one_bad(self.HALVES, self.HALVES, (0, 0))).shape == (2, 3, 2, 2, 2)
+        for at in ((0, 0), (1, 2)):
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                check_povms(one_bad(self.HALVES, bad, at))
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Povm.batch(one_bad(self.HALVES, bad, at[1], batch=(3,)))
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                Povm(bad)
+
+    def test_kraus(self):
+        family = np.array([np.sqrt(0.25) * np.eye(2), np.sqrt(0.75) * np.eye(2)])
+        check_kraus(np.moveaxis(one_bad(family, family, (0, 0)), 2, 0))
+        for at in ((0, 0), (1, 2)):
+            with pytest.raises(ValueError, match="^invalid channel: Kraus completeness fails$"):
+                check_kraus(np.moveaxis(one_bad(family, 1.01 * family, at), 2, 0))
+        with pytest.raises(ValueError, match="^invalid channel: Kraus completeness fails$"):
+            QuantumChannel(tuple(1.01 * family))
+
+    def test_povm_batch_shares_one_check(self, monkeypatch):
+        import qstego.linalg as linalg
+
+        calls = []
+        check = linalg.check_povms
+        monkeypatch.setattr(linalg, "check_povms", lambda els: calls.append(np.shape(els)) or check(els))
+        stack = one_bad(self.HALVES, self.HALVES, 0, batch=(5,))
+        povms = Povm.batch(stack)
+        assert calls == [stack.shape]
+        assert len(povms) == 5 and all(isinstance(p, Povm) for p in povms)
+        assert all(np.shares_memory(p.elements, stack) for p in povms)
+        assert [p.elements.tolist() for p in povms] == [Povm(e).elements.tolist() for e in stack]
 
 
 class TestTensorAndPartialTrace:

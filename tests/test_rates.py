@@ -6,7 +6,7 @@ import pytest
 
 from qstego.channels import identity_channel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
-from qstego.info import CqState, Pmf
+from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, sup_over_order
 from qstego.linalg import DensityMatrix, basis_state
 from qstego import rates
 from qstego.protocols.verifiers import experiment_random_code_entropy, experiment_sutherland_bound
@@ -18,6 +18,8 @@ from qstego.rates import (
     rate_gaussian,
     rate_product_structure,
 )
+
+from .test_info import each
 
 
 class TestRateCcNoiseless:
@@ -192,6 +194,9 @@ class TestRateGaussian:
 
 
 class TestRateGaussianBitForBit:
+    """rate_gaussian against one-problem optima and the batch of per-point
+    float-order functions that its order-array objective replaced."""
+
     def test_gaussian_fig2_equals_one_problem_optima(self):
         # every point of the shipped sweep, against the one-problem optimizer on
         # the scalar math.log2 path
@@ -212,6 +217,19 @@ class TestRateGaussianBitForBit:
                 lambda a: gaussian_renyi_term(float(a), nu0, nu1, n, r) - (4.0 / a) * math.log2(2.0 / zeta)
             )
             assert (row["raw"], row["a_star"], row["boundary"]) == (ref.value, ref.a_star, ref.boundary)
+
+    @pytest.mark.parametrize(
+        "n, r, zeta", [(4, 2, 1e-3), (3, 0, 0.1), (2, 2, 0.5), (5, 1, 1.5)], ids=["fig2-like", "r0", "r-is-n", "zeta-above-1"]
+    )
+    def test_equals_each_batch(self, n, r, zeta):
+        # repeated points and nu0 == nu1 share their (order, nu) logs
+        nus = [1.0, 1.3, 2.0, 3.75]
+        points = [(x, y) for x in nus for y in nus] + [(1.3, 2.0), (2.0, 1.3)]
+        penalty = math.log2(2.0 / zeta)
+        fs = [lambda a, x=x, y=y: gaussian_renyi_term(a, x, y, n, r) - (4.0 / a) * penalty for x, y in points]
+        expected = sup_over_order(each(fs), batch=len(points))
+        got = rate_gaussian(points, n=n, r=r, zeta=zeta)
+        assert [(g.raw, g.a_star, g.boundary) for g in got] == [(o.value, o.a_star, o.boundary) for o in expected]
 
 
 class TestProductStructure:
@@ -335,14 +353,48 @@ class TestRateCcNoisyTolerances:
             assert self.as_tuple(mbar) == (best.value, best.a_star, best.boundary, [o.value for o in sups], tol)
             assert self.as_tuple(key) == (max(per_w_k), worst.a_star, worst.boundary, per_w_k, tol)
 
+    def test_equals_each_batches(self):
+        # the batches of one-problem float-order functions that the order-array
+        # objectives replace, on sides with and without skipped orders
+        from qstego.info import renyi_mi_down, renyi_mi_up
+        from qstego.linalg import distinct_eigenvalue_counts
+
+        from .test_info import each, random_cq
+
+        rng = np.random.default_rng(21)
+        for sides in (self.sides(), [random_cq(rng, nx, d) for nx, d in ((2, 2), (3, 3), (2, 4))]):
+            for zeta, xi, tols in ((0.1, 0.1, (1e-2, 1e-8)), (0.3, 0.05, (1e-8,))):
+                cypher_fs, key_fs = [], []
+                for i in range(len(tols)):
+                    for sigma in sides:
+                        rho_b = sigma.marginal_b()
+                        ref = np.kron(np.diag(sigma.pmf.probs).astype(complex), rho_b)
+                        nu_ref, nu_b = (distinct_eigenvalue_counts(m, tols)[i] for m in (ref, rho_b))
+                        up, down = renyi_mi_up(sigma), renyi_mi_down(sigma)
+                        c_m, c_k = math.log2(nu_ref), math.log2(nu_b)
+                        cypher_fs.append(lambda a, f=up, c=c_m: f(a) - c / a - (4.0 / a) * math.log2(12.0 / zeta))
+                        key_fs.append(lambda a, f=down, c=c_k: f(a) + c + (2.0 - 2.0 / a) * math.log2(12.0 / xi))
+                sups = sup_over_order(each(cypher_fs), batch=len(cypher_fs))
+                infs = inf_over_order(each(key_fs), batch=len(key_fs))
+                w = len(sides)
+                for i, (mbar, key) in enumerate(rate_cc_noisy(sides, zeta, xi, nu_tols=tols)):
+                    opts_m, opts_k = sups[i * w : (i + 1) * w], infs[i * w : (i + 1) * w]
+                    per_w_k = [k.value - m.value + 1.0 for m, k in zip(opts_m, opts_k)]
+                    best = min(opts_m, key=lambda o: o.value)
+                    worst = opts_k[per_w_k.index(max(per_w_k))]
+                    assert self.as_tuple(mbar) == (best.value, best.a_star, best.boundary, [o.value for o in opts_m], tols[i])
+                    assert self.as_tuple(key) == (max(per_w_k), worst.a_star, worst.boundary, per_w_k, tols[i])
+
     def test_each_order_evaluated_once(self, monkeypatch):
+        # once per objective call: each side's Iup and Idown take the distinct
+        # orders of every tolerance's problems as one sorted 1-D array
         built, evaluated = [], []
 
         def counting(factory):
             def build(cq):
                 f, which = factory(cq), len(built)
                 built.append(which)
-                return lambda a: evaluated.append((which, float(a))) or f(a)
+                return lambda a: evaluated.append((which, a.tolist())) or f(a)
 
             return build
 
@@ -351,7 +403,12 @@ class TestRateCcNoisyTolerances:
         sides = self.sides()
         rate_cc_noisy(sides, 0.1, 0.1, nu_tols=self.TOLS)
         assert len(built) == 2 * len(sides)
-        assert len(evaluated) == len(set(evaluated))
+        assert {which for which, _ in evaluated} == set(built)
+        for _, orders in evaluated:
+            assert orders == sorted(set(orders))
+        # the grid scan evaluates each grid order once for both tolerances
+        grids = [orders for _, orders in evaluated if len(orders) == GRID_POINTS]
+        assert len(grids) == 2 * len(sides)
 
     def test_no_reference_cycle(self):
         # failed orders must not leave a traceback that keeps the eigh factors alive

@@ -134,3 +134,43 @@ class TestStegoBuilder:
             prob = np.trace(block).real
             assert prob == pytest.approx(1.0, abs=1e-9)
             assert trace_norm(block / prob - rho.data) < 1e-9
+
+
+def audit_loop(stego, cover):
+    """(distance_sup, cypher_min) of the audit, one input and one apply at a
+    time: the reference for the stacked audit."""
+    from qstego.protocols.stego_qc_cc import test_input_states
+
+    v, dim, mbar = cover.encode.data, cover.channel.dim_in, stego.mbar
+    distance_sup, cypher_min = 0.0, 1.0
+    for rho in test_input_states(cover.m):
+        rho_c = apply(cover.channel, DensityMatrix(v @ rho.data @ v.conj().T))
+        mix = np.zeros((dim, dim), dtype=complex)
+        per_input = 0.0
+        for wbar, e in enumerate(stego.encoders):
+            sent = apply(e, rho)
+            mix += sent.data
+            out = apply(stego.decoder, sent)
+            block = out.data.reshape(cover.m, mbar, cover.m, mbar)[:, wbar, :, wbar]
+            per_input += float(np.trace(block).real)
+        mix /= mbar
+        distance_sup = max(distance_sup, trace_norm(mix - rho_c.data))
+        cypher_min = min(cypher_min, per_input / mbar)
+    return distance_sup, cypher_min
+
+
+class TestAuditBitForBit:
+    @pytest.mark.parametrize("p, mbar, zeta", [(0.5, 4, 0.1), (0.1, 2, 0.5), (0.25, 3, 0.2), (0.5, 1, 0.3)])
+    def test_stacked_audit_matches_loop(self, p, mbar, zeta):
+        cover = repetition_qc_cover(p)
+        stego = build_stego_qc_cc(cover, mbar=mbar, zeta=zeta, seed=0)
+        assert (stego.distance_sup, stego.cypher_decode_prob) == audit_loop(stego, cover)
+
+    def test_apply_on_a_stack_equals_one_state_at_a_time(self):
+        cover = repetition_qc_cover(0.3)
+        rng = np.random.default_rng(4)
+        g = rng.normal(size=(5, 8, 8)) + 1j * rng.normal(size=(5, 8, 8))
+        a = g @ g.conj().swapaxes(1, 2)
+        states = a / np.trace(a, axis1=1, axis2=2).real[:, None, None]
+        out = apply(cover.channel, states)
+        assert out.tobytes() == np.array([apply(cover.channel, s).data for s in states]).tobytes()

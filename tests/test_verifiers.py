@@ -4,11 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstego.channels import identity_channel, standard_channel, tensor_power
+from qstego.channels import QuantumChannel, apply_matrix, identity_channel, standard_channel, tensor_power
 from qstego.fixtures import repetition_qc_cover
 from qstego.info import Pmf, renyi_entropy, sup_over_order
-from qstego.linalg import HermitianOperator, Povm, basis_state
-from qstego.protocols import experiment_random_code_entropy, verify_gentle_composition, verify_pj_minentropy_bound
+from qstego.experiments import run_experiment
+from qstego.linalg import DensityMatrix, HermitianOperator, Povm, basis_state, psd_sqrt, trace_norm
+from qstego.protocols import (
+    experiment_random_code_entropy,
+    verify_gentle_composition,
+    verify_pj_minentropy_bound,
+)
 from qstego.protocols import verifiers
 
 from .test_channels import complementary_matrix_loop, haar_loop
@@ -75,6 +80,121 @@ class TestGentleComposition:
             p = Pmf(rng.dirichlet(np.ones(nx)))
             rep = verify_gentle_composition(states, channels, povm, p)
             assert rep.holds
+
+
+
+# The per-instance gentle check and runner that the shape-group batch
+# replaced, kept verbatim as the reference.
+
+
+def gentle_loop(states, channels, povm, p):
+    """(eps, lhs, rhs) of one instance, one matrix at a time."""
+    probs = p.probs
+    nx = probs.size
+    roots = [psd_sqrt(e) for e in povm.elements]
+    eps = 1.0 - sum(probs[x] * float(np.trace(states[x].data @ povm[x]).real) for x in range(nx))
+    eps = max(0.0, eps)
+    dim_out = channels[0].dim_out
+    diff = np.zeros((dim_out, dim_out), dtype=complex)
+    for x in range(nx):
+        if probs[x] == 0.0:
+            continue
+        term = apply_matrix(channels[x], states[x].data)
+        for xp in range(nx):
+            gentle = roots[xp] @ states[x].data @ roots[xp]
+            term = term - apply_matrix(channels[xp], gentle)
+        diff += probs[x] * term
+    return eps, trace_norm(diff), 2.0 * math.sqrt(eps) + eps
+
+
+def gentle_instance(rng, dim, nx):
+    """One instance of verify/gentle, drawn with 8 nx separate Gaussian calls."""
+    states = []
+    for _ in range(nx):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = g @ g.conj().T
+        states.append(DensityMatrix(a / np.trace(a).real))
+    gs = []
+    for _ in range(nx):
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        gs.append(g @ g.conj().T)
+    total = sum(gs)
+    w, v = np.linalg.eigh(total)
+    inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
+    povm = Povm([inv @ g @ inv for g in gs])
+    channels = []
+    for _ in range(nx):
+        ks = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]
+        tot = sum(k.conj().T @ k for k in ks)
+        w2, v2 = np.linalg.eigh(tot)
+        inv2 = (v2 * (1.0 / np.sqrt(w2))) @ v2.conj().T
+        channels.append(QuantumChannel(tuple(k @ inv2 for k in ks)))
+    return states, channels, povm, Pmf(rng.dirichlet(np.ones(nx)))
+
+
+def gentle_rows_loop(seed, instances, dim_max, x_max):
+    rng = np.random.default_rng(seed)
+    rows = []
+    for idx in range(instances):
+        dim = int(rng.integers(2, dim_max + 1))
+        nx = int(rng.integers(2, x_max + 1))
+        eps, lhs, rhs = gentle_loop(*gentle_instance(rng, dim, nx))
+        rows.append({"instance": idx, "dim": dim, "x_size": nx, "eps": eps, "lhs": lhs, "bound": rhs,
+                     "holds": lhs <= rhs + verifiers.GRACE})
+    return rows
+
+
+def bits(rows):
+    """Rows with every float as its bit pattern, so == compares bits."""
+    return [{k: np.float64(v).view(np.uint64) if isinstance(v, float) else v for k, v in row.items()} for row in rows]
+
+
+class TestGentleBitForBit:
+    @pytest.mark.parametrize(
+        "seed, instances, dim_max, x_max",
+        [(0, 100, 4, 3), (1, 60, 4, 3), (7, 40, 2, 2), (3, 30, 9, 5), (11, 25, 12, 2)],
+    )
+    def test_runner_matches_per_instance_loop(self, seed, instances, dim_max, x_max):
+        config = {"kind": "verify/gentle", "seed": seed,
+                  "params": {"instances": instances, "dim_max": dim_max, "x_max": x_max}}
+        assert bits(run_experiment(config).rows) == bits(gentle_rows_loop(seed, instances, dim_max, x_max))
+
+    def test_zero_probability_symbol_is_skipped(self):
+        rng = np.random.default_rng(5)
+        instances = [gentle_instance(rng, dim, 3) for dim in (3, 3, 3)]
+        probs = [[0.0, 0.6, 0.4], [0.5, 0.0, 0.5], [0.2, 0.3, 0.5]]
+        reports = verify_gentle_composition(
+            np.array([[s.data for s in states] for states, _, _, _ in instances]),
+            np.array([[ch.kraus for ch in channels] for _, channels, _, _ in instances]),
+            np.array([povm.elements for _, _, povm, _ in instances]),
+            probs,
+        )
+        for (states, channels, povm, _), p, rep in zip(instances, probs, reports):
+            expected = gentle_loop(states, channels, povm, Pmf(p))
+            assert bits([dict(zip("elr", (rep.detail["eps"], rep.lhs, rep.rhs)))]) == bits([dict(zip("elr", expected))])
+            one = verify_gentle_composition(states, channels, povm, Pmf(p))
+            assert (one.lhs, one.rhs, one.detail) == (rep.lhs, rep.rhs, rep.detail)
+
+    def test_channels_with_fewer_kraus_operators(self):
+        # identity channels (one operator) beside two-operator channels: the
+        # zero operators that pad them add nothing
+        rng = np.random.default_rng(8)
+        states, channels, povm, p = gentle_instance(rng, 3, 3)
+        channels[1] = identity_channel(3)
+        rep = verify_gentle_composition(states, channels, povm, p)
+        assert bits([dict(zip("elr", (rep.detail["eps"], rep.lhs, rep.rhs)))]) == bits(
+            [dict(zip("elr", gentle_loop(states, channels, povm, p)))]
+        )
+
+    def test_mismatched_sizes_rejected(self):
+        rng = np.random.default_rng(6)
+        states, channels, povm, p = gentle_instance(rng, 2, 3)
+        with pytest.raises(ValueError, match="shape error"):
+            verify_gentle_composition(states[:2], channels, povm, p)
+        with pytest.raises(ValueError, match="shape error"):
+            verify_gentle_composition(
+                np.array([[s.data for s in states]]), np.array([[ch.kraus for ch in channels[:2]]]), povm.elements[None], [p.probs]
+            )
 
 
 class TestPjMinEntropyBound:

@@ -32,7 +32,7 @@ from .fixtures import (
     trivial_es_cover,
 )
 from .info import CqState, Pmf
-from .linalg import DensityMatrix
+from .linalg import DensityMatrix, inverse_sqrt
 from .protocols import (
     build_resolvability_codes,
     build_stego_cc_es,
@@ -443,12 +443,6 @@ def _run_simulate_resolvability(
     return ["mk", "seed", "distance", "reliability"], rows, flags, summary
 
 
-def _inverse_sqrt(a: np.ndarray) -> np.ndarray:
-    """a^(-1/2) of each positive definite matrix of a (..., d, d) stack."""
-    w, v = np.linalg.eigh(a)
-    return (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
-
 def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
     """Random instances, drawn one after another and checked together per
     (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
@@ -471,9 +465,9 @@ def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
         a = g[:, :nx] @ g[:, :nx].conj().swapaxes(-1, -2)
         states = a / np.trace(a, axis1=-2, axis2=-1).real[..., None, None]
         seeds = g[:, nx : 2 * nx] @ g[:, nx : 2 * nx].conj().swapaxes(-1, -2)
-        inv = _inverse_sqrt(sum(seeds[:, x] for x in range(nx)))[:, None]
+        inv = inverse_sqrt(sum(seeds[:, x] for x in range(nx)))[:, None]
         ks = g[:, 2 * nx :].reshape(len(ids), nx, 2, dim, dim)
-        inv2 = _inverse_sqrt(sum(k.conj().swapaxes(-1, -2) @ k for k in np.moveaxis(ks, 2, 0)))[:, :, None]
+        inv2 = inverse_sqrt(sum(k.conj().swapaxes(-1, -2) @ k for k in np.moveaxis(ks, 2, 0)))[:, :, None]
         reports = verify_gentle_composition(states, ks @ inv2, inv @ seeds @ inv, probs)
         for idx, rep in zip(ids, reports):
             rows[idx] = {

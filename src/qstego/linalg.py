@@ -272,11 +272,23 @@ def trace_norm(x):
     return float(norms) if a.ndim == 2 else norms
 
 
+def _spectral(a: np.ndarray, f) -> np.ndarray:
+    """f of each Hermitian matrix of a (..., d, d) stack, f acting on its
+    eigenvalues, with the bits of the one-matrix call."""
+    w, v = np.linalg.eigh(a)
+    return (v * f(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 def psd_sqrt(a: np.ndarray) -> np.ndarray:
     """Square root of a PSD matrix via its eigendecomposition; of each matrix
     of a (..., d, d) stack, with the bits of its one-matrix call."""
-    w, v = np.linalg.eigh(a)
-    return (v * np.sqrt(np.maximum(w, 0.0))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return _spectral(a, lambda w: np.sqrt(np.maximum(w, 0.0)))
+
+
+def inverse_sqrt(a: np.ndarray) -> np.ndarray:
+    """a^(-1/2) of a positive definite matrix, or of each matrix of a
+    (..., d, d) stack."""
+    return _spectral(a, lambda w: 1.0 / np.sqrt(w))
 
 
 def fidelity(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -30,7 +30,7 @@ from ..info import (
     smooth_min_entropy_quantum,
     sup_over_order,
 )
-from ..linalg import Povm, check_povms, check_states, partial_trace_matrix, psd_sqrt, trace_norm
+from ..linalg import check_povms, check_states, partial_trace_matrix, psd_sqrt, trace_norm
 from .codes import QcCode
 from .stego_qc_cc import orthogonalize_correctable_kraus
 
@@ -49,36 +49,24 @@ class BoundReport:
     detail: dict
 
 
-def verify_gentle_composition(states, channels, povm, p):
-    """Generalized gentle-measurement check.
+def verify_gentle_composition(states, kraus, povm, p) -> list[BoundReport]:
+    """Generalized gentle-measurement check on G instances of one shape.
 
     lhs = || sum_x P(x) ( N^x(rho^x) - sum_x' N^x'( sqrt(L^x') rho^x sqrt(L^x') ) ) ||_1
     rhs = 2 sqrt(eps) + eps  with  eps = 1 - sum_x P(x) tr(rho^x L^x).
 
-    One instance (X states, X channels, a :class:`Povm` of X elements L^x
-    and the PMF) gives one report; channels with fewer Kraus operators than
-    the others are padded with zero operators, which add nothing.  G
-    instances of one shape are given as stacks and give a list of G
-    reports: ``states`` (G, X, d, d), ``channels`` the (G, X, K, d', d) Kraus
-    operators, ``povm`` the (G, X, d, d) elements and ``p`` the (G, X)
-    PMFs.  The stacks are checked by one stacked check per kind; every
-    product is one stacked call, and the sums over x, x' and the Kraus
-    operators run in order, so each report has the bits of its one-instance
-    call.
+    ``states`` (G, X, d, d) are the states rho^x, ``kraus`` (G, X, K, d', d)
+    the Kraus operators of the channels N^x (a channel with fewer operators
+    is padded with zero operators, which add nothing), ``povm`` (G, X, d, d)
+    the POVM elements L^x and ``p`` the (G, X) PMFs; one instance is G = 1.
+    The stacks are checked by one stacked check per kind; every product is
+    one stacked call, and the sums over x, x' and the Kraus operators run in
+    order, so each report has the bits of a one-matrix-at-a-time loop.
+    Returns one report per instance.
     """
-    batch = isinstance(states, np.ndarray) and states.ndim == 4
-    if not batch:
-        probs = as_pmf(p)
-        nx = probs.size
-        if not (len(states) == nx and len(channels) == nx and len(povm) == nx):
-            raise ValueError("shape error: states, channels, POVM, PMF sizes differ")
-        kraus = np.zeros((1, nx, max(len(ch.kraus) for ch in channels)) + channels[0].kraus[0].shape, dtype=complex)
-        for x, ch in enumerate(channels):
-            kraus[0, x, : len(ch.kraus)] = ch.kraus
-        states, channels, povm, p = np.array([[s.data for s in states]]), kraus, povm.elements[None], probs[None]
     states = check_states(states)
     elements = check_povms(povm)
-    kraus = np.asarray(channels, dtype=complex)
+    kraus = np.asarray(kraus, dtype=complex)
     check_kraus(np.moveaxis(kraus, 2, 0))
     families = np.moveaxis(kraus, (1, 2), (0, 1))  # families[x][j]: operator j of every N^x
     probs = np.array([as_pmf(row) for row in p])
@@ -102,11 +90,10 @@ def verify_gentle_composition(states, channels, povm, p):
         diff = np.where(px == 0.0, diff, diff + px * term)
     lhs = trace_norm(diff)
     rhs = 2.0 * np.sqrt(eps) + eps
-    reports = [
+    return [
         BoundReport(lhs=l, rhs=r, holds=l <= r + GRACE, detail={"eps": e})
         for l, r, e in zip(lhs.tolist(), rhs.tolist(), eps.tolist())
     ]
-    return reports if batch else reports[0]
 
 
 def verify_pj_minentropy_bound(cover: QcCode, delta: float) -> BoundReport:

@@ -72,17 +72,23 @@ def _column(values: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 def _per_side(fs, w: int):
     """The batch values of problems p = i * w + s: the order function ``fs[s]``
-    at row p's orders, NaN at a NaN order.  Each side is called once per call,
-    on the 1-D array of the distinct orders of its rows."""
+    at row p's orders, NaN at a NaN order.  Each side's values are kept by
+    order, and each call evaluates a side at most once, on the 1-D array of
+    the distinct orders of its rows that no earlier call evaluated."""
+    known = [{} for _ in fs]
 
     def values(a):
         out = np.full(a.shape, math.nan)
-        for s, f in enumerate(fs):
+        for s, (f, seen) in enumerate(zip(fs, known)):
             rows = a[s::w]
             live = rows == rows
             orders, where = np.unique(rows[live], return_inverse=True)
-            if orders.size:
-                out[s::w][live] = f(orders)[where]
+            orders = orders.tolist()
+            new = [o for o in orders if o not in seen]
+            if new:
+                seen.update(zip(new, f(np.array(new)).tolist()))
+            if orders:
+                out[s::w][live] = np.array([seen[o] for o in orders])[where]
         return out
 
     return values
@@ -109,9 +115,10 @@ def rate_cc_noisy(
     not finite.  Distinct-eigenvalue counts nu use each tolerance in turn;
     only the log2 nu terms depend on it.  Every (tolerance, side) sup is one
     problem of one batch, and every inf one problem of another.  Each side
-    state's Iup and Idown are built once, and each objective call evaluates
-    them once per side on the distinct orders of its problems, as one order
-    array; each matrix is diagonalized once for its nu at every tolerance.
+    state's Iup and Idown are built once and evaluated once per distinct
+    order: each objective call passes a side the orders of its problems that
+    no earlier call evaluated, as one order array; each matrix is
+    diagonalized once for its nu at every tolerance.
     """
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
@@ -163,19 +170,6 @@ def eta(alpha, x: float):
     return 2.0**alpha / ((x + 1.0) ** alpha - (x - 1.0) ** alpha)
 
 
-def gaussian_renyi_term(a, nu0: float, nu1: float, n: int, r: int):
-    """-[ (n-r) log2 eta_{1+a}(nu0) + r log2 eta_{1+a}(nu1) ]/a.
-
-    ``a`` may be a float or an ndarray of orders; the result has the same
-    shape.  ``nu0`` and ``nu1`` are scalars >= 1.  A scalar ``a`` is evaluated
-    with ``math.log2``; an array agrees with it elementwise to floating-point
-    rounding (numpy's vectorized pow/log2 may differ from the C library's in
-    the last bit).
-    """
-    log2 = np.log2 if isinstance(a, np.ndarray) else math.log2
-    return -((n - r) * log2(eta(1.0 + a, nu0)) + r * log2(eta(1.0 + a, nu1))) / a
-
-
 def _log2_eta(alpha: float, nu: float) -> float:
     """math.log2(eta(alpha, nu)) in Python floats, NaN where it raises."""
     try:
@@ -189,10 +183,9 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
     at each (nu0, nu1) of ``points``, one RateResult per point.
 
     Every point's sup is one problem of one batch.  Each objective call
-    takes ``math.log2(eta(1.0 + a, nu))`` in Python floats (the scalar path
-    of :func:`gaussian_renyi_term`; numpy's pow and log2 differ from the C
-    library's in the last bit) once per distinct (order, nu) of its orders,
-    and the rest of the expression elementwise.
+    takes ``math.log2(eta(1.0 + a, nu))`` in Python floats (numpy's pow and
+    log2 differ from the C library's in the last bit) once per distinct
+    (order, nu) of its orders, and the rest of the expression elementwise.
     """
     points = list(points)
     if any(nu0 < 1.0 or nu1 < 1.0 for nu0, nu1 in points):

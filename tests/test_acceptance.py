@@ -24,7 +24,9 @@ from qstego.protocols import (
     verify_pj_minentropy_bound,
 )
 from qstego.protocols.verifiers import experiment_random_code_entropy
-from qstego.rates import gaussian_renyi_term, rate_cc_noisy
+from qstego.rates import rate_cc_noisy
+
+from .test_rates import gaussian_renyi_term
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 

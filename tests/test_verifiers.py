@@ -42,6 +42,16 @@ def random_channel(rng, dim, k=2):
     return QuantumChannel(tuple(g @ inv_sqrt for g in gs))
 
 
+def gentle_one(states, channels, povm, p):
+    """verify_gentle_composition on one instance given as objects: the G = 1
+    stacks, with channels of fewer Kraus operators padded by zero operators."""
+    kraus = np.zeros((1, len(channels), max(len(ch.kraus) for ch in channels)) + channels[0].kraus[0].shape, dtype=complex)
+    for x, ch in enumerate(channels):
+        kraus[0, x, : len(ch.kraus)] = ch.kraus
+    [rep] = verify_gentle_composition(np.array([[s.data for s in states]]), kraus, povm.elements[None], [p.probs])
+    return rep
+
+
 class TestGentleComposition:
     def test_perfect_measurement_zero_lhs(self):
         states = [basis_state(0, 2).to_density(), basis_state(1, 2).to_density()]
@@ -49,7 +59,7 @@ class TestGentleComposition:
             (HermitianOperator(np.diag([1.0, 0.0])), HermitianOperator(np.diag([0.0, 1.0])))
         )
         channels = [identity_channel(2), identity_channel(2)]
-        rep = verify_gentle_composition(states, channels, povm, Pmf([0.5, 0.5]))
+        rep = gentle_one(states, channels, povm, Pmf([0.5, 0.5]))
         assert rep.lhs == pytest.approx(0.0, abs=1e-10)
         assert rep.detail["eps"] == pytest.approx(0.0, abs=1e-12)
         assert rep.holds
@@ -62,7 +72,7 @@ class TestGentleComposition:
             (HermitianOperator(0.3 * np.eye(2)), HermitianOperator(0.7 * np.eye(2)))
         )
         channels = [identity_channel(2), identity_channel(2)]
-        rep = verify_gentle_composition(states, channels, povm, p)
+        rep = gentle_one(states, channels, povm, p)
         # eps = 1 - sum p(x)^2; lhs computable in closed form:
         # sum_x p(x) rho^x - sum_{x,x'} p(x) p(x') rho^x = 0
         assert rep.lhs == pytest.approx(0.0, abs=1e-10)
@@ -78,7 +88,7 @@ class TestGentleComposition:
             povm = random_povm(rng, dim, nx)
             channels = [random_channel(rng, dim) for _ in range(nx)]
             p = Pmf(rng.dirichlet(np.ones(nx)))
-            rep = verify_gentle_composition(states, channels, povm, p)
+            rep = gentle_one(states, channels, povm, p)
             assert rep.holds
 
 
@@ -172,7 +182,7 @@ class TestGentleBitForBit:
         for (states, channels, povm, _), p, rep in zip(instances, probs, reports):
             expected = gentle_loop(states, channels, povm, Pmf(p))
             assert bits([dict(zip("elr", (rep.detail["eps"], rep.lhs, rep.rhs)))]) == bits([dict(zip("elr", expected))])
-            one = verify_gentle_composition(states, channels, povm, Pmf(p))
+            one = gentle_one(states, channels, povm, Pmf(p))
             assert (one.lhs, one.rhs, one.detail) == (rep.lhs, rep.rhs, rep.detail)
 
     def test_channels_with_fewer_kraus_operators(self):
@@ -181,7 +191,7 @@ class TestGentleBitForBit:
         rng = np.random.default_rng(8)
         states, channels, povm, p = gentle_instance(rng, 3, 3)
         channels[1] = identity_channel(3)
-        rep = verify_gentle_composition(states, channels, povm, p)
+        rep = gentle_one(states, channels, povm, p)
         assert bits([dict(zip("elr", (rep.detail["eps"], rep.lhs, rep.rhs)))]) == bits(
             [dict(zip("elr", gentle_loop(states, channels, povm, p)))]
         )
@@ -190,7 +200,7 @@ class TestGentleBitForBit:
         rng = np.random.default_rng(6)
         states, channels, povm, p = gentle_instance(rng, 2, 3)
         with pytest.raises(ValueError, match="shape error"):
-            verify_gentle_composition(states[:2], channels, povm, p)
+            gentle_one(states[:2], channels, povm, p)
         with pytest.raises(ValueError, match="shape error"):
             verify_gentle_composition(
                 np.array([[s.data for s in states]]), np.array([[ch.kraus for ch in channels[:2]]]), povm.elements[None], [p.probs]

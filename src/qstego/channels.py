@@ -206,20 +206,14 @@ _PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def standard_channel(kind: str, p: float | None = None, unitary=None) -> QuantumChannel:
-    """Textbook channel fixtures.
+def standard_channel(kind: str, p: float) -> QuantumChannel:
+    """Textbook qubit noise channels.
 
-    kind one of "identity", "unitary", "depolarizing", "dephasing",
-    "bit_flip", "amplitude_damping".  ``p`` is the noise parameter in [0, 1];
-    depolarizing(p) acts as rho -> (1-p) rho + p I/2 and dephasing(p) as
-    rho -> (1-p) rho + p Z rho Z.
+    kind one of "depolarizing", "dephasing", "bit_flip", "amplitude_damping".
+    ``p`` is the noise parameter in [0, 1]; depolarizing(p) acts as
+    rho -> (1-p) rho + p I/2 and dephasing(p) as rho -> (1-p) rho + p Z rho Z.
     """
-    if kind == "identity":
-        return identity_channel(2 if unitary is None else np.asarray(unitary).shape[0])
-    if kind == "unitary":
-        u = np.asarray(unitary, dtype=complex)
-        return QuantumChannel((u,))
-    if p is None or not 0.0 <= p <= 1.0:
+    if not 0.0 <= p <= 1.0:
         raise ValueError("bad parameter: p must be in [0, 1]")
     eye = np.eye(2, dtype=complex)
     if kind == "depolarizing":
@@ -251,11 +245,10 @@ def haar_random_subspace(dim_ambient: int, m: int, count: int, rng) -> np.ndarra
     Sample i takes the real, then the imaginary Gaussian block after those of
     the samples before it, so a stack of n draws the same isometries as n
     stacks of one.  Every sample is checked as :class:`Isometry` checks one.
-    ``rng`` is a seeded numpy Generator (or an int seed).
+    ``rng`` is a seeded numpy Generator.
     """
     if m > dim_ambient:
         raise ValueError("bad parameter: m exceeds ambient dimension")
-    rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
     x = rng.normal(size=(count, 2, dim_ambient, m))
     q, r = np.linalg.qr(x[:, 0] + 1j * x[:, 1])
     d = np.diagonal(r, axis1=1, axis2=2)

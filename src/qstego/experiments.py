@@ -112,9 +112,7 @@ def parse_state(spec) -> DensityMatrix:
 _CHANNELS = {
     "identity": lambda dim=2: identity_channel(int(dim)),
     "tensor": lambda factors: reduce(tensor, [parse_channel(s) for s in factors]),
-    "unitary": lambda matrix: standard_channel(
-        "unitary", unitary=np.array([[complex(re, im) for re, im in row] for row in matrix])
-    ),
+    "unitary": lambda matrix: QuantumChannel((np.array([[complex(re, im) for re, im in row] for row in matrix]),)),
 }
 
 
@@ -446,8 +444,14 @@ def _run_simulate_resolvability(
 def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
     """Random instances, drawn one after another and checked together per
     (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
-    rng = np.random.default_rng(seed)
     instances, dim_max, x_max = int(instances), int(dim_max), int(x_max)
+    if instances < 1:
+        raise ValueError("bad parameter: instances must be at least 1")
+    if dim_max < 2:
+        raise ValueError("bad parameter: dim_max must be at least 2")
+    if x_max < 2:
+        raise ValueError("bad parameter: x_max must be at least 2")
+    rng = np.random.default_rng(seed)
     shapes = {}  # (dim, nx) -> (instance indices, Gaussian draws, PMFs)
     for idx in range(instances):
         dim = int(rng.integers(2, dim_max + 1))

@@ -38,7 +38,11 @@ def named_state(name: str) -> DensityMatrix:
 
 def pgm_cc_cover(codewords, channel: QuantumChannel, n: int) -> CcCode:
     """CC cover code with the pretty-good measurement of its own outputs."""
-    return CcCode(codewords=tuple(codewords), povm=pretty_good_measurement, channel=channel, n=n)
+
+    def pgm(outputs):
+        return pretty_good_measurement(np.array([[out.data for out in outputs]]))[0]
+
+    return CcCode(codewords=tuple(codewords), povm=pgm, channel=channel, n=n)
 
 
 def repetition_qc_cover(p: float) -> QcCode:
@@ -86,7 +90,7 @@ def dephasing_es_cover(p: float = 0.5) -> EsCode:
 
 def trivial_es_cover() -> EsCode:
     """Single-use ES cover over a unitary degradation (no extractable randomness)."""
-    channel = standard_channel("unitary", unitary=np.eye(2))
+    channel = QuantumChannel((np.eye(2),))
     rho = maximally_entangled(2).to_density()
     return EsCode(m=2, rho=rho, decode=identity_channel(2), channel=channel, n=1)
 

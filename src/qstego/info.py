@@ -11,7 +11,7 @@ take order arrays, so every rate objective is array code.  Each optimum has
 the bits it has alone.
 
 All quantities are in bits (base-2 logs).  Matrix powers on singular states
-follow the pseudo-inverse convention of :func:`qstego.linalg.matrix_power`.
+follow the pseudo-inverse convention of :func:`qstego.linalg.power_function`.
 """
 
 from __future__ import annotations
@@ -102,38 +102,17 @@ def _spectrum(rho) -> np.ndarray:
 
 
 def renyi_entropy(rho):
-    """The order function a -> H^a(rho) = -(1/a) log2 tr rho^(1+a), restricted
-    to the support, from one diagonalization of rho (a DensityMatrix or a 2-D
-    array).
+    """The order function a -> H^a(rho) = -(1/a) log2 tr rho^(1+a) of each of
+    P states, restricted to its support.
 
-    The function takes a nonzero float order and returns a float, or an
-    ndarray of orders and returns an ndarray of the same shape; both give the
-    same bits at every order.
-
-    ``rho`` may also be an (n, d, d) stack of states or a sequence of states
-    and stacks (a list, tuple or iterator), each state or stack diagonalized
-    by one ``eigvalsh`` call.  The order function of P states takes an
-    ndarray of shape (P,) or (P, k), row p for state p in order, and returns
-    the entropies in that shape; a NaN order gives NaN.  Each entry has the
-    bits of the one-state function: the rows of states with the same support
-    size are summed together, so each sum runs over the same spectrum.
+    ``rho`` is an (n, d, d) stack of states or a sequence of states and stacks
+    (a list, tuple or iterator), each state or stack diagonalized by one
+    ``eigvalsh`` call; one state is ``renyi_entropy([rho])``.  The order
+    function takes an ndarray of nonzero orders of shape (P,) or (P, k), row p
+    for state p in order, and returns the entropies in that shape; a NaN order
+    gives NaN.  The rows of states with the same support size are summed
+    together, so each sum runs over its state's spectrum alone.
     """
-    if isinstance(rho, DensityMatrix) or isinstance(rho, np.ndarray) and rho.ndim == 2:
-        lam = _spectrum(rho)
-        lam = lam[lam > 0.0]
-
-        def entropy(a):
-            vector = isinstance(a, np.ndarray)
-            if (a == 0).any() if vector else a == 0:
-                raise ValueError("invalid order: a must be nonzero")
-            if vector:
-                # one order per contiguous row, summed along it: each row's sum is
-                # the scalar path's sum over the spectrum, bit for bit
-                return -np.log2(np.sum(lam ** (1.0 + a[..., None]), axis=-1)) / a
-            return float(-np.log2(np.sum(lam ** (1.0 + a))) / a)
-
-        return entropy
-
     # zero-padding the spectra to one width would change numpy's pairwise
     # summation, so each support size is its own (rows, spectra) stack
     by_size = {}
@@ -199,21 +178,13 @@ def _order_function(values, dim: int):
     of nonzero orders are ``values(x)``, NaN where a matrix power failed its
     Hermiticity check.
 
-    Given an ndarray of orders it returns the values in that shape, NaN at a
-    NaN order, evaluating the finite orders in blocks of at most
-    POWER_BLOCK_BYTES of dim x dim powers.  Given a float it returns a float,
-    and raises ValueError where a power failed the check.
+    It takes an array of orders (a scalar order is a 0-d array) and returns
+    the values in that shape, NaN at a NaN order, evaluating the finite orders
+    in blocks of at most POWER_BLOCK_BYTES of dim x dim powers.
     """
 
     def f(a):
-        if not isinstance(a, np.ndarray):
-            a = float(a)
-            if a == 0:
-                raise ValueError("invalid order: a must be nonzero")
-            [v] = values(np.array([a])).tolist()
-            if v != v:
-                raise ValueError("invalid operator: not Hermitian")
-            return v
+        a = np.asarray(a, dtype=float)
         if (a == 0).any():
             raise ValueError("invalid order: a must be nonzero")
         out = np.full(a.shape, math.nan)
@@ -240,11 +211,10 @@ def renyi_mi_up(cq: CqState):
     -(1/a) log2 tr( rho_XB (rho_X (x) rho_B)^(a/2) rho_XB^(-a) (rho_X (x) rho_B)^(a/2) )
 
     with pseudo-inverse powers on singular states, from one eigendecomposition
-    each of rho_XB and rho_X (x) rho_B.  It takes a nonzero float order, and
-    raises ValueError where a power fails the Hermiticity check, or an
-    ndarray of orders, which gives NaN there (see :func:`_order_function`);
-    each order forms its powers as slices of one stacked product, with the
-    bits of the float call.
+    each of rho_XB and rho_X (x) rho_B.  It takes an array of nonzero orders
+    and gives NaN where a power fails the Hermiticity check (see
+    :func:`_order_function`); each order forms its powers as slices of one
+    stacked product.
     """
     joint = cq.joint()
     ref_power = power_function(np.kron(np.diag(cq.pmf.probs).astype(complex), cq.marginal_b()))
@@ -261,8 +231,8 @@ def renyi_mi_up(cq: CqState):
 def renyi_mi_down(cq: CqState):
     """The order function a -> -(1/a) log2 sum_x P(x) tr( (rho_B^x)^(1-a) rho_B^a ),
     from one eigendecomposition each of rho_B and of every rho_B^x with
-    P(x) > 0.  It takes a float or an ndarray of orders, as
-    :func:`renyi_mi_up` does; the sum over x runs in order.
+    P(x) > 0.  It takes orders as :func:`renyi_mi_up` does; the sum over x
+    runs in order.
     """
     rho_b_power = power_function(cq.marginal_b())
     terms = [(px, power_function(s)) for px, s in zip(cq.pmf.probs, cq.states) if px > 0.0]

@@ -151,10 +151,6 @@ class HermitianOperator:
             raise ValueError("invalid operator: not Hermitian")
         object.__setattr__(self, "data", a)
 
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
 
 @dataclass(frozen=True)
 class Povm:
@@ -332,17 +328,14 @@ def distinct_eigenvalue_counts(x, tols) -> list[int]:
 
 
 def power_function(rho):
-    """Functional calculus from one eigendecomposition: the function a -> rho^a.
+    """Functional calculus from one eigendecomposition: the function that maps
+    a 1-D array of k exponents to the (k, d, d) stack of powers rho^a.
 
-    ``rho`` is diagonalized once; each call forms rho^a in that eigenbasis.
-    Eigenvalues below 1e-12 are treated as exact zeros; for negative
-    exponents they map to 0 (pseudo-inverse on the support).
-
-    A float exponent gives a :class:`HermitianOperator`, so the power is
-    checked for Hermiticity (1e-10) and raises ValueError if it fails.  A 1-D
-    ndarray of k exponents gives the (k, d, d) stack of powers, one stacked
-    product with the bits of the k float calls; a power that fails the check
-    is NaN throughout.
+    ``rho`` is diagonalized once; each call forms its powers in that
+    eigenbasis as one stacked product.  Eigenvalues below 1e-12 are treated as
+    exact zeros; for negative exponents they map to 0 (pseudo-inverse on the
+    support).  Each power is checked for Hermiticity (1e-10), and a power
+    that fails the check is NaN throughout.
     """
     w, v = np.linalg.eigh(as_matrix(rho))
     w = np.where(w < ZERO_CUT, 0.0, w)
@@ -351,22 +344,13 @@ def power_function(rho):
     v_dag = v.conj().T
 
     def power(a):
-        if isinstance(a, np.ndarray):
-            # one exponent per row, broadcast along it as a float exponent is;
-            # off the support 0^a is 0 (or 1 at a = 0), as w**a gives it
-            col = a[:, None]
-            stack = (v * np.where(support, base**col, col == 0.0)[:, None, :]) @ v_dag
-            stack[~(herm_defect(stack) <= HERM_TOL)] = np.nan
-            return stack
-        powered = np.where(support, base**a, 0.0) if a < 0 else w**a
-        return HermitianOperator((v * powered) @ v_dag)
+        # one exponent per row; off the support 0^a is 0 (or 1 at a = 0)
+        col = a[:, None]
+        stack = (v * np.where(support, base**col, col == 0.0)[:, None, :]) @ v_dag
+        stack[~(herm_defect(stack) <= HERM_TOL)] = np.nan
+        return stack
 
     return power
-
-
-def matrix_power(rho, a: float) -> HermitianOperator:
-    """Functional calculus rho^a in the eigenbasis (see :func:`power_function`)."""
-    return power_function(rho)(a)
 
 
 def support_projector(rho) -> np.ndarray:

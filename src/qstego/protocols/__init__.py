@@ -10,7 +10,7 @@ from .codes import (
     StegoEsRsCode,
     StegoQcCcCode,
 )
-from .resolvability import build_resolvability_code, build_resolvability_codes, pretty_good_measurement, resolvability_metrics
+from .resolvability import build_resolvability_codes, pretty_good_measurement, resolvability_metrics
 from .stego_cc import build_stego_cc_noiseless, build_stego_cc_noisy, side_states_from_degradation
 from .stego_cc_es import build_stego_cc_es, trivial_aligner_distiller
 from .stego_es_rs import build_stego_es_rs
@@ -33,7 +33,6 @@ __all__ = [
     "StegoCcEsCode",
     "StegoEsRsCode",
     "StegoQcCcCode",
-    "build_resolvability_code",
     "build_resolvability_codes",
     "build_stego_cc_es",
     "build_stego_cc_noiseless",

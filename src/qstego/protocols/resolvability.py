@@ -14,28 +14,25 @@ import numpy as np
 
 from ..channels import QuantumChannel, apply
 from ..info import CqState
-from ..linalg import Povm, as_matrix, trace_norm
+from ..linalg import Povm, trace_norm
 from .codes import ResolvabilityCode
 
 
-def pretty_good_measurement(states):
-    """Square-root measurement for a uniformly chosen state from the list.
+def pretty_good_measurement(states: np.ndarray) -> tuple:
+    """Square-root measurements, one for a uniformly chosen state of each of
+    the n lists of an (n, M, d, d) stack of states; a tuple of n :class:`Povm`.
 
     Gamma_w = S^(-1/2) rho_w S^(-1/2) + (I - Pi_S) / M  with S = sum_w rho_w;
     the orthocomplement of the joint support is spread evenly so the elements
-    sum to the identity exactly.  ``states`` is a sequence of M states, which
-    gives one :class:`Povm`, or an (n, M, d, d) array of n such lists, which
-    gives a tuple of n; each has the bits of its own one-list call.  S is
-    summed state by state, in order; the n eigendecompositions are one call,
-    all n M elements are one stacked product, and the n POVMs are checked by
-    one stacked check (:meth:`Povm.batch`).
+    sum to the identity exactly.  Each POVM has the bits of its list alone.
+    S is summed state by state, in order; the n eigendecompositions are one
+    call, all n M elements are one stacked product, and the n POVMs are
+    checked by one stacked check (:meth:`Povm.batch`).
     """
-    batch = isinstance(states, np.ndarray) and states.ndim == 4
-    mats = states if batch else np.array([as_matrix(s) for s in states])[None]
-    n, m, dim = mats.shape[:3]
+    n, m, dim = states.shape[:3]
     total = np.zeros((n, dim, dim), dtype=complex)
     for w in range(m):
-        total += mats[:, w]
+        total += states[:, w]
     w, v = np.linalg.eigh(total)
     keep = w > 1e-12
     inv_sqrt_vals = np.where(keep, 1.0 / np.sqrt(np.where(keep, w, 1.0)), 0.0)
@@ -49,22 +46,19 @@ def pretty_good_measurement(states):
     for rows in patterns.values():
         kept = v[rows][:, :, keep[rows[0]]]
         rest[rows] = (np.eye(dim) - kept @ kept.conj().swapaxes(1, 2)) / m
-    e = inv_sqrt[:, None] @ mats @ inv_sqrt[:, None] + rest[:, None]
+    e = inv_sqrt[:, None] @ states @ inv_sqrt[:, None] + rest[:, None]
     e = (e + e.conj().swapaxes(2, 3)) / 2
-    povms = Povm.batch(e)
-    return povms if batch else povms[0]
+    return Povm.batch(e)
 
 
-def resolvability_metrics(code, sigma: CqState):
-    """Recompute (reliability, trace distance to the target output) from scratch.
+def resolvability_metrics(codes, sigma: CqState) -> list:
+    """Recompute (reliability, trace distance to the target output) from
+    scratch for each of a sequence of codes of one (K, M) shape; each pair
+    has the bits of its code alone.
 
-    ``code`` is one :class:`ResolvabilityCode`, which gives one pair of
-    floats, or a sequence of codes of one (K, M) shape, which gives a list of
-    pairs, each with the bits of its own one-code call.  Every
-    tr(Gamma_w rho_x) is one stacked product and trace; the reliability and
-    the output mixture are summed sequentially, codebook by codebook.
+    Every tr(Gamma_w rho_x) is one stacked product and trace; the reliability
+    and the output mixture are summed sequentially, codebook by codebook.
     """
-    codes = [code] if isinstance(code, ResolvabilityCode) else code
     books = np.array([c.codebooks for c in codes])
     n, k, m = books.shape
     dim = sigma.dim_b
@@ -78,15 +72,14 @@ def resolvability_metrics(code, sigma: CqState):
         rel += t
     mixture /= k * m
     rel /= k * m
-    pairs = list(zip(rel.tolist(), trace_norm(mixture - sigma.marginal_b()).tolist()))
-    return pairs[0] if isinstance(code, ResolvabilityCode) else pairs
+    return list(zip(rel.tolist(), trace_norm(mixture - sigma.marginal_b()).tolist()))
 
 
 def build_resolvability_codes(sigma: CqState, m: int, k: int, seeds) -> list[ResolvabilityCode]:
     """One code per seed: K i.i.d. codebooks (entries ~ P_X) with PGM decoders.
 
     Each code is drawn from its own ``numpy.random.default_rng(seed)`` and
-    equals the code a one-seed call builds; every PGM and metric of the batch
+    equals the code a one-seed batch builds; every PGM and metric of the batch
     is one stacked computation.  Deterministic for fixed seeds.
     """
     if m < 1 or k < 1:
@@ -103,12 +96,6 @@ def build_resolvability_codes(sigma: CqState, m: int, k: int, seeds) -> list[Res
         for i, b in enumerate(books)
     ]
     return [replace(c, reliability=rel, distance=dist) for c, (rel, dist) in zip(codes, resolvability_metrics(codes, sigma))]
-
-
-def build_resolvability_code(sigma: CqState, m: int, k: int, seed=None) -> ResolvabilityCode:
-    """``build_resolvability_codes`` on the one seed ``seed``."""
-    [code] = build_resolvability_codes(sigma, m, k, [seed])
-    return code
 
 
 def output_cq(sigma_in: CqState, channel: QuantumChannel) -> CqState:

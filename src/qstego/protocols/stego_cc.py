@@ -20,7 +20,7 @@ from ..hashing import build_quantum_hash
 from ..info import CqState
 from ..linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
 from .codes import CcCode, StegoCcCode
-from .resolvability import build_resolvability_code, output_cq
+from .resolvability import build_resolvability_codes, output_cq
 
 
 def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
@@ -202,7 +202,7 @@ def build_stego_cc_noisy(
     codes = []
     for w in range(cover.m):
         child = int(rng.integers(1 << 31))
-        codes.append(build_resolvability_code(out_cqs[w], sizes[w], kbar, seed=child))
+        codes += build_resolvability_codes(out_cqs[w], sizes[w], kbar, [child])
 
     encoders = []
     povms = []

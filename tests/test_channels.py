@@ -166,7 +166,7 @@ class TestTensorPowerBitForBit:
 class TestIsometricExtension:
     def test_unitary_channel(self):
         u = np.array([[0, 1], [1, 0]], dtype=complex)
-        v = isometric_extension(standard_channel("unitary", unitary=u))
+        v = isometric_extension(QuantumChannel((u,)))
         assert v.dim_out == 2  # environment dimension 1
         assert np.allclose(v.data, u)
 
@@ -194,7 +194,7 @@ class TestIsometricExtension:
     def test_complementary_of_unitary_has_zero_entropy(self):
         rng = np.random.default_rng(7)
         u = np.linalg.qr(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))[0]
-        ch = standard_channel("unitary", unitary=u)
+        ch = QuantumChannel((u,))
         for _ in range(5):
             env = complementary_matrix(ch, random_density(rng, 2).data)
             assert von_neumann_entropy(env) == pytest.approx(0.0, abs=1e-9)

@@ -94,6 +94,10 @@ class TestCli:
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
             ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
             ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be at least 1"),
+            ("gentle_demo", "instances", 0, "instances must be at least 1"),
+            ("gentle_demo", "instances", -3, "instances must be at least 1"),
+            ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
+            ("gentle_demo", "x_max", 1, "x_max must be at least 2"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):

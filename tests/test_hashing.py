@@ -16,8 +16,6 @@ from qstego.hashing import build_classical_hash, build_quantum_hash, encoder_fro
 from qstego.info import as_pmf, renyi_entropy, sup_over_order
 from qstego.linalg import DensityMatrix, trace_norm
 
-from .test_info import each
-
 
 class TestClassicalHash:
     def test_uniform_exact_split(self):
@@ -69,9 +67,8 @@ class TestClassicalHash:
         hits = trials = 0
         for _ in range(200):
             p = rng.dirichlet(np.full(8, 4.0))
-            bound = sup_over_order(
-                each([lambda a: renyi_entropy(np.diag(p))(a) - (4.0 / a) * math.log2(2.0 / eps)]), batch=1
-            )[0].value
+            h = renyi_entropy([np.diag(p)])
+            bound = sup_over_order(lambda a: h(a) - (4.0 / a) * math.log2(2.0 / eps), batch=1)[0].value
             m = max(1, int(math.floor(2.0**bound)))
             trials += 1
             enc = build_classical_hash(p, m, eps, seed=int(rng.integers(1 << 31)))

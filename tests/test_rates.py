@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qstego.channels import identity_channel, standard_channel
+from qstego.channels import QuantumChannel, identity_channel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
 from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, sup_over_order
 from qstego.linalg import DensityMatrix, basis_state
@@ -298,7 +298,7 @@ class TestCodeEntropyExperiments:
         assert rep.holds
 
     def test_random_code_unitary_tight(self):
-        m = standard_channel("unitary", unitary=np.eye(2))
+        m = QuantumChannel((np.eye(2),))
         rep = experiment_random_code_entropy(2, 2, 2, m, samples=3, delta=0.0, seed=0)
         assert rep.lhs == pytest.approx(0.0, abs=1e-6)
         assert rep.rhs == pytest.approx(0.0, abs=1e-9)
@@ -367,8 +367,9 @@ class TestRateCcNoisyTolerances:
             assert self.as_tuple(key) == (max(per_w_k), worst.a_star, worst.boundary, per_w_k, tol)
 
     def test_equals_each_batches(self):
-        # the batches of one-problem float-order functions that the order-array
-        # objectives replace, on sides with and without skipped orders
+        # the batches of one-problem functions, each called one scalar order at
+        # a time, that the order-array objectives replace, on sides with and
+        # without skipped orders
         from qstego.info import renyi_mi_down, renyi_mi_up
         from qstego.linalg import distinct_eigenvalue_counts
 
@@ -438,7 +439,7 @@ class TestRateCcNoisyTolerances:
 
 class TestSutherlandUnitary:
     def test_unitary_degradation_both_sides_degenerate(self):
-        from qstego.channels import Isometry, QuantumChannel
+        from qstego.channels import Isometry
         from qstego.protocols.codes import QcCode
 
         channel = QuantumChannel((np.eye(8, dtype=complex),))
@@ -452,7 +453,7 @@ class TestSutherlandUnitary:
             correctable=(0,),
             n=3,
         )
-        unitary = standard_channel("unitary", unitary=np.eye(2))
+        unitary = QuantumChannel((np.eye(2),))
         rep = experiment_sutherland_bound(code, unitary, delta=0.1)
         assert rep.lhs == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(3 * (0.0 - 0.1), abs=1e-12)

@@ -5,14 +5,9 @@ import pytest
 
 from qstego.fixtures import named_state
 from qstego.info import CqState, Pmf
-from qstego.linalg import DensityMatrix, basis_state, trace_norm
+from qstego.linalg import DensityMatrix, as_matrix, basis_state, trace_norm
 from qstego.experiments import render_csv, run_experiment
-from qstego.protocols import (
-    build_resolvability_code,
-    build_resolvability_codes,
-    pretty_good_measurement,
-    resolvability_metrics,
-)
+from qstego.protocols import build_resolvability_codes, pretty_good_measurement, resolvability_metrics
 from qstego import experiments
 
 from .test_linalg import random_density
@@ -23,13 +18,24 @@ def binary_qubit_cq():
     return CqState(Pmf([0.5, 0.5]), (named_state("zero"), named_state("plus")))
 
 
+def one_pgm(states):
+    """The pretty-good measurement of one list of states, a stack of one."""
+    [povm] = pretty_good_measurement(np.array([[as_matrix(s) for s in states]]))
+    return povm
+
+
+def one_code(sigma, m, k, seed):
+    [code] = build_resolvability_codes(sigma, m, k, [seed])
+    return code
+
+
 class TestPgm:
     def test_orthogonal_states_perfect(self):
-        povm = pretty_good_measurement([basis_state(0, 2).to_density(), basis_state(1, 2).to_density()])
+        povm = one_pgm([basis_state(0, 2).to_density(), basis_state(1, 2).to_density()])
         assert np.allclose(povm[0], np.diag([1.0, 0.0]), atol=1e-10)
 
     def test_completeness_with_rank_deficient_support(self):
-        povm = pretty_good_measurement([named_state("zero"), named_state("zero")])
+        povm = one_pgm([named_state("zero"), named_state("zero")])
         total = povm.elements.sum(axis=0)
         assert np.allclose(total, np.eye(2), atol=1e-10)
 
@@ -37,7 +43,7 @@ class TestPgm:
 class TestResolvability:
     def test_noiseless_classical_bit(self):
         cq = CqState(Pmf([0.5, 0.5]), (basis_state(0, 2).to_density(), basis_state(1, 2).to_density()))
-        code = build_resolvability_code(cq, m=2, k=1, seed=3)
+        code = one_code(cq, m=2, k=1, seed=3)
         # with distinct codewords the PGM is perfect and the distance is the
         # type deviation; find such a seed deterministically
         book = code.codebooks[0]
@@ -50,13 +56,13 @@ class TestResolvability:
     def test_product_state_zero_distance(self):
         rho = named_state("maximally_mixed")
         cq = CqState(Pmf([0.3, 0.7]), (rho, rho))
-        code = build_resolvability_code(cq, m=4, k=2, seed=0)
+        code = one_code(cq, m=4, k=2, seed=0)
         assert code.distance == pytest.approx(0.0, abs=1e-12)
 
     def test_metrics_recomputation_matches(self):
         cq = binary_qubit_cq()
-        code = build_resolvability_code(cq, m=4, k=2, seed=11)
-        rel, dist = resolvability_metrics(code, cq)
+        code = one_code(cq, m=4, k=2, seed=11)
+        [(rel, dist)] = resolvability_metrics([code], cq)
         assert rel == pytest.approx(code.reliability, abs=1e-12)
         assert dist == pytest.approx(code.distance, abs=1e-12)
 
@@ -64,10 +70,7 @@ class TestResolvability:
         cq = binary_qubit_cq()
         medians = []
         for mk in (2, 8, 32):
-            dists = []
-            for seed in range(50):
-                code = build_resolvability_code(cq, m=mk, k=1, seed=seed)
-                dists.append(code.distance)
+            dists = [code.distance for code in build_resolvability_codes(cq, m=mk, k=1, seeds=range(50))]
             medians.append(float(np.median(dists)))
         assert medians[0] > medians[1] > medians[2]
 
@@ -127,7 +130,7 @@ class TestBitForBit:
     def test_pgm_matches_loop(self, d, m, full_rank):
         rng = np.random.default_rng(10 * d + m)
         cq = random_cq(rng, d, m, None if full_rank else d // 2)
-        got = pretty_good_measurement(cq.states).elements
+        got = one_pgm(cq.states).elements
         ref = pgm_loop(cq.states)
         assert len(got) == len(ref)
         assert all(same_bits(g, r) for g, r in zip(got, ref))
@@ -137,9 +140,9 @@ class TestBitForBit:
     def test_metrics_match_loop(self, d, m, k):
         rng = np.random.default_rng(100 * d + 10 * m + k)
         cq = random_cq(rng, d, 5)
-        code = build_resolvability_code(cq, m=m, k=k, seed=d + m + k)
+        code = one_code(cq, m=m, k=k, seed=d + m + k)
         ref = metrics_loop(code, cq)
-        assert same_bits(resolvability_metrics(code, cq), ref)
+        assert same_bits(resolvability_metrics([code], cq), [ref])
         assert same_bits((code.reliability, code.distance), ref)
 
 
@@ -193,9 +196,9 @@ class TestBatchBitForBit:
             assert all(
                 same_bits(povm[w], element) for povm, elements in zip(code.decoders, decoders) for w, element in enumerate(elements)
             )
-        assert all(same_bits(resolvability_metrics(code, sigma), metrics) for code, (_, _, metrics) in zip(got, ref))
+        assert all(same_bits(resolvability_metrics([code], sigma), [metrics]) for code, (_, _, metrics) in zip(got, ref))
         assert same_bits(resolvability_metrics(got, sigma), [metrics for _, _, metrics in ref])
-        assert build_resolvability_code(sigma, m, k, seed=seeds[-1]).distance == got[-1].distance
+        assert one_code(sigma, m, k, seeds[-1]).distance == got[-1].distance
 
     def test_batch_mixes_kept_patterns(self):
         sigma = CqState(Pmf([0.4, 0.3, 0.3]), (pure_on(4, 0), pure_on(4, 1), pure_on(4, 1, 2)))

@@ -199,6 +199,10 @@ def _run_rates_gaussian(
     n, r, zeta = int(n), int(r), float(zeta)
     nu0s = _grid(nu0_grid)
     nu1s = _grid(nu1_grid)
+    # the monotonicity flags compare neighbours in list order
+    for key, grid in (("nu0_grid", nu0s), ("nu1_grid", nu1s)):
+        if not grid or not all(b > a for a, b in zip(grid, grid[1:])):
+            raise ValueError(f"bad parameter: {key} must be non-empty and increasing")
     points = [(nu0, nu1) for nu0 in nu0s for nu1 in nu1s]
     rows = []
     table = {}

@@ -84,11 +84,8 @@ class QcCode:
         if self.encode.dim_out != self.channel.dim_in:
             raise ValueError("shape error: encoder output does not match channel")
         object.__setattr__(self, "correctable", tuple(int(j) for j in self.correctable))
-        kraus = [
-            d @ self.channel.kraus[j] @ self.encode.data
-            for j in self.correctable
-            for d in self.decode.kraus
-        ]
+        ops = [self.channel.kraus[j] for j in self.correctable]
+        kraus = [d @ f @ self.encode.data for f in ops for d in self.decode.kraus]
         c, residual = proportionality_to_identity(kraus, self.m)
         if residual > PROPORTIONALITY_TOL:
             raise ValueError("invalid cover: recovery split is not proportional to identity")

@@ -150,9 +150,10 @@ def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqSta
     N(m(f(w))) exactly, so the marginal-consistency requirement holds whenever
     the cover channel is N o m.
     """
+    kraus = tuple(m.kraus)  # read a power's family once, not once per codeword
     out = []
     for c in cover.codewords:
-        branches = [k @ c.data @ k.conj().T for k in m.kraus]
+        branches = [k @ c.data @ k.conj().T for k in kraus]
         probs = np.array([max(np.trace(b).real, 0.0) for b in branches])
         keep = probs > 1e-14
         probs_kept = probs[keep] / probs[keep].sum()

@@ -162,6 +162,37 @@ class TestTensorPowerBitForBit:
         assert len(got) == len(expected)
         assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
 
+    @pytest.mark.parametrize(
+        "kind, n",
+        [("depolarizing", 3), ("amplitude_damping", 4), ("bit_flip", 1), ("dephasing", 5), ("random", 3)],
+    )
+    def test_indexing_matches_iteration(self, kind, n):
+        rng = np.random.default_rng(12)
+        ch = random_channel(rng, 3, 2, 3) if kind == "random" else standard_channel(kind, 0.37)
+        family = tensor_power(ch, n).kraus
+        assert len(family) == len(ch.kraus) ** n
+        ops = list(family)
+        assert len(ops) == len(family)
+        assert all(family[j].tobytes() == op.tobytes() for j, op in enumerate(ops))
+        assert family[-1].tobytes() == ops[-1].tobytes()
+        with pytest.raises(IndexError):
+            family[len(family)]
+
+    def test_power_is_never_held_at_once(self):
+        # the 128 operators of 128 x 128 are 32 MiB as one stack
+        ch = standard_channel("bit_flip", 0.1)
+        rho = np.full((2, 2), 0.5, dtype=complex)
+        for _ in range(6):
+            rho = np.kron(rho, PLUS.data)
+        tracemalloc.start()
+        try:
+            out = apply(tensor_power(ch, 7), rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert out.data.shape == (128, 128)
+        assert peak < 4 * 2**20
+
 
 class TestIsometricExtension:
     def test_unitary_channel(self):

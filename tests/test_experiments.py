@@ -51,21 +51,19 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "rates/nope"})
 
-    def test_empty_sweep_header_only(self):
+    def test_empty_sweep_rejected(self):
         config = {
             "kind": "rates/gaussian",
             "params": {
                 "n": 10,
                 "r": 5,
                 "zeta": 0.5,
-                "nu0_grid": [],
+                "nu0_grid": [1.0, 2.0],
                 "nu1_grid": [],
             },
         }
-        res = run_experiment(config)
-        assert res.rows == []
-        assert res.all_ok
-        assert render_csv(res) == "nu0,nu1,rate_bits,raw,a_star,boundary\n"
+        with pytest.raises(ValueError, match="bad parameter: nu1_grid must be non-empty and increasing"):
+            run_experiment(config)
 
     def test_no_tolerances_header_only(self):
         params = {

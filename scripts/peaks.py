@@ -60,11 +60,11 @@ def main(argv=None) -> int:
 
     chosen, warmup = workloads.generate(args.workload, args.seed, root)
     print(f"{args.workload} seed {args.seed}, qstego from {root / 'src'}; start ru_maxrss {maxrss_mb():.1f} MB")
-    print(f"{'slot':32s} {'variant':24s} {'traced_peak_mb':>14s} {'maxrss_mb':>10s}")
+    print(f"{'slot':36s} {'variant':24s} {'traced_peak_mb':>14s} {'maxrss_mb':>10s}")
     rows = measure(experiments, [warmup, *chosen])
     for i, (inst, peak, rss) in enumerate(rows):
         slot = f"{inst.slot} (warm-up)" if i == 0 else inst.slot
-        print(f"{slot:32s} {inst.label:24s} {peak:14.1f} {rss:10.1f}")
+        print(f"{slot:36s} {inst.label:24s} {peak:14.1f} {rss:10.1f}")
     top = max(rows, key=lambda row: row[1])
     rss_top = next(row for row in rows if row[2] == rows[-1][2])
     print(f"largest traced peak: {top[0].slot} ({top[1]:.1f} MB); "

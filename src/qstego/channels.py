@@ -4,16 +4,17 @@ textbook single-qubit fixtures.
 
 Kraus families are kept exactly as given (no canonicalization); complementary
 channels are therefore basis-dependent up to an isometry on the environment,
-and anything that compares them should compare spectra only.  The one
-exception to "as given" is the n-fold power: its K^n operators are not
-stored but formed when read (:class:`KrausPower`), so an n-use channel holds
-its single-use family, not a stack of 16 K^n d^2 bytes.  Its completeness
-check and every application still form and use all K^n operators.
+and anything that compares them should compare spectra only.  An n-fold
+power (:func:`tensor_power`) keeps its single-use family and forms its K^n
+operators when they are read (:class:`KrausPower`), so an n-use channel does
+not hold a stack of 16 K^n d^2 bytes; its completeness check and every
+application still form and use all K^n operators.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import reduce
@@ -23,6 +24,8 @@ import numpy as np
 from .linalg import DIM_CAP, DensityMatrix, as_matrix, check_states
 
 CPTP_TOL = 1e-9
+#: largest stack of operators a :class:`KrausPower` forms at once
+BLOCK_BYTES = 1 << 20
 
 
 def check_kraus(kraus) -> None:
@@ -43,54 +46,66 @@ def check_kraus(kraus) -> None:
         raise ValueError("invalid channel: Kraus completeness fails")
 
 
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron(a, b)`` of two complex matrices, bit for bit, as one broadcast
-    product a * b_jl written into the (p, q, r, s) layout of the result.
+def _kron_stack(ks: np.ndarray, base: np.ndarray) -> np.ndarray:
+    """Kronecker product of each matrix of the (A, p, r) stack ``ks`` with each
+    of the (B, q, s) stack ``base``: the (A B, p q, r s) stack in
+    ``itertools.product`` order, each bit for bit ``np.kron``.
 
-    The product runs in (q, s, p, r) order, so its inner loop is a row of
-    ``a`` rather than the s entries of a row of ``b``: 2-3x faster than
-    ``np.kron`` once ``a`` is 64 x 64.
+    One broadcast product ks * base_bjl, written into the layout of the result
+    in (b, q, s, a, p, r) order, so that its inner loop runs along a row of
+    ``ks`` and not along the s entries of a row of ``base`` (about 2x faster
+    at p = r = 64 and 3.5x at 128 on an x86-64 core).
     """
-    (p, r), (q, s) = a.shape, b.shape
-    out = np.empty((p, q, r, s), dtype=complex)
-    np.multiply(a, b[:, :, None, None], out=out.transpose(1, 3, 0, 2), order="C")
-    return out.reshape(p * q, r * s)
+    (a, p, r), (b, q, s) = ks.shape, base.shape
+    out = np.empty((a, b, p, q, r, s), dtype=complex)
+    np.multiply(ks, base[:, :, :, None, None, None], out=out.transpose(1, 3, 5, 0, 2, 4), order="C")
+    return out.reshape(a * b, p * q, r * s)
 
 
 class KrausPower(Sequence):
     """Read-only family of the K^n Kraus operators of an n-fold tensor power,
-    each formed when it is read.
+    formed when they are read.
 
     Operator j is the left-to-right Kronecker chain of the ``base`` operators
     named by the j-th n-tuple in ``itertools.product`` order.  Iteration walks
-    the tuples depth first and reuses each chain prefix: it holds the base
-    family plus one operator per chain level, never the K^n operators at
-    once.  ``family[j]`` forms operator j alone.  ``shape`` is that of the
-    (K^n, dout^n, din^n) stack the family stands for.
+    the tuples depth first and reuses each chain prefix: it holds one
+    operator per level of the leading factors, and forms the trailing
+    ``tail`` factors of each prefix as one stack, the most that fits in
+    ``BLOCK_BYTES`` (at least one factor).  A family that fits is one stack,
+    formed as ``np.kron`` chains of stacks; the K^n operators of a larger one
+    are never held at once.  ``family[j]`` forms operator j alone.  ``shape``
+    is that of the (K^n, dout^n, din^n) stack the family stands for.
     """
 
-    def __init__(self, base: tuple, n: int):
-        self.base, self.n = base, n
-        k, dout, din = len(base), *base[0].shape
+    def __init__(self, base, n: int):
+        self.base, self.n = np.array(base), n
+        k, dout, din = self.base.shape
         self.shape = (k**n, dout**n, din**n)
+        op_bytes = 16 * dout**n * din**n
+        self.tail = max(t for t in range(1, n + 1) if t == 1 or k**t * op_bytes <= BLOCK_BYTES)
 
     def __len__(self) -> int:
         return self.shape[0]
 
     def __getitem__(self, j) -> np.ndarray:
-        idx = np.unravel_index(range(len(self))[j], (len(self.base),) * self.n)
-        return reduce(_kron, (self.base[i] for i in idx))
+        idx = np.unravel_index(range(len(self))[operator.index(j)], (len(self.base),) * self.n)
+        return reduce(_kron_stack, (self.base[i : i + 1] for i in idx))[0]
 
     def __iter__(self):
         return self._walk(None, self.n)
 
     def _walk(self, prefix, depth):
-        for f in self.base:
-            op = f if prefix is None else _kron(prefix, f)
-            if depth == 1:
-                yield op
-            else:
-                yield from self._walk(op, depth - 1)
+        """Operators below ``prefix``, a stack of one (None at the root), with
+        ``depth`` factors still to append."""
+        if depth == self.tail:
+            block = self.base if prefix is None else _kron_stack(prefix, self.base)
+            for _ in range(depth - 1):
+                block = _kron_stack(block, self.base)
+            yield from block
+            return
+        for i in range(len(self.base)):
+            f = self.base[i : i + 1]
+            yield from self._walk(f if prefix is None else _kron_stack(prefix, f), depth - 1)
 
 
 @dataclass(frozen=True)
@@ -103,7 +118,7 @@ class QuantumChannel:
     reads every operator in order).
     """
 
-    kraus: tuple
+    kraus: Sequence
     dim_out: int = field(init=False)
     dim_in: int = field(init=False)
 
@@ -197,10 +212,11 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
 
     The power's family is a :class:`KrausPower` over ``ch``'s operators:
     each operator is formed when read, as the left-to-right ``np.kron`` chain
-    of its tuple, bit for bit.  Memory is the single-use family plus one
-    operator per chain level, not the 16 K^n d^2 bytes of all K^n operators
-    (d = dout^n); time is not saved: the completeness check here and every
-    application still form and use all K^n operators of d x d.
+    of its tuple, bit for bit.  Reading it holds the single-use family, one
+    operator per leading chain level and one block of at most
+    ``BLOCK_BYTES`` (or K operators), not the 16 K^n d^2 bytes of all K^n
+    operators (d = dout^n).  Time is not saved: the completeness check here
+    and every application still form and use all K^n operators of d x d.
     """
     if n < 1:
         raise ValueError("bad parameter: n must be >= 1")

@@ -124,14 +124,16 @@ class QuantumChannel:
 
     def __post_init__(self):
         ks = self.kraus
-        if not isinstance(ks, KrausPower):
+        if isinstance(ks, KrausPower):
+            _, dout, din = ks.shape
+        else:
             ks = tuple(np.asarray(k, dtype=complex) for k in ks)
             if not ks:
                 raise ValueError("invalid channel: no Kraus operators")
             if any(k.ndim != 2 or k.shape != ks[0].shape for k in ks):
                 raise ValueError("shape error: inconsistent Kraus shapes")
+            dout, din = ks[0].shape
         check_kraus(ks)
-        _, dout, din = ks.shape if isinstance(ks, KrausPower) else (len(ks), *ks[0].shape)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "dim_out", dout)
         object.__setattr__(self, "dim_in", din)
@@ -222,7 +224,7 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
         raise ValueError("bad parameter: n must be >= 1")
     if ch.dim_in**n > DIM_CAP or ch.dim_out**n > DIM_CAP:
         raise ValueError("dimension limit")
-    return QuantumChannel(KrausPower(tuple(ch.kraus), n))
+    return QuantumChannel(KrausPower(ch.kraus, n))
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:

@@ -51,20 +51,6 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "rates/nope"})
 
-    def test_empty_sweep_rejected(self):
-        config = {
-            "kind": "rates/gaussian",
-            "params": {
-                "n": 10,
-                "r": 5,
-                "zeta": 0.5,
-                "nu0_grid": [1.0, 2.0],
-                "nu1_grid": [],
-            },
-        }
-        with pytest.raises(ValueError, match="bad parameter: nu1_grid must be non-empty and increasing"):
-            run_experiment(config)
-
     def test_no_tolerances_header_only(self):
         params = {
             "n_true": {"kind": "dephasing", "p": 0.2},

@@ -90,10 +90,6 @@ class TestCli:
         [
             ("gaussian_fig2", "zeta", 0, "zeta must be positive"),
             ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
-            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu0_grid", [], "nu0_grid must be non-empty and increasing"),
-            ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu1_grid", [1.0, 2.0, 2.0], "nu1_grid must be non-empty and increasing"),
             ("resolvability_demo", "k", 0, "k must be at least 1"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
             ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
@@ -102,6 +98,10 @@ class TestCli:
             ("gentle_demo", "instances", -3, "instances must be at least 1"),
             ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
             ("gentle_demo", "x_max", 1, "x_max must be at least 2"),
+            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "nu0_grid must be non-empty"),
+            ("gaussian_fig2", "nu0_grid", [], "nu0_grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "nu0_grid must be non-empty"),
+            ("gaussian_fig2", "nu1_grid", [1.0, 2.0, 2.0], "nu1_grid must be non-empty and increasing"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):

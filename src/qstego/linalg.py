@@ -24,8 +24,8 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 VEC_NORM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
-#: bytes of matrices whose Hermiticity is checked in one block; bounds the
-#: check's temporaries to about 1.5 blocks
+#: bytes of matrices checked in one block, by the Hermiticity check and by
+#: each Cholesky bound; bounds a check's temporaries to about two blocks
 CHECK_BLOCK_BYTES = 1 << 20
 
 
@@ -34,12 +34,17 @@ def as_matrix(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x), dtype=complex)
 
 
+def _block_len(d: int) -> int:
+    """d x d complex matrices in one block of ``CHECK_BLOCK_BYTES``, at least 1."""
+    return max(1, CHECK_BLOCK_BYTES // max(1, 16 * d * d))
+
+
 def herm_defect(a: np.ndarray) -> np.ndarray:
     """Max absolute entry of A - A† for each matrix A of the (..., d, d) stack
     ``a``: an array of shape ``a.shape[:-2]`` (0-d for one matrix), formed on
     blocks of about ``CHECK_BLOCK_BYTES``.  NaN entries give NaN."""
     n = math.prod(a.shape[:-2])
-    step = max(1, CHECK_BLOCK_BYTES // max(1, 16 * a.shape[-1] ** 2))
+    step = _block_len(a.shape[-1])
     if n > step:
         flat = a.reshape((n,) + a.shape[-2:])
         return np.concatenate([herm_defect(flat[i : i + step]) for i in range(0, n, step)]).reshape(a.shape[:-2])
@@ -48,9 +53,31 @@ def herm_defect(a: np.ndarray) -> np.ndarray:
     return np.abs(diff).max(axis=(-2, -1), initial=0.0)
 
 
+def _factors(a: np.ndarray, *bounds) -> bool:
+    """Whether s A + t I has a Cholesky factor (is positive definite) for every
+    matrix A of the (..., d, d) stack ``a`` and every (s, t) of ``bounds``,
+    s = 1 or -1 so that s A is exact.  One ``cholesky`` call per block of at
+    most ``CHECK_BLOCK_BYTES`` and per bound, on one shifted copy at a time;
+    like ``eigvalsh`` it reads the lower triangle only.  It passes NaN and
+    inf, which the Hermiticity check before it rejects."""
+    n, d = math.prod(a.shape[:-2]), a.shape[-1]
+    step = _block_len(d)
+    blocks = (a,) if n <= step else (a.reshape((n, d, d))[i : i + step] for i in range(0, n, step))
+    try:
+        for block in blocks:
+            for s, t in bounds:
+                m = np.multiply(block, s, order="C")
+                m.reshape(-1, d * d)[:, :: d + 1] += t
+                np.linalg.cholesky(m)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 # The stacked checks below take a stack over any leading batch shape and raise
 # the message of the first check that some matrix fails; the value objects
-# call them on their one item.  Every bound is written so that NaN fails it.
+# call them on their one item.  Every bound is written so that NaN fails it;
+# the Hermiticity check, which runs first, also fails on inf.
 
 
 def check_states(a) -> np.ndarray:
@@ -58,7 +85,8 @@ def check_states(a) -> np.ndarray:
 
     Raises ValueError("invalid state: ...") unless every matrix is Hermitian
     within 1e-10 (max entry), has a trace within 1e-10 of 1 and no
-    eigenvalue below -1e-10; the eigenvalues are one ``eigvalsh`` call.
+    eigenvalue below -1e-10, tested as: A + 1e-10 I has a Cholesky factor
+    (:func:`_factors`).  No eigenvalue is computed.
     """
     a = np.asarray(a, dtype=complex)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -68,7 +96,7 @@ def check_states(a) -> np.ndarray:
     t = a.trace(axis1=-2, axis2=-1)
     if not ((abs(t.real - 1.0) <= TRACE_TOL) & (abs(t.imag) <= TRACE_TOL)).all():
         raise ValueError("invalid state: trace not 1")
-    if a.size and not np.linalg.eigvalsh(a).min() >= -EIG_TOL:
+    if a.size and not _factors(a, (1.0, EIG_TOL)):
         raise ValueError("invalid state: negative eigenvalue")
     return a
 
@@ -78,9 +106,10 @@ def check_povms(els) -> np.ndarray:
     each along axis -3.
 
     Raises ValueError unless every element is Hermitian within 1e-10 (max
-    entry), has its eigenvalues in [-1e-10, 1 + 1e-10] (one ``eigvalsh``
-    call), and the elements of each POVM sum to I within 1e-9 (max entry of
-    the deviation).
+    entry), has its eigenvalues in [-1e-10, 1 + 1e-10], and the elements of
+    each POVM sum to I within 1e-9 (max entry of the deviation).  The
+    eigenvalue bounds are tested as: A + 1e-10 I and (1 + 1e-10) I - A have
+    Cholesky factors (:func:`_factors`); no eigenvalue is computed.
     """
     els = np.asarray(els, dtype=complex)
     if els.ndim < 3 or els.shape[-1] != els.shape[-2]:
@@ -89,10 +118,8 @@ def check_povms(els) -> np.ndarray:
         raise ValueError("invalid POVM: no elements")
     if not (herm_defect(els) <= HERM_TOL).all():
         raise ValueError("invalid operator: not Hermitian")
-    if els.size:
-        w = np.linalg.eigvalsh(els)
-        if not (w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL):
-            raise ValueError("invalid POVM: element outside [0, 1]")
+    if els.size and not _factors(els, (1.0, EIG_TOL), (-1.0, 1.0 + EIG_TOL)):
+        raise ValueError("invalid POVM: element outside [0, 1]")
     deviation = np.abs(els.sum(axis=-3) - np.eye(els.shape[-1]))
     if not deviation.max(initial=0.0) <= POVM_SUM_TOL:
         raise ValueError("invalid POVM: elements do not sum to identity")
@@ -160,8 +187,9 @@ class Povm:
     ``elements[w]``.  It is given as such an array (kept without a copy) or as
     a sequence of square matrices or :class:`HermitianOperator`.  The
     elements are checked with :func:`check_povms`: Hermitian within 1e-10
-    (max entry), eigenvalues in [-1e-10, 1 + 1e-10], and the elements must
-    sum to I within 1e-9 (max entry of the deviation).
+    (max entry), eigenvalues in [-1e-10, 1 + 1e-10] (two Cholesky tests, no
+    eigensolve), and the elements must sum to I within 1e-9 (max entry of
+    the deviation).
     """
 
     elements: np.ndarray
@@ -257,14 +285,11 @@ def trace_norm(x):
     """Trace norm of a Hermitian operator: sum of absolute eigenvalues.
 
     A float for one matrix; for an (n, d, d) stack, the ndarray of the n
-    trace norms, each with the bits of its one-matrix call.
+    trace norms, each with the bits of its one-matrix call.  An eigensolver
+    failure raises ``numpy.linalg.LinAlgError``.
     """
     a = as_matrix(x)
-    try:
-        w = np.linalg.eigvalsh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise ArithmeticError("numerical error: eigensolver failure") from exc
-    norms = np.abs(w).sum(axis=-1)
+    norms = np.abs(np.linalg.eigvalsh(a)).sum(axis=-1)
     return float(norms) if a.ndim == 2 else norms
 
 

@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from qstego.channels import (
+    CPTP_TOL,
+    KrausPower,
     QuantumChannel,
     apply,
+    check_kraus,
     complementary_matrix,
     compose,
     haar_random_subspace,
@@ -192,6 +195,43 @@ class TestTensorPowerBitForBit:
             tracemalloc.stop()
         assert out.data.shape == (128, 128)
         assert peak < 4 * 2**20
+
+
+def power_deviation_loop(ch, n):
+    """max |sum F†F - I| over the K^n operators of the n-fold power, summed in
+    itertools.product order."""
+    total = sum(k.conj().T @ k for k in tensor_power_loop(ch, n))
+    return float(np.abs(total - np.eye(len(total))).max())
+
+
+class TestPowerCompleteness:
+    """A power's completeness is checked from its base family as S ⊗ ... ⊗ S."""
+
+    X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+    def test_incomplete_base_rejected(self):
+        base = (np.sqrt(0.5) * np.eye(2), np.sqrt(0.4) * self.X)
+        with pytest.raises(ValueError, match="^invalid channel: Kraus completeness fails$"):
+            QuantumChannel(KrausPower(base, 3))
+
+    def test_deviation_grows_with_n(self):
+        # a base 6e-10 off I passes alone; its square is 1.2e-9 off, as the
+        # sum over the K^2 operators is
+        base = QuantumChannel((np.sqrt(0.5 + 3e-10) * np.eye(2), np.sqrt(0.5 + 3e-10) * self.X))
+        assert 5e-10 < check_kraus(base.kraus) < 7e-10
+        assert power_deviation_loop(base, 2) > CPTP_TOL
+        with pytest.raises(ValueError, match="^invalid channel: Kraus completeness fails$"):
+            tensor_power(base, 2)
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing", "bit_flip", "amplitude_damping"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_operator_sum(self, kind, n):
+        # both are rounding-level; the reference sums K^n terms, so it may sit
+        # up to about K^n eps off (4.9e-15 for depolarizing(0.1) at n = 4)
+        for p in (0.1, 0.37, 0.9):
+            ch = standard_channel(kind, p)
+            got = check_kraus(tensor_power(ch, n).kraus)
+            assert abs(got - power_deviation_loop(ch, n)) <= len(ch.kraus) ** n * np.finfo(float).eps
 
 
 class TestIsometricExtension:

@@ -292,6 +292,25 @@ class TestExitCodes:
         assert code == 3
         assert f"{path}: numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
 
+    def test_trace_norm_failure_exits_three(self, tmp_path, monkeypatch, capsys):
+        # an eigensolver failure inside trace_norm alone reaches the CLI as a
+        # numerical failure, not a traceback
+        eigvalsh = np.linalg.eigvalsh
+        failed = []
+
+        def fail_in_trace_norm(*args, **kwargs):
+            if sys._getframe(1).f_code.co_name == "trace_norm":
+                failed.append(True)
+                raise np.linalg.LinAlgError("Eigenvalues did not converge")
+            return eigvalsh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail_in_trace_norm)
+        path = CONFIGS / "stego_cc_noiseless_demo.json"
+        code = cli.main(["simulate", "cc-noiseless", "--config", str(path), "--out", str(tmp_path)])
+        assert failed
+        assert code == 3
+        assert f"{path}: numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
 
 class TestReadme:
     def test_cli_block_lists_registry_kinds(self):

@@ -8,6 +8,7 @@ from qstego.channels import Isometry, QuantumChannel, check_kraus, identity_chan
 from qstego.channels import tensor as channel_tensor
 from qstego.info import Pmf
 from qstego.linalg import (
+    EIG_TOL,
     DensityMatrix,
     HermitianOperator,
     Povm,
@@ -85,8 +86,8 @@ class TestTypes:
                 Povm(form)
 
     def test_povm_check_holds_no_second_stack(self):
-        # eight d = 256 elements (8 MiB): the checks run on 1 MiB blocks and
-        # one eigvalsh call, so they add less than another stacked copy
+        # eight d = 256 elements (8 MiB): the checks run on 1 MiB blocks, so
+        # they add less than another stacked copy
         elements = np.zeros((8, 256, 256), dtype=complex)
         elements[:, np.arange(256), np.arange(256)] = 1.0 / 8
         tracemalloc.start()
@@ -197,6 +198,111 @@ class TestStackedChecks:
         assert len(povms) == 5 and all(isinstance(p, Povm) for p in povms)
         assert all(np.shares_memory(p.elements, stack) for p in povms)
         assert [p.elements.tolist() for p in povms] == [Povm(e).elements.tolist() for e in stack]
+
+
+def accepts(check, a) -> bool:
+    """Whether ``check`` accepts ``a``; any ValueError is a rejection."""
+    try:
+        check(a)
+    except ValueError:
+        return False
+    return True
+
+
+def eig_states_ok(a) -> bool:
+    """The eigenvalue bound of check_states as an eigvalsh reference."""
+    return bool(np.linalg.eigvalsh(a).min() >= -EIG_TOL)
+
+
+def eig_povms_ok(els) -> bool:
+    """The eigenvalue bounds of check_povms as an eigvalsh reference."""
+    w = np.linalg.eigvalsh(els)
+    return bool(w.min() >= -EIG_TOL and w.max() <= 1.0 + EIG_TOL)
+
+
+def rotated(rng, w):
+    """Q diag(w) Q† for each spectrum w of the (..., d) array ``w``, all on
+    one Haar-random unitary Q, made exactly Hermitian."""
+    w = np.asarray(w)
+    d = w.shape[-1]
+    q = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))[0]
+    a = (q * w[..., None, :]) @ q.conj().T
+    return (a + a.conj().swapaxes(-1, -2)) / 2
+
+
+class TestEigenvalueBounds:
+    """The eigenvalue bounds sit at 1e-10 past [0, 1], in every form."""
+
+    STATE = np.diag([0.75, 0.25])
+    HALVES = np.array([np.eye(2) / 2, np.eye(2) / 2])
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize("low, ok", [(-2e-10, False), (-5e-11, True)], ids=["-2e-10", "-5e-11"])
+    def test_state_lowest_eigenvalue(self, low, ok, rotate):
+        w = [1.0 - low, low]
+        bad = rotated(np.random.default_rng(1), w) if rotate else np.diag(w).astype(complex)
+        forms = [(DensityMatrix, bad), (check_states, one_bad(self.STATE, bad, (1, 2)))]
+        for check, a in forms:
+            if ok:
+                check(a)
+            else:
+                with pytest.raises(ValueError, match="^invalid state: negative eigenvalue$"):
+                    check(a)
+
+    @pytest.mark.parametrize("rotate", [False, True], ids=["diagonal", "rotated"])
+    @pytest.mark.parametrize(
+        "w, ok",
+        [([1.0 + 2e-10, 0.0], False), ([1.0 + 5e-11, 0.0], True), ([-2e-10, 1.0], False), ([-5e-11, 1.0], True)],
+        ids=["max-1+2e-10", "max-1+5e-11", "min-2e-10", "min-5e-11"],
+    )
+    def test_povm_element_bounds(self, w, ok, rotate):
+        # the other element is 1 - w with the extreme entry rounded to 0 or 1
+        # first, so the sum stays within 1e-9 of I
+        spectra = np.array([w, [1.0 - round(w[0]), 1.0 - w[1]]])
+        bad = rotated(np.random.default_rng(2), spectra) if rotate else spectra[:, :, None] * np.eye(2, dtype=complex)
+        forms = [
+            (Povm, bad),
+            (check_povms, one_bad(self.HALVES, bad, (1, 2))),
+            (Povm.batch, one_bad(self.HALVES, bad, 1, batch=(3,))),
+        ]
+        for check, a in forms:
+            if ok:
+                check(a)
+            else:
+                with pytest.raises(ValueError, match="^" + re.escape("invalid POVM: element outside [0, 1]") + "$"):
+                    check(a)
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 17, 32, 64])
+    def test_matches_eigvalsh_reference(self, d):
+        # extreme eigenvalues 0.5, 0.99, 1.01 and 2 times 1e-10 past the bound
+        rng = np.random.default_rng(d)
+        for c in (0.5, 0.99, 1.01, 2.0):
+            past = c * EIG_TOL
+            inner = rng.uniform(0.1, 0.9, size=d - 1)
+            state = rotated(rng, np.concatenate([[-past], inner * (1.0 + past) / inner.sum()]))
+            assert eig_states_ok(state) == (c < 1)
+            assert accepts(check_states, state) == eig_states_ok(state)
+            for extreme, fill in ((1.0 + past, 0.0), (-past, 1.0)):
+                # element 0 has the extreme eigenvalue; element 1 completes
+                # the others to I and puts ``fill`` against the extreme one
+                els = rotated(rng, [np.r_[extreme, inner], np.r_[fill, 1.0 - inner]])
+                assert eig_povms_ok(els) == (c < 1)
+                assert accepts(check_povms, els) == eig_povms_ok(els)
+
+    def test_checks_run_no_eigensolver(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigensolver ran")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        DensityMatrix(self.STATE)
+        check_states(one_bad(self.STATE, self.STATE, (0, 0)))
+        Povm(self.HALVES)
+        Povm.batch(one_bad(self.HALVES, self.HALVES, 0, batch=(3,)))
+        with pytest.raises(ValueError, match="^invalid state: negative eigenvalue$"):
+            DensityMatrix(np.diag([1.5, -0.5]))
+        with pytest.raises(ValueError, match="^" + re.escape("invalid POVM: element outside [0, 1]") + "$"):
+            Povm(np.array([np.diag([1.5, 0.5]), np.diag([-0.5, 0.5])]))
 
 
 class TestTensorAndPartialTrace:

@@ -1,7 +1,8 @@
 """Config-driven experiment harness.
 
 Each experiment kind maps to a runner that produces tabular rows (one per
-parameter point), pass/fail flags, and a summary dictionary.  CSV output is
+parameter point, at least one), pass/fail flags, and a summary dictionary;
+the CSV columns are the keys of the first row, in order.  CSV output is
 byte-stable for a fixed seed and config: row order is data-defined, floats
 are written with ``repr`` (shortest round-trip form, '.' decimal), and
 nothing time-dependent enters the table.  Wall time and library versions go
@@ -22,14 +23,13 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import QuantumChannel, apply_matrix, compose, identity_channel, standard_channel, tensor, tensor_power
+from .channels import QuantumChannel, apply_matrix, compose, identity_channel, standard_channel, tensor_power
 from .fixtures import (
     dephasing_es_cover,
     named_state,
     pgm_cc_cover,
     repetition_qc_cover,
     split_cc_cover,
-    trivial_es_cover,
 )
 from .info import CqState, Pmf
 from .linalg import DensityMatrix, inverse_sqrt
@@ -48,7 +48,7 @@ from .protocols import (
     verify_pj_minentropy_bound,
 )
 from .protocols.resolvability import output_cq
-from .rates import rate_cc_noiseless, rate_cc_noisy, rate_gaussian, rate_product_structure
+from .rates import rate_cc_noiseless, rate_cc_noisy, rate_gaussian
 
 #: byte budget of the codeword outputs of one chunk of seeds in simulate/resolvability
 SEED_CHUNK_BYTES = 1 << 16
@@ -86,17 +86,8 @@ def _by_kind(what, readers, spec):
     return _call(f"{kind} {what}", readers[kind], **keys)
 
 
-def _pure_state(amps):
-    amps = np.array([complex(re, im) for re, im in amps])
-    amps = amps / np.linalg.norm(amps)
-    return DensityMatrix(np.outer(amps, amps.conj()))
-
-
 #: state kind -> reader, whose keyword parameters are the keys of the spec
 _STATES = {
-    "named": lambda name: named_state(name),
-    "pure": _pure_state,
-    "maximally_mixed": lambda dim: DensityMatrix(np.eye(int(dim)) / int(dim)),
     "diag": lambda probs: DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex)),
     "kron": lambda factors: DensityMatrix(reduce(np.kron, [parse_state(s).data for s in factors])),
 }
@@ -108,29 +99,17 @@ def parse_state(spec) -> DensityMatrix:
     return _by_kind("state", _STATES, spec)
 
 
-#: channel kind -> reader; any other kind is a textbook channel with the one key ``p``
-_CHANNELS = {
-    "identity": lambda dim=2: identity_channel(int(dim)),
-    "tensor": lambda factors: reduce(tensor, [parse_channel(s) for s in factors]),
-    "unitary": lambda matrix: QuantumChannel((np.array([[complex(re, im) for re, im in row] for row in matrix]),)),
-}
-
-
 def parse_channel(spec) -> QuantumChannel:
-    """A channel spec holds ``kind``, an optional tensor ``power`` and the keys of its kind."""
+    """A channel spec holds ``kind``, an optional tensor ``power`` and the keys
+    of its kind: ``dim`` (default 2) for ``identity``, ``p`` for a textbook channel."""
     keys = dict(spec)
     kind, power = keys.pop("kind"), int(keys.pop("power", 1))
-    read = _CHANNELS.get(kind, lambda p: standard_channel(kind, float(p)))
+    if kind == "identity":
+        read = lambda dim=2: identity_channel(int(dim))
+    else:
+        read = lambda p: standard_channel(kind, float(p))
     ch = _call(f"{kind} channel", read, **keys)
-    return tensor_power(ch, power) if power > 1 else ch
-
-
-def _cq_state(pmf, states) -> CqState:
-    return CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in states))
-
-
-def parse_cq(spec) -> CqState:
-    return _call("cq state", _cq_state, **spec)
+    return ch if power == 1 else tensor_power(ch, power)
 
 
 def _grid(spec) -> list:
@@ -153,7 +132,7 @@ def _run_rates_cc_noiseless(seed, m, codewords, zeta):
         {"w": w, "raw_w": per_w} for w, per_w in enumerate(res.terms["per_w"])
     ]
     summary = {"value": res.value, "raw": res.raw, "a_star": res.a_star, "boundary": res.boundary}
-    return ["w", "raw_w"], rows, {}, summary
+    return rows, {}, summary
 
 
 def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6, 1e-8)):
@@ -180,17 +159,7 @@ def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6
                 "boundary": key.boundary,
             }
         )
-    cols = [
-        "nu_tol",
-        "log_mbar_raw",
-        "log_mbar",
-        "log_kbar_raw",
-        "log_kbar",
-        "a_star_m",
-        "a_star_k",
-        "boundary",
-    ]
-    return cols, rows, {}, {"zeta": zeta, "xi": xi}
+    return rows, {}, {"zeta": zeta, "xi": xi}
 
 
 def _run_rates_gaussian(
@@ -223,33 +192,7 @@ def _run_rates_gaussian(
         for j in range(len(nu1s) - 1)
         for x in nu0s
     )
-    return ["nu0", "nu1", "rate_bits", "raw", "a_star", "boundary"], rows, flags, {"n": n, "r": r, "zeta": zeta}
-
-
-def _rates_product(mode, states, m, n, delta, k, candidates=None):
-    states = [parse_state(s) for s in states]
-    m = parse_channel(m)
-    if candidates is not None:
-        candidates = [[parse_cq(c) for c in group] for group in candidates]
-    res = rate_product_structure(
-        states,
-        m,
-        float(delta),
-        n=int(n),
-        k=int(k),
-        mode=mode,
-        candidates=candidates,
-    )
-    rows = [{"mode": mode, "rate_bits": res.value, "raw": res.raw, "inner": res.terms["inner"]}]
-    return ["mode", "rate_bits", "raw", "inner"], rows, {}, {"n": n, "k": k}
-
-
-def _run_rates_product_noiseless(seed, states, m, n, delta=0.0, k=1):
-    return _rates_product("noiseless", states, m, n, delta, k)
-
-
-def _run_rates_product_noisy(seed, states, m, n, candidates, delta=0.0, k=1):
-    return _rates_product("noisy", states, m, n, delta, k, candidates)
+    return rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
 def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
@@ -258,20 +201,18 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
     n, mbar, zeta = int(n), int(mbar), float(zeta)
     cover = pgm_cc_cover(codewords, m, n)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
-    rows = []
-    for w in range(cover.m):
-        h = stego.hashes[w]
-        rows.append(
-            {
-                "w": w,
-                "n": n,
-                "mbar": mbar,
-                "zeta_achieved": max(h.defect, 1.0 - h.success),
-                "dist_trace": stego.per_w_distance[w],
-                "p_decode": stego.per_w_decode[w],
-                "bound_ok": stego.bound_ok,
-            }
-        )
+    rows = [
+        {
+            "w": w,
+            "n": n,
+            "mbar": mbar,
+            "zeta_achieved": max(stego.per_w_defect[w], 1.0 - stego.per_w_success[w]),
+            "dist_trace": stego.per_w_distance[w],
+            "p_decode": stego.per_w_decode[w],
+            "bound_ok": stego.bound_ok,
+        }
+        for w in range(cover.m)
+    ]
     flags = {
         "bound_ok": stego.bound_ok,
         "distance_le_zeta_ach": stego.distance <= stego.zeta_ach + 1e-12,
@@ -283,8 +224,7 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
         "eps_cover": stego.eps_cover,
         "warning": stego.warning,
     }
-    cols = ["w", "n", "mbar", "zeta_achieved", "dist_trace", "p_decode", "bound_ok"]
-    return cols, rows, flags, summary
+    return rows, flags, summary
 
 
 def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1):
@@ -323,11 +263,11 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1
         "key_bits": stego.key_bits,
         "eps_cover": stego.eps_cover,
     }
-    return ["w", "n", "mbar", "kbar", "dist_trace", "reliability"], rows, flags, summary
+    return rows, flags, summary
 
 
 def _run_simulate_es_rs(seed, mbar, zeta, cover={"kind": "dephasing_demo", "p": 0.5}):
-    readers = {"dephasing_demo": lambda p=0.5: dephasing_es_cover(float(p)), "trivial": trivial_es_cover}
+    readers = {"dephasing_demo": lambda p=0.5: dephasing_es_cover(float(p))}
     cover = _by_kind("ES cover", readers, cover)
     stego = build_stego_es_rs(cover, mbar=int(mbar), zeta=float(zeta), seed=seed)
     row = {
@@ -340,7 +280,7 @@ def _run_simulate_es_rs(seed, mbar, zeta, cover={"kind": "dephasing_demo", "p": 
         "bound_ok": stego.bound_ok,
     }
     flags = {"bound_ok": stego.bound_ok, "b_output_equal": stego.b_output_distance <= 1e-10}
-    return list(row.keys()), [row], flags, {"p_x": [float(x) for x in stego.p_x]}
+    return [row], flags, {"p_x": [float(x) for x in stego.p_x]}
 
 
 def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
@@ -366,7 +306,7 @@ def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
         "kl_ok": stego.kl_residual <= 1e-8,
         "polar_ok": stego.polar_residual <= 1e-8,
     }
-    return list(row.keys()), [row], flags, {"p_j": [float(x) for x in stego.p_j]}
+    return [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
 def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
@@ -393,7 +333,7 @@ def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
         "key_bits": stego.key_bits,
     }
     flags = {"distance_le_zeta": stego.distance <= zeta + 1e-9}
-    return list(row.keys()), [row], flags, {"eps_cover": stego.eps_cover}
+    return [row], flags, {"eps_cover": stego.eps_cover}
 
 
 def _run_simulate_resolvability(
@@ -409,9 +349,11 @@ def _run_simulate_resolvability(
     if k_books < 1:
         raise ValueError("bad parameter: k must be at least 1")
     mk_grid = [int(x) for x in mk_grid]
+    if not mk_grid:
+        raise ValueError("bad parameter: mk_grid must be non-empty")
     if any(mk < 1 for mk in mk_grid):
         raise ValueError("bad parameter: mk_grid entries must be at least 1")
-    cq = _cq_state(pmf, outputs)
+    cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in outputs))
     rows = []
     medians = []
     reliabilities = {}
@@ -442,7 +384,7 @@ def _run_simulate_resolvability(
                 ok = ok and reliabilities[mk] >= min_rel
         flags["reliability_ok"] = ok
     summary = {"medians": medians, "achievable_log_m": achievable}
-    return ["mk", "seed", "distance", "reliability"], rows, flags, summary
+    return rows, flags, summary
 
 
 def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
@@ -488,7 +430,7 @@ def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
                 "holds": rep.holds,
             }
     flags = {"all_hold": all(r["holds"] for r in rows)}
-    return ["instance", "dim", "x_size", "eps", "lhs", "bound", "holds"], rows, flags, {}
+    return rows, flags, {}
 
 
 def _pj_bound_row(p, delta):
@@ -510,9 +452,11 @@ def _pj_bound_row(p, delta):
 
 
 def _run_verify_pj_bound(seed, family):
+    if not family:
+        raise ValueError("bad parameter: family must be non-empty")
     rows = [_call("family point", _pj_bound_row, **point) for point in family]
     flags = {"all_ok": all(r["status"] != "violated" for r in rows)}
-    return ["p", "delta", "status", "lhs", "rhs"], rows, flags, {}
+    return rows, flags, {}
 
 
 def _run_verify_sutherland(seed, p, delta=0.5):
@@ -520,7 +464,7 @@ def _run_verify_sutherland(seed, p, delta=0.5):
     code = repetition_qc_cover(p)
     rep = experiment_sutherland_bound(code, standard_channel("bit_flip", p), delta)
     row = {"p": p, "delta": delta, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.lhs - rep.rhs, "holds": rep.holds}
-    return list(row.keys()), [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
+    return [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
 def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta=0.5):
@@ -545,9 +489,8 @@ def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta=0.5):
         "bound": rep.rhs,
         "holds": rep.holds,
     }
-    cols = list(row.keys())
     detail = {k: v for k, v in rep.detail.items() if k != "stderr"}
-    return cols, [row], {"holds": rep.holds}, detail
+    return [row], {"holds": rep.holds}, detail
 
 
 #: experiment kind "group/kind" -> runner; the CLI builds its subcommands from
@@ -556,8 +499,6 @@ RUNNERS = {
     "rates/cc-noiseless": _run_rates_cc_noiseless,
     "rates/cc-noisy": _run_rates_cc_noisy,
     "rates/gaussian": _run_rates_gaussian,
-    "rates/product-noiseless": _run_rates_product_noiseless,
-    "rates/product-noisy": _run_rates_product_noisy,
     "simulate/cc-noiseless": _run_simulate_cc_noiseless,
     "simulate/cc-noisy": _run_simulate_cc_noisy,
     "simulate/cc-es": _run_simulate_cc_es,
@@ -586,9 +527,9 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     if not isinstance(params, dict):
         raise TypeError(f"{kind} params: must be a JSON object")
     use_seed = int(config_seed) if seed is None else int(seed)
-    columns, rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], use_seed, **params)
+    rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], use_seed, **params)
     return ExperimentResult(
-        kind=kind, columns=columns, rows=rows, flags=flags, summary=summary, seed=use_seed
+        kind=kind, columns=list(rows[0]), rows=rows, flags=flags, summary=summary, seed=use_seed
     )
 
 

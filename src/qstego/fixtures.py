@@ -38,11 +38,14 @@ def named_state(name: str) -> DensityMatrix:
 
 def pgm_cc_cover(codewords, channel: QuantumChannel, n: int) -> CcCode:
     """CC cover code with the pretty-good measurement of its own outputs."""
+    codewords = tuple(codewords)
+    if not codewords:
+        raise ValueError("bad parameter: no codewords")
 
     def pgm(outputs):
         return pretty_good_measurement(np.array([[out.data for out in outputs]]))[0]
 
-    return CcCode(codewords=tuple(codewords), povm=pgm, channel=channel, n=n)
+    return CcCode(codewords=codewords, povm=pgm, channel=channel, n=n)
 
 
 def repetition_qc_cover(p: float) -> QcCode:
@@ -86,13 +89,6 @@ def dephasing_es_cover(p: float = 0.5) -> EsCode:
         tuple(np.kron(np.eye(2), np.eye(2)[j : j + 1, :]) for j in range(2))
     )
     return EsCode(m=2, rho=rho, decode=keep_first, channel=channel, n=2)
-
-
-def trivial_es_cover() -> EsCode:
-    """Single-use ES cover over a unitary degradation (no extractable randomness)."""
-    channel = QuantumChannel((np.eye(2),))
-    rho = maximally_entangled(2).to_density()
-    return EsCode(m=2, rho=rho, decode=identity_channel(2), channel=channel, n=1)
 
 
 def split_cc_cover(p_block1: float = 0.5):

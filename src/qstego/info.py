@@ -1,5 +1,5 @@
 """Scalar information quantities: Renyi entropies and mutual informations,
-smooth min-entropies, Holevo information, and the 1-D order optimizer behind
+the Shannon entropy, smooth min-entropies, and the 1-D order optimizer behind
 every sup/inf-over-order rate expression.
 
 The optimizer solves a batch of problems in lockstep: one grid scan in
@@ -145,27 +145,12 @@ def renyi_entropy(rho):
     return entropies
 
 
-def von_neumann_entropy(rho) -> float:
-    """H(rho) = -sum lam log2 lam."""
-    lam = _spectrum(rho)
-    lam = lam[lam > 0.0]
-    # 0.0 - sum, not -sum: a pure state gives 0.0 rather than -0.0
-    return float(0.0 - np.sum(lam * np.log2(lam)))
-
-
 def shannon_entropy(p) -> float:
+    """H(p) = -sum p log2 p."""
     q = as_pmf(p)
     q = q[q > 0.0]
+    # 0.0 - sum, not -sum: a point mass gives 0.0 rather than -0.0
     return float(0.0 - np.sum(q * np.log2(q)))
-
-
-def holevo_information(cq: CqState) -> float:
-    """I(X;B) = H(rho_B) - sum_x P(x) H(rho_B^x)."""
-    total = von_neumann_entropy(cq.marginal_b())
-    cond = sum(
-        px * von_neumann_entropy(s) for px, s in zip(cq.pmf.probs, cq.states) if px > 0.0
-    )
-    return float(total - cond)
 
 
 #: bytes of one stack of matrix powers when a mutual information is evaluated

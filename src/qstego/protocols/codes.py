@@ -187,11 +187,11 @@ class StegoCcCode:
     kbar: int
     encoders: tuple  # kbar entries, each a tuple of m * mbar DensityMatrix
     povms: tuple  # kbar Povm instances
-    hashes: tuple  # per-w QuantumHashCode (noiseless) or ResolvabilityCode (noisy)
     eps_cover: float
     zeta_ach: float
     per_w_distance: tuple
-    per_w_success: tuple
+    per_w_defect: tuple  # per-w hash defect (noiseless) or resolvability distance (noisy)
+    per_w_success: tuple  # per-w hash success (noiseless) or resolvability reliability (noisy)
     per_w_decode: tuple  # audited mean of tr(Gamma g) over message w's K * M_bar encodings
     distance: float
     decode_prob: float
@@ -249,7 +249,6 @@ class StegoCcEsCode:
     mbar: int
     mcc: int
     ed_codes: tuple  # per-w EdCode
-    hashes: tuple  # per-w QuantumHashCode on the f2 block
     povms: tuple  # per key s2 (single entry: noiseless sub-protocol)
     classical_reliability: float
     entanglement_distance: float

@@ -116,7 +116,11 @@ def build_stego_cc_noiseless(
         hashes.append(build_quantum_hash(targets[w], mbar, zeta, seed=child))
     encoder = tuple(h.states[wbar] for h in hashes for wbar in range(mbar))
     povm = _nested_povm(cover.povm, [h.povm.elements for h in hashes])
-    zeta_ach = max(max(h.defect, 1.0 - h.success) for h in hashes)
+    per_w_defect = tuple(h.defect for h in hashes)
+    per_w_success = tuple(h.success for h in hashes)
+    warning = any(h.warning for h in hashes)
+    del hashes  # their POVM stacks are copied into the nested POVM
+    zeta_ach = max(max(defect, 1.0 - success) for defect, success in zip(per_w_defect, per_w_success))
     per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
         (encoder,), (povm,), targets, None, cover.epsilon, zeta_ach, mbar
     )
@@ -128,17 +132,17 @@ def build_stego_cc_noiseless(
         kbar=1,
         encoders=(encoder,),
         povms=(povm,),
-        hashes=tuple(hashes),
         eps_cover=cover.epsilon,
         zeta_ach=zeta_ach,
         per_w_distance=tuple(per_w_distance),
-        per_w_success=tuple(h.success for h in hashes),
+        per_w_defect=per_w_defect,
+        per_w_success=per_w_success,
         per_w_decode=tuple(per_w_decode),
         distance=distance,
         decode_prob=decode,
         key_bits=0.0,
         bound_ok=bound_ok,
-        warning=any(h.warning for h in hashes),
+        warning=warning,
     )
 
 
@@ -229,9 +233,9 @@ def build_stego_cc_noisy(
         encoders.append(tuple(states))
         povms.append(_nested_povm(cover.povm, inner_per_w))
 
-    zeta_ach = max(
-        max(1.0 - code.reliability, code.distance) for code in codes
-    )
+    per_w_defect = tuple(code.distance for code in codes)
+    per_w_success = tuple(code.reliability for code in codes)
+    zeta_ach = max(max(1.0 - success, defect) for defect, success in zip(per_w_defect, per_w_success))
     per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
         tuple(encoders), tuple(povms), targets, n_true, cover.epsilon, zeta_ach, mbar
     )
@@ -243,15 +247,15 @@ def build_stego_cc_noisy(
         kbar=kbar,
         encoders=tuple(encoders),
         povms=tuple(povms),
-        hashes=tuple(codes),
         eps_cover=cover.epsilon,
         zeta_ach=zeta_ach,
         per_w_distance=tuple(per_w_distance),
-        per_w_success=tuple(code.reliability for code in codes),
+        per_w_defect=per_w_defect,
+        per_w_success=per_w_success,
         per_w_decode=tuple(per_w_decode),
         distance=distance,
         decode_prob=decode,
         key_bits=math.log2(kbar),
         bound_ok=bound_ok,
-        warning=any(code.distance > xi for code in codes),
+        warning=any(defect > xi for defect in per_w_defect),
     )

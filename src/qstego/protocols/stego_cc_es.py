@@ -224,7 +224,6 @@ def build_stego_cc_es(
         mbar=mbar,
         mcc=mcc,
         ed_codes=tuple(ed_codes),
-        hashes=tuple(hashes),
         povms=(povm,),
         classical_reliability=reliability,
         entanglement_distance=ent_distance,

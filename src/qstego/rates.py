@@ -1,5 +1,5 @@
 """Closed-form cypher-rate and key-rate evaluators: the noiseless and noisy
-classical-cover rates, Gaussian rates and product-structure rates.
+classical-cover rates and Gaussian rates.
 
 Rates are reported in bits and clamped at zero; the raw (possibly negative)
 optimum, the maximizing order, and a per-term breakdown are retained so that
@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import QuantumChannel, apply, tensor_power
 from .info import (
     CqState,
     OrderOptimum,
@@ -23,10 +22,8 @@ from .info import (
     renyi_mi_down,
     renyi_mi_up,
     sup_over_order,
-    von_neumann_entropy,
-    holevo_information,
 )
-from .linalg import distinct_eigenvalue_counts, trace_norm
+from .linalg import distinct_eigenvalue_counts
 
 
 @dataclass(frozen=True)
@@ -101,8 +98,7 @@ def rate_cc_noisy(
     nu_tols=(1e-8,),
 ) -> list[tuple[RateResult, RateResult]]:
     """Cypher and key rates for the noisy construction, one (cypher, key)
-    pair per distinct-eigenvalue tolerance in ``nu_tols`` (an empty list for
-    none).
+    pair per distinct-eigenvalue tolerance in ``nu_tols`` (at least one).
 
     ``side_outputs`` are the output-side cq states sigma^w_XB.  The cypher
     rate is min_w sup_a [ Iup_a - (1/a) log2 nu(sigma_X (x) sigma_B) -
@@ -123,7 +119,7 @@ def rate_cc_noisy(
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
     if not nu_tols:
-        return []
+        raise ValueError("bad parameter: nu_tols must be non-empty")
     ups, downs, nu_logs = [], [], []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()
@@ -215,42 +211,3 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
     opts = sup_over_order(objective, batch=len(points))
     return [_from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r}) for opt, (nu0, nu1) in zip(opts, points)]
 
-
-def rate_product_structure(
-    states,
-    m: QuantumChannel,
-    delta: float,
-    n: int,
-    k: int,
-    mode: str = "noiseless",
-    candidates=None,
-) -> RateResult:
-    """Product-structure cypher rates: (n/k) (min_rho H(m^k(rho)) - delta) in
-    noiseless mode; in noisy mode the entropy is replaced by the best Holevo
-    information over the caller-supplied candidate cq states per input (each
-    validated to have the input's degraded output as its B-marginal).
-    """
-    if n % k != 0:
-        raise ValueError("bad parameter: n must be divisible by k")
-    block = tensor_power(m, k) if k > 1 else m
-    if mode == "noiseless":
-        inner = min(von_neumann_entropy(apply(block, rho)) for rho in states)
-    elif mode == "noisy":
-        if candidates is None or len(candidates) != len(states):
-            raise ValueError("bad parameter: one candidate list per state required")
-        inner = None
-        for rho, cands in zip(states, candidates):
-            target = apply(block, rho)
-            best = None
-            for sigma in cands:
-                if trace_norm(sigma.marginal_b() - target.data) > 1e-8:
-                    raise ValueError("side-state mismatch")
-                val = holevo_information(sigma)
-                best = val if best is None else max(best, val)
-            if best is None:
-                raise ValueError("bad parameter: empty candidate list")
-            inner = best if inner is None else min(inner, best)
-    else:
-        raise ValueError(f"bad parameter: unknown mode {mode!r}")
-    raw = (n / k) * (inner - delta)
-    return RateResult(raw=raw, a_star=math.nan, terms={"inner": inner, "mode": mode}, boundary=False)

@@ -19,7 +19,6 @@ from qstego.channels import (
     tensor,
     tensor_power,
 )
-from qstego.info import von_neumann_entropy
 from qstego.linalg import DensityMatrix, basis_state, partial_trace_matrix
 
 from .test_linalg import random_density
@@ -268,7 +267,8 @@ class TestIsometricExtension:
         ch = QuantumChannel((u,))
         for _ in range(5):
             env = complementary_matrix(ch, random_density(rng, 2).data)
-            assert von_neumann_entropy(env) == pytest.approx(0.0, abs=1e-9)
+            # one Kraus operator: the environment is the pure 1x1 state [1]
+            assert np.linalg.eigvalsh(env) == pytest.approx([1.0], abs=1e-9)
 
     def test_dephasing_half_on_plus(self):
         env = complementary_matrix(standard_channel("dephasing", 0.5), PLUS.data)

@@ -102,6 +102,10 @@ class TestCli:
             ("gaussian_fig2", "nu0_grid", [], "nu0_grid must be non-empty and increasing"),
             ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "nu0_grid must be non-empty"),
             ("gaussian_fig2", "nu1_grid", [1.0, 2.0, 2.0], "nu1_grid must be non-empty and increasing"),
+            ("resolvability_demo", "mk_grid", [], "mk_grid must be non-empty"),
+            ("pj_bound_family", "family", [], "family must be non-empty"),
+            ("stego_cc_noiseless_demo", "codewords", [], "no codewords"),
+            ("stego_cc_noisy_demo", "codewords", [], "no codewords"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
@@ -249,14 +253,6 @@ class TestExitCodes:
             ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
             ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
             ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "min_reliability"),
-            (
-                "stego_qc_cc_demo.json",
-                lambda c: c.update(
-                    kind="rates/product-noiseless",
-                    params={"states": ["plus"], "m": {"kind": "dephasing", "p": 0.5}, "n": 2, "candidates": [[]]},
-                ),
-                "candidates",
-            ),
         ],
         ids=[
             "missing-param",
@@ -268,7 +264,6 @@ class TestExitCodes:
             "es-rs-cover",
             "pj-bound-point",
             "min-reliability-without-zeta-ref",
-            "candidates-on-noiseless-product",
         ],
     )
     def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):
@@ -281,6 +276,59 @@ class TestExitCodes:
         assert f"{path}: invalid config:" in cp.stderr
         assert repr(key) in cp.stderr
         assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize("power", [0, -3])
+    @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"])
+    def test_channel_power_below_one_exits_two(self, tmp_path, capsys, kind, power):
+        config = {
+            "kind": kind,
+            "params": {"m": {"kind": "dephasing", "p": 0.2, "power": power}, "codewords": ["plus", "minus"], "zeta": 0.5},
+        }
+        if kind == "simulate/cc-noiseless":
+            config["params"]["mbar"] = 2
+        path = tmp_path / "power.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*kind.split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: invalid config: bad parameter: n must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "config_name, edit, message",
+        [
+            (
+                "stego_cc_noiseless_exact",
+                lambda p: p.update(codewords=[{"kind": "named", "name": "zero"}]),
+                "unknown state kind 'named'",
+            ),
+            (
+                "stego_cc_noiseless_exact",
+                lambda p: p.update(codewords=[{"kind": "pure", "amps": [[1, 0]]}]),
+                "unknown state kind 'pure'",
+            ),
+            (
+                "stego_cc_noiseless_exact",
+                lambda p: p.update(codewords=[{"kind": "maximally_mixed", "dim": 2}]),
+                "unknown state kind 'maximally_mixed'",
+            ),
+            ("stego_cc_noiseless_exact", lambda p: p.update(m={"kind": "tensor", "factors": []}), "tensor channel: "),
+            ("stego_cc_noiseless_exact", lambda p: p.update(m={"kind": "unitary", "matrix": []}), "unitary channel: "),
+            ("stego_es_rs_demo", lambda p: p.update(cover={"kind": "trivial"}), "unknown ES cover kind 'trivial'"),
+        ],
+        ids=["named", "pure", "maximally_mixed", "tensor", "unitary", "trivial"],
+    )
+    def test_deleted_spelling_exits_two_naming_its_kind(self, tmp_path, capsys, config_name, edit, message):
+        config = json.loads((CONFIGS / f"{config_name}.json").read_text())
+        edit(config["params"])
+        path = tmp_path / "deleted.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid config: " in err
+        assert message in err
+
+    def test_deleted_runner_exits_two_naming_its_kind(self, tmp_path):
+        cp = run_cli(["rates", "product-noiseless", "--config", "any.json"], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert "invalid choice: 'product-noiseless'" in cp.stderr
 
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -5,8 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstego.experiments import render_csv, run_experiment, run_and_write
-from qstego.info import shannon_entropy
+from qstego.experiments import RUNNERS, render_csv, run_experiment, run_and_write
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 #: the benchmark's correctness gate: CSV sha256 of every shipped config (read only)
@@ -51,19 +50,35 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "rates/nope"})
 
-    def test_no_tolerances_header_only(self):
+    @pytest.mark.parametrize(
+        "key, message",
+        [("nu_tols", "nu_tols must be non-empty"), ("codewords", "no codewords")],
+        ids=["nu_tols", "codewords"],
+    )
+    def test_empty_rates_cc_noisy_input_rejected(self, key, message):
+        # an empty list leaves no row to check, so it is a config error
+        # (rates/cc-noisy has no shipped config for the CLI tests to edit)
         params = {
             "n_true": {"kind": "dephasing", "p": 0.2},
             "m": {"kind": "dephasing", "p": 0.1},
             "codewords": ["plus", "minus"],
             "zeta": 0.1,
             "xi": 0.1,
-            "nu_tols": [],
         }
-        res = run_experiment({"kind": "rates/cc-noisy", "params": params})
-        assert res.rows == []
-        assert res.all_ok
-        assert render_csv(res) == "nu_tol,log_mbar_raw,log_mbar,log_kbar_raw,log_kbar,a_star_m,a_star_k,boundary\n"
+        params[key] = []
+        with pytest.raises(ValueError, match=f"^bad parameter: {message}$"):
+            run_experiment({"kind": "rates/cc-noisy", "params": params})
+
+
+class TestRegistry:
+    def test_every_kind_is_reached_by_a_config_or_workload(self):
+        # a kind that no shipped config and no benchmark instance runs is code
+        # that only its tests reach
+        kinds = {load(p.name)["kind"] for p in CONFIGS.glob("*.json")}
+        for workload in json.loads(BENCH_WORKLOADS.read_text()).values():
+            gen = workload["generator"]
+            kinds.update(item["kind"] for item in [gen, *gen.get("slots", [])] if "kind" in item)
+        assert sorted(set(RUNNERS) - kinds) == []
 
 
 class TestConfigKeys:
@@ -95,56 +110,6 @@ class TestConfigKeys:
         res = run_experiment({"kind": "verify/gentle", "params": {"instances": 2}})
         assert [r["instance"] for r in res.rows] == [0, 1]
         assert all(2 <= r["dim"] <= 4 and 2 <= r["x_size"] <= 3 for r in res.rows)
-
-
-class TestRatesProduct:
-    DEPHASING = {"kind": "dephasing", "p": 0.3}
-
-    def test_noiseless_single_use(self):
-        # the pure |0> output has zero entropy, so the rate is 4 * (0 - 0.1)
-        config = {
-            "kind": "rates/product-noiseless",
-            "params": {"states": ["plus", "zero"], "m": self.DEPHASING, "n": 4, "delta": 0.1},
-        }
-        res = run_experiment(config)
-        assert res.rows[0]["raw"] == -0.4
-        assert res.rows[0]["rate_bits"] == 0.0
-        assert res.summary == {"n": 4, "k": 1}
-        assert render_csv(res) == "mode,rate_bits,raw,inner\nnoiseless,0.0,-0.4,0.0\n"
-
-    def test_noiseless_two_use_block(self):
-        # dephased |+> has eigenvalues 0.7/0.3; the |0> factor adds nothing
-        config = {
-            "kind": "rates/product-noiseless",
-            "params": {
-                "states": [{"kind": "kron", "factors": ["plus", "zero"]}],
-                "m": self.DEPHASING,
-                "n": 4,
-                "k": 2,
-                "delta": 0.1,
-            },
-        }
-        row = run_experiment(config).rows[0]
-        h = shannon_entropy([0.7, 0.3])
-        assert row["inner"] == pytest.approx(h, abs=1e-12)
-        assert row["raw"] == pytest.approx(2.0 * (h - 0.1), abs=1e-12)
-
-    def test_noisy_single_candidate(self):
-        # completely dephased |+> is I/2, the B-marginal of the {|0>, |1>} ensemble
-        config = {
-            "kind": "rates/product-noisy",
-            "params": {
-                "states": ["plus"],
-                "m": {"kind": "dephasing", "p": 0.5},
-                "n": 2,
-                "candidates": [[{"pmf": [0.5, 0.5], "states": ["zero", "one"]}]],
-            },
-        }
-        row = run_experiment(config).rows[0]
-        assert row["mode"] == "noisy"
-        assert row["inner"] == pytest.approx(1.0, abs=1e-12)
-        assert row["raw"] == pytest.approx(2.0, abs=1e-12)
-        assert row["rate_bits"] == pytest.approx(2.0, abs=1e-12)
 
 
 class TestOutputs:

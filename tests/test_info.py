@@ -7,12 +7,11 @@ import numpy as np
 import pytest
 
 from qstego import info
-from qstego.channels import apply, compose, standard_channel, tensor_power
+from qstego.channels import compose, standard_channel, tensor_power
 from qstego.fixtures import named_state, pgm_cc_cover
 from qstego.info import (
     CqState,
     Pmf,
-    holevo_information,
     inf_over_order,
     renyi_entropy,
     renyi_mi_down,
@@ -21,7 +20,6 @@ from qstego.info import (
     smooth_min_entropy_classical,
     smooth_min_entropy_quantum,
     sup_over_order,
-    von_neumann_entropy,
 )
 from qstego.linalg import ZERO_CUT, DensityMatrix, HermitianOperator, as_matrix, basis_state
 from qstego.protocols import side_states_from_degradation
@@ -183,25 +181,10 @@ class TestSmoothMinEntropy:
 
 
 class TestEntropyAndHolevo:
-    def test_von_neumann(self):
-        assert von_neumann_entropy(np.eye(2) / 2) == pytest.approx(1.0, abs=1e-12)
-
     def test_zero_entropy_is_positive_zero(self):
         # -sum would give -0.0, which a CSV cell renders as "-0.0"
-        for h in (von_neumann_entropy(basis_state(0, 2).to_density()), shannon_entropy([1.0, 0.0])):
-            assert h == 0.0 and math.copysign(1.0, h) == 1.0
-
-    def test_holevo_product(self):
-        rng = np.random.default_rng(8)
-        cq = product_cq(rng, 3, 2)
-        assert holevo_information(cq) == pytest.approx(0.0, abs=1e-12)
-
-    def test_holevo_depolarized_bits(self):
-        ch = standard_channel("depolarizing", 0.5)
-        states = tuple(apply(ch, basis_state(x, 2).to_density()) for x in range(2))
-        cq = CqState(Pmf([0.5, 0.5]), states)
-        h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-        assert holevo_information(cq) == pytest.approx(1 - h2, abs=1e-10)
+        h = shannon_entropy([1.0, 0.0])
+        assert h == 0.0 and math.copysign(1.0, h) == 1.0
 
 
 def each(fs):

@@ -4,19 +4,13 @@ import math
 import numpy as np
 import pytest
 
-from qstego.channels import QuantumChannel, identity_channel, standard_channel
+from qstego.channels import QuantumChannel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
 from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, sup_over_order
 from qstego.linalg import DensityMatrix, basis_state
 from qstego import rates
 from qstego.protocols.verifiers import experiment_random_code_entropy, experiment_sutherland_bound
-from qstego.rates import (
-    eta,
-    rate_cc_noiseless,
-    rate_cc_noisy,
-    rate_gaussian,
-    rate_product_structure,
-)
+from qstego.rates import eta, rate_cc_noiseless, rate_cc_noisy, rate_gaussian
 
 from .test_info import each
 
@@ -243,43 +237,6 @@ class TestRateGaussianBitForBit:
         expected = sup_over_order(each(fs), batch=len(points))
         got = rate_gaussian(points, n=n, r=r, zeta=zeta)
         assert [(g.raw, g.a_star, g.boundary) for g in got] == [(o.value, o.a_star, o.boundary) for o in expected]
-
-
-class TestProductStructure:
-    def test_depolarized_bits(self):
-        states = [named_state("zero"), named_state("one")]
-        res = rate_product_structure(states, standard_channel("depolarizing", 0.5), 0.0, n=10, k=1)
-        h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
-        assert res.raw == pytest.approx(10 * h2, abs=1e-9)
-
-    def test_unitary_noiseless_rate_zero(self):
-        res = rate_product_structure(
-            [named_state("plus")], identity_channel(2), 0.0, n=4, k=1
-        )
-        assert res.raw == pytest.approx(0.0, abs=1e-10)
-
-    def test_single_state_min(self):
-        rho = named_state("maximally_mixed")
-        res = rate_product_structure([rho], standard_channel("dephasing", 0.2), 0.1, n=2, k=1)
-        assert res.raw == pytest.approx(2 * (1.0 - 0.1), abs=1e-9)
-
-    def test_divisibility(self):
-        with pytest.raises(ValueError, match="divisible"):
-            rate_product_structure([named_state("zero")], identity_channel(2), 0.0, n=3, k=2)
-
-    def test_noisy_mode_with_candidates(self):
-        m = standard_channel("dephasing", 0.4)
-        rho = named_state("plus")
-        target = CqState(
-            Pmf([0.6, 0.4]),
-            (named_state("plus"), named_state("minus")),
-        )
-        res = rate_product_structure(
-            [rho], m, 0.0, n=2, k=1, mode="noisy", candidates=[[target]]
-        )
-        from qstego.info import holevo_information
-
-        assert res.raw == pytest.approx(2 * holevo_information(target), abs=1e-9)
 
 
 class TestCodeEntropyExperiments:

@@ -124,7 +124,7 @@ class TestNoisy:
         cover = pgm_cc_cover([named_state("zero")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=1, zeta=0.5, xi=0.5, seed=3)
-        assert stego.distance == pytest.approx(stego.hashes[0].distance, abs=1e-10)
+        assert stego.distance == pytest.approx(stego.per_w_defect[0], abs=1e-10)
 
     def test_distance_decreasing_in_kbar(self):
         n_true = standard_channel("dephasing", 0.35)

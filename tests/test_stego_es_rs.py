@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from qstego.fixtures import dephasing_es_cover, trivial_es_cover
-from qstego.protocols import build_stego_es_rs
+from qstego.channels import QuantumChannel, identity_channel
+from qstego.fixtures import dephasing_es_cover
+from qstego.linalg import maximally_entangled
+from qstego.protocols import EsCode, build_stego_es_rs
 
 
 class TestEsCover:
@@ -14,7 +16,9 @@ class TestEsCover:
 
 class TestStegoEsRs:
     def test_unitary_degradation_no_randomness(self):
-        cover = trivial_es_cover()
+        # a single-use ES cover over a unitary degradation: no randomness to extract
+        rho = maximally_entangled(2).to_density()
+        cover = EsCode(m=2, rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)), n=1)
         stego = build_stego_es_rs(cover, mbar=1, zeta=0.5)
         assert stego.p_x.size == 1
         assert stego.fidelity >= 1.0 - cover.epsilon - 1e-9

@@ -17,7 +17,7 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -99,16 +99,19 @@ def parse_state(spec) -> DensityMatrix:
     return _by_kind("state", _STATES, spec)
 
 
+#: channel kind -> reader, whose keyword parameters are the keys of the spec
+_CHANNELS = {"identity": lambda dim=2: identity_channel(int(dim))} | {
+    kind: partial(lambda kind, p: standard_channel(kind, float(p)), kind)
+    for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping")
+}
+
+
 def parse_channel(spec) -> QuantumChannel:
     """A channel spec holds ``kind``, an optional tensor ``power`` and the keys
     of its kind: ``dim`` (default 2) for ``identity``, ``p`` for a textbook channel."""
     keys = dict(spec)
-    kind, power = keys.pop("kind"), int(keys.pop("power", 1))
-    if kind == "identity":
-        read = lambda dim=2: identity_channel(int(dim))
-    else:
-        read = lambda p: standard_channel(kind, float(p))
-    ch = _call(f"{kind} channel", read, **keys)
+    power = int(keys.pop("power", 1))
+    ch = _by_kind("channel", _CHANNELS, keys)
     return ch if power == 1 else tensor_power(ch, power)
 
 
@@ -135,13 +138,15 @@ def _run_rates_cc_noiseless(seed, m, codewords, zeta):
     return rows, {}, summary
 
 
+def _noisy_cover(n_true, m, codewords, n):
+    """The channel ``n_true``, the n-use PGM cover over ``n_true`` after ``m`` and its side states."""
+    n_true, m = parse_channel(n_true), parse_channel(m)
+    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m), int(n))
+    return n_true, cover, side_states_from_degradation(cover, m)
+
+
 def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6, 1e-8)):
-    n_true = parse_channel(n_true)
-    m = parse_channel(m)
-    cover_channel = compose(n_true, m)
-    codewords = [parse_state(s) for s in codewords]
-    cover = pgm_cc_cover(codewords, cover_channel, int(n))
-    sides_in = side_states_from_degradation(cover, m)
+    n_true, _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     zeta, xi = float(zeta), float(xi)
     nu_tols = [float(nu_tol) for nu_tol in nu_tols]
@@ -228,12 +233,7 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
 
 
 def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1):
-    n_true = parse_channel(n_true)
-    m = parse_channel(m)
-    codewords = [parse_state(s) for s in codewords]
-    n = int(n)
-    cover = pgm_cc_cover(codewords, compose(n_true, m), n)
-    sides = side_states_from_degradation(cover, m)
+    n_true, cover, sides = _noisy_cover(n_true, m, codewords, n)
     stego = build_stego_cc_noisy(
         cover,
         n_true,
@@ -247,7 +247,7 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1
     rows = [
         {
             "w": w,
-            "n": n,
+            "n": cover.n,
             "mbar": stego.mbar,
             "kbar": stego.kbar,
             "dist_trace": stego.per_w_distance[w],

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qstego import channels
 from qstego.channels import (
     CPTP_TOL,
     KrausPower,
@@ -179,6 +180,16 @@ class TestTensorPowerBitForBit:
         assert family[-1].tobytes() == ops[-1].tobytes()
         with pytest.raises(IndexError):
             family[len(family)]
+
+    def test_chunks_across_prefix_groups(self, monkeypatch):
+        # chunks of 5 of the 27 operators of 27 x 8 cut across every group of
+        # K = 3 and K^2 = 9 operators that share a prefix
+        ch = random_channel(np.random.default_rng(12), 3, 2, 3)
+        monkeypatch.setattr(channels, "CHECK_BLOCK_BYTES", 5 * 16 * 27 * 8)
+        family = tensor_power(ch, 3).kraus
+        expected = [e.tobytes() for e in tensor_power_loop(ch, 3)]
+        assert [op.tobytes() for op in family] == expected
+        assert [family[j].tobytes() for j in range(len(family))] == expected
 
     def test_power_is_never_held_at_once(self):
         # the 128 operators of 128 x 128 are 32 MiB as one stack

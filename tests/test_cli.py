@@ -106,6 +106,8 @@ class TestCli:
             ("pj_bound_family", "family", [], "family must be non-empty"),
             ("stego_cc_noiseless_demo", "codewords", [], "no codewords"),
             ("stego_cc_noisy_demo", "codewords", [], "no codewords"),
+            ("stego_cc_noiseless_demo", "m", {"kind": "foo"}, "unknown channel kind 'foo'"),
+            ("stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "unknown channel kind 'tensor'"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
@@ -309,8 +311,16 @@ class TestExitCodes:
                 lambda p: p.update(codewords=[{"kind": "maximally_mixed", "dim": 2}]),
                 "unknown state kind 'maximally_mixed'",
             ),
-            ("stego_cc_noiseless_exact", lambda p: p.update(m={"kind": "tensor", "factors": []}), "tensor channel: "),
-            ("stego_cc_noiseless_exact", lambda p: p.update(m={"kind": "unitary", "matrix": []}), "unitary channel: "),
+            (
+                "stego_cc_noiseless_exact",
+                lambda p: p.update(m={"kind": "tensor", "factors": []}),
+                "unknown channel kind 'tensor'",
+            ),
+            (
+                "stego_cc_noiseless_exact",
+                lambda p: p.update(m={"kind": "unitary", "matrix": []}),
+                "unknown channel kind 'unitary'",
+            ),
             ("stego_es_rs_demo", lambda p: p.update(cover={"kind": "trivial"}), "unknown ES cover kind 'trivial'"),
         ],
         ids=["named", "pure", "maximally_mixed", "tensor", "unitary", "trivial"],

@@ -65,3 +65,13 @@ class TestTracer:
         assert [key for key in before if after[key] is not before[key]] == []
         metrics = t.metrics()
         assert metrics["linalg.eig_calls"] > 0 and metrics["info.order_opts"] == 1
+
+    def test_names_hooked_by_name_resolve(self):
+        # every name the tracer counts or observes is one it wraps: a public
+        # function of that qstego layer, or numpy.linalg's eigh/eigvalsh; a
+        # stale name (say, of a deleted channels.apply_matrix) would read 0
+        # without failing anything
+        t = tracer.Tracer()
+        t.prepare()
+        names = [*tracer.ORDER_OPTIMIZERS, *tracer.RENYI, *tracer.KRAUS_KERNELS, *t._observers()]
+        assert [name for name in names if name not in t.names] == []

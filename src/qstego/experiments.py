@@ -233,17 +233,12 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
 
 
 def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1):
+    # zeta is not read by the builder; it is checked and reported beside xi
+    zeta, xi = float(zeta), float(xi)
+    if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
+        raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
     n_true, cover, sides = _noisy_cover(n_true, m, codewords, n)
-    stego = build_stego_cc_noisy(
-        cover,
-        n_true,
-        sides,
-        mbar=int(mbar),
-        kbar=int(kbar),
-        zeta=float(zeta),
-        xi=float(xi),
-        seed=seed,
-    )
+    stego = build_stego_cc_noisy(cover, n_true, sides, mbar=int(mbar), kbar=int(kbar), xi=xi, seed=seed)
     rows = [
         {
             "w": w,
@@ -262,6 +257,8 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1
         "zeta_ach": stego.zeta_ach,
         "key_bits": stego.key_bits,
         "eps_cover": stego.eps_cover,
+        "zeta": zeta,
+        "xi": xi,
     }
     return rows, flags, summary
 

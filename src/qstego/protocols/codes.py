@@ -177,7 +177,12 @@ class StegoCcCode:
 
     Encoders/POVMs are indexed per key value s (K = 1 and a single POVM for
     the noiseless construction).  Flat message index is (w - 1) * M_bar + w_bar
-    in 0-based form w * mbar + wbar.
+    in 0-based form w * mbar + wbar.  ``mode`` is "noiseless" (quantum hash
+    inner codes) or "noisy" (keyed resolvability codebooks).  The per-w
+    defect and success, ``key_bits`` (log2 K) and ``warning`` come from the
+    inner codes, and zeta_ach is the largest max(defect, 1 - success); the
+    distances, decode probabilities and ``bound_ok`` are recomputed from the
+    encoders and POVMs.
     """
 
     mode: str
@@ -205,10 +210,7 @@ class StegoQcCcCode:
     """Stego quantum+classical code built on a QC_R cover via label twirling."""
 
     mbar: int
-    g: np.ndarray  # hash table over the correctable index set
-    d: np.ndarray  # Knill-Laflamme weights
     p_j: np.ndarray
-    unitaries: tuple
     encoders: tuple  # mbar channels W -> A^n
     decoder: QuantumChannel  # B^n -> W (x) W_bar
     kl_residual: float
@@ -232,7 +234,6 @@ class StegoEsRsCode:
     f: np.ndarray
     alice_povm: Povm
     bob_povm: Povm
-    final_state: DensityMatrix
     fidelity: float
     eps_cover: float
     zeta_ach: float
@@ -248,7 +249,6 @@ class StegoCcEsCode:
 
     mbar: int
     mcc: int
-    ed_codes: tuple  # per-w EdCode
     povms: tuple  # per key s2 (single entry: noiseless sub-protocol)
     classical_reliability: float
     entanglement_distance: float

@@ -5,8 +5,10 @@ the quantum privacy-amplification code; the stego POVM nests the per-message
 hash measurement inside the cover measurement as sqrt(L^w) G_w sqrt(L^w).
 
 Noisy true channel: per cover message, K_bar keyed resolvability codebooks
-over a caller-supplied side ensemble replace the hash; blocks of mu_w
-fine-grained codewords merge into each cypher message.
+of M_bar codewords over a caller-supplied side ensemble replace the hash.
+
+Both builders hand their encoders and nested POVMs to one assembly step that
+audits them and returns the :class:`StegoCcCode`.
 """
 
 from __future__ import annotations
@@ -48,25 +50,24 @@ def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
     return Povm(elements)
 
 
-def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
-    """Recompute all achieved metrics from the assembled artifacts.
+def _assemble(mode, cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_success, key_bits, warning):
+    """The :class:`StegoCcCode` of the assembled artifacts, every achieved
+    metric recomputed from them.
 
-    Returns (per-message distance, per-message decode probability, distance,
-    decode probability, bound_ok).  The per-message decode probability of w
-    sums tr(Gamma g) over the keys and then w's M_bar messages, in that
-    order, and divides by K M_bar.
+    zeta_ach is the largest max(defect, 1 - success) over the inner codes.
+    The per-message decode probability of w sums tr(Gamma g) over the keys
+    and then w's M_bar messages, in that order, and divides by K M_bar.
     """
+    zeta_ach = max(max(defect, 1.0 - success) for defect, success in zip(per_w_defect, per_w_success))
     kbar = len(encoders)
+    targets = cover.outputs
     m = len(targets)
     dim = targets[0].dim
     per_w_distance = []
     overall = np.zeros((dim, dim), dtype=complex)
     cover_mix = np.zeros((dim, dim), dtype=complex)
     decode = 0.0
-    outputs = [
-        [apply(true_channel, state) if true_channel is not None else state for state in enc]
-        for enc in encoders
-    ]
+    outputs = [[apply(true_channel, state) if true_channel is not None else state for state in enc] for enc in encoders]
     for w in range(m):
         block = np.zeros((dim, dim), dtype=complex)
         for s in range(kbar):
@@ -84,13 +85,31 @@ def _audit(encoders, povms, targets, true_channel, eps_cover, zeta_ach, mbar):
         for t in per_key:
             decode += t
     decode /= kbar * m * mbar
-    per_w_decode = [
+    per_w_decode = tuple(
         sum(traces[s][w * mbar + wbar] for s in range(kbar) for wbar in range(mbar)) / (kbar * mbar)
         for w in range(m)
-    ]
-    distance = trace_norm((overall - cover_mix) / m)
-    bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + eps_cover, 0.0)) - 1e-6
-    return per_w_distance, per_w_decode, distance, decode, decode >= bound
+    )
+    bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + cover.epsilon, 0.0)) - 1e-6
+    return StegoCcCode(
+        mode=mode,
+        n=cover.n,
+        m=cover.m,
+        mbar=mbar,
+        kbar=kbar,
+        encoders=encoders,
+        povms=povms,
+        eps_cover=cover.epsilon,
+        zeta_ach=zeta_ach,
+        per_w_distance=tuple(per_w_distance),
+        per_w_defect=per_w_defect,
+        per_w_success=per_w_success,
+        per_w_decode=per_w_decode,
+        distance=trace_norm((overall - cover_mix) / m),
+        decode_prob=decode,
+        key_bits=key_bits,
+        bound_ok=decode >= bound,
+        warning=warning,
+    )
 
 
 def build_stego_cc_noiseless(
@@ -109,41 +128,14 @@ def build_stego_cc_noiseless(
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
     rng = np.random.default_rng(seed)
-    targets = cover.outputs
-    hashes = []
-    for w in range(cover.m):
-        child = int(rng.integers(1 << 31))
-        hashes.append(build_quantum_hash(targets[w], mbar, zeta, seed=child))
+    hashes = [build_quantum_hash(target, mbar, zeta, seed=int(rng.integers(1 << 31))) for target in cover.outputs]
     encoder = tuple(h.states[wbar] for h in hashes for wbar in range(mbar))
     povm = _nested_povm(cover.povm, [h.povm.elements for h in hashes])
     per_w_defect = tuple(h.defect for h in hashes)
     per_w_success = tuple(h.success for h in hashes)
     warning = any(h.warning for h in hashes)
     del hashes  # their POVM stacks are copied into the nested POVM
-    zeta_ach = max(max(defect, 1.0 - success) for defect, success in zip(per_w_defect, per_w_success))
-    per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
-        (encoder,), (povm,), targets, None, cover.epsilon, zeta_ach, mbar
-    )
-    return StegoCcCode(
-        mode="noiseless",
-        n=cover.n,
-        m=cover.m,
-        mbar=mbar,
-        kbar=1,
-        encoders=(encoder,),
-        povms=(povm,),
-        eps_cover=cover.epsilon,
-        zeta_ach=zeta_ach,
-        per_w_distance=tuple(per_w_distance),
-        per_w_defect=per_w_defect,
-        per_w_success=per_w_success,
-        per_w_decode=tuple(per_w_decode),
-        distance=distance,
-        decode_prob=decode,
-        key_bits=0.0,
-        bound_ok=bound_ok,
-        warning=warning,
-    )
+    return _assemble("noiseless", cover, mbar, (encoder,), (povm,), None, per_w_defect, per_w_success, 0.0, warning)
 
 
 def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqState]:
@@ -174,88 +166,38 @@ def build_stego_cc_noisy(
     side_states: list[CqState],
     mbar: int,
     kbar: int,
-    zeta: float,
     xi: float,
     seed=None,
-    mbar_w: list[int] | None = None,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noisy true channel.
 
     ``side_states`` are input-side cq states sigma^w_XA; their B-marginals
     through ``n_true`` must reproduce the cover outputs within 1e-8
-    (ValueError("side-state mismatch") otherwise).  Per-message resolvability
-    codebooks of size mbar_w (floored to multiples of mbar; default mbar) are
-    sampled with ``kbar`` keys each and merged into mu_w-sized blocks.
+    (ValueError("side-state mismatch") otherwise).  Per cover message,
+    ``kbar`` keyed resolvability codebooks of ``mbar`` codewords are sampled;
+    the ``warning`` flag is set when some codebook's distance exceeds ``xi``.
     """
     if mbar < 1 or kbar < 1:
         raise ValueError("bad parameter: M_bar and K_bar must be >= 1")
     if len(side_states) != cover.m:
         raise ValueError("shape error: one side state per cover message required")
     rng = np.random.default_rng(seed)
-    targets = cover.outputs
     out_cqs = []
-    for w, sigma in enumerate(side_states):
-        out_cq = output_cq(sigma, n_true)
-        if trace_norm(out_cq.marginal_b() - targets[w].data) > 1e-8:
+    for sigma, target in zip(side_states, cover.outputs):
+        out_cqs.append(output_cq(sigma, n_true))
+        if trace_norm(out_cqs[-1].marginal_b() - target.data) > 1e-8:
             raise ValueError("side-state mismatch")
-        out_cqs.append(out_cq)
-
-    sizes = []
-    for w in range(cover.m):
-        want = mbar if mbar_w is None else int(mbar_w[w])
-        sizes.append(max(mbar, (want // mbar) * mbar))
     codes = []
-    for w in range(cover.m):
-        child = int(rng.integers(1 << 31))
-        codes += build_resolvability_codes(out_cqs[w], sizes[w], kbar, [child])
-
-    encoders = []
-    povms = []
-    dim_in = cover.codewords[0].dim
-    for s in range(kbar):
-        states = []
-        inner_per_w = []
-        for w, code in enumerate(codes):
-            mu = sizes[w] // mbar
-            book = code.codebooks[s]
-            decoder = code.decoders[s]
-            merged = []
-            for wbar in range(mbar):
-                mix = np.zeros((dim_in, dim_in), dtype=complex)
-                for i in range(mu):
-                    mix += side_states[w].states[book[wbar * mu + i]].data
-                states.append(DensityMatrix(mix / mu))
-                gam = np.zeros_like(decoder[0])
-                for i in range(mu):
-                    gam += decoder[wbar * mu + i]
-                merged.append(gam)
-            inner_per_w.append(merged)
-        encoders.append(tuple(states))
-        povms.append(_nested_povm(cover.povm, inner_per_w))
-
+    for out_cq in out_cqs:
+        codes += build_resolvability_codes(out_cq, mbar, kbar, [int(rng.integers(1 << 31))])
+    encoders = tuple(
+        tuple(side_states[w].states[i] for w, code in enumerate(codes) for i in code.codebooks[s])
+        for s in range(kbar)
+    )
+    povms = tuple(_nested_povm(cover.povm, [code.decoders[s].elements for code in codes]) for s in range(kbar))
     per_w_defect = tuple(code.distance for code in codes)
     per_w_success = tuple(code.reliability for code in codes)
-    zeta_ach = max(max(1.0 - success, defect) for defect, success in zip(per_w_defect, per_w_success))
-    per_w_distance, per_w_decode, distance, decode, bound_ok = _audit(
-        tuple(encoders), tuple(povms), targets, n_true, cover.epsilon, zeta_ach, mbar
-    )
-    return StegoCcCode(
-        mode="noisy",
-        n=cover.n,
-        m=cover.m,
-        mbar=mbar,
-        kbar=kbar,
-        encoders=tuple(encoders),
-        povms=tuple(povms),
-        eps_cover=cover.epsilon,
-        zeta_ach=zeta_ach,
-        per_w_distance=tuple(per_w_distance),
-        per_w_defect=per_w_defect,
-        per_w_success=per_w_success,
-        per_w_decode=tuple(per_w_decode),
-        distance=distance,
-        decode_prob=decode,
-        key_bits=math.log2(kbar),
-        bound_ok=bound_ok,
-        warning=any(defect > xi for defect in per_w_defect),
+    warning = any(defect > xi for defect in per_w_defect)
+    return _assemble(
+        "noisy", cover, mbar, encoders, povms, n_true, per_w_defect, per_w_success, math.log2(kbar), warning
     )

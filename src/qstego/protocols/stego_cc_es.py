@@ -223,7 +223,6 @@ def build_stego_cc_es(
     return StegoCcEsCode(
         mbar=mbar,
         mcc=mcc,
-        ed_codes=tuple(ed_codes),
         povms=(povm,),
         classical_reliability=reliability,
         entanglement_distance=ent_distance,

@@ -137,7 +137,6 @@ def build_stego_es_rs(
         f=enc.f,
         alice_povm=alice_povm,
         bob_povm=bob_povm,
-        final_state=final_state,
         fidelity=fid,
         eps_cover=eps_cover,
         zeta_ach=zeta_ach,

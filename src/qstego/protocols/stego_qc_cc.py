@@ -183,10 +183,7 @@ def build_stego_qc_cc(
     bound = cover.epsilon + zeta_ach + (1.0 - cover.c) + 1e-6
     return StegoQcCcCode(
         mbar=mbar,
-        g=g,
-        d=d,
         p_j=p_j,
-        unitaries=tuple(unitaries),
         encoders=tuple(encoders),
         decoder=decoder,
         kl_residual=kl_res,

@@ -108,6 +108,9 @@ class TestCli:
             ("stego_cc_noisy_demo", "codewords", [], "no codewords"),
             ("stego_cc_noiseless_demo", "m", {"kind": "foo"}, "unknown channel kind 'foo'"),
             ("stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "unknown channel kind 'tensor'"),
+            ("stego_cc_noisy_demo", "zeta", 0, "zeta and xi must be in (0, 1)"),
+            ("stego_cc_noisy_demo", "zeta", 1.5, "zeta and xi must be in (0, 1)"),
+            ("stego_cc_noisy_demo", "xi", 1.0, "zeta and xi must be in (0, 1)"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):

@@ -137,14 +137,10 @@ class TestOutputs:
         assert base.seed == 5 and other.seed == 123
         assert render_csv(base) != render_csv(other)
 
-    def test_golden_file(self, tmp_path):
-        golden = Path(__file__).resolve().parent / "golden" / "stego_cc_noiseless_demo.csv"
-        res = run_experiment(load("stego_cc_noiseless_demo.json"))
-        rendered = render_csv(res)
-        if not golden.exists():  # pragma: no cover - first generation path
-            golden.parent.mkdir(exist_ok=True)
-            golden.write_text(rendered)
-        assert rendered == golden.read_text()
+    @pytest.mark.parametrize("name", ["stego_cc_noiseless_demo", "stego_cc_noisy_demo"])
+    def test_golden_file(self, name):
+        golden = Path(__file__).resolve().parent / "golden" / f"{name}.csv"
+        assert render_csv(run_experiment(load(f"{name}.json"))) == golden.read_text()
 
 
 def reference_key(config) -> str:

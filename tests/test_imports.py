@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -36,3 +37,26 @@ def test_each_module_imports_first():
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     cp = subprocess.run([sys.executable, "-c", CHILD, *names], capture_output=True, text=True, env=env)
     assert cp.returncode == 0, cp.stdout + cp.stderr
+
+
+def unread_parameters(path: Path):
+    """"file:line function(parameter)" for each parameter of a function or
+    lambda in ``path`` that no name in its body loads; a runner's ``seed``
+    (the dispatch passes it to every ``_run_*``) is exempt."""
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        a = node.args
+        params = [p.arg for p in (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg) if p is not None]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {n.id for stmt in body for n in ast.walk(stmt) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param not in read and not (name.startswith("_run_") and param == "seed"):
+                yield f"{path.relative_to(SRC)}:{node.lineno} {name}({param})"
+
+
+def test_every_parameter_is_read():
+    paths = sorted((SRC / "qstego").rglob("*.py"))
+    assert SRC / "qstego" / "experiments.py" in paths
+    assert [u for path in paths for u in unread_parameters(path)] == []

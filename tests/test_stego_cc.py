@@ -95,7 +95,7 @@ class TestNoisy:
         cover = pgm_cc_cover([named_state("plus")], compose(n_true, m), 1)
         bad = [CqState(Pmf([1.0]), (named_state("zero"),))]
         with pytest.raises(ValueError, match="side-state mismatch"):
-            build_stego_cc_noisy(cover, n_true, bad, mbar=1, kbar=1, zeta=0.5, xi=0.5)
+            build_stego_cc_noisy(cover, n_true, bad, mbar=1, kbar=1, xi=0.5)
 
     def test_degradation_ensemble_is_consistent(self):
         n_true = standard_channel("dephasing", 0.3)
@@ -114,7 +114,7 @@ class TestNoisy:
         m = identity_channel(2)
         cover = pgm_cc_cover([named_state("plus")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=1, kbar=1, zeta=0.5, xi=0.5, seed=2)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=1, kbar=1, xi=0.5, seed=2)
         assert stego.distance == pytest.approx(0.0, abs=1e-10)
         assert stego.key_bits == 0.0
 
@@ -123,7 +123,7 @@ class TestNoisy:
         m = identity_channel(2)
         cover = pgm_cc_cover([named_state("zero")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=1, zeta=0.5, xi=0.5, seed=3)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=1, xi=0.5, seed=3)
         assert stego.distance == pytest.approx(stego.per_w_defect[0], abs=1e-10)
 
     def test_distance_decreasing_in_kbar(self):
@@ -135,7 +135,7 @@ class TestNoisy:
         for kbar in (1, 4, 16):
             dists = [
                 build_stego_cc_noisy(
-                    cover, n_true, sides, mbar=2, kbar=kbar, zeta=0.5, xi=0.5, seed=seed
+                    cover, n_true, sides, mbar=2, kbar=kbar, xi=0.5, seed=seed
                 ).distance
                 for seed in range(20)
             ]
@@ -143,26 +143,23 @@ class TestNoisy:
         assert medians[0] >= medians[1] >= medians[2]
         assert medians[0] > medians[2]
 
-    def test_block_merging_with_larger_mbar_w(self):
-        n_true = standard_channel("dephasing", 0.3)
-        m = standard_channel("dephasing", 0.5)
-        cover = pgm_cc_cover([named_state("plus")], compose(n_true, m), 1)
+    def test_one_codeword_per_cypher_message(self):
+        n_true = standard_channel("dephasing", 0.35)
+        m = standard_channel("dephasing", 0.4)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        stego = build_stego_cc_noisy(
-            cover, n_true, sides, mbar=2, kbar=2, zeta=0.5, xi=0.5, seed=4, mbar_w=[6]
-        )
-        # 6 -> floor(6/2)*2 = 6 fine-grained codewords merged in blocks of 3
-        assert len(stego.encoders[0]) == 2
-        total = stego.povms[0].elements.sum(axis=0)
-        assert np.max(np.abs(total - np.eye(2))) < 1e-8
-        assert stego.key_bits == pytest.approx(1.0)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, xi=0.5, seed=4)
+        for encoder, povm in zip(stego.encoders, stego.povms):
+            assert len(encoder) == cover.m * 2 == len(povm)
+            assert np.max(np.abs(povm.elements.sum(axis=0) - np.eye(2))) < 1e-8
+        assert stego.key_bits == pytest.approx(2.0)
 
     def test_audit_inequality(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
         cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, zeta=0.5, xi=0.5, seed=5)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, xi=0.5, seed=5)
         bound = 1 - stego.zeta_ach - 2 * math.sqrt(stego.zeta_ach + stego.eps_cover) - 1e-6
         assert stego.decode_prob >= bound
         assert stego.bound_ok
@@ -199,7 +196,7 @@ class TestPerMessageDecode:
         m = standard_channel("dephasing", 0.4)
         cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
         sides = side_states_from_degradation(cover, m)
-        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, zeta=0.5, xi=0.5, seed=5)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, xi=0.5, seed=5)
         assert stego.per_w_decode == per_w_decode_loop(stego, n_true)
 
 

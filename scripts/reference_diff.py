@@ -6,11 +6,16 @@ Runs every instance any seed can generate (``workloads.pool`` of this
 checkout's ``perfbench/``) once with the qstego sources of the parent checkout
 and once with those of this checkout, each side in its own child process with
 ``OPENBLAS_NUM_THREADS=1``: the quantum hash's bits depend on the BLAS thread
-count.  The CSVs and flags are kept in a temporary directory.  For each
-instance it prints whether the CSV digest moved, the largest absolute change
-in each numeric column of a moved CSV, and every flag that flipped, then one
-summary line per workload.  Exit code 0 when no digest moved and no flag
-flipped, 1 otherwise.
+count.  A third child runs this checkout's sources with the environment of
+``perfbench/run.py`` (BLAS threads = ``len(os.sched_getaffinity(0))``), whose
+digests and flags the benchmark checks against ``perfbench/reference.json``.
+The CSVs and flags are kept in a temporary directory.  For each instance it
+prints whether the CSV digest moved, the largest absolute change in each
+numeric column of a moved CSV, every flag that flipped, and whether the third
+run differs from the recorded reference; then, per workload, one line that
+counts the reference mismatches and a summary line.  Exit code 0 when no
+digest moved, no flag flipped and every instance matches the reference, 1
+otherwise.
 """
 
 from __future__ import annotations
@@ -76,22 +81,27 @@ def main(argv=None) -> int:
         record(pools, Path(args.child[0]), Path(args.child[1]), names)
         return 0
 
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-    moved_total = flipped_total = 0
+    threads = str(len(os.sched_getaffinity(0)))
+    bench_env = dict(
+        os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads, PYTHONHASHSEED="0"
+    )
+    one_thread = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
+    moved_total = flipped_total = differ_total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
+        sides = {"parent": Path(args.parent).resolve(), "change": ROOT, "bench": ROOT}
         children = [
             subprocess.Popen(
                 [sys.executable, __file__, str(sides["parent"]), *sum((["--workload", n] for n in names), []),
                  "--child", str(root / "src"), str(Path(tmp) / side)],
-                env=env,
+                env=bench_env if side == "bench" else one_thread,
             )
             for side, root in sides.items()
         ]
         if any(child.wait() for child in children):
             raise SystemExit("a child run failed")
         for name in names:
-            moved = flipped = 0
+            moved = flipped = differ = 0
             pool = pools.pool(name, ROOT)
             for inst in pool:
                 text = {s: (Path(tmp) / s / name / f"{inst.key}.csv").read_text() for s in sides}
@@ -111,11 +121,17 @@ def main(argv=None) -> int:
                     if old != new:
                         flipped += 1
                         line += f"  FLIPPED {flag}: {old} -> {new}"
+                ref = reference.get(name, {}).get(inst.key)
+                if ref is None or (ref["csv_sha256"], ref["flags"]) != (digests["bench"], flags["bench"]):
+                    differ += 1
+                    line += f"  DIFFERS from reference.json at {threads} BLAS threads"
                 print(line)
+            print(f"{name}: {differ} of {len(pool)} instances differ from reference.json at {threads} BLAS threads")
             print(f"{name}: {moved} of {len(pool)} digests moved, {flipped} flags flipped")
             moved_total += moved
             flipped_total += flipped
-    return int(bool(moved_total or flipped_total))
+            differ_total += differ
+    return int(bool(moved_total or flipped_total or differ_total))
 
 
 if __name__ == "__main__":

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .channels import QuantumChannel, apply_matrix, compose, identity_channel, standard_channel, tensor_power
+from .channels import QuantumChannel, apply, compose, identity_channel, standard_channel, tensor_power
 from .fixtures import (
     dephasing_es_cover,
     named_state,
@@ -43,7 +43,6 @@ from .protocols import (
     experiment_random_code_entropy,
     experiment_sutherland_bound,
     side_states_from_degradation,
-    trivial_aligner_distiller,
     verify_gentle_composition,
     verify_pj_minentropy_bound,
 )
@@ -129,7 +128,7 @@ def _grid(spec) -> list:
 
 def _run_rates_cc_noiseless(seed, m, codewords, zeta):
     m = parse_channel(m)
-    outputs = [DensityMatrix(apply_matrix(m, parse_state(s).data)) for s in codewords]
+    outputs = [apply(m, parse_state(s)) for s in codewords]
     res = rate_cc_noiseless(outputs, float(zeta))
     rows = [
         {"w": w, "raw_w": per_w} for w, per_w in enumerate(res.terms["per_w"])
@@ -309,18 +308,7 @@ def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
 def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
     zeta = float(zeta)
     cover, f1, f2, m1, m2 = split_cc_cover(float(p_block1))
-    stego = build_stego_cc_es(
-        cover,
-        f1,
-        f2,
-        m1,
-        m2,
-        trivial_aligner_distiller,
-        zeta=zeta,
-        seed=seed,
-        mbar=mbar,
-        mcc=mcc,
-    )
+    stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed, mbar=mbar, mcc=mcc)
     row = {
         "mbar": stego.mbar,
         "mcc": stego.mcc,

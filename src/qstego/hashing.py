@@ -12,8 +12,9 @@ assumed from the rate bound.
 Tables are scored by :func:`_score`, which gives every table of a stack the
 float bits it gets when scored alone; :func:`encoder_from_hash` is that
 function on a batch of one.  Both searches therefore score each table
-once, in chunks of ``CHUNK_BYTES`` per temporary array, rank the exact keys
-directly (no tie is re-scored) and build only the winner's encoder.
+once, in fixed chunks of ``CHUNK_BYTES`` per temporary array, rank the exact
+keys directly (no tie is re-scored) and build only the winner's encoder; the
+table found does not depend on the chunk size.
 
 The quantum code is built from blocks of eigenbasis-projector rows of about
 ``ROW_BYTES`` each: O(M d^2) memory for M messages, not the 16 d^3 bytes of
@@ -166,8 +167,10 @@ def build_classical_hash(
     encoder.  Otherwise it scans ``ATTEMPTS`` seeded random function tables,
     drawn one ``rng.integers`` call per table and scored in the same chunks,
     up to the first whose key meets ``eps``, and returns the first least key
-    of those.  Always returns the best table found, with ``warning`` set when
-    the target was missed.
+    of those; a chunk may draw tables past that one, which are not ranked.
+    Either way the table returned does not depend on the chunk size.  Always
+    returns the best table found, with ``warning`` set when the target was
+    missed.
     """
     if m < 1:
         raise ValueError("bad parameter: M must be >= 1")
@@ -188,17 +191,12 @@ def build_classical_hash(
         stop = 0.0
     else:
         rng = np.random.default_rng(seed)
-
-        def drawn():
-            # one draw per table, so a table's entries do not depend on the
-            # chunking; chunks double from one table, as the scan may end at the first
-            done, n = 0, 1
-            while done < ATTEMPTS:
-                n = min(n, step, ATTEMPTS - done)
-                yield np.array([rng.integers(0, m, size=nx) for _ in range(n)])
-                done, n = done + n, 2 * n
-
-        chunks, stop = drawn(), eps
+        # one draw per table, so a table's entries do not depend on the chunking
+        chunks = (
+            np.array([rng.integers(0, m, size=nx) for _ in range(min(step, ATTEMPTS - i))])
+            for i in range(0, ATTEMPTS, step)
+        )
+        stop = eps
     best_key = None
     for tables in chunks:
         _, defect, output_defect, error = _score(p, m, tables)

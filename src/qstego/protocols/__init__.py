@@ -1,6 +1,5 @@
 from .codes import (
     CcCode,
-    DistillerOracle,
     EdCode,
     EsCode,
     QcCode,
@@ -24,7 +23,6 @@ from .verifiers import (
 
 __all__ = [
     "CcCode",
-    "DistillerOracle",
     "EdCode",
     "EsCode",
     "QcCode",

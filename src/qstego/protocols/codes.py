@@ -1,5 +1,5 @@
 """Protocol data model: cover-code types, stego-code types, and the
-entanglement-distillation oracle interface.
+entanglement-distillation code.
 
 Cover codes compute their reported reliability/fidelity at construction.
 Stego codes are produced by the builders in this package; every achieved
@@ -11,7 +11,6 @@ search output.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -158,17 +157,12 @@ class ResolvabilityCode:
 
 @dataclass(frozen=True)
 class EdCode:
-    """One-way entanglement distillation code (encoder cq in C, dim L)."""
+    """One-way entanglement distillation code (encoder cq in C)."""
 
     m: int
-    l: int
     encode: QuantumChannel  # A -> C (x) A_tilde
     decode: QuantumChannel  # C (x) B -> B_tilde
     distance: float
-
-
-#: (rho_AB, (dim_a, dim_b), M, L, eps) -> EdCode or None
-DistillerOracle = Callable[[DensityMatrix, tuple, int, int, float], Optional[EdCode]]
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 Block 1 of the cover encoder is replaced by a purification of its degraded
 output: sending the system half over the noiseless true channel leaves Alice
-and Bob sharing that purification, which an entanglement-distillation oracle
-converts into Phi^(M_bar).  The oracle's classical message C rides on block 2
-through the noiseless stego-CC construction, one-time padded with the shared
-key S1.
+and Bob sharing that pure state, which :func:`trivial_aligner_distiller`
+converts into Phi^(M_bar).  The distiller's classical message C rides on
+block 2 through the noiseless stego-CC construction, one-time padded with the
+shared key S1.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from ..channels import QuantumChannel, apply, identity_channel, tensor
 from ..hashing import build_quantum_hash
 from ..linalg import (
     DensityMatrix,
+    PureState,
     maximally_entangled,
     partial_trace_matrix,
     permute_systems_matrix,
@@ -30,65 +31,53 @@ from ..rates import rate_cc_noiseless
 from .codes import CcCode, EdCode, StegoCcEsCode
 from .stego_cc import _nested_povm
 
-PURITY_TOL = 1e-9
 
+def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
+    """Distiller that succeeds only on pure states already maximally
+    entangled up to local bases.
 
-def trivial_aligner_distiller(rho_ab: DensityMatrix, dims, m: int, l: int, eps: float):
-    """Distiller that succeeds only on states already maximally entangled up
-    to local bases.
-
-    For m >= 2 the shared state must be pure with its top-m Schmidt weights
-    within eps/(4m) of 1/m; the returned code is then a pair of local
-    basis changes (classical register C fixed to |0> of dimension l).  m = 1
+    For m >= 2 the top-m Schmidt weights of ``psi`` must be within eps/(4m)
+    of 1/m; the returned code is then a pair of local basis changes
+    (classical register C fixed to |0> of dimension l), else None.  m = 1
     always succeeds: sharing the one-dimensional state is vacuous.
     """
     da, db = dims
-    if da * db != rho_ab.dim:
+    if da * db != psi.data.size:
         raise ValueError("shape error: dims do not match the shared state")
     if m < 1 or l < 1:
         raise ValueError("bad parameter: M and L must be >= 1")
-
-    def unit_column(k, n):
-        v = np.zeros((n, 1), dtype=complex)
-        v[k, 0] = 1.0
-        return v
+    # |0> of C, and |0> of the m-level output, where every input off the code goes
+    c0 = np.eye(l, dtype=complex)[:, :1]
+    onto0 = np.eye(m, dtype=complex)[:, :1]
 
     if m == 1:
-        enc = QuantumChannel(
-            tuple(np.kron(unit_column(0, l), np.eye(da)[j : j + 1, :]) for j in range(da))
-        )
+        enc = QuantumChannel(tuple(np.kron(c0, np.eye(da)[j : j + 1, :]) for j in range(da)))
         dec = QuantumChannel(tuple(np.eye(l * db)[j : j + 1, :] for j in range(l * db)))
-        return EdCode(m=1, l=l, encode=enc, decode=dec, distance=0.0)
+        return EdCode(m=1, encode=enc, decode=dec, distance=0.0)
 
-    w, v = np.linalg.eigh(rho_ab.data)
-    if w[-1] < 1.0 - PURITY_TOL:
-        return None
-    probs, alphas, betas = schmidt_decompose(v[:, -1], da, db)
+    probs, alphas, betas = schmidt_decompose(psi, da, db)
     if probs.size < m or np.max(np.abs(probs[:m] - 1.0 / m)) > eps / (4 * m):
         return None
 
     t_a = alphas[:, :m].conj().T  # m x da, rows <alpha_i|
     t_b = betas[:, :m].conj().T
-    enc_kraus = [np.kron(unit_column(0, l), t_a)]
+    enc_kraus = [np.kron(c0, t_a)]
     for extra in _orthocomplement(alphas[:, :m]):
-        enc_kraus.append(np.kron(unit_column(0, l), unit_column(0, m) @ extra.conj().reshape(1, -1)))
+        enc_kraus.append(np.kron(c0, onto0 @ extra.conj().reshape(1, -1)))
     encode = QuantumChannel(tuple(enc_kraus))
 
     dec_kraus = [np.kron(np.eye(l)[0:1, :], t_b)]
     for extra in _orthocomplement(betas[:, :m]):
-        dec_kraus.append(np.kron(np.eye(l)[0:1, :], unit_column(0, m) @ extra.conj().reshape(1, -1)))
-    for c in range(1, l):
-        for j in range(db):
-            dec_kraus.append(
-                unit_column(0, m) @ np.kron(np.eye(l)[c : c + 1, :], np.eye(db)[j : j + 1, :])
-            )
+        dec_kraus.append(np.kron(np.eye(l)[0:1, :], onto0 @ extra.conj().reshape(1, -1)))
+    # every input with C != 0 goes to |0>
+    dec_kraus += [onto0 @ np.eye(l * db)[q : q + 1, :] for q in range(db, l * db)]
     decode = QuantumChannel(tuple(dec_kraus))
 
-    joint = apply(tensor(encode, identity_channel(db)), rho_ab)  # [C, A~, B]
+    joint = apply(tensor(encode, identity_channel(db)), psi.to_density())  # [C, A~, B]
     reordered = permute_systems_matrix(joint.data, [l, m, db], [1, 0, 2])  # [A~, C, B]
     final = apply(tensor(identity_channel(m), decode), DensityMatrix(reordered))
     distance = trace_norm(final.data - maximally_entangled(m).to_density().data)
-    return EdCode(m=m, l=l, encode=encode, decode=decode, distance=distance)
+    return EdCode(m=m, encode=encode, decode=decode, distance=distance)
 
 
 def _orthocomplement(columns: np.ndarray):
@@ -107,7 +96,6 @@ def build_stego_cc_es(
     f2,
     m1: QuantumChannel,
     m2: QuantumChannel,
-    distiller,
     zeta: float,
     seed=None,
     mbar: int | None = None,
@@ -118,11 +106,12 @@ def build_stego_cc_es(
 
     ``f1``/``f2`` are the declared factor encoders (validated against the
     cover's codewords); ``m1``/``m2`` the degradation channels per block.
-    ``mbar`` defaults to the largest size the distiller accepts for every
-    cover message; ``mcc`` defaults to the block-2 noiseless cypher count
-    (:func:`qstego.rates.rate_cc_noiseless`).
+    Each cover message's block-1 purification goes to
+    :func:`trivial_aligner_distiller`.  ``mbar`` defaults to the largest size
+    the distiller accepts for every cover message; ``mcc`` defaults to the
+    block-2 noiseless cypher count (:func:`qstego.rates.rate_cc_noiseless`).
     Raises ValueError("distillation infeasible at requested M_bar") when the
-    oracle declines.
+    distiller declines.
     """
     d1n = m1.dim_in
     d2n = m2.dim_in
@@ -136,27 +125,12 @@ def build_stego_cc_es(
 
     rho1 = [apply(m1, s) for s in f1]
     purifications = [purify(r) for r in rho1]
-    shared = [p.to_density() for p in purifications]
-
-    def distill_all(m_try: int):
-        out = []
-        for st in shared:
-            ed = distiller(st, (d1n, d1n), m_try, mcc, zeta)
-            if ed is None:
-                return None
-            out.append(ed)
-        return out
-
-    if mbar is None:
-        ed_codes = None
-        for m_try in range(d1n, 0, -1):
-            ed_codes = distill_all(m_try)
-            if ed_codes is not None:
-                mbar = m_try
-                break
+    for m_try in range(d1n, 0, -1) if mbar is None else (mbar,):
+        ed_codes = [trivial_aligner_distiller(p, (d1n, d1n), m_try, mcc, zeta) for p in purifications]
+        if all(ed is not None for ed in ed_codes):
+            mbar = m_try
+            break
     else:
-        ed_codes = distill_all(mbar)
-    if ed_codes is None:
         raise ValueError("distillation infeasible at requested M_bar")
 
     rng = np.random.default_rng(seed)
@@ -169,15 +143,20 @@ def build_stego_cc_es(
     inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
     povm = _nested_povm(cover.povm, inner)
 
-    # full protocol audit
+    # full protocol audit; each lifted root kron(I, sqrt(Gamma)) and each
+    # decoder fed classical input c_hat (its Kraus operators lifted by
+    # kron(I, .)) is formed once
+    shared = [p.to_density() for p in purifications]
+    eye = np.eye(mbar)
+    lifted_roots = [np.kron(eye, psd_sqrt(e)) for e in povm.elements]
+    sels = np.eye(mcc, dtype=complex)[..., None]  # column c_hat of I
+    fed = [[[np.kron(eye, k @ np.kron(sel, np.eye(d1n))) for k in ed.decode.kraus] for sel in sels] for ed in ed_codes]
     final = np.zeros((mbar * mbar, mbar * mbar), dtype=complex)
     reliability = 0.0
     stego_mix = np.zeros((d1n * d2n, d1n * d2n), dtype=complex)
     cover_mix = np.zeros_like(stego_mix)
-    sqrt_elements = [psd_sqrt(e) for e in povm.elements]
     for w in range(cover.m):
-        ed = ed_codes[w]
-        joint = apply(tensor(ed.encode, identity_channel(d1n)), shared[w])  # [C, A~, B1]
+        joint = apply(tensor(ed_codes[w].encode, identity_channel(d1n)), shared[w])  # [C, A~, B1]
         blocks = []
         for c in range(mcc):
             idx = slice(c * mbar * d1n, (c + 1) * mbar * d1n)
@@ -196,23 +175,11 @@ def build_stego_cc_es(
                 weight = p_c / (cover.m * mcc)
                 for wp in range(cover.m):
                     for wbp in range(mcc):
-                        root = sqrt_elements[wp * mcc + wbp]
-                        sandwich = np.kron(np.eye(mbar), root) @ sent @ np.kron(
-                            np.eye(mbar), root
-                        )
-                        post = partial_trace_matrix(
-                            sandwich, [mbar, d1n, d2n], keep=[0, 1]
-                        )
+                        root = lifted_roots[wp * mcc + wbp]
+                        post = partial_trace_matrix(root @ sent @ root, [mbar, d1n, d2n], keep=[0, 1])
                         if wp == w and wbp == wbar_sent:
                             reliability += weight * float(np.trace(post).real)
-                        c_hat = (wbp - s1) % mcc
-                        sel = np.zeros((mcc, 1), dtype=complex)
-                        sel[c_hat, 0] = 1.0
-                        dec_kraus = [
-                            k @ np.kron(sel, np.eye(d1n)) for k in ed_codes[wp].decode.kraus
-                        ]
-                        for k in dec_kraus:
-                            lifted = np.kron(np.eye(mbar), k)
+                        for lifted in fed[wp][(wbp - s1) % mcc]:
                             final += weight * (lifted @ post @ lifted.conj().T)
     final_state = DensityMatrix((final + final.conj().T) / 2)
     ent_distance = trace_norm(

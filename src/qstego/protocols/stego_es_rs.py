@@ -109,12 +109,13 @@ def build_stego_es_rs(
         for b in range(mbar):
             op = np.kron(alice_povm[a], bob_povm[b])
             blocks[a, b] = psi_mat @ op.T @ psi_mat.conj().T
+    # kron(blk, |ab><ab|) summed over (a, b): block (a, b) on the entries whose
+    # index is a * mbar + b modulo mbar^2
     side = m_dim * bt_dim * mbar * mbar
     final = np.zeros((side, side), dtype=complex)
     for (a, b), blk in blocks.items():
-        marker = np.zeros((mbar * mbar, mbar * mbar))
-        marker[a * mbar + b, a * mbar + b] = 1.0
-        final += np.kron(blk, marker)
+        k = a * mbar + b
+        final[k :: mbar * mbar, k :: mbar * mbar] += blk
     final_state = DensityMatrix((final + final.conj().T) / 2)
 
     target = DensityMatrix(

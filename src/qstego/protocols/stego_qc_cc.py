@@ -78,7 +78,7 @@ def _polar_unitaries(kraus_tilde, d, projector):
     return unitaries, worst
 
 
-def test_input_states(m: int) -> list:
+def audit_input_states(m: int) -> list:
     """Deterministic audit inputs: AUDIT_INPUTS states, the computational and
     phase pure states plus random mixed states seeded with AUDIT_SEED."""
     rng = np.random.default_rng(AUDIT_SEED)
@@ -154,7 +154,7 @@ def build_stego_qc_cc(
 
     # the audit inputs as one stack: every channel output is one stacked apply,
     # and the sums over wbar and the extrema over inputs run in order
-    inputs = np.array([rho.data for rho in test_input_states(cover.m)])
+    inputs = np.array([rho.data for rho in audit_input_states(cover.m)])
     rho_c = apply(channel, check_states(v @ inputs @ v.conj().T))
     mix = 0
     per_input = 0.0

@@ -250,19 +250,37 @@ class TestRandomSearchBitForBit:
         # scans that end at the first table, inside a later chunk, and never
         assert {0, 63} <= stops and len(stops - {0, 63}) >= 3
 
-    def test_chunks_double_and_build_one_encoder(self, monkeypatch):
+    def test_fixed_chunks_and_one_encoder(self, monkeypatch):
         chunks, calls = [], []
         score, build = hashing._score, hashing.encoder_from_hash
         monkeypatch.setattr(hashing, "_score", lambda p, m, tables: chunks.append(len(tables)) or score(p, m, tables))
         monkeypatch.setattr(hashing, "encoder_from_hash", lambda *args: calls.append(1) or build(*args))
         p, m, _ = RANDOM_CASES[0]
+        # all 64 tables fit one chunk; the last score is the winner's encoder
         build_classical_hash(p, m, 0.0, seed=1)
-        assert chunks[:-1] == [1, 2, 4, 8, 16, 32, 1] and len(calls) == 1
-        # the loop stops at table 8, in the fourth chunk (tables 7 to 14)
+        assert chunks == [64, 1] and len(calls) == 1
+        monkeypatch.setattr(hashing, "CHUNK_BYTES", 8 * m * p.size * 3)
+        chunks.clear()
+        build_classical_hash(p, m, 0.0, seed=1)
+        assert chunks == [3] * 21 + [1, 1] and len(calls) == 2
+        # the loop stops at table 8, in the third chunk (tables 6 to 8)
         assert loop_random_search(p, m, 0.05, 1, "marginal")[1] == 8
         chunks.clear()
         build_classical_hash(p, m, 0.05, seed=1)
-        assert chunks[:-1] == [1, 2, 4, 8] and len(calls) == 2
+        assert chunks == [3, 3, 3, 1] and len(calls) == 3
+
+    def test_table_does_not_depend_on_the_chunk_size(self, monkeypatch):
+        for p, m, eps in RANDOM_CASES:
+            for seed in (1, 2):
+                for objective in ("marginal", "output"):
+                    got = []
+                    for tables_per_chunk in (1, hashing.ATTEMPTS):
+                        monkeypatch.setattr(hashing, "CHUNK_BYTES", 8 * m * p.size * tables_per_chunk)
+                        got.append(build_classical_hash(p, m, eps, seed=seed, objective=objective))
+                    one, every = got
+                    assert np.array_equal(one.f, every.f) and np.array_equal(one.cond, every.cond)
+                    for field in ("defect", "output_defect", "error_prob", "warning", "px_fallback"):
+                        assert getattr(one, field) == getattr(every, field)
 
 
 def assert_scores_match_loop(p, m, tables):

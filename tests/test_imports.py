@@ -60,3 +60,16 @@ def test_every_parameter_is_read():
     paths = sorted((SRC / "qstego").rglob("*.py"))
     assert SRC / "qstego" / "experiments.py" in paths
     assert [u for path in paths for u in unread_parameters(path)] == []
+
+
+def test_no_function_is_named_like_a_test():
+    # pytest collects a test_* function that a test module imports at top
+    # level, so a library function must not be named that way
+    paths = sorted((SRC / "qstego").rglob("*.py"))
+    named = [
+        f"{path.relative_to(SRC)}:{node.lineno} {node.name}"
+        for path in paths
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("test")
+    ]
+    assert named == []

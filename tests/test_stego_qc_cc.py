@@ -139,11 +139,11 @@ class TestStegoBuilder:
 def audit_loop(stego, cover):
     """(distance_sup, cypher_min) of the audit, one input and one apply at a
     time: the reference for the stacked audit."""
-    from qstego.protocols.stego_qc_cc import test_input_states
+    from qstego.protocols.stego_qc_cc import audit_input_states
 
     v, dim, mbar = cover.encode.data, cover.channel.dim_in, stego.mbar
     distance_sup, cypher_min = 0.0, 1.0
-    for rho in test_input_states(cover.m):
+    for rho in audit_input_states(cover.m):
         rho_c = apply(cover.channel, DensityMatrix(v @ rho.data @ v.conj().T))
         mix = np.zeros((dim, dim), dtype=complex)
         per_input = 0.0

@@ -5,17 +5,16 @@
 Runs every instance any seed can generate (``workloads.pool`` of this
 checkout's ``perfbench/``) once with the qstego sources of the parent checkout
 and once with those of this checkout, each side in its own child process with
-``OPENBLAS_NUM_THREADS=1``: the quantum hash's bits depend on the BLAS thread
-count.  A third child runs this checkout's sources with the environment of
-``perfbench/run.py`` (BLAS threads = ``len(os.sched_getaffinity(0))``), whose
-digests and flags the benchmark checks against ``perfbench/reference.json``.
-The CSVs and flags are kept in a temporary directory.  For each instance it
-prints whether the CSV digest moved, the largest absolute change in each
-numeric column of a moved CSV, every flag that flipped, and whether the third
-run differs from the recorded reference; then, per workload, one line that
-counts the reference mismatches and a summary line.  Exit code 0 when no
-digest moved, no flag flipped and every instance matches the reference, 1
-otherwise.
+the BLAS environment of ``perfbench/run.py`` (``len(os.sched_getaffinity(0))``
+threads): the quantum hash's bits depend on the BLAS thread count, and at that
+count the benchmark checks digests and flags against
+``perfbench/reference.json``.  The CSVs and flags are kept in a temporary
+directory.  For each instance it prints whether the CSV digest moved, the
+largest absolute change in each numeric column of a moved CSV, every flag that
+flipped, and whether this checkout's digest and flags differ from the
+reference; then, per workload, one line that counts the reference mismatches
+and a summary line.  Exit code 0 when no digest moved, no flag flipped and
+every instance matches the reference, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -85,16 +84,15 @@ def main(argv=None) -> int:
     bench_env = dict(
         os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads, PYTHONHASHSEED="0"
     )
-    one_thread = dict(os.environ, OPENBLAS_NUM_THREADS="1")
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
     moved_total = flipped_total = differ_total = 0
     with tempfile.TemporaryDirectory() as tmp:
-        sides = {"parent": Path(args.parent).resolve(), "change": ROOT, "bench": ROOT}
+        sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
         children = [
             subprocess.Popen(
                 [sys.executable, __file__, str(sides["parent"]), *sum((["--workload", n] for n in names), []),
                  "--child", str(root / "src"), str(Path(tmp) / side)],
-                env=bench_env if side == "bench" else one_thread,
+                env=bench_env,
             )
             for side, root in sides.items()
         ]
@@ -122,7 +120,7 @@ def main(argv=None) -> int:
                         flipped += 1
                         line += f"  FLIPPED {flag}: {old} -> {new}"
                 ref = reference.get(name, {}).get(inst.key)
-                if ref is None or (ref["csv_sha256"], ref["flags"]) != (digests["bench"], flags["bench"]):
+                if ref is None or (ref["csv_sha256"], ref["flags"]) != (digests["change"], flags["change"]):
                     differ += 1
                     line += f"  DIFFERS from reference.json at {threads} BLAS threads"
                 print(line)

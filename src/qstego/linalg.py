@@ -24,9 +24,8 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 VEC_NORM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
-#: bytes of matrices checked for Hermiticity, of Cholesky copies with their
-#: factors, or formed (a chunk of a channels.KrausPower) at once; at most
-#: about two blocks of temporaries
+#: bytes of matrices checked (Hermiticity, each Cholesky bound) or formed (a
+#: chunk of a channels.KrausPower) at once; about two blocks of temporaries
 CHECK_BLOCK_BYTES = 1 << 20
 
 
@@ -57,24 +56,18 @@ def herm_defect(a: np.ndarray) -> np.ndarray:
 def _factors(a: np.ndarray, *bounds) -> bool:
     """Whether s A + t I has a Cholesky factor (is positive definite) for every
     matrix A of the (..., d, d) stack ``a`` and every (s, t) of ``bounds``,
-    s = 1 or -1 so that s A is exact.  The shifted copies of every bound of a
-    chunk of matrices are stacked and factored by one ``cholesky`` call; a
-    chunk's copies and their factors take at most one block of
-    ``CHECK_BLOCK_BYTES``, and a matrix too large for that is factored
-    alone, one bound at a time.  Like ``eigvalsh`` it reads the lower triangle only.
-    It passes NaN and inf, which the Hermiticity check before it rejects."""
+    s = 1 or -1 so that s A is exact.  One ``cholesky`` call per block of at
+    most ``CHECK_BLOCK_BYTES`` and per bound, on one shifted copy at a time;
+    like ``eigvalsh`` it reads the lower triangle only.  It passes NaN and
+    inf, which the Hermiticity check before it rejects."""
     n, d = math.prod(a.shape[:-2]), a.shape[-1]
-    per = _block_len(d) // (2 * len(bounds))
-    groups = [bounds] if per else [[bound] for bound in bounds]
-    step = max(1, per)
+    step = _block_len(d)
     blocks = (a,) if n <= step else (a.reshape((n, d, d))[i : i + step] for i in range(0, n, step))
     try:
         for block in blocks:
-            for group in groups:
-                m = np.empty((len(group),) + block.shape, dtype=complex)
-                for mk, (s, t) in zip(m, group):
-                    np.multiply(block, s, out=mk)
-                    mk.reshape(-1, d * d)[:, :: d + 1] += t
+            for s, t in bounds:
+                m = np.multiply(block, s, order="C")
+                m.reshape(-1, d * d)[:, :: d + 1] += t
                 np.linalg.cholesky(m)
     except np.linalg.LinAlgError:
         return False

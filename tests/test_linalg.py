@@ -1,4 +1,3 @@
-import math
 import re
 import tracemalloc
 
@@ -9,7 +8,6 @@ from qstego.channels import Isometry, QuantumChannel, check_kraus, identity_chan
 from qstego.channels import tensor as channel_tensor
 from qstego.info import Pmf
 from qstego.linalg import (
-    CHECK_BLOCK_BYTES,
     EIG_TOL,
     DensityMatrix,
     HermitianOperator,
@@ -290,22 +288,6 @@ class TestEigenvalueBounds:
                 els = rotated(rng, [np.r_[extreme, inner], np.r_[fill, 1.0 - inner]])
                 assert eig_povms_ok(els) == (c < 1)
                 assert accepts(check_povms, els) == eig_povms_ok(els)
-
-    def test_one_factorization_per_chunk_of_both_bounds(self, monkeypatch):
-        # a chunk's shifted copies and their factors take at most one block;
-        # a d = 256 element (1 MiB) is factored alone, one bound at a time
-        shapes, cholesky = [], np.linalg.cholesky
-        monkeypatch.setattr(np.linalg, "cholesky", lambda m: shapes.append(m.shape) or cholesky(m))
-        Povm(self.HALVES)
-        DensityMatrix(self.STATE)
-        assert shapes == [(2, 2, 2, 2), (1, 2, 2)]
-        shapes.clear()
-        Povm(np.array([np.eye(64) / 16] * 16, dtype=complex))
-        assert shapes == [(2, 4, 64, 64)] * 4
-        assert 2 * 16 * math.prod(shapes[0]) <= CHECK_BLOCK_BYTES
-        shapes.clear()
-        Povm(np.array([np.eye(256) / 2] * 2, dtype=complex))
-        assert shapes == [(1, 1, 256, 256)] * 4
 
     def test_checks_run_no_eigensolver(self, monkeypatch):
         def forbidden(*args, **kwargs):

@@ -51,6 +51,8 @@ from .rates import rate_cc_noiseless, rate_cc_noisy, rate_gaussian
 
 #: byte budget of the codeword outputs of one chunk of seeds in simulate/resolvability
 SEED_CHUNK_BYTES = 1 << 16
+#: distinct-eigenvalue tolerances of rates/cc-noisy, one CSV row each
+NU_TOLS = (1e-6, 1e-8)
 
 
 @dataclass
@@ -115,8 +117,6 @@ def parse_channel(spec) -> QuantumChannel:
 
 
 def _grid(spec) -> list:
-    if isinstance(spec, list):
-        return [float(x) for x in spec]
     read = lambda start, stop, num: [float(x) for x in np.linspace(float(start), float(stop), int(num))]
     return _call("grid", read, **spec)
 
@@ -144,13 +144,12 @@ def _noisy_cover(n_true, m, codewords, n):
     return n_true, cover, side_states_from_degradation(cover, m)
 
 
-def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1, nu_tols=(1e-6, 1e-8)):
+def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1):
     n_true, _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     zeta, xi = float(zeta), float(xi)
-    nu_tols = [float(nu_tol) for nu_tol in nu_tols]
     rows = []
-    for nu_tol, (mbar, key) in zip(nu_tols, rate_cc_noisy(side_outputs, zeta, xi, nu_tols=nu_tols)):
+    for nu_tol, (mbar, key) in zip(NU_TOLS, rate_cc_noisy(side_outputs, zeta, xi, nu_tols=NU_TOLS)):
         rows.append(
             {
                 "nu_tol": nu_tol,
@@ -305,10 +304,10 @@ def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
     return [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
-def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
+def _run_simulate_cc_es(seed, zeta, p_block1=0.5):
     zeta = float(zeta)
     cover, f1, f2, m1, m2 = split_cc_cover(float(p_block1))
-    stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed, mbar=mbar, mcc=mcc)
+    stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
         "mcc": stego.mcc,
@@ -321,18 +320,10 @@ def _run_simulate_cc_es(seed, zeta, p_block1=0.5, mbar=None, mcc=None):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(
-    seed, pmf, outputs, mk_grid, seeds=50, k=1, zeta_ref=None, min_reliability=None
-):
-    """``min_reliability`` (default 0.9) is read only with ``zeta_ref``."""
-    if min_reliability is not None and zeta_ref is None:
-        raise TypeError("simulate/resolvability params: 'min_reliability' is read only with 'zeta_ref'")
+def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds=50, min_reliability=0.9):
     n_seeds = int(seeds)
-    k_books = int(k)
     if n_seeds < 1:
         raise ValueError("bad parameter: seeds must be at least 1")
-    if k_books < 1:
-        raise ValueError("bad parameter: k must be at least 1")
     mk_grid = [int(x) for x in mk_grid]
     if not mk_grid:
         raise ValueError("bad parameter: mk_grid must be non-empty")
@@ -343,31 +334,25 @@ def _run_simulate_resolvability(
     medians = []
     reliabilities = {}
     for mk in mk_grid:
-        m_books = max(1, mk // k_books)
-        step = max(1, SEED_CHUNK_BYTES // (16 * k_books * m_books * cq.dim_b**2))
+        step = max(1, SEED_CHUNK_BYTES // (16 * mk * cq.dim_b**2))
         dists = []
         rels = []
         for start in range(0, n_seeds, step):
             chunk = range(seed + start, seed + min(start + step, n_seeds))
-            for s, code in zip(chunk, build_resolvability_codes(cq, m_books, k_books, chunk)):
+            for s, code in zip(chunk, build_resolvability_codes(cq, mk, 1, chunk)):
                 dists.append(code.distance)
                 rels.append(code.reliability)
                 rows.append({"mk": mk, "seed": s, "distance": code.distance, "reliability": code.reliability})
         medians.append(float(np.median(dists)))
         reliabilities[mk] = float(np.median(rels))
+    [(mbar_res, _)] = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
+    achievable = mbar_res.value
     flags = {
-        "medians_strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:]))
+        "medians_strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:])),
+        "reliability_ok": all(
+            reliabilities[mk] >= float(min_reliability) for mk in mk_grid if math.log2(mk) <= achievable - 1.0
+        ),
     }
-    achievable = None
-    if zeta_ref is not None:
-        [(mbar_res, _)] = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
-        achievable = mbar_res.value
-        min_rel = 0.9 if min_reliability is None else float(min_reliability)
-        ok = True
-        for mk in mk_grid:
-            if math.log2(mk) <= achievable - 1.0:
-                ok = ok and reliabilities[mk] >= min_rel
-        flags["reliability_ok"] = ok
     summary = {"medians": medians, "achievable_log_m": achievable}
     return rows, flags, summary
 
@@ -538,8 +523,6 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, np.generic):
         return value.item()
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, float) and math.isnan(value):
         return None
     return value

@@ -14,7 +14,7 @@ from .channels import (
     tensor,
     tensor_power,
 )
-from .linalg import DensityMatrix, HermitianOperator, Povm, basis_state, maximally_entangled
+from .linalg import DensityMatrix, Povm, basis_state, maximally_entangled
 from .protocols.codes import CcCode, EsCode, QcCode
 from .protocols.resolvability import pretty_good_measurement
 
@@ -106,7 +106,7 @@ def split_cc_cover(p_block1: float = 0.5):
     codeword = DensityMatrix(np.kron(f1[0].data, f2[0].data))
     cover = CcCode(
         codewords=(codeword,),
-        povm=Povm((HermitianOperator(np.eye(4, dtype=complex)),)),
+        povm=Povm(np.eye(4)[None]),
         channel=channel,
         n=2,
     )

@@ -253,9 +253,10 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> Qua
     preimages = enc.f == np.arange(m)[:, None]
     states = np.empty((m, d, d), dtype=complex)
     elements = np.empty((m, d, d), dtype=complex)
+    basis_conj = basis.conj()
     for i in range(0, d, step):
         # rows i:i+step of every projector, indexed [x, row, column]
-        block = np.einsum("ix,jx->xij", basis[i : i + step], basis.conj())
+        block = np.einsum("ix,jx->xij", basis[i : i + step], basis_conj)
         flat = block.reshape(d, -1)
         for w_, pre in enumerate(preimages):
             # np.tensordot(cond[w], block, axes=(0, 0)), written in place

@@ -166,7 +166,8 @@ class PureState:
 
 @dataclass(frozen=True)
 class HermitianOperator:
-    """Hermitian matrix (within 1e-10 max entry)."""
+    """Hermitian matrix (within 1e-10 max entry).  No library path builds one;
+    ``perfbench/tracer.py`` wraps its check by name."""
 
     data: np.ndarray
 
@@ -183,29 +184,19 @@ class HermitianOperator:
 class Povm:
     """Measurement as positive operators summing to the identity.
 
-    ``elements`` is one stacked (n, d, d) complex array; element w is
-    ``elements[w]``.  It is given as such an array (kept without a copy) or as
-    a sequence of square matrices or :class:`HermitianOperator`.  The
-    elements are checked with :func:`check_povms`: Hermitian within 1e-10
-    (max entry), eigenvalues in [-1e-10, 1 + 1e-10] (two Cholesky tests, no
-    eigensolve), and the elements must sum to I within 1e-9 (max entry of
-    the deviation).
+    ``elements`` is one stacked (n, d, d) complex array, kept without a copy;
+    element w is ``elements[w]``.  The elements are checked with
+    :func:`check_povms`: Hermitian within 1e-10 (max entry), eigenvalues in
+    [-1e-10, 1 + 1e-10] (two Cholesky tests, no eigensolve), and the elements
+    must sum to I within 1e-9 (max entry of the deviation).
     """
 
     elements: np.ndarray
 
     def __post_init__(self):
-        els = self.elements
-        if not len(els):
-            raise ValueError("invalid POVM: no elements")
-        if not isinstance(els, np.ndarray):
-            mats = [as_matrix(e) for e in els]
-            if any(m.shape != mats[0].shape for m in mats):
-                raise ValueError("shape error: POVM element dimension mismatch")
-            els = np.stack(mats)
-        if np.ndim(els) != 3:
-            raise ValueError("shape error: not a square matrix")
-        object.__setattr__(self, "elements", check_povms(els))
+        if np.ndim(self.elements) != 3:
+            raise ValueError("shape error: not an (n, d, d) stack")
+        object.__setattr__(self, "elements", check_povms(self.elements))
 
     @classmethod
     def batch(cls, elements: np.ndarray) -> tuple:
@@ -376,14 +367,6 @@ def power_function(rho):
         return stack
 
     return power
-
-
-def support_projector(rho) -> np.ndarray:
-    """Projector onto the eigenspaces with eigenvalue above the zero cutoff."""
-    m = as_matrix(rho)
-    w, v = np.linalg.eigh(m)
-    keep = w >= ZERO_CUT
-    return (v[:, keep]) @ v[:, keep].conj().T
 
 
 def schmidt_decompose(v: PureState, dim_a: int, dim_b: int):

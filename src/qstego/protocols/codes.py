@@ -1,7 +1,7 @@
 """Protocol data model: cover-code types, stego-code types, and the
 entanglement-distillation code.
 
-Cover codes compute their reported reliability/fidelity at construction.
+Cover codes compute their reported reliability at construction.
 Stego codes are produced by the builders in this package; every achieved
 metric they carry is recomputed by an audit routine from the assembled
 artifacts (encoder states, POVMs, channels), never copied from intermediate
@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..channels import Isometry, QuantumChannel, apply, compose, identity_channel, tensor
-from ..linalg import DensityMatrix, Povm, maximally_entangled
+from ..channels import Isometry, QuantumChannel, apply
+from ..linalg import DensityMatrix, Povm
 
 PROPORTIONALITY_TOL = 1e-8
 
@@ -119,9 +119,9 @@ def proportionality_to_identity(kraus_list, dim: int) -> tuple[float, float]:
 class EsCode:
     """Entanglement sharing code: Alice's joint input state plus Bob's decoder.
 
-    ``rho`` lives on H^(M) (x) H_A^(x n); the reported fidelity
-    F(Phi^(M), rho_tilde) is computed at construction by pushing the A^n
-    factor through ``channel`` and then ``decode``.
+    ``rho`` lives on H^(M) (x) H_A^(x n).  Its fidelity with Phi^(M) after
+    ``channel`` and ``decode`` is reported by the stego builder
+    (``StegoEsRsCode.eps_cover``), from the coherent overlap it forms.
     """
 
     m: int
@@ -129,20 +129,10 @@ class EsCode:
     decode: QuantumChannel
     channel: QuantumChannel
     n: int
-    fidelity: float = field(init=False)
 
     def __post_init__(self):
         if self.rho.dim != self.m * self.channel.dim_in:
             raise ValueError("shape error: joint state does not match M * dim_in")
-        to_bob = compose(self.decode, self.channel)
-        joint = apply(tensor(identity_channel(self.m), to_bob), self.rho)
-        phi = maximally_entangled(self.m)
-        f = float((phi.data.conj() @ joint.data @ phi.data).real)
-        object.__setattr__(self, "fidelity", min(max(f, 0.0), 1.0))
-
-    @property
-    def epsilon(self) -> float:
-        return max(0.0, 1.0 - self.fidelity)
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ SCHMIDT_CUT = 1e-12
 def _completion_povm(projectors, dim, mbar) -> Povm:
     total = sum(projectors)
     rest = (np.eye(dim) - total) / mbar
-    return Povm([((p + rest) + (p + rest).conj().T) / 2 for p in projectors])
+    return Povm(np.stack([((p + rest) + (p + rest).conj().T) / 2 for p in projectors]))
 
 
 def build_stego_es_rs(
@@ -48,8 +48,10 @@ def build_stego_es_rs(
 
     The cover's channel is the warden degradation.  The returned code
     carries the audited final state on (A~, B~, W_A, W_B), its fidelity
-    against Phi^(M) (x) Phibar^(M_bar), and the exact stego-vs-cover B-output
-    distance (zero up to rounding by construction).
+    against Phi^(M) (x) Phibar^(M_bar), the cover's error
+    eps_cover = 1 - <Phi|(id (x) decode o channel)(rho)|Phi> from the coherent
+    overlap, and the exact stego-vs-cover B-output distance (zero up to
+    rounding by construction).
     """
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")

@@ -90,7 +90,7 @@ class TestCli:
         [
             ("gaussian_fig2", "zeta", 0, "zeta must be positive"),
             ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
-            ("resolvability_demo", "k", 0, "k must be at least 1"),
+            ("resolvability_demo", "zeta_ref", 0, "zeta and xi must be in (0, 1)"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
             ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
             ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be at least 1"),
@@ -99,9 +99,9 @@ class TestCli:
             ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
             ("gentle_demo", "x_max", 1, "x_max must be at least 2"),
             ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu0_grid", [], "nu0_grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "nu0_grid must be non-empty and increasing"),
             ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu1_grid", [1.0, 2.0, 2.0], "nu1_grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "nu1_grid must be non-empty and increasing"),
             ("resolvability_demo", "mk_grid", [], "mk_grid must be non-empty"),
             ("pj_bound_family", "family", [], "family must be non-empty"),
             ("stego_cc_noiseless_demo", "codewords", [], "no codewords"),
@@ -187,6 +187,7 @@ class TestExitCodes:
                 "outputs": ["zero", "plus"],
                 "mk_grid": [32, 2],
                 "seeds": 10,
+                "zeta_ref": 0.3,
             },
         }
         path = tmp_path / "bad_trend.json"
@@ -257,7 +258,7 @@ class TestExitCodes:
             ("gaussian_fig2.json", lambda c: c["params"]["nu0_grid"].update(step=0.25), "step"),
             ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
             ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
-            ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "min_reliability"),
+            ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "zeta_ref"),
         ],
         ids=[
             "missing-param",
@@ -281,6 +282,41 @@ class TestExitCodes:
         assert f"{path}: invalid config:" in cp.stderr
         assert repr(key) in cp.stderr
         assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize(
+        "config, key, value",
+        [
+            (
+                {
+                    "kind": "rates/cc-noisy",
+                    "params": {
+                        "n_true": {"kind": "dephasing", "p": 0.2},
+                        "m": {"kind": "dephasing", "p": 0.1},
+                        "codewords": ["plus", "minus"],
+                        "zeta": 0.1,
+                        "xi": 0.1,
+                    },
+                },
+                "nu_tols",
+                [1e-6, 1e-8],
+            ),
+            ("resolvability_demo.json", "k", 1),
+            ("stego_cc_es_demo.json", "mbar", 2),
+            ("stego_cc_es_demo.json", "mcc", 1),
+        ],
+        ids=["nu_tols", "k", "mbar", "mcc"],
+    )
+    def test_constant_key_exits_two(self, tmp_path, capsys, config, key, value):
+        # these keys had one value in use and are constants now: a config that
+        # sets one, even to that value, is a config error naming it
+        if isinstance(config, str):
+            config = json.loads((CONFIGS / config).read_text())
+        config = {**config, "params": {**config["params"], key: value}}
+        path = tmp_path / "constant_key.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid config: {config['kind']} params: got an unexpected keyword argument {key!r}" in err
 
     @pytest.mark.parametrize("power", [0, -3])
     @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"])

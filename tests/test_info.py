@@ -21,7 +21,7 @@ from qstego.info import (
     smooth_min_entropy_quantum,
     sup_over_order,
 )
-from qstego.linalg import ZERO_CUT, DensityMatrix, HermitianOperator, as_matrix, basis_state
+from qstego.linalg import HERM_TOL, ZERO_CUT, DensityMatrix, as_matrix, basis_state, herm_defect
 from qstego.protocols import side_states_from_degradation
 from qstego.protocols.resolvability import output_cq
 from qstego.protocols.verifiers import SAMPLE_CHUNK_BYTES, experiment_random_code_entropy
@@ -284,15 +284,18 @@ class TestOrderOptimizer:
 
 
 def matrix_power(rho, a):
-    """rho^a from its own eigendecomposition, as a HermitianOperator: the
-    one-exponent power that the stacked power_function replaced.  Eigenvalues
-    below the zero cut are exact zeros, and map to 0 for a < 0; raises
-    ValueError where the power is not Hermitian within 1e-10."""
+    """rho^a from its own eigendecomposition: the one-exponent power that the
+    stacked power_function replaced.  Eigenvalues below the zero cut are exact
+    zeros, and map to 0 for a < 0; raises ValueError where the power is not
+    Hermitian within 1e-10."""
     w, v = np.linalg.eigh(as_matrix(rho))
     w = np.where(w < ZERO_CUT, 0.0, w)
     support = w > 0.0
     powered = np.where(support, np.where(support, w, 1.0) ** a, 0.0) if a < 0 else w**a
-    return HermitianOperator((v * powered) @ v.conj().T)
+    power = (v * powered) @ v.conj().T
+    if not herm_defect(power) <= HERM_TOL:
+        raise ValueError("invalid operator: not Hermitian")
+    return power
 
 
 def reference_renyi_entropy(rho, a):
@@ -309,8 +312,8 @@ def reference_mi_up(cq, a):
         raise ValueError("invalid order: a must be nonzero")
     joint = cq.joint()
     ref = np.kron(np.diag(cq.pmf.probs).astype(complex), cq.marginal_b())
-    ref_half = matrix_power(ref, a / 2.0).data
-    joint_neg = matrix_power(joint, -a).data
+    ref_half = matrix_power(ref, a / 2.0)
+    joint_neg = matrix_power(joint, -a)
     val = np.trace(joint @ ref_half @ joint_neg @ ref_half).real
     return float(-np.log2(max(val, 1e-300)) / a)
 
@@ -319,12 +322,12 @@ def reference_mi_down(cq, a):
     if a == 0:
         raise ValueError("invalid order: a must be nonzero")
     rho_b = cq.marginal_b()
-    rb_a = matrix_power(rho_b, a).data
+    rb_a = matrix_power(rho_b, a)
     total = 0.0
     for px, s in zip(cq.pmf.probs, cq.states):
         if px <= 0.0:
             continue
-        total += px * np.trace(matrix_power(s, 1.0 - a).data @ rb_a).real
+        total += px * np.trace(matrix_power(s, 1.0 - a) @ rb_a).real
     return float(-np.log2(max(total, 1e-300)) / a)
 
 

@@ -9,6 +9,7 @@ from qstego.channels import tensor as channel_tensor
 from qstego.info import Pmf
 from qstego.linalg import (
     EIG_TOL,
+    ZERO_CUT,
     DensityMatrix,
     HermitianOperator,
     Povm,
@@ -23,7 +24,6 @@ from qstego.linalg import (
     power_function,
     purify,
     schmidt_decompose,
-    support_projector,
     trace_norm,
 )
 
@@ -57,10 +57,9 @@ class TestTypes:
             PureState(np.array([1.0, 1.0]))
 
     def test_povm_completeness(self):
-        half = HermitianOperator(0.5 * np.eye(2))
-        Povm((half, half))
+        Povm(np.array([0.5 * np.eye(2), 0.5 * np.eye(2)]))
         with pytest.raises(ValueError, match="invalid POVM"):
-            Povm((half, HermitianOperator(0.4 * np.eye(2))))
+            Povm(np.array([0.5 * np.eye(2), 0.4 * np.eye(2)]))
 
     @pytest.mark.parametrize(
         "elements,message",
@@ -68,22 +67,18 @@ class TestTypes:
             ([np.diag([1.0, 0.5]), np.diag([0.2, 0.5]), np.diag([-0.2, 0.0])], "invalid POVM: element outside [0, 1]"),
             ([np.diag([1.5, 0.0]), np.diag([0.0, 1.0])], "invalid POVM: element outside [0, 1]"),
             ([0.5 * np.eye(2), 0.4 * np.eye(2)], "invalid POVM: elements do not sum to identity"),
-            ([np.eye(2), np.zeros((3, 3))], "shape error: POVM element dimension mismatch"),
             ([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])], "invalid operator: not Hermitian"),
             ([np.array([[0.5, 0.1], [0.0, 0.5]]), np.array([[0.5, -0.1], [0.0, 0.5]])], "invalid operator: not Hermitian"),
             ([np.ones((2, 3))], "shape error: not a square matrix"),
-            ([], "invalid POVM: no elements"),
+            (np.zeros((0, 2, 2)), "invalid POVM: no elements"),
+            (np.eye(2), "shape error: not an (n, d, d) stack"),
         ],
-        ids=["negative", "above-one", "not-complete", "dim-mismatch", "nan", "not-hermitian", "not-square", "empty"],
+        ids=["negative", "above-one", "not-complete", "nan", "not-hermitian", "not-square", "empty", "not-a-stack"],
     )
     def test_povm_rejects(self, elements, message):
-        # the messages of the per-element checks, as a sequence and as one stack
-        forms = [elements]
-        if len({np.shape(e) for e in elements}) <= 1:
-            forms.append(np.array(elements, dtype=complex))
-        for form in forms:
-            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
-                Povm(form)
+        # the messages of the per-element checks, on one (n, d, d) stack
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            Povm(np.array(elements, dtype=complex))
 
     def test_povm_check_holds_no_second_stack(self):
         # eight d = 256 elements (8 MiB): the checks run on 1 MiB blocks, so
@@ -107,7 +102,7 @@ class TestTypes:
             lambda: Pmf([np.nan, 1.0]),
             lambda: QuantumChannel((np.diag([np.nan, 1.0]),)),
             lambda: Isometry(np.array([[np.nan], [0.0]])),
-            lambda: Povm((np.diag([np.nan, 0.0]), np.diag([0.0, 1.0]))),
+            lambda: Povm(np.array([np.diag([np.nan, 0.0]), np.diag([0.0, 1.0])])),
             lambda: PureState(np.array([np.nan, 1.0])),
         ],
         ids=["density-diag", "density-all", "hermitian", "pmf", "channel", "isometry", "povm", "pure"],
@@ -341,6 +336,14 @@ class TestTensorAndPartialTrace:
         rho = DensityMatrix(np.eye(4) / 4)
         with pytest.raises(ValueError, match="shape error"):
             partial_trace_matrix(rho.data, [2, 3], keep=[0])
+
+
+def support_projector(rho) -> np.ndarray:
+    """Projector onto the eigenspaces with eigenvalue above the zero cutoff:
+    the independent reference for the support of power_function's powers."""
+    w, v = np.linalg.eigh(rho.data)
+    keep = w >= ZERO_CUT
+    return v[:, keep] @ v[:, keep].conj().T
 
 
 class TestSpectralOps:

@@ -94,6 +94,10 @@ class TestRateCcNoisy:
         )
         assert mbar.raw == pytest.approx(dense, abs=1e-4)
 
+    def test_empty_nu_tols_rejected(self):
+        with pytest.raises(ValueError, match="^bad parameter: nu_tols must be non-empty$"):
+            rate_cc_noisy([self.correlated(2)], zeta=0.5, xi=0.5, nu_tols=())
+
     def test_key_rate_uses_negative_orders(self):
         sigma = self.correlated(2)
         [(mbar, key)] = rate_cc_noisy([sigma], zeta=0.3, xi=0.3)

@@ -209,7 +209,7 @@ class TestBatchBitForBit:
     def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
         config = {
             "kind": "simulate/resolvability",
-            "params": {"pmf": [0.5, 0.5], "outputs": ["zero", "plus"], "mk_grid": [2, 12], "seeds": 9, "k": 2},
+            "params": {"pmf": [0.5, 0.5], "outputs": ["zero", "plus"], "mk_grid": [2, 12], "seeds": 9, "zeta_ref": 0.3},
         }
         ref = run_experiment(config, seed=4)
         monkeypatch.setattr(experiments, "SEED_CHUNK_BYTES", chunk_bytes)

@@ -56,7 +56,7 @@ class TestStegoCcEs:
     def test_identity_block1_degenerates(self):
         from qstego.channels import identity_channel
         from qstego.fixtures import named_state
-        from qstego.linalg import HermitianOperator, Povm
+        from qstego.linalg import Povm
         from qstego.protocols.codes import CcCode
 
         m1 = identity_channel(2)
@@ -65,7 +65,7 @@ class TestStegoCcEs:
         f2 = (named_state("plus"),)
         cover = CcCode(
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm((HermitianOperator(np.eye(4, dtype=complex)),)),
+            povm=Povm(np.eye(4)[None]),
             channel=identity_channel(4),
             n=2,
         )
@@ -78,7 +78,7 @@ class TestStegoCcEs:
     def test_requested_mbar_infeasible(self):
         from qstego.channels import identity_channel
         from qstego.fixtures import named_state
-        from qstego.linalg import HermitianOperator, Povm
+        from qstego.linalg import Povm
         from qstego.protocols.codes import CcCode
 
         m1 = identity_channel(2)
@@ -87,7 +87,7 @@ class TestStegoCcEs:
         f2 = (named_state("zero"),)
         cover = CcCode(
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm((HermitianOperator(np.eye(4, dtype=complex)),)),
+            povm=Povm(np.eye(4)[None]),
             channel=identity_channel(4),
             n=2,
         )
@@ -100,7 +100,7 @@ class TestStegoCcEs:
         # two messages ride it exactly and the pad round-trips
         from qstego.channels import standard_channel, tensor
         from qstego.fixtures import named_state
-        from qstego.linalg import HermitianOperator, Povm
+        from qstego.linalg import Povm
         from qstego.protocols.codes import CcCode
 
         m1 = standard_channel("dephasing", 0.5)
@@ -109,7 +109,7 @@ class TestStegoCcEs:
         f2 = (named_state("plus"),)
         cover = CcCode(
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm((HermitianOperator(np.eye(4, dtype=complex)),)),
+            povm=Povm(np.eye(4)[None]),
             channel=tensor(m1, m2),
             n=2,
         )
@@ -126,7 +126,7 @@ class TestStegoCcEs:
         from qstego.channels import apply, identity_channel, standard_channel, tensor
         from qstego.experiments import run_experiment
         from qstego.fixtures import named_state
-        from qstego.linalg import HermitianOperator, Povm
+        from qstego.linalg import Povm
         from qstego.protocols.codes import CcCode
         from qstego.rates import rate_cc_noiseless
 
@@ -138,7 +138,7 @@ class TestStegoCcEs:
         f1, f2 = (named_state("plus"),), (DensityMatrix(np.eye(4) / 4),)
         cover = CcCode(
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm((HermitianOperator(np.eye(8, dtype=complex)),)),
+            povm=Povm(np.eye(8)[None]),
             channel=tensor(m1, m2),
             n=2,
         )

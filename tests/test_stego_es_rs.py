@@ -1,17 +1,44 @@
 import numpy as np
 import pytest
 
-from qstego.channels import QuantumChannel, identity_channel
+from qstego.channels import QuantumChannel, apply, compose, identity_channel, standard_channel, tensor
 from qstego.fixtures import dephasing_es_cover
 from qstego.linalg import maximally_entangled
 from qstego.protocols import EsCode, build_stego_es_rs
 
 
+def cover_fidelity(cover):
+    """<Phi|(id (x) decode o channel)(rho)|Phi> of an ES cover, by applying
+    the channels to its joint state: the reference for the coherent overlap
+    from which build_stego_es_rs reports eps_cover."""
+    to_bob = tensor(identity_channel(cover.m), compose(cover.decode, cover.channel))
+    phi = maximally_entangled(cover.m).data
+    return float((phi.conj() @ apply(to_bob, cover.rho).data @ phi).real)
+
+
 class TestEsCover:
     def test_dephasing_cover_is_perfect(self):
-        cover = dephasing_es_cover(0.5)
-        assert cover.fidelity == pytest.approx(1.0, abs=1e-10)
-        assert cover.epsilon == pytest.approx(0.0, abs=1e-10)
+        assert cover_fidelity(dephasing_es_cover(0.5)) == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize(
+        "cover",
+        [
+            dephasing_es_cover(0.5),
+            dephasing_es_cover(0.2),
+            # Phi^(2) through depolarizing(0.3): an imperfect cover, eps = 0.225
+            EsCode(
+                m=2,
+                rho=maximally_entangled(2).to_density(),
+                decode=identity_channel(2),
+                channel=standard_channel("depolarizing", 0.3),
+                n=1,
+            ),
+        ],
+        ids=["dephasing-0.5", "dephasing-0.2", "depolarized-pair"],
+    )
+    def test_eps_cover_matches_channel_application(self, cover):
+        stego = build_stego_es_rs(cover, mbar=2, zeta=0.5, seed=0)
+        assert stego.eps_cover == pytest.approx(1.0 - cover_fidelity(cover), abs=1e-12)
 
 
 class TestStegoEsRs:
@@ -21,7 +48,7 @@ class TestStegoEsRs:
         cover = EsCode(m=2, rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)), n=1)
         stego = build_stego_es_rs(cover, mbar=1, zeta=0.5)
         assert stego.p_x.size == 1
-        assert stego.fidelity >= 1.0 - cover.epsilon - 1e-9
+        assert stego.fidelity >= cover_fidelity(cover) - 1e-9
         assert stego.b_output_distance < 1e-10
 
     def test_one_uniform_shared_bit(self):

@@ -8,7 +8,7 @@ from qstego.channels import QuantumChannel, apply_matrix, identity_channel, stan
 from qstego.fixtures import repetition_qc_cover
 from qstego.info import Pmf, renyi_entropy, sup_over_order
 from qstego.experiments import run_experiment
-from qstego.linalg import DensityMatrix, HermitianOperator, Povm, basis_state, psd_sqrt, trace_norm
+from qstego.linalg import DensityMatrix, Povm, basis_state, psd_sqrt, trace_norm
 from qstego.protocols import (
     experiment_random_code_entropy,
     verify_gentle_composition,
@@ -29,7 +29,7 @@ def random_povm(rng, dim, nx):
     total = sum(gs)
     w, v = np.linalg.eigh(total)
     inv_sqrt = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    return Povm(tuple(HermitianOperator(inv_sqrt @ g @ inv_sqrt) for g in gs))
+    return Povm(np.array([inv_sqrt @ g @ inv_sqrt for g in gs]))
 
 
 def random_channel(rng, dim, k=2):
@@ -55,9 +55,7 @@ def gentle_one(states, channels, povm, p):
 class TestGentleComposition:
     def test_perfect_measurement_zero_lhs(self):
         states = [basis_state(0, 2).to_density(), basis_state(1, 2).to_density()]
-        povm = Povm(
-            (HermitianOperator(np.diag([1.0, 0.0])), HermitianOperator(np.diag([0.0, 1.0])))
-        )
+        povm = Povm(np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]))
         channels = [identity_channel(2), identity_channel(2)]
         rep = gentle_one(states, channels, povm, Pmf([0.5, 0.5]))
         assert rep.lhs == pytest.approx(0.0, abs=1e-10)
@@ -68,9 +66,7 @@ class TestGentleComposition:
         # Lambda^x = p(x) I leaves the states untouched up to reweighting
         p = Pmf([0.3, 0.7])
         states = [basis_state(0, 2).to_density(), basis_state(1, 2).to_density()]
-        povm = Povm(
-            (HermitianOperator(0.3 * np.eye(2)), HermitianOperator(0.7 * np.eye(2)))
-        )
+        povm = Povm(np.array([0.3 * np.eye(2), 0.7 * np.eye(2)]))
         channels = [identity_channel(2), identity_channel(2)]
         rep = gentle_one(states, channels, povm, p)
         # eps = 1 - sum p(x)^2; lhs computable in closed form:
@@ -131,7 +127,7 @@ def gentle_instance(rng, dim, nx):
     total = sum(gs)
     w, v = np.linalg.eigh(total)
     inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    povm = Povm([inv @ g @ inv for g in gs])
+    povm = Povm(np.array([inv @ g @ inv for g in gs]))
     channels = []
     for _ in range(nx):
         ks = [rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) for _ in range(2)]

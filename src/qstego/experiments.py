@@ -7,7 +7,9 @@ byte-stable for a fixed seed and config: row order is data-defined, floats
 are written with ``repr`` (shortest round-trip form, '.' decimal), and
 nothing time-dependent enters the table.  Wall time and library versions go
 to the JSON summary only.  The keys a config may hold at any level are the
-keyword parameters of the function that reads them; any other key raises.
+keyword parameters of the function that reads them, each required but a
+config's ``seed`` and a channel's ``power``; any other key, a missing one or
+a spec that is not a JSON object raises.
 """
 
 from __future__ import annotations
@@ -58,33 +60,42 @@ NU_TOLS = (1e-6, 1e-8)
 @dataclass
 class ExperimentResult:
     kind: str
-    columns: list
     rows: list
     flags: dict
     summary: dict
     seed: int
 
     @property
+    def columns(self) -> list:
+        return list(self.rows[0])
+
+    @property
     def all_ok(self) -> bool:
         return all(bool(v) for v in self.flags.values())
 
 
-def _call(what, fn, /, *args, **kwargs):
-    """``fn(*args, **kwargs)``; a key ``fn`` does not take, or a missing one, raises TypeError before it runs."""
+def _call(what, fn, spec, /, *args):
+    """``fn(*args, **spec)``; a ``spec`` that is not a JSON object, holds a key
+    ``fn`` does not take or lacks one it needs raises TypeError naming ``what``
+    before ``fn`` runs."""
+    if not isinstance(spec, dict):
+        raise TypeError(f"{what}: must be a JSON object")
     try:
-        inspect.signature(fn).bind(*args, **kwargs)
+        inspect.signature(fn).bind(*args, **spec)
     except TypeError as exc:
         raise TypeError(f"{what}: {exc}") from None
-    return fn(*args, **kwargs)
+    return fn(*args, **spec)
 
 
 def _by_kind(what, readers, spec):
     """Call the reader of ``spec["kind"]`` with the other keys of ``spec``."""
-    keys = dict(spec)
-    kind = keys.pop("kind")
-    if kind not in readers:
-        raise ValueError(f"bad parameter: unknown {what} kind {kind!r}")
-    return _call(f"{kind} {what}", readers[kind], **keys)
+
+    def read(kind, **keys):
+        if kind not in readers:
+            raise ValueError(f"bad parameter: unknown {what} kind {kind!r}")
+        return _call(f"{kind} {what}", readers[kind], keys)
+
+    return _call(what, read, spec)
 
 
 #: state kind -> reader, whose keyword parameters are the keys of the spec
@@ -101,7 +112,7 @@ def parse_state(spec) -> DensityMatrix:
 
 
 #: channel kind -> reader, whose keyword parameters are the keys of the spec
-_CHANNELS = {"identity": lambda dim=2: identity_channel(int(dim))} | {
+_CHANNELS = {"identity": lambda dim: identity_channel(int(dim))} | {
     kind: partial(lambda kind, p: standard_channel(kind, float(p)), kind)
     for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping")
 }
@@ -109,30 +120,34 @@ _CHANNELS = {"identity": lambda dim=2: identity_channel(int(dim))} | {
 
 def parse_channel(spec) -> QuantumChannel:
     """A channel spec holds ``kind``, an optional tensor ``power`` and the keys
-    of its kind: ``dim`` (default 2) for ``identity``, ``p`` for a textbook channel."""
-    keys = dict(spec)
-    power = int(keys.pop("power", 1))
-    ch = _by_kind("channel", _CHANNELS, keys)
-    return ch if power == 1 else tensor_power(ch, power)
+    of its kind: ``dim`` for ``identity``, ``p`` for a textbook channel."""
+
+    def read(power=1, **keys):
+        ch = _by_kind("channel", _CHANNELS, keys)
+        return ch if int(power) == 1 else tensor_power(ch, int(power))
+
+    return _call("channel", read, spec)
 
 
-def _grid(spec) -> list:
-    read = lambda start, stop, num: [float(x) for x in np.linspace(float(start), float(stop), int(num))]
-    return _call("grid", read, **spec)
+#: ES cover kind -> reader, whose keyword parameters are the keys of the spec
+_ES_COVERS = {"dephasing_demo": lambda p: dephasing_es_cover(float(p))}
+
+
+def _grid(start, stop, num) -> list:
+    """The reader of a grid spec: ``num`` points from ``start`` to ``stop``."""
+    return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
 
 
 # ---------------------------------------------------------------------------
 # runners: ``_run_x(seed, **params)``.  The keyword parameters of a runner are
-# the keys of its config's "params", with the defaults of the optional ones.
+# the keys of its config's "params", every one required.
 
 
 def _run_rates_cc_noiseless(seed, m, codewords, zeta):
     m = parse_channel(m)
     outputs = [apply(m, parse_state(s)) for s in codewords]
     res = rate_cc_noiseless(outputs, float(zeta))
-    rows = [
-        {"w": w, "raw_w": per_w} for w, per_w in enumerate(res.terms["per_w"])
-    ]
+    rows = [{"w": w, "raw_w": per_w} for w, per_w in enumerate(res.per_w)]
     summary = {"value": res.value, "raw": res.raw, "a_star": res.a_star, "boundary": res.boundary}
     return rows, {}, summary
 
@@ -144,7 +159,7 @@ def _noisy_cover(n_true, m, codewords, n):
     return n_true, cover, side_states_from_degradation(cover, m)
 
 
-def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1):
+def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n):
     n_true, _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     zeta, xi = float(zeta), float(xi)
@@ -165,12 +180,10 @@ def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n=1):
     return rows, {}, {"zeta": zeta, "xi": xi}
 
 
-def _run_rates_gaussian(
-    seed, n, r, zeta, nu0_grid={"start": 1.0, "stop": 3.0, "num": 9}, nu1_grid={"start": 1.0, "stop": 3.0, "num": 9}
-):
+def _run_rates_gaussian(seed, n, r, zeta, nu0_grid, nu1_grid):
     n, r, zeta = int(n), int(r), float(zeta)
-    nu0s = _grid(nu0_grid)
-    nu1s = _grid(nu1_grid)
+    nu0s = _call("nu0_grid", _grid, nu0_grid)
+    nu1s = _call("nu1_grid", _grid, nu1_grid)
     # the monotonicity flags compare neighbours in list order
     for key, grid in (("nu0_grid", nu0s), ("nu1_grid", nu1s)):
         if not grid or not all(b > a for a, b in zip(grid, grid[1:])):
@@ -198,7 +211,7 @@ def _run_rates_gaussian(
     return rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
+def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n):
     m = parse_channel(m)
     codewords = [parse_state(s) for s in codewords]
     n, mbar, zeta = int(n), int(mbar), float(zeta)
@@ -230,7 +243,7 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n=1):
     return rows, flags, summary
 
 
-def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1):
+def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n):
     # zeta is not read by the builder; it is checked and reported beside xi
     zeta, xi = float(zeta), float(xi)
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
@@ -261,9 +274,8 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n=1
     return rows, flags, summary
 
 
-def _run_simulate_es_rs(seed, mbar, zeta, cover={"kind": "dephasing_demo", "p": 0.5}):
-    readers = {"dephasing_demo": lambda p=0.5: dephasing_es_cover(float(p))}
-    cover = _by_kind("ES cover", readers, cover)
+def _run_simulate_es_rs(seed, mbar, zeta, cover):
+    cover = _by_kind("ES cover", _ES_COVERS, cover)
     stego = build_stego_es_rs(cover, mbar=int(mbar), zeta=float(zeta), seed=seed)
     row = {
         "mbar": stego.mbar,
@@ -278,7 +290,7 @@ def _run_simulate_es_rs(seed, mbar, zeta, cover={"kind": "dephasing_demo", "p": 
     return [row], flags, {"p_x": [float(x) for x in stego.p_x]}
 
 
-def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
+def _run_simulate_qc_cc(seed, p, mbar, zeta):
     p = float(p)
     cover = repetition_qc_cover(p)
     stego = build_stego_qc_cc(
@@ -304,7 +316,7 @@ def _run_simulate_qc_cc(seed, p, mbar, zeta=0.5):
     return [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
-def _run_simulate_cc_es(seed, zeta, p_block1=0.5):
+def _run_simulate_cc_es(seed, zeta, p_block1):
     zeta = float(zeta)
     cover, f1, f2, m1, m2 = split_cc_cover(float(p_block1))
     stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed)
@@ -320,10 +332,12 @@ def _run_simulate_cc_es(seed, zeta, p_block1=0.5):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds=50, min_reliability=0.9):
-    n_seeds = int(seeds)
+def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds, min_reliability):
+    n_seeds, zeta_ref = int(seeds), float(zeta_ref)
     if n_seeds < 1:
         raise ValueError("bad parameter: seeds must be at least 1")
+    if not 0.0 < zeta_ref < 1.0:
+        raise ValueError("bad parameter: zeta_ref must be in (0, 1)")
     mk_grid = [int(x) for x in mk_grid]
     if not mk_grid:
         raise ValueError("bad parameter: mk_grid must be non-empty")
@@ -345,7 +359,7 @@ def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds=50,
                 rows.append({"mk": mk, "seed": s, "distance": code.distance, "reliability": code.reliability})
         medians.append(float(np.median(dists)))
         reliabilities[mk] = float(np.median(rels))
-    [(mbar_res, _)] = rate_cc_noisy([cq], float(zeta_ref), float(zeta_ref))
+    [(mbar_res, _)] = rate_cc_noisy([cq], zeta_ref, zeta_ref)
     achievable = mbar_res.value
     flags = {
         "medians_strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:])),
@@ -357,7 +371,7 @@ def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds=50,
     return rows, flags, summary
 
 
-def _run_verify_gentle(seed, instances=100, dim_max=4, x_max=3):
+def _run_verify_gentle(seed, instances, dim_max, x_max):
     """Random instances, drawn one after another and checked together per
     (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
     instances, dim_max, x_max = int(instances), int(dim_max), int(x_max)
@@ -424,12 +438,12 @@ def _pj_bound_row(p, delta):
 def _run_verify_pj_bound(seed, family):
     if not family:
         raise ValueError("bad parameter: family must be non-empty")
-    rows = [_call("family point", _pj_bound_row, **point) for point in family]
+    rows = [_call("family point", _pj_bound_row, point) for point in family]
     flags = {"all_ok": all(r["status"] != "violated" for r in rows)}
     return rows, flags, {}
 
 
-def _run_verify_sutherland(seed, p, delta=0.5):
+def _run_verify_sutherland(seed, p, delta):
     p, delta = float(p), float(delta)
     code = repetition_qc_cover(p)
     rep = experiment_sutherland_bound(code, standard_channel("bit_flip", p), delta)
@@ -437,7 +451,7 @@ def _run_verify_sutherland(seed, p, delta=0.5):
     return [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
-def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta=0.5):
+def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta):
     m = parse_channel(m)
     dim_a, n, m_dim, samples = int(dim_a), int(n), int(m_dim), int(samples)
     rep = experiment_random_code_entropy(
@@ -491,16 +505,12 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     naming it before the runner starts.
     """
     read = lambda kind, seed=0, params={}: (kind, seed, params)
-    kind, config_seed, params = _call("config", read, **config)
+    kind, config_seed, params = _call("config", read, config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    if not isinstance(params, dict):
-        raise TypeError(f"{kind} params: must be a JSON object")
     use_seed = int(config_seed) if seed is None else int(seed)
-    rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], use_seed, **params)
-    return ExperimentResult(
-        kind=kind, columns=list(rows[0]), rows=rows, flags=flags, summary=summary, seed=use_seed
-    )
+    rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)
+    return ExperimentResult(kind=kind, rows=rows, flags=flags, summary=summary, seed=use_seed)
 
 
 def _format_cell(value) -> str:

@@ -31,8 +31,6 @@ def named_state(name: str) -> DensityMatrix:
         return DensityMatrix(np.outer(_KET_PLUS, _KET_PLUS.conj()))
     if name == "minus":
         return DensityMatrix(np.outer(_KET_MINUS, _KET_MINUS.conj()))
-    if name == "maximally_mixed":
-        return DensityMatrix(np.eye(2) / 2)
     raise ValueError(f"bad parameter: unknown state {name!r}")
 
 
@@ -73,7 +71,7 @@ def repetition_qc_cover(p: float) -> QcCode:
     return QcCode(encode=encode, decode=decode, channel=channel, correctable=correctable, n=3)
 
 
-def dephasing_es_cover(p: float = 0.5) -> EsCode:
+def dephasing_es_cover(p: float) -> EsCode:
     """Two-use ES cover: Phi^(2) rides use 1 untouched, a fixed |+> rides
     use 2 through dephasing(p); Bob's decoder keeps qubit 1.
 
@@ -91,7 +89,7 @@ def dephasing_es_cover(p: float = 0.5) -> EsCode:
     return EsCode(m=2, rho=rho, decode=keep_first, channel=channel, n=2)
 
 
-def split_cc_cover(p_block1: float = 0.5):
+def split_cc_cover(p_block1: float):
     """Split CC cover for the combined classical/entanglement demo.
 
     Single cover message; block 1 carries |+> through dephasing(p_block1)

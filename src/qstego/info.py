@@ -23,7 +23,6 @@ import numpy as np
 
 from .linalg import (
     ZERO_CUT,
-    DensityMatrix,
     as_matrix,
     power_function,
 )
@@ -48,30 +47,22 @@ class Pmf:
 
 
 def as_pmf(p) -> np.ndarray:
-    if isinstance(p, Pmf):
-        return p.probs
     return Pmf(np.asarray(p, dtype=float)).probs
 
 
 @dataclass(frozen=True)
 class CqState:
-    """Classical-quantum state: a PMF paired with per-symbol density matrices."""
+    """Classical-quantum state: a :class:`Pmf` paired with a tuple of
+    per-symbol :class:`DensityMatrix` states."""
 
     pmf: Pmf
     states: tuple
 
     def __post_init__(self):
-        pmf = self.pmf if isinstance(self.pmf, Pmf) else Pmf(np.asarray(self.pmf, dtype=float))
-        states = tuple(
-            s if isinstance(s, DensityMatrix) else DensityMatrix(as_matrix(s))
-            for s in self.states
-        )
-        if len(pmf) != len(states):
+        if len(self.pmf) != len(self.states):
             raise ValueError("shape error: PMF and state list length differ")
-        if len({s.dim for s in states}) != 1:
+        if len({s.dim for s in self.states}) != 1:
             raise ValueError("shape error: symbols have different dimensions")
-        object.__setattr__(self, "pmf", pmf)
-        object.__setattr__(self, "states", states)
 
     @property
     def alphabet_size(self) -> int:

@@ -263,15 +263,6 @@ def partial_trace_matrix(a: np.ndarray, dims, keep) -> np.ndarray:
     return t.reshape(d, d)
 
 
-def permute_systems_matrix(a: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder tensor factors of an operator, rows and columns alike."""
-    n = len(dims)
-    t = np.asarray(a, dtype=complex).reshape(list(dims) + list(dims))
-    t = t.transpose(list(perm) + [p + n for p in perm])
-    d = int(np.prod(dims))
-    return t.reshape(d, d)
-
-
 def trace_norm(x):
     """Trace norm of a Hermitian operator: sum of absolute eigenvalues.
 

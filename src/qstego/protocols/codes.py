@@ -24,11 +24,12 @@ PROPORTIONALITY_TOL = 1e-8
 class CcCode:
     """Classical communication code: encoder table, decoding POVM, channel.
 
-    ``channel`` is the full n-use channel the code is designed for.  The
-    outputs channel(f(w)) are computed once at construction and kept; the
-    reported reliability (1/M) sum_w tr(Lambda^w channel(f(w))) and
-    epsilon = 1 - reliability are computed from them.  ``povm`` is a
-    :class:`Povm`, or a function that builds one from the tuple of outputs.
+    ``codewords`` is a tuple of :class:`DensityMatrix` inputs.  ``channel``
+    is the full n-use channel the code is designed for.  The outputs
+    channel(f(w)) are computed once at construction and kept; the reported
+    reliability (1/M) sum_w tr(Lambda^w channel(f(w))) and epsilon =
+    1 - reliability are computed from them.  ``povm`` is a :class:`Povm`, or
+    a function that builds one from the tuple of outputs.
     """
 
     codewords: tuple
@@ -39,16 +40,11 @@ class CcCode:
     reliability: float = field(init=False)
 
     def __post_init__(self):
-        cw = tuple(
-            c if isinstance(c, DensityMatrix) else DensityMatrix(np.asarray(c, dtype=complex))
-            for c in self.codewords
-        )
-        outputs = tuple(apply(self.channel, c) for c in cw)
+        outputs = tuple(apply(self.channel, c) for c in self.codewords)
         povm = self.povm if isinstance(self.povm, Povm) else self.povm(outputs)
-        if len(cw) != len(povm):
+        if len(self.codewords) != len(povm):
             raise ValueError("shape error: codeword count differs from POVM size")
         rel = float(np.mean([np.trace(e @ out.data).real for out, e in zip(outputs, povm.elements)]))
-        object.__setattr__(self, "codewords", cw)
         object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "outputs", outputs)
         object.__setattr__(self, "reliability", rel)
@@ -152,7 +148,6 @@ class EdCode:
     m: int
     encode: QuantumChannel  # A -> C (x) A_tilde
     decode: QuantumChannel  # C (x) B -> B_tilde
-    distance: float
 
 
 @dataclass(frozen=True)
@@ -161,15 +156,14 @@ class StegoCcCode:
 
     Encoders/POVMs are indexed per key value s (K = 1 and a single POVM for
     the noiseless construction).  Flat message index is (w - 1) * M_bar + w_bar
-    in 0-based form w * mbar + wbar.  ``mode`` is "noiseless" (quantum hash
-    inner codes) or "noisy" (keyed resolvability codebooks).  The per-w
+    in 0-based form w * mbar + wbar.  The inner codes are quantum hashes
+    (noiseless true channel) or keyed resolvability codebooks (noisy).  The per-w
     defect and success, ``key_bits`` (log2 K) and ``warning`` come from the
     inner codes, and zeta_ach is the largest max(defect, 1 - success); the
     distances, decode probabilities and ``bound_ok`` are recomputed from the
     encoders and POVMs.
     """
 
-    mode: str
     n: int
     m: int
     mbar: int
@@ -215,7 +209,6 @@ class StegoEsRsCode:
 
     mbar: int
     p_x: np.ndarray
-    f: np.ndarray
     alice_povm: Povm
     bob_povm: Povm
     fidelity: float

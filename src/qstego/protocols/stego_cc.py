@@ -19,7 +19,7 @@ import numpy as np
 
 from ..channels import QuantumChannel, apply
 from ..hashing import build_quantum_hash
-from ..info import CqState
+from ..info import CqState, Pmf
 from ..linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
 from .codes import CcCode, StegoCcCode
 from .resolvability import build_resolvability_codes, output_cq
@@ -50,7 +50,7 @@ def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
     return Povm(elements)
 
 
-def _assemble(mode, cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_success, key_bits, warning):
+def _assemble(cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_success, key_bits, warning):
     """The :class:`StegoCcCode` of the assembled artifacts, every achieved
     metric recomputed from them.
 
@@ -91,7 +91,6 @@ def _assemble(mode, cover, mbar, encoders, povms, true_channel, per_w_defect, pe
     )
     bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + cover.epsilon, 0.0)) - 1e-6
     return StegoCcCode(
-        mode=mode,
         n=cover.n,
         m=cover.m,
         mbar=mbar,
@@ -135,7 +134,7 @@ def build_stego_cc_noiseless(
     per_w_success = tuple(h.success for h in hashes)
     warning = any(h.warning for h in hashes)
     del hashes  # their POVM stacks are copied into the nested POVM
-    return _assemble("noiseless", cover, mbar, (encoder,), (povm,), None, per_w_defect, per_w_success, 0.0, warning)
+    return _assemble(cover, mbar, (encoder,), (povm,), None, per_w_defect, per_w_success, 0.0, warning)
 
 
 def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqState]:
@@ -156,7 +155,7 @@ def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqSta
         states = tuple(
             DensityMatrix(b / np.trace(b).real) for b, use in zip(branches, keep) if use
         )
-        out.append(CqState(probs_kept, states))
+        out.append(CqState(Pmf(probs_kept), states))
     return out
 
 
@@ -198,6 +197,4 @@ def build_stego_cc_noisy(
     per_w_defect = tuple(code.distance for code in codes)
     per_w_success = tuple(code.reliability for code in codes)
     warning = any(defect > xi for defect in per_w_defect)
-    return _assemble(
-        "noisy", cover, mbar, encoders, povms, n_true, per_w_defect, per_w_success, math.log2(kbar), warning
-    )
+    return _assemble(cover, mbar, encoders, povms, n_true, per_w_defect, per_w_success, math.log2(kbar), warning)

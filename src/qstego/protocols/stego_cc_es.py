@@ -21,7 +21,6 @@ from ..linalg import (
     PureState,
     maximally_entangled,
     partial_trace_matrix,
-    permute_systems_matrix,
     psd_sqrt,
     purify,
     schmidt_decompose,
@@ -39,7 +38,8 @@ def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
     For m >= 2 the top-m Schmidt weights of ``psi`` must be within eps/(4m)
     of 1/m; the returned code is then a pair of local basis changes
     (classical register C fixed to |0> of dimension l), else None.  m = 1
-    always succeeds: sharing the one-dimensional state is vacuous.
+    always succeeds: sharing the one-dimensional state is vacuous.  The code
+    is not audited here: :func:`build_stego_cc_es` audits the whole protocol.
     """
     da, db = dims
     if da * db != psi.data.size:
@@ -53,7 +53,7 @@ def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
     if m == 1:
         enc = QuantumChannel(tuple(np.kron(c0, np.eye(da)[j : j + 1, :]) for j in range(da)))
         dec = QuantumChannel(tuple(np.eye(l * db)[j : j + 1, :] for j in range(l * db)))
-        return EdCode(m=1, encode=enc, decode=dec, distance=0.0)
+        return EdCode(m=1, encode=enc, decode=dec)
 
     probs, alphas, betas = schmidt_decompose(psi, da, db)
     if probs.size < m or np.max(np.abs(probs[:m] - 1.0 / m)) > eps / (4 * m):
@@ -64,20 +64,13 @@ def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
     enc_kraus = [np.kron(c0, t_a)]
     for extra in _orthocomplement(alphas[:, :m]):
         enc_kraus.append(np.kron(c0, onto0 @ extra.conj().reshape(1, -1)))
-    encode = QuantumChannel(tuple(enc_kraus))
 
     dec_kraus = [np.kron(np.eye(l)[0:1, :], t_b)]
     for extra in _orthocomplement(betas[:, :m]):
         dec_kraus.append(np.kron(np.eye(l)[0:1, :], onto0 @ extra.conj().reshape(1, -1)))
     # every input with C != 0 goes to |0>
     dec_kraus += [onto0 @ np.eye(l * db)[q : q + 1, :] for q in range(db, l * db)]
-    decode = QuantumChannel(tuple(dec_kraus))
-
-    joint = apply(tensor(encode, identity_channel(db)), psi.to_density())  # [C, A~, B]
-    reordered = permute_systems_matrix(joint.data, [l, m, db], [1, 0, 2])  # [A~, C, B]
-    final = apply(tensor(identity_channel(m), decode), DensityMatrix(reordered))
-    distance = trace_norm(final.data - maximally_entangled(m).to_density().data)
-    return EdCode(m=m, encode=encode, decode=decode, distance=distance)
+    return EdCode(m=m, encode=QuantumChannel(tuple(enc_kraus)), decode=QuantumChannel(tuple(dec_kraus)))
 
 
 def _orthocomplement(columns: np.ndarray):

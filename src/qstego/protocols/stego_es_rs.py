@@ -40,8 +40,8 @@ def _completion_povm(projectors, dim, mbar) -> Povm:
 
 def build_stego_es_rs(
     cover: EsCode,
-    mbar: int = 2,
-    zeta: float = 0.5,
+    mbar: int,
+    zeta: float,
     seed=None,
 ) -> StegoEsRsCode:
     """Stego entanglement + randomness sharing over a noiseless true channel.
@@ -137,7 +137,6 @@ def build_stego_es_rs(
     return StegoEsRsCode(
         mbar=mbar,
         p_x=p_x,
-        f=enc.f,
         alice_povm=alice_povm,
         bob_povm=bob_povm,
         fidelity=fid,

@@ -101,8 +101,8 @@ def audit_input_states(m: int) -> list:
 
 def build_stego_qc_cc(
     cover: QcCode,
-    mbar: int = 2,
-    zeta: float = 0.5,
+    mbar: int,
+    zeta: float,
     seed=None,
 ) -> StegoQcCcCode:
     """Stego code carrying a cypher classical message on a QC_R cover.

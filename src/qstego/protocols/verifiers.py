@@ -22,7 +22,6 @@ from ..channels import (
     tensor_power,
 )
 from ..info import (
-    Pmf,
     as_pmf,
     renyi_entropy,
     shannon_entropy,
@@ -111,7 +110,7 @@ def verify_pj_minentropy_bound(cover: QcCode, delta: float) -> BoundReport:
     pi = cover.projector
     _, d, _ = orthogonalize_correctable_kraus(channel, cover.correctable, pi)
     p_j = d / d.sum()
-    lhs = smooth_min_entropy_classical(Pmf(p_j), delta)
+    lhs = smooth_min_entropy_classical(p_j, delta)
     env = complementary_matrix(channel, pi / cover.m)
     rhs = smooth_min_entropy_quantum(env, delta - 2.0 * math.sqrt(eps))
     return BoundReport(

@@ -2,9 +2,9 @@
 classical-cover rates and Gaussian rates.
 
 Rates are reported in bits and clamped at zero; the raw (possibly negative)
-optimum, the maximizing order, and a per-term breakdown are retained so that
-infeasible regimes stay visible.  A boundary flag marks optima attained at
-the edge of the scanned order window.
+optimum, the maximizing order, and the per-message optima are retained so
+that infeasible regimes stay visible.  A boundary flag marks optima attained
+at the edge of the scanned order window.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ class RateResult:
     value: float = field(init=False)
     raw: float
     a_star: float
-    terms: dict
+    per_w: tuple  # the optimum of each cover message (one entry for a Gaussian point)
     boundary: bool
 
     def __post_init__(self):
@@ -43,8 +43,8 @@ class RateResult:
         return max(1, int(math.floor(2.0**self.value)))
 
 
-def _from_optimum(opt: OrderOptimum, terms: dict) -> RateResult:
-    return RateResult(raw=opt.value, a_star=opt.a_star, terms=terms, boundary=opt.boundary)
+def _from_optimum(opt: OrderOptimum, per_w: tuple) -> RateResult:
+    return RateResult(raw=opt.value, a_star=opt.a_star, per_w=per_w, boundary=opt.boundary)
 
 
 def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
@@ -59,7 +59,7 @@ def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     penalty = math.log2(2.0 / zeta)
     opts = sup_over_order(lambda a: h(a) - (4.0 / a) * penalty, batch=len(outputs))
     best = min(opts, key=lambda o: o.value)
-    return _from_optimum(best, {"per_w": [o.value for o in opts], "penalty_at_a1": 4.0 * penalty})
+    return _from_optimum(best, tuple(o.value for o in opts))
 
 
 def _column(values: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -140,16 +140,13 @@ def rate_cc_noisy(
         lambda a: mi_down(a) + _column(c_down, a) + (2.0 - 2.0 / a) * xi_term, batch=c_down.size
     )
     results = []
-    for i, nu_tol in enumerate(nu_tols):
+    for i in range(len(nu_tols)):
         opts_m, opts_k = cyphers[i * w : (i + 1) * w], keys[i * w : (i + 1) * w]
         per_w_k = [k.value - m.value + 1.0 for m, k in zip(opts_m, opts_k)]
         worst = max(range(w), key=per_w_k.__getitem__)  # the first of equal maxima
-        mbar = _from_optimum(min(opts_m, key=lambda o: o.value), {"per_w": [o.value for o in opts_m], "nu_tol": nu_tol})
+        mbar = _from_optimum(min(opts_m, key=lambda o: o.value), tuple(o.value for o in opts_m))
         key = RateResult(
-            raw=per_w_k[worst],
-            a_star=opts_k[worst].a_star,
-            terms={"per_w": per_w_k, "nu_tol": nu_tol},
-            boundary=opts_k[worst].boundary,
+            raw=per_w_k[worst], a_star=opts_k[worst].a_star, per_w=tuple(per_w_k), boundary=opts_k[worst].boundary
         )
         results.append((mbar, key))
     return results
@@ -209,5 +206,5 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
         return -((n - r) * l0 + r * l1) / a - (4.0 / a) * penalty
 
     opts = sup_over_order(objective, batch=len(points))
-    return [_from_optimum(opt, {"nu0": nu0, "nu1": nu1, "n": n, "r": r}) for opt, (nu0, nu1) in zip(opts, points)]
+    return [_from_optimum(opt, (opt.value,)) for opt in opts]
 

@@ -8,11 +8,23 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qstego import cli
+from qstego import cli, experiments
 from qstego.experiments import RUNNERS
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
+#: a rates/cc-noisy config (no shipped config runs this kind)
+RATES_CC_NOISY = {
+    "kind": "rates/cc-noisy",
+    "params": {
+        "n_true": {"kind": "dephasing", "p": 0.2},
+        "m": {"kind": "dephasing", "p": 0.1},
+        "codewords": ["plus", "minus"],
+        "n": 1,
+        "zeta": 0.1,
+        "xi": 0.1,
+    },
+}
 
 
 def run_cli(args, cwd):
@@ -90,7 +102,7 @@ class TestCli:
         [
             ("gaussian_fig2", "zeta", 0, "zeta must be positive"),
             ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
-            ("resolvability_demo", "zeta_ref", 0, "zeta and xi must be in (0, 1)"),
+            ("resolvability_demo", "zeta_ref", 0, "zeta_ref must be in (0, 1)"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
             ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
             ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be at least 1"),
@@ -188,6 +200,7 @@ class TestExitCodes:
                 "mk_grid": [32, 2],
                 "seeds": 10,
                 "zeta_ref": 0.3,
+                "min_reliability": 0.9,
             },
         }
         path = tmp_path / "bad_trend.json"
@@ -286,20 +299,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config, key, value",
         [
-            (
-                {
-                    "kind": "rates/cc-noisy",
-                    "params": {
-                        "n_true": {"kind": "dephasing", "p": 0.2},
-                        "m": {"kind": "dephasing", "p": 0.1},
-                        "codewords": ["plus", "minus"],
-                        "zeta": 0.1,
-                        "xi": 0.1,
-                    },
-                },
-                "nu_tols",
-                [1e-6, 1e-8],
-            ),
+            (RATES_CC_NOISY, "nu_tols", [1e-6, 1e-8]),
             ("resolvability_demo.json", "k", 1),
             ("stego_cc_es_demo.json", "mbar", 2),
             ("stego_cc_es_demo.json", "mcc", 1),
@@ -318,6 +318,77 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"{path}: invalid config: {config['kind']} params: got an unexpected keyword argument {key!r}" in err
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (RATES_CC_NOISY, "n"),
+            ("gaussian_fig2.json", "nu0_grid"),
+            ("gaussian_fig2.json", "nu1_grid"),
+            ("stego_cc_noiseless_demo.json", "n"),
+            ("stego_cc_noisy_demo.json", "n"),
+            ("stego_es_rs_demo.json", "cover"),
+            ("stego_es_rs_demo.json", "p"),
+            ("stego_qc_cc_demo.json", "zeta"),
+            ("stego_cc_es_demo.json", "p_block1"),
+            ("resolvability_demo.json", "seeds"),
+            ("resolvability_demo.json", "min_reliability"),
+            ("gentle_demo.json", "instances"),
+            ("gentle_demo.json", "dim_max"),
+            ("gentle_demo.json", "x_max"),
+            ("sutherland_demo.json", "delta"),
+            ("random_code_demo.json", "delta"),
+            ("stego_cc_noiseless_exact.json", "dim"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "rates_cc_noisy",
+    )
+    def test_missing_key_exits_two_naming_it(self, tmp_path, capsys, config, key):
+        # every key of params is required: leaving one out is a config error naming it
+        config = json.loads((CONFIGS / config).read_text() if isinstance(config, str) else json.dumps(config))
+        params = config["params"]
+        if key == "p":
+            del params["cover"]["p"]
+        elif key == "dim":
+            params["m"] = {"kind": "identity"}
+        else:
+            del params[key]
+        path = tmp_path / "missing_key.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: invalid config: " in err
+        assert f"missing a required argument: {key!r}" in err
+
+    @pytest.mark.parametrize(
+        "config_name, edit, what",
+        [
+            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "nu0_grid"),
+            ("stego_cc_noiseless_demo", lambda p: p.update(m=["dephasing", 0.1]), "channel"),
+            ("stego_cc_noiseless_demo", lambda p: p["codewords"].append(["plus"]), "state"),
+            ("stego_es_rs_demo", lambda p: p.update(cover=["dephasing_demo", 0.5]), "ES cover"),
+            ("pj_bound_family", lambda p: p["family"].append([0.1, 0.2]), "family point"),
+        ],
+        ids=["grid", "channel", "state", "es-cover", "family-point"],
+    )
+    def test_spec_not_an_object_exits_two(self, tmp_path, capsys, config_name, edit, what):
+        config = json.loads((CONFIGS / f"{config_name}.json").read_text())
+        edit(config["params"])
+        path = tmp_path / "spec_list.json"
+        path.write_text(json.dumps(config))
+        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: invalid config: {what}: must be a JSON object" in capsys.readouterr().err
+
+    def test_zeta_ref_checked_before_any_code_is_built(self, tmp_path, capsys, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a resolvability code was built")
+
+        monkeypatch.setattr(experiments, "build_resolvability_codes", forbidden)
+        config = json.loads((CONFIGS / "resolvability_demo.json").read_text())
+        config["params"]["zeta_ref"] = 0
+        path = tmp_path / "zeta_ref.json"
+        path.write_text(json.dumps(config))
+        assert cli.main(["simulate", "resolvability", "--config", str(path), "--out", str(tmp_path)]) == 2
+        assert f"{path}: invalid config: bad parameter: zeta_ref must be in (0, 1)" in capsys.readouterr().err
+
     @pytest.mark.parametrize("power", [0, -3])
     @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"])
     def test_channel_power_below_one_exits_two(self, tmp_path, capsys, kind, power):
@@ -326,7 +397,7 @@ class TestExitCodes:
             "params": {"m": {"kind": "dephasing", "p": 0.2, "power": power}, "codewords": ["plus", "minus"], "zeta": 0.5},
         }
         if kind == "simulate/cc-noiseless":
-            config["params"]["mbar"] = 2
+            config["params"] |= {"mbar": 2, "n": 1}
         path = tmp_path / "power.json"
         path.write_text(json.dumps(config))
         assert cli.main([*kind.split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2

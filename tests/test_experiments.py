@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qstego import experiments
 from qstego.experiments import RUNNERS, render_csv, run_experiment, run_and_write
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -67,6 +68,7 @@ class TestRunners:
             "n_true": {"kind": "dephasing", "p": 0.2},
             "m": {"kind": "dephasing", "p": 0.1},
             "codewords": ["plus", "minus"],
+            "n": 1,
             "zeta": 0.1,
             "xi": 0.1,
         }
@@ -98,6 +100,35 @@ class TestRegistry:
         }
         assert {kind: keys for kind, keys in unset.items() if keys} == {}
 
+    def test_no_default_that_every_config_and_workload_overrides(self):
+        # a default that every shipped config and benchmark instance sets
+        # anyway is an input path that no caller takes
+        kinded = experiments._STATES | experiments._CHANNELS | experiments._ES_COVERS
+        # the readers of the specs that carry no "kind", by the params key that holds them
+        unkinded = {"family": experiments._pj_bound_row, "nu0_grid": experiments._grid, "nu1_grid": experiments._grid}
+        calls = []  # (reader, keys of one spec it reads)
+
+        def walk(reader, spec):
+            calls.append((reader, set(spec)))
+            for key, value in spec.items():
+                for item in value if isinstance(value, list) else [value]:
+                    if isinstance(item, dict):
+                        walk(unkinded.get(key) or kinded[item["kind"]], item)
+
+        for name in workloads.NAMES:
+            for instance in workloads.pool(name, CONFIGS.parent):
+                walk(RUNNERS[instance.config["kind"]], instance.config["params"])
+        readers = {f"{kind} runner": reader for kind, reader in RUNNERS.items()}
+        readers |= {f"{kind} spec": reader for kind, reader in kinded.items()}
+        readers |= {f"{key} spec": reader for key, reader in unkinded.items()}
+        overridden = [
+            f"{label}: {key}"
+            for label, reader in readers.items()
+            for key, param in inspect.signature(reader).parameters.items()
+            if param.default is not param.empty and all(key in keys for r, keys in calls if r is reader)
+        ]
+        assert overridden == []
+
 
 class TestConfigKeys:
     @pytest.mark.parametrize(
@@ -122,12 +153,6 @@ class TestConfigKeys:
             config["params"][key] = value
         with pytest.raises(TypeError, match=f"simulate/cc-noiseless params: {message}"):
             run_experiment(config)
-
-    def test_defaults_come_from_the_signature(self):
-        # keys left out take the runner's defaults, here dim_max=4 and x_max=3
-        res = run_experiment({"kind": "verify/gentle", "params": {"instances": 2}})
-        assert [r["instance"] for r in res.rows] == [0, 1]
-        assert all(2 <= r["dim"] <= 4 and 2 <= r["x_size"] <= 3 for r in res.rows)
 
 
 class TestOutputs:

@@ -54,7 +54,7 @@ class TestResolvability:
         assert code.distance == pytest.approx(np.abs(counts - 0.5).sum(), abs=1e-10)
 
     def test_product_state_zero_distance(self):
-        rho = named_state("maximally_mixed")
+        rho = DensityMatrix(np.eye(2) / 2)
         cq = CqState(Pmf([0.3, 0.7]), (rho, rho))
         code = one_code(cq, m=4, k=2, seed=0)
         assert code.distance == pytest.approx(0.0, abs=1e-12)
@@ -209,7 +209,8 @@ class TestBatchBitForBit:
     def test_rows_do_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
         config = {
             "kind": "simulate/resolvability",
-            "params": {"pmf": [0.5, 0.5], "outputs": ["zero", "plus"], "mk_grid": [2, 12], "seeds": 9, "zeta_ref": 0.3},
+            "params": {"pmf": [0.5, 0.5], "outputs": ["zero", "plus"], "mk_grid": [2, 12], "seeds": 9, "zeta_ref": 0.3,
+                       "min_reliability": 0.9},
         }
         ref = run_experiment(config, seed=4)
         monkeypatch.setattr(experiments, "SEED_CHUNK_BYTES", chunk_bytes)

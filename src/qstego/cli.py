@@ -8,8 +8,10 @@ Common flags: --config PATH (JSON), --seed N (overrides the config seed),
 --out DIR (default "."), --csv / --json (default: write both).  Exit code 0
 iff every pass/fail flag in the run is true, 1 on a failed flag, 2 on a config
 error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed
-or unknown key at any level of the config, named in the message) and 3 on a
-numerical failure of a linear-algebra routine.
+or unknown key at any level of the config, named in the message, an unknown
+one before a missing one; an integer key takes a JSON integer, a number key a
+JSON integer or float, and neither a bool or a string) and 3 on a numerical
+failure of a linear-algebra routine.
 """
 
 from __future__ import annotations

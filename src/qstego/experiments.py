@@ -8,8 +8,8 @@ are written with ``repr`` (shortest round-trip form, '.' decimal), and
 nothing time-dependent enters the table.  Wall time and library versions go
 to the JSON summary only.  The keys a config may hold at any level are the
 keyword parameters of the function that reads them, each required but a
-config's ``seed`` and a channel's ``power``; any other key, a missing one or
-a spec that is not a JSON object raises.
+config's ``seed`` and a channel's ``power``; any other key, a missing or
+wrong-typed one (see ``_call``) or a spec that is not a JSON object raises.
 """
 
 from __future__ import annotations
@@ -74,17 +74,31 @@ class ExperimentResult:
         return all(bool(v) for v in self.flags.values())
 
 
+#: parameter annotation -> (the JSON values it takes, their reading, its name); never a bool
+_NUMBERS = {"int": ((int,), int, "an integer"), "float": ((int, float), float, "a number")}
+
+
 def _call(what, fn, spec, /, *args):
-    """``fn(*args, **spec)``; a ``spec`` that is not a JSON object, holds a key
-    ``fn`` does not take or lacks one it needs raises TypeError naming ``what``
-    before ``fn`` runs."""
+    """``fn(*args, **spec)``, each number read by the annotation of its parameter
+    (see ``_NUMBERS``).  A ``spec`` that is not a JSON object, holds a key ``fn``
+    does not take (named before a missing one), lacks one or holds a value its
+    annotation does not take raises TypeError naming ``what`` before ``fn`` runs."""
     if not isinstance(spec, dict):
         raise TypeError(f"{what}: must be a JSON object")
+    sig = inspect.signature(fn)
     try:
-        inspect.signature(fn).bind(*args, **spec)
+        sig.bind_partial(*args, **spec)
+        sig.bind(*args, **spec)
     except TypeError as exc:
         raise TypeError(f"{what}: {exc}") from None
-    return fn(*args, **spec)
+    read = dict(spec)
+    for key, value in spec.items():
+        if key in sig.parameters and sig.parameters[key].annotation in _NUMBERS:
+            takes, as_type, name = _NUMBERS[sig.parameters[key].annotation]
+            if isinstance(value, bool) or not isinstance(value, takes):
+                raise TypeError(f"{what}: {key!r} must be {name}, got {value!r}")
+            read[key] = as_type(value)
+    return fn(*args, **read)
 
 
 def _by_kind(what, readers, spec):
@@ -112,41 +126,41 @@ def parse_state(spec) -> DensityMatrix:
 
 
 #: channel kind -> reader, whose keyword parameters are the keys of the spec
-_CHANNELS = {"identity": lambda dim: identity_channel(int(dim))} | {
-    kind: partial(lambda kind, p: standard_channel(kind, float(p)), kind)
+_CHANNELS = {"identity": identity_channel} | {
+    kind: partial(standard_channel, kind)
     for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping")
 }
 
 
+def _channel(power: int = 1, **keys) -> QuantumChannel:
+    """The reader of a channel spec: ``kind``, an optional tensor ``power`` and
+    the keys of its kind, ``dim`` for ``identity`` and ``p`` for a textbook channel."""
+    ch = _by_kind("channel", _CHANNELS, keys)
+    return ch if power == 1 else tensor_power(ch, power)
+
+
 def parse_channel(spec) -> QuantumChannel:
-    """A channel spec holds ``kind``, an optional tensor ``power`` and the keys
-    of its kind: ``dim`` for ``identity``, ``p`` for a textbook channel."""
-
-    def read(power=1, **keys):
-        ch = _by_kind("channel", _CHANNELS, keys)
-        return ch if int(power) == 1 else tensor_power(ch, int(power))
-
-    return _call("channel", read, spec)
+    return _call("channel", _channel, spec)
 
 
 #: ES cover kind -> reader, whose keyword parameters are the keys of the spec
-_ES_COVERS = {"dephasing_demo": lambda p: dephasing_es_cover(float(p))}
+_ES_COVERS = {"dephasing_demo": dephasing_es_cover}
 
 
-def _grid(start, stop, num) -> list:
+def _grid(start: float, stop: float, num: int) -> list:
     """The reader of a grid spec: ``num`` points from ``start`` to ``stop``."""
-    return [float(x) for x in np.linspace(float(start), float(stop), int(num))]
+    return [float(x) for x in np.linspace(start, stop, num)]
 
 
 # ---------------------------------------------------------------------------
 # runners: ``_run_x(seed, **params)``.  The keyword parameters of a runner are
-# the keys of its config's "params", every one required.
+# the keys of its config's "params", every one required and read by ``_call``.
 
 
-def _run_rates_cc_noiseless(seed, m, codewords, zeta):
+def _run_rates_cc_noiseless(seed, m, codewords, zeta: float):
     m = parse_channel(m)
     outputs = [apply(m, parse_state(s)) for s in codewords]
-    res = rate_cc_noiseless(outputs, float(zeta))
+    res = rate_cc_noiseless(outputs, zeta)
     rows = [{"w": w, "raw_w": per_w} for w, per_w in enumerate(res.per_w)]
     summary = {"value": res.value, "raw": res.raw, "a_star": res.a_star, "boundary": res.boundary}
     return rows, {}, summary
@@ -155,14 +169,13 @@ def _run_rates_cc_noiseless(seed, m, codewords, zeta):
 def _noisy_cover(n_true, m, codewords, n):
     """The channel ``n_true``, the n-use PGM cover over ``n_true`` after ``m`` and its side states."""
     n_true, m = parse_channel(n_true), parse_channel(m)
-    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m), int(n))
+    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m), n)
     return n_true, cover, side_states_from_degradation(cover, m)
 
 
-def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n):
+def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta: float, xi: float, n: int):
     n_true, _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
-    zeta, xi = float(zeta), float(xi)
     rows = []
     for nu_tol, (mbar, key) in zip(NU_TOLS, rate_cc_noisy(side_outputs, zeta, xi, nu_tols=NU_TOLS)):
         rows.append(
@@ -180,8 +193,7 @@ def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta, xi, n):
     return rows, {}, {"zeta": zeta, "xi": xi}
 
 
-def _run_rates_gaussian(seed, n, r, zeta, nu0_grid, nu1_grid):
-    n, r, zeta = int(n), int(r), float(zeta)
+def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid, nu1_grid):
     nu0s = _call("nu0_grid", _grid, nu0_grid)
     nu1s = _call("nu1_grid", _grid, nu1_grid)
     # the monotonicity flags compare neighbours in list order
@@ -211,10 +223,9 @@ def _run_rates_gaussian(seed, n, r, zeta, nu0_grid, nu1_grid):
     return rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n):
+def _run_simulate_cc_noiseless(seed, m, codewords, mbar: int, zeta: float, n: int):
     m = parse_channel(m)
     codewords = [parse_state(s) for s in codewords]
-    n, mbar, zeta = int(n), int(mbar), float(zeta)
     cover = pgm_cc_cover(codewords, m, n)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
     rows = [
@@ -243,13 +254,12 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar, zeta, n):
     return rows, flags, summary
 
 
-def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n):
+def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar: int, kbar: int, zeta: float, xi: float, n: int):
     # zeta is not read by the builder; it is checked and reported beside xi
-    zeta, xi = float(zeta), float(xi)
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
     n_true, cover, sides = _noisy_cover(n_true, m, codewords, n)
-    stego = build_stego_cc_noisy(cover, n_true, sides, mbar=int(mbar), kbar=int(kbar), xi=xi, seed=seed)
+    stego = build_stego_cc_noisy(cover, n_true, sides, mbar=mbar, kbar=kbar, xi=xi, seed=seed)
     rows = [
         {
             "w": w,
@@ -274,9 +284,9 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar, kbar, zeta, xi, n):
     return rows, flags, summary
 
 
-def _run_simulate_es_rs(seed, mbar, zeta, cover):
+def _run_simulate_es_rs(seed, mbar: int, zeta: float, cover):
     cover = _by_kind("ES cover", _ES_COVERS, cover)
-    stego = build_stego_es_rs(cover, mbar=int(mbar), zeta=float(zeta), seed=seed)
+    stego = build_stego_es_rs(cover, mbar=mbar, zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
         "fidelity": stego.fidelity,
@@ -290,12 +300,8 @@ def _run_simulate_es_rs(seed, mbar, zeta, cover):
     return [row], flags, {"p_x": [float(x) for x in stego.p_x]}
 
 
-def _run_simulate_qc_cc(seed, p, mbar, zeta):
-    p = float(p)
-    cover = repetition_qc_cover(p)
-    stego = build_stego_qc_cc(
-        cover, mbar=int(mbar), zeta=float(zeta), seed=seed
-    )
+def _run_simulate_qc_cc(seed, p: float, mbar: int, zeta: float):
+    stego = build_stego_qc_cc(repetition_qc_cover(p), mbar=mbar, zeta=zeta, seed=seed)
     row = {
         "p": p,
         "mbar": stego.mbar,
@@ -316,9 +322,8 @@ def _run_simulate_qc_cc(seed, p, mbar, zeta):
     return [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
-def _run_simulate_cc_es(seed, zeta, p_block1):
-    zeta = float(zeta)
-    cover, f1, f2, m1, m2 = split_cc_cover(float(p_block1))
+def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
+    cover, f1, f2, m1, m2 = split_cc_cover(p_block1)
     stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
@@ -332,17 +337,15 @@ def _run_simulate_cc_es(seed, zeta, p_block1):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds, min_reliability):
-    n_seeds, zeta_ref = int(seeds), float(zeta_ref)
-    if n_seeds < 1:
+def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref: float, seeds: int, min_reliability: float):
+    if seeds < 1:
         raise ValueError("bad parameter: seeds must be at least 1")
     if not 0.0 < zeta_ref < 1.0:
         raise ValueError("bad parameter: zeta_ref must be in (0, 1)")
-    mk_grid = [int(x) for x in mk_grid]
     if not mk_grid:
         raise ValueError("bad parameter: mk_grid must be non-empty")
-    if any(mk < 1 for mk in mk_grid):
-        raise ValueError("bad parameter: mk_grid entries must be at least 1")
+    if not all(type(mk) is int and mk >= 1 for mk in mk_grid):
+        raise ValueError("bad parameter: mk_grid entries must be integers of at least 1")
     cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in outputs))
     rows = []
     medians = []
@@ -351,8 +354,8 @@ def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds, mi
         step = max(1, SEED_CHUNK_BYTES // (16 * mk * cq.dim_b**2))
         dists = []
         rels = []
-        for start in range(0, n_seeds, step):
-            chunk = range(seed + start, seed + min(start + step, n_seeds))
+        for start in range(0, seeds, step):
+            chunk = range(seed + start, seed + min(start + step, seeds))
             for s, code in zip(chunk, build_resolvability_codes(cq, mk, 1, chunk)):
                 dists.append(code.distance)
                 rels.append(code.reliability)
@@ -364,17 +367,16 @@ def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref, seeds, mi
     flags = {
         "medians_strictly_decreasing": all(a > b for a, b in zip(medians, medians[1:])),
         "reliability_ok": all(
-            reliabilities[mk] >= float(min_reliability) for mk in mk_grid if math.log2(mk) <= achievable - 1.0
+            reliabilities[mk] >= min_reliability for mk in mk_grid if math.log2(mk) <= achievable - 1.0
         ),
     }
     summary = {"medians": medians, "achievable_log_m": achievable}
     return rows, flags, summary
 
 
-def _run_verify_gentle(seed, instances, dim_max, x_max):
+def _run_verify_gentle(seed, instances: int, dim_max: int, x_max: int):
     """Random instances, drawn one after another and checked together per
     (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
-    instances, dim_max, x_max = int(instances), int(dim_max), int(x_max)
     if instances < 1:
         raise ValueError("bad parameter: instances must be at least 1")
     if dim_max < 2:
@@ -417,9 +419,8 @@ def _run_verify_gentle(seed, instances, dim_max, x_max):
     return rows, flags, {}
 
 
-def _pj_bound_row(p, delta):
+def _pj_bound_row(p: float, delta: float):
     """One ``family`` point of ``verify/pj-bound``."""
-    p, delta = float(p), float(delta)
     try:
         rep = verify_pj_minentropy_bound(repetition_qc_cover(p), delta)
     except ValueError as exc:
@@ -443,25 +444,15 @@ def _run_verify_pj_bound(seed, family):
     return rows, flags, {}
 
 
-def _run_verify_sutherland(seed, p, delta):
-    p, delta = float(p), float(delta)
-    code = repetition_qc_cover(p)
-    rep = experiment_sutherland_bound(code, standard_channel("bit_flip", p), delta)
+def _run_verify_sutherland(seed, p: float, delta: float):
+    rep = experiment_sutherland_bound(repetition_qc_cover(p), standard_channel("bit_flip", p), delta)
     row = {"p": p, "delta": delta, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.lhs - rep.rhs, "holds": rep.holds}
     return [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
-def _run_verify_random_code(seed, m, dim_a, n, m_dim, samples, delta):
-    m = parse_channel(m)
-    dim_a, n, m_dim, samples = int(dim_a), int(n), int(m_dim), int(samples)
+def _run_verify_random_code(seed, m, dim_a: int, n: int, m_dim: int, samples: int, delta: float):
     rep = experiment_random_code_entropy(
-        dim_a=dim_a,
-        n=n,
-        m_dim=m_dim,
-        m=m,
-        samples=samples,
-        delta=float(delta),
-        seed=seed,
+        dim_a=dim_a, n=n, m_dim=m_dim, m=parse_channel(m), samples=samples, delta=delta, seed=seed
     )
     row = {
         "dim_a": dim_a,
@@ -501,14 +492,16 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
 
     ``config`` holds "kind", optional "seed", and "params", the keyword
     arguments of the kind's runner; an explicit ``seed`` argument overrides
-    the config.  A key nothing reads, or a missing one, raises TypeError
-    naming it before the runner starts.
+    the config.  A key nothing reads, a missing one or a wrong-typed number
+    raises TypeError naming it before the runner starts.
     """
-    read = lambda kind, seed=0, params={}: (kind, seed, params)
+    def read(kind, seed: int = 0, params={}):
+        return kind, seed, params
+
     kind, config_seed, params = _call("config", read, config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    use_seed = int(config_seed) if seed is None else int(seed)
+    use_seed = config_seed if seed is None else int(seed)
     rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)
     return ExperimentResult(kind=kind, rows=rows, flags=flags, summary=summary, seed=use_seed)
 

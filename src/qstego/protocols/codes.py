@@ -124,7 +124,6 @@ class EsCode:
     rho: DensityMatrix
     decode: QuantumChannel
     channel: QuantumChannel
-    n: int
 
     def __post_init__(self):
         if self.rho.dim != self.m * self.channel.dim_in:
@@ -164,7 +163,6 @@ class StegoCcCode:
     encoders and POVMs.
     """
 
-    n: int
     m: int
     mbar: int
     kbar: int

@@ -91,7 +91,6 @@ def _assemble(cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_su
     )
     bound = 1.0 - zeta_ach - 2.0 * math.sqrt(max(zeta_ach + cover.epsilon, 0.0)) - 1e-6
     return StegoCcCode(
-        n=cover.n,
         m=cover.m,
         mbar=mbar,
         kbar=kbar,

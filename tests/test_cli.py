@@ -1,3 +1,4 @@
+import copy
 import json
 import os
 import re
@@ -25,6 +26,23 @@ RATES_CC_NOISY = {
         "xi": 0.1,
     },
 }
+
+
+#: a cc-noiseless config over the identity channel, whose spec holds the one
+#: "dim" (no shipped config runs the identity channel)
+IDENTITY = {
+    "kind": "simulate/cc-noiseless",
+    "params": {"m": {"kind": "identity", "dim": 2}, "codewords": ["zero"], "n": 1, "mbar": 2, "zeta": 0.1},
+}
+
+
+def number_leaves(node, path=()):
+    """(path, value) of every number held under a key of a JSON object in ``node``."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(value, (dict, list)):
+            yield from number_leaves(value, (*path, key))
+        elif isinstance(node, dict) and isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield (*path, key), value
 
 
 def run_cli(args, cwd):
@@ -104,8 +122,8 @@ class TestCli:
             ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
             ("resolvability_demo", "zeta_ref", 0, "zeta_ref must be in (0, 1)"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
-            ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be at least 1"),
-            ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be at least 1"),
+            ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be integers of at least 1"),
+            ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be integers of at least 1"),
             ("gentle_demo", "instances", 0, "instances must be at least 1"),
             ("gentle_demo", "instances", -3, "instances must be at least 1"),
             ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
@@ -123,6 +141,8 @@ class TestCli:
             ("stego_cc_noisy_demo", "zeta", 0, "zeta and xi must be in (0, 1)"),
             ("stego_cc_noisy_demo", "zeta", 1.5, "zeta and xi must be in (0, 1)"),
             ("stego_cc_noisy_demo", "xi", 1.0, "zeta and xi must be in (0, 1)"),
+            ("resolvability_demo", "mk_grid", [2, 8.5], "mk_grid entries must be integers of at least 1"),
+            ("resolvability_demo", "mk_grid", [True, 8], "mk_grid entries must be integers of at least 1"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
@@ -272,6 +292,7 @@ class TestExitCodes:
             ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
             ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
             ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "zeta_ref"),
+            ("stego_qc_cc_demo.json", lambda c: c["params"].update(mbr=c["params"].pop("mbar")), "mbr"),
         ],
         ids=[
             "missing-param",
@@ -283,6 +304,7 @@ class TestExitCodes:
             "es-rs-cover",
             "pj-bound-point",
             "min-reliability-without-zeta-ref",
+            "misspelled-required-key",
         ],
     )
     def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):
@@ -478,6 +500,43 @@ class TestExitCodes:
         assert failed
         assert code == 3
         assert f"{path}: numerical failure: Eigenvalues did not converge" in capsys.readouterr().err
+
+
+class TestNumberKeys:
+    @pytest.mark.parametrize(
+        "config",
+        [*sorted(p.stem for p in CONFIGS.glob("*.json")), IDENTITY, RATES_CC_NOISY],
+        ids=lambda c: c if isinstance(c, str) else c["params"]["m"]["kind"] + "-" + c["kind"].replace("/", "-"),
+    )
+    def test_wrong_typed_number_exits_two_naming_its_key(self, tmp_path, capsys, monkeypatch, config):
+        # every number is read by the annotation of the parameter it fills: a
+        # bool or a string in place of a number, or a fraction in place of an
+        # integer, is a config error naming its key, and one in params or the
+        # config's seed is caught before any eigendecomposition
+        def forbidden(*args, **kwargs):
+            raise AssertionError("an eigendecomposition ran")
+
+        if isinstance(config, str):
+            config = json.loads((CONFIGS / f"{config}.json").read_text())
+        path = tmp_path / "wrong_type.json"
+        leaves = list(number_leaves(config))
+        assert leaves
+        for keys, value in leaves:
+            for bad in [True, "x", *([2.5] if isinstance(value, int) else [])]:
+                mutant = copy.deepcopy(config)
+                node = mutant
+                for key in keys[:-1]:
+                    node = node[key]
+                node[keys[-1]] = bad
+                path.write_text(json.dumps(mutant))
+                with monkeypatch.context() as patch:
+                    if len(keys) <= 2:
+                        patch.setattr(np.linalg, "eigh", forbidden)
+                        patch.setattr(np.linalg, "eigvalsh", forbidden)
+                    code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
+                err = capsys.readouterr().err
+                assert code == 2, (keys, bad)
+                assert f"{path}: invalid config: " in err and repr(keys[-1]) in err, (keys, bad, err)
 
 
 class TestReadme:

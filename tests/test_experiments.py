@@ -28,6 +28,33 @@ def load(name):
     return json.loads((CONFIGS / name).read_text())
 
 
+#: the readers of the specs that carry a "kind", by that kind
+KINDED = experiments._STATES | experiments._CHANNELS | experiments._ES_COVERS
+#: the readers of the specs that carry no "kind", by the params key that holds them
+UNKINDED = {"family": experiments._pj_bound_row, "nu0_grid": experiments._grid, "nu1_grid": experiments._grid}
+
+
+def spec_reads():
+    """(readers, spec) for the params of every shipped config and benchmark
+    instance and for every spec nested in them; a channel spec is read by
+    ``_channel`` (its ``power``) and by the reader of its kind."""
+    reads = []
+
+    def walk(readers, spec):
+        reads.append((readers, spec))
+        for key, value in spec.items():
+            for item in value if isinstance(value, list) else [value]:
+                if isinstance(item, dict):
+                    reader = UNKINDED.get(key) or KINDED[item["kind"]]
+                    channel = item.get("kind") in experiments._CHANNELS
+                    walk((reader, experiments._channel) if channel else (reader,), item)
+
+    for name in workloads.NAMES:
+        for instance in workloads.pool(name, CONFIGS.parent):
+            walk((RUNNERS[instance.config["kind"]],), instance.config["params"])
+    return reads
+
+
 class TestRunners:
     def test_cc_noiseless_exact_demo(self):
         res = run_experiment(load("stego_cc_noiseless_exact.json"))
@@ -103,24 +130,11 @@ class TestRegistry:
     def test_no_default_that_every_config_and_workload_overrides(self):
         # a default that every shipped config and benchmark instance sets
         # anyway is an input path that no caller takes
-        kinded = experiments._STATES | experiments._CHANNELS | experiments._ES_COVERS
-        # the readers of the specs that carry no "kind", by the params key that holds them
-        unkinded = {"family": experiments._pj_bound_row, "nu0_grid": experiments._grid, "nu1_grid": experiments._grid}
-        calls = []  # (reader, keys of one spec it reads)
-
-        def walk(reader, spec):
-            calls.append((reader, set(spec)))
-            for key, value in spec.items():
-                for item in value if isinstance(value, list) else [value]:
-                    if isinstance(item, dict):
-                        walk(unkinded.get(key) or kinded[item["kind"]], item)
-
-        for name in workloads.NAMES:
-            for instance in workloads.pool(name, CONFIGS.parent):
-                walk(RUNNERS[instance.config["kind"]], instance.config["params"])
+        calls = [(reader, set(spec)) for readers, spec in spec_reads() for reader in readers]
         readers = {f"{kind} runner": reader for kind, reader in RUNNERS.items()}
-        readers |= {f"{kind} spec": reader for kind, reader in kinded.items()}
-        readers |= {f"{key} spec": reader for key, reader in unkinded.items()}
+        readers |= {f"{kind} spec": reader for kind, reader in KINDED.items()}
+        readers |= {f"{key} spec": reader for key, reader in UNKINDED.items()}
+        readers["channel spec"] = experiments._channel
         overridden = [
             f"{label}: {key}"
             for label, reader in readers.items()
@@ -128,6 +142,24 @@ class TestRegistry:
             if param.default is not param.empty and all(key in keys for r, keys in calls if r is reader)
         ]
         assert overridden == []
+
+    def test_every_number_key_is_annotated_int_or_float(self):
+        # a number is read by the annotation of the parameter it fills; a key
+        # that a config or instance sets to a number but no reader of its spec
+        # annotates int or float would let a wrong-typed value run
+        def annotation(reader, key):
+            param = inspect.signature(reader).parameters.get(key)
+            return None if param is None else param.annotation
+
+        unannotated = {
+            f"{key!r} beside {sorted(spec)}"
+            for readers, spec in spec_reads()
+            for key, value in spec.items()
+            if isinstance(value, (int, float))
+            and not isinstance(value, bool)
+            and not any(annotation(reader, key) in ("int", "float") for reader in readers)
+        }
+        assert sorted(unannotated) == []
 
 
 class TestConfigKeys:

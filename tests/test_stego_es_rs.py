@@ -31,7 +31,6 @@ class TestEsCover:
                 rho=maximally_entangled(2).to_density(),
                 decode=identity_channel(2),
                 channel=standard_channel("depolarizing", 0.3),
-                n=1,
             ),
         ],
         ids=["dephasing-0.5", "dephasing-0.2", "depolarized-pair"],
@@ -45,7 +44,7 @@ class TestStegoEsRs:
     def test_unitary_degradation_no_randomness(self):
         # a single-use ES cover over a unitary degradation: no randomness to extract
         rho = maximally_entangled(2).to_density()
-        cover = EsCode(m=2, rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)), n=1)
+        cover = EsCode(m=2, rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)))
         stego = build_stego_es_rs(cover, mbar=1, zeta=0.5)
         assert stego.p_x.size == 1
         assert stego.fidelity >= cover_fidelity(cover) - 1e-9

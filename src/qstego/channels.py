@@ -8,7 +8,10 @@ and anything that compares them should compare spectra only.  An n-fold
 power (:func:`tensor_power`) keeps its single-use family and forms its K^n
 operators when they are read (:class:`KrausPower`), so an n-use channel does
 not hold a stack of 16 K^n d^2 bytes.  Its completeness is checked from the
-base family; only an application still forms and uses all K^n operators.
+base family.  A family whose operators have at most one nonzero entry per
+row, purely real or purely imaginary (every textbook channel, its powers and
+compositions), is applied from its :class:`KrausIndex` by gathers, with the
+bits of the dense products and without forming an operator.
 """
 
 from __future__ import annotations
@@ -69,11 +72,9 @@ class KrausPower(Sequence):
     Operator j is the left-to-right Kronecker chain of the ``base`` operators
     named by the j-th n-tuple in ``itertools.product`` order.  ``_form``
     forms the operators of an index array as one stack, by n - 1 row-wise
-    Kronecker products of gathered base operators.  Iteration calls it on
-    chunks of consecutive indices of at most ``CHECK_BLOCK_BYTES`` (at least
-    one operator) and holds one chunk at a time; ``family[j]`` calls it on
-    j alone.  ``shape`` is that of the
-    (K^n, dout^n, din^n) stack the family stands for.
+    Kronecker products of gathered base operators; ``family[j]`` calls it on
+    j alone, and iteration reads one operator at a time.  ``shape`` is that
+    of the (K^n, dout^n, din^n) stack the family stands for.
     """
 
     def __init__(self, base, n: int):
@@ -86,14 +87,56 @@ class KrausPower(Sequence):
     def __getitem__(self, j) -> np.ndarray:
         return self._form(np.array([range(len(self))[operator.index(j)]]))[0]
 
-    def __iter__(self):
-        step = max(1, CHECK_BLOCK_BYTES // (16 * self.shape[1] * self.shape[2]))
-        for start in range(0, len(self), step):
-            yield from self._form(np.arange(start, min(start + step, len(self))))
-
     def _form(self, idx: np.ndarray) -> np.ndarray:
         legs = np.unravel_index(idx, (len(self.base),) * self.n)
         return reduce(_kron_rows, (self.base[i] for i in legs))
+
+
+@dataclass(frozen=True)
+class KrausIndex:
+    """Index form of the n-fold power of a row-monomial family (n = 1 for the
+    family itself): row r of base operator j holds ``coefs[j, r]`` in column
+    ``cols[j, r]`` and zeros elsewhere (column 0 and coefficient 0 in a zero
+    row); ``din`` is the base's input dimension.
+
+    ``chunks`` gives the (cols, coefs) of the K^n operators of the power in
+    ``itertools.product`` order, as stacks of consecutive operators of at
+    most ``CHECK_BLOCK_BYTES`` (at least one operator).  A power's column is
+    the mixed-radix number of its legs' columns, and its coefficient the
+    left-to-right product of theirs: the multiplications :class:`KrausPower`
+    does for that entry, so each coefficient has the bits of the operator's
+    entry.
+    """
+
+    cols: np.ndarray
+    coefs: np.ndarray
+    din: int
+    n: int
+
+    @classmethod
+    def of(cls, base: np.ndarray, n: int) -> KrausIndex | None:
+        """The index form of the n-fold power of the (K, dout, din) stack
+        ``base``, or None unless every row of every operator has at most one
+        nonzero entry, purely real or purely imaginary."""
+        cols = (base != 0).argmax(-1)
+        coefs = np.take_along_axis(base, cols[..., None], -1)[..., 0]
+        # every nonzero entry of base is a coefficient, and none has two nonzero parts
+        count = np.count_nonzero(coefs)
+        if np.count_nonzero(base) != count or np.count_nonzero(coefs.real) + np.count_nonzero(coefs.imag) != count:
+            return None
+        return cls(cols, coefs, base.shape[2], n)
+
+    def chunks(self):
+        k, dout = self.cols.shape
+        count = k**self.n
+        step = max(1, CHECK_BLOCK_BYTES // (24 * dout**self.n))
+        for start in range(0, count, step):
+            first, *rest = np.unravel_index(np.arange(start, min(start + step, count)), (k,) * self.n)
+            cols, coefs = self.cols[first], self.coefs[first]
+            for i in rest:
+                cols = (cols[:, :, None] * self.din + self.cols[i][:, None]).reshape(len(i), -1)
+                coefs = (coefs[:, :, None] * self.coefs[i][:, None]).reshape(len(i), -1)
+            yield cols, coefs
 
 
 @dataclass(frozen=True)
@@ -104,17 +147,20 @@ class QuantumChannel:
     a :class:`KrausPower`, kept as it is.  Validates the completeness relation
     sum_j F_j† F_j = I to 1e-9 (:func:`check_kraus` on one family, which
     reads every operator of a tuple in order and only the base family of a
-    power).
+    power).  ``index`` is the family's :class:`KrausIndex` when it is
+    row-monomial (a power's when its base family is), else None.
     """
 
     kraus: Sequence
     dim_out: int = field(init=False)
     dim_in: int = field(init=False)
+    index: KrausIndex | None = field(init=False, repr=False)
 
     def __post_init__(self):
         ks = self.kraus
         if isinstance(ks, KrausPower):
             _, dout, din = ks.shape
+            base, n = ks.base, ks.n
         else:
             ks = tuple(np.asarray(k, dtype=complex) for k in ks)
             if not ks:
@@ -122,10 +168,12 @@ class QuantumChannel:
             if any(k.ndim != 2 or k.shape != ks[0].shape for k in ks):
                 raise ValueError("shape error: inconsistent Kraus shapes")
             dout, din = ks[0].shape
+            base, n = np.array(ks), 1
         check_kraus(ks)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "dim_out", dout)
         object.__setattr__(self, "dim_in", din)
+        object.__setattr__(self, "index", KrausIndex.of(base, n))
 
 
 def _check_orthonormal(v: np.ndarray) -> None:
@@ -174,19 +222,46 @@ def apply(ch: QuantumChannel, rho):
 
 def apply_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, or on each of a stack (no state validation)."""
-    return kraus_sum(ch.kraus, a)
+    return kraus_sum(ch.kraus, a, ch.index)
 
 
-def kraus_sum(kraus, a: np.ndarray) -> np.ndarray:
-    """sum_j F_j a F_j†, summed over j in order.
+def kraus_terms(kraus, a: np.ndarray, index: KrausIndex | None = None):
+    """F_j a F_j† for each j in order.
 
     ``kraus`` is the sequence of the Kraus operators F_j, as for
     :func:`check_kraus`: each a (..., dout, din) array over the batch shape
-    of the (..., din, din) stack ``a``, which gives the stack of outputs.
+    of the (..., din, din) stack ``a``, which gives a stack of terms.  With
+    the family's ``index``, term j is c_r a[σ_r, σ_s] conj(c_s) for the
+    columns σ and coefficients c of F_j, rows first: one gather and two
+    scalings, no operator and no product.  Each entry of the dense F_j a F_j†
+    sums one such product and exact zeros, and a real or imaginary c rounds
+    that product once per component, so the two agree bit for bit in every
+    nonzero entry.  A zero entry's sign follows the kernel's order of
+    operations and may differ.
     """
-    out = 0
-    for k in kraus:
-        out = out + k @ a @ k.conj().swapaxes(-1, -2)
+    if index is None:
+        for k in kraus:
+            yield k @ a @ k.conj().swapaxes(-1, -2)
+        return
+    a = np.asarray(a, dtype=complex)
+    for cols, coefs in index.chunks():
+        for s, c in zip(cols, coefs):
+            # scaled in place: fresh arrays made an application at d = 256
+            # about 1.4x slower
+            term = a.take(s, -2).take(s, -1)
+            term *= c[:, None]
+            term *= c.conj()
+            yield term
+
+
+def kraus_sum(kraus, a: np.ndarray, index: KrausIndex | None = None) -> np.ndarray:
+    """sum_j F_j a F_j† over the terms of :func:`kraus_terms`, summed over j
+    in order from 0, so that every zero entry is +0 whatever the sign of the
+    terms' zeros: the index form gives the bits of the dense products."""
+    terms = kraus_terms(kraus, a, index)
+    out = 0 + next(terms)  # a new array, summed into in place
+    for term in terms:
+        out += term
     return out
 
 
@@ -203,11 +278,11 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
 
     The power's family is a :class:`KrausPower` over ``ch``'s operators:
     each operator is formed when read, as the left-to-right ``np.kron`` chain
-    of its tuple, bit for bit.  Reading it holds the single-use family and one
-    chunk of at most ``CHECK_BLOCK_BYTES`` (or one operator), not the
-    16 K^n d^2 bytes of all K^n operators (d = dout^n).  The completeness
-    check here forms none of them (:func:`check_kraus` on a power); only
-    every application still forms and uses all K^n operators of d x d.
+    of its tuple, bit for bit, never all 16 K^n d^2 bytes at once
+    (d = dout^n).  The completeness check here forms none of them
+    (:func:`check_kraus` on a power), and neither does an application when
+    ``ch`` has an index form (the power's ``index``); otherwise every
+    application forms and uses all K^n operators of d x d.
     """
     if n < 1:
         raise ValueError("bad parameter: n must be >= 1")
@@ -249,18 +324,34 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
 
     ``a`` is one d x d matrix, or an (n, d, d) stack that gives the (n, k, k)
     stack of environment outputs, each with the bits of the one-matrix call.
-    Row j's entries j' >= j are one stacked product (F_j a) @ F_j'† over every
-    input and its traces: memory is the conjugated Kraus family, read once,
-    plus one row of products per input, never all k^2 of them.
+    Row j's entries j' >= j are the traces of one stacked product
+    (F_j a) @ F_j'† over every input: memory is the conjugated Kraus family,
+    read once, plus one row of products per input, never all k^2 of them.
+    With the channel's ``index``, the diagonals of those products are
+    gathered as in :func:`kraus_terms` and traced in the same (…, d, d)
+    layout, so that ``np.trace`` sums them in the same order.
     """
-    k = len(ch.kraus)
+    k, dout = len(ch.kraus), ch.dim_out
     env = np.zeros(a.shape[:-2] + (k, k), dtype=complex)
-    kraus_conj = np.array(ch.kraus)
-    np.conjugate(kraus_conj, out=kraus_conj)
-    kraus_dag = kraus_conj.swapaxes(1, 2)
+    if ch.index is None:
+        kraus_conj = np.array(ch.kraus)
+        np.conjugate(kraus_conj, out=kraus_conj)
+        kraus_dag = kraus_conj.swapaxes(1, 2)
+
+        def products(j):
+            return (kraus_conj[j].conj() @ a)[..., None, :, :] @ kraus_dag[j:]
+
+    else:
+        cols, coefs = (np.concatenate(x) for x in zip(*ch.index.chunks()))
+
+        def products(j):
+            out = np.zeros(a.shape[:-2] + (k - j, dout, dout), dtype=complex)
+            diag = coefs[j] * a[..., cols[j], cols[j:]] * coefs[j:].conj()
+            out.reshape(out.shape[:-2] + (-1,))[..., :: dout + 1] = diag
+            return out
+
     for j in range(k):
-        f = kraus_conj[j].conj()
-        vals = np.trace((f @ a)[..., None, :, :] @ kraus_dag[j:], axis1=-2, axis2=-1)
+        vals = np.trace(products(j), axis1=-2, axis2=-1)
         env[..., j, j:] = vals
         env[..., j:, j] = np.conj(vals)
     return (env + env.conj().swapaxes(-1, -2)) / 2

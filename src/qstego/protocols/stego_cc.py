@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..channels import QuantumChannel, apply
+from ..channels import QuantumChannel, apply, kraus_terms
 from ..hashing import build_quantum_hash
 from ..info import CqState, Pmf
 from ..linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
@@ -142,12 +142,14 @@ def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqSta
     sigma^w_XA = sum_j P(j) |j><j| (x) F_j f(w) F_j† / P(j) with
     P(j) = tr(F_j f(w) F_j†); its A-marginal through any true channel N equals
     N(m(f(w))) exactly, so the marginal-consistency requirement holds whenever
-    the cover channel is N o m.
+    the cover channel is N o m.  The branches F_j f(w) F_j† are the terms of
+    :func:`kraus_terms`: with the dense products' bits except, under the index
+    form, maybe the sign of a zero entry, which nothing reads (every side
+    state is read through a channel application).
     """
-    kraus = tuple(m.kraus)  # read a power's family once, not once per codeword
     out = []
     for c in cover.codewords:
-        branches = [k @ c.data @ k.conj().T for k in kraus]
+        branches = list(kraus_terms(m.kraus, c.data, m.index))
         probs = np.array([max(np.trace(b).real, 0.0) for b in branches])
         keep = probs > 1e-14
         probs_kept = probs[keep] / probs[keep].sum()

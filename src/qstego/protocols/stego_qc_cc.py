@@ -119,6 +119,8 @@ def build_stego_qc_cc(
     dim = channel.dim_in
     tilde, d, kl_res = orthogonalize_correctable_kraus(channel, cover.correctable, pi)
     unitaries, polar_res = _polar_unitaries(tilde, d, pi)
+    if not d.sum() > 0:
+        raise ValueError("bad parameter: every Knill-Laflamme weight is zero (no P_J to hash)")
     p_j = d / float(d.sum())
     enc = build_classical_hash(p_j, mbar, zeta, seed=seed, objective="output")
     g = enc.f

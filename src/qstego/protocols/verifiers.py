@@ -172,8 +172,7 @@ def experiment_random_code_entropy(
     if m_dim < 1:
         raise ValueError("bad parameter: m_dim must be at least 1")
     rng = np.random.default_rng(seed)
-    # every chunk reads the whole family: form the power's operators once
-    total = QuantumChannel(tuple(tensor_power(m, n).kraus))
+    total = tensor_power(m, n)
     # a chunk's largest temporary is complementary_matrix's row of products
     step = max(1, SAMPLE_CHUNK_BYTES // (16 * len(total.kraus) * total.dim_out**2))
 

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from qstego import channels
+from qstego import channels, experiments
 from qstego.channels import (
     CPTP_TOL,
     KrausPower,
@@ -16,6 +16,8 @@ from qstego.channels import (
     haar_random_subspace,
     identity_channel,
     isometric_extension,
+    kraus_sum,
+    kraus_terms,
     standard_channel,
     tensor,
     tensor_power,
@@ -182,14 +184,17 @@ class TestTensorPowerBitForBit:
             family[len(family)]
 
     def test_chunks_across_prefix_groups(self, monkeypatch):
-        # chunks of 5 of the 27 operators of 27 x 8 cut across every group of
-        # K = 3 and K^2 = 9 operators that share a prefix
-        ch = random_channel(np.random.default_rng(12), 3, 2, 3)
-        monkeypatch.setattr(channels, "CHECK_BLOCK_BYTES", 5 * 16 * 27 * 8)
-        family = tensor_power(ch, 3).kraus
-        expected = [e.tobytes() for e in tensor_power_loop(ch, 3)]
-        assert [op.tobytes() for op in family] == expected
-        assert [family[j].tobytes() for j in range(len(family))] == expected
+        # index chunks of 5 of the 27 operators of 27 x 8 cut across every
+        # group of K = 3 and K^2 = 9 operators that share a prefix
+        ch = QuantumChannel(ROW_MONOMIAL_3X2 + (np.zeros((3, 2)),))
+        monkeypatch.setattr(channels, "CHECK_BLOCK_BYTES", 5 * 24 * 27)
+        power = tensor_power(ch, 3)
+        assert [len(cols) for cols, _ in power.index.chunks()] == [5] * 5 + [2]
+        ops = tensor_power_loop(ch, 3)
+        assert [family_op.tobytes() for family_op in power.kraus] == [e.tobytes() for e in ops]
+        a = random_density(np.random.default_rng(14), 8).data
+        terms = [(t + 0).tobytes() for t in kraus_terms(power.kraus, a, power.index)]
+        assert terms == [(k @ a @ k.conj().T + 0).tobytes() for k in ops]
 
     def test_power_is_never_held_at_once(self):
         # the 128 operators of 128 x 128 are 32 MiB as one stack
@@ -205,6 +210,96 @@ class TestTensorPowerBitForBit:
             tracemalloc.stop()
         assert out.data.shape == (128, 128)
         assert peak < 4 * 2**20
+
+
+#: a rectangular row-monomial family: 3 x 2 operators with negative and
+#: imaginary entries and zero rows
+ROW_MONOMIAL_3X2 = (
+    np.array([[np.sqrt(0.6), 0], [0, 0], [0, -np.sqrt(0.6)]], dtype=complex),
+    np.array([[0, 1j * np.sqrt(0.4)], [np.sqrt(0.4), 0], [0, 0]], dtype=complex),
+)
+
+
+def dense_loop(ch, a):
+    """sum_j F_j a F_j† over the formed operators, one product pair each."""
+    return sum(k @ a @ k.conj().swapaxes(-1, -2) for k in ch.kraus)
+
+
+def without_index(ch):
+    """``ch`` with its index form dropped, so that it is applied densely."""
+    dense = QuantumChannel(tuple(ch.kraus[j] for j in range(len(ch.kraus))))
+    object.__setattr__(dense, "index", None)
+    return dense
+
+
+class TestIndexForm:
+    """Row-monomial families are applied by gathers, bit for bit as the
+    dense products."""
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing", "bit_flip", "amplitude_damping"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_textbook_powers_match_dense_loop(self, kind, n):
+        rng = np.random.default_rng(10 * n)
+        for p in (0.1, 0.37, 0.9):
+            ch = tensor_power(standard_channel(kind, p), n)
+            assert ch.index is not None
+            rho = random_density(rng, 2**n).data
+            assert kraus_sum(ch.kraus, rho, ch.index).tobytes() == dense_loop(ch, rho).tobytes()
+            assert apply(ch, rho).data.tobytes() == apply(without_index(ch), rho).data.tobytes()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: identity_channel(3),
+            lambda: compose(standard_channel("depolarizing", 0.3), standard_channel("amplitude_damping", 0.6)),
+            lambda: tensor_power(compose(standard_channel("bit_flip", 0.2), standard_channel("dephasing", 0.7)), 3),
+            lambda: tensor(standard_channel("depolarizing", 0.3), identity_channel(2)),
+            lambda: QuantumChannel(ROW_MONOMIAL_3X2),
+            lambda: tensor_power(QuantumChannel(ROW_MONOMIAL_3X2), 3),
+        ],
+        ids=["identity", "compose", "compose-power", "tensor", "rectangular", "rectangular-power"],
+    )
+    def test_other_families_match_dense_loop(self, make):
+        ch = make()
+        assert ch.index is not None
+        rng = np.random.default_rng(11)
+        stack = np.array([random_density(rng, ch.dim_in).data for _ in range(3)])
+        for a in (stack[0], stack, np.diag(np.arange(ch.dim_in) % 2).astype(complex)):
+            assert kraus_sum(ch.kraus, a, ch.index).tobytes() == dense_loop(ch, a).tobytes()
+        assert apply(ch, stack).tobytes() == apply(without_index(ch), stack).tobytes()
+
+    @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
+    def test_terms_match_dense_products(self, kind):
+        # side ensembles are built from single terms; "+ 0" makes every zero +0
+        single = standard_channel(kind, 0.3)
+        ch = tensor_power(single, 3)
+        for a in (np.diag(np.eye(8)[0]).astype(complex), -random_density(np.random.default_rng(3), 8).data):
+            got = [(t + 0).tobytes() for t in kraus_terms(ch.kraus, a, ch.index)]
+            assert got == [(k @ a @ k.conj().T + 0).tobytes() for k in tensor_power_loop(single, 3)]
+
+    def test_general_families_stay_dense(self):
+        theta = 0.3
+        phase = QuantumChannel((np.diag([1, np.exp(1j * theta)]),))
+        assert phase.index is None
+        assert random_channel(np.random.default_rng(4), 2, 2, 2).index is None
+        assert tensor_power(random_channel(np.random.default_rng(4), 2, 2, 2), 2).index is None
+
+    def test_power_application_forms_no_operator(self, monkeypatch):
+        def forbidden(self, idx):
+            raise AssertionError("a Kraus operator was formed")
+
+        ch = tensor_power(standard_channel("bit_flip", 0.1), 7)
+        monkeypatch.setattr(KrausPower, "_form", forbidden)
+        out = apply(ch, np.eye(128, dtype=complex) / 128)
+        assert np.allclose(out.data, np.eye(128) / 128, atol=1e-15)
+
+    @pytest.mark.parametrize("kind", sorted(experiments._CHANNELS))
+    def test_config_channels_have_an_index_form(self, kind):
+        # a config channel that fell back to the dense loop would run unnoticed
+        # at the speed of K^n dense products
+        spec = {"kind": kind} | ({"dim": 2} if kind == "identity" else {"p": 0.3})
+        for power in (1, 3):
+            assert experiments.parse_channel(spec | {"power": power}).index is not None
 
 
 def power_deviation_loop(ch, n):
@@ -325,6 +420,19 @@ def random_channel(rng, k, d_in, d_out):
 
 
 class TestComplementaryMatrixBitForBit:
+    @pytest.mark.parametrize("kind", ["depolarizing", "dephasing", "bit_flip", "amplitude_damping"])
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_index_form_matches_pairwise_loop(self, kind, n):
+        rng = np.random.default_rng(n)
+        ch = tensor_power(standard_channel(kind, 0.37), n)
+        dense = without_index(ch)
+        stack = np.array([random_density(rng, 2**n).data for _ in range(3)])
+        pis = np.array([np.diag(np.arange(2**n) % 3 == s).astype(complex) for s in range(3)])
+        for a in (stack, pis):
+            got = complementary_matrix(ch, a)
+            assert got.tobytes() == np.array([complementary_matrix_loop(dense, x) for x in a]).tobytes()
+            assert got.tobytes() == complementary_matrix(dense, a).tobytes()
+
     @pytest.mark.parametrize("d", [2, 8, 16])
     @pytest.mark.parametrize("k", [1, 2, 5, 16])
     def test_matches_pairwise_loop(self, d, k):

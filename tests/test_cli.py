@@ -45,13 +45,13 @@ def number_leaves(node, path=()):
             yield (*path, key), value
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, interpreter=()):
     # the child runs in cwd, where a relative PYTHONPATH entry such as "src"
     # no longer points at this checkout; put its absolute src first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "qstego.cli", *args],
+        [sys.executable, *interpreter, "-m", "qstego.cli", *args],
         capture_output=True,
         text=True,
         cwd=cwd,
@@ -243,6 +243,22 @@ class TestExitCodes:
         )
         assert cp.returncode == 2
         assert f"{path}: invalid config:" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    def test_qc_cc_without_kl_weight_exits_two(self, tmp_path):
+        # at p = 1 every Knill-Laflamme weight is 0; the cause is named before
+        # P_J would divide by their sum, so no RuntimeWarning is raised
+        config = json.loads((CONFIGS / "stego_qc_cc_demo.json").read_text())
+        config["params"]["p"] = 1.0
+        path = tmp_path / "no_weight.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli(
+            ["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)],
+            cwd=tmp_path,
+            interpreter=("-W", "error::RuntimeWarning"),
+        )
+        assert cp.returncode == 2
+        assert f"{path}: invalid config: bad parameter: every Knill-Laflamme weight is zero" in cp.stderr
         assert "Traceback" not in cp.stderr
 
     def test_config_not_an_object_exits_two(self, tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qstego.channels import (
+    KrausPower,
     apply,
     compose,
     identity_channel,
@@ -96,6 +97,27 @@ class TestNoisy:
         bad = [CqState(Pmf([1.0]), (named_state("zero"),))]
         with pytest.raises(ValueError, match="side-state mismatch"):
             build_stego_cc_noisy(cover, n_true, bad, mbar=1, kbar=1, xi=0.5)
+
+    def test_power_side_states_match_dense_branches(self, monkeypatch):
+        # a power's branches are gathered, with no operator formed, and give
+        # the probabilities and states of the dense k c k† branches
+        m = tensor_power(standard_channel("amplitude_damping", 0.3), 3)
+        words = [("zero", "plus", "one"), ("minus", "one", "plus")]
+        codewords = [DensityMatrix(np.kron(np.kron(*(named_state(x).data for x in w[:2])), named_state(w[2]).data)) for w in words]
+        cover = pgm_cc_cover(codewords, m, 3)
+        ops = [m.kraus[j] for j in range(len(m.kraus))]
+
+        def forbidden(self, idx):
+            raise AssertionError("a Kraus operator was formed")
+
+        monkeypatch.setattr(KrausPower, "_form", forbidden)
+        for sigma, c in zip(side_states_from_degradation(cover, m), codewords, strict=True):
+            branches = [k @ c.data @ k.conj().T for k in ops]
+            probs = np.array([max(np.trace(b).real, 0.0) for b in branches])
+            keep = probs > 1e-14
+            assert sigma.pmf.probs.tobytes() == (probs[keep] / probs[keep].sum()).tobytes()
+            kept = [b / np.trace(b).real for b, use in zip(branches, keep) if use]
+            assert all(np.array_equal(s.data, b) for s, b in zip(sigma.states, kept, strict=True))
 
     def test_degradation_ensemble_is_consistent(self):
         n_true = standard_channel("dephasing", 0.3)

@@ -219,7 +219,7 @@ def build_classical_hash(
     return best
 
 
-def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> QuantumHashCode:
+def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None, out=None) -> QuantumHashCode:
     """Quantum privacy-amplification code for a target state.
 
     The classical hash is built for the spectrum of ``rho`` (descending);
@@ -227,41 +227,51 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None) -> Qua
     the eigenbasis, so (1/M) sum_w g(w) misses rho by exactly the classical
     defect and the average decode success is exactly 1 - P[W != f(X)].
 
-    The projectors |x><x| are formed a block of rows at a time, and each
-    block's rows of every g(w) and Lambda^w are written in place: memory is
-    the 2 M d x d outputs plus one block of about ``ROW_BYTES``, not the
-    d x d x d tensor of every projector.  Each entry is the same elementwise
-    product, then the same gemv over x that ``np.tensordot(cond[w],
-    projectors, axes=(0, 0))`` runs, or the same sequential sum over x for
-    Lambda^w (an empty preimage sums to zero).  A gemv rounds the entries of
-    its ragged end apart from those of its vector body, so every block but the
-    last spans a multiple of 8 entries per projector; the bits then equal the
-    whole-tensor build's wherever BLAS cuts both into the same vector chunks
-    (with OpenBLAS: one thread, or two threads and d a multiple of 4).  When
-    one block covers all d rows (d <= 64), the BLAS calls are the whole
-    tensor's.
+    The projectors |x><x| are formed a block of rows at a time, into one
+    reused buffer of about ``ROW_BYTES``, and each block's rows of every g(w)
+    and Lambda^w are written in place: memory is the 2 M d x d outputs plus
+    that buffer, not the d x d x d tensor of every projector.  The Lambda^w
+    are written into ``out``, an (M, d, d) complex array, when it is given:
+    the returned ``povm`` then holds ``out`` itself, not a copy, so whoever
+    writes into ``out`` afterwards changes that POVM.  Each entry is the same
+    elementwise product, then the same gemv over x that
+    ``np.tensordot(cond[w], projectors, axes=(0, 0))`` runs, or the same
+    sequential sum over x for Lambda^w (an empty preimage sums to zero).  A
+    gemv rounds the entries of its ragged end apart from those of its vector
+    body, so every block but the last spans a multiple of 8 entries per
+    projector; the bits then equal the whole-tensor build's wherever BLAS
+    cuts both into the same vector chunks (with OpenBLAS: one thread, or two
+    threads and d a multiple of 4).  When one block covers all d rows
+    (d <= 64), the BLAS calls are the whole tensor's.
     """
     w, v = np.linalg.eigh(rho.data)
     order = np.argsort(w)[::-1]
     lam, basis = np.maximum(w[order], 0.0), v[:, order]
+    del v
     lam = lam / lam.sum()
     enc = build_classical_hash(lam, m, eps, seed=seed)
     d = rho.dim
-    # whole multiples of 8 entries per projector in every block but the last
+    # whole multiples of 8 entries per projector in every block but the
+    # last, and no more than d rows, so the buffer is no larger than needed
     unit = 8 // math.gcd(d, 8)
-    step = max(unit, ROW_BYTES // (16 * d * d) // unit * unit)
+    step = min(d, max(unit, ROW_BYTES // (16 * d * d) // unit * unit))
     preimages = enc.f == np.arange(m)[:, None]
     states = np.empty((m, d, d), dtype=complex)
-    elements = np.empty((m, d, d), dtype=complex)
+    elements = np.empty((m, d, d), dtype=complex) if out is None else out
     basis_conj = basis.conj()
+    # flat, so each block's (d, rows, d) view is C-contiguous, the last too
+    buf = np.empty(d * step * d, dtype=complex)
     for i in range(0, d, step):
+        rows = basis[i : i + step]
         # rows i:i+step of every projector, indexed [x, row, column]
-        block = np.einsum("ix,jx->xij", basis[i : i + step], basis_conj)
+        block = buf[: d * len(rows) * d].reshape(d, len(rows), d)
+        np.einsum("ix,jx->xij", rows, basis_conj, out=block)
         flat = block.reshape(d, -1)
         for w_, pre in enumerate(preimages):
             # np.tensordot(cond[w], block, axes=(0, 0)), written in place
             np.dot(enc.cond[w_][None], flat, out=states[w_, i : i + step].reshape(1, -1))
             np.sum(block[pre], axis=0, out=elements[w_, i : i + step])
+    del basis, basis_conj, buf, rows, block, flat
     return QuantumHashCode(
         m=m,
         states=tuple(DensityMatrix(g) for g in states),

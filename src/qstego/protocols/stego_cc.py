@@ -25,29 +25,24 @@ from .codes import CcCode, StegoCcCode
 from .resolvability import build_resolvability_codes, output_cq
 
 
-def _nested_povm(cover_povm: Povm, inner_per_w) -> Povm:
+def _nested_povm(cover_povm: Povm, inner: np.ndarray) -> Povm:
     """{ sqrt(Lambda^w) Gamma_w^i sqrt(Lambda^w) } over all (w, i), written
-    into one stack.
+    over ``inner``, the (M, k, d, d) stack of the Gamma_w^i.
 
-    Every root is taken before the stack is allocated, so no
-    eigendecomposition's temporaries sit on top of it; each element is
-    multiplied and symmetrized in its own slot, and the roots are dropped
-    before the POVM checks run.
+    Each element is multiplied and symmetrized in its own slot, so the stack
+    is the only (M, k, d, d) array; the root of Lambda^w is taken just before
+    w's slots are nested and dropped before the POVM checks run, which check
+    the whole stack once.
     """
-    roots = [psd_sqrt(cover_povm[w]) for w in range(len(inner_per_w))]
-    dim = cover_povm.elements.shape[1]
-    elements = np.empty((sum(len(inner) for inner in inner_per_w), dim, dim), dtype=complex)
-    i = 0
-    for w, inner in enumerate(inner_per_w):
-        for gamma in inner:
-            e = elements[i]
-            np.matmul(roots[w] @ gamma, roots[w], out=e)
+    for w, slots in enumerate(inner):
+        root = psd_sqrt(cover_povm[w])
+        for e in slots:
+            np.matmul(root @ e, root, out=e)
             # (e + e^H) / 2; the conjugate is a copy, so e may be the output
             e += e.conj().T
             e /= 2
-            i += 1
-    del roots
-    return Povm(elements)
+    del root
+    return Povm(inner.reshape(-1, *inner.shape[2:]))
 
 
 def _assemble(cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_success, key_bits, warning):
@@ -126,13 +121,19 @@ def build_stego_cc_noiseless(
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
     rng = np.random.default_rng(seed)
-    hashes = [build_quantum_hash(target, mbar, zeta, seed=int(rng.integers(1 << 31))) for target in cover.outputs]
+    dim = cover.outputs[0].dim
+    # each hash writes its POVM into its slots, which are then nested in place
+    stack = np.empty((cover.m, mbar, dim, dim), dtype=complex)
+    hashes = [
+        build_quantum_hash(target, mbar, zeta, seed=int(rng.integers(1 << 31)), out=slots)
+        for target, slots in zip(cover.outputs, stack)
+    ]
     encoder = tuple(h.states[wbar] for h in hashes for wbar in range(mbar))
-    povm = _nested_povm(cover.povm, [h.povm.elements for h in hashes])
     per_w_defect = tuple(h.defect for h in hashes)
     per_w_success = tuple(h.success for h in hashes)
     warning = any(h.warning for h in hashes)
-    del hashes  # their POVM stacks are copied into the nested POVM
+    del hashes  # their POVMs are the slots the nesting overwrites
+    povm = _nested_povm(cover.povm, stack)
     return _assemble(cover, mbar, (encoder,), (povm,), None, per_w_defect, per_w_success, 0.0, warning)
 
 
@@ -194,7 +195,9 @@ def build_stego_cc_noisy(
         tuple(side_states[w].states[i] for w, code in enumerate(codes) for i in code.codebooks[s])
         for s in range(kbar)
     )
-    povms = tuple(_nested_povm(cover.povm, [code.decoders[s].elements for code in codes]) for s in range(kbar))
+    povms = tuple(
+        _nested_povm(cover.povm, np.array([code.decoders[s].elements for code in codes])) for s in range(kbar)
+    )
     per_w_defect = tuple(code.distance for code in codes)
     per_w_success = tuple(code.reliability for code in codes)
     warning = any(defect > xi for defect in per_w_defect)

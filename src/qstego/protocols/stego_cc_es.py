@@ -133,7 +133,7 @@ def build_stego_cc_es(
     ]
 
     # nested POVM: cover measurement, then the block-2 hash measurement
-    inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
+    inner = np.array([[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes])
     povm = _nested_povm(cover.povm, inner)
 
     # full protocol audit; each lifted root kron(I, sqrt(Gamma)) and each

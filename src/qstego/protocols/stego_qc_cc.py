@@ -61,6 +61,17 @@ def orthogonalize_correctable_kraus(channel: QuantumChannel, correctable, projec
     return tilde, d, residual
 
 
+def weight_distribution(d: np.ndarray) -> np.ndarray:
+    """P_J = d_j / sum_j d_j of the Knill-Laflamme weights ``d``.
+
+    Raises ValueError("bad parameter: every Knill-Laflamme weight is zero")
+    before dividing when no weight is positive.
+    """
+    if not d.sum() > 0:
+        raise ValueError("bad parameter: every Knill-Laflamme weight is zero (no P_J to hash)")
+    return d / float(d.sum())
+
+
 def _polar_unitaries(kraus_tilde, d, projector):
     """U_j with F_j Pi = sqrt(d_j) U_j Pi, extended to full unitaries."""
     unitaries = []
@@ -119,9 +130,7 @@ def build_stego_qc_cc(
     dim = channel.dim_in
     tilde, d, kl_res = orthogonalize_correctable_kraus(channel, cover.correctable, pi)
     unitaries, polar_res = _polar_unitaries(tilde, d, pi)
-    if not d.sum() > 0:
-        raise ValueError("bad parameter: every Knill-Laflamme weight is zero (no P_J to hash)")
-    p_j = d / float(d.sum())
+    p_j = weight_distribution(d)
     enc = build_classical_hash(p_j, mbar, zeta, seed=seed, objective="output")
     g = enc.f
     zeta_ach = enc.output_defect

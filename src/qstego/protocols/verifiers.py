@@ -31,7 +31,7 @@ from ..info import (
 )
 from ..linalg import check_povms, check_states, partial_trace_matrix, psd_sqrt, trace_norm
 from .codes import QcCode
-from .stego_qc_cc import orthogonalize_correctable_kraus
+from .stego_qc_cc import orthogonalize_correctable_kraus, weight_distribution
 
 GRACE = 1e-9
 #: byte budget of one chunk of Haar samples in experiment_random_code_entropy
@@ -109,7 +109,7 @@ def verify_pj_minentropy_bound(cover: QcCode, delta: float) -> BoundReport:
         raise ValueError("bound vacuous")
     pi = cover.projector
     _, d, _ = orthogonalize_correctable_kraus(channel, cover.correctable, pi)
-    p_j = d / d.sum()
+    p_j = weight_distribution(d)
     lhs = smooth_min_entropy_classical(p_j, delta)
     env = complementary_matrix(channel, pi / cover.m)
     rhs = smooth_min_entropy_quantum(env, delta - 2.0 * math.sqrt(eps))

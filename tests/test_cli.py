@@ -261,6 +261,23 @@ class TestExitCodes:
         assert f"{path}: invalid config: bad parameter: every Knill-Laflamme weight is zero" in cp.stderr
         assert "Traceback" not in cp.stderr
 
+    def test_pj_bound_without_kl_weight_exits_two(self, tmp_path):
+        # at p = 1 every Knill-Laflamme weight is 0, and delta = 2.5 is not
+        # vacuous, so P_J is formed; the cause is named before the division
+        config = json.loads((CONFIGS / "pj_bound_family.json").read_text())
+        config["params"]["family"] = [{"p": 1.0, "delta": 2.5}]
+        path = tmp_path / "no_weight.json"
+        path.write_text(json.dumps(config))
+        cp = run_cli(
+            ["verify", "pj-bound", "--config", str(path), "--out", str(tmp_path)],
+            cwd=tmp_path,
+            interpreter=("-W", "error::RuntimeWarning"),
+        )
+        assert cp.returncode == 2
+        assert "bad parameter: every Knill-Laflamme weight is zero" in cp.stderr
+        assert "eps must be" not in cp.stderr
+        assert "Traceback" not in cp.stderr
+
     def test_config_not_an_object_exits_two(self, tmp_path):
         path = tmp_path / "list.json"
         path.write_text("[1, 2]")

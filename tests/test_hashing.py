@@ -418,8 +418,8 @@ class TestQuantumHash:
         assert trace_norm(mix - rho.data) == pytest.approx(code.defect, abs=1e-9)
 
     # blocks of rows, each a multiple of 8 // gcd(d, 8) high but the last:
-    # 3,3,2 | 5,5,5,1 | 12,8 | 6,6,6,6,6,2
-    @pytest.mark.parametrize("dim,rows", [(8, 3), (16, 5), (20, 13), (32, 6)])
+    # 3,3,2 | 5,5,5,1 | 12,8 | 6,6,6,6,6,2 | 28,28,28,12 (the default at d = 96)
+    @pytest.mark.parametrize("dim,rows", [(8, 3), (16, 5), (20, 13), (32, 6), (96, 28)])
     def test_matches_whole_tensor_bitwise(self, monkeypatch, dim, rows):
         monkeypatch.setattr(hashing, "ROW_BYTES", 16 * dim * dim * rows)
         for m in (3, dim + 3):
@@ -442,6 +442,21 @@ class TestQuantumHash:
         )
         cp = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, env=env)
         assert cp.returncode == 0, cp.stdout + cp.stderr
+
+    # one block (8, 64), a partial last block (96: 28,28,28,12), 64 blocks (256)
+    @pytest.mark.parametrize("dim", [8, 64, 96, 256])
+    def test_out_holds_the_elements_with_the_same_bits(self, dim):
+        rng = np.random.default_rng(dim)
+        g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        a = g @ g.conj().T
+        rho = DensityMatrix(a / np.trace(a))
+        code = build_quantum_hash(rho, 4, 0.1, seed=2)
+        out = np.empty((4, dim, dim), dtype=complex)
+        into = build_quantum_hash(rho, 4, 0.1, seed=2, out=out)
+        assert into.povm.elements is out
+        assert out.tobytes() == code.povm.elements.tobytes()
+        for x, y in zip(into.states, code.states, strict=True):
+            assert x.data.tobytes() == y.data.tobytes()
 
     def test_peak_memory_is_outputs_plus_one_block(self):
         p = np.linspace(1.0, 2.0, 256)

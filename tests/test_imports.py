@@ -73,3 +73,44 @@ def test_no_function_is_named_like_a_test():
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name.startswith("test")
     ]
     assert named == []
+
+
+def test_every_qstego_import_is_relative():
+    # the sources can then be loaded under another package name, for example
+    # a parent checkout next to this one in the same interpreter
+    absolute = [
+        f"{path.relative_to(SRC)}:{node.lineno}"
+        for path in sorted((SRC / "qstego").rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.Import) and any(a.name.split(".")[0] == "qstego" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and (node.module or "").split(".")[0] == "qstego")
+    ]
+    assert absolute == []
+
+
+# Loads the tree under src/qstego as the package "qcopy" and imports each
+# module named on the command line from it; fails when any "qstego" module
+# was loaded on the way.
+COPY = """
+import importlib, importlib.util, sys
+root = sys.argv[1]
+spec = importlib.util.spec_from_file_location("qcopy", root + "/__init__.py", submodule_search_locations=[root])
+sys.modules["qcopy"] = package = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(package)
+for name in sys.argv[2:]:
+    importlib.import_module("qcopy" + name[len("qstego"):])
+shared = sorted(m for m in sys.modules if m == "qstego" or m.startswith("qstego."))
+print(shared)
+sys.exit(1 if shared else 0)
+"""
+
+
+def test_a_copy_under_another_name_shares_no_module():
+    # the tree can be loaded a second time next to another checkout's, with
+    # no module object of one side used by the other
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    cp = subprocess.run(
+        [sys.executable, "-c", COPY, str(SRC / "qstego"), *module_names()], capture_output=True, text=True, env=env
+    )
+    assert cp.returncode == 0, cp.stdout + cp.stderr

@@ -12,15 +12,18 @@ from qstego.channels import (
     standard_channel,
     tensor_power,
 )
-from qstego.fixtures import named_state, pgm_cc_cover
+from qstego.fixtures import named_state, pgm_cc_cover, split_cc_cover
+from qstego.hashing import ROW_BYTES, build_quantum_hash
 from qstego.info import CqState, Pmf
 from qstego.linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
 from qstego.protocols import (
+    build_stego_cc_es,
     build_stego_cc_noiseless,
     build_stego_cc_noisy,
     side_states_from_degradation,
 )
-from qstego.protocols import codes, stego_cc
+from qstego.protocols import codes, stego_cc, stego_cc_es
+from qstego.protocols.resolvability import build_resolvability_codes, output_cq
 from qstego.protocols.stego_cc import _nested_povm
 
 
@@ -223,7 +226,7 @@ class TestPerMessageDecode:
 
 
 class TestNestedPovmMemory:
-    def test_d256_nested_povm_adds_one_stack(self):
+    def test_d256_nested_povm_adds_no_stack(self):
         # two cover elements (half-space projectors) times four inner elements
         # (I/4): 8 MiB of d = 256 elements, built in place and checked in blocks
         d = 256
@@ -231,20 +234,24 @@ class TestNestedPovmMemory:
         half[0, np.arange(d // 2), np.arange(d // 2)] = 1.0
         half[1, np.arange(d // 2, d), np.arange(d // 2, d)] = 1.0
         cover_povm = Povm(half)
-        inner = Povm(np.broadcast_to(np.eye(d, dtype=complex) / 4, (4, d, d)).copy())
+        inner = np.broadcast_to(np.eye(d, dtype=complex) / 4, (2, 4, d, d)).copy()
         stack_bytes = 8 * d * d * 16
         tracemalloc.start()
         try:
-            povm = _nested_povm(cover_povm, [inner.elements, inner.elements])
+            povm = _nested_povm(cover_povm, inner)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert povm.elements.shape == (8, d, d)
-        assert peak <= 2 * stack_bytes
+        assert np.shares_memory(povm.elements, inner)
+        # the stack is nested in place: only roots, products and check
+        # blocks are allocated, less than a second stack
+        assert peak < stack_bytes
 
     def test_d256_peak_below_list_loop_with_same_bits(self):
         # a rotated half-space cover and random inner projectors; a loop that
-        # builds a list and stacks it peaks at 12.6 MiB here
+        # builds a list and stacks it peaks at 12.6 MiB here, with its own
+        # 8 MiB output stack, which the in-place nesting does not allocate
         d = 256
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
@@ -256,6 +263,8 @@ class TestNestedPovmMemory:
             u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
             parts = np.split(u, 4, axis=1)
             inner.append(np.stack([v @ v.conj().T for v in parts]))
+        inner = np.stack(inner)
+        gammas = inner.copy()
         tracemalloc.start()
         try:
             povm = _nested_povm(cover_povm, inner)
@@ -266,7 +275,95 @@ class TestNestedPovmMemory:
         expected = []
         for w in range(2):
             root = psd_sqrt(cover_povm[w])
-            for gamma in inner[w]:
+            for gamma in gammas[w]:
                 e = root @ gamma @ root
                 expected.append((e + e.conj().T) / 2)
         assert np.array_equal(povm.elements.view(np.uint64), np.stack(expected).view(np.uint64))
+
+
+def two_stack_nested_povm(cover_povm, inner_per_w):
+    """{ sqrt(Lambda^w) Gamma_w^i sqrt(Lambda^w) } written into a new stack
+    next to the inner elements, every root taken first: the reference for
+    the in-place nesting."""
+    roots = [psd_sqrt(cover_povm[w]) for w in range(len(inner_per_w))]
+    dim = cover_povm.elements.shape[1]
+    elements = np.empty((sum(len(inner) for inner in inner_per_w), dim, dim), dtype=complex)
+    i = 0
+    for w, inner in enumerate(inner_per_w):
+        for gamma in inner:
+            e = elements[i]
+            np.matmul(roots[w] @ gamma, roots[w], out=e)
+            e += e.conj().T
+            e /= 2
+            i += 1
+    return elements
+
+
+def random_diagonal_cover(d, seed):
+    """Identity-channel cover of two random diagonal codewords."""
+    rng = np.random.default_rng(seed)
+    words = []
+    for _ in range(2):
+        p = rng.random(d)
+        words.append(DensityMatrix(np.diag(p / p.sum()).astype(complex)))
+    return pgm_cc_cover(words, identity_channel(d), 1)
+
+
+class TestInPlaceNesting:
+    """Each builder's nested POVM, written over the inner elements' own
+    stack, has the bits of the two-stack construction."""
+
+    @pytest.mark.parametrize("d, mbar", [(4, 3), (32, 4), (96, 4)])
+    def test_noiseless(self, d, mbar):
+        cover = random_diagonal_cover(d, d)
+        stego = build_stego_cc_noiseless(cover, mbar=mbar, zeta=0.05, seed=7)
+        rng = np.random.default_rng(7)
+        hashes = [build_quantum_hash(t, mbar, 0.05, seed=int(rng.integers(1 << 31))) for t in cover.outputs]
+        expected = two_stack_nested_povm(cover.povm, [h.povm.elements for h in hashes])
+        assert stego.povms[0].elements.tobytes() == expected.tobytes()
+        states = np.stack([g.data for h in hashes for g in h.states])
+        assert np.stack([g.data for g in stego.encoders[0]]).tobytes() == states.tobytes()
+
+    def test_noisy(self):
+        n_true = standard_channel("dephasing", 0.35)
+        m = standard_channel("dephasing", 0.4)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        sides = side_states_from_degradation(cover, m)
+        stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, xi=0.5, seed=5)
+        rng = np.random.default_rng(5)
+        codes_ = []
+        for sigma in sides:
+            codes_ += build_resolvability_codes(output_cq(sigma, n_true), 2, 3, [int(rng.integers(1 << 31))])
+        for s, povm in enumerate(stego.povms):
+            expected = two_stack_nested_povm(cover.povm, [code.decoders[s].elements for code in codes_])
+            assert povm.elements.tobytes() == expected.tobytes()
+
+    def test_cc_es(self, monkeypatch):
+        hashes = []
+        quantum_hash = stego_cc_es.build_quantum_hash
+        monkeypatch.setattr(
+            stego_cc_es,
+            "build_quantum_hash",
+            lambda *args, **kw: hashes.append(quantum_hash(*args, **kw)) or hashes[-1],
+        )
+        cover, f1, f2, m1, m2 = split_cc_cover(0.5)
+        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=3, mcc=3)
+        d1n = m1.dim_in
+        inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
+        assert stego.povms[0].elements.tobytes() == two_stack_nested_povm(cover.povm, inner).tobytes()
+
+    def test_noiseless_peak_memory(self):
+        # the 16 d x d matrices that stay (8 encoder states and the 8 nested
+        # elements, which are the hashes' own POVM slots), the hash's row
+        # buffer and a few d x d temporaries: ROW_BYTES + 22.6 d^2 here, where
+        # a second stack of nested elements read ROW_BYTES + 35.1 d^2
+        d = 128
+        cover = random_diagonal_cover(d, d)
+        tracemalloc.start()
+        try:
+            stego = build_stego_cc_noiseless(cover, mbar=4, zeta=0.05, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert stego.povms[0].elements.shape == (8, d, d)
+        assert peak <= ROW_BYTES + 28 * 16 * d * d

@@ -76,13 +76,25 @@ class ExperimentResult:
 
 #: parameter annotation -> (the JSON values it takes, their reading, its name); never a bool
 _NUMBERS = {"int": ((int,), int, "an integer"), "float": ((int, float), float, "a number")}
+#: list annotation -> the annotation of each of its entries
+_NUMBER_LISTS = {f"list[{name}]": name for name in _NUMBERS}
+
+
+def _number(where, value, annotation):
+    """``value`` read by the number ``annotation``, or TypeError naming ``where``."""
+    takes, as_type, name = _NUMBERS[annotation]
+    if isinstance(value, bool) or not isinstance(value, takes):
+        raise TypeError(f"{where} must be {name}, got {value!r}")
+    return as_type(value)
 
 
 def _call(what, fn, spec, /, *args):
     """``fn(*args, **spec)``, each number read by the annotation of its parameter
-    (see ``_NUMBERS``).  A ``spec`` that is not a JSON object, holds a key ``fn``
-    does not take (named before a missing one), lacks one or holds a value its
-    annotation does not take raises TypeError naming ``what`` before ``fn`` runs."""
+    (see ``_NUMBERS``), and each entry of a ``list[int]`` or ``list[float]``
+    parameter by the annotation of its entries.  A ``spec`` that is not a JSON
+    object, holds a key ``fn`` does not take (named before a missing one),
+    lacks one or holds a value its annotation does not take raises TypeError
+    naming ``what`` before ``fn`` runs."""
     if not isinstance(spec, dict):
         raise TypeError(f"{what}: must be a JSON object")
     sig = inspect.signature(fn)
@@ -93,11 +105,14 @@ def _call(what, fn, spec, /, *args):
         raise TypeError(f"{what}: {exc}") from None
     read = dict(spec)
     for key, value in spec.items():
-        if key in sig.parameters and sig.parameters[key].annotation in _NUMBERS:
-            takes, as_type, name = _NUMBERS[sig.parameters[key].annotation]
-            if isinstance(value, bool) or not isinstance(value, takes):
-                raise TypeError(f"{what}: {key!r} must be {name}, got {value!r}")
-            read[key] = as_type(value)
+        annotation = sig.parameters[key].annotation if key in sig.parameters else None
+        if annotation in _NUMBERS:
+            read[key] = _number(f"{what}: {key!r}", value, annotation)
+        elif annotation in _NUMBER_LISTS:
+            if not isinstance(value, list):
+                raise TypeError(f"{what}: {key!r} must be a list, got {value!r}")
+            entry = _NUMBER_LISTS[annotation]
+            read[key] = [_number(f"{what}: {key!r} entry {i}", v, entry) for i, v in enumerate(value)]
     return fn(*args, **read)
 
 
@@ -112,11 +127,18 @@ def _by_kind(what, readers, spec):
     return _call(what, read, spec)
 
 
+def _diag(probs: list[float]) -> DensityMatrix:
+    return DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex))
+
+
+def _kron(factors) -> DensityMatrix:
+    if not factors:
+        raise ValueError("bad parameter: kron factors must be non-empty")
+    return DensityMatrix(reduce(np.kron, [parse_state(s).data for s in factors]))
+
+
 #: state kind -> reader, whose keyword parameters are the keys of the spec
-_STATES = {
-    "diag": lambda probs: DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex)),
-    "kron": lambda factors: DensityMatrix(reduce(np.kron, [parse_state(s).data for s in factors])),
-}
+_STATES = {"diag": _diag, "kron": _kron}
 
 
 def parse_state(spec) -> DensityMatrix:
@@ -337,14 +359,16 @@ def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(seed, pmf, outputs, mk_grid, zeta_ref: float, seeds: int, min_reliability: float):
+def _run_simulate_resolvability(
+    seed, pmf: list[float], outputs, mk_grid: list[int], zeta_ref: float, seeds: int, min_reliability: float
+):
     if seeds < 1:
         raise ValueError("bad parameter: seeds must be at least 1")
     if not 0.0 < zeta_ref < 1.0:
         raise ValueError("bad parameter: zeta_ref must be in (0, 1)")
     if not mk_grid:
         raise ValueError("bad parameter: mk_grid must be non-empty")
-    if not all(type(mk) is int and mk >= 1 for mk in mk_grid):
+    if not all(mk >= 1 for mk in mk_grid):
         raise ValueError("bad parameter: mk_grid entries must be integers of at least 1")
     cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in outputs))
     rows = []

@@ -24,8 +24,9 @@ TRACE_TOL = 1e-10
 EIG_TOL = 1e-10
 VEC_NORM_TOL = 1e-12
 POVM_SUM_TOL = 1e-9
-#: bytes of matrices checked (Hermiticity, each Cholesky bound) or formed (a
-#: chunk of a channels.KrausPower) at once; about two blocks of temporaries
+#: bytes of matrices checked (Hermiticity, each Cholesky bound) or of index
+#: rows formed (a chunk of a channels.KrausIndex) at once; about two blocks of
+#: temporaries
 CHECK_BLOCK_BYTES = 1 << 20
 
 

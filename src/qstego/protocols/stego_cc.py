@@ -120,6 +120,8 @@ def build_stego_cc_noiseless(
     """
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
+    if not 0.0 <= zeta <= 2.0:
+        raise ValueError("bad parameter: zeta must be in [0, 2]")
     rng = np.random.default_rng(seed)
     dim = cover.outputs[0].dim
     # each hash writes its POVM into its slots, which are then nested in place

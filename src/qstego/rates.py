@@ -50,8 +50,8 @@ def _from_optimum(opt: OrderOptimum, per_w: tuple) -> RateResult:
 def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     """min_w sup_a [ H^a(rho^w) - (4/a) log2(2/zeta) ], every output's sup in
     one batch (:func:`qstego.info.sup_over_order`)."""
-    if not 0.0 < zeta:
-        raise ValueError("bad parameter: zeta must be positive")
+    if not 0.0 < zeta <= 2.0:  # a trace distance is at most 2
+        raise ValueError("bad parameter: zeta must be in (0, 2]")
     outputs = list(outputs)
     if not outputs:
         raise ValueError("bad parameter: no cover outputs")
@@ -185,8 +185,8 @@ def rate_gaussian(points, n: int, r: int, zeta: float) -> list[RateResult]:
         raise ValueError("invalid symplectic eigenvalue")
     if not 0 <= r <= n:
         raise ValueError("bad parameter: need 0 <= r <= n")
-    if not 0.0 < zeta:
-        raise ValueError("bad parameter: zeta must be positive")
+    if not 0.0 < zeta <= 2.0:  # a trace distance is at most 2
+        raise ValueError("bad parameter: zeta must be in (0, 2]")
     if not points:
         return []
     penalty = math.log2(2.0 / zeta)

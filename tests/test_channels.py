@@ -7,7 +7,7 @@ import pytest
 from qstego import channels, experiments
 from qstego.channels import (
     CPTP_TOL,
-    KrausPower,
+    KrausIndex,
     QuantumChannel,
     apply,
     check_kraus,
@@ -22,6 +22,7 @@ from qstego.channels import (
     tensor,
     tensor_power,
 )
+from qstego.fixtures import repetition_qc_cover
 from qstego.linalg import DensityMatrix, basis_state, partial_trace_matrix
 
 from .test_linalg import random_density
@@ -165,7 +166,9 @@ class TestTensorPowerBitForBit:
         got = tensor_power(ch, n).kraus
         expected = tensor_power_loop(ch, n)
         assert len(got) == len(expected)
-        assert all(g.tobytes() == e.tobytes() for g, e in zip(got, expected))
+        # every nonzero entry has the chain's bits; a formed operator's zeros
+        # are +0 where the chain writes -0.0 after a negative factor
+        assert all(g.tobytes() == (e + 0).tobytes() for g, e in zip(got, expected))
 
     @pytest.mark.parametrize(
         "kind, n",
@@ -191,7 +194,7 @@ class TestTensorPowerBitForBit:
         power = tensor_power(ch, 3)
         assert [len(cols) for cols, _ in power.index.chunks()] == [5] * 5 + [2]
         ops = tensor_power_loop(ch, 3)
-        assert [family_op.tobytes() for family_op in power.kraus] == [e.tobytes() for e in ops]
+        assert [family_op.tobytes() for family_op in power.kraus] == [(e + 0).tobytes() for e in ops]
         a = random_density(np.random.default_rng(14), 8).data
         terms = [(t + 0).tobytes() for t in kraus_terms(power.kraus, a, power.index)]
         assert terms == [(k @ a @ k.conj().T + 0).tobytes() for k in ops]
@@ -285,21 +288,39 @@ class TestIndexForm:
         assert tensor_power(random_channel(np.random.default_rng(4), 2, 2, 2), 2).index is None
 
     def test_power_application_forms_no_operator(self, monkeypatch):
-        def forbidden(self, idx):
+        def forbidden(self, j):
             raise AssertionError("a Kraus operator was formed")
 
         ch = tensor_power(standard_channel("bit_flip", 0.1), 7)
-        monkeypatch.setattr(KrausPower, "_form", forbidden)
+        monkeypatch.setattr(KrausIndex, "__getitem__", forbidden)
         out = apply(ch, np.eye(128, dtype=complex) / 128)
         assert np.allclose(out.data, np.eye(128) / 128, atol=1e-15)
 
     @pytest.mark.parametrize("kind", sorted(experiments._CHANNELS))
     def test_config_channels_have_an_index_form(self, kind):
-        # a config channel that fell back to the dense loop would run unnoticed
-        # at the speed of K^n dense products
-        spec = {"kind": kind} | ({"dim": 2} if kind == "identity" else {"p": 0.3})
-        for power in (1, 3):
-            assert experiments.parse_channel(spec | {"power": power}).index is not None
+        # a config channel, or one a runner derives from it, that fell back to
+        # the dense loop would run unnoticed at the speed of K^n dense products
+        def spec(kind, power):
+            return {"kind": kind, "power": power} | ({"dim": 2} if kind == "identity" else {"p": 0.3})
+
+        for power in (1, 2, 3):
+            ch = experiments.parse_channel(spec(kind, power))
+            assert ch.index is not None
+            # verify/random-code takes the n-fold power of its m
+            assert tensor_power(ch, 2).index is not None
+            # the noisy runners' covers cross n_true after m
+            for other in experiments._CHANNELS:
+                assert compose(ch, experiments.parse_channel(spec(other, power))).index is not None
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5])
+    def test_repetition_cover_operators_match_kron_chains(self, p):
+        # QcCode and the correctable-Kraus orthogonalization read these
+        # operators, so at every p of a shipped config they keep the chain's
+        # bytes, zeros included
+        ch = repetition_qc_cover(p).channel
+        assert ch.index is not None
+        expected = tensor_power_loop(standard_channel("bit_flip", p), 3)
+        assert [op.tobytes() for op in ch.kraus] == [e.tobytes() for e in expected]
 
 
 def power_deviation_loop(ch, n):
@@ -316,8 +337,9 @@ class TestPowerCompleteness:
 
     def test_incomplete_base_rejected(self):
         base = (np.sqrt(0.5) * np.eye(2), np.sqrt(0.4) * self.X)
+        index = KrausIndex.of(np.array(base, dtype=complex))
         with pytest.raises(ValueError, match="^invalid channel: Kraus completeness fails$"):
-            QuantumChannel(KrausPower(base, 3))
+            QuantumChannel(KrausIndex(index.cols, index.coefs, index.din, 3))
 
     def test_deviation_grows_with_n(self):
         # a base 6e-10 off I passes alone; its square is 1.2e-9 off, as the

@@ -37,11 +37,12 @@ IDENTITY = {
 
 
 def number_leaves(node, path=()):
-    """(path, value) of every number held under a key of a JSON object in ``node``."""
+    """(path, value) of every number in ``node``, under a key of a JSON object
+    or an entry of a list."""
     for key, value in node.items() if isinstance(node, dict) else enumerate(node):
         if isinstance(value, (dict, list)):
             yield from number_leaves(value, (*path, key))
-        elif isinstance(node, dict) and isinstance(value, (int, float)) and not isinstance(value, bool):
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
             yield (*path, key), value
 
 
@@ -118,8 +119,8 @@ class TestCli:
     @pytest.mark.parametrize(
         "name, key, value, message",
         [
-            ("gaussian_fig2", "zeta", 0, "zeta must be positive"),
-            ("gaussian_fig2", "zeta", -0.5, "zeta must be positive"),
+            ("gaussian_fig2", "zeta", 0, "zeta must be in (0, 2]"),
+            ("gaussian_fig2", "zeta", -0.5, "zeta must be in (0, 2]"),
             ("resolvability_demo", "zeta_ref", 0, "zeta_ref must be in (0, 1)"),
             ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
             ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be integers of at least 1"),
@@ -141,8 +142,13 @@ class TestCli:
             ("stego_cc_noisy_demo", "zeta", 0, "zeta and xi must be in (0, 1)"),
             ("stego_cc_noisy_demo", "zeta", 1.5, "zeta and xi must be in (0, 1)"),
             ("stego_cc_noisy_demo", "xi", 1.0, "zeta and xi must be in (0, 1)"),
-            ("resolvability_demo", "mk_grid", [2, 8.5], "mk_grid entries must be integers of at least 1"),
-            ("resolvability_demo", "mk_grid", [True, 8], "mk_grid entries must be integers of at least 1"),
+            # a trace distance is at most 2: above it the rate penalty changes sign
+            ("gaussian_fig2", "zeta", 3.0, "zeta must be in (0, 2]"),
+            ("stego_cc_es_demo", "zeta", 3.0, "zeta must be in (0, 2]"),
+            ("stego_cc_noiseless_demo", "zeta", 5.0, "zeta must be in [0, 2]"),
+            ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "dim must be at least 1"),
+            ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "dim must be at least 1"),
+            ("stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "kron factors must be non-empty"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
@@ -154,6 +160,34 @@ class TestCli:
         cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
         assert f"{path}: invalid config: bad parameter: {message}" in cp.stderr
+        assert "Traceback" not in cp.stderr
+
+    @pytest.mark.parametrize(
+        "name, key, value, message",
+        [
+            ("resolvability_demo", "mk_grid", [2, 8.5], "simulate/resolvability params: 'mk_grid' entry 1 must be an integer, got 8.5"),
+            ("resolvability_demo", "mk_grid", [True, 8], "simulate/resolvability params: 'mk_grid' entry 0 must be an integer, got True"),
+            ("resolvability_demo", "pmf", ["0.5", "0.5"], "simulate/resolvability params: 'pmf' entry 0 must be a number, got '0.5'"),
+            ("resolvability_demo", "pmf", 1.0, "simulate/resolvability params: 'pmf' must be a list, got 1.0"),
+            (
+                "stego_cc_noiseless_demo",
+                "codewords",
+                [{"kind": "diag", "probs": [True, False, False, False]}],
+                "diag state: 'probs' entry 0 must be a number, got True",
+            ),
+        ],
+        ids=["mk_grid-fraction", "mk_grid-bool", "pmf-string", "pmf-not-a-list", "probs-bool"],
+    )
+    def test_wrong_typed_list_entry_exits_two(self, tmp_path, name, key, value, message):
+        # each entry of a list of numbers is read by the scalar rule
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        config["params"][key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(config))
+        group, kind = config["kind"].split("/")
+        cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
+        assert cp.returncode == 2
+        assert f"{path}: invalid config: {message}" in cp.stderr
         assert "Traceback" not in cp.stderr
 
     def test_kind_mismatch_rejected(self, tmp_path):
@@ -568,8 +602,10 @@ class TestNumberKeys:
                         patch.setattr(np.linalg, "eigvalsh", forbidden)
                     code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
                 err = capsys.readouterr().err
+                # a list entry is named by the key of its list
+                named = next(key for key in reversed(keys) if isinstance(key, str))
                 assert code == 2, (keys, bad)
-                assert f"{path}: invalid config: " in err and repr(keys[-1]) in err, (keys, bad, err)
+                assert f"{path}: invalid config: " in err and repr(named) in err, (keys, bad, err)
 
 
 class TestReadme:

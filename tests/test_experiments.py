@@ -145,19 +145,29 @@ class TestRegistry:
 
     def test_every_number_key_is_annotated_int_or_float(self):
         # a number is read by the annotation of the parameter it fills; a key
-        # that a config or instance sets to a number but no reader of its spec
-        # annotates int or float would let a wrong-typed value run
+        # that a config or instance sets to a number (a list of numbers) but
+        # no reader of its spec annotates int or float (list[int] or
+        # list[float]) would let a wrong-typed value run
         def annotation(reader, key):
             param = inspect.signature(reader).parameters.get(key)
             return None if param is None else param.annotation
+
+        def is_number(value):
+            return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+        def readings(value):
+            """The annotations that read ``value``, none when it holds no number."""
+            if is_number(value):
+                return ("int", "float")
+            if isinstance(value, list) and value and all(map(is_number, value)):
+                return ("list[int]", "list[float]")
+            return ()
 
         unannotated = {
             f"{key!r} beside {sorted(spec)}"
             for readers, spec in spec_reads()
             for key, value in spec.items()
-            if isinstance(value, (int, float))
-            and not isinstance(value, bool)
-            and not any(annotation(reader, key) in ("int", "float") for reader in readers)
+            if readings(value) and not any(annotation(reader, key) in readings(value) for reader in readers)
         }
         assert sorted(unannotated) == []
 

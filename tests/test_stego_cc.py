@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from qstego.channels import (
-    KrausPower,
+    KrausIndex,
     apply,
     compose,
     identity_channel,
@@ -110,10 +110,10 @@ class TestNoisy:
         cover = pgm_cc_cover(codewords, m, 3)
         ops = [m.kraus[j] for j in range(len(m.kraus))]
 
-        def forbidden(self, idx):
+        def forbidden(self, j):
             raise AssertionError("a Kraus operator was formed")
 
-        monkeypatch.setattr(KrausPower, "_form", forbidden)
+        monkeypatch.setattr(KrausIndex, "__getitem__", forbidden)
         for sigma, c in zip(side_states_from_degradation(cover, m), codewords, strict=True):
             branches = [k @ c.data @ k.conj().T for k in ops]
             probs = np.array([max(np.trace(b).real, 0.0) for b in branches])

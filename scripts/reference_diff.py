@@ -1,4 +1,4 @@
-"""Diff the CSV and flags of every benchmark instance between two checkouts.
+"""Diff the CSV, flags and summary of every benchmark instance between two checkouts.
 
     python3 scripts/reference_diff.py PARENT_CHECKOUT [--workload W]
 
@@ -8,13 +8,16 @@ and once with those of this checkout, each side in its own child process with
 the BLAS environment of ``perfbench/run.py`` (``len(os.sched_getaffinity(0))``
 threads): the quantum hash's bits depend on the BLAS thread count, and at that
 count the benchmark checks digests and flags against
-``perfbench/reference.json``.  The CSVs and flags are kept in a temporary
-directory.  For each instance it prints whether the CSV digest moved, the
-largest absolute change in each numeric column of a moved CSV, every flag that
-flipped, and whether this checkout's digest and flags differ from the
-reference; then, per workload, one line that counts the reference mismatches
-and a summary line.  Exit code 0 when no digest moved, no flag flipped and
-every instance matches the reference, 1 otherwise.
+``perfbench/reference.json``.  The CSVs, flags and summaries are kept in a
+temporary directory.  For each instance it prints whether the CSV digest
+moved, the largest absolute change in each numeric column of a moved CSV,
+every flag that flipped, the keys of the summary whose value changed (values
+the CSV does not hold, such as ranks and fitted parameters), and whether this
+checkout's digest and flags differ from the reference; then, per workload, one
+line that counts the reference mismatches, one that counts moved digests and
+flipped flags, and one that counts moved summaries.  Exit code 0 when no
+digest moved, no flag flipped, no summary moved and every instance matches the
+reference, 1 otherwise.
 """
 
 from __future__ import annotations
@@ -33,10 +36,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def record(pools, src: Path, out: Path, names: list) -> None:
-    """Child side: write ``<workload>/<key>.csv`` and ``<key>.json`` (the
-    flags) for every pool instance, run with the qstego sources under ``src``."""
+    """Child side: write ``<workload>/<key>.csv``, ``<key>.json`` (the flags)
+    and ``<key>.summary.json`` for every pool instance, run with the qstego
+    sources under ``src``."""
     sys.path.insert(0, str(src))
-    from qstego.experiments import render_csv, run_experiment
+    from qstego.experiments import _jsonable, render_csv, run_experiment
     from worker import flags_of
 
     for name in names:
@@ -45,6 +49,7 @@ def record(pools, src: Path, out: Path, names: list) -> None:
             result = run_experiment(inst.config)
             (out / name / f"{inst.key}.csv").write_text(render_csv(result))
             (out / name / f"{inst.key}.json").write_text(json.dumps(flags_of(result), sort_keys=True))
+            (out / name / f"{inst.key}.summary.json").write_text(json.dumps(_jsonable(result.summary), sort_keys=True))
 
 
 def column_changes(old: str, new: str) -> dict:
@@ -63,6 +68,16 @@ def column_changes(old: str, new: str) -> dict:
             if any(x != y for x, y in cells):
                 changes[column] = "changed"
     return changes
+
+
+def summary_changes(old: dict, new: dict) -> list:
+    """The keys of two summaries whose values differ as JSON text (so -0.0
+    differs from 0.0), a key on one side only included."""
+    return sorted(
+        key
+        for key in old.keys() | new.keys()
+        if key not in old or key not in new or json.dumps(old[key]) != json.dumps(new[key])
+    )
 
 
 def main(argv=None) -> int:
@@ -85,7 +100,7 @@ def main(argv=None) -> int:
         os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads, PYTHONHASHSEED="0"
     )
     reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())
-    moved_total = flipped_total = differ_total = 0
+    moved_total = flipped_total = differ_total = summaries_total = 0
     with tempfile.TemporaryDirectory() as tmp:
         sides = {"parent": Path(args.parent).resolve(), "change": ROOT}
         children = [
@@ -99,11 +114,12 @@ def main(argv=None) -> int:
         if any(child.wait() for child in children):
             raise SystemExit("a child run failed")
         for name in names:
-            moved = flipped = differ = 0
+            moved = flipped = differ = summaries = 0
             pool = pools.pool(name, ROOT)
             for inst in pool:
                 text = {s: (Path(tmp) / s / name / f"{inst.key}.csv").read_text() for s in sides}
                 flags = {s: json.loads((Path(tmp) / s / name / f"{inst.key}.json").read_text()) for s in sides}
+                summary = {s: json.loads((Path(tmp) / s / name / f"{inst.key}.summary.json").read_text()) for s in sides}
                 digests = {s: csv_sha256(t) for s, t in text.items()}
                 line = f"{name:12s} {inst.slot}:{inst.label:28s}"
                 if digests["parent"] == digests["change"]:
@@ -119,6 +135,10 @@ def main(argv=None) -> int:
                     if old != new:
                         flipped += 1
                         line += f"  FLIPPED {flag}: {old} -> {new}"
+                keys = summary_changes(summary["parent"], summary["change"])
+                if keys:
+                    summaries += 1
+                    line += "  SUMMARY " + ", ".join(keys)
                 ref = reference.get(name, {}).get(inst.key)
                 if ref is None or (ref["csv_sha256"], ref["flags"]) != (digests["change"], flags["change"]):
                     differ += 1
@@ -126,10 +146,12 @@ def main(argv=None) -> int:
                 print(line)
             print(f"{name}: {differ} of {len(pool)} instances differ from reference.json at {threads} BLAS threads")
             print(f"{name}: {moved} of {len(pool)} digests moved, {flipped} flags flipped")
+            print(f"{name}: {summaries} of {len(pool)} summaries moved")
             moved_total += moved
             flipped_total += flipped
             differ_total += differ
-    return int(bool(moved_total or flipped_total or differ_total))
+            summaries_total += summaries
+    return int(bool(moved_total or flipped_total or differ_total or summaries_total))
 
 
 if __name__ == "__main__":

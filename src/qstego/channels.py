@@ -6,11 +6,11 @@ Kraus families are kept exactly as given (no canonicalization); complementary
 channels are therefore basis-dependent up to an isometry on the environment,
 and anything that compares them should compare spectra only.  A family whose
 operators have at most one nonzero entry per row, purely real or purely
-imaginary (every textbook channel, its powers and compositions), is applied
-from its :class:`KrausIndex` by gathers, with the bits of the dense products.
-Its n-fold power (:func:`tensor_power`) is that index with n legs, so an
-n-use channel holds no stack of 16 K^n d^2 bytes; any other family's power is
-the :func:`tensor` chain.
+imaginary (every textbook channel, its powers and compositions), is held as
+its :class:`KrausIndex` and applied by gathers, with the bits of the dense
+products.  Its n-fold power (:func:`tensor_power`) is that index with n legs,
+so an n-use channel holds no stack of 16 K^n d^2 bytes.  Any other family is
+a tuple of operators, and its power is the :func:`tensor` chain.
 """
 
 from __future__ import annotations
@@ -114,21 +114,17 @@ class KrausIndex(Sequence):
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Completely positive trace-preserving map held as a Kraus family.
-
-    ``kraus`` is a sequence of matrices, kept as a tuple of complex arrays, or
-    a power's :class:`KrausIndex`, kept as it is.  Validates sum_j F_j† F_j = I
-    to 1e-9 (:func:`check_kraus`).  ``index`` is the family's
-    :class:`KrausIndex` when it is row-monomial (a power's ``kraus``), else None.
-    """
+    """Completely positive trace-preserving map held as a Kraus family
+    (sum_j F_j† F_j = I to 1e-9, :func:`check_kraus`): ``kraus`` is its
+    :class:`KrausIndex` when it is row-monomial (a given index is kept as it
+    is), else the tuple of its operators as complex arrays."""
 
     kraus: Sequence
     dim_out: int = field(init=False)
     dim_in: int = field(init=False)
-    index: KrausIndex | None = field(init=False, repr=False)
 
     def __post_init__(self):
-        ks = index = self.kraus
+        ks = self.kraus
         if isinstance(ks, KrausIndex):
             dout, din = ks.cols.shape[1] ** ks.n, ks.din**ks.n
         else:
@@ -139,11 +135,11 @@ class QuantumChannel:
                 raise ValueError("shape error: inconsistent Kraus shapes")
             dout, din = ks[0].shape
             index = KrausIndex.of(np.array(ks))
+            ks = ks if index is None else index
         check_kraus(ks)
         object.__setattr__(self, "kraus", ks)
         object.__setattr__(self, "dim_out", dout)
         object.__setattr__(self, "dim_in", din)
-        object.__setattr__(self, "index", index)
 
 
 def _check_orthonormal(v: np.ndarray) -> None:
@@ -192,29 +188,28 @@ def apply(ch: QuantumChannel, rho):
 
 def apply_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     """Channel action on a raw matrix, or on each of a stack (no state validation)."""
-    return kraus_sum(ch.kraus, a, ch.index)
+    return kraus_sum(ch.kraus, a)
 
 
-def kraus_terms(kraus, a: np.ndarray, index: KrausIndex | None = None):
+def kraus_terms(kraus, a: np.ndarray):
     """F_j a F_j† for each j in order.
 
     ``kraus`` is the sequence of the Kraus operators F_j, as for
     :func:`check_kraus`: each a (..., dout, din) array over the batch shape
-    of the (..., din, din) stack ``a``, which gives a stack of terms.  With
-    the family's ``index``, term j is c_r a[σ_r, σ_s] conj(c_s) for the
-    columns σ and coefficients c of F_j, rows first: one gather and two
-    scalings, no operator and no product.  Each entry of the dense F_j a F_j†
-    sums one such product and exact zeros, and a real or imaginary c rounds
-    that product once per component, so the two agree bit for bit in every
-    nonzero entry.  A zero entry's sign follows the kernel's order of
-    operations and may differ.
+    of the (..., din, din) stack ``a``, which gives a stack of terms.  For a
+    :class:`KrausIndex`, term j is c_r a[σ_r, σ_s] conj(c_s) for the columns
+    σ and coefficients c of F_j, rows first: one gather and two scalings, no
+    operator and no product.  Each entry of the dense F_j a F_j† sums one
+    such product and exact zeros, and a real or imaginary c rounds that
+    product once per component, so the two agree bit for bit in every
+    nonzero entry; a zero entry's sign may differ.
     """
-    if index is None:
+    if not isinstance(kraus, KrausIndex):
         for k in kraus:
             yield k @ a @ k.conj().swapaxes(-1, -2)
         return
     a = np.asarray(a, dtype=complex)
-    for cols, coefs in index.chunks():
+    for cols, coefs in kraus.chunks():
         for s, c in zip(cols, coefs):
             # scaled in place: fresh arrays made an application at d = 256
             # about 1.4x slower
@@ -224,11 +219,11 @@ def kraus_terms(kraus, a: np.ndarray, index: KrausIndex | None = None):
             yield term
 
 
-def kraus_sum(kraus, a: np.ndarray, index: KrausIndex | None = None) -> np.ndarray:
+def kraus_sum(kraus, a: np.ndarray) -> np.ndarray:
     """sum_j F_j a F_j† over the terms of :func:`kraus_terms`, summed over j
     in order from 0, so that every zero entry is +0 whatever the sign of the
-    terms' zeros: the index form gives the bits of the dense products."""
-    terms = kraus_terms(kraus, a, index)
+    terms' zeros: a :class:`KrausIndex` gives the bits of the dense products."""
+    terms = kraus_terms(kraus, a)
     out = 0 + next(terms)  # a new array, summed into in place
     for term in terms:
         out += term
@@ -254,9 +249,9 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
         raise ValueError("bad parameter: n must be >= 1")
     if ch.dim_in**n > DIM_CAP or ch.dim_out**n > DIM_CAP:
         raise ValueError("dimension limit")
-    if ch.index is None:
+    if not isinstance(ch.kraus, KrausIndex):
         return reduce(tensor, [ch] * n)
-    return QuantumChannel(replace(ch.index, n=ch.index.n * n))
+    return QuantumChannel(replace(ch.kraus, n=ch.kraus.n * n))
 
 
 def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
@@ -272,19 +267,12 @@ def identity_channel(dim: int) -> QuantumChannel:
     return QuantumChannel((np.eye(dim, dtype=complex),))
 
 
-def isometric_extension(ch: QuantumChannel) -> Isometry:
-    """V = sum_j F_j (x) |j>_E with environment dimension = number of Kraus operators.
-
-    tr_E(V rho V†) reproduces the channel action; the output ordering is
-    (system, environment).
-    """
-    k = len(ch.kraus)
-    v = np.zeros((ch.dim_out * k, ch.dim_in), dtype=complex)
-    for j, f in enumerate(ch.kraus):
-        e = np.zeros(k, dtype=complex)
-        e[j] = 1.0
-        v += np.kron(f, e.reshape(-1, 1))
-    return Isometry(v)
+def isometric_extension(ch: QuantumChannel) -> np.ndarray:
+    """The matrix V = sum_j F_j (x) |j>_E, one environment level per Kraus
+    operator, every zero part +0: tr_E(V rho V†) reproduces the channel action,
+    the output ordering is (system, environment), and V†V = sum_j F_j† F_j = I
+    by the channel's check."""
+    return np.stack(list(ch.kraus), axis=1).reshape(ch.dim_out * len(ch.kraus), ch.dim_in) + 0
 
 
 def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
@@ -297,13 +285,13 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     Row j's entries j' >= j are the traces of one stacked product
     (F_j a) @ F_j'† over every input: memory is the conjugated Kraus family,
     read once, plus one row of products per input, never all k^2 of them.
-    With the channel's ``index``, the diagonals of those products are
-    gathered as in :func:`kraus_terms` and traced in the same (…, d, d)
-    layout, so that ``np.trace`` sums them in the same order.
+    For a :class:`KrausIndex`, the diagonals of those products are gathered
+    as in :func:`kraus_terms` and traced in the same (…, d, d) layout, so
+    that ``np.trace`` sums them in the same order.
     """
     k, dout = len(ch.kraus), ch.dim_out
     env = np.zeros(a.shape[:-2] + (k, k), dtype=complex)
-    if ch.index is None:
+    if not isinstance(ch.kraus, KrausIndex):
         kraus_conj = np.array(ch.kraus)
         np.conjugate(kraus_conj, out=kraus_conj)
         kraus_dag = kraus_conj.swapaxes(1, 2)
@@ -312,7 +300,7 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
             return (kraus_conj[j].conj() @ a)[..., None, :, :] @ kraus_dag[j:]
 
     else:
-        cols, coefs = (np.concatenate(x) for x in zip(*ch.index.chunks()))
+        cols, coefs = (np.concatenate(x) for x in zip(*ch.kraus.chunks()))
 
         def products(j):
             out = np.zeros(a.shape[:-2] + (k - j, dout, dout), dtype=complex)

@@ -188,9 +188,17 @@ def _run_rates_cc_noiseless(seed, m, codewords, zeta: float):
     return rows, {}, summary
 
 
+def _degradation(m, n) -> QuantumChannel:
+    """The channel ``m``, which must act on the n qubits of the cover's n uses."""
+    m = parse_channel(m)
+    if 2**n != m.dim_in:
+        raise ValueError("bad parameter: n must satisfy 2**n == the input dimension of m")
+    return m
+
+
 def _noisy_cover(n_true, m, codewords, n):
     """The channel ``n_true``, the n-use PGM cover over ``n_true`` after ``m`` and its side states."""
-    n_true, m = parse_channel(n_true), parse_channel(m)
+    n_true, m = parse_channel(n_true), _degradation(m, n)
     cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m), n)
     return n_true, cover, side_states_from_degradation(cover, m)
 
@@ -246,7 +254,7 @@ def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid, nu1_grid):
 
 
 def _run_simulate_cc_noiseless(seed, m, codewords, mbar: int, zeta: float, n: int):
-    m = parse_channel(m)
+    m = _degradation(m, n)
     codewords = [parse_state(s) for s in codewords]
     cover = pgm_cc_cover(codewords, m, n)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)

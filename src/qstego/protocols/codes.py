@@ -10,6 +10,7 @@ search output.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -80,7 +81,7 @@ class QcCode:
             raise ValueError("shape error: encoder output does not match channel")
         object.__setattr__(self, "correctable", tuple(int(j) for j in self.correctable))
         ops = [self.channel.kraus[j] for j in self.correctable]
-        kraus = [d @ f @ self.encode.data for f in ops for d in self.decode.kraus]
+        kraus = [d @ f @ self.encode.data for f, d in itertools.product(ops, self.decode.kraus)]
         c, residual = proportionality_to_identity(kraus, self.m)
         if residual > PROPORTIONALITY_TOL:
             raise ValueError("invalid cover: recovery split is not proportional to identity")

@@ -146,13 +146,13 @@ def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqSta
     P(j) = tr(F_j f(w) F_j†); its A-marginal through any true channel N equals
     N(m(f(w))) exactly, so the marginal-consistency requirement holds whenever
     the cover channel is N o m.  The branches F_j f(w) F_j† are the terms of
-    :func:`kraus_terms`: with the dense products' bits except, under the index
-    form, maybe the sign of a zero entry, which nothing reads (every side
-    state is read through a channel application).
+    :func:`kraus_terms`: with the dense products' bits except, for a
+    row-monomial m, maybe the sign of a zero entry, which nothing reads
+    (every side state is read through a channel application).
     """
     out = []
     for c in cover.codewords:
-        branches = list(kraus_terms(m.kraus, c.data, m.index))
+        branches = list(kraus_terms(m.kraus, c.data))
         probs = np.array([max(np.trace(b).real, 0.0) for b in branches])
         keep = probs > 1e-14
         probs_kept = probs[keep] / probs[keep].sum()

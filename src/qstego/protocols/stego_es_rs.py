@@ -68,10 +68,10 @@ def build_stego_es_rs(
     bt_dim = cover.decode.dim_out
 
     stage = phi.data.reshape(r_dim, m_dim, dn)
-    stage = np.einsum("xa,rma->rmx", v_ext.data, stage).reshape(r_dim, m_dim, dn, ke)
+    stage = np.einsum("xa,rma->rmx", v_ext, stage).reshape(r_dim, m_dim, dn, ke)
     # stego B-system output, read off before Bob's coherent decoding
     b_out = np.einsum("rmbe,rmce->bc", stage, stage.conj())
-    psi = np.einsum("yb,rmbe->rmye", w_ext.data, stage).reshape(
+    psi = np.einsum("yb,rmbe->rmye", w_ext, stage).reshape(
         r_dim, m_dim, bt_dim, kh, ke
     )
     psi = np.transpose(psi, (1, 2, 0, 4, 3))  # [A~, B~, R, E, H]

@@ -10,6 +10,7 @@ the projectors U_j Pi U_j† before handing the result to the cover decoder.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -161,7 +162,7 @@ def build_stego_qc_cc(
     inner.append(np.kron(psd_sqrt((gap + gap.conj().T) / 2), sink))
     inner_channel = QuantumChannel(tuple(inner))
     cover_dec = tuple(np.kron(k, np.eye(mbar)) for k in cover.decode.kraus)
-    decoder = QuantumChannel(tuple(dk @ ik for dk in cover_dec for ik in inner_channel.kraus))
+    decoder = QuantumChannel(tuple(dk @ ik for dk, ik in itertools.product(cover_dec, inner_channel.kraus)))
 
     # the audit inputs as one stack: every channel output is one stacked apply,
     # and the sums over wbar and the extrema over inputs run in order
@@ -186,8 +187,9 @@ def build_stego_qc_cc(
     # the error subspaces are orthogonal, so this comes out as 1
     marginals = [np.kron(np.eye(cover.m), np.eye(mbar)[wb : wb + 1, :]) for wb in range(mbar)]
     c_stego = 1.0
+    decoder_ops = tuple(decoder.kraus)  # each read of an index form forms the operator
     for e in encoders:
-        kraus_list = [t @ dk @ ek for t in marginals for dk in decoder.kraus for ek in e.kraus]
+        kraus_list = [t @ dk @ ek for t, dk, ek in itertools.product(marginals, decoder_ops, e.kraus)]
         c_w, _ = proportionality_to_identity(kraus_list, cover.m)
         c_stego = min(c_stego, c_w)
 

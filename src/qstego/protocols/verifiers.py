@@ -189,7 +189,7 @@ def experiment_random_code_entropy(
     mean = float(vals.mean())
     stderr = float(vals.std(ddof=1) / math.sqrt(samples)) if samples > 1 else 0.0
     v = isometric_extension(m)
-    vv = v.data @ v.data.conj().T
+    vv = v @ v.conj().T
     k = len(m.kraus)
     rank_a = np.linalg.matrix_rank(partial_trace_matrix(vv, [m.dim_out, k], keep=[1]), tol=1e-10)
     rank_e = np.linalg.matrix_rank(partial_trace_matrix(vv, [m.dim_out, k], keep=[0]), tol=1e-10)

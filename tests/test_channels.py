@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from qstego.channels import (
     tensor,
     tensor_power,
 )
-from qstego.fixtures import repetition_qc_cover
+from qstego.fixtures import dephasing_es_cover, repetition_qc_cover, split_cc_cover
 from qstego.linalg import DensityMatrix, basis_state, partial_trace_matrix
 
 from .test_linalg import random_density
@@ -192,11 +193,11 @@ class TestTensorPowerBitForBit:
         ch = QuantumChannel(ROW_MONOMIAL_3X2 + (np.zeros((3, 2)),))
         monkeypatch.setattr(channels, "CHECK_BLOCK_BYTES", 5 * 24 * 27)
         power = tensor_power(ch, 3)
-        assert [len(cols) for cols, _ in power.index.chunks()] == [5] * 5 + [2]
+        assert [len(cols) for cols, _ in power.kraus.chunks()] == [5] * 5 + [2]
         ops = tensor_power_loop(ch, 3)
         assert [family_op.tobytes() for family_op in power.kraus] == [(e + 0).tobytes() for e in ops]
         a = random_density(np.random.default_rng(14), 8).data
-        terms = [(t + 0).tobytes() for t in kraus_terms(power.kraus, a, power.index)]
+        terms = [(t + 0).tobytes() for t in kraus_terms(power.kraus, a)]
         assert terms == [(k @ a @ k.conj().T + 0).tobytes() for k in ops]
 
     def test_power_is_never_held_at_once(self):
@@ -229,9 +230,10 @@ def dense_loop(ch, a):
 
 
 def without_index(ch):
-    """``ch`` with its index form dropped, so that it is applied densely."""
-    dense = QuantumChannel(tuple(ch.kraus[j] for j in range(len(ch.kraus))))
-    object.__setattr__(dense, "index", None)
+    """``ch`` with its index form replaced by the tuple of its operators, so
+    that it is applied densely."""
+    dense = QuantumChannel(ch.kraus)
+    object.__setattr__(dense, "kraus", tuple(ch.kraus))
     return dense
 
 
@@ -245,9 +247,9 @@ class TestIndexForm:
         rng = np.random.default_rng(10 * n)
         for p in (0.1, 0.37, 0.9):
             ch = tensor_power(standard_channel(kind, p), n)
-            assert ch.index is not None
+            assert isinstance(ch.kraus, KrausIndex)
             rho = random_density(rng, 2**n).data
-            assert kraus_sum(ch.kraus, rho, ch.index).tobytes() == dense_loop(ch, rho).tobytes()
+            assert kraus_sum(ch.kraus, rho).tobytes() == dense_loop(ch, rho).tobytes()
             assert apply(ch, rho).data.tobytes() == apply(without_index(ch), rho).data.tobytes()
 
     @pytest.mark.parametrize(
@@ -264,11 +266,11 @@ class TestIndexForm:
     )
     def test_other_families_match_dense_loop(self, make):
         ch = make()
-        assert ch.index is not None
+        assert isinstance(ch.kraus, KrausIndex)
         rng = np.random.default_rng(11)
         stack = np.array([random_density(rng, ch.dim_in).data for _ in range(3)])
         for a in (stack[0], stack, np.diag(np.arange(ch.dim_in) % 2).astype(complex)):
-            assert kraus_sum(ch.kraus, a, ch.index).tobytes() == dense_loop(ch, a).tobytes()
+            assert kraus_sum(ch.kraus, a).tobytes() == dense_loop(ch, a).tobytes()
         assert apply(ch, stack).tobytes() == apply(without_index(ch), stack).tobytes()
 
     @pytest.mark.parametrize("kind", ["depolarizing", "amplitude_damping"])
@@ -277,15 +279,15 @@ class TestIndexForm:
         single = standard_channel(kind, 0.3)
         ch = tensor_power(single, 3)
         for a in (np.diag(np.eye(8)[0]).astype(complex), -random_density(np.random.default_rng(3), 8).data):
-            got = [(t + 0).tobytes() for t in kraus_terms(ch.kraus, a, ch.index)]
+            got = [(t + 0).tobytes() for t in kraus_terms(ch.kraus, a)]
             assert got == [(k @ a @ k.conj().T + 0).tobytes() for k in tensor_power_loop(single, 3)]
 
     def test_general_families_stay_dense(self):
         theta = 0.3
         phase = QuantumChannel((np.diag([1, np.exp(1j * theta)]),))
-        assert phase.index is None
-        assert random_channel(np.random.default_rng(4), 2, 2, 2).index is None
-        assert tensor_power(random_channel(np.random.default_rng(4), 2, 2, 2), 2).index is None
+        assert type(phase.kraus) is tuple
+        assert type(random_channel(np.random.default_rng(4), 2, 2, 2).kraus) is tuple
+        assert type(tensor_power(random_channel(np.random.default_rng(4), 2, 2, 2), 2).kraus) is tuple
 
     def test_power_application_forms_no_operator(self, monkeypatch):
         def forbidden(self, j):
@@ -305,12 +307,12 @@ class TestIndexForm:
 
         for power in (1, 2, 3):
             ch = experiments.parse_channel(spec(kind, power))
-            assert ch.index is not None
+            assert isinstance(ch.kraus, KrausIndex)
             # verify/random-code takes the n-fold power of its m
-            assert tensor_power(ch, 2).index is not None
+            assert isinstance(tensor_power(ch, 2).kraus, KrausIndex)
             # the noisy runners' covers cross n_true after m
             for other in experiments._CHANNELS:
-                assert compose(ch, experiments.parse_channel(spec(other, power))).index is not None
+                assert isinstance(compose(ch, experiments.parse_channel(spec(other, power))).kraus, KrausIndex)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5])
     def test_repetition_cover_operators_match_kron_chains(self, p):
@@ -318,9 +320,35 @@ class TestIndexForm:
         # operators, so at every p of a shipped config they keep the chain's
         # bytes, zeros included
         ch = repetition_qc_cover(p).channel
-        assert ch.index is not None
+        assert isinstance(ch.kraus, KrausIndex)
         expected = tensor_power_loop(standard_channel("bit_flip", p), 3)
         assert [op.tobytes() for op in ch.kraus] == [e.tobytes() for e in expected]
+
+    @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5])
+    def test_cover_fixture_channels_keep_their_operators(self, p):
+        # QcCode, isometric_extension and compose read these operators: each
+        # family is an index whose reads have the bytes of the operator its
+        # fixture formed, plus 0
+        for ch, formed in fixture_channels(p):
+            assert isinstance(ch.kraus, KrausIndex)
+            assert [op.tobytes() for op in ch.kraus] == [(f + 0).tobytes() for f in formed]
+
+
+def fixture_channels(p):
+    """(channel, its operators as its fixture forms them from dense ones) for
+    each row-monomial channel of the QC, ES and split cover fixtures at p."""
+    x, z, eye = channels._PAULI_X, channels._PAULI_Z, np.eye(2, dtype=complex)
+    v = np.zeros((8, 2), dtype=complex)
+    v[0, 0] = v[7, 1] = 1.0
+    corrections = [[eye] * 3, [x, eye, eye], [eye, x, eye], [eye, eye, x]]
+    dephasing = [np.sqrt(1 - p) * eye, np.sqrt(p) * z]
+    es = dephasing_es_cover(p)
+    return [
+        (repetition_qc_cover(p).decode, [v.conj().T @ reduce(np.kron, legs) for legs in corrections]),
+        (es.channel, [np.kron(eye, f) for f in dephasing]),
+        (es.decode, [np.kron(eye, eye[j : j + 1, :]) for j in range(2)]),
+        (split_cc_cover(p)[0].channel, [np.kron(f, eye) for f in dephasing]),
+    ]
 
 
 def power_deviation_loop(ch, n):
@@ -365,8 +393,8 @@ class TestIsometricExtension:
     def test_unitary_channel(self):
         u = np.array([[0, 1], [1, 0]], dtype=complex)
         v = isometric_extension(QuantumChannel((u,)))
-        assert v.dim_out == 2  # environment dimension 1
-        assert np.allclose(v.data, u)
+        assert v.shape == (2, 2)  # environment dimension 1
+        assert np.allclose(v, u)
 
     def test_dephasing_environment_pure(self):
         p = 0.3
@@ -383,11 +411,28 @@ class TestIsometricExtension:
             k = len(ch.kraus)
             for _ in range(5):
                 rho = random_density(rng, 2)
-                full = v.data @ rho.data @ v.data.conj().T
+                full = v @ rho.data @ v.conj().T
                 sys = partial_trace_matrix(full, [2, k], keep=[0])
                 assert np.allclose(sys, apply(ch, rho).data, atol=1e-9)
                 env = partial_trace_matrix(full, [2, k], keep=[1])
                 assert np.allclose(env, complementary_matrix(ch, rho.data), atol=1e-9)
+
+    @pytest.mark.parametrize("family", ["random", "depolarizing", "bit_flip-power"])
+    def test_matches_kron_loop(self, family):
+        # depolarizing's Y holds -0.0 real parts, which both give as +0
+        if family == "random":
+            ch = random_channel(np.random.default_rng(15), 3, 2, 3)
+            ops = ch.kraus
+        elif family == "depolarizing":
+            ch = standard_channel("depolarizing", 0.3)
+            ops = [np.sqrt(1 - 3 * 0.3 / 4) * np.eye(2, dtype=complex)]
+            ops += [np.sqrt(0.3 / 4) * pauli for pauli in (channels._PAULI_X, channels._PAULI_Y, channels._PAULI_Z)]
+        else:
+            ch = tensor_power(standard_channel("bit_flip", 0.2), 3)
+            ops = tensor_power_loop(standard_channel("bit_flip", 0.2), 3)
+        v = isometric_extension(ch)
+        assert v.tobytes() == isometric_extension_loop(ops).tobytes()
+        assert np.allclose(v.conj().T @ v, np.eye(ch.dim_in), atol=CPTP_TOL)
 
     def test_complementary_of_unitary_has_zero_entropy(self):
         rng = np.random.default_rng(7)
@@ -410,6 +455,18 @@ class TestIsometricExtension:
                 a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
                 env = complementary_matrix(ch, a @ a.conj().T)
                 assert np.array_equal(env, env.conj().T)
+
+
+def isometric_extension_loop(ops):
+    """sum_j F_j (x) |j> summed by np.kron one operator at a time: the
+    reference for the stacked isometric_extension."""
+    k = len(ops)
+    v = np.zeros((ops[0].shape[0] * k, ops[0].shape[1]), dtype=complex)
+    for j, f in enumerate(ops):
+        e = np.zeros(k, dtype=complex)
+        e[j] = 1.0
+        v += np.kron(f, e.reshape(-1, 1))
+    return v
 
 
 def complementary_matrix_loop(ch, a):

@@ -149,10 +149,14 @@ class TestCli:
             ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "dim must be at least 1"),
             ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "dim must be at least 1"),
             ("stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "kron factors must be non-empty"),
+            # n counts the qubits m acts on: the demo's m is dephasing^(x2), the noisy demo's and the rates one's a qubit channel
+            ("stego_cc_noiseless_demo", "n", 5, "n must satisfy 2**n == the input dimension of m"),
+            ("stego_cc_noisy_demo", "n", 2, "n must satisfy 2**n == the input dimension of m"),
+            (RATES_CC_NOISY, "n", 3, "n must satisfy 2**n == the input dimension of m"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
-        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        config = copy.deepcopy(name) if isinstance(name, dict) else json.loads((CONFIGS / f"{name}.json").read_text())
         config["params"][key] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(config))

@@ -127,6 +127,18 @@ class TestRegistry:
         }
         assert {kind: keys for kind, keys in unset.items() if keys} == {}
 
+    def test_every_n_matches_its_channel(self):
+        # the runners that take n reject one whose 2**n is not the input
+        # dimension of m; no shipped config or benchmark instance has one
+        # (channels parsed only, nothing run)
+        kinds = {"simulate/cc-noiseless", "simulate/cc-noisy", "rates/cc-noisy"}
+        instances = [i for name in workloads.NAMES for i in workloads.pool(name, CONFIGS.parent)]
+        checked = [i for i in instances if i.config["kind"] in kinds]
+        for instance in checked:
+            params = instance.config["params"]
+            assert 2 ** params["n"] == experiments.parse_channel(params["m"]).dim_in, instance
+        assert len(checked) > len(kinds)
+
     def test_no_default_that_every_config_and_workload_overrides(self):
         # a default that every shipped config and benchmark instance sets
         # anyway is an input path that no caller takes

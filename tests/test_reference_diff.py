@@ -23,6 +23,17 @@ class TestColumnChanges:
         assert "shape" in reference_diff.column_changes("kind,rate\na,1\n", "kind,rate\na,1\nb,2\n")
 
 
+class TestSummaryChanges:
+    def test_changed_keys(self):
+        old = {"rank": 2, "p_x": [0.5, 0.5], "warning": None}
+        assert reference_diff.summary_changes(old, dict(old)) == []
+        assert reference_diff.summary_changes(old, old | {"rank": 3, "p_x": [0.5, 0.25]}) == ["p_x", "rank"]
+
+    def test_zero_sign_and_one_sided_keys(self):
+        assert reference_diff.summary_changes({"value": 0.0}, {"value": -0.0}) == ["value"]
+        assert reference_diff.summary_changes({"a": None}, {"b": None}) == ["a", "b"]
+
+
 def test_checkout_against_itself_moves_nothing():
     cp = subprocess.run(
         [sys.executable, str(SCRIPT), str(ROOT), "--workload", "hash-search"],
@@ -31,7 +42,8 @@ def test_checkout_against_itself_moves_nothing():
     )
     assert cp.returncode == 0, cp.stdout + cp.stderr
     threads = len(os.sched_getaffinity(0))
-    assert cp.stdout.splitlines()[-2:] == [
+    assert cp.stdout.splitlines()[-3:] == [
         f"hash-search: 0 of 160 instances differ from reference.json at {threads} BLAS threads",
         "hash-search: 0 of 160 digests moved, 0 flags flipped",
+        "hash-search: 0 of 160 summaries moved",
     ]

@@ -54,7 +54,7 @@ def check_kraus(kraus) -> float:
     return float(deviation)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrausIndex(Sequence):
     """The K^n Kraus operators of the n-fold power of a row-monomial family
     (n = 1 for the family itself), in ``itertools.product`` order: row r of
@@ -112,7 +112,7 @@ class KrausIndex(Sequence):
             yield self._rows(np.arange(start, min(start + step, count)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumChannel:
     """Completely positive trace-preserving map held as a Kraus family
     (sum_j F_j† F_j = I to 1e-9, :func:`check_kraus`): ``kraus`` is its
@@ -149,7 +149,7 @@ def _check_orthonormal(v: np.ndarray) -> None:
         raise ValueError("invalid isometry: columns not orthonormal")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Isometry:
     """Matrix V with V†V = I (within 1e-9)."""
 

@@ -11,8 +11,8 @@ error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed
 or unknown key at any level of the config, named in the message, an unknown
 one before a missing one; an integer key takes a JSON integer, a number key a
 JSON integer or float, and neither a bool or a string; each entry of a list
-of integers or numbers is read by the same rule) and 3 on a numerical failure
-of a linear-algebra routine.
+of integers or numbers is read by the same rule; a negative seed, from the
+config or --seed) and 3 on a numerical failure of a linear-algebra routine.
 """
 
 from __future__ import annotations

@@ -199,7 +199,7 @@ def _degradation(m, n) -> QuantumChannel:
 def _noisy_cover(n_true, m, codewords, n):
     """The channel ``n_true``, the n-use PGM cover over ``n_true`` after ``m`` and its side states."""
     n_true, m = parse_channel(n_true), _degradation(m, n)
-    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m), n)
+    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m))
     return n_true, cover, side_states_from_degradation(cover, m)
 
 
@@ -256,7 +256,7 @@ def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid, nu1_grid):
 def _run_simulate_cc_noiseless(seed, m, codewords, mbar: int, zeta: float, n: int):
     m = _degradation(m, n)
     codewords = [parse_state(s) for s in codewords]
-    cover = pgm_cc_cover(codewords, m, n)
+    cover = pgm_cc_cover(codewords, m)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
     rows = [
         {
@@ -293,7 +293,7 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar: int, kbar: int, zet
     rows = [
         {
             "w": w,
-            "n": cover.n,
+            "n": n,
             "mbar": stego.mbar,
             "kbar": stego.kbar,
             "dist_trace": stego.per_w_distance[w],
@@ -525,7 +525,8 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     ``config`` holds "kind", optional "seed", and "params", the keyword
     arguments of the kind's runner; an explicit ``seed`` argument overrides
     the config.  A key nothing reads, a missing one or a wrong-typed number
-    raises TypeError naming it before the runner starts.
+    raises TypeError, and a negative seed ValueError, naming it before the
+    runner starts.
     """
     def read(kind, seed: int = 0, params={}):
         return kind, seed, params
@@ -534,6 +535,8 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
     use_seed = config_seed if seed is None else int(seed)
+    if use_seed < 0:
+        raise ValueError(f"config: 'seed' must be a non-negative integer, got {use_seed}")
     rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)
     return ExperimentResult(kind=kind, rows=rows, flags=flags, summary=summary, seed=use_seed)
 
@@ -563,14 +566,14 @@ def _jsonable(value):
     return value
 
 
-def write_outputs(
-    result: ExperimentResult,
-    out_dir,
-    name: str,
-    csv: bool = True,
-    summary_json: bool = True,
-    wall_time: float | None = None,
-) -> list:
+def run_and_write(config, out_dir, name: str, seed, csv: bool, summary_json: bool):
+    """Run ``config`` (``seed``, unless None, overriding its seed) and write
+    ``<name>.csv`` when ``csv`` and ``<name>_summary.json``, with the run's
+    wall time, when ``summary_json`` into ``out_dir``; returns the result and
+    the paths written."""
+    start = time.perf_counter()
+    result = run_experiment(config, seed=seed)
+    wall = time.perf_counter() - start
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     written = []
@@ -585,17 +588,9 @@ def write_outputs(
             "flags": _jsonable(result.flags),
             "summary": _jsonable(result.summary),
             "versions": {"qstego": __version__, "numpy": np.__version__},
-            "wall_time_s": wall_time,
+            "wall_time_s": wall,
         }
         path = out / f"{name}_summary.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="ascii")
         written.append(path)
-    return written
-
-
-def run_and_write(config, out_dir, name, seed=None, csv=True, summary_json=True):
-    start = time.perf_counter()
-    result = run_experiment(config, seed=seed)
-    wall = time.perf_counter() - start
-    paths = write_outputs(result, out_dir, name, csv=csv, summary_json=summary_json, wall_time=wall)
-    return result, paths
+    return result, written

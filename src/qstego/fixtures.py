@@ -34,8 +34,9 @@ def named_state(name: str) -> DensityMatrix:
     raise ValueError(f"bad parameter: unknown state {name!r}")
 
 
-def pgm_cc_cover(codewords, channel: QuantumChannel, n: int) -> CcCode:
-    """CC cover code with the pretty-good measurement of its own outputs."""
+def pgm_cc_cover(codewords, channel: QuantumChannel) -> CcCode:
+    """CC cover code over ``channel`` (all n uses; the code keeps no n) with
+    the pretty-good measurement of its own outputs."""
     codewords = tuple(codewords)
     if not codewords:
         raise ValueError("bad parameter: no codewords")
@@ -43,7 +44,7 @@ def pgm_cc_cover(codewords, channel: QuantumChannel, n: int) -> CcCode:
     def pgm(outputs):
         return pretty_good_measurement(np.array([[out.data for out in outputs]]))[0]
 
-    return CcCode(codewords=codewords, povm=pgm, channel=channel, n=n)
+    return CcCode(codewords=codewords, povm=pgm, channel=channel)
 
 
 def repetition_qc_cover(p: float) -> QcCode:
@@ -102,10 +103,5 @@ def split_cc_cover(p_block1: float):
     f2 = (named_state("zero"),)
     channel = tensor(m1, m2)
     codeword = DensityMatrix(np.kron(f1[0].data, f2[0].data))
-    cover = CcCode(
-        codewords=(codeword,),
-        povm=Povm(np.eye(4)[None]),
-        channel=channel,
-        n=2,
-    )
+    cover = CcCode(codewords=(codeword,), povm=Povm(np.eye(4)[None]), channel=channel)
     return cover, f1, f2, m1, m2

@@ -42,7 +42,7 @@ CHUNK_BYTES = 1 << 17
 ROW_BYTES = 1 << 22
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HashEncoder:
     """Hash f over alphabet X plus the conditional rows Q_{X|W}.
 
@@ -63,7 +63,7 @@ class HashEncoder:
     px_fallback: bool = False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuantumHashCode:
     """Per-message states g(w) diagonal in the target's eigenbasis, plus the
     matching eigenbasis-projector POVM."""
@@ -74,7 +74,7 @@ class QuantumHashCode:
     f: np.ndarray
     defect: float
     success: float
-    warning: bool = False
+    warning: bool
 
 
 def _score(p: np.ndarray, m: int, tables: np.ndarray):
@@ -146,7 +146,7 @@ def build_classical_hash(
     p,
     m: int,
     eps: float,
-    seed=None,
+    seed: int,
     objective: str = "marginal",
 ) -> HashEncoder:
     """Search for a hash achieving defect <= eps.
@@ -219,7 +219,7 @@ def build_classical_hash(
     return best
 
 
-def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed=None, out=None) -> QuantumHashCode:
+def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed: int, out=None) -> QuantumHashCode:
     """Quantum privacy-amplification code for a target state.
 
     The classical hash is built for the spectrum of ``rho`` (descending);

@@ -30,7 +30,7 @@ from .linalg import (
 PMF_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Pmf:
     """Probability mass function: nonnegative entries summing to 1 within 1e-10."""
 
@@ -50,7 +50,7 @@ def as_pmf(p) -> np.ndarray:
     return Pmf(np.asarray(p, dtype=float)).probs
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqState:
     """Classical-quantum state: a :class:`Pmf` paired with a tuple of
     per-symbol :class:`DensityMatrix` states."""

@@ -127,7 +127,7 @@ def check_povms(els) -> np.ndarray:
     return els
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Positive semidefinite, unit-trace Hermitian operator.
 
@@ -149,7 +149,7 @@ class DensityMatrix:
         return self.data.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PureState:
     """Unit column vector (Euclidean norm within 1e-12 of 1)."""
 
@@ -165,7 +165,7 @@ class PureState:
         return DensityMatrix(np.outer(self.data, self.data.conj()))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """Hermitian matrix (within 1e-10 max entry).  No library path builds one;
     ``perfbench/tracer.py`` wraps its check by name."""
@@ -181,7 +181,7 @@ class HermitianOperator:
         object.__setattr__(self, "data", a)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Measurement as positive operators summing to the identity.
 

@@ -21,22 +21,21 @@ from ..linalg import DensityMatrix, Povm
 PROPORTIONALITY_TOL = 1e-8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CcCode:
     """Classical communication code: encoder table, decoding POVM, channel.
 
     ``codewords`` is a tuple of :class:`DensityMatrix` inputs.  ``channel``
-    is the full n-use channel the code is designed for.  The outputs
-    channel(f(w)) are computed once at construction and kept; the reported
-    reliability (1/M) sum_w tr(Lambda^w channel(f(w))) and epsilon =
-    1 - reliability are computed from them.  ``povm`` is a :class:`Povm`, or
-    a function that builds one from the tuple of outputs.
+    is the full n-use channel the code is designed for; the code keeps no n
+    of its own.  The outputs channel(f(w)) are computed once at construction
+    and kept; the reported reliability (1/M) sum_w tr(Lambda^w channel(f(w)))
+    and epsilon = 1 - reliability are computed from them.  ``povm`` is a
+    :class:`Povm`, or a function that builds one from the tuple of outputs.
     """
 
     codewords: tuple
     povm: Povm
     channel: QuantumChannel
-    n: int
     outputs: tuple = field(init=False)
     reliability: float = field(init=False)
 
@@ -59,7 +58,7 @@ class CcCode:
         return max(0.0, 1.0 - self.reliability)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QcCode:
     """Quantum communication code with an explicit recovery split.
 
@@ -112,7 +111,7 @@ def proportionality_to_identity(kraus_list, dim: int) -> tuple[float, float]:
     return c, residual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EsCode:
     """Entanglement sharing code: Alice's joint input state plus Bob's decoder.
 
@@ -131,7 +130,7 @@ class EsCode:
             raise ValueError("shape error: joint state does not match M * dim_in")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResolvabilityCode:
     """K random codebooks over the input alphabet with per-codebook PGM decoders."""
 
@@ -141,7 +140,7 @@ class ResolvabilityCode:
     distance: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EdCode:
     """One-way entanglement distillation code (encoder cq in C)."""
 
@@ -150,7 +149,7 @@ class EdCode:
     decode: QuantumChannel  # C (x) B -> B_tilde
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoCcCode:
     """Stego classical-communication code built on a CC cover.
 
@@ -182,7 +181,7 @@ class StegoCcCode:
     warning: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoQcCcCode:
     """Stego quantum+classical code built on a QC_R cover via label twirling."""
 
@@ -202,7 +201,7 @@ class StegoQcCcCode:
     warning: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoEsRsCode:
     """Stego entanglement + randomness sharing code built on an ES cover."""
 
@@ -219,7 +218,7 @@ class StegoEsRsCode:
     warning: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StegoCcEsCode:
     """Stego classical-communication + entanglement-sharing code (CC cover)."""
 

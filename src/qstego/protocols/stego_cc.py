@@ -109,7 +109,7 @@ def build_stego_cc_noiseless(
     cover: CcCode,
     mbar: int,
     zeta: float,
-    seed=None,
+    seed: int,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noiseless true channel.
 
@@ -170,7 +170,7 @@ def build_stego_cc_noisy(
     mbar: int,
     kbar: int,
     xi: float,
-    seed=None,
+    seed: int,
 ) -> StegoCcCode:
     """Stego classical-communication code over a noisy true channel.
 

@@ -90,9 +90,7 @@ def build_stego_cc_es(
     m1: QuantumChannel,
     m2: QuantumChannel,
     zeta: float,
-    seed=None,
-    mbar: int | None = None,
-    mcc: int | None = None,
+    seed: int,
 ) -> StegoCcEsCode:
     """Stego entanglement sharing on a split CC cover: entanglement rides on block 1, the
     distiller's classical message rides on block 2 under a one-time pad.
@@ -100,11 +98,10 @@ def build_stego_cc_es(
     ``f1``/``f2`` are the declared factor encoders (validated against the
     cover's codewords); ``m1``/``m2`` the degradation channels per block.
     Each cover message's block-1 purification goes to
-    :func:`trivial_aligner_distiller`.  ``mbar`` defaults to the largest size
-    the distiller accepts for every cover message; ``mcc`` defaults to the
-    block-2 noiseless cypher count (:func:`qstego.rates.rate_cc_noiseless`).
-    Raises ValueError("distillation infeasible at requested M_bar") when the
-    distiller declines.
+    :func:`trivial_aligner_distiller`.  M_bar is the largest size the
+    distiller accepts for every cover message (M_bar = 1 always distills),
+    and the cypher count is the block-2 noiseless message count of
+    :func:`qstego.rates.rate_cc_noiseless`.
     """
     d1n = m1.dim_in
     d2n = m2.dim_in
@@ -113,18 +110,14 @@ def build_stego_cc_es(
             raise ValueError("shape error: cover encoder does not factor as f1 (x) f2")
 
     targets2 = [apply(m2, s) for s in f2]
-    if mcc is None:
-        mcc = rate_cc_noiseless(targets2, zeta).message_count
+    mcc = rate_cc_noiseless(targets2, zeta).message_count
 
     rho1 = [apply(m1, s) for s in f1]
     purifications = [purify(r) for r in rho1]
-    for m_try in range(d1n, 0, -1) if mbar is None else (mbar,):
-        ed_codes = [trivial_aligner_distiller(p, (d1n, d1n), m_try, mcc, zeta) for p in purifications]
+    for mbar in range(d1n, 0, -1):
+        ed_codes = [trivial_aligner_distiller(p, (d1n, d1n), mbar, mcc, zeta) for p in purifications]
         if all(ed is not None for ed in ed_codes):
-            mbar = m_try
             break
-    else:
-        raise ValueError("distillation infeasible at requested M_bar")
 
     rng = np.random.default_rng(seed)
     hashes = [

@@ -42,7 +42,7 @@ def build_stego_es_rs(
     cover: EsCode,
     mbar: int,
     zeta: float,
-    seed=None,
+    seed: int,
 ) -> StegoEsRsCode:
     """Stego entanglement + randomness sharing over a noiseless true channel.
 

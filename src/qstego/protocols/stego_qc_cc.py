@@ -115,7 +115,7 @@ def build_stego_qc_cc(
     cover: QcCode,
     mbar: int,
     zeta: float,
-    seed=None,
+    seed: int,
 ) -> StegoQcCcCode:
     """Stego code carrying a cypher classical message on a QC_R cover.
 

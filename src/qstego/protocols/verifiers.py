@@ -155,7 +155,7 @@ def experiment_random_code_entropy(
     m: QuantumChannel,
     samples: int,
     delta: float,
-    seed=None,
+    seed: int,
 ) -> BoundReport:
     """Haar-sampled subspace entropy of the degradation environment.
 

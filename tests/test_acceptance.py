@@ -103,9 +103,7 @@ class TestAcceptance:
             from qstego.experiments import parse_channel, parse_state
 
             m = parse_channel(params["m"])
-            cover = pgm_cc_cover(
-                [parse_state(s) for s in params["codewords"]], m, params.get("n", 1)
-            )
+            cover = pgm_cc_cover([parse_state(s) for s in params["codewords"]], m)
             stego = build_stego_cc_noiseless(
                 cover, params["mbar"], params["zeta"], seed=config.get("seed", 0)
             )

@@ -95,6 +95,25 @@ class TestCli:
         assert (tmp_path / "sutherland_demo.csv").exists()
         assert not (tmp_path / "sutherland_demo_summary.json").exists()
 
+    def test_json_only_flag(self, tmp_path):
+        cp = run_cli(
+            [
+                "verify",
+                "sutherland",
+                "--config",
+                str(CONFIGS / "sutherland_demo.json"),
+                "--out",
+                str(tmp_path),
+                "--json",
+            ],
+            cwd=tmp_path,
+        )
+        assert cp.returncode == 0, cp.stderr
+        assert not (tmp_path / "sutherland_demo.csv").exists()
+        payload = json.loads((tmp_path / "sutherland_demo_summary.json").read_text())
+        assert sorted(payload) == ["flags", "kind", "seed", "summary", "versions", "wall_time_s"]
+        assert payload["kind"] == "verify/sutherland" and payload["flags"] == {"holds": True}
+
     def test_malformed_config_line_anchored(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "kind": "simulate/qc-cc",\n  "params": {,}\n}\n')
@@ -226,6 +245,29 @@ class TestCli:
         assert cp.returncode == 0, cp.stderr
         payload = json.loads((tmp_path / "stego_qc_cc_demo_summary.json").read_text())
         assert payload["seed"] == 42
+
+    @pytest.mark.parametrize(
+        "name, flag, config_seed",
+        [
+            ("gentle_demo", -3, None),
+            ("stego_cc_noiseless_demo", -3, None),
+            ("gaussian_fig2", -3, None),
+            ("gaussian_fig2", None, -1),
+        ],
+        ids=["gentle-flag", "cc-noiseless-flag", "gaussian-flag", "gaussian-config"],
+    )
+    def test_negative_seed_exits_two(self, tmp_path, name, flag, config_seed):
+        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        if config_seed is not None:
+            config["seed"] = config_seed
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        args = [*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]
+        cp = run_cli(args if flag is None else [*args, "--seed", str(flag)], cwd=tmp_path)
+        assert cp.returncode == 2
+        seed = config_seed if flag is None else flag
+        assert cp.stderr == f"{path}: invalid config: config: 'seed' must be a non-negative integer, got {seed}\n"
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_rerun_byte_identical(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

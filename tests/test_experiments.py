@@ -211,7 +211,7 @@ class TestConfigKeys:
 
 class TestOutputs:
     def test_csv_and_json_written(self, tmp_path):
-        res, paths = run_and_write(load("stego_cc_noiseless_exact.json"), tmp_path, "demo")
+        res, paths = run_and_write(load("stego_cc_noiseless_exact.json"), tmp_path, "demo", seed=None, csv=True, summary_json=True)
         names = {p.name for p in paths}
         assert names == {"demo.csv", "demo_summary.json"}
         text = (tmp_path / "demo.csv").read_text()
@@ -223,8 +223,8 @@ class TestOutputs:
 
     def test_csv_byte_identical_across_reruns(self, tmp_path):
         config = load("stego_cc_noiseless_demo.json")
-        first, _ = run_and_write(config, tmp_path / "a", "run")
-        second, _ = run_and_write(config, tmp_path / "b", "run")
+        first, _ = run_and_write(config, tmp_path / "a", "run", seed=None, csv=True, summary_json=True)
+        second, _ = run_and_write(config, tmp_path / "b", "run", seed=None, csv=True, summary_json=True)
         assert (tmp_path / "a" / "run.csv").read_bytes() == (tmp_path / "b" / "run.csv").read_bytes()
 
     def test_seed_override_changes_rows(self, tmp_path):

@@ -114,3 +114,74 @@ def test_a_copy_under_another_name_shares_no_module():
         [sys.executable, "-c", COPY, str(SRC / "qstego"), *module_names()], capture_output=True, text=True, env=env
     )
     assert cp.returncode == 0, cp.stdout + cp.stderr
+
+
+ROOT = SRC.parent
+
+
+def defaulted_parameters():
+    """(function, parameter, position) for each parameter with a default of
+    a function in ``src/qstego``, the function named "module.name" and the
+    position None for a keyword-only parameter; the functions
+    ``experiments._call`` reads (whose defaults the registry tests check
+    against the configs and workloads) and ``cli.main``, whose ``argv=None``
+    is the console-script entry, are exempt."""
+    from qstego import experiments
+
+    readers = [
+        *experiments.RUNNERS.values(),
+        *experiments._STATES.values(),
+        *experiments._CHANNELS.values(),
+        *experiments._ES_COVERS.values(),
+        experiments._channel,
+        experiments._grid,
+        experiments._pj_bound_row,
+    ]
+    exempt = {"experiments.read", "cli.main"}  # "read": run_experiment's reader of the config's top level
+    for reader in readers:
+        fn = getattr(reader, "func", reader)  # a textbook channel's reader is a partial
+        exempt.add(f"{fn.__module__.removeprefix('qstego.')}.{fn.__name__}")
+    for path in sorted((SRC / "qstego").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC / "qstego").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) or f"{module}.{node.name}" in exempt:
+                continue
+            a = node.args
+            positional = [*a.posonlyargs, *a.args]
+            for i, p in enumerate(positional[len(positional) - len(a.defaults) :], len(positional) - len(a.defaults)):
+                yield f"{module}.{node.name}", p.arg, i
+            for p, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield f"{module}.{node.name}", p.arg, None
+
+
+def calls_by_name():
+    """Function name -> every call of that name (``f(...)`` or ``x.f(...)``)
+    in ``src/``, ``perfbench/`` and ``scripts/``."""
+    calls = {}
+    for top in ("src", "perfbench", "scripts"):
+        for path in sorted((ROOT / top).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute)):
+                    name = node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+                    calls.setdefault(name, []).append(node)
+    return calls
+
+
+def test_every_library_default_is_used_and_overridable():
+    # a default that every caller overrides is one nobody uses, and one that
+    # no caller overrides is a constant in disguise; a call passes a
+    # parameter when its positional arguments reach it, it names it or it
+    # has a ** argument
+    calls = calls_by_name()
+    folded = []
+    for function, param, position in defaulted_parameters():
+        found = calls.get(function.rsplit(".", 1)[1], [])
+        passing = sum(
+            (position is not None and len(c.args) > position)
+            or any(k.arg == param or k.arg is None for k in c.keywords)
+            for c in found
+        )
+        if passing in (0, len(found)):
+            folded.append(f"{function}({param}): passed by {passing} of {len(found)} calls")
+    assert folded == []

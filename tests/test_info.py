@@ -346,7 +346,7 @@ def degraded_side_outputs():
     n_true = tensor_power(standard_channel("dephasing", 0.2), 3)
     m = tensor_power(standard_channel("dephasing", 0.1), 3)
     codewords = [DensityMatrix(reduce(np.kron, [named_state(s).data] * 3)) for s in ("plus", "minus")]
-    cover = pgm_cc_cover(codewords, compose(n_true, m), 3)
+    cover = pgm_cc_cover(codewords, compose(n_true, m))
     return [output_cq(s, n_true) for s in side_states_from_degradation(cover, m)]
 
 

@@ -26,23 +26,21 @@ from qstego.protocols import codes, stego_cc, stego_cc_es
 from qstego.protocols.resolvability import build_resolvability_codes, output_cq
 from qstego.protocols.stego_cc import _nested_povm
 
-
-def trivial_cover(channel, n, dim):
-    return pgm_cc_cover([DensityMatrix(np.eye(dim) / dim)], channel, n)
+from .test_stego_cc_es import force_cypher_count
 
 
 class TestNoiseless:
     def test_identity_degradation_mbar_one(self):
-        cover = pgm_cc_cover([named_state("zero"), named_state("one")], identity_channel(2), 1)
-        stego = build_stego_cc_noiseless(cover, mbar=1, zeta=0.1)
+        cover = pgm_cc_cover([named_state("zero"), named_state("one")], identity_channel(2))
+        stego = build_stego_cc_noiseless(cover, mbar=1, zeta=0.1, seed=0)
         assert stego.distance == pytest.approx(0.0, abs=1e-10)
         assert stego.decode_prob == pytest.approx(1.0, abs=1e-10)
         assert stego.zeta_ach == pytest.approx(0.0, abs=1e-12)
 
     def test_fully_depolarized_exact_split(self):
         m = standard_channel("depolarizing", 1.0)
-        cover = pgm_cc_cover([named_state("zero")], m, 1)
-        stego = build_stego_cc_noiseless(cover, mbar=2, zeta=0.0)
+        cover = pgm_cc_cover([named_state("zero")], m)
+        stego = build_stego_cc_noiseless(cover, mbar=2, zeta=0.0, seed=0)
         assert stego.zeta_ach == pytest.approx(0.0, abs=1e-12)
         assert stego.distance == pytest.approx(0.0, abs=1e-12)
         assert stego.decode_prob == pytest.approx(1.0, abs=1e-12)
@@ -54,7 +52,7 @@ class TestNoiseless:
             DensityMatrix(np.kron(named_state("plus").data, named_state("plus").data)),
             DensityMatrix(np.kron(named_state("minus").data, named_state("minus").data)),
         ]
-        cover = pgm_cc_cover(codewords, m, 2)
+        cover = pgm_cc_cover(codewords, m)
         stego = build_stego_cc_noiseless(cover, mbar=2, zeta=0.1, seed=0)
         assert stego.distance <= stego.zeta_ach + 1e-12
         bound = 1 - stego.zeta_ach - 2 * math.sqrt(stego.zeta_ach + stego.eps_cover) - 1e-6
@@ -67,7 +65,7 @@ class TestNoiseless:
             DensityMatrix(np.kron(named_state("plus").data, named_state("zero").data)),
             DensityMatrix(np.kron(named_state("zero").data, named_state("plus").data)),
         ]
-        cover = pgm_cc_cover(codewords, m, 2)
+        cover = pgm_cc_cover(codewords, m)
         stego = build_stego_cc_noiseless(cover, mbar=3, zeta=1.0, seed=1)
         total = stego.povms[0].elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
@@ -87,7 +85,7 @@ class TestNoiseless:
         codewords = [
             DensityMatrix(np.kron(named_state(s).data, named_state(s).data)) for s in ("plus", "minus")
         ]
-        cover = pgm_cc_cover(codewords, m, 2)
+        cover = pgm_cc_cover(codewords, m)
         build_stego_cc_noiseless(cover, mbar=2, zeta=0.1, seed=0)
         assert len(calls) == len(codewords)
 
@@ -96,10 +94,10 @@ class TestNoisy:
     def test_side_state_mismatch_rejected(self):
         n_true = standard_channel("dephasing", 0.3)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus")], compose(n_true, m))
         bad = [CqState(Pmf([1.0]), (named_state("zero"),))]
         with pytest.raises(ValueError, match="side-state mismatch"):
-            build_stego_cc_noisy(cover, n_true, bad, mbar=1, kbar=1, xi=0.5)
+            build_stego_cc_noisy(cover, n_true, bad, mbar=1, kbar=1, xi=0.5, seed=0)
 
     def test_power_side_states_match_dense_branches(self, monkeypatch):
         # a power's branches are gathered, with no operator formed, and give
@@ -107,7 +105,7 @@ class TestNoisy:
         m = tensor_power(standard_channel("amplitude_damping", 0.3), 3)
         words = [("zero", "plus", "one"), ("minus", "one", "plus")]
         codewords = [DensityMatrix(np.kron(np.kron(*(named_state(x).data for x in w[:2])), named_state(w[2]).data)) for w in words]
-        cover = pgm_cc_cover(codewords, m, 3)
+        cover = pgm_cc_cover(codewords, m)
         ops = [m.kraus[j] for j in range(len(m.kraus))]
 
         def forbidden(self, j):
@@ -125,7 +123,7 @@ class TestNoisy:
     def test_degradation_ensemble_is_consistent(self):
         n_true = standard_channel("dephasing", 0.3)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         for sigma, target in zip(sides, cover.outputs):
             pushed = sum(
@@ -137,7 +135,7 @@ class TestNoisy:
     def test_reduces_to_cover_when_degenerate(self):
         n_true = standard_channel("dephasing", 0.25)
         m = identity_channel(2)
-        cover = pgm_cc_cover([named_state("plus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=1, kbar=1, xi=0.5, seed=2)
         assert stego.distance == pytest.approx(0.0, abs=1e-10)
@@ -146,7 +144,7 @@ class TestNoisy:
     def test_equal_targets_distance_is_resolvability_distance(self):
         n_true = standard_channel("depolarizing", 1.0)
         m = identity_channel(2)
-        cover = pgm_cc_cover([named_state("zero")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("zero")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=1, xi=0.5, seed=3)
         assert stego.distance == pytest.approx(stego.per_w_defect[0], abs=1e-10)
@@ -154,7 +152,7 @@ class TestNoisy:
     def test_distance_decreasing_in_kbar(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         medians = []
         for kbar in (1, 4, 16):
@@ -171,7 +169,7 @@ class TestNoisy:
     def test_one_codeword_per_cypher_message(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, xi=0.5, seed=4)
         for encoder, povm in zip(stego.encoders, stego.povms):
@@ -182,7 +180,7 @@ class TestNoisy:
     def test_audit_inequality(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, xi=0.5, seed=5)
         bound = 1 - stego.zeta_ach - 2 * math.sqrt(stego.zeta_ach + stego.eps_cover) - 1e-6
@@ -213,13 +211,13 @@ class TestPerMessageDecode:
             DensityMatrix(np.kron(named_state("plus").data, named_state("plus").data)),
             DensityMatrix(np.kron(named_state("minus").data, named_state("minus").data)),
         ]
-        stego = build_stego_cc_noiseless(pgm_cc_cover(codewords, m, 2), mbar=3, zeta=0.1, seed=0)
+        stego = build_stego_cc_noiseless(pgm_cc_cover(codewords, m), mbar=3, zeta=0.1, seed=0)
         assert stego.per_w_decode == per_w_decode_loop(stego)
 
     def test_noisy_sums_over_keys(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, xi=0.5, seed=5)
         assert stego.per_w_decode == per_w_decode_loop(stego, n_true)
@@ -306,7 +304,7 @@ def random_diagonal_cover(d, seed):
     for _ in range(2):
         p = rng.random(d)
         words.append(DensityMatrix(np.diag(p / p.sum()).astype(complex)))
-    return pgm_cc_cover(words, identity_channel(d), 1)
+    return pgm_cc_cover(words, identity_channel(d))
 
 
 class TestInPlaceNesting:
@@ -327,7 +325,7 @@ class TestInPlaceNesting:
     def test_noisy(self):
         n_true = standard_channel("dephasing", 0.35)
         m = standard_channel("dephasing", 0.4)
-        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m), 1)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
         sides = side_states_from_degradation(cover, m)
         stego = build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=3, xi=0.5, seed=5)
         rng = np.random.default_rng(5)
@@ -347,7 +345,8 @@ class TestInPlaceNesting:
             lambda *args, **kw: hashes.append(quantum_hash(*args, **kw)) or hashes[-1],
         )
         cover, f1, f2, m1, m2 = split_cc_cover(0.5)
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=3, mcc=3)
+        force_cypher_count(monkeypatch, 3)
+        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=3)
         d1n = m1.dim_in
         inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
         assert stego.povms[0].elements.tobytes() == two_stack_nested_povm(cover.povm, inner).tobytes()

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from qstego.channels import apply, identity_channel, tensor
 from qstego.fixtures import split_cc_cover
 from qstego.linalg import DensityMatrix, PureState, maximally_entangled, partial_trace_matrix, psd_sqrt, trace_norm
 from qstego.protocols import build_stego_cc_es, stego_cc_es, trivial_aligner_distiller
+from qstego.rates import RateResult
 
 
 def distilled_distance(code, psi, db, l):
@@ -16,6 +19,14 @@ def distilled_distance(code, psi, db, l):
     swapped = joint.reshape(l, m, db, l, m, db).transpose(1, 0, 2, 4, 3, 5).reshape(joint.shape)
     final = apply(tensor(identity_channel(m), code.decode), DensityMatrix(swapped))
     return trace_norm(final.data - maximally_entangled(m).to_density().data)
+
+
+def force_cypher_count(monkeypatch, mcc):
+    """Make ``build_stego_cc_es`` pad with ``mcc`` cyphers: its noiseless
+    rate reports log2(mcc) bits, whose message count is ``mcc``."""
+    rate = RateResult(raw=math.log2(mcc), a_star=1.0, per_w=(), boundary=False)
+    assert rate.message_count == mcc
+    monkeypatch.setattr(stego_cc_es, "rate_cc_noiseless", lambda outputs, zeta: rate)
 
 
 class TestTrivialAligner:
@@ -79,7 +90,6 @@ class TestStegoCcEs:
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
             povm=Povm(np.eye(4)[None]),
             channel=identity_channel(4),
-            n=2,
         )
         stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=1)
         # pure product purification: only M_bar = 1 distills
@@ -87,26 +97,7 @@ class TestStegoCcEs:
         assert stego.entanglement_distance <= 1e-9
         assert stego.distance <= 1e-10
 
-    def test_requested_mbar_infeasible(self):
-        from qstego.channels import identity_channel
-        from qstego.fixtures import named_state
-        from qstego.linalg import Povm
-        from qstego.protocols.codes import CcCode
-
-        m1 = identity_channel(2)
-        m2 = identity_channel(2)
-        f1 = (named_state("zero"),)
-        f2 = (named_state("zero"),)
-        cover = CcCode(
-            codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm(np.eye(4)[None]),
-            channel=identity_channel(4),
-            n=2,
-        )
-        with pytest.raises(ValueError, match="distillation infeasible"):
-            build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, mbar=2)
-
-    def test_nontrivial_key_wiring(self):
+    def test_nontrivial_key_wiring(self, monkeypatch):
         # force a 2-letter one-time pad on the classical leg (the rate formula
         # alone would grant mcc = 1); block 2 is completely dephased |+>, so
         # two messages ride it exactly and the pad round-trips
@@ -123,9 +114,9 @@ class TestStegoCcEs:
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
             povm=Povm(np.eye(4)[None]),
             channel=tensor(m1, m2),
-            n=2,
         )
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=2, mcc=2)
+        force_cypher_count(monkeypatch, 2)
+        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=2)
         assert stego.mcc == 2
         assert stego.key_bits == pytest.approx(1.0)
         assert stego.classical_reliability == pytest.approx(1.0, abs=1e-9)
@@ -152,7 +143,6 @@ class TestStegoCcEs:
             codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
             povm=Povm(np.eye(8)[None]),
             channel=tensor(m1, m2),
-            n=2,
         )
         stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=1.9, seed=0)
         assert stego.mcc == rate_cc_noiseless(f2, 1.9).message_count == 3
@@ -238,7 +228,9 @@ class TestAuditBitForBit:
     )
     def test_split_cover_matches_loop(self, monkeypatch, p_block1, mcc, mbar):
         cover, f1, f2, m1, m2 = split_cc_cover(p_block1)
-        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=3, mcc=mcc)
+        if mcc is not None:
+            force_cypher_count(monkeypatch, mcc)
+        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=3)
         # p_block1 = 0.3 leaves a pure state that only M_bar = 1 distills;
         # mcc > 1 feeds the decoder a classical register of more than one level
         assert stego.mbar == mbar
@@ -263,8 +255,9 @@ class TestAuditBitForBit:
         f1 = (pure(0.3, 0.7), pure(1.1, -0.4))
         f2 = (pure(0.2, 1.3), pure(1.3, 0.5))
         codewords = [DensityMatrix(np.kron(a.data, b.data)) for a, b in zip(f1, f2)]
-        cover = pgm_cc_cover(codewords, tensor(m1, m2), 2)
-        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=5, mcc=mcc)
+        cover = pgm_cc_cover(codewords, tensor(m1, m2))
+        force_cypher_count(monkeypatch, mcc)
+        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=5)
         assert stego.mbar == 2 and stego.mcc == mcc
         assert stego.entanglement_distance > 1e-3
         got = (stego.classical_reliability, stego.entanglement_distance, stego.distance)

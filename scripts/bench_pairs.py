@@ -26,15 +26,12 @@ import sys
 from pathlib import Path
 
 
-def run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """Metric values of one untraced run.py run of the checkout at ``root``."""
+def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The result line of one perfbench/run.py run of the checkout at ``root``."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
-    result = json.loads(out[-1])
-    if not result["correct"]:
-        raise SystemExit(f"{root}: seed {seed}: run not correct ({result['failed']} of {result['attempted']} failed)")
-    return {name: m["value"] for name, m in result["metrics"].items()}
+    return json.loads(out[-1])
 
 
 def quartiles(values: list) -> tuple:
@@ -83,9 +80,12 @@ def main(argv=None) -> int:
         seed = args.seed + i
         order = ("parent", "change") if i < (args.pairs + 1) // 2 else ("change", "parent")
         for side in order:
-            got = run(roots[side], args.workload, seed, args.seconds)
+            result = run(roots[side], args.workload, seed, args.seconds, 0)
+            if not result["correct"]:
+                raise SystemExit(f"{roots[side]}: seed {seed}: run not correct "
+                                 f"({result['failed']} of {result['attempted']} failed)")
             for name, _ in metrics:
-                values[side][name].append(got[name])
+                values[side][name].append(result["metrics"][name]["value"])
         print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): " + ", ".join(
             f"{name} {values['parent'][name][-1]:.4g} -> {values['change'][name][-1]:.4g}" for name, _ in metrics
         ), flush=True)

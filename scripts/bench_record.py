@@ -3,32 +3,22 @@
     python3 scripts/bench_record.py --seed N --out BENCH_<n>.json [--root CHECKOUT] [--label TEXT]
 
 Runs ``perfbench/run.py --workload W --seed N --seconds S --trace T`` of the
-checkout at ``--root`` (default: this one) for every workload of its
-``BENCHMARK.json`` and T = 0, 1, one run after another, and writes their JSON
-result lines, the environment of the first run and the line counts of
-every module under ``src/qstego`` to one file.  The schema is described in
-README.md ("Benchmark"); two files of it diff line by line.
+checkout at ``--root`` (default: this one) by ``bench_pairs.run`` for every
+workload of its ``BENCHMARK.json`` and T = 0, 1, one run after another, and
+writes their JSON result lines, the environment of the first run and the
+line counts of every module under ``src/qstego`` to one file.  The schema is
+described in README.md ("Benchmark"); two files of it diff line by line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
-import sys
 from pathlib import Path
 
+from bench_pairs import run
+
 SCHEMA = 1
-
-
-def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> tuple:
-    """(environment, result line) of one run.py run; the environment is read
-    from the full result run.py writes under .bench_out/."""
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
-    full = json.loads((root / ".bench_out" / f"{workload}-seed{seed}-trace{trace}.json").read_text())
-    return full["env"], json.loads(out[-1])
 
 
 def module_lines(root: Path) -> dict:
@@ -49,8 +39,10 @@ def main(argv=None) -> int:
     env, runs = None, {}
     for workload in (w["name"] for w in bench["workloads"]):
         for trace in (0, 1):
-            run_env, result = run(root, workload, args.seed, seconds, trace)
-            env = env or run_env
+            result = run(root, workload, args.seed, seconds, trace)
+            # the environment is in the full result run.py writes under .bench_out/
+            full = root / ".bench_out" / f"{workload}-seed{args.seed}-trace{trace}.json"
+            env = env or json.loads(full.read_text())["env"]
             runs.setdefault(workload, {})[f"trace{trace}"] = result
     lines = module_lines(root)
     record = {

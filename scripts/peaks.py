@@ -7,7 +7,8 @@ Runs, in this one process, what a measuring ``perfbench`` process of the
 workload runs for the seed: the warm-up instance, then the instances of one
 pass in run order (``perfbench/workloads.generate``), each through
 ``run_experiment`` and ``render_csv`` as the CLI does.  ``--root`` names the
-checkout whose ``src`` (qstego) and ``perfbench`` (workloads) are used;
+checkout whose ``src`` (qstego, imported by ``perfbench/worker.py``'s
+``import_library``) and ``perfbench`` (workloads) are used;
 default this one, so the script can also measure a parent checkout.  For each
 instance it prints the ``tracemalloc`` peak during the instance and the
 process ``ru_maxrss`` after it, both in MB (2^20 bytes), then the instance
@@ -54,9 +55,11 @@ def main(argv=None) -> int:
     ap.add_argument("--root", type=Path, default=ROOT, help="checkout to measure (default: this one)")
     args = ap.parse_args(argv)
     root = args.root.resolve()
-    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
-    import qstego.experiments as experiments
+    sys.path.insert(0, str(root / "perfbench"))
     import workloads
+    from worker import import_library
+
+    experiments = import_library(root)
 
     chosen, warmup = workloads.generate(args.workload, args.seed, root)
     print(f"{args.workload} seed {args.seed}, qstego from {root / 'src'}; start ru_maxrss {maxrss_mb():.1f} MB")

@@ -6,7 +6,8 @@ Runs every instance of every benchmark workload pool (``perfbench/workloads.py``
 through ``run_experiment`` + ``render_csv`` and every ``configs/*.json``
 through ``cli.main`` (outputs go to a temporary directory), with a
 ``sys.settrace`` hook that records only frames of code under ``src/qstego``.
-Tracing starts before ``qstego`` is imported, so module-level code counts.
+Tracing starts before ``qstego`` is imported (by ``perfbench/worker.py``'s
+``import_library``), so module-level code counts.
 
 Prints the functions (lambdas and nested functions included) that were never
 called, then, for the code that was called, the lines that were never hit,
@@ -24,9 +25,8 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-SRC = ROOT / "src"
-PKG = SRC / "qstego"
-sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+PKG = ROOT / "src" / "qstego"
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 called = set()  # code objects entered
 hit = set()  # (filename, line)
@@ -58,13 +58,14 @@ def code_objects(code):
 
 def run_everything():
     import workloads
+    from worker import import_library
 
+    experiments = import_library(ROOT)
     from qstego import cli
-    from qstego.experiments import render_csv, run_experiment
 
     for name in workloads.NAMES:
         for inst in workloads.pool(name, ROOT):
-            render_csv(run_experiment(inst.config))
+            experiments.render_csv(experiments.run_experiment(inst.config))
     with tempfile.TemporaryDirectory() as out:
         for path in sorted((ROOT / "configs").glob("*.json")):
             group, kind = json.loads(path.read_text())["kind"].split("/")

@@ -35,21 +35,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def record(pools, src: Path, out: Path, names: list) -> None:
+def record(pools, checkout: Path, out: Path, names: list) -> None:
     """Child side: write ``<workload>/<key>.csv``, ``<key>.json`` (the flags)
     and ``<key>.summary.json`` for every pool instance, run with the qstego
-    sources under ``src``."""
-    sys.path.insert(0, str(src))
-    from qstego.experiments import _jsonable, render_csv, run_experiment
-    from worker import flags_of
+    sources of ``checkout``."""
+    from worker import flags_of, import_library
 
+    ex = import_library(checkout)
     for name in names:
         (out / name).mkdir(parents=True)
         for inst in pools.pool(name, ROOT):
-            result = run_experiment(inst.config)
-            (out / name / f"{inst.key}.csv").write_text(render_csv(result))
+            result = ex.run_experiment(inst.config)
+            (out / name / f"{inst.key}.csv").write_text(ex.render_csv(result))
             (out / name / f"{inst.key}.json").write_text(json.dumps(flags_of(result), sort_keys=True))
-            (out / name / f"{inst.key}.summary.json").write_text(json.dumps(_jsonable(result.summary), sort_keys=True))
+            (out / name / f"{inst.key}.summary.json").write_text(json.dumps(ex._jsonable(result.summary), sort_keys=True))
 
 
 def column_changes(old: str, new: str) -> dict:
@@ -84,7 +83,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent", help="checkout of the parent commit")
     ap.add_argument("--workload", action="append", help="workload to diff (repeatable; default: all)")
-    ap.add_argument("--child", nargs=2, metavar=("SRC", "OUT"), help=argparse.SUPPRESS)
+    ap.add_argument("--child", nargs=2, metavar=("CHECKOUT", "OUT"), help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads as pools
@@ -106,7 +105,7 @@ def main(argv=None) -> int:
         children = [
             subprocess.Popen(
                 [sys.executable, __file__, str(sides["parent"]), *sum((["--workload", n] for n in names), []),
-                 "--child", str(root / "src"), str(Path(tmp) / side)],
+                 "--child", str(root), str(Path(tmp) / side)],
                 env=bench_env,
             )
             for side, root in sides.items()

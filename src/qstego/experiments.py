@@ -523,10 +523,10 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     """Dispatch a config to its runner.
 
     ``config`` holds "kind", optional "seed", and "params", the keyword
-    arguments of the kind's runner; an explicit ``seed`` argument overrides
-    the config.  A key nothing reads, a missing one or a wrong-typed number
-    raises TypeError, and a negative seed ValueError, naming it before the
-    runner starts.
+    arguments of the kind's runner; an explicit integer ``seed`` argument
+    overrides the config.  A key nothing reads, a missing one or a
+    wrong-typed number raises TypeError, and a negative seed ValueError,
+    naming it before the runner starts.
     """
     def read(kind, seed: int = 0, params={}):
         return kind, seed, params
@@ -534,7 +534,7 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     kind, config_seed, params = _call("config", read, config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    use_seed = config_seed if seed is None else int(seed)
+    use_seed = config_seed if seed is None else _number("seed", seed, "int")
     if use_seed < 0:
         raise ValueError(f"config: 'seed' must be a non-negative integer, got {use_seed}")
     rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)

@@ -59,8 +59,8 @@ class HashEncoder:
     defect: float
     output_defect: float
     error_prob: float
-    warning: bool = False
-    px_fallback: bool = False
+    warning: bool
+    px_fallback: bool
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,6 +138,7 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
         defect=float(defect[0]),
         output_defect=float(output_defect[0]),
         error_prob=float(error[0]),
+        warning=False,
         px_fallback=bool(np.bincount(f, minlength=m).min() == 0),
     )
 

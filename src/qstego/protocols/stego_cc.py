@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ..channels import QuantumChannel, apply, kraus_terms
+from ..channels import QuantumChannel, kraus_terms
 from ..hashing import build_quantum_hash
 from ..info import CqState, Pmf
 from ..linalg import DensityMatrix, Povm, psd_sqrt, trace_norm
@@ -45,9 +45,10 @@ def _nested_povm(cover_povm: Povm, inner: np.ndarray) -> Povm:
     return Povm(inner.reshape(-1, *inner.shape[2:]))
 
 
-def _assemble(cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_success, key_bits, warning):
+def _assemble(cover, mbar, encoders, povms, outputs, per_w_defect, per_w_success, key_bits, warning):
     """The :class:`StegoCcCode` of the assembled artifacts, every achieved
-    metric recomputed from them.
+    metric recomputed from them; ``outputs`` holds, key by key, each
+    encoder state through the true channel.
 
     zeta_ach is the largest max(defect, 1 - success) over the inner codes.
     The per-message decode probability of w sums tr(Gamma g) over the keys
@@ -62,7 +63,6 @@ def _assemble(cover, mbar, encoders, povms, true_channel, per_w_defect, per_w_su
     overall = np.zeros((dim, dim), dtype=complex)
     cover_mix = np.zeros((dim, dim), dtype=complex)
     decode = 0.0
-    outputs = [[apply(true_channel, state) if true_channel is not None else state for state in enc] for enc in encoders]
     for w in range(m):
         block = np.zeros((dim, dim), dtype=complex)
         for s in range(kbar):
@@ -136,7 +136,8 @@ def build_stego_cc_noiseless(
     warning = any(h.warning for h in hashes)
     del hashes  # their POVMs are the slots the nesting overwrites
     povm = _nested_povm(cover.povm, stack)
-    return _assemble(cover, mbar, (encoder,), (povm,), None, per_w_defect, per_w_success, 0.0, warning)
+    # a noiseless true channel outputs each encoder state itself
+    return _assemble(cover, mbar, (encoder,), (povm,), (encoder,), per_w_defect, per_w_success, 0.0, warning)
 
 
 def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqState]:
@@ -190,12 +191,10 @@ def build_stego_cc_noisy(
         out_cqs.append(output_cq(sigma, n_true))
         if trace_norm(out_cqs[-1].marginal_b() - target.data) > 1e-8:
             raise ValueError("side-state mismatch")
-    codes = []
-    for out_cq in out_cqs:
-        codes += build_resolvability_codes(out_cq, mbar, kbar, [int(rng.integers(1 << 31))])
-    encoders = tuple(
-        tuple(side_states[w].states[i] for w, code in enumerate(codes) for i in code.codebooks[s])
-        for s in range(kbar)
+    codes = [build_resolvability_codes(out_cq, mbar, kbar, [int(rng.integers(1 << 31))])[0] for out_cq in out_cqs]
+    encoders, outputs = (
+        tuple(tuple(cqs[w].states[i] for w, code in enumerate(codes) for i in code.codebooks[s]) for s in range(kbar))
+        for cqs in (side_states, out_cqs)
     )
     povms = tuple(
         _nested_povm(cover.povm, np.array([code.decoders[s].elements for code in codes])) for s in range(kbar)
@@ -203,4 +202,4 @@ def build_stego_cc_noisy(
     per_w_defect = tuple(code.distance for code in codes)
     per_w_success = tuple(code.reliability for code in codes)
     warning = any(defect > xi for defect in per_w_defect)
-    return _assemble(cover, mbar, encoders, povms, n_true, per_w_defect, per_w_success, math.log2(kbar), warning)
+    return _assemble(cover, mbar, encoders, povms, outputs, per_w_defect, per_w_success, math.log2(kbar), warning)

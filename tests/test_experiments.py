@@ -1,7 +1,7 @@
-import hashlib
 import importlib.util
 import inspect
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -11,17 +11,24 @@ import pytest
 from qstego import experiments
 from qstego.experiments import RUNNERS, render_csv, run_experiment, run_and_write
 
-CONFIGS = Path(__file__).resolve().parent.parent / "configs"
-#: the benchmark's correctness gate: CSV sha256 of every shipped config (read only)
-BENCH_REFERENCE = CONFIGS.parent / "perfbench" / "reference.json"
-#: the benchmark's instance generators' parameters (read only)
-BENCH_WORKLOADS = CONFIGS.parent / "perfbench" / "workloads.json"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIGS = ROOT / "configs"
+#: the benchmark's correctness gate: CSV sha256 and flags of every pool instance (read only)
+BENCH_REFERENCE = json.loads((ROOT / "perfbench" / "reference.json").read_text())
 
-# the benchmark's instance generators, loaded from their file and only read;
-# registered by name first, since a dataclass looks its module up there
-spec = importlib.util.spec_from_file_location("bench_workloads", CONFIGS.parent / "perfbench" / "workloads.py")
-workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(workloads)
+
+def bench_module(name):
+    """``perfbench/<name>.py``, loaded from its file and only read; registered
+    by name first, since a dataclass looks its module up there."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", ROOT / "perfbench" / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads, worker = bench_module("workloads"), bench_module("worker")
+#: (workload, instance) for every instance any seed can generate, the shipped configs included
+POOL = [(name, instance) for name in workloads.NAMES for instance in workloads.pool(name, ROOT)]
 
 
 def load(name):
@@ -49,9 +56,8 @@ def spec_reads():
                     channel = item.get("kind") in experiments._CHANNELS
                     walk((reader, experiments._channel) if channel else (reader,), item)
 
-    for name in workloads.NAMES:
-        for instance in workloads.pool(name, CONFIGS.parent):
-            walk((RUNNERS[instance.config["kind"]],), instance.config["params"])
+    for _, instance in POOL:
+        walk((RUNNERS[instance.config["kind"]],), instance.config["params"])
     return reads
 
 
@@ -108,19 +114,15 @@ class TestRegistry:
     def test_every_kind_is_reached_by_a_config_or_workload(self):
         # a kind that no shipped config and no benchmark instance runs is code
         # that only its tests reach
-        kinds = {load(p.name)["kind"] for p in CONFIGS.glob("*.json")}
-        for workload in json.loads(BENCH_WORKLOADS.read_text()).values():
-            gen = workload["generator"]
-            kinds.update(item["kind"] for item in [gen, *gen.get("slots", [])] if "kind" in item)
+        kinds = {instance.config["kind"] for _, instance in POOL}
         assert sorted(set(RUNNERS) - kinds) == []
 
     def test_every_runner_key_is_set_by_a_config_or_workload(self):
         # a keyword parameter that no shipped config and no benchmark instance
         # sets has one value in use, its default: it belongs in a constant
         used = {kind: set() for kind in RUNNERS}
-        for name in workloads.NAMES:
-            for instance in workloads.pool(name, CONFIGS.parent):
-                used[instance.config["kind"]].update(instance.config.get("params", {}))
+        for _, instance in POOL:
+            used[instance.config["kind"]].update(instance.config.get("params", {}))
         unset = {
             kind: sorted(set(inspect.signature(runner).parameters) - {"seed"} - used[kind])
             for kind, runner in RUNNERS.items()
@@ -132,8 +134,7 @@ class TestRegistry:
         # dimension of m; no shipped config or benchmark instance has one
         # (channels parsed only, nothing run)
         kinds = {"simulate/cc-noiseless", "simulate/cc-noisy", "rates/cc-noisy"}
-        instances = [i for name in workloads.NAMES for i in workloads.pool(name, CONFIGS.parent)]
-        checked = [i for i in instances if i.config["kind"] in kinds]
+        checked = [i for _, i in POOL if i.config["kind"] in kinds]
         for instance in checked:
             params = instance.config["params"]
             assert 2 ** params["n"] == experiments.parse_channel(params["m"]).dim_in, instance
@@ -234,102 +235,50 @@ class TestOutputs:
         assert base.seed == 5 and other.seed == 123
         assert render_csv(base) != render_csv(other)
 
+    @pytest.mark.parametrize("seed", [2.7, True, "3"], ids=["float", "bool", "str"])
+    def test_seed_argument_read_as_an_integer(self, seed):
+        with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+            run_experiment(load("sutherland_demo.json"), seed=seed)
+
     @pytest.mark.parametrize("name", ["stego_cc_noiseless_demo", "stego_cc_noisy_demo"])
     def test_golden_file(self, name):
         golden = Path(__file__).resolve().parent / "golden" / f"{name}.csv"
         assert render_csv(run_experiment(load(f"{name}.json"))) == golden.read_text()
 
 
-def reference_key(config) -> str:
-    """The key the benchmark stores a config's digest under (perfbench/workloads.py)."""
-    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()[:20]
-
-
-def hash_search_first_variants():
-    """The first variant of each hash-search slot as pytest params
-    (instance name, config), built from perfbench/workloads.json the way
-    perfbench/workloads.py builds it."""
-    gen = json.loads(BENCH_WORKLOADS.read_text())["hash-search"]["generator"]
-    kind, p = gen["channel_kinds"][0], gen["p_grid"][0]
-    out = []
-    for slot in gen["slots"]:
-        q = slot["qubits"]
-        params = {
-            "m": {"kind": kind, "p": p, "power": q},
-            "codewords": [{"kind": "kron", "factors": list(c)} for c in slot["codewords"]],
-            "n": q,
-            "mbar": slot["mbar"],
-            "zeta": slot["zeta"],
-        }
-        instance = f"{slot['name']}:{kind}-p{p}"
-        config = {"kind": gen["kind"], "seed": slot["seed"], "params": params}
-        out.append(pytest.param(instance, config, id=instance))
-    return out
-
-
 #: large-d slots whose instances build a CC cover and read its outputs
 LARGE_D_COVER_SLOTS = ("cc-noiseless-d32", "cc-noiseless-d64", "rates-cc-noisy-n3")
 
 
-def large_d_first_variants():
-    """The first variant of each slot in LARGE_D_COVER_SLOTS as pytest params
-    (instance name, config), built from perfbench/workloads.json the way
-    perfbench/workloads.py builds it."""
-    gen = json.loads(BENCH_WORKLOADS.read_text())["large-d"]["generator"]
-    kind, p = gen["channel_kinds"][0], gen["p_grid"][0]
-    out = []
-    for slot in gen["slots"]:
-        if slot["name"] not in LARGE_D_COVER_SLOTS:
-            continue
-        q = slot["qubits"]
-        params = {
-            "m": {"kind": kind, "p": p, "power": q},
-            "codewords": [{"kind": "kron", "factors": list(c)} for c in slot["codewords"]],
-            "n": q,
-            "zeta": slot["zeta"],
-        }
-        if slot["kind"] == "simulate/cc-noiseless":
-            params["mbar"] = slot["mbar"]
-            config = {"kind": slot["kind"], "seed": slot["seed"], "params": params}
-        else:
-            n_true = slot["n_true"]
-            params |= {"n_true": {"kind": n_true["kind"], "p": n_true["p"], "power": q}, "xi": slot["xi"]}
-            config = {"kind": slot["kind"], "params": params}
-        instance = f"{slot['name']}:{kind}-p{p}"
-        out.append(pytest.param(instance, config, id=instance))
-    return out
+def first_of_each_slot():
+    """(workload, instance) pytest params: the first pool instance of each
+    shipped config (named by its file), hash-search slot and LARGE_D_COVER_SLOTS slot."""
+    first = {}
+    for name, inst in POOL:
+        if name != "large-d" or inst.slot in LARGE_D_COVER_SLOTS:
+            first.setdefault((name, inst.slot), inst)
+    return [
+        pytest.param(name, inst, id=f"{inst.slot}.json" if name == "shipped" else f"{inst.slot}:{inst.label}")
+        for (name, _), inst in first.items()
+    ]
 
 
 class TestBenchmarkReference:
     """Each shipped config, and the first variant of each hash-search slot and
-    of the large-d slots that build a CC cover, renders the CSV bytes recorded
-    for the benchmark."""
-
-    def shipped(self):
-        return json.loads(BENCH_REFERENCE.read_text())["shipped"]
+    of the large-d slots that build a CC cover, renders the CSV bytes and
+    flags recorded for the benchmark."""
 
     def test_reference_covers_the_shipped_configs(self):
-        keys = {reference_key(json.loads(p.read_text())) for p in CONFIGS.glob("*.json")}
-        assert keys == set(self.shipped())
-
-    @pytest.mark.parametrize("name", sorted(p.name for p in CONFIGS.glob("*.json")))
-    def test_csv_sha256_matches(self, name):
-        config = load(name)
-        expected = self.shipped()[reference_key(config)]["csv_sha256"]
-        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == expected
-
-    @pytest.mark.parametrize("instance,config", hash_search_first_variants())
-    def test_hash_search_csv_sha256_matches(self, instance, config):
-        entry = json.loads(BENCH_REFERENCE.read_text())["hash-search"][reference_key(config)]
-        assert entry["instance"] == instance
-        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == entry["csv_sha256"]
+        assert {inst.key for name, inst in POOL if name == "shipped"} == set(BENCH_REFERENCE["shipped"])
 
     def test_large_d_slots_covered(self):
-        assert len(large_d_first_variants()) == len(LARGE_D_COVER_SLOTS)
+        # a renamed slot would otherwise drop out of the digest checks unseen
+        assert set(LARGE_D_COVER_SLOTS) <= {inst.slot for name, inst in POOL if name == "large-d"}
 
-    @pytest.mark.parametrize("instance,config", large_d_first_variants())
-    def test_large_d_csv_sha256_matches(self, instance, config):
-        entry = json.loads(BENCH_REFERENCE.read_text())["large-d"][reference_key(config)]
-        assert entry["instance"] == instance
-        assert hashlib.sha256(render_csv(run_experiment(config)).encode()).hexdigest() == entry["csv_sha256"]
+    @pytest.mark.parametrize("workload, instance", first_of_each_slot())
+    def test_csv_sha256_matches(self, workload, instance):
+        # the check perfbench/worker.py makes of every instance it runs
+        result = run_experiment(instance.config)
+        entry = BENCH_REFERENCE[workload][instance.key]
+        assert worker.csv_sha256(render_csv(result)) == entry["csv_sha256"]
+        assert worker.flags_of(result) == entry["flags"]

@@ -118,6 +118,32 @@ def test_a_copy_under_another_name_shares_no_module():
 
 ROOT = SRC.parent
 
+# Loads each script named on the command line from its file, under its stem
+# (so its ``main`` does not run), with the scripts' directory first on
+# sys.path, as when a script is run.
+SCRIPTS = """
+import importlib.util, sys, traceback
+from pathlib import Path
+sys.path.insert(0, str(Path(sys.argv[1]).parent))
+failed = []
+for path in map(Path, sys.argv[1:]):
+    spec = importlib.util.spec_from_file_location(path.stem, path)
+    try:
+        spec.loader.exec_module(importlib.util.module_from_spec(spec))
+    except Exception:
+        failed.append(f"{path}:\\n{traceback.format_exc()}")
+print("\\n".join(failed))
+sys.exit(1 if failed else 0)
+"""
+
+
+def test_each_script_imports():
+    # in a child process, which keeps the scripts' sys.path edits out of this one
+    scripts = sorted((ROOT / "scripts").glob("*.py"))
+    assert ROOT / "scripts" / "bench_record.py" in scripts and ROOT / "scripts" / "reach.py" in scripts
+    cp = subprocess.run([sys.executable, "-c", SCRIPTS, *map(str, scripts)], capture_output=True, text=True)
+    assert cp.returncode == 0, cp.stdout + cp.stderr
+
 
 def defaulted_parameters():
     """(function, parameter, position) for each parameter with a default of
@@ -155,6 +181,34 @@ def defaulted_parameters():
                     yield f"{module}.{node.name}", p.arg, None
 
 
+def defaulted_fields():
+    """(class, field, position) for each field with a default of a dataclass
+    in ``src/qstego``, the class named "module.Name" and the position the
+    field's place among the constructor's parameters; a field the
+    constructor does not take (``field(init=False)``) is skipped."""
+
+    def name(node):
+        return node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+
+    def in_init(value):
+        return not (
+            isinstance(value, ast.Call)
+            and name(value.func) == "field"
+            and any(k.arg == "init" and getattr(k.value, "value", True) is False for k in value.keywords)
+        )
+
+    for path in sorted((SRC / "qstego").rglob("*.py")):
+        module = ".".join(path.relative_to(SRC / "qstego").with_suffix("").parts)
+        for node in ast.walk(ast.parse(path.read_text())):
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+            if not isinstance(node, ast.ClassDef) or "dataclass" not in map(name, decorators):
+                continue
+            fields = [f for f in node.body if isinstance(f, ast.AnnAssign) and in_init(f.value)]
+            for i, f in enumerate(fields):
+                if f.value is not None:
+                    yield f"{module}.{node.name}", f.target.id, i
+
+
 def calls_by_name():
     """Function name -> every call of that name (``f(...)`` or ``x.f(...)``)
     in ``src/``, ``perfbench/`` and ``scripts/``."""
@@ -172,10 +226,17 @@ def test_every_library_default_is_used_and_overridable():
     # a default that every caller overrides is one nobody uses, and one that
     # no caller overrides is a constant in disguise; a call passes a
     # parameter when its positional arguments reach it, it names it or it
-    # has a ** argument
+    # has a ** argument.  A dataclass field's callers are the calls of its
+    # class: a ``replace`` call that names the field copies an instance such
+    # a call built, so a default no class call passes is still the value every
+    # instance is built with; the message counts those ``replace`` calls
     calls = calls_by_name()
+    defaults = [(*default, "") for default in defaulted_parameters()]
+    for cls, field, position in defaulted_fields():
+        named = sum(any(k.arg == field for k in c.keywords) for c in calls.get("replace", []))
+        defaults.append((cls, field, position, f", named by {named} replace calls"))
     folded = []
-    for function, param, position in defaulted_parameters():
+    for function, param, position, note in defaults:
         found = calls.get(function.rsplit(".", 1)[1], [])
         passing = sum(
             (position is not None and len(c.args) > position)
@@ -183,5 +244,5 @@ def test_every_library_default_is_used_and_overridable():
             for c in found
         )
         if passing in (0, len(found)):
-            folded.append(f"{function}({param}): passed by {passing} of {len(found)} calls")
+            folded.append(f"{function}({param}): passed by {passing} of {len(found)} calls{note}")
     assert folded == []

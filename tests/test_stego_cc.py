@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from qstego import channels
 from qstego.channels import (
     KrausIndex,
     apply,
@@ -22,7 +23,7 @@ from qstego.protocols import (
     build_stego_cc_noisy,
     side_states_from_degradation,
 )
-from qstego.protocols import codes, stego_cc, stego_cc_es
+from qstego.protocols import codes, stego_cc_es
 from qstego.protocols.resolvability import build_resolvability_codes, output_cq
 from qstego.protocols.stego_cc import _nested_povm
 
@@ -80,7 +81,6 @@ class TestNoiseless:
             return apply(ch, rho)
 
         monkeypatch.setattr(codes, "apply", counted)
-        monkeypatch.setattr(stego_cc, "apply", counted)
         m = tensor_power(standard_channel("dephasing", 0.6), 2)
         codewords = [
             DensityMatrix(np.kron(named_state(s).data, named_state(s).data)) for s in ("plus", "minus")
@@ -119,6 +119,24 @@ class TestNoisy:
             assert sigma.pmf.probs.tobytes() == (probs[keep] / probs[keep].sum()).tobytes()
             kept = [b / np.trace(b).real for b, use in zip(branches, keep) if use]
             assert all(np.array_equal(s.data, b) for s, b in zip(sigma.states, kept, strict=True))
+
+    def test_side_state_outputs_computed_once(self, monkeypatch):
+        # each side state goes through n_true once, for the mismatch check;
+        # the audit reads those outputs
+        n_true = standard_channel("dephasing", 0.35)
+        m = standard_channel("dephasing", 0.4)
+        cover = pgm_cc_cover([named_state("plus"), named_state("minus")], compose(n_true, m))
+        sides = side_states_from_degradation(cover, m)
+        calls = []
+        apply_matrix = channels.apply_matrix
+
+        def counted(ch, a):
+            calls.append(ch)
+            return apply_matrix(ch, a)
+
+        monkeypatch.setattr(channels, "apply_matrix", counted)
+        build_stego_cc_noisy(cover, n_true, sides, mbar=2, kbar=4, xi=0.5, seed=4)
+        assert sum(ch is n_true for ch in calls) == sum(len(sigma.states) for sigma in sides) == 4
 
     def test_degradation_ensemble_is_consistent(self):
         n_true = standard_channel("dephasing", 0.3)

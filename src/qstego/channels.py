@@ -289,6 +289,8 @@ def complementary_matrix(ch: QuantumChannel, a: np.ndarray) -> np.ndarray:
     as in :func:`kraus_terms` and traced in the same (…, d, d) layout, so
     that ``np.trace`` sums them in the same order.
     """
+    if a.shape[-2:] != (ch.dim_in, ch.dim_in):
+        raise ValueError("shape error: state does not match channel input")
     k, dout = len(ch.kraus), ch.dim_out
     env = np.zeros(a.shape[:-2] + (k, k), dtype=complex)
     if not isinstance(ch.kraus, KrausIndex):

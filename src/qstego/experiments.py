@@ -353,8 +353,7 @@ def _run_simulate_qc_cc(seed, p: float, mbar: int, zeta: float):
 
 
 def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
-    cover, f1, f2, m1, m2 = split_cc_cover(p_block1)
-    stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=zeta, seed=seed)
+    stego = build_stego_cc_es(*split_cc_cover(p_block1), zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
         "mcc": stego.mcc,
@@ -483,9 +482,10 @@ def _run_verify_sutherland(seed, p: float, delta: float):
 
 
 def _run_verify_random_code(seed, m, dim_a: int, n: int, m_dim: int, samples: int, delta: float):
-    rep = experiment_random_code_entropy(
-        dim_a=dim_a, n=n, m_dim=m_dim, m=parse_channel(m), samples=samples, delta=delta, seed=seed
-    )
+    m = parse_channel(m)
+    if dim_a != m.dim_in:
+        raise ValueError("bad parameter: dim_a must equal the input dimension of m")
+    rep = experiment_random_code_entropy(n, m_dim, m, samples, delta, seed)
     row = {
         "dim_a": dim_a,
         "n": n,

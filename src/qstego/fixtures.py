@@ -69,7 +69,7 @@ def repetition_qc_cover(p: float) -> QcCode:
     channel = tensor_power(standard_channel("bit_flip", p), 3)
     # Kraus index of X on qubit i within the product ordering (I=0, X=1)
     correctable = (0, 4, 2, 1)
-    return QcCode(encode=encode, decode=decode, channel=channel, correctable=correctable, n=3)
+    return QcCode(encode=encode, decode=decode, channel=channel, correctable=correctable)
 
 
 def dephasing_es_cover(p: float) -> EsCode:
@@ -91,7 +91,7 @@ def dephasing_es_cover(p: float) -> EsCode:
 
 
 def split_cc_cover(p_block1: float):
-    """Split CC cover for the combined classical/entanglement demo.
+    """The parts (f1, f2, m1, m2, povm) of the combined demo's split CC cover.
 
     Single cover message; block 1 carries |+> through dephasing(p_block1)
     (purifying to a maximally entangled pair at p = 1/2), block 2 carries
@@ -101,7 +101,4 @@ def split_cc_cover(p_block1: float):
     m2 = identity_channel(2)
     f1 = (named_state("plus"),)
     f2 = (named_state("zero"),)
-    channel = tensor(m1, m2)
-    codeword = DensityMatrix(np.kron(f1[0].data, f2[0].data))
-    cover = CcCode(codewords=(codeword,), povm=Povm(np.eye(4)[None]), channel=channel)
-    return cover, f1, f2, m1, m2
+    return f1, f2, m1, m2, Povm(np.eye(4)[None])

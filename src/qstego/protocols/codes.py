@@ -72,7 +72,6 @@ class QcCode:
     decode: QuantumChannel
     channel: QuantumChannel
     correctable: tuple
-    n: int
     c: float = field(init=False)
 
     def __post_init__(self):
@@ -81,7 +80,7 @@ class QcCode:
         object.__setattr__(self, "correctable", tuple(int(j) for j in self.correctable))
         ops = [self.channel.kraus[j] for j in self.correctable]
         kraus = [d @ f @ self.encode.data for f, d in itertools.product(ops, self.decode.kraus)]
-        c, residual = proportionality_to_identity(kraus, self.m)
+        c, residual = proportionality_to_identity(kraus)
         if residual > PROPORTIONALITY_TOL:
             raise ValueError("invalid cover: recovery split is not proportional to identity")
         object.__setattr__(self, "c", c)
@@ -99,8 +98,9 @@ class QcCode:
         return self.encode.data @ self.encode.data.conj().T
 
 
-def proportionality_to_identity(kraus_list, dim: int) -> tuple[float, float]:
+def proportionality_to_identity(kraus_list) -> tuple[float, float]:
     """Constant c and residual of a Kraus-sum map against c * id, via Choi."""
+    dim = np.shape(kraus_list[0])[1]
     choi = np.zeros((dim * dim, dim * dim), dtype=complex)
     for k in kraus_list:
         v = np.asarray(k, dtype=complex).reshape(-1)

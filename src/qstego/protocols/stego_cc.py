@@ -45,17 +45,17 @@ def _nested_povm(cover_povm: Povm, inner: np.ndarray) -> Povm:
     return Povm(inner.reshape(-1, *inner.shape[2:]))
 
 
-def _assemble(cover, mbar, encoders, povms, outputs, per_w_defect, per_w_success, key_bits, warning):
+def _assemble(cover, encoders, povms, outputs, per_w_defect, per_w_success, warning):
     """The :class:`StegoCcCode` of the assembled artifacts, every achieved
-    metric recomputed from them; ``outputs`` holds, key by key, each
-    encoder state through the true channel.
+    metric recomputed from them; ``encoders`` holds K keys of M M_bar states
+    and ``outputs``, key by key, each of them through the true channel.
 
     zeta_ach is the largest max(defect, 1 - success) over the inner codes.
     The per-message decode probability of w sums tr(Gamma g) over the keys
     and then w's M_bar messages, in that order, and divides by K M_bar.
     """
     zeta_ach = max(max(defect, 1.0 - success) for defect, success in zip(per_w_defect, per_w_success))
-    kbar = len(encoders)
+    kbar, mbar = len(encoders), len(encoders[0]) // cover.m
     targets = cover.outputs
     m = len(targets)
     dim = targets[0].dim
@@ -99,7 +99,7 @@ def _assemble(cover, mbar, encoders, povms, outputs, per_w_defect, per_w_success
         per_w_decode=per_w_decode,
         distance=trace_norm((overall - cover_mix) / m),
         decode_prob=decode,
-        key_bits=key_bits,
+        key_bits=math.log2(kbar),
         bound_ok=decode >= bound,
         warning=warning,
     )
@@ -137,7 +137,7 @@ def build_stego_cc_noiseless(
     del hashes  # their POVMs are the slots the nesting overwrites
     povm = _nested_povm(cover.povm, stack)
     # a noiseless true channel outputs each encoder state itself
-    return _assemble(cover, mbar, (encoder,), (povm,), (encoder,), per_w_defect, per_w_success, 0.0, warning)
+    return _assemble(cover, (encoder,), (povm,), (encoder,), per_w_defect, per_w_success, warning)
 
 
 def side_states_from_degradation(cover: CcCode, m: QuantumChannel) -> list[CqState]:
@@ -202,4 +202,4 @@ def build_stego_cc_noisy(
     per_w_defect = tuple(code.distance for code in codes)
     per_w_success = tuple(code.reliability for code in codes)
     warning = any(defect > xi for defect in per_w_defect)
-    return _assemble(cover, mbar, encoders, povms, outputs, per_w_defect, per_w_success, math.log2(kbar), warning)
+    return _assemble(cover, encoders, povms, outputs, per_w_defect, per_w_success, warning)

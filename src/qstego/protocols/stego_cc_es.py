@@ -31,9 +31,9 @@ from .codes import CcCode, EdCode, StegoCcEsCode
 from .stego_cc import _nested_povm
 
 
-def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
-    """Distiller that succeeds only on pure states already maximally
-    entangled up to local bases.
+def trivial_aligner_distiller(psi: PureState, m: int, l: int, eps: float):
+    """Distiller for a pure state on two systems of one dimension that
+    succeeds only when it is maximally entangled up to local bases.
 
     For m >= 2 the top-m Schmidt weights of ``psi`` must be within eps/(4m)
     of 1/m; the returned code is then a pair of local basis changes
@@ -41,9 +41,9 @@ def trivial_aligner_distiller(psi: PureState, dims, m: int, l: int, eps: float):
     always succeeds: sharing the one-dimensional state is vacuous.  The code
     is not audited here: :func:`build_stego_cc_es` audits the whole protocol.
     """
-    da, db = dims
+    da = db = math.isqrt(psi.data.size)
     if da * db != psi.data.size:
-        raise ValueError("shape error: dims do not match the shared state")
+        raise ValueError("shape error: the shared state is not on two equal systems")
     if m < 1 or l < 1:
         raise ValueError("bad parameter: M and L must be >= 1")
     # |0> of C, and |0> of the m-level output, where every input off the code goes
@@ -84,19 +84,19 @@ def _orthocomplement(columns: np.ndarray):
 
 
 def build_stego_cc_es(
-    cover: CcCode,
     f1,
     f2,
     m1: QuantumChannel,
     m2: QuantumChannel,
+    povm,
     zeta: float,
     seed: int,
 ) -> StegoCcEsCode:
     """Stego entanglement sharing on a split CC cover: entanglement rides on block 1, the
     distiller's classical message rides on block 2 under a one-time pad.
 
-    ``f1``/``f2`` are the declared factor encoders (validated against the
-    cover's codewords); ``m1``/``m2`` the degradation channels per block.
+    The cover is the :class:`CcCode` of the codewords f1[w] (x) f2[w] through
+    the block degradations m1 (x) m2 with ``povm`` (as ``CcCode`` takes it).
     Each cover message's block-1 purification goes to
     :func:`trivial_aligner_distiller`.  M_bar is the largest size the
     distiller accepts for every cover message (M_bar = 1 always distills),
@@ -105,9 +105,8 @@ def build_stego_cc_es(
     """
     d1n = m1.dim_in
     d2n = m2.dim_in
-    for w in range(cover.m):
-        if trace_norm(cover.codewords[w].data - np.kron(f1[w].data, f2[w].data)) > 1e-10:
-            raise ValueError("shape error: cover encoder does not factor as f1 (x) f2")
+    codewords = tuple(DensityMatrix(np.kron(a.data, b.data)) for a, b in zip(f1, f2, strict=True))
+    cover = CcCode(codewords=codewords, povm=povm, channel=tensor(m1, m2))
 
     targets2 = [apply(m2, s) for s in f2]
     mcc = rate_cc_noiseless(targets2, zeta).message_count
@@ -115,7 +114,7 @@ def build_stego_cc_es(
     rho1 = [apply(m1, s) for s in f1]
     purifications = [purify(r) for r in rho1]
     for mbar in range(d1n, 0, -1):
-        ed_codes = [trivial_aligner_distiller(p, (d1n, d1n), mbar, mcc, zeta) for p in purifications]
+        ed_codes = [trivial_aligner_distiller(p, mbar, mcc, zeta) for p in purifications]
         if all(ed is not None for ed in ed_codes):
             break
 

@@ -32,9 +32,8 @@ from .codes import EsCode, StegoEsRsCode
 SCHMIDT_CUT = 1e-12
 
 
-def _completion_povm(projectors, dim, mbar) -> Povm:
-    total = sum(projectors)
-    rest = (np.eye(dim) - total) / mbar
+def _completion_povm(projectors) -> Povm:
+    rest = (np.eye(len(projectors[0])) - sum(projectors)) / len(projectors)
     return Povm(np.stack([((p + rest) + (p + rest).conj().T) / 2 for p in projectors]))
 
 
@@ -101,8 +100,8 @@ def build_stego_es_rs(
         sel = enc.f == wbar
         alice_proj.append(alphas[:, sel] @ alphas[:, sel].conj().T)
         bob_proj.append(betas[:, sel] @ betas[:, sel].conj().T)
-    alice_povm = _completion_povm(alice_proj, re_dim, mbar)
-    bob_povm = _completion_povm(bob_proj, kh, mbar)
+    alice_povm = _completion_povm(alice_proj)
+    bob_povm = _completion_povm(bob_proj)
 
     # audited final state on [A~, B~, W_A, W_B]
     psi_mat = psi.reshape(m_dim * bt_dim, re_dim * kh)

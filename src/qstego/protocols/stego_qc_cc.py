@@ -190,7 +190,7 @@ def build_stego_qc_cc(
     decoder_ops = tuple(decoder.kraus)  # each read of an index form forms the operator
     for e in encoders:
         kraus_list = [t @ dk @ ek for t, dk, ek in itertools.product(marginals, decoder_ops, e.kraus)]
-        c_w, _ = proportionality_to_identity(kraus_list, cover.m)
+        c_w, _ = proportionality_to_identity(kraus_list)
         c_stego = min(c_stego, c_w)
 
     bound = cover.epsilon + zeta_ach + (1.0 - cover.c) + 1e-6

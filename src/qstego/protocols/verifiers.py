@@ -124,7 +124,8 @@ def verify_pj_minentropy_bound(cover: QcCode, delta: float) -> BoundReport:
 def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundReport:
     """Entropy bound for structured codes: sup_a H^a of the degradation's
     environment output at Pi/M against n (H(p) - delta) for the single-use
-    Kraus weight distribution p.
+    Kraus weight distribution p, n the integer with m.dim_in^n equal to the
+    code channel's input dimension (ValueError if there is none).
     """
     weights = []
     for j, kj in enumerate(m.kraus):
@@ -135,21 +136,23 @@ def experiment_sutherland_bound(code, m: QuantumChannel, delta: float) -> BoundR
             elif abs(overlap) > 1e-9:
                 raise ValueError("structural check fails: single-use Kraus not orthogonal")
     p = np.array(weights) / sum(weights)
+    n = next((k for k in range(1, code.channel.dim_in.bit_length()) if m.dim_in**k == code.channel.dim_in), None)
+    if n is None:
+        raise ValueError("shape error: code channel is not a power of m")
     # structural gate: raises unless the code splits as QC_R
     orthogonalize_correctable_kraus(code.channel, code.correctable, code.projector)
     env = complementary_matrix(code.channel, code.projector / code.m)
     [opt] = sup_over_order(renyi_entropy([env]), batch=1)
-    rhs = code.n * (shannon_entropy(p) - delta)
+    rhs = n * (shannon_entropy(p) - delta)
     return BoundReport(
         lhs=opt.value,
         rhs=rhs,
         holds=opt.value >= rhs - GRACE,
-        detail={"a_star": opt.a_star, "p_single_use": p, "n": code.n},
+        detail={"a_star": opt.a_star, "p_single_use": p, "n": n},
     )
 
 
 def experiment_random_code_entropy(
-    dim_a: int,
     n: int,
     m_dim: int,
     m: QuantumChannel,
@@ -159,13 +162,13 @@ def experiment_random_code_entropy(
 ) -> BoundReport:
     """Haar-sampled subspace entropy of the degradation environment.
 
-    Samples M-dimensional subspaces of (C^dim_a)^(x n), computes
+    Samples M-dimensional subspaces of (C^d)^(x n), d = m.dim_in, computes
     sup_a H^a(m^c(x n)(Pi/M)) per sample, and compares the sample mean
     against n (log2 min(rank tr_A VV†, rank tr_E VV†) - delta).  The samples
     are drawn and their environments formed as stacks of about
     ``SAMPLE_CHUNK_BYTES``; the report does not depend on the chunk size.
     """
-    if dim_a**n > 256:
+    if m.dim_in**n > 256:
         raise ValueError("dimension limit: dim_a^n above the recommended cap")
     if samples < 1:
         raise ValueError("bad parameter: samples must be at least 1")
@@ -178,7 +181,7 @@ def experiment_random_code_entropy(
 
     def environments():
         for start in range(0, samples, step):
-            isos = haar_random_subspace(dim_a**n, m_dim, min(step, samples - start), rng)
+            isos = haar_random_subspace(total.dim_in, m_dim, min(step, samples - start), rng)
             pis = isos @ isos.conj().swapaxes(1, 2)
             yield complementary_matrix(total, pis / m_dim)
 

@@ -220,7 +220,6 @@ class TestAcceptance:
     def test_09_random_code_monte_carlo(self):
         start = time.perf_counter()
         rep = experiment_random_code_entropy(
-            dim_a=2,
             n=3,
             m_dim=2,
             m=standard_channel("dephasing", 0.5),

@@ -347,7 +347,7 @@ def fixture_channels(p):
         (repetition_qc_cover(p).decode, [v.conj().T @ reduce(np.kron, legs) for legs in corrections]),
         (es.channel, [np.kron(eye, f) for f in dephasing]),
         (es.decode, [np.kron(eye, eye[j : j + 1, :]) for j in range(2)]),
-        (split_cc_cover(p)[0].channel, [np.kron(f, eye) for f in dephasing]),
+        (tensor(*split_cc_cover(p)[2:4]), [np.kron(f, eye) for f in dephasing]),
     ]
 
 
@@ -525,6 +525,18 @@ class TestComplementaryMatrixBitForBit:
             got = complementary_matrix(ch, stack)
             ref = np.array([complementary_matrix_loop(ch, x) for x in stack])
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("index", [True, False])
+    def test_input_of_another_dimension_raises(self, d, index):
+        # the index form gathers entries by column, so unchecked a larger
+        # input would be read through its top-left corner
+        ch = standard_channel("dephasing", 0.5)
+        ch = ch if index else without_index(ch)
+        with pytest.raises(ValueError, match="^shape error: state does not match channel input$"):
+            complementary_matrix(ch, np.eye(d, dtype=complex) / d)
+        with pytest.raises(ValueError, match="^shape error: state does not match channel input$"):
+            complementary_matrix(ch, np.eye(d, dtype=complex)[None] / d)
 
     def test_memory_is_one_row_at_a_time(self):
         # k = d = 32: the k·d² entries of F_j a (512 KiB) against all k² products (16 MiB)

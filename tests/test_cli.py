@@ -172,6 +172,10 @@ class TestCli:
             ("stego_cc_noiseless_demo", "n", 5, "n must satisfy 2**n == the input dimension of m"),
             ("stego_cc_noisy_demo", "n", 2, "n must satisfy 2**n == the input dimension of m"),
             (RATES_CC_NOISY, "n", 3, "n must satisfy 2**n == the input dimension of m"),
+            # dim_a is the input dimension of the demo's qubit channel m
+            ("random_code_demo", "dim_a", 3, "dim_a must equal the input dimension of m"),
+            ("random_code_demo", "dim_a", 1, "dim_a must equal the input dimension of m"),
+            ("random_code_demo", "m", {"kind": "identity", "dim": 4}, "dim_a must equal the input dimension of m"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):

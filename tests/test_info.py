@@ -463,7 +463,7 @@ class TestOrderFunctionsBitForBit:
         eigvalsh = np.linalg.eigvalsh
         monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(np.shape(a)[:-2]) or eigvalsh(a))
         samples = 20
-        experiment_random_code_entropy(2, 3, 2, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
+        experiment_random_code_entropy(3, 2, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
         step = SAMPLE_CHUNK_BYTES // (16 * 8 * 8**2)  # 8 Kraus operators of dimension 8
         assert calls == [(step,)] * (samples // step) + [(samples % step,)]
 

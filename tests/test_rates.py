@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from qstego.channels import QuantumChannel, standard_channel
+from qstego.channels import QuantumChannel, identity_channel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
 from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, sup_over_order
 from qstego.linalg import DensityMatrix, basis_state
@@ -257,17 +257,23 @@ class TestCodeEntropyExperiments:
         h2 = -(0.25 * math.log2(0.25) + 0.75 * math.log2(0.75))
         assert rep.rhs == pytest.approx(3 * (h2 - 0.1), abs=1e-9)
         assert rep.holds
+        assert type(rep.detail["n"]) is int and rep.detail["n"] == 3
+
+    def test_sutherland_rejects_a_channel_the_code_is_no_power_of(self):
+        # the code acts on 8 dimensions, which no power of 3 is
+        with pytest.raises(ValueError, match="^shape error: code channel is not a power of m$"):
+            experiment_sutherland_bound(repetition_qc_cover(0.1), identity_channel(3), 0.5)
 
     def test_random_code_unitary_tight(self):
         m = QuantumChannel((np.eye(2),))
-        rep = experiment_random_code_entropy(2, 2, 2, m, samples=3, delta=0.0, seed=0)
+        rep = experiment_random_code_entropy(2, 2, m, samples=3, delta=0.0, seed=0)
         assert rep.lhs == pytest.approx(0.0, abs=1e-6)
         assert rep.rhs == pytest.approx(0.0, abs=1e-9)
         assert rep.holds
 
     def test_random_code_full_space_deterministic(self):
         m = standard_channel("dephasing", 0.5)
-        rep = experiment_random_code_entropy(2, 1, 2, m, samples=5, delta=0.5, seed=1)
+        rep = experiment_random_code_entropy(1, 2, m, samples=5, delta=0.5, seed=1)
         # M = dim_a^n: Pi = I, the environment state is channel-determined
         assert rep.detail["stderr"] == pytest.approx(0.0, abs=1e-9)
         assert rep.holds
@@ -412,7 +418,6 @@ class TestSutherlandUnitary:
             decode=QuantumChannel((v.conj().T, *sink)),
             channel=channel,
             correctable=(0,),
-            n=3,
         )
         unitary = QuantumChannel((np.eye(2),))
         rep = experiment_sutherland_bound(code, unitary, delta=0.1)

@@ -362,12 +362,12 @@ class TestInPlaceNesting:
             "build_quantum_hash",
             lambda *args, **kw: hashes.append(quantum_hash(*args, **kw)) or hashes[-1],
         )
-        cover, f1, f2, m1, m2 = split_cc_cover(0.5)
+        f1, f2, m1, m2, povm = split_cc_cover(0.5)
         force_cypher_count(monkeypatch, 3)
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=3)
+        stego = build_stego_cc_es(f1, f2, m1, m2, povm, zeta=0.5, seed=3)
         d1n = m1.dim_in
         inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
-        assert stego.povms[0].elements.tobytes() == two_stack_nested_povm(cover.povm, inner).tobytes()
+        assert stego.povms[0].elements.tobytes() == two_stack_nested_povm(povm, inner).tobytes()
 
     def test_noiseless_peak_memory(self):
         # the 16 d x d matrices that stay (8 encoder states and the 8 nested

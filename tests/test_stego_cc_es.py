@@ -35,21 +35,21 @@ class TestTrivialAligner:
         u = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
         bell = maximally_entangled(2).data.reshape(2, 2)
         psi = PureState((u @ bell).reshape(-1))
-        code = trivial_aligner_distiller(psi, (2, 2), m=2, l=1, eps=0.01)
+        code = trivial_aligner_distiller(psi, m=2, l=1, eps=0.01)
         assert code is not None
         assert distilled_distance(code, psi, 2, 1) <= 1e-9
 
     def test_product_state_fails(self):
         v = PureState(np.kron([1.0, 0.0], [1.0, 0.0]))
-        assert trivial_aligner_distiller(v, (2, 2), m=2, l=1, eps=0.01) is None
+        assert trivial_aligner_distiller(v, m=2, l=1, eps=0.01) is None
 
     def test_skewed_coefficients_fail(self):
         v = PureState(np.sqrt(0.9) * np.kron([1, 0], [1, 0]) + np.sqrt(0.1) * np.kron([0, 1], [0, 1]))
-        assert trivial_aligner_distiller(v, (2, 2), m=2, l=1, eps=0.01) is None
+        assert trivial_aligner_distiller(v, m=2, l=1, eps=0.01) is None
 
     def test_m_one_always_succeeds(self):
         v = PureState(np.kron([1.0, 0.0], [1.0, 0.0]))
-        code = trivial_aligner_distiller(v, (2, 2), m=1, l=2, eps=0.01)
+        code = trivial_aligner_distiller(v, m=1, l=2, eps=0.01)
         assert code is not None
         assert distilled_distance(code, v, 2, 2) == pytest.approx(0.0, abs=1e-12)
 
@@ -61,14 +61,13 @@ class TestTrivialAligner:
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
         v = PureState(maximally_entangled(2).data * 1j)
-        code = trivial_aligner_distiller(v, (2, 2), m=2, l=2, eps=0.01)
+        code = trivial_aligner_distiller(v, m=2, l=2, eps=0.01)
         assert distilled_distance(code, v, 2, 2) <= 1e-9
 
 
 class TestStegoCcEs:
     def test_dephasing_demo_distills_one_pair(self):
-        cover, f1, f2, m1, m2 = split_cc_cover(0.5)
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=0)
+        stego = build_stego_cc_es(*split_cc_cover(0.5), zeta=0.5, seed=0)
         assert stego.mbar == 2
         assert stego.mcc == 1
         assert stego.key_bits == 0.0
@@ -80,18 +79,12 @@ class TestStegoCcEs:
         from qstego.channels import identity_channel
         from qstego.fixtures import named_state
         from qstego.linalg import Povm
-        from qstego.protocols.codes import CcCode
 
         m1 = identity_channel(2)
         m2 = identity_channel(2)
         f1 = (named_state("zero"),)
         f2 = (named_state("plus"),)
-        cover = CcCode(
-            codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm(np.eye(4)[None]),
-            channel=identity_channel(4),
-        )
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=1)
+        stego = build_stego_cc_es(f1, f2, m1, m2, Povm(np.eye(4)[None]), zeta=0.5, seed=1)
         # pure product purification: only M_bar = 1 distills
         assert stego.mbar == 1
         assert stego.entanglement_distance <= 1e-9
@@ -101,22 +94,16 @@ class TestStegoCcEs:
         # force a 2-letter one-time pad on the classical leg (the rate formula
         # alone would grant mcc = 1); block 2 is completely dephased |+>, so
         # two messages ride it exactly and the pad round-trips
-        from qstego.channels import standard_channel, tensor
+        from qstego.channels import standard_channel
         from qstego.fixtures import named_state
         from qstego.linalg import Povm
-        from qstego.protocols.codes import CcCode
 
         m1 = standard_channel("dephasing", 0.5)
         m2 = standard_channel("dephasing", 0.5)
         f1 = (named_state("plus"),)
         f2 = (named_state("plus"),)
-        cover = CcCode(
-            codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm(np.eye(4)[None]),
-            channel=tensor(m1, m2),
-        )
         force_cypher_count(monkeypatch, 2)
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=0.5, seed=2)
+        stego = build_stego_cc_es(f1, f2, m1, m2, Povm(np.eye(4)[None]), zeta=0.5, seed=2)
         assert stego.mcc == 2
         assert stego.key_bits == pytest.approx(1.0)
         assert stego.classical_reliability == pytest.approx(1.0, abs=1e-9)
@@ -126,25 +113,19 @@ class TestStegoCcEs:
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
 
     def test_default_mcc_is_the_noiseless_cypher_count(self):
-        from qstego.channels import apply, identity_channel, standard_channel, tensor
+        from qstego.channels import apply, identity_channel, standard_channel
         from qstego.experiments import run_experiment
         from qstego.fixtures import named_state
         from qstego.linalg import Povm
-        from qstego.protocols.codes import CcCode
         from qstego.rates import rate_cc_noiseless
 
-        _, _, f2, _, m2 = split_cc_cover(0.5)
+        _, f2, _, m2, _ = split_cc_cover(0.5)
         [row] = run_experiment({"kind": "simulate/cc-es", "params": {"p_block1": 0.5, "zeta": 0.5}}).rows
         assert row["mcc"] == rate_cc_noiseless([apply(m2, s) for s in f2], 0.5).message_count
         # a maximally mixed 4-dimensional block 2 at zeta = 1.9 carries three messages
         m1, m2 = standard_channel("dephasing", 0.5), identity_channel(4)
         f1, f2 = (named_state("plus"),), (DensityMatrix(np.eye(4) / 4),)
-        cover = CcCode(
-            codewords=(DensityMatrix(np.kron(f1[0].data, f2[0].data)),),
-            povm=Povm(np.eye(8)[None]),
-            channel=tensor(m1, m2),
-        )
-        stego = build_stego_cc_es(cover, f1, f2, m1, m2, zeta=1.9, seed=0)
+        stego = build_stego_cc_es(f1, f2, m1, m2, Povm(np.eye(8)[None]), zeta=1.9, seed=0)
         assert stego.mcc == rate_cc_noiseless(f2, 1.9).message_count == 3
 
 
@@ -202,7 +183,7 @@ def audit_loop(stego, f1, f2, m1, m2, distilled, hashes):
     return reliability, ent_distance, trace_norm((stego_mix - cover_mix) / m_cover)
 
 
-def recorded_build(monkeypatch, cover, f1, f2, m1, m2, **kwargs):
+def recorded_build(monkeypatch, f1, f2, m1, m2, povm, **kwargs):
     """build_stego_cc_es, plus the (pure state, EdCode) of each cover message
     at the chosen M_bar and the quantum hashes it built."""
     calls, hashes = [], []
@@ -213,9 +194,9 @@ def recorded_build(monkeypatch, cover, f1, f2, m1, m2, **kwargs):
     monkeypatch.setattr(
         stego_cc_es, "build_quantum_hash", lambda *args, **kw: hashes.append(quantum_hash(*args, **kw)) or hashes[-1]
     )
-    stego = build_stego_cc_es(cover, f1, f2, m1, m2, **kwargs)
-    assert all(ed.m == stego.mbar for _, ed in calls[-cover.m :])
-    return stego, calls[-cover.m :], hashes
+    stego = build_stego_cc_es(f1, f2, m1, m2, povm, **kwargs)
+    assert all(ed.m == stego.mbar for _, ed in calls[-len(f1) :])
+    return stego, calls[-len(f1) :], hashes
 
 
 class TestAuditBitForBit:
@@ -227,10 +208,10 @@ class TestAuditBitForBit:
         [(0.5, None, 2), (0.5, 2, 2), (0.5, 3, 2), (0.3, None, 1), (0.3, 2, 1)],
     )
     def test_split_cover_matches_loop(self, monkeypatch, p_block1, mcc, mbar):
-        cover, f1, f2, m1, m2 = split_cc_cover(p_block1)
+        f1, f2, m1, m2, povm = split_cc_cover(p_block1)
         if mcc is not None:
             force_cypher_count(monkeypatch, mcc)
-        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=3)
+        stego, distilled, hashes = recorded_build(monkeypatch, f1, f2, m1, m2, povm, zeta=0.5, seed=3)
         # p_block1 = 0.3 leaves a pure state that only M_bar = 1 distills;
         # mcc > 1 feeds the decoder a classical register of more than one level
         assert stego.mbar == mbar
@@ -255,9 +236,9 @@ class TestAuditBitForBit:
         f1 = (pure(0.3, 0.7), pure(1.1, -0.4))
         f2 = (pure(0.2, 1.3), pure(1.3, 0.5))
         codewords = [DensityMatrix(np.kron(a.data, b.data)) for a, b in zip(f1, f2)]
-        cover = pgm_cc_cover(codewords, tensor(m1, m2))
+        povm = pgm_cc_cover(codewords, tensor(m1, m2)).povm
         force_cypher_count(monkeypatch, mcc)
-        stego, distilled, hashes = recorded_build(monkeypatch, cover, f1, f2, m1, m2, zeta=0.5, seed=5)
+        stego, distilled, hashes = recorded_build(monkeypatch, f1, f2, m1, m2, povm, zeta=0.5, seed=5)
         assert stego.mbar == 2 and stego.mcc == mcc
         assert stego.entanglement_distance > 1e-3
         got = (stego.classical_reliability, stego.entanglement_distance, stego.distance)

@@ -26,7 +26,6 @@ class TestCoverCode:
                 decode=cover.decode,
                 channel=cover.channel,
                 correctable=bad,
-                n=3,
             )
 
 
@@ -70,7 +69,6 @@ class TestStegoBuilder:
             decode=QuantumChannel(tuple(k @ u.conj().T for k in base.decode.kraus)),
             channel=channel,
             correctable=(0,),
-            n=3,
         )
         stego = build_stego_qc_cc(cover, mbar=1, zeta=0.5, seed=0)
         assert stego.distance_sup == pytest.approx(0.0, abs=1e-9)
@@ -114,7 +112,7 @@ class TestStegoBuilder:
                 for j in cover.correctable
                 for ek in enc.kraus
             ]
-            c_w, residual = proportionality_to_identity(kraus, 2)
+            c_w, residual = proportionality_to_identity(kraus)
             assert residual <= 1e-8
             assert c_w == pytest.approx(cover.c, abs=1e-9)
 

@@ -33,11 +33,11 @@ VALUE_OBJECTS = {
     "CqState": cq_state,
     "HashEncoder": lambda: build_classical_hash([0.5, 0.25, 0.25], 2, 0.0, seed=0),
     "QuantumHashCode": lambda: build_quantum_hash(DensityMatrix(np.eye(2) / 2), 2, 0.0, seed=0),
-    "CcCode": lambda: split_cc_cover(0.5)[0],
+    "CcCode": lambda: pgm_cc_cover([named_state("zero"), named_state("one")], identity_channel(2)),
     "QcCode": lambda: repetition_qc_cover(0.1),
     "EsCode": lambda: dephasing_es_cover(0.5),
     "ResolvabilityCode": lambda: build_resolvability_codes(cq_state(), 2, 1, [0])[0],
-    "EdCode": lambda: trivial_aligner_distiller(maximally_entangled(2), (2, 2), 2, 1, 0.01),
+    "EdCode": lambda: trivial_aligner_distiller(maximally_entangled(2), 2, 1, 0.01),
     "StegoCcCode": lambda: build_stego_cc_noiseless(
         pgm_cc_cover([named_state("zero"), named_state("one")], identity_channel(2)), 1, 0.1, seed=0
     ),

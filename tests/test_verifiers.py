@@ -233,7 +233,7 @@ class TestPjMinEntropyBound:
         v[0, 0] = v[7, 1] = 1.0
         sink = [np.eye(2)[:, :1] @ np.eye(8)[k : k + 1, :] for k in range(1, 7)]
         decode = QuantumChannel((v.conj().T, *sink))
-        cover = QcCode(encode=Isometry(v), decode=decode, channel=channel, correctable=(0,), n=3)
+        cover = QcCode(encode=Isometry(v), decode=decode, channel=channel, correctable=(0,))
         # deterministic P_J and a pure environment: the two sides agree exactly
         rep = verify_pj_minentropy_bound(cover, 0.5)
         assert rep.holds
@@ -245,16 +245,16 @@ class TestRandomCodeEntropy:
     @pytest.mark.parametrize("samples, m_dim", [(0, 2), (-1, 2), (3, 0)], ids=["no-samples", "negative-samples", "no-m-dim"])
     def test_empty_input_rejected(self, samples, m_dim):
         with pytest.raises(ValueError, match="bad parameter"):
-            experiment_random_code_entropy(2, 2, m_dim, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
+            experiment_random_code_entropy(2, m_dim, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
 
     def test_peak_memory_of_a_large_batch(self):
         # the batch keeps each sample's spectrum and grid winner, never a
         # (samples, 199) table of grid values (0.76 MiB at 500 samples)
         m = standard_channel("dephasing", 0.5)
-        experiment_random_code_entropy(2, 3, 2, m, samples=5, delta=0.5, seed=0)
+        experiment_random_code_entropy(3, 2, m, samples=5, delta=0.5, seed=0)
         tracemalloc.start()
         try:
-            experiment_random_code_entropy(2, 3, 2, m, samples=500, delta=0.5, seed=0)
+            experiment_random_code_entropy(3, 2, m, samples=500, delta=0.5, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,13 +281,13 @@ class TestRandomCodeBitForBit:
     )
     def test_matches_per_sample_loop(self, dim_a, n, m_dim, kind, samples):
         m = random_channel(np.random.default_rng(5), 3) if kind is None else standard_channel(kind, 0.3)
-        rep = experiment_random_code_entropy(dim_a, n, m_dim, m, samples=samples, delta=0.5, seed=7)
+        rep = experiment_random_code_entropy(n, m_dim, m, samples=samples, delta=0.5, seed=7)
         mean, stderr = random_code_loop(dim_a, n, m_dim, m, samples, seed=7)
         assert np.array_equal(np.array([rep.lhs, rep.detail["stderr"]]).view(np.uint64), np.array([mean, stderr]).view(np.uint64))
 
     @pytest.mark.parametrize("chunk_bytes", [1, 1 << 40], ids=["one-sample", "every-sample"])
     def test_report_does_not_depend_on_chunk_size(self, monkeypatch, chunk_bytes):
         m = standard_channel("dephasing", 0.5)
-        ref = experiment_random_code_entropy(2, 3, 2, m, samples=37, delta=0.5, seed=3)
+        ref = experiment_random_code_entropy(3, 2, m, samples=37, delta=0.5, seed=3)
         monkeypatch.setattr(verifiers, "SAMPLE_CHUNK_BYTES", chunk_bytes)
-        assert experiment_random_code_entropy(2, 3, 2, m, samples=37, delta=0.5, seed=3) == ref
+        assert experiment_random_code_entropy(3, 2, m, samples=37, delta=0.5, seed=3) == ref

@@ -247,6 +247,8 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     """
     if n < 1:
         raise ValueError("bad parameter: n must be >= 1")
+    if n == 1:
+        return ch
     if ch.dim_in**n > DIM_CAP or ch.dim_out**n > DIM_CAP:
         raise ValueError("dimension limit")
     if not isinstance(ch.kraus, KrausIndex):

@@ -11,8 +11,9 @@ error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed
 or unknown key at any level of the config, named in the message, an unknown
 one before a missing one; an integer key takes a JSON integer, a number key a
 JSON integer or float, and neither a bool or a string; each entry of a list
-of integers or numbers is read by the same rule; a negative seed, from the
-config or --seed) and 3 on a numerical failure of a linear-algebra routine.
+is read by the same rule, and a list is non-empty; a negative seed, from the
+config or --seed), 3 on a numerical failure of a linear-algebra routine and 4
+on any other exception, a bug, whose traceback is printed.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -79,9 +81,12 @@ def main(argv=None) -> int:
     except np.linalg.LinAlgError as exc:  # a ValueError subclass, so caught first
         print(f"{path}: numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, TypeError) as exc:
         print(f"{path}: invalid config: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 4
     for p in paths:
         print(p)
     for flag, ok in result.flags.items():

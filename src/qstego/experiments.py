@@ -6,10 +6,14 @@ the CSV columns are the keys of the first row, in order.  CSV output is
 byte-stable for a fixed seed and config: row order is data-defined, floats
 are written with ``repr`` (shortest round-trip form, '.' decimal), and
 nothing time-dependent enters the table.  Wall time and library versions go
-to the JSON summary only.  The keys a config may hold at any level are the
+to the JSON summary only.
+
+One rule reads a config: a value is read by the annotation of the parameter
+it fills (``READERS``), so the keys a config may hold at any level are the
 keyword parameters of the function that reads them, each required but a
-config's ``seed`` and a channel's ``power``; any other key, a missing or
-wrong-typed one (see ``_call``) or a spec that is not a JSON object raises.
+config's ``seed`` and a channel's ``power``.  The whole config is read into
+library objects before a runner starts; any other key, a missing, empty or
+wrong-typed one or a spec that is not a JSON object raises.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from .fixtures import (
 from .info import CqState, Pmf
 from .linalg import DensityMatrix, inverse_sqrt
 from .protocols import (
+    EsCode,
     build_resolvability_codes,
     build_stego_cc_es,
     build_stego_cc_noiseless,
@@ -74,24 +79,9 @@ class ExperimentResult:
         return all(bool(v) for v in self.flags.values())
 
 
-#: parameter annotation -> (the JSON values it takes, their reading, its name); never a bool
-_NUMBERS = {"int": ((int,), int, "an integer"), "float": ((int, float), float, "a number")}
-#: list annotation -> the annotation of each of its entries
-_NUMBER_LISTS = {f"list[{name}]": name for name in _NUMBERS}
-
-
-def _number(where, value, annotation):
-    """``value`` read by the number ``annotation``, or TypeError naming ``where``."""
-    takes, as_type, name = _NUMBERS[annotation]
-    if isinstance(value, bool) or not isinstance(value, takes):
-        raise TypeError(f"{where} must be {name}, got {value!r}")
-    return as_type(value)
-
-
 def _call(what, fn, spec, /, *args):
-    """``fn(*args, **spec)``, each number read by the annotation of its parameter
-    (see ``_NUMBERS``), and each entry of a ``list[int]`` or ``list[float]``
-    parameter by the annotation of its entries.  A ``spec`` that is not a JSON
+    """``fn(*args, **spec)``, each value of ``spec`` read by ``_read`` by the
+    annotation of the parameter it fills.  A ``spec`` that is not a JSON
     object, holds a key ``fn`` does not take (named before a missing one),
     lacks one or holds a value its annotation does not take raises TypeError
     naming ``what`` before ``fn`` runs."""
@@ -103,17 +93,32 @@ def _call(what, fn, spec, /, *args):
         sig.bind(*args, **spec)
     except TypeError as exc:
         raise TypeError(f"{what}: {exc}") from None
-    read = dict(spec)
-    for key, value in spec.items():
-        annotation = sig.parameters[key].annotation if key in sig.parameters else None
-        if annotation in _NUMBERS:
-            read[key] = _number(f"{what}: {key!r}", value, annotation)
-        elif annotation in _NUMBER_LISTS:
-            if not isinstance(value, list):
-                raise TypeError(f"{what}: {key!r} must be a list, got {value!r}")
-            entry = _NUMBER_LISTS[annotation]
-            read[key] = [_number(f"{what}: {key!r} entry {i}", v, entry) for i, v in enumerate(value)]
+    read = {
+        key: _read(f"{what}: {key!r}", key, sig.parameters[key].annotation, value) if key in sig.parameters else value
+        for key, value in spec.items()
+    }
     return fn(*args, **read)
+
+
+def _read(where, key, annotation, value):
+    """``value`` of ``key`` read by the reader of ``annotation`` in ``READERS``,
+    or kept when it has none; a wrong-typed value raises TypeError naming ``where``."""
+    if isinstance(annotation, str) and annotation.startswith("list["):
+        if not isinstance(value, list):
+            raise TypeError(f"{where} must be a list, got {value!r}")
+        if not value:
+            raise ValueError(f"bad parameter: {key} must be non-empty")
+        return [_read(f"{where} entry {i}", key, annotation[5:-1], v) for i, v in enumerate(value)]
+    if annotation not in READERS:
+        return value
+    name, reader = READERS[annotation]
+    if reader in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, reader)):
+            raise TypeError(f"{where} must be {name}, got {value!r}")
+        return reader(value)
+    if reader is _STATES and isinstance(value, str):
+        return named_state(value)
+    return _by_kind(name, reader, value) if isinstance(reader, dict) else _call(name, reader, value)
 
 
 def _by_kind(what, readers, spec):
@@ -131,80 +136,95 @@ def _diag(probs: list[float]) -> DensityMatrix:
     return DensityMatrix(np.diag(np.asarray(probs, dtype=float)).astype(complex))
 
 
-def _kron(factors) -> DensityMatrix:
-    if not factors:
-        raise ValueError("bad parameter: kron factors must be non-empty")
-    return DensityMatrix(reduce(np.kron, [parse_state(s).data for s in factors]))
+def _kron(factors: list[DensityMatrix]) -> DensityMatrix:
+    return DensityMatrix(reduce(np.kron, [s.data for s in factors]))
 
 
 #: state kind -> reader, whose keyword parameters are the keys of the spec
 _STATES = {"diag": _diag, "kron": _kron}
 
 
-def parse_state(spec) -> DensityMatrix:
-    if isinstance(spec, str):
-        return named_state(spec)
-    return _by_kind("state", _STATES, spec)
+def _identity(dim: int, power: int = 1) -> QuantumChannel:
+    return tensor_power(identity_channel(dim), power)
+
+
+def _textbook(kind, p: float, power: int = 1) -> QuantumChannel:
+    return tensor_power(standard_channel(kind, p), power)
 
 
 #: channel kind -> reader, whose keyword parameters are the keys of the spec
-_CHANNELS = {"identity": identity_channel} | {
-    kind: partial(standard_channel, kind)
-    for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping")
+_CHANNELS = {"identity": _identity} | {
+    kind: partial(_textbook, kind) for kind in ("depolarizing", "dephasing", "bit_flip", "amplitude_damping")
 }
 
 
-def _channel(power: int = 1, **keys) -> QuantumChannel:
-    """The reader of a channel spec: ``kind``, an optional tensor ``power`` and
-    the keys of its kind, ``dim`` for ``identity`` and ``p`` for a textbook channel."""
-    ch = _by_kind("channel", _CHANNELS, keys)
-    return ch if power == 1 else tensor_power(ch, power)
+#: the points a grid spec reads into, increasing
+Grid = list[float]
 
 
-def parse_channel(spec) -> QuantumChannel:
-    return _call("channel", _channel, spec)
-
-
-#: ES cover kind -> reader, whose keyword parameters are the keys of the spec
-_ES_COVERS = {"dephasing_demo": dephasing_es_cover}
-
-
-def _grid(start: float, stop: float, num: int) -> list:
+def _grid(start: float, stop: float, num: int) -> Grid:
     """The reader of a grid spec: ``num`` points from ``start`` to ``stop``."""
-    return [float(x) for x in np.linspace(start, stop, num)]
+    points = [float(x) for x in np.linspace(start, stop, num)]
+    # the monotonicity flags of rates/gaussian compare neighbours in list order
+    if not points or not all(b > a for a, b in zip(points, points[1:])):
+        raise ValueError(f"bad parameter: grid must be non-empty and increasing: {num} points from {start} to {stop}")
+    return points
+
+
+#: a ``verify/pj-bound`` family point: (p, delta)
+PjPoint = tuple[float, float]
+
+
+def _pj_point(p: float, delta: float) -> PjPoint:
+    return p, delta
+
+
+#: parameter annotation -> (what its value is called, its reader); ``list[X]``
+#: takes a non-empty JSON list of X.  A number's reader is its type ("int" takes
+#: a JSON integer, "float" an integer or float, neither a bool); a spec's is the
+#: function whose keyword parameters are its keys, or a dict of them by its
+#: "kind", and a state may also be a name (``named_state``).
+READERS = {
+    "int": ("an integer", int),
+    "float": ("a number", float),
+    "DensityMatrix": ("state", _STATES),
+    "QuantumChannel": ("channel", _CHANNELS),
+    "EsCode": ("ES cover", {"dephasing_demo": dephasing_es_cover}),
+    "Grid": ("grid", _grid),
+    "PjPoint": ("family point", _pj_point),
+}
 
 
 # ---------------------------------------------------------------------------
 # runners: ``_run_x(seed, **params)``.  The keyword parameters of a runner are
-# the keys of its config's "params", every one required and read by ``_call``.
+# the keys of its config's "params", every one required and read by ``_call``,
+# so a runner receives library objects and starts after its whole config is read.
 
 
-def _run_rates_cc_noiseless(seed, m, codewords, zeta: float):
-    m = parse_channel(m)
-    outputs = [apply(m, parse_state(s)) for s in codewords]
+def _run_rates_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], zeta: float):
+    outputs = [apply(m, s) for s in codewords]
     res = rate_cc_noiseless(outputs, zeta)
     rows = [{"w": w, "raw_w": per_w} for w, per_w in enumerate(res.per_w)]
     summary = {"value": res.value, "raw": res.raw, "a_star": res.a_star, "boundary": res.boundary}
     return rows, {}, summary
 
 
-def _degradation(m, n) -> QuantumChannel:
-    """The channel ``m``, which must act on the n qubits of the cover's n uses."""
-    m = parse_channel(m)
+def _check_qubits(m, n):
+    """The channel ``m`` must act on the n qubits of the cover's n uses."""
     if 2**n != m.dim_in:
         raise ValueError("bad parameter: n must satisfy 2**n == the input dimension of m")
-    return m
 
 
 def _noisy_cover(n_true, m, codewords, n):
-    """The channel ``n_true``, the n-use PGM cover over ``n_true`` after ``m`` and its side states."""
-    n_true, m = parse_channel(n_true), _degradation(m, n)
-    cover = pgm_cc_cover([parse_state(s) for s in codewords], compose(n_true, m))
-    return n_true, cover, side_states_from_degradation(cover, m)
+    """The n-use PGM cover over ``n_true`` after ``m`` and its side states."""
+    _check_qubits(m, n)
+    cover = pgm_cc_cover(codewords, compose(n_true, m))
+    return cover, side_states_from_degradation(cover, m)
 
 
-def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta: float, xi: float, n: int):
-    n_true, _, sides_in = _noisy_cover(n_true, m, codewords, n)
+def _run_rates_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, codewords: list[DensityMatrix],
+                        zeta: float, xi: float, n: int):
+    _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     rows = []
     for nu_tol, (mbar, key) in zip(NU_TOLS, rate_cc_noisy(side_outputs, zeta, xi, nu_tols=NU_TOLS)):
@@ -223,14 +243,8 @@ def _run_rates_cc_noisy(seed, n_true, m, codewords, zeta: float, xi: float, n: i
     return rows, {}, {"zeta": zeta, "xi": xi}
 
 
-def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid, nu1_grid):
-    nu0s = _call("nu0_grid", _grid, nu0_grid)
-    nu1s = _call("nu1_grid", _grid, nu1_grid)
-    # the monotonicity flags compare neighbours in list order
-    for key, grid in (("nu0_grid", nu0s), ("nu1_grid", nu1s)):
-        if not grid or not all(b > a for a, b in zip(grid, grid[1:])):
-            raise ValueError(f"bad parameter: {key} must be non-empty and increasing")
-    points = [(nu0, nu1) for nu0 in nu0s for nu1 in nu1s]
+def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid: Grid, nu1_grid: Grid):
+    points = [(nu0, nu1) for nu0 in nu0_grid for nu1 in nu1_grid]
     rows = []
     table = {}
     for (nu0, nu1), res in zip(points, rate_gaussian(points, n=n, r=r, zeta=zeta)):
@@ -238,24 +252,23 @@ def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid, nu1_grid):
         rows.append({"nu0": nu0, "nu1": nu1, "rate_bits": res.value, "raw": res.raw, "a_star": res.a_star,
                      "boundary": res.boundary})
     flags = {}
-    if 1.0 in nu0s and 1.0 in nu1s:
+    if 1.0 in nu0_grid and 1.0 in nu1_grid:
         flags["zero_at_vacuum"] = table[(1.0, 1.0)] == 0.0
     flags["monotone_nu0"] = all(
-        table[(nu0s[i + 1], y)] >= table[(nu0s[i], y)] - 1e-9
-        for i in range(len(nu0s) - 1)
-        for y in nu1s
+        table[(nu0_grid[i + 1], y)] >= table[(nu0_grid[i], y)] - 1e-9
+        for i in range(len(nu0_grid) - 1)
+        for y in nu1_grid
     )
     flags["monotone_nu1"] = all(
-        table[(x, nu1s[j + 1])] >= table[(x, nu1s[j])] - 1e-9
-        for j in range(len(nu1s) - 1)
-        for x in nu0s
+        table[(x, nu1_grid[j + 1])] >= table[(x, nu1_grid[j])] - 1e-9
+        for j in range(len(nu1_grid) - 1)
+        for x in nu0_grid
     )
     return rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_simulate_cc_noiseless(seed, m, codewords, mbar: int, zeta: float, n: int):
-    m = _degradation(m, n)
-    codewords = [parse_state(s) for s in codewords]
+def _run_simulate_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], mbar: int, zeta: float, n: int):
+    _check_qubits(m, n)
     cover = pgm_cc_cover(codewords, m)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
     rows = [
@@ -284,11 +297,12 @@ def _run_simulate_cc_noiseless(seed, m, codewords, mbar: int, zeta: float, n: in
     return rows, flags, summary
 
 
-def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar: int, kbar: int, zeta: float, xi: float, n: int):
+def _run_simulate_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, codewords: list[DensityMatrix],
+                           mbar: int, kbar: int, zeta: float, xi: float, n: int):
     # zeta is not read by the builder; it is checked and reported beside xi
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
-    n_true, cover, sides = _noisy_cover(n_true, m, codewords, n)
+    cover, sides = _noisy_cover(n_true, m, codewords, n)
     stego = build_stego_cc_noisy(cover, n_true, sides, mbar=mbar, kbar=kbar, xi=xi, seed=seed)
     rows = [
         {
@@ -314,8 +328,7 @@ def _run_simulate_cc_noisy(seed, n_true, m, codewords, mbar: int, kbar: int, zet
     return rows, flags, summary
 
 
-def _run_simulate_es_rs(seed, mbar: int, zeta: float, cover):
-    cover = _by_kind("ES cover", _ES_COVERS, cover)
+def _run_simulate_es_rs(seed, mbar: int, zeta: float, cover: EsCode):
     stego = build_stego_es_rs(cover, mbar=mbar, zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
@@ -366,18 +379,15 @@ def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(
-    seed, pmf: list[float], outputs, mk_grid: list[int], zeta_ref: float, seeds: int, min_reliability: float
-):
+def _run_simulate_resolvability(seed, pmf: list[float], outputs: list[DensityMatrix], mk_grid: list[int],
+                                zeta_ref: float, seeds: int, min_reliability: float):
     if seeds < 1:
         raise ValueError("bad parameter: seeds must be at least 1")
     if not 0.0 < zeta_ref < 1.0:
         raise ValueError("bad parameter: zeta_ref must be in (0, 1)")
-    if not mk_grid:
-        raise ValueError("bad parameter: mk_grid must be non-empty")
     if not all(mk >= 1 for mk in mk_grid):
         raise ValueError("bad parameter: mk_grid entries must be integers of at least 1")
-    cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(parse_state(s) for s in outputs))
+    cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(outputs))
     rows = []
     medians = []
     reliabilities = {}
@@ -450,27 +460,18 @@ def _run_verify_gentle(seed, instances: int, dim_max: int, x_max: int):
     return rows, flags, {}
 
 
-def _pj_bound_row(p: float, delta: float):
-    """One ``family`` point of ``verify/pj-bound``."""
-    try:
-        rep = verify_pj_minentropy_bound(repetition_qc_cover(p), delta)
-    except ValueError as exc:
-        if "vacuous" not in str(exc):
-            raise
-        return {"p": p, "delta": delta, "status": "vacuous", "lhs": math.nan, "rhs": math.nan}
-    return {
-        "p": p,
-        "delta": delta,
-        "status": "holds" if rep.holds else "violated",
-        "lhs": rep.lhs,
-        "rhs": rep.rhs,
-    }
-
-
-def _run_verify_pj_bound(seed, family):
-    if not family:
-        raise ValueError("bad parameter: family must be non-empty")
-    rows = [_call("family point", _pj_bound_row, point) for point in family]
+def _run_verify_pj_bound(seed, family: list[PjPoint]):
+    rows = []
+    for p, delta in family:
+        row = {"p": p, "delta": delta}
+        try:
+            rep = verify_pj_minentropy_bound(repetition_qc_cover(p), delta)
+        except ValueError as exc:
+            if "vacuous" not in str(exc):
+                raise
+            rows.append(row | {"status": "vacuous", "lhs": math.nan, "rhs": math.nan})
+        else:
+            rows.append(row | {"status": "holds" if rep.holds else "violated", "lhs": rep.lhs, "rhs": rep.rhs})
     flags = {"all_ok": all(r["status"] != "violated" for r in rows)}
     return rows, flags, {}
 
@@ -481,8 +482,7 @@ def _run_verify_sutherland(seed, p: float, delta: float):
     return [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
-def _run_verify_random_code(seed, m, dim_a: int, n: int, m_dim: int, samples: int, delta: float):
-    m = parse_channel(m)
+def _run_verify_random_code(seed, m: QuantumChannel, dim_a: int, n: int, m_dim: int, samples: int, delta: float):
     if dim_a != m.dim_in:
         raise ValueError("bad parameter: dim_a must equal the input dimension of m")
     rep = experiment_random_code_entropy(n, m_dim, m, samples, delta, seed)
@@ -525,8 +525,8 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     ``config`` holds "kind", optional "seed", and "params", the keyword
     arguments of the kind's runner; an explicit integer ``seed`` argument
     overrides the config.  A key nothing reads, a missing one or a
-    wrong-typed number raises TypeError, and a negative seed ValueError,
-    naming it before the runner starts.
+    wrong-typed value raises TypeError, an empty list or a negative seed
+    ValueError, naming it before the runner starts.
     """
     def read(kind, seed: int = 0, params={}):
         return kind, seed, params
@@ -534,7 +534,7 @@ def run_experiment(config: dict, seed=None) -> ExperimentResult:
     kind, config_seed, params = _call("config", read, config)
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    use_seed = config_seed if seed is None else _number("seed", seed, "int")
+    use_seed = config_seed if seed is None else _read("seed", "seed", "int", seed)
     if use_seed < 0:
         raise ValueError(f"config: 'seed' must be a non-negative integer, got {use_seed}")
     rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)

@@ -87,7 +87,7 @@ def dephasing_es_cover(p: float) -> EsCode:
     keep_first = QuantumChannel(
         tuple(np.kron(np.eye(2), np.eye(2)[j : j + 1, :]) for j in range(2))
     )
-    return EsCode(m=2, rho=rho, decode=keep_first, channel=channel)
+    return EsCode(rho=rho, decode=keep_first, channel=channel)
 
 
 def split_cc_cover(p_block1: float):

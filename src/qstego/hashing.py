@@ -53,7 +53,6 @@ class HashEncoder:
     falls back to P_X itself and decoding that row necessarily fails.
     """
 
-    m: int
     f: np.ndarray
     cond: np.ndarray
     defect: float
@@ -68,7 +67,6 @@ class QuantumHashCode:
     """Per-message states g(w) diagonal in the target's eigenbasis, plus the
     matching eigenbasis-projector POVM."""
 
-    m: int
     states: tuple
     povm: Povm
     f: np.ndarray
@@ -132,7 +130,6 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
         raise ValueError("bad parameter: the hash table must map each symbol into range(M)")
     cond, defect, output_defect, error = _score(p, m, f[None])
     return HashEncoder(
-        m=m,
         f=f,
         cond=cond[0],
         defect=float(defect[0]),
@@ -274,7 +271,6 @@ def build_quantum_hash(rho: DensityMatrix, m: int, eps: float, seed: int, out=No
             np.sum(block[pre], axis=0, out=elements[w_, i : i + step])
     del basis, basis_conj, buf, rows, block, flat
     return QuantumHashCode(
-        m=m,
         states=tuple(DensityMatrix(g) for g in states),
         povm=Povm(elements),
         f=enc.f,

@@ -115,18 +115,17 @@ def proportionality_to_identity(kraus_list) -> tuple[float, float]:
 class EsCode:
     """Entanglement sharing code: Alice's joint input state plus Bob's decoder.
 
-    ``rho`` lives on H^(M) (x) H_A^(x n).  Its fidelity with Phi^(M) after
-    ``channel`` and ``decode`` is reported by the stego builder
-    (``StegoEsRsCode.eps_cover``), from the coherent overlap it forms.
+    ``rho`` lives on H^(M) (x) H_A^(x n), M = ``decode.dim_out``.  Its fidelity
+    with Phi^(M) after ``channel`` and ``decode`` is reported by the stego
+    builder (``StegoEsRsCode.eps_cover``), from the coherent overlap it forms.
     """
 
-    m: int
     rho: DensityMatrix
     decode: QuantumChannel
     channel: QuantumChannel
 
     def __post_init__(self):
-        if self.rho.dim != self.m * self.channel.dim_in:
+        if self.rho.dim != self.decode.dim_out * self.channel.dim_in:
             raise ValueError("shape error: joint state does not match M * dim_in")
 
 
@@ -144,9 +143,8 @@ class ResolvabilityCode:
 class EdCode:
     """One-way entanglement distillation code (encoder cq in C)."""
 
-    m: int
     encode: QuantumChannel  # A -> C (x) A_tilde
-    decode: QuantumChannel  # C (x) B -> B_tilde
+    decode: QuantumChannel  # C (x) B -> B_tilde, M = decode.dim_out
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,7 +222,7 @@ class StegoCcEsCode:
 
     mbar: int
     mcc: int
-    povms: tuple  # per key s2 (single entry: noiseless sub-protocol)
+    povm: Povm  # the nested cover-then-hash measurement
     classical_reliability: float
     entanglement_distance: float
     distance: float

@@ -53,7 +53,7 @@ def trivial_aligner_distiller(psi: PureState, m: int, l: int, eps: float):
     if m == 1:
         enc = QuantumChannel(tuple(np.kron(c0, np.eye(da)[j : j + 1, :]) for j in range(da)))
         dec = QuantumChannel(tuple(np.eye(l * db)[j : j + 1, :] for j in range(l * db)))
-        return EdCode(m=1, encode=enc, decode=dec)
+        return EdCode(encode=enc, decode=dec)
 
     probs, alphas, betas = schmidt_decompose(psi, da, db)
     if probs.size < m or np.max(np.abs(probs[:m] - 1.0 / m)) > eps / (4 * m):
@@ -70,7 +70,7 @@ def trivial_aligner_distiller(psi: PureState, m: int, l: int, eps: float):
         dec_kraus.append(np.kron(np.eye(l)[0:1, :], onto0 @ extra.conj().reshape(1, -1)))
     # every input with C != 0 goes to |0>
     dec_kraus += [onto0 @ np.eye(l * db)[q : q + 1, :] for q in range(db, l * db)]
-    return EdCode(m=m, encode=QuantumChannel(tuple(enc_kraus)), decode=QuantumChannel(tuple(dec_kraus)))
+    return EdCode(encode=QuantumChannel(tuple(enc_kraus)), decode=QuantumChannel(tuple(dec_kraus)))
 
 
 def _orthocomplement(columns: np.ndarray):
@@ -175,7 +175,7 @@ def build_stego_cc_es(
     return StegoCcEsCode(
         mbar=mbar,
         mcc=mcc,
-        povms=(povm,),
+        povm=povm,
         classical_reliability=reliability,
         entanglement_distance=ent_distance,
         distance=distance,

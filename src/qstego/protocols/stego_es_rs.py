@@ -55,7 +55,7 @@ def build_stego_es_rs(
     if mbar < 1:
         raise ValueError("bad parameter: M_bar must be >= 1")
     channel = cover.channel
-    m_dim = cover.m
+    m_dim = cover.decode.dim_out  # M, the size of A~ and of B~
     dn = channel.dim_in
 
     phi = purify(cover.rho)  # on R (x) (A~ A^n), R dim = m_dim * dn
@@ -64,14 +64,13 @@ def build_stego_es_rs(
     ke = len(channel.kraus)
     w_ext = isometric_extension(cover.decode)  # B^n -> B~ (x) H
     kh = len(cover.decode.kraus)
-    bt_dim = cover.decode.dim_out
 
     stage = phi.data.reshape(r_dim, m_dim, dn)
     stage = np.einsum("xa,rma->rmx", v_ext, stage).reshape(r_dim, m_dim, dn, ke)
     # stego B-system output, read off before Bob's coherent decoding
     b_out = np.einsum("rmbe,rmce->bc", stage, stage.conj())
     psi = np.einsum("yb,rmbe->rmye", w_ext, stage).reshape(
-        r_dim, m_dim, bt_dim, kh, ke
+        r_dim, m_dim, m_dim, kh, ke
     )
     psi = np.transpose(psi, (1, 2, 0, 4, 3))  # [A~, B~, R, E, H]
 
@@ -104,7 +103,7 @@ def build_stego_es_rs(
     bob_povm = _completion_povm(bob_proj)
 
     # audited final state on [A~, B~, W_A, W_B]
-    psi_mat = psi.reshape(m_dim * bt_dim, re_dim * kh)
+    psi_mat = psi.reshape(m_dim * m_dim, re_dim * kh)
     blocks = {}
     for a in range(mbar):
         for b in range(mbar):
@@ -112,7 +111,7 @@ def build_stego_es_rs(
             blocks[a, b] = psi_mat @ op.T @ psi_mat.conj().T
     # kron(blk, |ab><ab|) summed over (a, b): block (a, b) on the entries whose
     # index is a * mbar + b modulo mbar^2
-    side = m_dim * bt_dim * mbar * mbar
+    side = m_dim * m_dim * mbar * mbar
     final = np.zeros((side, side), dtype=complex)
     for (a, b), blk in blocks.items():
         k = a * mbar + b

@@ -100,10 +100,10 @@ class TestAcceptance:
         ):
             config = load(name)
             params = config["params"]
-            from qstego.experiments import parse_channel, parse_state
+            from qstego.experiments import _read
 
-            m = parse_channel(params["m"])
-            cover = pgm_cc_cover([parse_state(s) for s in params["codewords"]], m)
+            m = _read("m", "m", "QuantumChannel", params["m"])
+            cover = pgm_cc_cover(_read("codewords", "codewords", "list[DensityMatrix]", params["codewords"]), m)
             stego = build_stego_cc_noiseless(
                 cover, params["mbar"], params["zeta"], seed=config.get("seed", 0)
             )

@@ -302,17 +302,17 @@ class TestIndexForm:
     def test_config_channels_have_an_index_form(self, kind):
         # a config channel, or one a runner derives from it, that fell back to
         # the dense loop would run unnoticed at the speed of K^n dense products
-        def spec(kind, power):
-            return {"kind": kind, "power": power} | ({"dim": 2} if kind == "identity" else {"p": 0.3})
+        def channel(kind, power):
+            return experiments._CHANNELS[kind](power=power, **({"dim": 2} if kind == "identity" else {"p": 0.3}))
 
         for power in (1, 2, 3):
-            ch = experiments.parse_channel(spec(kind, power))
+            ch = channel(kind, power)
             assert isinstance(ch.kraus, KrausIndex)
             # verify/random-code takes the n-fold power of its m
             assert isinstance(tensor_power(ch, 2).kraus, KrausIndex)
             # the noisy runners' covers cross n_true after m
             for other in experiments._CHANNELS:
-                assert isinstance(compose(ch, experiments.parse_channel(spec(other, power))).kraus, KrausIndex)
+                assert isinstance(compose(ch, channel(other, power)).kraus, KrausIndex)
 
     @pytest.mark.parametrize("p", [0.0, 0.1, 0.25, 0.5])
     def test_repetition_cover_operators_match_kron_chains(self, p):

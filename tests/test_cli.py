@@ -46,6 +46,17 @@ def number_leaves(node, path=()):
             yield (*path, key), value
 
 
+def write_json(path, config):
+    """``config`` written to ``path`` as JSON; returns ``path``."""
+    path.write_text(json.dumps(config))
+    return path
+
+
+def forbidden(*args, **kwargs):
+    """A stand-in for a function that must not run."""
+    raise AssertionError("a forbidden function ran")
+
+
 def run_cli(args, cwd, interpreter=()):
     # the child runs in cwd, where a relative PYTHONPATH entry such as "src"
     # no longer points at this checkout; put its absolute src first
@@ -128,8 +139,7 @@ class TestCli:
     def test_empty_random_code_exits_two(self, tmp_path, key):
         config = json.loads((CONFIGS / "random_code_demo.json").read_text())
         config["params"][key] = 0
-        path = tmp_path / "empty.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "empty.json", config)
         cp = run_cli(["verify", "random-code", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
         assert f"{path}: invalid config: bad parameter: {key} must be at least 1" in cp.stderr
@@ -148,14 +158,14 @@ class TestCli:
             ("gentle_demo", "instances", -3, "instances must be at least 1"),
             ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
             ("gentle_demo", "x_max", 1, "x_max must be at least 2"),
-            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "nu0_grid must be non-empty and increasing"),
-            ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "nu0_grid must be non-empty"),
-            ("gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "nu1_grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "grid must be non-empty and increasing"),
+            ("gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "grid must be non-empty and increasing"),
             ("resolvability_demo", "mk_grid", [], "mk_grid must be non-empty"),
             ("pj_bound_family", "family", [], "family must be non-empty"),
-            ("stego_cc_noiseless_demo", "codewords", [], "no codewords"),
-            ("stego_cc_noisy_demo", "codewords", [], "no codewords"),
+            ("stego_cc_noiseless_demo", "codewords", [], "codewords must be non-empty"),
+            ("stego_cc_noisy_demo", "codewords", [], "codewords must be non-empty"),
             ("stego_cc_noiseless_demo", "m", {"kind": "foo"}, "unknown channel kind 'foo'"),
             ("stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "unknown channel kind 'tensor'"),
             ("stego_cc_noisy_demo", "zeta", 0, "zeta and xi must be in (0, 1)"),
@@ -167,7 +177,7 @@ class TestCli:
             ("stego_cc_noiseless_demo", "zeta", 5.0, "zeta must be in [0, 2]"),
             ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "dim must be at least 1"),
             ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "dim must be at least 1"),
-            ("stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "kron factors must be non-empty"),
+            ("stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "factors must be non-empty"),
             # n counts the qubits m acts on: the demo's m is dephasing^(x2), the noisy demo's and the rates one's a qubit channel
             ("stego_cc_noiseless_demo", "n", 5, "n must satisfy 2**n == the input dimension of m"),
             ("stego_cc_noisy_demo", "n", 2, "n must satisfy 2**n == the input dimension of m"),
@@ -176,13 +186,15 @@ class TestCli:
             ("random_code_demo", "dim_a", 3, "dim_a must equal the input dimension of m"),
             ("random_code_demo", "dim_a", 1, "dim_a must equal the input dimension of m"),
             ("random_code_demo", "m", {"kind": "identity", "dim": 4}, "dim_a must equal the input dimension of m"),
+            # every list of a shipped config is read as a non-empty list
+            ("resolvability_demo", "pmf", [], "pmf must be non-empty"),
+            ("resolvability_demo", "outputs", [], "outputs must be non-empty"),
         ],
     )
     def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
         config = copy.deepcopy(name) if isinstance(name, dict) else json.loads((CONFIGS / f"{name}.json").read_text())
         config["params"][key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "bad.json", config)
         group, kind = config["kind"].split("/")
         cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
@@ -209,8 +221,7 @@ class TestCli:
         # each entry of a list of numbers is read by the scalar rule
         config = json.loads((CONFIGS / f"{name}.json").read_text())
         config["params"][key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "bad.json", config)
         group, kind = config["kind"].split("/")
         cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
@@ -264,8 +275,7 @@ class TestCli:
         config = json.loads((CONFIGS / f"{name}.json").read_text())
         if config_seed is not None:
             config["seed"] = config_seed
-        path = tmp_path / f"{name}.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / f"{name}.json", config)
         args = [*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]
         cp = run_cli(args if flag is None else [*args, "--seed", str(flag)], cwd=tmp_path)
         assert cp.returncode == 2
@@ -307,8 +317,7 @@ class TestExitCodes:
                 "min_reliability": 0.9,
             },
         }
-        path = tmp_path / "bad_trend.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "bad_trend.json", config)
         cp = run_cli(
             ["simulate", "resolvability", "--config", str(path), "--out", str(tmp_path)],
             cwd=tmp_path,
@@ -319,8 +328,7 @@ class TestExitCodes:
     def test_wrong_typed_parameter_exits_two(self, tmp_path):
         config = json.loads((CONFIGS / "stego_qc_cc_demo.json").read_text())
         config["params"]["mbar"] = [2]
-        path = tmp_path / "bad_type.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "bad_type.json", config)
         cp = run_cli(
             ["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)],
             cwd=tmp_path,
@@ -334,8 +342,7 @@ class TestExitCodes:
         # P_J would divide by their sum, so no RuntimeWarning is raised
         config = json.loads((CONFIGS / "stego_qc_cc_demo.json").read_text())
         config["params"]["p"] = 1.0
-        path = tmp_path / "no_weight.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "no_weight.json", config)
         cp = run_cli(
             ["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)],
             cwd=tmp_path,
@@ -350,8 +357,7 @@ class TestExitCodes:
         # vacuous, so P_J is formed; the cause is named before the division
         config = json.loads((CONFIGS / "pj_bound_family.json").read_text())
         config["params"]["family"] = [{"p": 1.0, "delta": 2.5}]
-        path = tmp_path / "no_weight.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "no_weight.json", config)
         cp = run_cli(
             ["verify", "pj-bound", "--config", str(path), "--out", str(tmp_path)],
             cwd=tmp_path,
@@ -372,8 +378,7 @@ class TestExitCodes:
     def test_params_not_an_object_exits_two(self, tmp_path):
         config = json.loads((CONFIGS / "sutherland_demo.json").read_text())
         config["params"] = [1, 2]
-        path = tmp_path / "params_list.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "params_list.json", config)
         cp = run_cli(["verify", "sutherland", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
         assert f"{path}: invalid config: verify/sutherland params: must be a JSON object" in cp.stderr
@@ -387,8 +392,7 @@ class TestExitCodes:
     def test_unknown_parameter_exits_two(self, tmp_path, config_name, key):
         config = json.loads((CONFIGS / config_name).read_text())
         config["params"][key] = 3
-        path = tmp_path / "unknown_key.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "unknown_key.json", config)
         cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
         assert repr(key) in cp.stderr
@@ -427,8 +431,7 @@ class TestExitCodes:
     def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):
         config = json.loads((CONFIGS / config_name).read_text())
         edit(config)
-        path = tmp_path / "bad_key.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "bad_key.json", config)
         cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
         assert cp.returncode == 2
         assert f"{path}: invalid config:" in cp.stderr
@@ -451,8 +454,7 @@ class TestExitCodes:
         if isinstance(config, str):
             config = json.loads((CONFIGS / config).read_text())
         config = {**config, "params": {**config["params"], key: value}}
-        path = tmp_path / "constant_key.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "constant_key.json", config)
         assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: invalid config: {config['kind']} params: got an unexpected keyword argument {key!r}" in err
@@ -490,8 +492,7 @@ class TestExitCodes:
             params["m"] = {"kind": "identity"}
         else:
             del params[key]
-        path = tmp_path / "missing_key.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "missing_key.json", config)
         assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: invalid config: " in err
@@ -500,7 +501,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "config_name, edit, what",
         [
-            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "nu0_grid"),
+            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "grid"),
             ("stego_cc_noiseless_demo", lambda p: p.update(m=["dephasing", 0.1]), "channel"),
             ("stego_cc_noiseless_demo", lambda p: p["codewords"].append(["plus"]), "state"),
             ("stego_es_rs_demo", lambda p: p.update(cover=["dephasing_demo", 0.5]), "ES cover"),
@@ -508,23 +509,20 @@ class TestExitCodes:
         ],
         ids=["grid", "channel", "state", "es-cover", "family-point"],
     )
-    def test_spec_not_an_object_exits_two(self, tmp_path, capsys, config_name, edit, what):
+    def test_spec_not_an_object_exits_two(self, tmp_path, capsys, monkeypatch, config_name, edit, what):
+        # the whole config is read before any work: a bad last family point is named before any bound
+        monkeypatch.setattr(experiments, "verify_pj_minentropy_bound", forbidden)
         config = json.loads((CONFIGS / f"{config_name}.json").read_text())
         edit(config["params"])
-        path = tmp_path / "spec_list.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "spec_list.json", config)
         assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path}: invalid config: {what}: must be a JSON object" in capsys.readouterr().err
 
     def test_zeta_ref_checked_before_any_code_is_built(self, tmp_path, capsys, monkeypatch):
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a resolvability code was built")
-
         monkeypatch.setattr(experiments, "build_resolvability_codes", forbidden)
         config = json.loads((CONFIGS / "resolvability_demo.json").read_text())
         config["params"]["zeta_ref"] = 0
-        path = tmp_path / "zeta_ref.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "zeta_ref.json", config)
         assert cli.main(["simulate", "resolvability", "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path}: invalid config: bad parameter: zeta_ref must be in (0, 1)" in capsys.readouterr().err
 
@@ -537,8 +535,7 @@ class TestExitCodes:
         }
         if kind == "simulate/cc-noiseless":
             config["params"] |= {"mbar": 2, "n": 1}
-        path = tmp_path / "power.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "power.json", config)
         assert cli.main([*kind.split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
         assert f"{path}: invalid config: bad parameter: n must be >= 1" in capsys.readouterr().err
 
@@ -577,8 +574,7 @@ class TestExitCodes:
     def test_deleted_spelling_exits_two_naming_its_kind(self, tmp_path, capsys, config_name, edit, message):
         config = json.loads((CONFIGS / f"{config_name}.json").read_text())
         edit(config["params"])
-        path = tmp_path / "deleted.json"
-        path.write_text(json.dumps(config))
+        path = write_json(tmp_path / "deleted.json", config)
         assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
         err = capsys.readouterr().err
         assert f"{path}: invalid config: " in err
@@ -588,6 +584,18 @@ class TestExitCodes:
         cp = run_cli(["rates", "product-noiseless", "--config", "any.json"], cwd=tmp_path)
         assert cp.returncode == 2
         assert "invalid choice: 'product-noiseless'" in cp.stderr
+
+    @pytest.mark.parametrize("error", [IndexError, KeyError])
+    def test_bug_exits_four_with_its_traceback(self, tmp_path, monkeypatch, capsys, error):
+        # neither a config error nor a numerical failure: a bug, which exit 1 would report as a failed flag
+        def broken(seed, p: float, delta: float):
+            raise error("a bug")
+
+        monkeypatch.setitem(RUNNERS, "verify/sutherland", broken)
+        path = CONFIGS / "sutherland_demo.json"
+        assert cli.main(["verify", "sutherland", "--config", str(path), "--out", str(tmp_path)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" in err and f"{error.__name__}: " in err
 
     def test_numerical_failure_exits_three(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -628,11 +636,10 @@ class TestNumberKeys:
     def test_wrong_typed_number_exits_two_naming_its_key(self, tmp_path, capsys, monkeypatch, config):
         # every number is read by the annotation of the parameter it fills: a
         # bool or a string in place of a number, or a fraction in place of an
-        # integer, is a config error naming its key, and one in params or the
-        # config's seed is caught before any eigendecomposition
-        def forbidden(*args, **kwargs):
-            raise AssertionError("an eigendecomposition ran")
-
+        # integer, is a config error naming its key, caught before any
+        # eigendecomposition, since the whole config is read before any work
+        monkeypatch.setattr(np.linalg, "eigh", forbidden)
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         if isinstance(config, str):
             config = json.loads((CONFIGS / f"{config}.json").read_text())
         path = tmp_path / "wrong_type.json"
@@ -645,12 +652,8 @@ class TestNumberKeys:
                 for key in keys[:-1]:
                     node = node[key]
                 node[keys[-1]] = bad
-                path.write_text(json.dumps(mutant))
-                with monkeypatch.context() as patch:
-                    if len(keys) <= 2:
-                        patch.setattr(np.linalg, "eigh", forbidden)
-                        patch.setattr(np.linalg, "eigvalsh", forbidden)
-                    code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
+                write_json(path, mutant)
+                code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
                 err = capsys.readouterr().err
                 # a list entry is named by the key of its list
                 named = next(key for key in reversed(keys) if isinstance(key, str))

@@ -35,29 +35,34 @@ def load(name):
     return json.loads((CONFIGS / name).read_text())
 
 
-#: the readers of the specs that carry a "kind", by that kind
-KINDED = experiments._STATES | experiments._CHANNELS | experiments._ES_COVERS
-#: the readers of the specs that carry no "kind", by the params key that holds them
-UNKINDED = {"family": experiments._pj_bound_row, "nu0_grid": experiments._grid, "nu1_grid": experiments._grid}
+#: every reader of a spec in ``experiments.READERS``, one per kind of a kinded spec
+SPEC_READERS = [
+    reader
+    for _, readers in experiments.READERS.values()
+    if readers not in (int, float)
+    for reader in (readers.values() if isinstance(readers, dict) else [readers])
+]
 
 
 def spec_reads():
-    """(readers, spec) for the params of every shipped config and benchmark
-    instance and for every spec nested in them; a channel spec is read by
-    ``_channel`` (its ``power``) and by the reader of its kind."""
+    """(reader, spec) for the params of every shipped config and benchmark
+    instance and for every spec nested in them, each spec (or entry of a
+    ``list[X]``) read by the reader that ``experiments.READERS`` names for the
+    annotation of its key."""
     reads = []
 
-    def walk(readers, spec):
-        reads.append((readers, spec))
+    def walk(reader, spec):
+        reads.append((reader, spec))
+        params = inspect.signature(reader).parameters
         for key, value in spec.items():
+            annotation = str(params[key].annotation).removeprefix("list[").removesuffix("]") if key in params else None
+            readers = experiments.READERS.get(annotation, (None, None))[1]
             for item in value if isinstance(value, list) else [value]:
                 if isinstance(item, dict):
-                    reader = UNKINDED.get(key) or KINDED[item["kind"]]
-                    channel = item.get("kind") in experiments._CHANNELS
-                    walk((reader, experiments._channel) if channel else (reader,), item)
+                    walk(readers[item["kind"]] if isinstance(readers, dict) else readers, item)
 
     for _, instance in POOL:
-        walk((RUNNERS[instance.config["kind"]],), instance.config["params"])
+        walk(RUNNERS[instance.config["kind"]], instance.config["params"])
     return reads
 
 
@@ -93,7 +98,7 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "rates/nope"})
 
-    @pytest.mark.parametrize("key, message", [("codewords", "no codewords")], ids=["codewords"])
+    @pytest.mark.parametrize("key, message", [("codewords", "codewords must be non-empty")], ids=["codewords"])
     def test_empty_rates_cc_noisy_input_rejected(self, key, message):
         # an empty list leaves no row to check, so it is a config error
         # (rates/cc-noisy has no shipped config for the CLI tests to edit)
@@ -137,24 +142,24 @@ class TestRegistry:
         checked = [i for _, i in POOL if i.config["kind"] in kinds]
         for instance in checked:
             params = instance.config["params"]
-            assert 2 ** params["n"] == experiments.parse_channel(params["m"]).dim_in, instance
+            assert 2 ** params["n"] == experiments._read("m", "m", "QuantumChannel", params["m"]).dim_in, instance
         assert len(checked) > len(kinds)
 
     def test_no_default_that_every_config_and_workload_overrides(self):
         # a default that every shipped config and benchmark instance sets
-        # anyway is an input path that no caller takes
-        calls = [(reader, set(spec)) for readers, spec in spec_reads() for reader in readers]
-        readers = {f"{kind} runner": reader for kind, reader in RUNNERS.items()}
-        readers |= {f"{kind} spec": reader for kind, reader in KINDED.items()}
-        readers |= {f"{key} spec": reader for key, reader in UNKINDED.items()}
-        readers["channel spec"] = experiments._channel
-        overridden = [
-            f"{label}: {key}"
-            for label, reader in readers.items()
+        # anyway is an input path that no caller takes; the kinds that share a
+        # function (the textbook channels) are calls of that function
+        def function(reader):
+            return getattr(reader, "func", reader)
+
+        calls = [(function(reader), set(spec)) for reader, spec in spec_reads()]
+        overridden = {
+            f"{function(reader).__name__}: {key}"
+            for reader in [*RUNNERS.values(), *SPEC_READERS]
             for key, param in inspect.signature(reader).parameters.items()
-            if param.default is not param.empty and all(key in keys for r, keys in calls if r is reader)
-        ]
-        assert overridden == []
+            if param.default is not param.empty and all(key in keys for f, keys in calls if f is function(reader))
+        }
+        assert sorted(overridden) == []
 
     def test_every_number_key_is_annotated_int_or_float(self):
         # a number is read by the annotation of the parameter it fills; a key
@@ -178,9 +183,9 @@ class TestRegistry:
 
         unannotated = {
             f"{key!r} beside {sorted(spec)}"
-            for readers, spec in spec_reads()
+            for reader, spec in spec_reads()
             for key, value in spec.items()
-            if readings(value) and not any(annotation(reader, key) in readings(value) for reader in readers)
+            if readings(value) and annotation(reader, key) not in readings(value)
         }
         assert sorted(unannotated) == []
 
@@ -239,11 +244,6 @@ class TestOutputs:
     def test_seed_argument_read_as_an_integer(self, seed):
         with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
             run_experiment(load("sutherland_demo.json"), seed=seed)
-
-    @pytest.mark.parametrize("name", ["stego_cc_noiseless_demo", "stego_cc_noisy_demo"])
-    def test_golden_file(self, name):
-        golden = Path(__file__).resolve().parent / "golden" / f"{name}.csv"
-        assert render_csv(run_experiment(load(f"{name}.json"))) == golden.read_text()
 
 
 #: large-d slots whose instances build a CC cover and read its outputs

@@ -96,7 +96,7 @@ def loop_encoder(f, p, m):
     defect = float(np.abs(cond.mean(axis=0) - p).sum())
     error = float((cond * ~preimages).sum() / m)
     output_defect = float(np.abs(p_w - 1.0 / m).sum())
-    return hashing.HashEncoder(m, f, cond, defect, output_defect, error, warning=False, px_fallback=px_fallback)
+    return hashing.HashEncoder(f, cond, defect, output_defect, error, warning=False, px_fallback=px_fallback)
 
 
 def loop_search(p, m, eps, objectives=("marginal", "output")):

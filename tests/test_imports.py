@@ -154,15 +154,9 @@ def defaulted_parameters():
     is the console-script entry, are exempt."""
     from qstego import experiments
 
-    readers = [
-        *experiments.RUNNERS.values(),
-        *experiments._STATES.values(),
-        *experiments._CHANNELS.values(),
-        *experiments._ES_COVERS.values(),
-        experiments._channel,
-        experiments._grid,
-        experiments._pj_bound_row,
-    ]
+    readers = list(experiments.RUNNERS.values())
+    for _, reader in experiments.READERS.values():  # a number's is its type, a kinded spec's a dict
+        readers += reader.values() if isinstance(reader, dict) else [reader]
     exempt = {"experiments.read", "cli.main"}  # "read": run_experiment's reader of the config's top level
     for reader in readers:
         fn = getattr(reader, "func", reader)  # a textbook channel's reader is a partial

@@ -367,7 +367,7 @@ class TestInPlaceNesting:
         stego = build_stego_cc_es(f1, f2, m1, m2, povm, zeta=0.5, seed=3)
         d1n = m1.dim_in
         inner = [[np.kron(np.eye(d1n), g) for g in h.povm.elements] for h in hashes]
-        assert stego.povms[0].elements.tobytes() == two_stack_nested_povm(povm, inner).tobytes()
+        assert stego.povm.elements.tobytes() == two_stack_nested_povm(povm, inner).tobytes()
 
     def test_noiseless_peak_memory(self):
         # the 16 d x d matrices that stay (8 encoder states and the 8 nested

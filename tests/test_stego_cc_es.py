@@ -14,7 +14,7 @@ def distilled_distance(code, psi, db, l):
     """Trace distance of (id (x) decode)(encode (x) id)(psi) from Phi^(M): the
     reference check of one distiller code, with C moved behind A~ by its own
     factor permutation ([C, A~, B] -> [A~, C, B])."""
-    m = code.m
+    m = code.decode.dim_out
     joint = apply(tensor(code.encode, identity_channel(db)), psi.to_density()).data
     swapped = joint.reshape(l, m, db, l, m, db).transpose(1, 0, 2, 4, 3, 5).reshape(joint.shape)
     final = apply(tensor(identity_channel(m), code.decode), DensityMatrix(swapped))
@@ -109,7 +109,7 @@ class TestStegoCcEs:
         assert stego.classical_reliability == pytest.approx(1.0, abs=1e-9)
         assert stego.entanglement_distance <= 1e-9
         assert stego.distance <= 1e-10
-        total = stego.povms[0].elements.sum(axis=0)
+        total = stego.povm.elements.sum(axis=0)
         assert np.max(np.abs(total - np.eye(4))) < 1e-8
 
     def test_default_mcc_is_the_noiseless_cypher_count(self):
@@ -145,7 +145,7 @@ def audit_loop(stego, f1, f2, m1, m2, distilled, hashes):
     reliability = 0.0
     stego_mix = np.zeros((d1n * d2n, d1n * d2n), dtype=complex)
     cover_mix = np.zeros_like(stego_mix)
-    sqrt_elements = [psd_sqrt(e) for e in stego.povms[0].elements]
+    sqrt_elements = [psd_sqrt(e) for e in stego.povm.elements]
     for w in range(m_cover):
         joint = apply(tensor(ed_codes[w].encode, identity_channel(d1n)), shared[w])  # [C, A~, B1]
         blocks = []
@@ -195,7 +195,7 @@ def recorded_build(monkeypatch, f1, f2, m1, m2, povm, **kwargs):
         stego_cc_es, "build_quantum_hash", lambda *args, **kw: hashes.append(quantum_hash(*args, **kw)) or hashes[-1]
     )
     stego = build_stego_cc_es(f1, f2, m1, m2, povm, **kwargs)
-    assert all(ed.m == stego.mbar for _, ed in calls[-len(f1) :])
+    assert all(ed.decode.dim_out == stego.mbar for _, ed in calls[-len(f1) :])
     return stego, calls[-len(f1) :], hashes
 
 

@@ -11,8 +11,8 @@ def cover_fidelity(cover):
     """<Phi|(id (x) decode o channel)(rho)|Phi> of an ES cover, by applying
     the channels to its joint state: the reference for the coherent overlap
     from which build_stego_es_rs reports eps_cover."""
-    to_bob = tensor(identity_channel(cover.m), compose(cover.decode, cover.channel))
-    phi = maximally_entangled(cover.m).data
+    to_bob = tensor(identity_channel(cover.decode.dim_out), compose(cover.decode, cover.channel))
+    phi = maximally_entangled(cover.decode.dim_out).data
     return float((phi.conj() @ apply(to_bob, cover.rho).data @ phi).real)
 
 
@@ -27,7 +27,6 @@ class TestEsCover:
             dephasing_es_cover(0.2),
             # Phi^(2) through depolarizing(0.3): an imperfect cover, eps = 0.225
             EsCode(
-                m=2,
                 rho=maximally_entangled(2).to_density(),
                 decode=identity_channel(2),
                 channel=standard_channel("depolarizing", 0.3),
@@ -44,7 +43,7 @@ class TestStegoEsRs:
     def test_unitary_degradation_no_randomness(self):
         # a single-use ES cover over a unitary degradation: no randomness to extract
         rho = maximally_entangled(2).to_density()
-        cover = EsCode(m=2, rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)))
+        cover = EsCode(rho=rho, decode=identity_channel(2), channel=QuantumChannel((np.eye(2),)))
         stego = build_stego_es_rs(cover, mbar=1, zeta=0.5, seed=0)
         assert stego.p_x.size == 1
         assert stego.fidelity >= cover_fidelity(cover) - 1e-9

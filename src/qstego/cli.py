@@ -7,13 +7,14 @@ kinds of a group.
 Common flags: --config PATH (JSON), --seed N (overrides the config seed),
 --out DIR (default "."), --csv / --json (default: write both).  Exit code 0
 iff every pass/fail flag in the run is true, 1 on a failed flag, 2 on a config
-error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed
-or unknown key at any level of the config, named in the message, an unknown
-one before a missing one; an integer key takes a JSON integer, a number key a
-JSON integer or float, and neither a bool or a string; each entry of a list
-is read by the same rule, and a list is non-empty; a negative seed, from the
-config or --seed), 3 on a numerical failure of a linear-algebra routine and 4
-on any other exception, a bug, whose traceback is printed.
+error (malformed JSON with a line-anchored diagnostic; a missing, wrong-typed,
+out-of-range or unknown key at any level of the config, named in the message
+with its path, an unknown one before a missing one; an integer key takes a
+JSON integer, a number key a JSON integer or float, and neither a bool or a
+string; a number lies in the range its parameter's annotation declares, a seed
+from the config or --seed at least 0; a list is non-empty, each entry read by
+the same rule), 3 on a numerical failure of a linear-algebra routine and 4 on
+any other exception, a bug, whose traceback is printed.
 """
 
 from __future__ import annotations

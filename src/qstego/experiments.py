@@ -11,19 +11,21 @@ to the JSON summary only.
 One rule reads a config: a value is read by the annotation of the parameter
 it fills (``READERS``), so the keys a config may hold at any level are the
 keyword parameters of the function that reads them, each required but a
-config's ``seed`` and a channel's ``power``.  The whole config is read into
-library objects before a runner starts; any other key, a missing, empty or
-wrong-typed one or a spec that is not a JSON object raises.
+config's ``seed`` and a channel's ``power``, and a number's range is declared
+in its annotation.  The whole config is read into library objects before a
+runner starts; any other key, a missing, empty, wrong-typed or out-of-range
+one or a spec that is not a JSON object raises, naming its key.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import json
 import math
 import time
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from pathlib import Path
 
 import numpy as np
@@ -84,7 +86,7 @@ def _call(what, fn, spec, /, *args):
     annotation of the parameter it fills.  A ``spec`` that is not a JSON
     object, holds a key ``fn`` does not take (named before a missing one),
     lacks one or holds a value its annotation does not take raises TypeError
-    naming ``what`` before ``fn`` runs."""
+    or ValueError naming ``what`` before ``fn`` runs."""
     if not isinstance(spec, dict):
         raise TypeError(f"{what}: must be a JSON object")
     sig = inspect.signature(fn)
@@ -94,37 +96,68 @@ def _call(what, fn, spec, /, *args):
     except TypeError as exc:
         raise TypeError(f"{what}: {exc}") from None
     read = {
-        key: _read(f"{what}: {key!r}", key, sig.parameters[key].annotation, value) if key in sig.parameters else value
+        key: _read(f"{what}: {key!r}", sig.parameters[key].annotation, value) if key in sig.parameters else value
         for key, value in spec.items()
     }
     return fn(*args, **read)
 
 
-def _read(where, key, annotation, value):
-    """``value`` of ``key`` read by the reader of ``annotation`` in ``READERS``,
-    or kept when it has none; a wrong-typed value raises TypeError naming ``where``."""
+@cache
+def _range(annotation):
+    """``annotation`` split into the annotation it bounds and its range
+    (lo, lo_open, hi, hi_open), None when it has none: a comparison chain
+    such as "1 <= int" or "0 < float <= 2" bounds the name it compares."""
+    node = ast.parse(annotation, mode="eval").body if isinstance(annotation, str) else None
+    if not isinstance(node, ast.Compare):
+        return annotation, None
+    lo, name, hi = [node.left, *node.comparators, ast.Constant(math.inf)][:3]
+    opens = [isinstance(op, ast.Lt) for op in node.ops]
+    return name.id, (lo.value, opens[0], hi.value, len(opens) == 2 and opens[1])
+
+
+def _read(where, annotation, value):
+    """``value`` read by the reader of ``annotation`` in ``READERS`` (kept when
+    it has none) and checked against the annotation's range; an error names
+    ``where``, and a range error the range."""
     if isinstance(annotation, str) and annotation.startswith("list["):
         if not isinstance(value, list):
             raise TypeError(f"{where} must be a list, got {value!r}")
         if not value:
-            raise ValueError(f"bad parameter: {key} must be non-empty")
-        return [_read(f"{where} entry {i}", key, annotation[5:-1], v) for i, v in enumerate(value)]
+            raise ValueError(f"{where} must be non-empty")
+        return [_read(f"{where} entry {i}", annotation[5:-1], v) for i, v in enumerate(value)]
+    annotation, bounds = _range(annotation)
     if annotation not in READERS:
         return value
     name, reader = READERS[annotation]
     if reader in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, reader)):
             raise TypeError(f"{where} must be {name}, got {value!r}")
+        if bounds:
+            lo, lo_open, hi, hi_open = bounds
+            if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+                if hi == math.inf:
+                    shown = f"{'>' if lo_open else '>='} {lo}"
+                else:
+                    shown = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+                raise ValueError(f"{where} must be {name} {shown}, got {value!r}")
         return reader(value)
-    if reader is _STATES and isinstance(value, str):
-        return named_state(value)
-    return _by_kind(name, reader, value) if isinstance(reader, dict) else _call(name, reader, value)
+    read = partial(_call, name, reader)
+    if isinstance(reader, dict):
+        read = named_state if reader is _STATES and isinstance(value, str) else partial(_by_kind, name, reader)
+    else:
+        first = next(iter(inspect.signature(reader).parameters.values()))
+        if first.kind is first.POSITIONAL_ONLY:  # the reader takes the value itself, read by its annotation
+            read, value = reader, _read(where, first.annotation, value)
+    try:
+        return read(value)
+    except (ValueError, TypeError) as exc:
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _by_kind(what, readers, spec):
     """Call the reader of ``spec["kind"]`` with the other keys of ``spec``."""
 
-    def read(kind, **keys):
+    def read(kind: str, **keys):
         if kind not in readers:
             raise ValueError(f"bad parameter: unknown {what} kind {kind!r}")
         return _call(f"{kind} {what}", readers[kind], keys)
@@ -144,11 +177,11 @@ def _kron(factors: list[DensityMatrix]) -> DensityMatrix:
 _STATES = {"diag": _diag, "kron": _kron}
 
 
-def _identity(dim: int, power: int = 1) -> QuantumChannel:
+def _identity(dim: 1 <= int, power: 1 <= int = 1) -> QuantumChannel:
     return tensor_power(identity_channel(dim), power)
 
 
-def _textbook(kind, p: float, power: int = 1) -> QuantumChannel:
+def _textbook(kind, p: 0 <= float <= 1, power: 1 <= int = 1) -> QuantumChannel:
     return tensor_power(standard_channel(kind, p), power)
 
 
@@ -162,12 +195,12 @@ _CHANNELS = {"identity": _identity} | {
 Grid = list[float]
 
 
-def _grid(start: float, stop: float, num: int) -> Grid:
-    """The reader of a grid spec: ``num`` points from ``start`` to ``stop``."""
+def _grid(start: 1 <= float, stop: 1 <= float, num: 1 <= int) -> Grid:
+    """The reader of a grid spec of symplectic eigenvalues: ``num`` points from ``start`` to ``stop``."""
     points = [float(x) for x in np.linspace(start, stop, num)]
     # the monotonicity flags of rates/gaussian compare neighbours in list order
-    if not points or not all(b > a for a, b in zip(points, points[1:])):
-        raise ValueError(f"bad parameter: grid must be non-empty and increasing: {num} points from {start} to {stop}")
+    if not all(b > a for a, b in zip(points, points[1:])):
+        raise ValueError(f"bad parameter: grid must be increasing: {num} points from {start} to {stop}")
     return points
 
 
@@ -175,18 +208,25 @@ def _grid(start: float, stop: float, num: int) -> Grid:
 PjPoint = tuple[float, float]
 
 
-def _pj_point(p: float, delta: float) -> PjPoint:
+def _pj_point(p: 0 <= float <= 1, delta: float) -> PjPoint:
     return p, delta
 
 
+def _pmf(probs: list[float], /) -> Pmf:
+    return Pmf(np.asarray(probs, dtype=float))
+
+
 #: parameter annotation -> (what its value is called, its reader); ``list[X]``
-#: takes a non-empty JSON list of X.  A number's reader is its type ("int" takes
-#: a JSON integer, "float" an integer or float, neither a bool); a spec's is the
-#: function whose keyword parameters are its keys, or a dict of them by its
-#: "kind", and a state may also be a name (``named_state``).
+#: takes a non-empty JSON list of X, and "0 < float <= 2" a float in (0, 2]
+#: (``_range``).  A number's reader is its type ("int" takes a JSON integer,
+#: "float" an integer or float, neither a bool); a spec's is the function whose
+#: keyword parameters are its keys, or a dict of them by its "kind", and a state
+#: may also be a name (``named_state``); a reader of one positional-only
+#: parameter takes the value itself, read by that parameter's annotation.
 READERS = {
     "int": ("an integer", int),
     "float": ("a number", float),
+    "Pmf": ("PMF", _pmf),
     "DensityMatrix": ("state", _STATES),
     "QuantumChannel": ("channel", _CHANNELS),
     "EsCode": ("ES cover", {"dephasing_demo": dephasing_es_cover}),
@@ -201,7 +241,7 @@ READERS = {
 # so a runner receives library objects and starts after its whole config is read.
 
 
-def _run_rates_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], zeta: float):
+def _run_rates_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], zeta: 0 < float <= 2):
     outputs = [apply(m, s) for s in codewords]
     res = rate_cc_noiseless(outputs, zeta)
     rows = [{"w": w, "raw_w": per_w} for w, per_w in enumerate(res.per_w)]
@@ -209,21 +249,22 @@ def _run_rates_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatr
     return rows, {}, summary
 
 
-def _check_qubits(m, n):
-    """The channel ``m`` must act on the n qubits of the cover's n uses."""
-    if 2**n != m.dim_in:
-        raise ValueError("bad parameter: n must satisfy 2**n == the input dimension of m")
+def _check_input_dim(m, dim, rule):
+    """A key that restates the input dimension of the channel ``m``, as
+    ``dim``, must agree with it; ``rule`` says how the key restates it."""
+    if dim != m.dim_in:
+        raise ValueError(f"bad parameter: {rule} the input dimension of m")
 
 
 def _noisy_cover(n_true, m, codewords, n):
     """The n-use PGM cover over ``n_true`` after ``m`` and its side states."""
-    _check_qubits(m, n)
+    _check_input_dim(m, 2**n, "n must satisfy 2**n ==")
     cover = pgm_cc_cover(codewords, compose(n_true, m))
     return cover, side_states_from_degradation(cover, m)
 
 
 def _run_rates_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, codewords: list[DensityMatrix],
-                        zeta: float, xi: float, n: int):
+                        zeta: 0 < float < 1, xi: 0 < float < 1, n: int):
     _, sides_in = _noisy_cover(n_true, m, codewords, n)
     side_outputs = [output_cq(s, n_true) for s in sides_in]
     rows = []
@@ -243,7 +284,7 @@ def _run_rates_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, codewor
     return rows, {}, {"zeta": zeta, "xi": xi}
 
 
-def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid: Grid, nu1_grid: Grid):
+def _run_rates_gaussian(seed, n: int, r: 0 <= int, zeta: 0 < float <= 2, nu0_grid: Grid, nu1_grid: Grid):
     points = [(nu0, nu1) for nu0 in nu0_grid for nu1 in nu1_grid]
     rows = []
     table = {}
@@ -267,8 +308,9 @@ def _run_rates_gaussian(seed, n: int, r: int, zeta: float, nu0_grid: Grid, nu1_g
     return rows, flags, {"n": n, "r": r, "zeta": zeta}
 
 
-def _run_simulate_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], mbar: int, zeta: float, n: int):
-    _check_qubits(m, n)
+def _run_simulate_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityMatrix], mbar: 1 <= int,
+                               zeta: 0 <= float <= 2, n: int):
+    _check_input_dim(m, 2**n, "n must satisfy 2**n ==")
     cover = pgm_cc_cover(codewords, m)
     stego = build_stego_cc_noiseless(cover, mbar, zeta, seed=seed)
     rows = [
@@ -298,10 +340,8 @@ def _run_simulate_cc_noiseless(seed, m: QuantumChannel, codewords: list[DensityM
 
 
 def _run_simulate_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, codewords: list[DensityMatrix],
-                           mbar: int, kbar: int, zeta: float, xi: float, n: int):
+                           mbar: 1 <= int, kbar: 1 <= int, zeta: 0 < float < 1, xi: 0 < float < 1, n: int):
     # zeta is not read by the builder; it is checked and reported beside xi
-    if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
-        raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
     cover, sides = _noisy_cover(n_true, m, codewords, n)
     stego = build_stego_cc_noisy(cover, n_true, sides, mbar=mbar, kbar=kbar, xi=xi, seed=seed)
     rows = [
@@ -328,7 +368,7 @@ def _run_simulate_cc_noisy(seed, n_true: QuantumChannel, m: QuantumChannel, code
     return rows, flags, summary
 
 
-def _run_simulate_es_rs(seed, mbar: int, zeta: float, cover: EsCode):
+def _run_simulate_es_rs(seed, mbar: 1 <= int, zeta: 0 <= float <= 2, cover: EsCode):
     stego = build_stego_es_rs(cover, mbar=mbar, zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
@@ -343,7 +383,7 @@ def _run_simulate_es_rs(seed, mbar: int, zeta: float, cover: EsCode):
     return [row], flags, {"p_x": [float(x) for x in stego.p_x]}
 
 
-def _run_simulate_qc_cc(seed, p: float, mbar: int, zeta: float):
+def _run_simulate_qc_cc(seed, p: 0 <= float <= 1, mbar: 1 <= int, zeta: 0 <= float <= 2):
     stego = build_stego_qc_cc(repetition_qc_cover(p), mbar=mbar, zeta=zeta, seed=seed)
     row = {
         "p": p,
@@ -365,7 +405,7 @@ def _run_simulate_qc_cc(seed, p: float, mbar: int, zeta: float):
     return [row], flags, {"p_j": [float(x) for x in stego.p_j]}
 
 
-def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
+def _run_simulate_cc_es(seed, zeta: 0 < float <= 2, p_block1: 0 <= float <= 1):
     stego = build_stego_cc_es(*split_cc_cover(p_block1), zeta=zeta, seed=seed)
     row = {
         "mbar": stego.mbar,
@@ -379,15 +419,9 @@ def _run_simulate_cc_es(seed, zeta: float, p_block1: float):
     return [row], flags, {"eps_cover": stego.eps_cover}
 
 
-def _run_simulate_resolvability(seed, pmf: list[float], outputs: list[DensityMatrix], mk_grid: list[int],
-                                zeta_ref: float, seeds: int, min_reliability: float):
-    if seeds < 1:
-        raise ValueError("bad parameter: seeds must be at least 1")
-    if not 0.0 < zeta_ref < 1.0:
-        raise ValueError("bad parameter: zeta_ref must be in (0, 1)")
-    if not all(mk >= 1 for mk in mk_grid):
-        raise ValueError("bad parameter: mk_grid entries must be integers of at least 1")
-    cq = CqState(Pmf(np.asarray(pmf, dtype=float)), tuple(outputs))
+def _run_simulate_resolvability(seed, pmf: Pmf, outputs: list[DensityMatrix], mk_grid: list[1 <= int],
+                                zeta_ref: 0 < float < 1, seeds: 1 <= int, min_reliability: 0 <= float <= 1):
+    cq = CqState(pmf, tuple(outputs))
     rows = []
     medians = []
     reliabilities = {}
@@ -415,15 +449,9 @@ def _run_simulate_resolvability(seed, pmf: list[float], outputs: list[DensityMat
     return rows, flags, summary
 
 
-def _run_verify_gentle(seed, instances: int, dim_max: int, x_max: int):
+def _run_verify_gentle(seed, instances: 1 <= int, dim_max: 2 <= int, x_max: 2 <= int):
     """Random instances, drawn one after another and checked together per
     (dimension, alphabet size) shape by one ``verify_gentle_composition`` batch."""
-    if instances < 1:
-        raise ValueError("bad parameter: instances must be at least 1")
-    if dim_max < 2:
-        raise ValueError("bad parameter: dim_max must be at least 2")
-    if x_max < 2:
-        raise ValueError("bad parameter: x_max must be at least 2")
     rng = np.random.default_rng(seed)
     shapes = {}  # (dim, nx) -> (instance indices, Gaussian draws, PMFs)
     for idx in range(instances):
@@ -476,15 +504,15 @@ def _run_verify_pj_bound(seed, family: list[PjPoint]):
     return rows, flags, {}
 
 
-def _run_verify_sutherland(seed, p: float, delta: float):
+def _run_verify_sutherland(seed, p: 0 <= float <= 1, delta: float):
     rep = experiment_sutherland_bound(repetition_qc_cover(p), standard_channel("bit_flip", p), delta)
     row = {"p": p, "delta": delta, "lhs": rep.lhs, "rhs": rep.rhs, "margin": rep.lhs - rep.rhs, "holds": rep.holds}
     return [row], {"holds": rep.holds}, rep.detail | {"p_single_use": [float(x) for x in rep.detail["p_single_use"]]}
 
 
-def _run_verify_random_code(seed, m: QuantumChannel, dim_a: int, n: int, m_dim: int, samples: int, delta: float):
-    if dim_a != m.dim_in:
-        raise ValueError("bad parameter: dim_a must equal the input dimension of m")
+def _run_verify_random_code(seed, m: QuantumChannel, dim_a: int, n: 1 <= int, m_dim: 1 <= int, samples: 1 <= int,
+                            delta: float):
+    _check_input_dim(m, dim_a, "dim_a must equal")
     rep = experiment_random_code_entropy(n, m_dim, m, samples, delta, seed)
     row = {
         "dim_a": dim_a,
@@ -519,26 +547,26 @@ RUNNERS = {
 }
 
 
+def _config(kind: str, seed: 0 <= int = 0, params: dict = {}):
+    """The reader of a config's top level."""
+    return kind, seed, params
+
+
 def run_experiment(config: dict, seed=None) -> ExperimentResult:
     """Dispatch a config to its runner.
 
     ``config`` holds "kind", optional "seed", and "params", the keyword
-    arguments of the kind's runner; an explicit integer ``seed`` argument
-    overrides the config.  A key nothing reads, a missing one or a
-    wrong-typed value raises TypeError, an empty list or a negative seed
-    ValueError, naming it before the runner starts.
+    arguments of the kind's runner; a ``seed`` argument other than None
+    overrides the config's.  A key nothing reads, a missing one or a
+    wrong-typed value raises TypeError, an empty list, a reader's error or a
+    value outside the range its annotation declares ValueError, naming it
+    before the runner starts.
     """
-    def read(kind, seed: int = 0, params={}):
-        return kind, seed, params
-
-    kind, config_seed, params = _call("config", read, config)
+    kind, seed, params = _call("config", _config, config if seed is None else {**config, "seed": seed})
     if kind not in RUNNERS:
         raise ValueError(f"unknown experiment kind {kind!r}")
-    use_seed = config_seed if seed is None else _read("seed", "seed", "int", seed)
-    if use_seed < 0:
-        raise ValueError(f"config: 'seed' must be a non-negative integer, got {use_seed}")
-    rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, use_seed)
-    return ExperimentResult(kind=kind, rows=rows, flags=flags, summary=summary, seed=use_seed)
+    rows, flags, summary = _call(f"{kind} params", RUNNERS[kind], params, seed)
+    return ExperimentResult(kind=kind, rows=rows, flags=flags, summary=summary, seed=seed)
 
 
 def _format_cell(value) -> str:

@@ -72,7 +72,7 @@ def repetition_qc_cover(p: float) -> QcCode:
     return QcCode(encode=encode, decode=decode, channel=channel, correctable=correctable)
 
 
-def dephasing_es_cover(p: float) -> EsCode:
+def dephasing_es_cover(p: 0 <= float <= 1) -> EsCode:
     """Two-use ES cover: Phi^(2) rides use 1 untouched, a fixed |+> rides
     use 2 through dephasing(p); Bob's decoder keeps qubit 1.
 

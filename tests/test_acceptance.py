@@ -102,8 +102,8 @@ class TestAcceptance:
             params = config["params"]
             from qstego.experiments import _read
 
-            m = _read("m", "m", "QuantumChannel", params["m"])
-            cover = pgm_cc_cover(_read("codewords", "codewords", "list[DensityMatrix]", params["codewords"]), m)
+            m = _read("m", "QuantumChannel", params["m"])
+            cover = pgm_cc_cover(_read("codewords", "list[DensityMatrix]", params["codewords"]), m)
             stego = build_stego_cc_noiseless(
                 cover, params["mbar"], params["zeta"], seed=config.get("seed", 0)
             )

@@ -1,9 +1,12 @@
 import copy
+import inspect
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ import pytest
 
 from qstego import cli, experiments
 from qstego.experiments import RUNNERS
+from tests.test_experiments import entries, number_annotation, specs
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = ROOT / "configs"
@@ -34,22 +38,170 @@ IDENTITY = {
     "kind": "simulate/cc-noiseless",
     "params": {"m": {"kind": "identity", "dim": 2}, "codewords": ["zero"], "n": 1, "mbar": 2, "zeta": 0.1},
 }
+#: the configs every mutant of which ``TestNumberKeys`` runs
+WALKED = [*sorted(p.stem for p in CONFIGS.glob("*.json")), IDENTITY, RATES_CC_NOISY]
+WALKED_IDS = [c if isinstance(c, str) else c["params"]["m"]["kind"] + "-" + c["kind"].replace("/", "-") for c in WALKED]
 
 
-def number_leaves(node, path=()):
-    """(path, value) of every number in ``node``, under a key of a JSON object
-    or an entry of a list."""
-    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
-        if isinstance(value, (dict, list)):
-            yield from number_leaves(value, (*path, key))
-        elif isinstance(value, (int, float)) and not isinstance(value, bool):
-            yield (*path, key), value
+#: id -> (config, params key, its bad value, the message naming it).  A row
+#: that predates the explicit ids keeps the name pytest first collected it
+#: under (with "value<i>" for its place then), so editing a row renames no test
+BAD_VALUES = {
+    "gaussian_fig2-zeta-0-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", 0, "'zeta' must be a number in (0, 2], got 0"),
+    "gaussian_fig2-zeta--0.5-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", -0.5, "'zeta' must be a number in (0, 2], got -0.5"),
+    "resolvability_demo-zeta_ref-0-zeta_ref must be in (0, 1)": ("resolvability_demo", "zeta_ref", 0, "'zeta_ref' must be a number in (0, 1), got 0"),
+    "resolvability_demo-seeds-0-seeds must be at least 1": ("resolvability_demo", "seeds", 0, "'seeds' must be an integer >= 1, got 0"),
+    "resolvability_demo-mk_grid-value4-mk_grid entries must be integers of at least 1": (
+        "resolvability_demo", "mk_grid", [0], "'mk_grid' entry 0 must be an integer >= 1, got 0"
+    ),
+    "resolvability_demo-mk_grid-value5-mk_grid entries must be integers of at least 1": (
+        "resolvability_demo", "mk_grid", [4, -2], "'mk_grid' entry 1 must be an integer >= 1, got -2"
+    ),
+    "gentle_demo-instances-0-instances must be at least 1": ("gentle_demo", "instances", 0, "'instances' must be an integer >= 1, got 0"),
+    "gentle_demo-instances--3-instances must be at least 1": ("gentle_demo", "instances", -3, "'instances' must be an integer >= 1, got -3"),
+    "gentle_demo-dim_max-1-dim_max must be at least 2": ("gentle_demo", "dim_max", 1, "'dim_max' must be an integer >= 2, got 1"),
+    "gentle_demo-x_max-1-x_max must be at least 2": ("gentle_demo", "x_max", 1, "'x_max' must be an integer >= 2, got 1"),
+    "gaussian_fig2-nu0_grid-value10-grid must be non-empty and increasing": (
+        "gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "'nu0_grid': grid: 'num' must be an integer >= 1, got 0"
+    ),
+    # a grid's points must increase: a relation of start, stop and num
+    "gaussian_fig2-nu0_grid-value11-grid must be non-empty and increasing": (
+        "gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "'nu0_grid': bad parameter: grid must be increasing"
+    ),
+    "gaussian_fig2-nu0_grid-value12-grid must be non-empty and increasing": (
+        "gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "'nu0_grid': bad parameter: grid must be increasing"
+    ),
+    "gaussian_fig2-nu1_grid-value13-grid must be non-empty and increasing": (
+        "gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "'nu1_grid': bad parameter: grid must be increasing"
+    ),
+    "resolvability_demo-mk_grid-value14-mk_grid must be non-empty": ("resolvability_demo", "mk_grid", [], "'mk_grid' must be non-empty"),
+    "pj_bound_family-family-value15-family must be non-empty": ("pj_bound_family", "family", [], "'family' must be non-empty"),
+    "stego_cc_noiseless_demo-codewords-value16-codewords must be non-empty": (
+        "stego_cc_noiseless_demo", "codewords", [], "'codewords' must be non-empty"
+    ),
+    "stego_cc_noisy_demo-codewords-value17-codewords must be non-empty": ("stego_cc_noisy_demo", "codewords", [], "'codewords' must be non-empty"),
+    "stego_cc_noiseless_demo-m-value18-unknown channel kind 'foo'": (
+        "stego_cc_noiseless_demo", "m", {"kind": "foo"}, "'m': bad parameter: unknown channel kind 'foo'"
+    ),
+    "stego_cc_noiseless_demo-m-value19-unknown channel kind 'tensor'": (
+        "stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "'m': bad parameter: unknown channel kind 'tensor'"
+    ),
+    "stego_cc_noisy_demo-zeta-0-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "zeta", 0, "'zeta' must be a number in (0, 1), got 0"),
+    "stego_cc_noisy_demo-zeta-1.5-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "zeta", 1.5, "'zeta' must be a number in (0, 1), got 1.5"),
+    "stego_cc_noisy_demo-xi-1.0-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "xi", 1.0, "'xi' must be a number in (0, 1), got 1.0"),
+    # a trace distance is at most 2: above it the rate penalty changes sign
+    "gaussian_fig2-zeta-3.0-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", 3.0, "'zeta' must be a number in (0, 2], got 3.0"),
+    "stego_cc_es_demo-zeta-3.0-zeta must be in (0, 2]": ("stego_cc_es_demo", "zeta", 3.0, "'zeta' must be a number in (0, 2], got 3.0"),
+    "stego_cc_noiseless_demo-zeta-5.0-zeta must be in [0, 2]": ("stego_cc_noiseless_demo", "zeta", 5.0, "'zeta' must be a number in [0, 2], got 5.0"),
+    "stego_cc_noiseless_demo-m-value26-dim must be at least 1": (
+        "stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "'m': identity channel: 'dim' must be an integer >= 1, got 0"
+    ),
+    "stego_cc_noiseless_demo-m-value27-dim must be at least 1": (
+        "stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "'m': identity channel: 'dim' must be an integer >= 1, got -2"
+    ),
+    "stego_cc_noiseless_demo-codewords-value28-factors must be non-empty": (
+        "stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "'codewords' entry 0: kron state: 'factors' must be non-empty"
+    ),
+    # n counts the qubits m acts on: the demo's m is dephasing^(x2), the noisy demo's and the rates one's a qubit channel
+    "stego_cc_noiseless_demo-n-5-n must satisfy 2**n == the input dimension of m": (
+        "stego_cc_noiseless_demo", "n", 5, "bad parameter: n must satisfy 2**n == the input dimension of m"
+    ),
+    "stego_cc_noisy_demo-n-2-n must satisfy 2**n == the input dimension of m": (
+        "stego_cc_noisy_demo", "n", 2, "bad parameter: n must satisfy 2**n == the input dimension of m"
+    ),
+    "name31-n-3-n must satisfy 2**n == the input dimension of m": (
+        RATES_CC_NOISY, "n", 3, "bad parameter: n must satisfy 2**n == the input dimension of m"
+    ),
+    # dim_a is the input dimension of the demo's qubit channel m
+    "random_code_demo-dim_a-3-dim_a must equal the input dimension of m": (
+        "random_code_demo", "dim_a", 3, "bad parameter: dim_a must equal the input dimension of m"
+    ),
+    "random_code_demo-dim_a-1-dim_a must equal the input dimension of m": (
+        "random_code_demo", "dim_a", 1, "bad parameter: dim_a must equal the input dimension of m"
+    ),
+    "random_code_demo-m-value34-dim_a must equal the input dimension of m": (
+        "random_code_demo", "m", {"kind": "identity", "dim": 4}, "bad parameter: dim_a must equal the input dimension of m"
+    ),
+    "resolvability_demo-pmf-value35-pmf must be non-empty": ("resolvability_demo", "pmf", [], "'pmf' must be non-empty"),
+    "resolvability_demo-outputs-value36-outputs must be non-empty": ("resolvability_demo", "outputs", [], "'outputs' must be non-empty"),
+    "gaussian_fig2-r": ("gaussian_fig2", "r", 1000001, "bad parameter: need 0 <= r <= n"),
+    # a reader's own error names the path of the value it read
+    "stego_cc_noiseless_exact-codewords": (
+        "stego_cc_noiseless_exact", "codewords", [{"kind": "diag", "probs": [0.6, 0.5]}], "'codewords' entry 0: invalid state: trace not 1"
+    ),
+    "resolvability_demo-pmf": ("resolvability_demo", "pmf", [0.6, 0.5], "'pmf': invalid PMF"),
+    "pj_bound_family-family": (
+        "pj_bound_family", "family", [{"p": 0.1, "delta": 0.2}, {"p": 3.0, "delta": 0.2}],
+        "'family' entry 1: family point: 'p' must be a number in [0, 1], got 3.0",
+    ),
+}
+
+
+#: the value a mutant at a key deletes it with
+DELETE = object()
+
+
+def shown(lo, lo_open, hi, hi_open):
+    """A range as an error message names it: "in (0, 2]", or ">= 1" when unbounded above."""
+    if hi == math.inf:
+        return f"{'>' if lo_open else '>='} {lo}"
+    return f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
+
+
+def outside(name, bounds):
+    """A value just outside each finite bound of a number of type ``name``."""
+    lo, lo_open, hi, hi_open = bounds
+    for bound, is_open, away in [(lo, lo_open, -1), (hi, hi_open, 1)]:
+        if math.isfinite(bound):
+            yield bound if is_open else bound + away if name == "int" else math.nextafter(bound, away * math.inf)
+
+
+def mutants(config):
+    """(path, value, what the message holds, wrong-typed): ``config`` with
+    the value at ``path`` set to ``value`` (deleted for DELETE) is a config
+    error.  At every spec of the config: each required key deleted, an
+    unknown key added, the spec a JSON list, every list emptied, every number
+    wrong-typed and each finite bound of its range overstepped."""
+    for path, reader, spec in specs(config):
+        params = inspect.signature(reader).parameters
+        if path:  # the CLI reads the top level first, and takes its kind from the command
+            yield path, [1], (f"{path[-1]!r}: " if path[-1] != "params" else "params: ", "must be a JSON object"), False
+        yield (*path, "bogus"), 1, ("got an unexpected keyword argument 'bogus'",), False
+        for key, value in spec.items():
+            param = params.get(key)
+            if path and (param is None or param.default is param.empty):
+                yield (*path, key), DELETE, (f"missing a required argument: {key!r}",), False
+            if isinstance(value, list):
+                yield (*path, key), [], (f"{key!r} must be non-empty",), False
+            name, bounds = experiments._range(param.annotation.removeprefix("list[").removesuffix("]") if param else None)
+            for at, number in entries(value):
+                if isinstance(number, (int, float)) and not isinstance(number, bool):
+                    for bad in [True, "x", *([2.5] if isinstance(number, int) else [])]:
+                        yield (*path, key, *at), bad, (repr(key), f"got {bad!r}"), True
+                    for bad in outside(name, bounds) if bounds else []:
+                        range_error = f"must be {experiments.READERS[name][0]} {shown(*bounds)}, got {bad!r}"
+                        yield (*path, key, *at), bad, (repr(key), range_error), False
 
 
 def write_json(path, config):
     """``config`` written to ``path`` as JSON; returns ``path``."""
     path.write_text(json.dumps(config))
     return path
+
+
+def load(config):
+    """A fresh copy of a shipped config, by name, or of a config dict."""
+    return json.loads((CONFIGS / f"{config}.json").read_text()) if isinstance(config, str) else copy.deepcopy(config)
+
+
+def config_error(tmp_path, capsys, config):
+    """The message with which ``cli.main`` rejects ``config``, written to a
+    file: it must exit 2 with "<path>: invalid config: " and no traceback."""
+    path = write_json(tmp_path / "bad.json", config)
+    code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert code == 2 and err.startswith(f"{path}: invalid config: ") and "Traceback" not in err, err
+    return err.removeprefix(f"{path}: invalid config: ")
 
 
 def forbidden(*args, **kwargs):
@@ -135,71 +287,17 @@ class TestCli:
         assert cp.returncode == 2
         assert "bad.json:3:" in cp.stderr
 
-    @pytest.mark.parametrize("key", ["samples", "m_dim"])
-    def test_empty_random_code_exits_two(self, tmp_path, key):
-        config = json.loads((CONFIGS / "random_code_demo.json").read_text())
+    @pytest.mark.parametrize("key", ["samples", "m_dim"], ids=["samples", "m_dim"])
+    def test_empty_random_code_exits_two(self, tmp_path, capsys, key):
+        config = load("random_code_demo")
         config["params"][key] = 0
-        path = write_json(tmp_path / "empty.json", config)
-        cp = run_cli(["verify", "random-code", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert f"{path}: invalid config: bad parameter: {key} must be at least 1" in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert config_error(tmp_path, capsys, config) == f"verify/random-code params: {key!r} must be an integer >= 1, got 0\n"
 
-    @pytest.mark.parametrize(
-        "name, key, value, message",
-        [
-            ("gaussian_fig2", "zeta", 0, "zeta must be in (0, 2]"),
-            ("gaussian_fig2", "zeta", -0.5, "zeta must be in (0, 2]"),
-            ("resolvability_demo", "zeta_ref", 0, "zeta_ref must be in (0, 1)"),
-            ("resolvability_demo", "seeds", 0, "seeds must be at least 1"),
-            ("resolvability_demo", "mk_grid", [0], "mk_grid entries must be integers of at least 1"),
-            ("resolvability_demo", "mk_grid", [4, -2], "mk_grid entries must be integers of at least 1"),
-            ("gentle_demo", "instances", 0, "instances must be at least 1"),
-            ("gentle_demo", "instances", -3, "instances must be at least 1"),
-            ("gentle_demo", "dim_max", 1, "dim_max must be at least 2"),
-            ("gentle_demo", "x_max", 1, "x_max must be at least 2"),
-            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "grid must be non-empty and increasing"),
-            ("gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "grid must be non-empty and increasing"),
-            ("gaussian_fig2", "nu0_grid", {"start": 3.0, "stop": 1.0, "num": 9}, "grid must be non-empty and increasing"),
-            ("gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "grid must be non-empty and increasing"),
-            ("resolvability_demo", "mk_grid", [], "mk_grid must be non-empty"),
-            ("pj_bound_family", "family", [], "family must be non-empty"),
-            ("stego_cc_noiseless_demo", "codewords", [], "codewords must be non-empty"),
-            ("stego_cc_noisy_demo", "codewords", [], "codewords must be non-empty"),
-            ("stego_cc_noiseless_demo", "m", {"kind": "foo"}, "unknown channel kind 'foo'"),
-            ("stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "unknown channel kind 'tensor'"),
-            ("stego_cc_noisy_demo", "zeta", 0, "zeta and xi must be in (0, 1)"),
-            ("stego_cc_noisy_demo", "zeta", 1.5, "zeta and xi must be in (0, 1)"),
-            ("stego_cc_noisy_demo", "xi", 1.0, "zeta and xi must be in (0, 1)"),
-            # a trace distance is at most 2: above it the rate penalty changes sign
-            ("gaussian_fig2", "zeta", 3.0, "zeta must be in (0, 2]"),
-            ("stego_cc_es_demo", "zeta", 3.0, "zeta must be in (0, 2]"),
-            ("stego_cc_noiseless_demo", "zeta", 5.0, "zeta must be in [0, 2]"),
-            ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "dim must be at least 1"),
-            ("stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "dim must be at least 1"),
-            ("stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "factors must be non-empty"),
-            # n counts the qubits m acts on: the demo's m is dephasing^(x2), the noisy demo's and the rates one's a qubit channel
-            ("stego_cc_noiseless_demo", "n", 5, "n must satisfy 2**n == the input dimension of m"),
-            ("stego_cc_noisy_demo", "n", 2, "n must satisfy 2**n == the input dimension of m"),
-            (RATES_CC_NOISY, "n", 3, "n must satisfy 2**n == the input dimension of m"),
-            # dim_a is the input dimension of the demo's qubit channel m
-            ("random_code_demo", "dim_a", 3, "dim_a must equal the input dimension of m"),
-            ("random_code_demo", "dim_a", 1, "dim_a must equal the input dimension of m"),
-            ("random_code_demo", "m", {"kind": "identity", "dim": 4}, "dim_a must equal the input dimension of m"),
-            # every list of a shipped config is read as a non-empty list
-            ("resolvability_demo", "pmf", [], "pmf must be non-empty"),
-            ("resolvability_demo", "outputs", [], "outputs must be non-empty"),
-        ],
-    )
-    def test_bad_numeric_parameter_exits_two(self, tmp_path, name, key, value, message):
-        config = copy.deepcopy(name) if isinstance(name, dict) else json.loads((CONFIGS / f"{name}.json").read_text())
+    @pytest.mark.parametrize("name, key, value, message", BAD_VALUES.values(), ids=BAD_VALUES)
+    def test_bad_numeric_parameter_exits_two(self, tmp_path, capsys, name, key, value, message):
+        config = load(name)
         config["params"][key] = value
-        path = write_json(tmp_path / "bad.json", config)
-        group, kind = config["kind"].split("/")
-        cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert f"{path}: invalid config: bad parameter: {message}" in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert message in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize(
         "name, key, value, message",
@@ -212,21 +310,16 @@ class TestCli:
                 "stego_cc_noiseless_demo",
                 "codewords",
                 [{"kind": "diag", "probs": [True, False, False, False]}],
-                "diag state: 'probs' entry 0 must be a number, got True",
+                "simulate/cc-noiseless params: 'codewords' entry 0: diag state: 'probs' entry 0 must be a number, got True",
             ),
         ],
         ids=["mk_grid-fraction", "mk_grid-bool", "pmf-string", "pmf-not-a-list", "probs-bool"],
     )
-    def test_wrong_typed_list_entry_exits_two(self, tmp_path, name, key, value, message):
+    def test_wrong_typed_list_entry_exits_two(self, tmp_path, capsys, name, key, value, message):
         # each entry of a list of numbers is read by the scalar rule
-        config = json.loads((CONFIGS / f"{name}.json").read_text())
+        config = load(name)
         config["params"][key] = value
-        path = write_json(tmp_path / "bad.json", config)
-        group, kind = config["kind"].split("/")
-        cp = run_cli([group, kind, "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert f"{path}: invalid config: {message}" in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert config_error(tmp_path, capsys, config) == f"{message}\n"
 
     def test_kind_mismatch_rejected(self, tmp_path):
         cp = run_cli(
@@ -280,7 +373,7 @@ class TestCli:
         cp = run_cli(args if flag is None else [*args, "--seed", str(flag)], cwd=tmp_path)
         assert cp.returncode == 2
         seed = config_seed if flag is None else flag
-        assert cp.stderr == f"{path}: invalid config: config: 'seed' must be a non-negative integer, got {seed}\n"
+        assert cp.stderr == f"{path}: invalid config: config: 'seed' must be an integer >= 0, got {seed}\n"
         assert list(tmp_path.iterdir()) == [path]
 
     def test_rerun_byte_identical(self, tmp_path):
@@ -325,17 +418,10 @@ class TestExitCodes:
         assert cp.returncode == 1
         assert "medians_strictly_decreasing: FAIL" in cp.stdout
 
-    def test_wrong_typed_parameter_exits_two(self, tmp_path):
-        config = json.loads((CONFIGS / "stego_qc_cc_demo.json").read_text())
+    def test_wrong_typed_parameter_exits_two(self, tmp_path, capsys):
+        config = load("stego_qc_cc_demo")
         config["params"]["mbar"] = [2]
-        path = write_json(tmp_path / "bad_type.json", config)
-        cp = run_cli(
-            ["simulate", "qc-cc", "--config", str(path), "--out", str(tmp_path)],
-            cwd=tmp_path,
-        )
-        assert cp.returncode == 2
-        assert f"{path}: invalid config:" in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert config_error(tmp_path, capsys, config) == "simulate/qc-cc params: 'mbar' must be an integer, got [2]\n"
 
     def test_qc_cc_without_kl_weight_exits_two(self, tmp_path):
         # at p = 1 every Knill-Laflamme weight is 0; the cause is named before
@@ -375,27 +461,20 @@ class TestExitCodes:
         assert cp.returncode == 2
         assert cp.stderr == f"{path}:1:1: config must be a JSON object\n"
 
-    def test_params_not_an_object_exits_two(self, tmp_path):
-        config = json.loads((CONFIGS / "sutherland_demo.json").read_text())
+    def test_params_not_an_object_exits_two(self, tmp_path, capsys):
+        config = load("sutherland_demo")
         config["params"] = [1, 2]
-        path = write_json(tmp_path / "params_list.json", config)
-        cp = run_cli(["verify", "sutherland", "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert f"{path}: invalid config: verify/sutherland params: must be a JSON object" in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert config_error(tmp_path, capsys, config) == "verify/sutherland params: must be a JSON object\n"
 
     @pytest.mark.parametrize(
         "config_name, key",
         [("stego_cc_noiseless_demo.json", "atempts"), ("stego_cc_noisy_demo.json", "trials")],
         ids=["atempts", "trials"],
     )
-    def test_unknown_parameter_exits_two(self, tmp_path, config_name, key):
-        config = json.loads((CONFIGS / config_name).read_text())
+    def test_unknown_parameter_exits_two(self, tmp_path, capsys, config_name, key):
+        config = load(config_name.removesuffix(".json"))
         config["params"][key] = 3
-        path = write_json(tmp_path / "unknown_key.json", config)
-        cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert repr(key) in cp.stderr
+        assert repr(key) in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize(
         "config_name, edit, key",
@@ -428,15 +507,10 @@ class TestExitCodes:
             "misspelled-required-key",
         ],
     )
-    def test_bad_key_named_and_exits_two(self, tmp_path, config_name, edit, key):
-        config = json.loads((CONFIGS / config_name).read_text())
+    def test_bad_key_named_and_exits_two(self, tmp_path, capsys, config_name, edit, key):
+        config = load(config_name.removesuffix(".json"))
         edit(config)
-        path = write_json(tmp_path / "bad_key.json", config)
-        cp = run_cli([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)], cwd=tmp_path)
-        assert cp.returncode == 2
-        assert f"{path}: invalid config:" in cp.stderr
-        assert repr(key) in cp.stderr
-        assert "Traceback" not in cp.stderr
+        assert repr(key) in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize(
         "config, key, value",
@@ -451,13 +525,9 @@ class TestExitCodes:
     def test_constant_key_exits_two(self, tmp_path, capsys, config, key, value):
         # these keys had one value in use and are constants now: a config that
         # sets one, even to that value, is a config error naming it
-        if isinstance(config, str):
-            config = json.loads((CONFIGS / config).read_text())
-        config = {**config, "params": {**config["params"], key: value}}
-        path = write_json(tmp_path / "constant_key.json", config)
-        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: invalid config: {config['kind']} params: got an unexpected keyword argument {key!r}" in err
+        config = load(config.removesuffix(".json") if isinstance(config, str) else config)
+        config["params"][key] = value
+        assert config_error(tmp_path, capsys, config) == f"{config['kind']} params: got an unexpected keyword argument {key!r}\n"
 
     @pytest.mark.parametrize(
         "config, key",
@@ -484,7 +554,7 @@ class TestExitCodes:
     )
     def test_missing_key_exits_two_naming_it(self, tmp_path, capsys, config, key):
         # every key of params is required: leaving one out is a config error naming it
-        config = json.loads((CONFIGS / config).read_text() if isinstance(config, str) else json.dumps(config))
+        config = load(config.removesuffix(".json") if isinstance(config, str) else config)
         params = config["params"]
         if key == "p":
             del params["cover"]["p"]
@@ -492,42 +562,35 @@ class TestExitCodes:
             params["m"] = {"kind": "identity"}
         else:
             del params[key]
-        path = write_json(tmp_path / "missing_key.json", config)
-        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: invalid config: " in err
-        assert f"missing a required argument: {key!r}" in err
+        assert f"missing a required argument: {key!r}" in config_error(tmp_path, capsys, config)
 
     @pytest.mark.parametrize(
         "config_name, edit, what",
         [
-            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "grid"),
-            ("stego_cc_noiseless_demo", lambda p: p.update(m=["dephasing", 0.1]), "channel"),
-            ("stego_cc_noiseless_demo", lambda p: p["codewords"].append(["plus"]), "state"),
-            ("stego_es_rs_demo", lambda p: p.update(cover=["dephasing_demo", 0.5]), "ES cover"),
-            ("pj_bound_family", lambda p: p["family"].append([0.1, 0.2]), "family point"),
+            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "'nu0_grid': grid"),
+            ("stego_cc_noiseless_demo", lambda p: p.update(m=["dephasing", 0.1]), "'m': channel"),
+            ("stego_cc_noiseless_demo", lambda p: p["codewords"].append(["plus"]), "'codewords' entry 2: state"),
+            ("stego_es_rs_demo", lambda p: p.update(cover=["dephasing_demo", 0.5]), "'cover': ES cover"),
+            ("pj_bound_family", lambda p: p["family"].append([0.1, 0.2]), "'family' entry 6: family point"),
         ],
         ids=["grid", "channel", "state", "es-cover", "family-point"],
     )
     def test_spec_not_an_object_exits_two(self, tmp_path, capsys, monkeypatch, config_name, edit, what):
         # the whole config is read before any work: a bad last family point is named before any bound
         monkeypatch.setattr(experiments, "verify_pj_minentropy_bound", forbidden)
-        config = json.loads((CONFIGS / f"{config_name}.json").read_text())
+        config = load(config_name)
         edit(config["params"])
-        path = write_json(tmp_path / "spec_list.json", config)
-        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert f"{path}: invalid config: {what}: must be a JSON object" in capsys.readouterr().err
+        assert config_error(tmp_path, capsys, config) == f"{config['kind']} params: {what}: must be a JSON object\n"
 
     def test_zeta_ref_checked_before_any_code_is_built(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(experiments, "build_resolvability_codes", forbidden)
-        config = json.loads((CONFIGS / "resolvability_demo.json").read_text())
+        config = load("resolvability_demo")
         config["params"]["zeta_ref"] = 0
-        path = write_json(tmp_path / "zeta_ref.json", config)
-        assert cli.main(["simulate", "resolvability", "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert f"{path}: invalid config: bad parameter: zeta_ref must be in (0, 1)" in capsys.readouterr().err
+        message = config_error(tmp_path, capsys, config)
+        assert message == "simulate/resolvability params: 'zeta_ref' must be a number in (0, 1), got 0\n"
 
-    @pytest.mark.parametrize("power", [0, -3])
-    @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"])
+    @pytest.mark.parametrize("power", [0, -3], ids=["0", "-3"])
+    @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"], ids=["simulate/cc-noiseless", "rates/cc-noiseless"])
     def test_channel_power_below_one_exits_two(self, tmp_path, capsys, kind, power):
         config = {
             "kind": kind,
@@ -535,9 +598,8 @@ class TestExitCodes:
         }
         if kind == "simulate/cc-noiseless":
             config["params"] |= {"mbar": 2, "n": 1}
-        path = write_json(tmp_path / "power.json", config)
-        assert cli.main([*kind.split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
-        assert f"{path}: invalid config: bad parameter: n must be >= 1" in capsys.readouterr().err
+        message = config_error(tmp_path, capsys, config)
+        assert message == f"{kind} params: 'm': dephasing channel: 'power' must be an integer >= 1, got {power}\n"
 
     @pytest.mark.parametrize(
         "config_name, edit, message",
@@ -572,13 +634,9 @@ class TestExitCodes:
         ids=["named", "pure", "maximally_mixed", "tensor", "unitary", "trivial"],
     )
     def test_deleted_spelling_exits_two_naming_its_kind(self, tmp_path, capsys, config_name, edit, message):
-        config = json.loads((CONFIGS / f"{config_name}.json").read_text())
+        config = load(config_name)
         edit(config["params"])
-        path = write_json(tmp_path / "deleted.json", config)
-        assert cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)]) == 2
-        err = capsys.readouterr().err
-        assert f"{path}: invalid config: " in err
-        assert message in err
+        assert message in config_error(tmp_path, capsys, config)
 
     def test_deleted_runner_exits_two_naming_its_kind(self, tmp_path):
         cp = run_cli(["rates", "product-noiseless", "--config", "any.json"], cwd=tmp_path)
@@ -628,37 +686,35 @@ class TestExitCodes:
 
 
 class TestNumberKeys:
-    @pytest.mark.parametrize(
-        "config",
-        [*sorted(p.stem for p in CONFIGS.glob("*.json")), IDENTITY, RATES_CC_NOISY],
-        ids=lambda c: c if isinstance(c, str) else c["params"]["m"]["kind"] + "-" + c["kind"].replace("/", "-"),
-    )
-    def test_wrong_typed_number_exits_two_naming_its_key(self, tmp_path, capsys, monkeypatch, config):
-        # every number is read by the annotation of the parameter it fills: a
-        # bool or a string in place of a number, or a fraction in place of an
-        # integer, is a config error naming its key, caught before any
-        # eigendecomposition, since the whole config is read before any work
+    """Every mutant of every config (``mutants``) is a config error that
+    names its key, caught before any eigendecomposition, since the whole
+    config is read, by the annotation of the parameter each value fills,
+    before any work."""
+
+    def check(self, tmp_path, capsys, monkeypatch, config, wrong_typed):
         monkeypatch.setattr(np.linalg, "eigh", forbidden)
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
-        if isinstance(config, str):
-            config = json.loads((CONFIGS / f"{config}.json").read_text())
-        path = tmp_path / "wrong_type.json"
-        leaves = list(number_leaves(config))
-        assert leaves
-        for keys, value in leaves:
-            for bad in [True, "x", *([2.5] if isinstance(value, int) else [])]:
-                mutant = copy.deepcopy(config)
-                node = mutant
-                for key in keys[:-1]:
-                    node = node[key]
-                node[keys[-1]] = bad
-                write_json(path, mutant)
-                code = cli.main([*config["kind"].split("/"), "--config", str(path), "--out", str(tmp_path)])
-                err = capsys.readouterr().err
-                # a list entry is named by the key of its list
-                named = next(key for key in reversed(keys) if isinstance(key, str))
-                assert code == 2, (keys, bad)
-                assert f"{path}: invalid config: " in err and repr(named) in err, (keys, bad, err)
+        config = load(config)
+        checked = [m for m in mutants(config) if m[3] == wrong_typed]
+        assert checked
+        for path, value, parts, _ in checked:
+            mutant = copy.deepcopy(config)
+            *parents, last = path
+            node = reduce(lambda node, key: node[key], parents, mutant)
+            if value is DELETE:
+                del node[last]
+            else:
+                node[last] = value
+            message = config_error(tmp_path, capsys, mutant)
+            assert all(part in message for part in parts), (path, value, message)
+
+    @pytest.mark.parametrize("config", WALKED, ids=WALKED_IDS)
+    def test_wrong_typed_number_exits_two_naming_its_key(self, tmp_path, capsys, monkeypatch, config):
+        self.check(tmp_path, capsys, monkeypatch, config, wrong_typed=True)
+
+    @pytest.mark.parametrize("config", WALKED, ids=WALKED_IDS)
+    def test_missing_unknown_empty_or_out_of_range_exits_two_naming_its_key(self, tmp_path, capsys, monkeypatch, config):
+        self.check(tmp_path, capsys, monkeypatch, config, wrong_typed=False)
 
 
 class TestReadme:
@@ -671,3 +727,26 @@ class TestReadme:
             for kind in kinds.split(",")
         ]
         assert listed == list(RUNNERS)
+
+    def test_number_key_table_matches_the_annotations(self):
+        # README's table is the one hand-written copy of each number key's
+        # readers, type and range: every reader's annotations must agree with it
+        types = {"int": "integer", "float": "number", "list[int]": "list of integers", "list[float]": "list of numbers"}
+        readers = [("config", experiments._config), *RUNNERS.items()]
+        for what, reader in experiments.READERS.values():
+            if reader not in (int, float):
+                readers += [(what, r) for r in (reader.values() if isinstance(reader, dict) else [reader])]
+        declared = {}
+        for label, reader in readers:
+            for key, param in inspect.signature(reader).parameters.items():
+                if isinstance(param.annotation, str) and param.kind is not param.POSITIONAL_ONLY:
+                    annotation, bounds = number_annotation(param.annotation)
+                    if annotation in types:
+                        row = (key, types[annotation], shown(*bounds) if bounds else "any")
+                        declared.setdefault(row, set()).add(label)
+        text = (ROOT / "README.md").read_text().split("## Config format", 1)[1]
+        listed = {
+            (key, kind, shown): set(read_by.replace("`", "").split(", "))
+            for key, read_by, kind, shown in re.findall(r"^\| `(\w+)` \| ([^|]+) \| ([^|]+) \| ([^|]+) \|$", text, re.M)
+        }
+        assert len(listed) > 20 and listed == declared

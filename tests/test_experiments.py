@@ -44,26 +44,48 @@ SPEC_READERS = [
 ]
 
 
-def spec_reads():
-    """(reader, spec) for the params of every shipped config and benchmark
-    instance and for every spec nested in them, each spec (or entry of a
-    ``list[X]``) read by the reader that ``experiments.READERS`` names for the
-    annotation of its key."""
-    reads = []
+def entries(value):
+    """(index path, item): the entries of a list, or the one value."""
+    return [((i,), item) for i, item in enumerate(value)] if isinstance(value, list) else [((), value)]
 
-    def walk(reader, spec):
-        reads.append((reader, spec))
+
+def specs(config):
+    """(path, reader, spec) for the top level of ``config``, its params and
+    every spec nested in them, each read by the function that ``READERS``
+    names for the annotation of its key (a kinded spec by its kind's)."""
+
+    def walk(path, reader, spec):
+        yield path, reader, spec
         params = inspect.signature(reader).parameters
         for key, value in spec.items():
-            annotation = str(params[key].annotation).removeprefix("list[").removesuffix("]") if key in params else None
-            readers = experiments.READERS.get(annotation, (None, None))[1]
-            for item in value if isinstance(value, list) else [value]:
+            inner = params[key].annotation.removeprefix("list[").removesuffix("]") if key in params else None
+            readers = experiments.READERS.get(experiments._range(inner)[0], (None, None))[1]
+            for at, item in entries(value):
                 if isinstance(item, dict):
-                    walk(readers[item["kind"]] if isinstance(readers, dict) else readers, item)
+                    yield from walk((*path, key, *at), readers[item["kind"]] if isinstance(readers, dict) else readers, item)
 
-    for _, instance in POOL:
-        walk(RUNNERS[instance.config["kind"]], instance.config["params"])
-    return reads
+    yield (), experiments._config, config
+    yield from walk(("params",), RUNNERS[config["kind"]], config["params"])
+
+
+def spec_reads():
+    """(reader, spec) for the params of every shipped config and benchmark
+    instance and for every spec nested in them (``specs``)."""
+    return [(reader, spec) for _, instance in POOL for path, reader, spec in specs(instance.config) if path]
+
+
+def number_annotation(annotation):
+    """(annotation, range) by which a value of a parameter annotated
+    ``annotation`` is read: the range (``experiments._range``) cut out of it,
+    and a reader whose one parameter is positional-only (a PMF's) taken as
+    that parameter's annotation."""
+    reader = experiments.READERS.get(annotation, (None, None))[1]
+    if inspect.isfunction(reader):
+        first = next(iter(inspect.signature(reader).parameters.values()))
+        annotation = first.annotation if first.kind is first.POSITIONAL_ONLY else annotation
+    inner = annotation.removeprefix("list[").removesuffix("]")
+    name, bounds = experiments._range(inner)
+    return annotation.replace(inner, name), bounds
 
 
 class TestRunners:
@@ -98,7 +120,7 @@ class TestRunners:
         with pytest.raises(ValueError, match="unknown experiment kind"):
             run_experiment({"kind": "rates/nope"})
 
-    @pytest.mark.parametrize("key, message", [("codewords", "codewords must be non-empty")], ids=["codewords"])
+    @pytest.mark.parametrize("key, message", [("codewords", "rates/cc-noisy params: 'codewords' must be non-empty")], ids=["codewords"])
     def test_empty_rates_cc_noisy_input_rejected(self, key, message):
         # an empty list leaves no row to check, so it is a config error
         # (rates/cc-noisy has no shipped config for the CLI tests to edit)
@@ -111,7 +133,7 @@ class TestRunners:
             "xi": 0.1,
         }
         params[key] = []
-        with pytest.raises(ValueError, match=f"^bad parameter: {message}$"):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             run_experiment({"kind": "rates/cc-noisy", "params": params})
 
 
@@ -142,7 +164,7 @@ class TestRegistry:
         checked = [i for _, i in POOL if i.config["kind"] in kinds]
         for instance in checked:
             params = instance.config["params"]
-            assert 2 ** params["n"] == experiments._read("m", "m", "QuantumChannel", params["m"]).dim_in, instance
+            assert 2 ** params["n"] == experiments._read("m", "QuantumChannel", params["m"]).dim_in, instance
         assert len(checked) > len(kinds)
 
     def test_no_default_that_every_config_and_workload_overrides(self):
@@ -168,7 +190,7 @@ class TestRegistry:
         # list[float]) would let a wrong-typed value run
         def annotation(reader, key):
             param = inspect.signature(reader).parameters.get(key)
-            return None if param is None else param.annotation
+            return None if param is None else number_annotation(param.annotation)[0]
 
         def is_number(value):
             return isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -242,7 +264,7 @@ class TestOutputs:
 
     @pytest.mark.parametrize("seed", [2.7, True, "3"], ids=["float", "bool", "str"])
     def test_seed_argument_read_as_an_integer(self, seed):
-        with pytest.raises(TypeError, match=f"^seed must be an integer, got {re.escape(repr(seed))}$"):
+        with pytest.raises(TypeError, match=f"^config: 'seed' must be an integer, got {re.escape(repr(seed))}$"):
             run_experiment(load("sutherland_demo.json"), seed=seed)
 
 

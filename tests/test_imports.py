@@ -157,7 +157,7 @@ def defaulted_parameters():
     readers = list(experiments.RUNNERS.values())
     for _, reader in experiments.READERS.values():  # a number's is its type, a kinded spec's a dict
         readers += reader.values() if isinstance(reader, dict) else [reader]
-    exempt = {"experiments.read", "cli.main"}  # "read": run_experiment's reader of the config's top level
+    exempt = {"experiments._config", "cli.main"}  # "_config": the reader of a config's top level
     for reader in readers:
         fn = getattr(reader, "func", reader)  # a textbook channel's reader is a partial
         exempt.add(f"{fn.__module__.removeprefix('qstego.')}.{fn.__name__}")
@@ -240,3 +240,20 @@ def test_every_library_default_is_used_and_overridable():
         if passing in (0, len(found)):
             folded.append(f"{function}({param}): passed by {passing} of {len(found)} calls{note}")
     assert folded == []
+
+
+def test_no_runner_body_raises():
+    # a runner's keys are checked as they are read, against the ranges their
+    # annotations declare, and a key that restates the input dimension of m by
+    # ``experiments._check_input_dim``: a check in a runner body would be a
+    # second copy.  The pj-bound runner re-raises a bound error that is not
+    # "vacuous", which is no check of its own
+    tree = ast.parse((SRC / "qstego" / "experiments.py").read_text())
+    runners = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("_run_")]
+    raises = [
+        f"experiments.py:{node.lineno} {runner.name}"
+        for runner in runners
+        for node in ast.walk(runner)
+        if isinstance(node, ast.Raise) and not (node.exc is None and runner.name == "_run_verify_pj_bound")
+    ]
+    assert len(runners) > 10 and raises == []

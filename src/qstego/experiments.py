@@ -208,7 +208,7 @@ def _grid(start: 1 <= float, stop: 1 <= float, num: 1 <= int) -> Grid:
 PjPoint = tuple[float, float]
 
 
-def _pj_point(p: 0 <= float <= 1, delta: float) -> PjPoint:
+def _pj_point(p: 0 <= float <= 1, delta: 0 <= float < 1) -> PjPoint:
     return p, delta
 
 

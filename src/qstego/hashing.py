@@ -9,12 +9,10 @@ function tables when that is cheap, otherwise by seeded random search over
 ``ATTEMPTS`` tables; achieved defects are always measured and reported, never
 assumed from the rate bound.
 
-Tables are scored by :func:`_score`, which gives every table of a stack the
-float bits it gets when scored alone; :func:`encoder_from_hash` is that
-function on a batch of one.  Both searches therefore score each table
-once, in fixed chunks of ``CHUNK_BYTES`` per temporary array, rank the exact
-keys directly (no tie is re-scored) and build only the winner's encoder; the
-table found does not depend on the chunk size.
+Both searches score each table once, in fixed chunks of ``CHUNK_BYTES`` per
+temporary array, with the bits it gets when scored alone and without forming
+its Q_{X|W} (:func:`_score`), rank the exact keys directly (no tie is
+re-scored) and form only the winner's Q_{X|W} (:func:`encoder_from_hash`).
 
 The quantum code is built from blocks of eigenbasis-projector rows of about
 ``ROW_BYTES`` each: O(M d^2) memory for M messages, not the 16 d^3 bytes of
@@ -75,45 +73,55 @@ class QuantumHashCode:
     warning: bool
 
 
-def _score(p: np.ndarray, m: int, tables: np.ndarray):
-    """Q_{X|W}, defect, output defect and decode error of every row of
-    ``tables`` (k hash tables over |X| symbols, shape (k, |X|)).
-
-    Each value has the bits of the same table scored alone, one preimage at a
-    time (p_w as ``p[preimage].sum()``, Q_X as ``cond.mean(axis=0)``): every
-    sum over x runs along a contiguous last axis, where numpy sums each row as
-    it sums a 1-D array, and the sum over w runs down axis 1 a row at a time,
-    as ``mean(axis=0)`` of one table's (M, |X|) array does.
+def _score(p: np.ndarray, m: int, tables: np.ndarray, output: bool):
+    """Defect, output defect (None unless ``output``) and decode error of
+    every row of ``tables`` (k tables over |X| symbols, shape (k, |X|)), with
+    the bits of the table scored alone (p_w as ``p[preimage].sum()``, M Q_X as
+    ``cond.sum(axis=0)``) and without forming Q_{X|W}: a sum over x runs along
+    a contiguous last axis, as numpy sums a 1-D array, and column x of
+    ``cond``, which numpy adds down w in order, holds the own term at w = f(x),
+    p(x) at each w of empty preimage and zeros, whose addition is exact.
     """
     k, nx = tables.shape
-    cells = (tables + m * np.arange(k)[:, None]).ravel()
-    sizes = np.bincount(cells, minlength=k * m).reshape(k, m)
+    first = m * np.arange(k)
+    cells = (tables + first[:, None]).ravel()
+    px = np.tile(p, k)
+    sizes = np.bincount(cells, minlength=k * m)
     # p_w: numpy sums fewer than 8 entries left to right, as bincount adds
     # its weights, and 8 or more pairwise, so those preimages are summed
     # compacted, grouped by size
-    p_w = np.bincount(cells, weights=np.tile(p, k), minlength=k * m).reshape(k, m)
-    pre = tables[:, None, :] == np.arange(m)[:, None]
-    cond = pre * p
+    p_w = np.bincount(cells, weights=px, minlength=k * m)
     for s in set(sizes[sizes >= 8].tolist()):
-        big = sizes == s
-        p_w[big] = cond[big][pre[big]].reshape(-1, s).sum(axis=1)
-    # Bayes rows p(x)/p_w on the preimage; uniform rows when p_w = 0; an empty
-    # preimage (so p_w = 0) falls back to P_X, decoded wrong with probability one
-    bayes = p_w > 0.0
-    cond /= np.where(bayes, p_w, 1.0)[..., None]
+        c = np.flatnonzero(sizes == s)
+        p_w[c] = p[np.nonzero(tables[c // m] == (c % m)[:, None])[1]].reshape(-1, s).sum(axis=1)
+    # q = M Q_X(x) is the own term alone: the Bayes entry p(x)/p_w, uniform on a zero-mass preimage
+    uniform = (p_w == 0.0)[cells]
+    q = px / np.where(uniform, 1.0, p_w[cells])
+    q[uniform] = 1.0 / sizes[cells[uniform]]
     error = np.zeros(k)
-    if not bayes.all():
-        uniform = ~bayes & (sizes > 0)
-        cond[uniform] = pre[uniform] / sizes[uniform][:, None]
-        empty = sizes == 0
-        cond[empty] = p
+    empty = (sizes == 0).reshape(k, m)
+    if empty.any():
+        # unless a preimage is empty (so p_w = 0): its row falls back to P_X,
+        # decoded wrong with probability one, and M Q_X(x) adds p(x) once per
+        # empty w before f(x), the own term, then p(x) once per empty w after
+        # it (below[c] counts the empty cells before cell c)
+        below = np.concatenate(([0], np.cumsum(empty)))
+        before = below[cells] - np.repeat(below[first], nx)
+        after = np.repeat(below[first + m] - below[first], nx) - before
+        q, own = np.zeros(k * nx), q
+        for j in range(before.max()):
+            np.add(q, px, out=q, where=before > j)
+        q += own
+        for j in range(after.max()):
+            np.add(q, px, out=q, where=after > j)
+        del below, before, after, own
         # the error sums cond * ~preimage, which is P_X on fallback rows, zero
-        # elsewhere, over all M |X| entries
+        # elsewhere, over all M |X| entries in (w, x) order
         some = empty.any(axis=1)
-        error[some] = (empty[some][..., None] * p).reshape(-1, m * nx).sum(axis=1) / m
-    defect = np.abs(cond.sum(axis=1) / m - p).sum(axis=1)
-    output_defect = np.abs(p_w - 1.0 / m).sum(axis=1)
-    return cond, defect, output_defect, error
+        error[some] = (np.repeat(empty[some], nx, axis=1) * np.tile(p, m)).sum(axis=1) / m
+    defect = np.abs(q / m - px).reshape(k, nx).sum(axis=1)
+    output_defect = np.abs(p_w.reshape(k, m) - 1.0 / m).sum(axis=1) if output else None
+    return defect, output_defect, error
 
 
 def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
@@ -122,16 +130,21 @@ def encoder_from_hash(f: np.ndarray, p, m: int) -> HashEncoder:
     Rows with positive hash-output probability are exact Bayes posteriors
     (supported on the preimage, so they decode perfectly).  Zero-probability
     rows use the uniform distribution over the preimage when it is nonempty,
-    and fall back to P_X itself (flagged) when the preimage is empty.
+    and fall back to P_X itself (flagged) when the preimage is empty.  The
+    measures are :func:`_score`'s on a batch of one.
     """
     p = as_pmf(p)
     f = np.asarray(f, dtype=int)
     if f.shape != p.shape or not ((0 <= f) & (f < m)).all():
         raise ValueError("bad parameter: the hash table must map each symbol into range(M)")
-    cond, defect, output_defect, error = _score(p, m, f[None])
+    defect, output_defect, error = _score(p, m, f[None], output=True)
+    cond = np.empty((m, p.size))
+    for w, pre in enumerate(f == np.arange(m)[:, None]):
+        p_w = p[pre].sum()
+        cond[w] = pre * p / p_w if p_w > 0.0 else pre / pre.sum() if pre.any() else p
     return HashEncoder(
         f=f,
-        cond=cond[0],
+        cond=cond,
         defect=float(defect[0]),
         output_defect=float(output_defect[0]),
         error_prob=float(error[0]),
@@ -184,8 +197,7 @@ def build_classical_hash(
     step = max(1, CHUNK_BYTES // (8 * m * nx))
     if m**nx <= EXHAUSTIVE_LIMIT:
         # table i of the lexicographic order has the base-M digits of i as entries
-        places = m ** np.arange(nx - 1, -1, -1)
-        chunks = (np.arange(i, min(i + step, m**nx))[:, None] // places % m for i in range(0, m**nx, step))
+        chunks = (np.array(np.unravel_index(np.arange(i, min(i + step, m**nx)), (m,) * nx)).T for i in range(0, m**nx, step))
         stop = 0.0
     else:
         rng = np.random.default_rng(seed)
@@ -197,7 +209,7 @@ def build_classical_hash(
         stop = eps
     best_key = None
     for tables in chunks:
-        _, defect, output_defect, error = _score(p, m, tables)
+        defect, output_defect, error = _score(p, m, tables, objective == "output")
         lead = defect if objective == "marginal" else output_defect
         # the guarantee needs BOTH the defect and the decode error small; ranking
         # by max first stops P_X-fallback rows from gaming the marginal defect

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from functools import reduce
 from pathlib import Path
 
@@ -14,6 +15,8 @@ import pytest
 
 from qstego import cli, experiments
 from qstego.experiments import RUNNERS
+from qstego.fixtures import repetition_qc_cover
+from qstego.protocols.verifiers import verify_pj_minentropy_bound
 from tests.test_experiments import entries, number_annotation, specs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -134,6 +137,15 @@ BAD_VALUES = {
         "pj_bound_family", "family", [{"p": 0.1, "delta": 0.2}, {"p": 3.0, "delta": 0.2}],
         "'family' entry 1: family point: 'p' must be a number in [0, 1], got 3.0",
     ),
+    # the smoothing of the min-entropy needs delta in [0, 1): the point names it, not the library's eps
+    "pj_bound_family-family-delta": (
+        "pj_bound_family", "family", [{"p": 0.1, "delta": 0.2}, {"p": 0.1, "delta": 1.0}],
+        "'family' entry 1: family point: 'delta' must be a number in [0, 1), got 1.0",
+    ),
+    # JSON has no NaN or infinity, which json.loads takes unless told not to
+    "sutherland_demo-delta-NaN": ("sutherland_demo", "delta", math.nan, "non-finite number NaN"),
+    "sutherland_demo-delta-Infinity": ("sutherland_demo", "delta", math.inf, "non-finite number Infinity"),
+    "random_code_demo-delta--Infinity": ("random_code_demo", "delta", -math.inf, "non-finite number -Infinity"),
 }
 
 
@@ -439,8 +451,10 @@ class TestExitCodes:
         assert "Traceback" not in cp.stderr
 
     def test_pj_bound_without_kl_weight_exits_two(self, tmp_path):
-        # at p = 1 every Knill-Laflamme weight is 0, and delta = 2.5 is not
-        # vacuous, so P_J is formed; the cause is named before the division
+        # at p = 1 every Knill-Laflamme weight is 0 and the cover's eps is 1,
+        # so only a delta above 2 is not vacuous, but the smoothing takes delta
+        # in [0, 1): the config names the point's key, and the library, given
+        # delta = 2.5, forms P_J and names the cause before the division
         config = json.loads((CONFIGS / "pj_bound_family.json").read_text())
         config["params"]["family"] = [{"p": 1.0, "delta": 2.5}]
         path = write_json(tmp_path / "no_weight.json", config)
@@ -450,9 +464,13 @@ class TestExitCodes:
             interpreter=("-W", "error::RuntimeWarning"),
         )
         assert cp.returncode == 2
-        assert "bad parameter: every Knill-Laflamme weight is zero" in cp.stderr
+        assert "'family' entry 0: family point: 'delta' must be a number in [0, 1), got 2.5" in cp.stderr
         assert "eps must be" not in cp.stderr
         assert "Traceback" not in cp.stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="bad parameter: every Knill-Laflamme weight is zero"):
+                verify_pj_minentropy_bound(repetition_qc_cover(1.0), 2.5)
 
     def test_config_not_an_object_exits_two(self, tmp_path):
         path = tmp_path / "list.json"

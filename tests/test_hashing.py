@@ -124,6 +124,12 @@ def zero_entries(nx, seed):
     return p / p.sum()
 
 
+def product_spectrum(q, n):
+    """The descending spectrum of n copies of diag(q, 1 - q): degenerate, as
+    the spectrum of a product state is."""
+    return np.sort(functools.reduce(np.kron, [np.array([q, 1.0 - q])] * n))[::-1]
+
+
 CASES = {
     "random-8x3": (np.random.default_rng(20).dirichlet(np.ones(8)), 3, 0.1),
     "random-4x8": (np.random.default_rng(21).dirichlet(np.ones(4)), 8, 0.1),
@@ -137,6 +143,8 @@ CASES = {
     # decimal weights: keys that tie in exact arithmetic differ in the last
     # bits, and the batch and the loop round them in different orders
     "decimal-10x2": (np.array([0.0, 0.0, 0.0, 0.3, 0.0, 0.03, 0.09, 0.3, 0.0, 0.28]), 2, 0.1),
+    "product-8x3": (product_spectrum(0.8, 3), 3, 0.1),
+    "product-4x8": (product_spectrum(0.8, 2), 8, 0.1),
 }
 
 
@@ -181,11 +189,28 @@ class TestExhaustiveSearchBitForBit:
         # table 15, lies in the first chunk of 16 tables
         chunks = []
         score = hashing._score
-        monkeypatch.setattr(hashing, "_score", lambda p, m, tables: chunks.append(len(tables)) or score(p, m, tables))
+        monkeypatch.setattr(hashing, "_score", lambda p, m, tables, output: chunks.append(len(tables)) or score(p, m, tables, output))
         monkeypatch.setattr(hashing, "CHUNK_BYTES", 8 * 2 * 8 * 16)
         enc = build_classical_hash(*CASES["exact-zero-8x2"], seed=0)
         assert tuple(enc.f) == (0, 0, 0, 0, 1, 1, 1, 1)
         assert chunks == [16, 1]
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_table_does_not_depend_on_the_chunk_size(self, monkeypatch, name):
+        # one table per chunk, 7 (a count no power of M divides, so chunks
+        # start inside the runs of every column) and the whole space in one
+        # chunk; the 65,536 one- and 9,363 seven-table chunks of random-16x2
+        # would take about 10 s, so it runs whole only (its 128 default
+        # chunks are test_matches_loop's)
+        p, m, eps = CASES[name]
+        sizes = (m**p.size,) if name == "random-16x2" else (1, 7, m**p.size)
+        for objective, ref in loop_result(name).items():
+            for tables_per_chunk in sizes:
+                monkeypatch.setattr(hashing, "CHUNK_BYTES", 8 * m * p.size * tables_per_chunk)
+                got = build_classical_hash(p, m, eps, seed=0, objective=objective)
+                assert np.array_equal(got.f, ref.f) and np.array_equal(got.cond, ref.cond)
+                for field in ("defect", "output_defect", "error_prob", "warning", "px_fallback"):
+                    assert getattr(got, field) == getattr(ref, field)
 
     def test_peak_memory_is_one_chunk(self):
         # all 65,536 tables of (|X|, M) = (16, 2) are scored: no zero key
@@ -253,7 +278,7 @@ class TestRandomSearchBitForBit:
     def test_fixed_chunks_and_one_encoder(self, monkeypatch):
         chunks, calls = [], []
         score, build = hashing._score, hashing.encoder_from_hash
-        monkeypatch.setattr(hashing, "_score", lambda p, m, tables: chunks.append(len(tables)) or score(p, m, tables))
+        monkeypatch.setattr(hashing, "_score", lambda p, m, tables, output: chunks.append(len(tables)) or score(p, m, tables, output))
         monkeypatch.setattr(hashing, "encoder_from_hash", lambda *args: calls.append(1) or build(*args))
         p, m, _ = RANDOM_CASES[0]
         # all 64 tables fit one chunk; the last score is the winner's encoder
@@ -284,13 +309,12 @@ class TestRandomSearchBitForBit:
 
 
 def assert_scores_match_loop(p, m, tables):
-    """The batched score of every table equals loop_encoder's (==), and so
-    does encoder_from_hash, the batch of one."""
+    """The batched keys of every table equal loop_encoder's (==), and so do
+    encoder_from_hash's keys and conditional, the batch of one."""
     p = as_pmf(p)
-    cond, defect, output_defect, error = hashing._score(p, m, np.asarray(tables))
+    defect, output_defect, error = hashing._score(p, m, np.asarray(tables), True)
     for i, table in enumerate(tables):
         ref = loop_encoder(table, p, m)
-        assert np.array_equal(cond[i], ref.cond)
         assert (defect[i], output_defect[i], error[i]) == (ref.defect, ref.output_defect, ref.error_prob)
         one = encoder_from_hash(table, p, m)
         assert np.array_equal(one.cond, ref.cond)
@@ -315,6 +339,17 @@ class TestBatchedScoreBitForBit:
             assert_scores_match_loop(zero_entries(nx, nx), m, rng.integers(0, m, size=(60, nx)))
         p = np.array([0.0, 0.0, 0.5, 0.5])
         assert_scores_match_loop(p, 2, [[0, 0, 1, 1], [0, 1, 0, 1], [1, 1, 0, 0]])
+
+    @pytest.mark.parametrize("nx,m", [(8, 3), (4, 8)])
+    def test_every_table(self, nx, m):
+        # the whole space at both hash-search sizes, on a spectrum with
+        # repeated entries and on a PMF with zero entries; encoder_from_hash is
+        # checked on the sampled tables of the tests around
+        tables = np.array(list(itertools.product(range(m), repeat=nx)))
+        for p in (product_spectrum(0.8, nx.bit_length() - 1), zero_entries(nx, nx)):
+            refs = [loop_encoder(table, p, m) for table in tables]
+            for got, field in zip(hashing._score(p, m, tables, True), ("defect", "output_defect", "error_prob")):
+                assert got.tolist() == [getattr(ref, field) for ref in refs]
 
     def test_fallback_rows(self):
         # M > |X| leaves preimages empty; a constant table leaves all but one

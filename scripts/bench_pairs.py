@@ -20,17 +20,27 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 
 def run(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one perfbench/run.py run of the checkout at ``root``."""
+    """The result line of one perfbench/run.py run of the checkout at ``root``.
+
+    The run gets a fresh, empty bytecode cache (``PYTHONPYCACHEPREFIX``) that
+    it does not write to, so every process of it compiles what it imports and
+    no run reads a checkout's ``__pycache__``: ``setup_s`` of two checkouts is
+    then compared from equal caches.
+    """
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    out = subprocess.run(cmd, cwd=root, capture_output=True, text=True, check=True).stdout.splitlines()
+    with tempfile.TemporaryDirectory() as cache:
+        env = dict(os.environ, PYTHONPYCACHEPREFIX=cache, PYTHONDONTWRITEBYTECODE="1")
+        out = subprocess.run(cmd, cwd=root, env=env, capture_output=True, text=True, check=True).stdout.splitlines()
     return json.loads(out[-1])
 
 

@@ -245,8 +245,6 @@ def tensor_power(ch: QuantumChannel, n: int) -> QuantumChannel:
     legs, each operator formed only when read; any other ``ch``'s is the
     :func:`tensor` chain of n copies, all K^n operators formed.
     """
-    if n < 1:
-        raise ValueError("bad parameter: n must be >= 1")
     if n == 1:
         return ch
     if ch.dim_in**n > DIM_CAP or ch.dim_out**n > DIM_CAP:
@@ -264,8 +262,6 @@ def compose(outer: QuantumChannel, inner: QuantumChannel) -> QuantumChannel:
 
 
 def identity_channel(dim: int) -> QuantumChannel:
-    if dim < 1:
-        raise ValueError("bad parameter: dim must be at least 1")
     return QuantumChannel((np.eye(dim, dtype=complex),))
 
 

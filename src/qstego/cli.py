@@ -7,20 +7,22 @@ kinds of a group.
 Common flags: --config PATH (JSON), --seed N (overrides the config seed), --out
 DIR (default "."), --csv / --json (default: write both). Exit code 0 iff every
 pass/fail flag in the run is true, 1 on a failed flag, 2 on a config error
-(malformed JSON with a line-anchored diagnostic; a NaN or infinity; a missing,
-wrong-typed, out-of-range or unknown key at any level of the config, named in
-the message with its path, an unknown one before a missing one; an integer key
-takes a JSON integer, a number key a JSON integer or float, and neither a bool
-or a string; a number lies in the range its parameter's annotation declares, a
-seed from the config or --seed at least 0; a list is non-empty, each entry read
-by the same rule), 3 on a numerical failure of a linear-algebra routine and 4
-on any other exception, a bug, whose traceback is printed.
+(malformed JSON with a line-anchored diagnostic; a NaN, an infinity or a
+number beyond the largest float; a missing, wrong-typed, out-of-range or
+unknown key at any level of the config, named in the message with its path,
+an unknown one before a missing one; an integer key takes a JSON integer, a
+number key a JSON integer or float, and neither a bool or a string; a number
+lies in the range its parameter's annotation declares, a seed from the config
+or --seed at least 0; a list is non-empty, each entry read by the same rule),
+3 on a numerical failure of a linear-algebra routine and 4 on any other
+exception, a bug, whose traceback is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -47,22 +49,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _non_finite(name):
-    raise ValueError(f"non-finite number {name}")
+def _finite(text):
+    """A JSON float or ``NaN``/``Infinity`` as a float, which must be finite (``1e400`` is not)."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite number {text}")
+    return value
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     path = Path(args.config)
     try:
-        config = json.loads(path.read_text(), parse_constant=_non_finite)
+        config = json.loads(path.read_text(), parse_float=_finite, parse_constant=_finite)
     except OSError as exc:
         print(f"{path}: {exc.strerror or exc}", file=sys.stderr)
         return 2
     except json.JSONDecodeError as exc:
         print(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}", file=sys.stderr)
         return 2
-    except ValueError as exc:  # NaN or (-)Infinity, which JSON does not have
+    except ValueError as exc:  # NaN, (-)Infinity or an overflowing float, which JSON does not have
         print(f"{path}: invalid config: {exc}", file=sys.stderr)
         return 2
     if not isinstance(config, dict):

@@ -23,6 +23,7 @@ import ast
 import inspect
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass
 from functools import cache, partial, reduce
@@ -140,6 +141,8 @@ def _read(where, annotation, value):
                 else:
                     shown = f"in {'(' if lo_open else '['}{lo}, {hi}{')' if hi_open else ']'}"
                 raise ValueError(f"{where} must be {name} {shown}, got {value!r}")
+        if reader is float and abs(value) > sys.float_info.max:  # an integer too large for a float
+            raise ValueError(f"{where} must be {name} within the float range, got {value!r}")
         return reader(value)
     read = partial(_call, name, reader)
     if isinstance(reader, dict):

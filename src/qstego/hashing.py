@@ -183,10 +183,6 @@ def build_classical_hash(
     returns the best table found, with ``warning`` set when the target was
     missed.
     """
-    if m < 1:
-        raise ValueError("bad parameter: M must be >= 1")
-    if not 0.0 <= eps <= 2.0:
-        raise ValueError("bad parameter: eps must be in [0, 2]")
     if objective not in ("marginal", "output"):
         raise ValueError(f"bad parameter: unknown objective {objective!r}")
     p = as_pmf(p)

@@ -82,8 +82,6 @@ def build_resolvability_codes(sigma: CqState, m: int, k: int, seeds) -> list[Res
     equals the code a one-seed batch builds; every PGM and metric of the batch
     is one stacked computation.  Deterministic for fixed seeds.
     """
-    if m < 1 or k < 1:
-        raise ValueError("bad parameter: M, K must be >= 1")
     books = np.array([
         np.random.default_rng(seed).choice(sigma.alphabet_size, size=(k, m), p=sigma.pmf.probs)
         for seed in seeds

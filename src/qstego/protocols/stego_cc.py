@@ -118,10 +118,6 @@ def build_stego_cc_noiseless(
     best-found artifacts with audited metrics; the ``warning`` flag is set
     when some per-message hash missed the zeta target.
     """
-    if mbar < 1:
-        raise ValueError("bad parameter: M_bar must be >= 1")
-    if not 0.0 <= zeta <= 2.0:
-        raise ValueError("bad parameter: zeta must be in [0, 2]")
     rng = np.random.default_rng(seed)
     dim = cover.outputs[0].dim
     # each hash writes its POVM into its slots, which are then nested in place
@@ -181,8 +177,6 @@ def build_stego_cc_noisy(
     ``kbar`` keyed resolvability codebooks of ``mbar`` codewords are sampled;
     the ``warning`` flag is set when some codebook's distance exceeds ``xi``.
     """
-    if mbar < 1 or kbar < 1:
-        raise ValueError("bad parameter: M_bar and K_bar must be >= 1")
     if len(side_states) != cover.m:
         raise ValueError("shape error: one side state per cover message required")
     rng = np.random.default_rng(seed)

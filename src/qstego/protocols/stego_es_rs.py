@@ -52,8 +52,6 @@ def build_stego_es_rs(
     overlap, and the exact stego-vs-cover B-output distance (zero up to
     rounding by construction).
     """
-    if mbar < 1:
-        raise ValueError("bad parameter: M_bar must be >= 1")
     channel = cover.channel
     m_dim = cover.decode.dim_out  # M, the size of A~ and of B~
     dn = channel.dim_in

@@ -123,8 +123,6 @@ def build_stego_qc_cc(
     degradation whose correctable Kraus weights supply the hashed randomness.
     All achieved metrics are audited on a fixed 16-state input set.
     """
-    if mbar < 1:
-        raise ValueError("bad parameter: M_bar must be >= 1")
     channel = cover.channel
     pi = cover.projector
     v = cover.encode.data

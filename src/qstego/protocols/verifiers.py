@@ -170,10 +170,6 @@ def experiment_random_code_entropy(
     """
     if m.dim_in**n > 256:
         raise ValueError("dimension limit: dim_a^n above the recommended cap")
-    if samples < 1:
-        raise ValueError("bad parameter: samples must be at least 1")
-    if m_dim < 1:
-        raise ValueError("bad parameter: m_dim must be at least 1")
     rng = np.random.default_rng(seed)
     total = tensor_power(m, n)
     # a chunk's largest temporary is complementary_matrix's row of products

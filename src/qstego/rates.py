@@ -53,8 +53,6 @@ def rate_cc_noiseless(outputs, zeta: float) -> RateResult:
     if not 0.0 < zeta <= 2.0:  # a trace distance is at most 2
         raise ValueError("bad parameter: zeta must be in (0, 2]")
     outputs = list(outputs)
-    if not outputs:
-        raise ValueError("bad parameter: no cover outputs")
     h = renyi_entropy(outputs)
     penalty = math.log2(2.0 / zeta)
     opts = sup_over_order(lambda a: h(a) - (4.0 / a) * penalty, batch=len(outputs))
@@ -118,8 +116,6 @@ def rate_cc_noisy(
     """
     if not (0.0 < zeta < 1.0 and 0.0 < xi < 1.0):
         raise ValueError("bad parameter: zeta and xi must be in (0, 1)")
-    if not nu_tols:
-        raise ValueError("bad parameter: nu_tols must be non-empty")
     ups, downs, nu_logs = [], [], []
     for sigma in side_outputs:
         rho_b = sigma.marginal_b()

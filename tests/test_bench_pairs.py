@@ -1,5 +1,7 @@
 import importlib.util
+import os
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -53,3 +55,21 @@ class TestPairRatios:
     def test_zero_parent_gives_nan(self):
         [ratio] = bench_pairs.pair_ratios([0.0], [1.0])
         assert ratio != ratio
+
+
+def test_each_run_gets_a_fresh_empty_bytecode_cache(monkeypatch):
+    # a checkout's own __pycache__ would make its imports cheaper than a clone's
+    prefixes = []
+
+    def fake_run(cmd, cwd, env, **kwargs):
+        prefix = env["PYTHONPYCACHEPREFIX"]
+        assert os.path.isdir(prefix) and not os.listdir(prefix)
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        prefixes.append(prefix)
+        return SimpleNamespace(stdout='{"correct": true}\n')
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    for _ in range(2):
+        assert bench_pairs.run(ROOT, "shipped", 1, 1.0, 0) == {"correct": True}
+    assert len(set(prefixes)) == 2
+    assert not any(os.path.exists(p) for p in prefixes)

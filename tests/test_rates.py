@@ -6,7 +6,7 @@ import pytest
 
 from qstego.channels import QuantumChannel, identity_channel, standard_channel
 from qstego.fixtures import named_state, repetition_qc_cover
-from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, sup_over_order
+from qstego.info import GRID_POINTS, CqState, Pmf, inf_over_order, smooth_min_entropy_classical, sup_over_order
 from qstego.linalg import DensityMatrix, basis_state
 from qstego import rates
 from qstego.protocols.verifiers import experiment_random_code_entropy, experiment_sutherland_bound
@@ -93,10 +93,6 @@ class TestRateCcNoisy:
             for a in np.linspace(1e-6, 1 - 1e-6, 200_000)
         )
         assert mbar.raw == pytest.approx(dense, abs=1e-4)
-
-    def test_empty_nu_tols_rejected(self):
-        with pytest.raises(ValueError, match="^bad parameter: nu_tols must be non-empty$"):
-            rate_cc_noisy([self.correlated(2)], zeta=0.5, xi=0.5, nu_tols=())
 
     def test_key_rate_uses_negative_orders(self):
         sigma = self.correlated(2)
@@ -424,3 +420,22 @@ class TestSutherlandUnitary:
         assert rep.lhs == pytest.approx(0.0, abs=1e-9)
         assert rep.rhs == pytest.approx(3 * (0.0 - 0.1), abs=1e-12)
         assert rep.holds
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: rate_cc_noiseless([DensityMatrix(np.diag([0.6, 0.4]).astype(complex))], zeta=3.0),
+        lambda: rate_cc_noisy([TestRateCcNoisy.correlated(2)], zeta=0.5, xi=1.5),
+        lambda: rate_gaussian([(2.0, 3.0)], n=4, r=5, zeta=0.5),
+        lambda: rate_gaussian([(2.0, 3.0)], n=4, r=2, zeta=3.0),
+        lambda: smooth_min_entropy_classical([0.5, 0.25, 0.25], 1.0),
+    ],
+    ids=["cc-noiseless-zeta-3", "cc-noisy-xi-1.5", "gaussian-r-above-n", "gaussian-zeta-3", "smooth-eps-1"],
+)
+def test_range_check_kept_where_its_absence_gives_a_finite_number(call):
+    # ranges are checked where a config is read; the library keeps a check
+    # only where the call would otherwise return a finite, meaningless number
+    # (a 2,339,850-bit rate at zeta = 3, a 26-bit key rate at xi = 1.5)
+    with pytest.raises(ValueError, match="^bad parameter: "):
+        call()

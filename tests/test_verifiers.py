@@ -242,11 +242,6 @@ class TestPjMinEntropyBound:
 
 
 class TestRandomCodeEntropy:
-    @pytest.mark.parametrize("samples, m_dim", [(0, 2), (-1, 2), (3, 0)], ids=["no-samples", "negative-samples", "no-m-dim"])
-    def test_empty_input_rejected(self, samples, m_dim):
-        with pytest.raises(ValueError, match="bad parameter"):
-            experiment_random_code_entropy(2, m_dim, standard_channel("dephasing", 0.5), samples=samples, delta=0.5, seed=0)
-
     def test_peak_memory_of_a_large_batch(self):
         # the batch keeps each sample's spectrum and grid winner, never a
         # (samples, 199) table of grid values (0.76 MiB at 500 samples)

@@ -50,6 +50,23 @@ WALKED_IDS = [c if isinstance(c, str) else c["params"]["m"]["kind"] + "-" + c["k
 #: that predates the explicit ids keeps the name pytest first collected it
 #: under (with "value<i>" for its place then), so editing a row renames no test
 BAD_VALUES = {
+    "gaussian_fig2-zeta-0-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", 0, "'zeta' must be a number in (0, 2], got 0"),
+    "gaussian_fig2-zeta--0.5-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", -0.5, "'zeta' must be a number in (0, 2], got -0.5"),
+    "resolvability_demo-zeta_ref-0-zeta_ref must be in (0, 1)": ("resolvability_demo", "zeta_ref", 0, "'zeta_ref' must be a number in (0, 1), got 0"),
+    "resolvability_demo-seeds-0-seeds must be at least 1": ("resolvability_demo", "seeds", 0, "'seeds' must be an integer >= 1, got 0"),
+    "resolvability_demo-mk_grid-value4-mk_grid entries must be integers of at least 1": (
+        "resolvability_demo", "mk_grid", [0], "'mk_grid' entry 0 must be an integer >= 1, got 0"
+    ),
+    "resolvability_demo-mk_grid-value5-mk_grid entries must be integers of at least 1": (
+        "resolvability_demo", "mk_grid", [4, -2], "'mk_grid' entry 1 must be an integer >= 1, got -2"
+    ),
+    "gentle_demo-instances-0-instances must be at least 1": ("gentle_demo", "instances", 0, "'instances' must be an integer >= 1, got 0"),
+    "gentle_demo-instances--3-instances must be at least 1": ("gentle_demo", "instances", -3, "'instances' must be an integer >= 1, got -3"),
+    "gentle_demo-dim_max-1-dim_max must be at least 2": ("gentle_demo", "dim_max", 1, "'dim_max' must be an integer >= 2, got 1"),
+    "gentle_demo-x_max-1-x_max must be at least 2": ("gentle_demo", "x_max", 1, "'x_max' must be an integer >= 2, got 1"),
+    "gaussian_fig2-nu0_grid-value10-grid must be non-empty and increasing": (
+        "gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 3.0, "num": 0}, "'nu0_grid': grid: 'num' must be an integer >= 1, got 0"
+    ),
     # a grid's points must increase: a relation of start, stop and num
     "gaussian_fig2-nu0_grid-value11-grid must be non-empty and increasing": (
         "gaussian_fig2", "nu0_grid", {"start": 1.0, "stop": 1.0, "num": 2}, "'nu0_grid': bad parameter: grid must be increasing"
@@ -60,11 +77,33 @@ BAD_VALUES = {
     "gaussian_fig2-nu1_grid-value13-grid must be non-empty and increasing": (
         "gaussian_fig2", "nu1_grid", {"start": 2.0, "stop": 2.0, "num": 3}, "'nu1_grid': bad parameter: grid must be increasing"
     ),
+    "resolvability_demo-mk_grid-value14-mk_grid must be non-empty": ("resolvability_demo", "mk_grid", [], "'mk_grid' must be non-empty"),
+    "pj_bound_family-family-value15-family must be non-empty": ("pj_bound_family", "family", [], "'family' must be non-empty"),
+    "stego_cc_noiseless_demo-codewords-value16-codewords must be non-empty": (
+        "stego_cc_noiseless_demo", "codewords", [], "'codewords' must be non-empty"
+    ),
+    "stego_cc_noisy_demo-codewords-value17-codewords must be non-empty": ("stego_cc_noisy_demo", "codewords", [], "'codewords' must be non-empty"),
     "stego_cc_noiseless_demo-m-value18-unknown channel kind 'foo'": (
         "stego_cc_noiseless_demo", "m", {"kind": "foo"}, "'m': bad parameter: unknown channel kind 'foo'"
     ),
     "stego_cc_noiseless_demo-m-value19-unknown channel kind 'tensor'": (
         "stego_cc_noiseless_demo", "m", {"kind": "tensor", "factors": []}, "'m': bad parameter: unknown channel kind 'tensor'"
+    ),
+    "stego_cc_noisy_demo-zeta-0-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "zeta", 0, "'zeta' must be a number in (0, 1), got 0"),
+    "stego_cc_noisy_demo-zeta-1.5-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "zeta", 1.5, "'zeta' must be a number in (0, 1), got 1.5"),
+    "stego_cc_noisy_demo-xi-1.0-zeta and xi must be in (0, 1)": ("stego_cc_noisy_demo", "xi", 1.0, "'xi' must be a number in (0, 1), got 1.0"),
+    # a trace distance is at most 2: above it the rate penalty changes sign
+    "gaussian_fig2-zeta-3.0-zeta must be in (0, 2]": ("gaussian_fig2", "zeta", 3.0, "'zeta' must be a number in (0, 2], got 3.0"),
+    "stego_cc_es_demo-zeta-3.0-zeta must be in (0, 2]": ("stego_cc_es_demo", "zeta", 3.0, "'zeta' must be a number in (0, 2], got 3.0"),
+    "stego_cc_noiseless_demo-zeta-5.0-zeta must be in [0, 2]": ("stego_cc_noiseless_demo", "zeta", 5.0, "'zeta' must be a number in [0, 2], got 5.0"),
+    "stego_cc_noiseless_demo-m-value26-dim must be at least 1": (
+        "stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": 0}, "'m': identity channel: 'dim' must be an integer >= 1, got 0"
+    ),
+    "stego_cc_noiseless_demo-m-value27-dim must be at least 1": (
+        "stego_cc_noiseless_demo", "m", {"kind": "identity", "dim": -2}, "'m': identity channel: 'dim' must be an integer >= 1, got -2"
+    ),
+    "stego_cc_noiseless_demo-codewords-value28-factors must be non-empty": (
+        "stego_cc_noiseless_demo", "codewords", [{"kind": "kron", "factors": []}], "'codewords' entry 0: kron state: 'factors' must be non-empty"
     ),
     # n counts the qubits m acts on: the demo's m is dephasing^(x2), the noisy demo's and the rates one's a qubit channel
     "stego_cc_noiseless_demo-n-5-n must satisfy 2**n == the input dimension of m": (
@@ -86,6 +125,8 @@ BAD_VALUES = {
     "random_code_demo-m-value34-dim_a must equal the input dimension of m": (
         "random_code_demo", "m", {"kind": "identity", "dim": 4}, "bad parameter: dim_a must equal the input dimension of m"
     ),
+    "resolvability_demo-pmf-value35-pmf must be non-empty": ("resolvability_demo", "pmf", [], "'pmf' must be non-empty"),
+    "resolvability_demo-outputs-value36-outputs must be non-empty": ("resolvability_demo", "outputs", [], "'outputs' must be non-empty"),
     "gaussian_fig2-r": ("gaussian_fig2", "r", 1000001, "bad parameter: need 0 <= r <= n"),
     # a reader's own error names the path of the value it read
     "stego_cc_noiseless_exact-codewords": (
@@ -261,6 +302,12 @@ class TestCli:
         )
         assert cp.returncode == 2
         assert "bad.json:3:" in cp.stderr
+
+    @pytest.mark.parametrize("key", ["samples", "m_dim"], ids=["samples", "m_dim"])
+    def test_empty_random_code_exits_two(self, tmp_path, capsys, key):
+        config = load("random_code_demo")
+        config["params"][key] = 0
+        assert config_error(tmp_path, capsys, config) == f"verify/random-code params: {key!r} must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("name, key, value, message", BAD_VALUES.values(), ids=BAD_VALUES)
     def test_bad_numeric_parameter_exits_two(self, tmp_path, capsys, name, key, value, message):
@@ -451,12 +498,47 @@ class TestExitCodes:
         assert config_error(tmp_path, capsys, config) == "verify/sutherland params: must be a JSON object\n"
 
     @pytest.mark.parametrize(
+        "config_name, key",
+        [("stego_cc_noiseless_demo.json", "atempts"), ("stego_cc_noisy_demo.json", "trials")],
+        ids=["atempts", "trials"],
+    )
+    def test_unknown_parameter_exits_two(self, tmp_path, capsys, config_name, key):
+        config = load(config_name.removesuffix(".json"))
+        config["params"][key] = 3
+        assert repr(key) in config_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize(
         "config_name, edit, key",
-        [("stego_qc_cc_demo.json", lambda c: c["params"].update(mbr=c["params"].pop("mbar")), "mbr")],
-        ids=["misspelled-required-key"],
+        [
+            ("stego_qc_cc_demo.json", lambda c: c["params"].pop("mbar"), "mbar"),
+            ("gentle_demo.json", lambda c: c.update(parmas=c.pop("params")), "parmas"),
+            ("stego_qc_cc_demo.json", lambda c: c["params"].update(seed=3), "seed"),
+            (
+                "stego_cc_noiseless_demo.json",
+                lambda c: c["params"].update(m={"kind": "dephasing", "p": 0.6, "pwr": 2}),
+                "pwr",
+            ),
+            ("stego_cc_noiseless_demo.json", lambda c: c["params"]["codewords"][0].update(fators=[]), "fators"),
+            ("gaussian_fig2.json", lambda c: c["params"]["nu0_grid"].update(step=0.25), "step"),
+            ("stego_es_rs_demo.json", lambda c: c["params"]["cover"].update(q=0.5), "q"),
+            ("pj_bound_family.json", lambda c: c["params"]["family"][2].update(eps=0.1), "eps"),
+            ("resolvability_demo.json", lambda c: c["params"].pop("zeta_ref"), "zeta_ref"),
+            ("stego_qc_cc_demo.json", lambda c: c["params"].update(mbr=c["params"].pop("mbar")), "mbr"),
+        ],
+        ids=[
+            "missing-param",
+            "unknown-top-level",
+            "seed-in-params",
+            "channel-spec",
+            "state-spec",
+            "grid-spec",
+            "es-rs-cover",
+            "pj-bound-point",
+            "min-reliability-without-zeta-ref",
+            "misspelled-required-key",
+        ],
     )
     def test_bad_key_named_and_exits_two(self, tmp_path, capsys, config_name, edit, key):
-        # an unknown key is named before a missing one: each walk mutant makes one or the other
         config = load(config_name.removesuffix(".json"))
         edit(config)
         assert repr(key) in config_error(tmp_path, capsys, config)
@@ -477,6 +559,78 @@ class TestExitCodes:
         config = load(config.removesuffix(".json") if isinstance(config, str) else config)
         config["params"][key] = value
         assert config_error(tmp_path, capsys, config) == f"{config['kind']} params: got an unexpected keyword argument {key!r}\n"
+
+    @pytest.mark.parametrize(
+        "config, key",
+        [
+            (RATES_CC_NOISY, "n"),
+            ("gaussian_fig2.json", "nu0_grid"),
+            ("gaussian_fig2.json", "nu1_grid"),
+            ("stego_cc_noiseless_demo.json", "n"),
+            ("stego_cc_noisy_demo.json", "n"),
+            ("stego_es_rs_demo.json", "cover"),
+            ("stego_es_rs_demo.json", "p"),
+            ("stego_qc_cc_demo.json", "zeta"),
+            ("stego_cc_es_demo.json", "p_block1"),
+            ("resolvability_demo.json", "seeds"),
+            ("resolvability_demo.json", "min_reliability"),
+            ("gentle_demo.json", "instances"),
+            ("gentle_demo.json", "dim_max"),
+            ("gentle_demo.json", "x_max"),
+            ("sutherland_demo.json", "delta"),
+            ("random_code_demo.json", "delta"),
+            ("stego_cc_noiseless_exact.json", "dim"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else "rates_cc_noisy",
+    )
+    def test_missing_key_exits_two_naming_it(self, tmp_path, capsys, config, key):
+        # every key of params is required: leaving one out is a config error naming it
+        config = load(config.removesuffix(".json") if isinstance(config, str) else config)
+        params = config["params"]
+        if key == "p":
+            del params["cover"]["p"]
+        elif key == "dim":
+            params["m"] = {"kind": "identity"}
+        else:
+            del params[key]
+        assert f"missing a required argument: {key!r}" in config_error(tmp_path, capsys, config)
+
+    @pytest.mark.parametrize(
+        "config_name, edit, what",
+        [
+            ("gaussian_fig2", lambda p: p.update(nu0_grid=[1.0, 2.0]), "'nu0_grid': grid"),
+            ("stego_cc_noiseless_demo", lambda p: p.update(m=["dephasing", 0.1]), "'m': channel"),
+            ("stego_cc_noiseless_demo", lambda p: p["codewords"].append(["plus"]), "'codewords' entry 2: state"),
+            ("stego_es_rs_demo", lambda p: p.update(cover=["dephasing_demo", 0.5]), "'cover': ES cover"),
+            ("pj_bound_family", lambda p: p["family"].append([0.1, 0.2]), "'family' entry 6: family point"),
+        ],
+        ids=["grid", "channel", "state", "es-cover", "family-point"],
+    )
+    def test_spec_not_an_object_exits_two(self, tmp_path, capsys, monkeypatch, config_name, edit, what):
+        # the whole config is read before any work: a bad last family point is named before any bound
+        monkeypatch.setattr(experiments, "verify_pj_minentropy_bound", forbidden)
+        config = load(config_name)
+        edit(config["params"])
+        assert config_error(tmp_path, capsys, config) == f"{config['kind']} params: {what}: must be a JSON object\n"
+
+    def test_zeta_ref_checked_before_any_code_is_built(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(experiments, "build_resolvability_codes", forbidden)
+        config = load("resolvability_demo")
+        config["params"]["zeta_ref"] = 0
+        message = config_error(tmp_path, capsys, config)
+        assert message == "simulate/resolvability params: 'zeta_ref' must be a number in (0, 1), got 0\n"
+
+    @pytest.mark.parametrize("power", [0, -3], ids=["0", "-3"])
+    @pytest.mark.parametrize("kind", ["simulate/cc-noiseless", "rates/cc-noiseless"], ids=["simulate/cc-noiseless", "rates/cc-noiseless"])
+    def test_channel_power_below_one_exits_two(self, tmp_path, capsys, kind, power):
+        config = {
+            "kind": kind,
+            "params": {"m": {"kind": "dephasing", "p": 0.2, "power": power}, "codewords": ["plus", "minus"], "zeta": 0.5},
+        }
+        if kind == "simulate/cc-noiseless":
+            config["params"] |= {"mbar": 2, "n": 1}
+        message = config_error(tmp_path, capsys, config)
+        assert message == f"{kind} params: 'm': dephasing channel: 'power' must be an integer >= 1, got {power}\n"
 
     @pytest.mark.parametrize(
         "config_name, edit, message",
